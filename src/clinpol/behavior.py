@@ -28,6 +28,7 @@ tree's per-action average.
 from __future__ import annotations
 
 import logging
+from dataclasses import replace
 
 import numpy as np
 
@@ -38,7 +39,15 @@ from .calibration import (
     identity_calibration,
 )
 from .data import NONE_ACTION, StepData
-from .tree import DecisionTree, TreeHyperparams, attach_outcomes, fit_tree, tree_from_json, tree_to_json
+from .tree import (
+    DecisionTree,
+    TreeHyperparams,
+    attach_outcomes,
+    fit_tree,
+    tree_from_json,
+    tree_to_json,
+    truncate_tree,
+)
 
 log = logging.getLogger(__name__)
 
@@ -299,14 +308,71 @@ class BaselineSwitchModel(_Base):
 # fitting
 # ---------------------------------------------------------------------------
 
-def fit_dt(data: StepData, hp: TreeHyperparams,
-           val: StepData | None = None) -> TreeBehaviorModel:
+class TreeMemo:
+    """Deep component trees grown on one fitting set, for many candidates.
+
+    Model selection fits the same component trees under many (max_depth,
+    min_leaf_fraction) candidates. Growth reads ``max_depth`` only as its stop
+    rule, so each component is grown once per fraction, to the deepest depth
+    drawn for it, and every candidate's tree is that tree truncated. Keys are
+    (component, min_leaf_fraction); a fit that raised raises the same error
+    for every later candidate with that fraction. One memo serves one
+    fitting set: ``data`` is the :class:`StepData` passed to the fit calls.
+    """
+
+    def __init__(self, data: StepData, candidates):
+        self.data = data
+        self._depths: dict[float, int] = {}
+        for hp in candidates:
+            f = hp.min_leaf_fraction
+            self._depths[f] = max(self._depths.get(f, 0), hp.max_depth)
+        self._grown: dict[tuple, DecisionTree | ValueError] = {}
+
+    def check(self, data: StepData) -> None:
+        if data is not self.data:
+            raise RuntimeError("tree memo used with a different fitting set")
+
+    def deep_tree(self, component: str, hp: TreeHyperparams, grow) -> DecisionTree:
+        """The memoized deep tree ``grow(deep_hp)`` for ``hp``'s fraction."""
+        depth = self._depths.get(hp.min_leaf_fraction, 0)
+        if hp.max_depth > depth:
+            raise RuntimeError(f"tree memo grows no tree as deep as {hp}")
+        key = (component, hp.min_leaf_fraction)
+        if key not in self._grown:
+            try:
+                self._grown[key] = grow(replace(hp, max_depth=depth))
+            except ValueError as e:
+                self._grown[key] = e
+        found = self._grown[key]
+        if isinstance(found, ValueError):
+            raise found
+        return found
+
+
+def _component_tree(component: str, X, y, rewards, hp: TreeHyperparams,
+                    n_classes: int, feature_names, memo: TreeMemo | None) -> DecisionTree:
+    """Grow (or look up) a component tree, cut it at ``hp`` and attach outcomes.
+
+    Without a memo this is one fit at ``hp`` itself, so the cut keeps every
+    node. Outcomes are tallied afresh on the fitting rows rather than summed
+    from cut children, which would reorder the float sums.
+    """
+    def grow(deep_hp):
+        return fit_tree(X, y, deep_hp, n_classes=n_classes, feature_names=feature_names)
+
+    deep = grow(hp) if memo is None else memo.deep_tree(component, hp, grow)
+    return attach_outcomes(truncate_tree(deep, hp.max_depth), X, y, rewards)
+
+
+def fit_dt(data: StepData, hp: TreeHyperparams, val: StepData | None = None,
+           memo: TreeMemo | None = None) -> TreeBehaviorModel:
     """One K-class tree on all (state, action) pairs, outcomes attached."""
     if len(data) == 0:
         raise BehaviorError("no records to fit")
-    tree = fit_tree(data.states, data.actions, hp, n_classes=data.n_actions,
-                    feature_names=data.feature_names)
-    tree = attach_outcomes(tree, data.states, data.actions, data.rewards)
+    if memo is not None:
+        memo.check(data)
+    tree = _component_tree("tree", data.states, data.actions, data.rewards, hp,
+                           data.n_actions, data.feature_names, memo)
     model = TreeBehaviorModel(tree)
     if val is not None:
         model.calibrate(val)
@@ -314,8 +380,11 @@ def fit_dt(data: StepData, hp: TreeHyperparams,
 
 
 def fit_dts(data: StepData, hp_switch: TreeHyperparams, hp_treatment: TreeHyperparams,
-            val: StepData | None = None) -> SwitchTreatmentModel:
+            val: StepData | None = None,
+            memo: TreeMemo | None = None) -> SwitchTreatmentModel:
     """Switch tree on follow-up records, treatment tree on switch events only."""
+    if memo is not None:
+        memo.check(data)
     follow = data.subset(data.stages > 1)
     if len(follow) == 0:
         raise DegenerateSwitchError(
@@ -326,17 +395,15 @@ def fit_dts(data: StepData, hp_switch: TreeHyperparams, hp_treatment: TreeHyperp
         raise DegenerateSwitchError(
             "degenerate switch data: no treatment changes in fitting records"
         )
-    switch_tree = fit_tree(follow.states, labels, hp_switch, n_classes=2,
-                           feature_names=follow.feature_names)
-    switch_tree = attach_outcomes(switch_tree, follow.states, labels, follow.rewards)
+    switch_tree = _component_tree("switch", follow.states, labels, follow.rewards,
+                                  hp_switch, 2, follow.feature_names, memo)
 
     switched = follow.subset(labels == 1)
-    # the treatment tree must never see a stay event
-    assert np.all(switched.actions != switched.prev_actions)
-    treat_tree = fit_tree(switched.states, switched.actions, hp_treatment,
-                          n_classes=data.n_actions, feature_names=switched.feature_names)
-    treat_tree = attach_outcomes(treat_tree, switched.states, switched.actions,
-                                 switched.rewards)
+    if np.any(switched.actions == switched.prev_actions):
+        raise RuntimeError("a stay event reached the treatment tree's fitting set")
+    treat_tree = _component_tree("treatment", switched.states, switched.actions,
+                                 switched.rewards, hp_treatment, data.n_actions,
+                                 switched.feature_names, memo)
     model = SwitchTreatmentModel(switch_tree, treat_tree)
     if val is not None:
         model.calibrate(val)
@@ -344,16 +411,17 @@ def fit_dts(data: StepData, hp_switch: TreeHyperparams, hp_treatment: TreeHyperp
 
 
 def fit_dtbls(data: StepData, hp_baseline: TreeHyperparams, hp_switch: TreeHyperparams,
-              hp_treatment: TreeHyperparams,
-              val: StepData | None = None) -> BaselineSwitchModel:
+              hp_treatment: TreeHyperparams, val: StepData | None = None,
+              memo: TreeMemo | None = None) -> BaselineSwitchModel:
     """``dts`` plus a first-stage tree fitted on t=1 records."""
+    if memo is not None:
+        memo.check(data)
     first = data.subset(data.stages == 1)
     if len(first) == 0:
         raise BehaviorError("no first-stage records to fit a baseline tree")
-    baseline = fit_tree(first.states, first.actions, hp_baseline,
-                        n_classes=data.n_actions, feature_names=first.feature_names)
-    baseline = attach_outcomes(baseline, first.states, first.actions, first.rewards)
-    inner = fit_dts(data, hp_switch, hp_treatment)
+    baseline = _component_tree("baseline", first.states, first.actions, first.rewards,
+                               hp_baseline, data.n_actions, first.feature_names, memo)
+    inner = fit_dts(data, hp_switch, hp_treatment, memo=memo)
     model = BaselineSwitchModel(baseline, inner)
     if val is not None:
         model.calibrate(val)

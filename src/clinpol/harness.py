@@ -12,8 +12,9 @@ and repeats could execute in any order (the final tables are merge-sorted by
 seed and policy). Report files carry no timestamps.
 
 Partition hygiene: trajectory id sets of train, validation, and test are
-asserted pairwise disjoint each repeat; imputation statistics come from the
-train partition only; calibration sees only validation; OPE only test.
+checked pairwise disjoint each repeat (a leak raises; it is never logged as
+a failed repeat); imputation statistics come from the train partition only;
+calibration sees only validation; OPE only test.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .behavior import MODEL_KINDS, fit_dt, fit_dtbls, fit_dts
+from .behavior import MODEL_KINDS, TreeMemo, fit_dt, fit_dtbls, fit_dts
 from .data import (
     Dataset,
     SplitSpec,
@@ -105,14 +106,18 @@ def sample_candidates(grid: HyperparamGrid, n_candidates: int, seed: int) -> lis
     return out
 
 
-def fit_model(model_type: str, data, hp: TreeHyperparams):
-    """Fit one candidate; meta-models share ``hp`` across component trees."""
+def fit_model(model_type: str, data, hp: TreeHyperparams, memo: TreeMemo | None = None):
+    """Fit one candidate; meta-models share ``hp`` across component trees.
+
+    With a ``memo`` built for ``data``, component trees are cut from its deep
+    trees instead of grown afresh; the fitted model is the same.
+    """
     if model_type == "dt":
-        return fit_dt(data, hp)
+        return fit_dt(data, hp, memo=memo)
     if model_type == "dts":
-        return fit_dts(data, hp, hp)
+        return fit_dts(data, hp, hp, memo=memo)
     if model_type == "dtbls":
-        return fit_dtbls(data, hp, hp, hp)
+        return fit_dtbls(data, hp, hp, hp, memo=memo)
     raise HarnessError(
         f"unknown model type {model_type!r}; valid types are {MODEL_KINDS}"
     )
@@ -129,18 +134,26 @@ def select_model(train, validation, model_type: str, n_candidates: int,
     Ties keep the earliest sampled candidate (strict improvement replaces).
     Candidates that fail to fit are skipped; if every one fails the last
     failure is surfaced.
+
+    Each component tree is grown once per distinct min-leaf fraction among
+    the draws, to the deepest depth drawn with it, and each candidate's trees
+    are that tree truncated at the candidate's depth. This is exact: greedy
+    growth reads ``max_depth`` only as its stop rule, so a shallower fit is
+    the deeper one cut (see :func:`clinpol.tree.truncate_tree`).
     """
     if model_type not in MODEL_KINDS:
         raise HarnessError(
             f"unknown model type {model_type!r}; valid types are {MODEL_KINDS}"
         )
     grid = grid or HyperparamGrid()
+    candidates = sample_candidates(grid, n_candidates, seed)
+    memo = TreeMemo(train, candidates)
     best = None
     best_score = -math.inf
     last_error = None
-    for hp in sample_candidates(grid, n_candidates, seed):
+    for hp in candidates:
         try:
-            model = fit_model(model_type, train, hp)
+            model = fit_model(model_type, train, hp, memo=memo)
             score = auroc_macro(
                 model.action_probabilities_batch(
                     validation.states, validation.prev_actions, validation.stages
@@ -174,6 +187,10 @@ def cross_validate(dataset: Dataset, model_type: str, folds: int,
     Folds are strided over trajectory order (trajectory ``i`` validates in
     fold ``i mod folds``), capped at the number of trajectories. Ties keep
     the earliest grid cell in ``grid.all()`` order.
+
+    Within each fold, each component tree is grown once per min-leaf
+    fraction at the grid's deepest depth and every cell's trees are
+    truncations of it, exact for the reason given in :func:`select_model`.
     """
     grid = grid or HyperparamGrid()
     n = len(dataset.trajectories)
@@ -195,7 +212,8 @@ def cross_validate(dataset: Dataset, model_type: str, folds: int,
         train_ds = take(assignment != f)
         enc_train = impute_and_encode(train_ds)
         enc_val = impute_and_encode(val_ds, stats_source=train_ds)
-        parts.append((build_states(enc_train), build_states(enc_val)))
+        train = build_states(enc_train)
+        parts.append((train, build_states(enc_val), TreeMemo(train, grid.all())))
 
     best = None
     best_score = -math.inf
@@ -203,8 +221,8 @@ def cross_validate(dataset: Dataset, model_type: str, folds: int,
     for hp in grid.all():
         scores = []
         try:
-            for train, val in parts:
-                m = fit_model(model_type, train, hp)
+            for train, val, memo in parts:
+                m = fit_model(model_type, train, hp, memo=memo)
                 scores.append(auroc_macro(
                     m.action_probabilities_batch(val.states, val.prev_actions,
                                                  val.stages),
@@ -438,10 +456,12 @@ def _write_csv(path, header, rows) -> None:
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Run every repeat and write the report files; returns their paths.
 
-    A failing repeat is logged to ``failures.csv`` and excluded from every
-    table; the summary counts missing seeds. Repeats are independent
-    (per-repeat seeds derive from ``SeedSequence([master, repeat])``), so the
-    sequential loop here could be parallelized without changing any output.
+    A repeat that fails with a domain error (a ``ValueError``) is logged to
+    ``failures.csv`` and excluded from every table; the summary counts
+    missing seeds. Any other exception is a bug and propagates. Repeats are
+    independent (per-repeat seeds derive from ``SeedSequence([master,
+    repeat])``), so the sequential loop here could be parallelized without
+    changing any output.
     """
     if cfg.dataset is not None:
         raw = load_dataset(cfg.dataset)
@@ -455,7 +475,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         split_seed, select_seed = (int(x) for x in ss.generate_state(2))
         try:
             rows.extend(_run_repeat(cfg, raw, r, split_seed, select_seed))
-        except Exception as e:
+        except ValueError as e:
             log.warning("seed %d failed: %s", r, e)
             failures.append((r, f"{type(e).__name__}: {e}"))
 
@@ -500,7 +520,8 @@ def _run_repeat(cfg: ExperimentConfig, raw: Dataset, repeat: int,
            for d in (train_ds, val_ds, test_ds)]
     for i in range(3):
         for j in range(i + 1, 3):
-            assert not (ids[i] & ids[j]), "trajectory leaked across partitions"
+            if ids[i] & ids[j]:
+                raise RuntimeError("trajectory leaked across partitions")
 
     train = build_states(impute_and_encode(train_ds), cfg.state_config)
     val = build_states(impute_and_encode(val_ds, stats_source=train_ds),

@@ -14,13 +14,18 @@ Leaves store their class counts (so ``predict_proba`` returns empirical
 frequencies) and, after :func:`attach_outcomes`, a per-class average outcome
 used by outcome-guided target policies. Trees serialize to a JSON document
 that reimports to identical predictions, and to Graphviz DOT for inspection.
+
+Growth reads ``max_depth`` only as its stop rule, so the tree grown at depth
+d is the tree grown at any deeper cap, cut at depth d (the nested-subtree
+property behind CART cost-complexity pruning). Internal nodes keep their
+class counts, and :func:`truncate_tree` makes that cut without refitting.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -57,7 +62,11 @@ class TreeHyperparams:
 
 
 class Node:
-    """Internal node (feature, threshold, children) or leaf (counts, outcomes)."""
+    """Internal node (feature, threshold, children) or leaf (outcomes).
+
+    Both kinds carry the class counts of the samples that reached them; an
+    internal node's counts are what a cut at that node leaves on the leaf.
+    """
 
     __slots__ = ("feature", "threshold", "left", "right", "counts", "n",
                  "leaf_id", "outcome_avg", "outcome_count")
@@ -246,14 +255,12 @@ def fit_tree(X, y, hp: TreeHyperparams, n_classes: int | None = None,
     def grow(idx, depth) -> Node:
         node = Node()
         node.n = len(idx)
-        counts = np.bincount(y[idx], minlength=n_classes).astype(np.float64)
-        pure = counts.max() == node.n
+        node.counts = np.bincount(y[idx], minlength=n_classes).astype(np.float64)
+        pure = node.counts.max() == node.n
         if depth >= hp.max_depth or pure or node.n < 2 * floor:
-            node.counts = counts
             return node
         found = _best_split(X, y, idx, n_classes, floor)
         if found is None:
-            node.counts = counts
             return node
         j, threshold, _ = found
         mask = X[idx, j] <= threshold
@@ -265,6 +272,35 @@ def fit_tree(X, y, hp: TreeHyperparams, n_classes: int | None = None,
 
     root = grow(np.arange(n_train), 0)
     return DecisionTree(root, n_classes, X.shape[1], hp, n_train, feature_names)
+
+
+def truncate_tree(tree: DecisionTree, max_depth: int) -> DecisionTree:
+    """The tree a fresh fit with ``max_depth`` would grow, cut from a deeper one.
+
+    Nodes at depth ``max_depth`` become leaves holding their own class counts;
+    attached outcomes are dropped, since cut leaves have none. Exact because
+    growth above the cap never depends on the cap.
+    """
+    if max_depth > tree.hyperparams.max_depth:
+        raise TreeError(
+            f"cannot truncate a depth-{tree.hyperparams.max_depth} tree "
+            f"to depth {max_depth}"
+        )
+    hp = replace(tree.hyperparams, max_depth=max_depth)
+
+    def cut(node, depth):
+        m = Node()
+        m.n = node.n
+        m.counts = node.counts.copy()
+        if not node.is_leaf and depth < max_depth:
+            m.feature = node.feature
+            m.threshold = node.threshold
+            m.left = cut(node.left, depth + 1)
+            m.right = cut(node.right, depth + 1)
+        return m
+
+    return DecisionTree(cut(tree.root, 0), tree.n_classes, tree.n_features, hp,
+                        tree.n_train, tree.feature_names)
 
 
 def attach_outcomes(tree: DecisionTree, X, y_action, outcomes) -> DecisionTree:
@@ -305,8 +341,8 @@ def _copy_tree(tree: DecisionTree) -> DecisionTree:
     def cp(node):
         m = Node()
         m.n = node.n
+        m.counts = node.counts.copy()
         if node.is_leaf:
-            m.counts = node.counts.copy()
             if node.outcome_avg is not None:
                 m.outcome_avg = node.outcome_avg.copy()
                 m.outcome_count = node.outcome_count.copy()
@@ -371,6 +407,7 @@ def _node_from_json(obj, n_classes) -> Node:
         node.left = _node_from_json(obj["left"], n_classes)
         node.right = _node_from_json(obj["right"], n_classes)
         node.n = node.left.n + node.right.n
+        node.counts = node.left.counts + node.right.counts
     return node
 
 

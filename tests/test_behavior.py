@@ -11,6 +11,7 @@ from clinpol.behavior import (
     DegenerateSwitchError,
     SwitchTreatmentModel,
     TreeBehaviorModel,
+    TreeMemo,
     fit_dt,
     fit_dtbls,
     fit_dts,
@@ -19,7 +20,7 @@ from clinpol.behavior import (
 )
 from clinpol.data import NONE_ACTION, StepData
 from clinpol.metrics import auroc_macro
-from clinpol.tree import TreeHyperparams, attach_outcomes, fit_tree
+from clinpol.tree import TreeError, TreeHyperparams, attach_outcomes, fit_tree
 
 HP = TreeHyperparams(max_depth=4, min_leaf_fraction=0.01)
 
@@ -217,6 +218,16 @@ def test_treatment_tree_fits_only_switch_events():
     assert m.switch_tree.n_train == len(follow)
 
 
+def test_a_stay_event_in_the_treatment_set_is_a_bug_not_a_domain_error(monkeypatch):
+    data = make_cohort(3)
+    # a broken switch labelling that calls every follow-up step a switch
+    monkeypatch.setattr(StepData, "switch_labels",
+                        lambda self: np.ones(len(self), dtype=np.int64))
+    with pytest.raises(RuntimeError, match="stay event") as info:
+        fit_dts(data, HP, HP)
+    assert not isinstance(info.value, ValueError)
+
+
 def test_fit_dtbls_rejects_cohort_without_first_stage():
     data = make_cohort(4)
     no_first = data.subset(data.stages > 1)
@@ -410,3 +421,46 @@ def test_kind_tags():
     assert (dt.kind, dts.kind, dtbls.kind) == ("dt", "dts", "dtbls")
     assert isinstance(dt, TreeBehaviorModel)
     assert isinstance(dtbls, BaselineSwitchModel)
+
+
+# ---------------------------------------------------------------------------
+# the deep-tree memo
+# ---------------------------------------------------------------------------
+
+def test_memoized_fits_equal_fresh_fits():
+    data = make_cohort(6)
+    cands = [TreeHyperparams(max_depth=d, min_leaf_fraction=f)
+             for d, f in ((2, 0.02), (5, 0.02), (3, 0.05), (4, 0.02))]
+    memo = TreeMemo(data, cands)
+    for hp in cands:
+        a = fit_dtbls(data, hp, hp, hp, memo=memo)
+        b = fit_dtbls(data, hp, hp, hp)
+        assert json.dumps(model_to_json(a)) == json.dumps(model_to_json(b))
+
+
+def test_memo_replays_a_failed_deep_fit_for_every_candidate():
+    data = make_cohort(7, n_traj=20)
+    cands = [TreeHyperparams(max_depth=d, min_leaf_fraction=0.02) for d in (2, 6)]
+    memo = TreeMemo(data, cands)
+    grown = []
+
+    def grow(hp):
+        grown.append(hp)
+        raise TreeError("cannot grow")
+
+    for hp in cands:
+        with pytest.raises(TreeError, match="cannot grow"):
+            memo.deep_tree("tree", hp, grow)
+    assert grown == [TreeHyperparams(max_depth=6, min_leaf_fraction=0.02)]
+
+
+def test_memo_refuses_other_data_and_undrawn_candidates():
+    data = make_cohort(8, n_traj=40)
+    memo = TreeMemo(data, [HP])
+    with pytest.raises(RuntimeError, match="different fitting set"):
+        fit_dt(make_cohort(8, n_traj=40), HP, memo=memo)
+    for hp in (TreeHyperparams(max_depth=HP.max_depth + 1,
+                               min_leaf_fraction=HP.min_leaf_fraction),
+               TreeHyperparams(max_depth=1, min_leaf_fraction=0.2)):
+        with pytest.raises(RuntimeError, match="grows no tree as deep"):
+            fit_dt(data, hp, memo=memo)

@@ -1,12 +1,14 @@
 """Selection, cross-validation, and the repeated-split experiment loop."""
 
 import csv
+import json
 import math
 
 import numpy as np
 import pytest
 
-from clinpol.behavior import fit_dt
+from clinpol import behavior, harness
+from clinpol.behavior import MODEL_KINDS, fit_dt, model_to_json
 from clinpol.data import (
     Dataset,
     Feature,
@@ -113,25 +115,67 @@ def test_one_cell_grid_makes_selection_seed_independent():
     )
 
 
-def test_winner_has_the_best_validation_auroc():
+# past depth 6 no tree of chronic_states(3) grows any further at these
+# fractions, so draws that share a fraction tie and only the earliest may win
+TIE_GRID = HyperparamGrid(max_depths=(6, 7, 8, 9), min_leaf_fractions=(0.08, 0.1))
+
+
+def model_text(model):
+    return json.dumps(model_to_json(model), sort_keys=True)
+
+
+@pytest.mark.parametrize("grid", [HyperparamGrid(), TIE_GRID], ids=["default", "ties"])
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_winner_has_the_best_validation_auroc(kind, grid):
     train, val, _ = chronic_states(3)
     n, seed = 8, 42
+    draws = sample_candidates(grid, n, seed=seed)
     scores = []
-    for hp in sample_candidates(HyperparamGrid(), n, seed=seed):
-        m = fit_model("dt", train, hp)
+    for hp in draws:
+        m = fit_model(kind, train, hp)
         scores.append(auroc_macro(
             m.action_probabilities_batch(val.states, val.prev_actions, val.stages),
             val.actions,
         ))
-    best_idx = int(np.argmax(scores))
+    best_idx = int(np.argmax(scores))  # the earliest of equal maxima
     assert scores[best_idx] == max(scores)
-    winner_hp = sample_candidates(HyperparamGrid(), n, seed=seed)[best_idx]
-    expected = fit_model("dt", train, winner_hp).calibrate(val)
-    chosen = select_model(train, val, "dt", n, seed=seed)
+    if grid is TIE_GRID:
+        assert any(draws[i] != draws[best_idx] and scores[i] == scores[best_idx]
+                   for i in range(n))
+    expected = fit_model(kind, train, draws[best_idx]).calibrate(val)
+    chosen = select_model(train, val, kind, n, seed=seed, grid=grid)
+    assert model_text(chosen) == model_text(expected)
     np.testing.assert_array_equal(
         chosen.action_probabilities_batch(val.states, val.prev_actions, val.stages),
         expected.action_probabilities_batch(val.states, val.prev_actions, val.stages),
     )
+
+
+def test_selection_grows_each_component_once_per_fraction(monkeypatch):
+    calls = {"fit_tree": 0, "fit_model": 0}
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(behavior, "fit_tree")
+    count(harness, "fit_model")
+    train, val, _ = chronic_states(5)
+    n, seed = 30, 3
+    fractions = {hp.min_leaf_fraction for hp in sample_candidates(HyperparamGrid(), n, seed)}
+    select_model(train, val, "dtbls", n, seed=seed)
+    assert calls == {"fit_tree": 3 * len(fractions), "fit_model": n}
+
+    calls.update(fit_tree=0, fit_model=0)
+    ds = impute_and_encode(generate_chronic(ChronicSimConfig(n_patients=90, seed=7)))
+    grid = HyperparamGrid(max_depths=(2, 6), min_leaf_fractions=(0.01, 0.04))
+    cross_validate(ds, "dtbls", folds=3, grid=grid)
+    assert calls == {"fit_tree": 3 * 2 * 3, "fit_model": 4 * 3}
 
 
 def test_selection_fails_loudly_when_every_candidate_fails():
@@ -173,7 +217,8 @@ def test_folds_are_capped_at_the_trajectory_count():
     assert cross_validate(ds, "dt", folds=10**6, grid=grid) == grid.all()[0]
 
 
-def test_cross_validation_matches_a_brute_force_loop():
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_cross_validation_matches_a_brute_force_loop(kind):
     ds = impute_and_encode(generate_chronic(ChronicSimConfig(n_patients=90, seed=7)))
     grid = HyperparamGrid(max_depths=(2, 6), min_leaf_fractions=(0.01, 0.04))
     folds = 3
@@ -192,15 +237,16 @@ def test_cross_validation_matches_a_brute_force_loop():
             train = build_states(impute_and_encode(take(assignment != f)))
             val = build_states(impute_and_encode(take(assignment == f),
                                                  stats_source=take(assignment != f)))
-            m = fit_model("dt", train, hp)
+            m = fit_model(kind, train, hp)
             scores.append(auroc_macro(
                 m.action_probabilities_batch(val.states, val.prev_actions, val.stages),
                 val.actions,
             ))
         score = float(np.mean(scores))
+        assert math.isfinite(score)
         if score > best_score:
             best_hp, best_score = hp, score
-    assert cross_validate(ds, "dt", folds=folds, grid=grid) == best_hp
+    assert cross_validate(ds, kind, folds=folds, grid=grid) == best_hp
 
 
 def test_cross_validation_input_guards():
@@ -401,6 +447,31 @@ def test_failed_seeds_are_logged_not_fatal(tmp_path):
     assert len(read_rows(paths["failures"])) == 3
     assert read_rows(paths["rows"]) == []
     assert read_rows(paths["summary"]) == []
+
+
+def test_a_partition_leak_crashes_the_experiment(tmp_path, monkeypatch):
+    def leaky_split(ds, spec):
+        train, val, test = split_dataset(ds, spec)
+        test = Dataset(schema=test.schema, n_actions=test.n_actions,
+                       trajectories=test.trajectories + train.trajectories[:1],
+                       provenance=test.provenance)
+        return train, val, test
+
+    monkeypatch.setattr(harness, "split_dataset", leaky_split)
+    with pytest.raises(RuntimeError, match="leaked across partitions") as info:
+        run_small(tmp_path, "leak", simulator=sim_cfg(seed=2), n_repeats=2,
+                  n_candidates=2, policies=({"type": "behavior"},), seed=1)
+    assert not isinstance(info.value, ValueError)
+
+
+def test_a_bug_in_a_repeat_is_not_logged_as_a_failed_seed(tmp_path, monkeypatch):
+    def broken_select(*args, **kwargs):
+        raise TypeError("select_model() got an unexpected argument")
+
+    monkeypatch.setattr(harness, "select_model", broken_select)
+    with pytest.raises(TypeError, match="unexpected argument"):
+        run_small(tmp_path, "bug", simulator=sim_cfg(seed=2), n_repeats=2,
+                  n_candidates=2, policies=({"type": "behavior"},), seed=1)
 
 
 def test_per_policy_tables_filter_by_descriptor_fields(tmp_path):

@@ -15,6 +15,7 @@ from clinpol.tree import (
     fit_tree,
     tree_from_json,
     tree_to_json,
+    truncate_tree,
 )
 
 # ---------------------------------------------------------------------------
@@ -332,6 +333,57 @@ def test_export_is_bitwise_deterministic_across_refits():
     a = export_tree(fit_tree(X, y, hp), "json")
     b = export_tree(fit_tree(X.copy(), y.copy(), hp), "json")
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# truncation
+# ---------------------------------------------------------------------------
+
+def tied_columns_data(seed, n, n_classes):
+    """Features with many repeated values and labels that need deep trees."""
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([
+        np.round(rng.normal(size=n), 1),
+        rng.integers(0, 4, size=n).astype(float),
+        np.round(rng.uniform(size=n), 2),
+        rng.integers(0, 2, size=n).astype(float),
+    ])
+    score = X[:, 0] + 0.5 * X[:, 1] - X[:, 2] + 0.3 * rng.normal(size=n)
+    y = np.clip(np.floor((score + 2.0) * n_classes / 6.0), 0, n_classes - 1)
+    noisy = rng.random(n) < 0.2
+    y[noisy] = rng.integers(0, n_classes, size=int(noisy.sum()))
+    return X, y.astype(int), rng.normal(size=n)
+
+
+@pytest.mark.parametrize("n_classes", [2, 4, 25])
+def test_truncated_deep_tree_equals_a_fresh_fit(n_classes):
+    X, y, outcomes = tied_columns_data(n_classes, 700, n_classes)
+    Xq = tied_columns_data(100 + n_classes, 500, n_classes)[0]
+    for frac in (0.005, 0.02, 0.06, 0.15):
+        deep = fit_tree(X, y, TreeHyperparams(max_depth=9, min_leaf_fraction=frac),
+                        n_classes=n_classes)
+        for depth in range(1, 10):
+            hp = TreeHyperparams(max_depth=depth, min_leaf_fraction=frac)
+            fresh = attach_outcomes(fit_tree(X, y, hp, n_classes=n_classes),
+                                    X, y, outcomes)
+            cut = attach_outcomes(truncate_tree(deep, depth), X, y, outcomes)
+            assert export_tree(cut, "json") == export_tree(fresh, "json"), (frac, depth)
+            np.testing.assert_array_equal(cut.predict_proba_batch(Xq),
+                                          fresh.predict_proba_batch(Xq))
+            assert np.array_equal(cut.outcome_avg_batch(Xq),
+                                  fresh.outcome_avg_batch(Xq), equal_nan=True)
+
+
+def test_truncation_survives_a_json_round_trip_and_refuses_to_deepen():
+    X, y, _ = tied_columns_data(3, 400, 4)
+    deep = fit_tree(X, y, TreeHyperparams(max_depth=6, min_leaf_fraction=0.02),
+                    n_classes=4)
+    back = tree_from_json(json.loads(export_tree(deep, "json")))
+    for depth in (1, 3, 6):
+        assert (export_tree(truncate_tree(back, depth), "json")
+                == export_tree(truncate_tree(deep, depth), "json"))
+    with pytest.raises(TreeError, match="cannot truncate a depth-6 tree to depth 7"):
+        truncate_tree(deep, 7)
 
 
 def test_unknown_export_format_raises():
