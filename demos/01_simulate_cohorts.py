@@ -28,15 +28,17 @@ from clinpol.sim import write_manifest
 cfg = ChronicSimConfig(n_patients=500, seed=7)
 cohort = generate_chronic(cfg)
 
-lengths = [len(t.steps) for t in cohort.trajectories]
-print(f"chronic cohort: {len(cohort.trajectories)} patients, "
-      f"{sum(lengths)} steps, horizons {min(lengths)}..{max(lengths)}")
+# a cohort is stored as columns: one row per step, and trajectory i is the
+# rows offsets[i]:offsets[i + 1]
+lengths = cohort.lengths
+print(f"chronic cohort: {len(cohort)} patients, "
+      f"{cohort.n_steps} steps, horizons {lengths.min()}..{lengths.max()}")
 
-# every step records covariates, the chosen drug, and the reward
-first = cohort.trajectories[0].steps[0]
-print("first step of the first patient:")
-print(f"  covariates {first.features}")
-print(f"  action {first.action}, reward {first.reward:.2f}")
+# every step records covariates, the chosen drug, and the reward; a
+# categorical covariate holds its category's index in the schema
+print(f"first step of patient {cohort.ids[0]}:")
+print(f"  covariates {dict(zip(cohort.schema.names, cohort.covariates[0].tolist()))}")
+print(f"  action {cohort.actions[0]}, reward {cohort.rewards[0]:.2f}")
 
 # the effect matrix behind the generator: row 0 is the g0 biomarker group,
 # row 1 is g1; entry [g, a] is how much drug a lowers group g's index
@@ -50,11 +52,10 @@ print(np.array2string(cfg.effects(), precision=1))
 ecfg = EpisodicSimConfig(n_patients=500, seed=7)
 episodic = generate_episodic(ecfg)
 
-returns = [sum(s.reward for s in t.steps) for t in episodic.trajectories]
-survived = sum(1 for r in returns if r > 0)
-print(f"\nepisodic cohort: {len(episodic.trajectories)} patients of "
+returns = np.add.reduceat(episodic.rewards, episodic.offsets[:-1])
+print(f"\nepisodic cohort: {len(episodic)} patients of "
       f"horizon {ecfg.horizon}, K = {ecfg.n_actions} dose pairs")
-print(f"survival fraction: {survived / len(returns):.3f}")
+print(f"survival fraction: {np.mean(returns > 0):.3f}")
 
 # ---------------------------------------------------------------------------
 # cohorts round-trip through JSONL with their provenance attached
@@ -64,17 +65,9 @@ save_dataset(cohort, "/tmp/chronic_demo.jsonl")
 write_manifest("/tmp/chronic_demo.manifest.json", cfg)
 reloaded = load_dataset("/tmp/chronic_demo.jsonl")
 
-same = all(
-    a.id == b.id
-    and all(sa.action == sb.action and sa.reward == sb.reward
-            for sa, sb in zip(a.steps, b.steps))
-    for a, b in zip(cohort.trajectories, reloaded.trajectories)
-)
-print(f"\nJSONL round trip preserves every step: {same}")
+print(f"\nJSONL round trip preserves every step: {reloaded == cohort}")
 
 # regeneration from the same config is bitwise identical, so the manifest
 # plus the seed is a complete record of the cohort
 again = generate_chronic(cfg)
-rewards_a = [s.reward for t in cohort.trajectories for s in t.steps]
-rewards_b = [s.reward for t in again.trajectories for s in t.steps]
-print(f"regenerated rewards identical: {rewards_a == rewards_b}")
+print(f"regenerated rewards identical: {np.array_equal(again.rewards, cohort.rewards)}")

@@ -2,7 +2,7 @@
 
 The package covers the full loop for observational treatment sequences:
 
-* ``data``: cohort containers, JSONL/CSV IO, imputation, state assembly,
+* ``data``: the columnar cohort, JSONL/CSV IO, imputation, state assembly,
   trajectory-level splits.
 * ``tree``: a CART classifier with probabilistic leaves, leaf outcome
   averages, and DOT/JSON export.
@@ -13,7 +13,7 @@ The package covers the full loop for observational treatment sequences:
 * ``policies``: target policies derived from a fitted model (top-k, outcome
   guided, switch-rate adjusted, random, softened).
 * ``ope``: trajectory importance weights in log space, WIS/IS estimates,
-  effective sample size, normalizations, and split aggregation.
+  effective sample size, and median/IQR summaries.
 * ``sim``: two synthetic cohorts with replayable generator policies and a
   Monte-Carlo rollout oracle.
 * ``harness``: repeated-split experiment protocol with random hyperparameter
@@ -45,10 +45,9 @@ from .data import (
     FeatureSchema,
     SplitSpec,
     StateConfig,
-    Step,
     StepData,
-    Trajectory,
     build_states,
+    from_records,
     impute_and_encode,
     load_dataset,
     save_dataset,
@@ -71,15 +70,12 @@ from .ope import (
     NoOverlapError,
     OPEError,
     OPEResult,
-    SplitSummary,
     SupportViolationError,
     TrajectoryWeight,
-    aggregate_splits,
     effective_sample_size,
     importance_weights,
     is_estimate,
     median_iqr,
-    normalize_value,
     wis_estimate,
 )
 from .policies import (
@@ -91,7 +87,6 @@ from .policies import (
     SoftenedPolicy,
     SwitchAdjustedPolicy,
     TopKPolicy,
-    adjust_switch,
     build_policy,
     soften,
 )

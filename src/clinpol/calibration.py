@@ -143,8 +143,3 @@ def apply_calibration_batch(cm: CalibrationModel, scores) -> np.ndarray:
     with np.errstate(invalid="ignore", divide="ignore"):
         out = np.where(totals > 0, out / np.where(totals > 0, totals, 1.0), uniform)
     return out[0] if squeeze else out
-
-
-def apply_calibration(cm: CalibrationModel, scores) -> np.ndarray:
-    """Calibrate a single score vector of length C."""
-    return apply_calibration_batch(cm, np.asarray(scores, dtype=np.float64))

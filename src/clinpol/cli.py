@@ -30,6 +30,7 @@ from .harness import (
     ExperimentConfig,
     HarnessError,
     HyperparamGrid,
+    _write_csv,
     load_bundle,
     run_experiment,
     save_bundle,
@@ -62,18 +63,6 @@ def _require_out(args) -> str:
     if not args.out:
         raise CliError("this subcommand needs --out")
     return args.out
-
-
-def _fmt(v) -> str:
-    return repr(v) if isinstance(v, float) else str(v)
-
-
-def _write_csv(path, header, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(v) for v in row])
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Trajectory datasets for sequential treatment records.
 
-A dataset is a cohort of per-patient trajectories. Each step holds the
-covariates observed *before* acting, the treatment chosen from ``K`` discrete
-options, and the reward realized after acting. Two interchange formats are
-supported:
+A dataset is a cohort of per-patient trajectories stored as columns, one row
+per step: the covariates observed *before* acting, the treatment chosen from
+``K`` discrete options, and the reward realized after acting, with trajectory
+offsets marking where each patient's rows start. ``from_records`` is the one
+conversion from parsed input to columns and holds every input check. Two
+interchange formats are supported:
 
 * JSONL: a header line ``{"schema": [...], "K": ..., "provenance": ...}``
   followed by one trajectory object per line.
@@ -25,7 +27,7 @@ import io
 import json
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -135,148 +137,206 @@ class FeatureSchema:
         return cls(feats)
 
 
-@dataclass
-class Step:
-    """Covariates seen before acting, the action taken, the reward realized."""
-
-    features: dict
-    action: int
-    reward: float
-
-
-@dataclass
-class Trajectory:
-    """One patient's ordered steps, t = 1..T."""
-
-    id: str
-    steps: list
-
-    def __len__(self):
-        return len(self.steps)
-
-    @property
-    def actions(self) -> list[int]:
-        return [s.action for s in self.steps]
-
-    @property
-    def rewards(self) -> list[float]:
-        return [s.reward for s in self.steps]
-
-
-@dataclass
+@dataclass(eq=False)
 class Dataset:
-    """A cohort of trajectories under a shared schema and action space."""
+    """A cohort as columns under a shared schema and action space.
+
+    Row ``r`` is one step: the covariates seen before acting, the action
+    taken and the reward realized. Trajectory ``i`` is the rows
+    ``offsets[i]:offsets[i + 1]``, in stage order, and ``ids[i]`` names it.
+    ``covariates`` holds one column per schema feature: NaN where the value
+    is missing, the category's index in the schema for a categorical value.
+    """
 
     schema: FeatureSchema
     n_actions: int
-    trajectories: list
+    covariates: np.ndarray
+    actions: np.ndarray
+    rewards: np.ndarray
+    offsets: np.ndarray
+    ids: list
     provenance: str = ""
 
     def __post_init__(self):
         if self.n_actions < 2:
             raise SchemaError(f"K must be >= 2, got {self.n_actions}")
+        self.covariates = np.asarray(self.covariates, dtype=np.float64)
+        self.actions = np.asarray(self.actions, dtype=np.int64)
+        self.rewards = np.asarray(self.rewards, dtype=np.float64)
+        self.offsets = np.asarray(self.offsets, dtype=np.int64)
+        self.ids = list(self.ids)
+        n = len(self.actions)
+        if (self.covariates.shape != (n, len(self.schema))
+                or self.rewards.shape != (n,)
+                or self.offsets.shape != (len(self.ids) + 1,)
+                or self.offsets[0] != 0 or self.offsets[-1] != n
+                or np.any(np.diff(self.offsets) < 1)):
+            raise DatasetError(
+                "covariates, actions, rewards, offsets and ids do not describe "
+                "one cohort of non-empty trajectories"
+            )
 
     def __len__(self):
-        return len(self.trajectories)
+        return len(self.ids)
+
+    def __eq__(self, other):
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return (self.schema == other.schema and self.n_actions == other.n_actions
+                and self.ids == other.ids and self.provenance == other.provenance
+                and np.array_equal(self.covariates, other.covariates, equal_nan=True)
+                and np.array_equal(self.actions, other.actions)
+                and np.array_equal(self.rewards, other.rewards)
+                and np.array_equal(self.offsets, other.offsets))
 
     @property
     def n_steps(self) -> int:
-        return sum(len(tr) for tr in self.trajectories)
+        return len(self.actions)
 
-    def ids(self) -> list[str]:
-        return [tr.id for tr in self.trajectories]
+    @property
+    def lengths(self) -> np.ndarray:
+        return np.diff(self.offsets)
 
-    def validate(self) -> None:
-        """Check every trajectory against the schema; raise on the first violation."""
-        names = set(self.schema.names)
-        cats = {f.name: set(f.categories) for f in self.schema if f.kind == CATEGORICAL}
-        seen = set()
-        for tr in self.trajectories:
-            if tr.id in seen:
-                raise SchemaError(f"duplicate trajectory id {tr.id!r}")
-            seen.add(tr.id)
-            if len(tr.steps) == 0:
-                raise SchemaError(f"trajectory {tr.id!r}: empty trajectory")
-            for t, s in enumerate(tr.steps, start=1):
-                if not (0 <= s.action < self.n_actions):
-                    raise SchemaError(
-                        f"trajectory {tr.id!r} step {t}: action {s.action} "
-                        f"outside [0, {self.n_actions})"
-                    )
-                if not math.isfinite(s.reward):
-                    raise SchemaError(f"trajectory {tr.id!r} step {t}: non-finite reward")
-                for k, v in s.features.items():
-                    if k not in names:
-                        raise SchemaError(
-                            f"trajectory {tr.id!r} step {t}: unknown feature {k!r}"
-                        )
-                    if v is None:
-                        continue
-                    if k in cats:
-                        if v not in cats[k]:
-                            raise SchemaError(
-                                f"trajectory {tr.id!r} step {t}: "
-                                f"value {v!r} not a declared category of {k!r}"
-                            )
-                    elif not isinstance(v, (int, float)) or isinstance(v, bool):
-                        raise SchemaError(
-                            f"trajectory {tr.id!r} step {t}: "
-                            f"numeric feature {k!r} holds {type(v).__name__}"
-                        )
+    def take(self, index) -> "Dataset":
+        """The trajectories at ``index``, in that order."""
+        index = np.asarray(index, dtype=np.int64)
+        lengths = self.lengths[index]
+        offsets = np.concatenate(([0], np.cumsum(lengths)))
+        rows = np.arange(offsets[-1]) + np.repeat(self.offsets[index] - offsets[:-1], lengths)
+        return Dataset(schema=self.schema, n_actions=self.n_actions,
+                       covariates=self.covariates[rows], actions=self.actions[rows],
+                       rewards=self.rewards[rows], offsets=offsets,
+                       ids=[self.ids[i] for i in index], provenance=self.provenance)
+
+    def cumsum(self, values) -> np.ndarray:
+        """Running sums of a per-step array within each trajectory.
+
+        Each trajectory adds its own values left to right, through a padded
+        (trajectory x stage) table, so the sums match a per-trajectory loop
+        bit for bit.
+        """
+        lengths = self.lengths
+        mask = np.arange(lengths.max(initial=0)) < lengths[:, None]
+        table = np.zeros(mask.shape)
+        table[mask] = values
+        return np.cumsum(table, axis=1)[mask]
+
+    def trajectory_of(self, row: int) -> str:
+        """The id of the trajectory that holds step row ``row``."""
+        return self.ids[int(np.searchsorted(self.offsets, row, side="right")) - 1]
+
+
+def from_records(schema: FeatureSchema, n_actions: int, records,
+                 provenance: str = "") -> Dataset:
+    """Columns from ``(id, steps)`` records, each step ``(features, action, reward)``.
+
+    This is the one conversion from parsed input to a ``Dataset``, and every
+    check on that input lives here. ``features`` maps feature names to
+    values; an absent name or None is missing. A missing or non-finite
+    reward cuts its trajectory before that step, and a trajectory cut at its
+    first step is dropped. Records are consumed one at a time, so a
+    generator keeps only the current one alive.
+    """
+    if n_actions < 2:
+        raise SchemaError(f"K must be >= 2, got {n_actions}")
+    column = {f.name: j for j, f in enumerate(schema)}
+    codes = [None if f.kind == NUMERIC else {c: i for i, c in enumerate(f.categories)}
+             for f in schema]
+    blank = [math.nan] * len(schema)
+    values, actions, rewards, offsets, ids, seen = [], [], [], [0], [], set()
+
+    def error(message):  # reads the tid and t being checked
+        return SchemaError(f"trajectory {tid!r} step {t}: {message}")
+
+    for tid, steps in records:
+        kept = _before_missing_reward(steps)
+        if steps and not kept:
+            log.warning("trajectory %r dropped: reward missing at first step", tid)
+            continue
+        if len(kept) < len(steps):
+            log.debug("trajectory %r truncated at step %d (missing reward)", tid, len(kept))
+        if tid in seen:
+            raise SchemaError(f"duplicate trajectory id {tid!r}")
+        seen.add(tid)
+        if not kept:
+            raise SchemaError(f"trajectory {tid!r}: empty trajectory")
+        for t, (features, action, reward) in enumerate(kept, start=1):
+            if not 0 <= action < n_actions:
+                raise error(f"action {action} outside [0, {n_actions})")
+            row = blank.copy()
+            for name, v in features.items():
+                j = column.get(name)
+                if j is None:
+                    raise error(f"unknown feature {name!r}")
+                if v is None:
+                    continue
+                if codes[j] is not None:
+                    row[j] = codes[j].get(v) if isinstance(v, str) else None
+                    if row[j] is None:
+                        raise error(f"value {v!r} not a declared category of {name!r}")
+                elif not isinstance(v, (int, float)) or isinstance(v, bool):
+                    raise error(f"numeric feature {name!r} holds {type(v).__name__}")
+                elif not math.isfinite(v):
+                    raise error(f"numeric feature {name!r} is {v!r}, not a finite number")
+                else:
+                    row[j] = float(v)
+            values.extend(row)
+            actions.append(action)
+            rewards.append(reward)
+        offsets.append(len(actions))
+        ids.append(tid)
+    covariates = np.array(values, dtype=np.float64).reshape(len(actions), len(schema))
+    return Dataset(schema=schema, n_actions=n_actions, covariates=covariates,
+                   actions=actions, rewards=rewards, offsets=offsets, ids=ids,
+                   provenance=provenance)
+
+
+def _before_missing_reward(steps):
+    """The steps before the first missing or non-finite reward."""
+    for i, (_, _, reward) in enumerate(steps):
+        if reward is None or not math.isfinite(reward):
+            return steps[:i]
+    return steps
 
 
 # ---------------------------------------------------------------------------
 # file I/O
 # ---------------------------------------------------------------------------
 
-def _truncate_missing_rewards(tid, steps):
-    """Cut a trajectory at the first step whose reward is missing."""
-    for i, s in enumerate(steps):
-        r = s.reward
-        if r is None or (isinstance(r, float) and not math.isfinite(r)):
-            if i == 0:
-                log.warning("trajectory %r dropped: reward missing at first step", tid)
-                return []
-            log.debug("trajectory %r truncated at step %d (missing reward)", tid, i)
-            return steps[:i]
-    return steps
+def _step_features(ds: Dataset) -> list:
+    """Each step's feature values in schema order: None where missing, the
+    category name for a categorical, a float otherwise."""
+    cols = []
+    for f, col in zip(ds.schema, ds.covariates.T):
+        missing = np.isnan(col)
+        if f.kind == CATEGORICAL:
+            col = np.array(f.categories, dtype=object)[np.where(missing, 0, col).astype(np.int64)]
+        cols.append([None if m else v for v, m in zip(col.tolist(), missing.tolist())])
+    return list(zip(*cols)) if cols else [()] * ds.n_steps
 
 
 def save_jsonl(ds: Dataset, path) -> None:
+    features = _step_features(ds)
+    actions, rewards = ds.actions.tolist(), ds.rewards.tolist()
+    names = ds.schema.names
     with open(path, "w") as fh:
         header = {"schema": ds.schema.to_json(), "K": ds.n_actions, "provenance": ds.provenance}
         fh.write(json.dumps(header, separators=(",", ":")) + "\n")
-        names = ds.schema.names
-        for tr in ds.trajectories:
+        for tid, lo, hi in zip(ds.ids, ds.offsets[:-1].tolist(), ds.offsets[1:].tolist()):
             obj = {
-                "id": tr.id,
+                "id": tid,
                 "steps": [
-                    {
-                        "features": {k: s.features.get(k) for k in names},
-                        "action": s.action,
-                        "reward": s.reward,
-                    }
-                    for s in tr.steps
+                    {"features": dict(zip(names, features[r])),
+                     "action": actions[r], "reward": rewards[r]}
+                    for r in range(lo, hi)
                 ],
             }
             fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
 
 
-def load_jsonl(path) -> Dataset:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ParseError(f"{path}: empty file, expected a header line")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path} line 1: bad header ({exc.msg})") from None
-    if not isinstance(header, dict) or "schema" not in header or "K" not in header:
-        raise ParseError(f"{path} line 1: header must carry 'schema' and 'K'")
-    schema = FeatureSchema.from_json(header["schema"])
-    n_actions = int(header["K"])
-    trajectories = []
-    for lineno, line in enumerate(lines[1:], start=2):
+def _jsonl_records(path, lines):
+    """``(id, steps)`` per trajectory line; line 1 is the header."""
+    for lineno, line in enumerate(lines, start=2):
         if not line.strip():
             continue
         try:
@@ -288,44 +348,44 @@ def load_jsonl(path) -> Dataset:
             raw_steps = obj["steps"]
         except (KeyError, TypeError):
             raise ParseError(f"{path} line {lineno}: trajectory needs 'id' and 'steps'") from None
-        steps = []
-        for s in raw_steps:
-            try:
-                steps.append(
-                    Step(features=dict(s.get("features", {})), action=int(s["action"]),
-                         reward=s["reward"] if s["reward"] is None else float(s["reward"]))
-                )
-            except (KeyError, TypeError, ValueError):
-                raise ParseError(f"{path} line {lineno}: malformed step in {tid!r}") from None
-        kept = _truncate_missing_rewards(tid, steps)
-        if kept or not steps:
-            # an explicitly empty step list must fail validation below
-            trajectories.append(Trajectory(id=tid, steps=kept))
-    ds = Dataset(schema=schema, n_actions=n_actions, trajectories=trajectories,
-                 provenance=str(header.get("provenance", "")))
-    ds.validate()
-    return ds
+        try:
+            steps = [(dict(s.get("features", {})), int(s["action"]),
+                      None if s["reward"] is None else float(s["reward"]))
+                     for s in raw_steps]
+        except (KeyError, TypeError, ValueError):
+            raise ParseError(f"{path} line {lineno}: malformed step in {tid!r}") from None
+        yield tid, steps
+
+
+def load_jsonl(path) -> Dataset:
+    with open(path) as fh:
+        first = fh.readline()
+        if not first:
+            raise ParseError(f"{path}: empty file, expected a header line")
+        try:
+            header = json.loads(first)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path} line 1: bad header ({exc.msg})") from None
+        if not isinstance(header, dict) or "schema" not in header or "K" not in header:
+            raise ParseError(f"{path} line 1: header must carry 'schema' and 'K'")
+        return from_records(FeatureSchema.from_json(header["schema"]), int(header["K"]),
+                            _jsonl_records(path, fh), str(header.get("provenance", "")))
 
 
 def save_csv(ds: Dataset, path) -> None:
+    features = _step_features(ds)
+    actions, rewards = ds.actions.tolist(), ds.rewards.tolist()
     with open(path, "w", newline="") as fh:
         meta = {"K": ds.n_actions, "provenance": ds.provenance}
         fh.write("# " + json.dumps(meta, separators=(",", ":")) + "\n")
         writer = csv.writer(fh)
-        names = ds.schema.names
-        writer.writerow(["id", "t", "action", "reward"] + names)
-        for tr in ds.trajectories:
-            for t, s in enumerate(tr.steps, start=1):
-                row = [tr.id, t, s.action, repr(float(s.reward))]
-                for k in names:
-                    v = s.features.get(k)
-                    if v is None:
-                        row.append("")
-                    elif isinstance(v, str):
-                        row.append(v)
-                    else:
-                        row.append(repr(float(v)))
-                writer.writerow(row)
+        writer.writerow(["id", "t", "action", "reward"] + ds.schema.names)
+        for tid, lo, hi in zip(ds.ids, ds.offsets[:-1].tolist(), ds.offsets[1:].tolist()):
+            for t, r in enumerate(range(lo, hi), start=1):
+                writer.writerow([tid, t, actions[r], repr(rewards[r])] + [
+                    "" if v is None else v if isinstance(v, str) else repr(v)
+                    for v in features[r]
+                ])
 
 
 def load_csv(path, n_actions: int | None = None) -> Dataset:
@@ -352,67 +412,45 @@ def load_csv(path, n_actions: int | None = None) -> Dataset:
         raise ParseError(f"{path}: header must start with id,t,action,reward")
     feat_names = header[4:]
 
-    # first pass: collect raw tokens per feature to infer kinds
-    tokens = {k: [] for k in feat_names}
     parsed = []
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
             raise ParseError(f"{path} row {lineno}: expected {len(header)} fields, got {len(row)}")
-        tid = row[0]
         try:
             t = int(row[1])
             action = int(row[2])
         except ValueError:
             raise ParseError(f"{path} row {lineno}: t and action must be integers") from None
         reward = None if row[3] == "" else _parse_float(path, lineno, "reward", row[3])
-        feats = {}
-        for k, tok in zip(feat_names, row[4:]):
-            feats[k] = None if tok == "" else tok
-            if tok != "":
-                tokens[k].append(tok)
-        parsed.append((tid, t, action, reward, feats))
+        parsed.append((row[0], t, action, reward, row[4:]))
 
-    kinds = {}
-    for k in feat_names:
-        kinds[k] = NUMERIC if all(_is_float(tok) for tok in tokens[k]) else CATEGORICAL
+    # a column is numeric when every present token parses as a number
     features = []
-    for k in feat_names:
-        if kinds[k] == NUMERIC:
-            features.append(Feature(k, NUMERIC))
+    for j, name in enumerate(feat_names):
+        tokens = {p[4][j] for p in parsed} - {""}
+        if all(_is_float(tok) for tok in tokens):
+            features.append(Feature(name, NUMERIC))
         else:
-            features.append(Feature(k, CATEGORICAL, tuple(sorted(set(tokens[k])))))
+            features.append(Feature(name, CATEGORICAL, tuple(sorted(tokens))))
     schema = FeatureSchema(tuple(features))
 
     by_id: dict[str, list] = {}
-    order = []
-    for tid, t, action, reward, feats in parsed:
-        if tid not in by_id:
-            by_id[tid] = []
-            order.append(tid)
-        conv = {
-            k: (None if v is None else (float(v) if kinds[k] == NUMERIC else v))
-            for k, v in feats.items()
-        }
-        by_id[tid].append((t, Step(features=conv, action=action, reward=reward)))
-
-    trajectories = []
-    for tid in order:
-        entries = by_id[tid]
-        ts = [t for t, _ in entries]
-        if ts != list(range(1, len(ts) + 1)):
+    for tid, t, action, reward, tokens in parsed:
+        values = {f.name: None if tok == "" else float(tok) if f.kind == NUMERIC else tok
+                  for f, tok in zip(features, tokens)}
+        by_id.setdefault(tid, []).append((t, (values, action, reward)))
+    records = []
+    for tid, entries in by_id.items():
+        if [t for t, _ in entries] != list(range(1, len(entries) + 1)):
             raise ParseError(f"{path}: trajectory {tid!r} steps are not t=1..T in order")
-        steps = _truncate_missing_rewards(tid, [s for _, s in entries])
-        if steps:
-            trajectories.append(Trajectory(id=tid, steps=steps))
+        records.append((tid, [step for _, step in entries]))
 
     if n_actions is None:
         n_actions = meta.get("K")
     if n_actions is None:
-        n_actions = 1 + max((s.action for tr in trajectories for s in tr.steps), default=1)
-    ds = Dataset(schema=schema, n_actions=int(n_actions), trajectories=trajectories,
-                 provenance=str(meta.get("provenance", "")))
-    ds.validate()
-    return ds
+        n_actions = 1 + max((a for _, steps in records
+                             for _, a, _ in _before_missing_reward(steps)), default=1)
+    return from_records(schema, int(n_actions), records, str(meta.get("provenance", "")))
 
 
 def _is_float(tok: str) -> bool:
@@ -445,6 +483,8 @@ def load_dataset(path, n_actions: int | None = None) -> Dataset:
     return load_jsonl(path)
 
 
+
+
 # ---------------------------------------------------------------------------
 # imputation and one-hot encoding
 # ---------------------------------------------------------------------------
@@ -469,28 +509,21 @@ class ImputationStats:
 
 
 def fit_imputation(ds: Dataset) -> ImputationStats:
+    """Means and modes over the observed values, summed in row order."""
     values = {}
-    for f in ds.schema:
-        observed = [
-            s.features.get(f.name)
-            for tr in ds.trajectories
-            for s in tr.steps
-            if s.features.get(f.name) is not None
-        ]
-        if not observed:
+    for f, col in zip(ds.schema, ds.covariates.T):
+        observed = col[~np.isnan(col)]
+        if observed.size == 0:
             raise DatasetError(
                 f"feature {f.name!r} entirely missing in statistics source; "
                 "no imputation statistic definable"
             )
         if f.kind == NUMERIC:
-            values[f.name] = float(np.mean([float(v) for v in observed]))
+            values[f.name] = float(np.mean(observed))
         else:
-            counts = {c: 0 for c in f.categories}
-            for v in observed:
-                counts[v] += 1
-            top = max(counts.values())
-            # ties break by schema category order
-            values[f.name] = next(c for c in f.categories if counts[c] == top)
+            counts = np.bincount(observed.astype(np.int64), minlength=len(f.categories))
+            # argmax takes the first maximum: ties break by schema category order
+            values[f.name] = f.categories[int(np.argmax(counts))]
     return ImputationStats(schema=ds.schema, values=values)
 
 
@@ -502,30 +535,27 @@ def apply_imputation(ds: Dataset, stats: ImputationStats) -> Dataset:
     """
     if ds.schema.names != stats.schema.names:
         raise SchemaError("imputation statistics were fitted on a different schema")
-    enc_features = tuple(Feature(n, NUMERIC) for n in ds.schema.encoded_names())
-    enc_schema = FeatureSchema(enc_features)
-    out = []
-    for tr in ds.trajectories:
-        steps = []
-        for s in tr.steps:
-            feats = {}
-            for f in ds.schema:
-                v = s.features.get(f.name)
-                if v is None:
-                    v = stats.values[f.name]
-                if f.kind == NUMERIC:
-                    feats[f.name] = float(v)
-                else:
-                    if v not in f.categories:
-                        raise SchemaError(
-                            f"trajectory {tr.id!r}: value {v!r} not a category of {f.name!r}"
-                        )
-                    for c in f.categories:
-                        feats[f"{f.name}={c}"] = 1.0 if v == c else 0.0
-            steps.append(Step(features=feats, action=s.action, reward=s.reward))
-        out.append(Trajectory(id=tr.id, steps=steps))
-    return Dataset(schema=enc_schema, n_actions=ds.n_actions, trajectories=out,
-                   provenance=ds.provenance)
+    enc_schema = FeatureSchema(tuple(Feature(n, NUMERIC) for n in ds.schema.encoded_names()))
+    out = np.empty((ds.n_steps, len(enc_schema)))
+    j = 0
+    for f, col in zip(ds.schema, ds.covariates.T):
+        missing = np.isnan(col)
+        fill = stats.values[f.name]
+        if f.kind == NUMERIC:
+            out[:, j] = np.where(missing, float(fill), col)
+            j += 1
+            continue
+        if missing.any():
+            if fill not in f.categories:
+                raise SchemaError(
+                    f"trajectory {ds.trajectory_of(int(np.argmax(missing)))!r}: "
+                    f"value {fill!r} not a category of {f.name!r}"
+                )
+            col = np.where(missing, f.categories.index(fill), col)
+        k = len(f.categories)
+        out[:, j:j + k] = col[:, None] == np.arange(k)
+        j += k
+    return replace(ds, schema=enc_schema, covariates=out)
 
 
 def impute_and_encode(ds: Dataset, stats_source: Dataset | None = None) -> Dataset:
@@ -533,10 +563,6 @@ def impute_and_encode(ds: Dataset, stats_source: Dataset | None = None) -> Datas
     stats = fit_imputation(stats_source if stats_source is not None else ds)
     return apply_imputation(ds, stats)
 
-
-# ---------------------------------------------------------------------------
-# state assembly
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class StateConfig:
@@ -661,27 +687,6 @@ class StepData:
         return np.bincount(self.traj_index, minlength=len(self.traj_ids))
 
 
-def encode_covariates(ds: Dataset) -> np.ndarray:
-    """Stack the (already numeric, fully observed) covariates of every step."""
-    if not ds.schema.is_numeric():
-        raise DatasetError("dataset still holds categorical features; run impute_and_encode")
-    names = ds.schema.names
-    n = ds.n_steps
-    out = np.empty((n, len(names)), dtype=np.float64)
-    i = 0
-    for tr in ds.trajectories:
-        for s in tr.steps:
-            for j, k in enumerate(names):
-                v = s.features.get(k)
-                if v is None:
-                    raise DatasetError(
-                        f"trajectory {tr.id!r}: missing value for {k!r}; run impute_and_encode"
-                    )
-                out[i, j] = v
-            i += 1
-    return out
-
-
 def build_states(ds: Dataset, config: StateConfig = StateConfig()) -> StepData:
     """Turn an encoded dataset into one model-ready record per step.
 
@@ -690,50 +695,42 @@ def build_states(ds: Dataset, config: StateConfig = StateConfig()) -> StepData:
     reward averages r_1..r_{t-1} (both 0 at t=1), so no state leaks the action
     it is meant to predict.
     """
-    cov = encode_covariates(ds)
+    if not ds.schema.is_numeric():
+        raise DatasetError("dataset still holds categorical features; run impute_and_encode")
+    missing = np.isnan(ds.covariates)
+    if missing.any():
+        row, col = np.argwhere(missing)[0]
+        raise DatasetError(
+            f"trajectory {ds.trajectory_of(row)!r}: missing value for "
+            f"{ds.schema.names[col]!r}; run impute_and_encode"
+        )
     assembler = StateAssembler(ds.schema.names, ds.n_actions, config)
-    n = ds.n_steps
-    actions = np.empty(n, dtype=np.int64)
-    rewards = np.empty(n, dtype=np.float64)
-    prev_actions = np.empty(n, dtype=np.int64)
-    stages = np.empty(n, dtype=np.int64)
-    traj_index = np.empty(n, dtype=np.int64)
-    prev_rewards = np.zeros(n, dtype=np.float64)
-    switch_counts = np.zeros(n, dtype=np.float64)
-    mean_rewards = np.zeros(n, dtype=np.float64)
+    traj_index = np.repeat(np.arange(len(ds)), ds.lengths)
+    stages = np.arange(ds.n_steps) - ds.offsets[traj_index] + 1
+    first = stages == 1
 
-    i = 0
-    for ti, tr in enumerate(ds.trajectories):
-        n_sw = 0
-        r_sum = 0.0
-        for t, s in enumerate(tr.steps, start=1):
-            actions[i] = s.action
-            rewards[i] = s.reward
-            stages[i] = t
-            traj_index[i] = ti
-            if t == 1:
-                prev_actions[i] = NONE_ACTION
-            else:
-                prev = tr.steps[t - 2]
-                prev_actions[i] = prev.action
-                prev_rewards[i] = prev.reward
-                r_sum += prev.reward
-                mean_rewards[i] = r_sum / (t - 1)
-                if t >= 3 and prev.action != tr.steps[t - 3].action:
-                    n_sw += 1
-                switch_counts[i] = n_sw
-            i += 1
+    def previous(x, fill):
+        out = np.roll(x, 1)
+        out[first] = fill
+        return out
 
-    states = assembler.assemble_batch(cov, prev_actions, prev_rewards,
-                                      switch_counts, mean_rewards)
+    prev_actions = previous(ds.actions, NONE_ACTION)
+    prev_rewards = previous(ds.rewards, 0.0)
+    # a switch at step t-1 (a_{t-1} != a_{t-2}) counts from step t on
+    switched = previous((~first & (ds.actions != prev_actions)).astype(np.float64), 0.0)
+    # the running sum of prev_rewards starts at 0.0 and adds r_1, r_2, ... in
+    # order, the same float sums a per-trajectory loop makes
+    mean_rewards = np.where(first, 0.0, ds.cumsum(prev_rewards) / np.maximum(stages - 1, 1))
+    states = assembler.assemble_batch(ds.covariates, prev_actions, prev_rewards,
+                                      ds.cumsum(switched), mean_rewards)
     return StepData(
         states=states,
-        actions=actions,
-        rewards=rewards,
+        actions=ds.actions,
+        rewards=ds.rewards,
         prev_actions=prev_actions,
         stages=stages,
         traj_index=traj_index,
-        traj_ids=ds.ids(),
+        traj_ids=list(ds.ids),
         n_actions=ds.n_actions,
         feature_names=assembler.names,
     )
@@ -776,7 +773,7 @@ def split_dataset(ds: Dataset, spec: SplitSpec):
     Splits are by whole trajectory; no patient contributes steps to two
     partitions. Raises if any partition comes out empty.
     """
-    n = len(ds.trajectories)
+    n = len(ds)
     if n < 10:
         raise DatasetError(f"need >= 10 trajectories to split, got {n}")
     rng = np.random.default_rng(spec.seed)
@@ -790,13 +787,5 @@ def split_dataset(ds: Dataset, spec: SplitSpec):
             f"split fractions yield an empty partition "
             f"(train={n_train}, validation={n_val}, test={n_test})"
         )
-
-    def take(idx):
-        return Dataset(schema=ds.schema, n_actions=ds.n_actions,
-                       trajectories=[ds.trajectories[i] for i in idx],
-                       provenance=ds.provenance)
-
-    train = take(perm[:n_train])
-    val = take(perm[n_train:n_train_all])
-    test = take(perm[n_train_all:])
-    return train, val, test
+    return (ds.take(perm[:n_train]), ds.take(perm[n_train:n_train_all]),
+            ds.take(perm[n_train_all:]))

@@ -193,7 +193,7 @@ def cross_validate(dataset: Dataset, model_type: str, folds: int,
     truncations of it, exact for the reason given in :func:`select_model`.
     """
     grid = grid or HyperparamGrid()
-    n = len(dataset.trajectories)
+    n = len(dataset)
     if n < 2:
         raise HarnessError(f"need >= 2 trajectories to cross-validate, got {n}")
     if folds < 2:
@@ -201,15 +201,10 @@ def cross_validate(dataset: Dataset, model_type: str, folds: int,
     folds = min(folds, n)
     assignment = np.arange(n) % folds
 
-    def take(mask):
-        return Dataset(schema=dataset.schema, n_actions=dataset.n_actions,
-                       trajectories=[t for t, m in zip(dataset.trajectories, mask) if m],
-                       provenance=dataset.provenance)
-
     parts = []
     for f in range(folds):
-        val_ds = take(assignment == f)
-        train_ds = take(assignment != f)
+        val_ds = dataset.take(np.flatnonzero(assignment == f))
+        train_ds = dataset.take(np.flatnonzero(assignment != f))
         enc_train = impute_and_encode(train_ds)
         enc_val = impute_and_encode(val_ds, stats_source=train_ds)
         train = build_states(enc_train)
@@ -516,12 +511,9 @@ def _run_repeat(cfg: ExperimentConfig, raw: Dataset, repeat: int,
     spec = replace(cfg.split, seed=split_seed)
     train_ds, val_ds, test_ds = split_dataset(raw, spec)
 
-    ids = [frozenset(t.id for t in d.trajectories)
-           for d in (train_ds, val_ds, test_ds)]
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if ids[i] & ids[j]:
-                raise RuntimeError("trajectory leaked across partitions")
+    ids = np.concatenate([train_ds.ids, val_ds.ids, test_ds.ids])
+    if len(np.unique(ids)) < len(ids):
+        raise RuntimeError("trajectory leaked across partitions")
 
     train = build_states(impute_and_encode(train_ds), cfg.state_config)
     val = build_states(impute_and_encode(val_ds, stats_source=train_ds),

@@ -52,7 +52,6 @@ class OPEResult:
     ess: float
     n: int
     estimator: str
-    normalization: str = "absolute"
     per_trajectory: tuple = field(default=(), repr=False)
 
 
@@ -147,36 +146,6 @@ def is_estimate(weights: list[TrajectoryWeight]) -> OPEResult:
 
 ESTIMATORS = {"wis": wis_estimate, "is": is_estimate}
 
-NORMALIZATION_MODES = ("absolute", "per_stage", "behavior_relative")
-
-
-def normalize_value(
-    result: OPEResult, behavior_value: float | None = None, mode: str = "absolute"
-) -> float:
-    """Re-express an estimate on an absolute, per-stage, or relative scale.
-
-    per_stage re-runs the estimator with each return divided by trajectory
-    length; behavior_relative subtracts the behavior policy's mean return.
-    """
-    if mode == "absolute":
-        return result.value
-    if mode == "per_stage":
-        if not result.per_trajectory:
-            raise OPEError("per_stage normalization needs per-trajectory weights")
-        scaled = [
-            TrajectoryWeight(t.traj_id, t.weight, t.ret / t.length, t.length)
-            for t in result.per_trajectory
-        ]
-        return ESTIMATORS[result.estimator](scaled).value
-    if mode == "behavior_relative":
-        if behavior_value is None:
-            raise OPEError("behavior_relative normalization needs the behavior value")
-        return result.value - behavior_value
-    raise OPEError(
-        f"unknown normalization mode {mode!r}; valid modes are "
-        + ", ".join(NORMALIZATION_MODES)
-    )
-
 
 def median_iqr(values) -> tuple[float, float, float]:
     """Median and quartiles with linear interpolation between order statistics."""
@@ -185,23 +154,3 @@ def median_iqr(values) -> tuple[float, float, float]:
         raise OPEError("median undefined for an empty collection")
     q1, med, q3 = np.percentile(v, [25.0, 50.0, 75.0])
     return float(med), float(q1), float(q3)
-
-
-@dataclass(frozen=True)
-class SplitSummary:
-    n_splits: int
-    value_median: float
-    value_q1: float
-    value_q3: float
-    ess_median: float
-    ess_q1: float
-    ess_q3: float
-
-
-def aggregate_splits(results: list[OPEResult]) -> SplitSummary:
-    """Median and IQR of value and ESS across repeated evaluation splits."""
-    if not results:
-        raise OPEError("no results to aggregate")
-    vm, v1, v3 = median_iqr([r.value for r in results])
-    em, e1, e3 = median_iqr([r.ess for r in results])
-    return SplitSummary(len(results), vm, v1, v3, em, e1, e3)

@@ -196,21 +196,6 @@ class SwitchAdjustedPolicy(_PolicyBase):
         return {"type": "mc_switch_adj", "k": self.k, "p1": self.p1}
 
 
-def adjust_switch(policy, state, prev_action, p1: float) -> np.ndarray:
-    """Query a switch-composed top-k policy with its switch rate shifted by p1.
-
-    ``policy`` may be a SwitchAdjustedPolicy (its own p1 is ignored) or a
-    TopKPolicy over a dts/dtbls model. With p1=0 this reproduces the
-    unadjusted switch-adjusted family member exactly.
-    """
-    if isinstance(policy, (SwitchAdjustedPolicy, TopKPolicy)):
-        shifted = SwitchAdjustedPolicy(policy.model, policy.k, p1)
-    else:
-        raise TypeError(f"cannot switch-adjust a {type(policy).__name__}")
-    t = 1 if prev_action is None else 2
-    return shifted.probabilities(state, prev_action, t)
-
-
 class RandomPolicy(_PolicyBase):
     """Uniform over all K actions; with a seed, a fixed per-state choice."""
 

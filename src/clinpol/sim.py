@@ -33,7 +33,7 @@ seed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,8 +45,6 @@ from .data import (
     FeatureSchema,
     StateAssembler,
     StateConfig,
-    Step,
-    Trajectory,
 )
 
 INDEX_CENTER = 40.0  # disease-index standardization used by the switch logit
@@ -72,6 +70,25 @@ def _sample_rows(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     cum = np.cumsum(probs, axis=1)
     a = (cum < u[:, None]).sum(axis=1)
     return np.minimum(a, probs.shape[1] - 1)
+
+
+def _cohort(cfg, schema: FeatureSchema, T, columns, actions, rewards) -> Dataset:
+    """Hand (n, H) generator arrays over as a dataset: patient i keeps t < T[i].
+
+    ``columns`` holds one (n, H) array per schema feature, a categorical
+    one as category indices.
+    """
+    keep = np.arange(actions.shape[1]) < T[:, None]
+    return Dataset(
+        schema=schema,
+        n_actions=cfg.n_actions,
+        covariates=np.stack([c[keep] for c in columns], axis=1),
+        actions=actions[keep],
+        rewards=rewards[keep],
+        offsets=np.concatenate(([0], np.cumsum(T))),
+        ids=[f"p{i:06d}" for i in range(len(T))],
+        provenance=config_to_provenance(cfg),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -286,28 +303,10 @@ def generate_chronic(cfg: ChronicSimConfig) -> Dataset:
         prev = a
         idx = nxt
 
-    trajectories = []
-    for i in range(n):
-        steps = [
-            Step(
-                features={
-                    "disease_index": float(feat_index[i, t]),
-                    "age": float(age[i]),
-                    "time_on_tx": float(feat_tot[i, t]),
-                    "biomarker": f"g{g[i]}",
-                },
-                action=int(actions[i, t]),
-                reward=float(rewards[i, t]),
-            )
-            for t in range(T[i])
-        ]
-        trajectories.append(Trajectory(id=f"p{i:06d}", steps=steps))
-    return Dataset(
-        schema=chronic_schema(cfg),
-        n_actions=cfg.n_actions,
-        trajectories=trajectories,
-        provenance=config_to_provenance(cfg),
-    )
+    return _cohort(cfg, chronic_schema(cfg), T,
+                   [feat_index, np.repeat(age[:, None], H, axis=1), feat_tot,
+                    np.repeat(g[:, None], H, axis=1)],
+                   actions, rewards)
 
 
 # ---------------------------------------------------------------------------
@@ -466,45 +465,19 @@ def generate_episodic(cfg: EpisodicSimConfig) -> Dataset:
                       + cfg.vol_noise * Z[:, t - 1, 1], 0.0, 100.0)
 
     survived = u_surv < _survival_probability(cfg, msum, frailty)
-    terminal = np.where(survived, 100.0, -100.0)
-
-    trajectories = []
-    for i in range(n):
-        steps = [
-            Step(
-                features={
-                    "severity": float(feat_sev[i, t]),
-                    "volume": float(feat_vol[i, t]),
-                    "frailty": float(frailty[i]),
-                },
-                action=int(actions[i, t]),
-                reward=float(terminal[i]) if t == H - 1 else 0.0,
-            )
-            for t in range(H)
-        ]
-        trajectories.append(Trajectory(id=f"p{i:06d}", steps=steps))
-    return Dataset(
-        schema=episodic_schema(cfg),
-        n_actions=cfg.n_actions,
-        trajectories=trajectories,
-        provenance=config_to_provenance(cfg),
-    )
+    rewards = np.zeros((n, H))
+    rewards[:, H - 1] = np.where(survived, 100.0, -100.0)
+    return _cohort(cfg, episodic_schema(cfg), np.full(n, H),
+                   [feat_sev, feat_vol, np.repeat(frailty[:, None], H, axis=1)],
+                   actions, rewards)
 
 
 def episodic_survival_probabilities(cfg: EpisodicSimConfig, ds: Dataset) -> np.ndarray:
     """Closed-form per-patient survival chance, recomputed from stored steps."""
-    out = np.empty(len(ds.trajectories))
-    for i, tr in enumerate(ds.trajectories):
-        msum = 0.0
-        for s in tr.steps:
-            m = _episodic_mismatch(
-                cfg, [s.features["severity"]], [s.features["volume"]], [s.action]
-            )
-            msum += float(m[0])
-        out[i] = _survival_probability(
-            cfg, msum, tr.steps[0].features["frailty"]
-        )
-    return out
+    sev, vol, frailty = (ds.covariates[:, ds.schema.names.index(name)]
+                         for name in ("severity", "volume", "frailty"))
+    msum = ds.cumsum(_episodic_mismatch(cfg, sev, vol, ds.actions))[ds.offsets[1:] - 1]
+    return _survival_probability(cfg, msum, frailty[ds.offsets[:-1]])
 
 
 # ---------------------------------------------------------------------------

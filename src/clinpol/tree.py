@@ -163,9 +163,6 @@ class DecisionTree:
         route(self.root, np.arange(len(X)))
         return out
 
-    def leaf_index(self, x) -> int:
-        return int(self.leaf_index_batch(np.asarray(x, dtype=np.float64)[None, :])[0])
-
     def predict_proba_batch(self, X) -> np.ndarray:
         return self._leaf_probs[self.leaf_index_batch(X)]
 

@@ -7,7 +7,6 @@ from scipy.special import expit
 from clinpol.calibration import (
     CalibrationError,
     CalibrationModel,
-    apply_calibration,
     apply_calibration_batch,
     fit_calibration,
     identity_calibration,
@@ -39,7 +38,7 @@ def test_overconfident_scores_are_pulled_back_to_observed_rate():
     labels = (rng.random(n) < 0.4).astype(int)  # class 0 rate 0.6
     scores = np.column_stack([np.full(n, 0.9), np.full(n, 0.1)])
     cm = fit_calibration(scores, labels)
-    out = apply_calibration(cm, np.array([0.9, 0.1]))
+    out = apply_calibration_batch(cm, np.array([0.9, 0.1]))
     assert abs(out[0] - 0.6) < 0.05
 
 
@@ -48,7 +47,7 @@ def test_degenerate_class_keeps_identity_map():
     labels = np.array([0, 0, 0])  # class 1 never appears
     cm = fit_calibration(scores, labels)
     assert bool(cm.identity[0]) and bool(cm.identity[1])
-    out = apply_calibration(cm, np.array([0.25, 0.75]))
+    out = apply_calibration_batch(cm, np.array([0.25, 0.75]))
     np.testing.assert_allclose(out, [0.25, 0.75], atol=1e-12)
 
 
@@ -77,9 +76,9 @@ def test_fit_is_deterministic():
 
 def test_identity_model_renormalizes_input():
     cm = identity_calibration(3)
-    out = apply_calibration(cm, np.array([0.2, 0.2, 0.1]))
+    out = apply_calibration_batch(cm, np.array([0.2, 0.2, 0.1]))
     np.testing.assert_allclose(out, [0.4, 0.4, 0.2], atol=1e-15)
-    one_hot = apply_calibration(cm, np.array([0.0, 1.0, 0.0]))
+    one_hot = apply_calibration_batch(cm, np.array([0.0, 1.0, 0.0]))
     np.testing.assert_array_equal(one_hot, [0.0, 1.0, 0.0])
 
 
@@ -106,7 +105,7 @@ def test_shared_positive_slope_preserves_argmax():
 def test_apply_rejects_wrong_width():
     cm = identity_calibration(3)
     with pytest.raises(CalibrationError, match="3 columns"):
-        apply_calibration(cm, np.array([0.5, 0.5]))
+        apply_calibration_batch(cm, np.array([0.5, 0.5]))
 
 
 def test_calibration_json_round_trip():

@@ -15,9 +15,8 @@ from clinpol.data import (
     FeatureSchema,
     SplitSpec,
     StateConfig,
-    Step,
-    Trajectory,
     build_states,
+    from_records,
     impute_and_encode,
     split_dataset,
 )
@@ -197,12 +196,8 @@ def test_selection_rejects_unknown_model_types():
 
 def constant_feature_dataset(n_traj=12):
     schema = FeatureSchema((Feature("x"),))
-    trajs = []
-    for i in range(n_traj):
-        steps = [Step(features={"x": 1.0}, action=t % 2, reward=0.0)
-                 for t in range(3)]
-        trajs.append(Trajectory(id=f"t{i}", steps=steps))
-    return Dataset(schema=schema, n_actions=2, trajectories=trajs, provenance="")
+    steps = [({"x": 1.0}, t % 2, 0.0) for t in range(3)]
+    return from_records(schema, 2, [(f"t{i}", steps) for i in range(n_traj)])
 
 
 def test_constant_data_ties_and_first_grid_cell_wins():
@@ -222,12 +217,18 @@ def test_cross_validation_matches_a_brute_force_loop(kind):
     ds = impute_and_encode(generate_chronic(ChronicSimConfig(n_patients=90, seed=7)))
     grid = HyperparamGrid(max_depths=(2, 6), min_leaf_fractions=(0.01, 0.04))
     folds = 3
-    n = len(ds.trajectories)
+    n = len(ds)
     assignment = np.arange(n) % folds
 
     def take(mask):
+        # trajectory by trajectory, the way a per-trajectory loop would cut it
+        rows = [r for i in np.flatnonzero(mask)
+                for r in range(ds.offsets[i], ds.offsets[i + 1])]
         return Dataset(schema=ds.schema, n_actions=ds.n_actions,
-                       trajectories=[t for t, m in zip(ds.trajectories, mask) if m],
+                       covariates=ds.covariates[rows], actions=ds.actions[rows],
+                       rewards=ds.rewards[rows],
+                       offsets=np.concatenate(([0], np.cumsum(ds.lengths[mask]))),
+                       ids=[ds.ids[i] for i in np.flatnonzero(mask)],
                        provenance=ds.provenance)
 
     best_hp, best_score = None, -math.inf
@@ -253,8 +254,7 @@ def test_cross_validation_input_guards():
     ds = constant_feature_dataset(4)
     with pytest.raises(HarnessError, match="folds"):
         cross_validate(ds, "dt", folds=1)
-    one = Dataset(schema=ds.schema, n_actions=2, trajectories=ds.trajectories[:1],
-                  provenance="")
+    one = ds.take([0])
     with pytest.raises(HarnessError, match=">= 2 trajectories"):
         cross_validate(one, "dt", folds=3)
 
@@ -428,13 +428,11 @@ def test_failed_seeds_are_logged_not_fatal(tmp_path):
     # every seed lands in failures.csv and the tables stay empty
     schema = FeatureSchema((Feature("x"),))
     rng = np.random.default_rng(0)
-    trajs = []
+    records = []
     for i in range(40):
         a = int(rng.integers(2))
-        steps = [Step(features={"x": float(rng.normal())}, action=a, reward=0.0)
-                 for _ in range(3)]
-        trajs.append(Trajectory(id=f"t{i}", steps=steps))
-    ds = Dataset(schema=schema, n_actions=2, trajectories=trajs, provenance="")
+        records.append((f"t{i}", [({"x": float(rng.normal())}, a, 0.0) for _ in range(3)]))
+    ds = from_records(schema, 2, records)
     path = tmp_path / "flat.jsonl"
     from clinpol.data import save_dataset
 
@@ -452,9 +450,13 @@ def test_failed_seeds_are_logged_not_fatal(tmp_path):
 def test_a_partition_leak_crashes_the_experiment(tmp_path, monkeypatch):
     def leaky_split(ds, spec):
         train, val, test = split_dataset(ds, spec)
+        first = train.take([0])
         test = Dataset(schema=test.schema, n_actions=test.n_actions,
-                       trajectories=test.trajectories + train.trajectories[:1],
-                       provenance=test.provenance)
+                       covariates=np.vstack([test.covariates, first.covariates]),
+                       actions=np.concatenate([test.actions, first.actions]),
+                       rewards=np.concatenate([test.rewards, first.rewards]),
+                       offsets=np.concatenate([test.offsets, test.n_steps + first.offsets[1:]]),
+                       ids=test.ids + first.ids, provenance=test.provenance)
         return train, val, test
 
     monkeypatch.setattr(harness, "split_dataset", leaky_split)

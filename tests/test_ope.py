@@ -1,4 +1,4 @@
-"""Importance weights, IS/WIS estimators, ESS, normalization, aggregation."""
+"""Importance weights, IS/WIS estimators, ESS, and median/IQR aggregation."""
 
 import math
 
@@ -10,15 +10,12 @@ from clinpol.data import NONE_ACTION, StepData
 from clinpol.ope import (
     NoOverlapError,
     OPEError,
-    OPEResult,
     SupportViolationError,
     TrajectoryWeight,
-    aggregate_splits,
     effective_sample_size,
     importance_weights,
     is_estimate,
     median_iqr,
-    normalize_value,
     wis_estimate,
 )
 from clinpol.policies import BehaviorPolicy, TopKPolicy
@@ -233,61 +230,22 @@ def test_self_evaluation_estimate_is_the_mean_return():
 
 
 # ---------------------------------------------------------------------------
-# normalization
-# ---------------------------------------------------------------------------
-
-def test_per_stage_divides_returns_by_length_before_estimation():
-    r = wis_estimate(tw([1.0, 1.0], [10.0, 20.0], lengths=[2, 4]))
-    assert normalize_value(r, mode="per_stage") == 5.0
-    assert normalize_value(r, mode="absolute") == 15.0
-
-
-def test_behavior_relative_of_behavior_is_zero():
-    r = wis_estimate(tw([1.0, 1.0], [4.0, 6.0]))
-    assert normalize_value(r, behavior_value=r.value, mode="behavior_relative") == 0.0
-
-
-def test_behavior_relative_needs_the_reference():
-    r = wis_estimate(tw([1.0], [1.0]))
-    with pytest.raises(OPEError, match="behavior"):
-        normalize_value(r, mode="behavior_relative")
-    with pytest.raises(OPEError, match="valid modes"):
-        normalize_value(r, mode="zscore")
-
-
-def test_per_stage_respects_the_estimator():
-    weights = tw([1.0, 3.0], [10.0, 20.0], lengths=[2, 4])
-    w = normalize_value(wis_estimate(weights), mode="per_stage")
-    assert w == (1.0 * 5.0 + 3.0 * 5.0) / 4.0
-    i = normalize_value(is_estimate(weights), mode="per_stage")
-    assert i == (1.0 * 5.0 + 3.0 * 5.0) / 2.0
-
-
-# ---------------------------------------------------------------------------
 # aggregation over repeated splits
 # ---------------------------------------------------------------------------
 
-def res(values):
-    return [
-        OPEResult(value=v, ess=2.0 * v, n=10, estimator="wis") for v in values
-    ]
-
-
 def test_aggregate_median_and_quartiles():
-    s = aggregate_splits(res([1.0, 2.0, 3.0, 4.0, 5.0]))
-    assert (s.value_median, s.value_q1, s.value_q3) == (3.0, 2.0, 4.0)
-    assert (s.ess_median, s.ess_q1, s.ess_q3) == (6.0, 4.0, 8.0)
-    assert s.n_splits == 5
+    # the harness summarizes each policy's repeated splits with median_iqr
+    assert median_iqr([1.0, 2.0, 3.0, 4.0, 5.0]) == (3.0, 2.0, 4.0)
+    assert median_iqr([10.0, 4.0, 8.0, 2.0, 6.0]) == (6.0, 4.0, 8.0)
 
 
 def test_aggregate_single_result_degenerates():
-    s = aggregate_splits(res([2.5]))
-    assert s.value_median == s.value_q1 == s.value_q3 == 2.5
+    assert median_iqr([2.5]) == (2.5, 2.5, 2.5)
 
 
 def test_aggregate_empty_is_an_error():
     with pytest.raises(OPEError):
-        aggregate_splits([])
+        median_iqr([])
 
 
 def sort_based_quantile(values, q):

@@ -12,7 +12,6 @@ from clinpol.policies import (
     SoftenedPolicy,
     SwitchAdjustedPolicy,
     TopKPolicy,
-    adjust_switch,
     build_policy,
     soften,
 )
@@ -196,17 +195,16 @@ def test_switch_adjustment_is_inert_at_first_stage():
 def test_switch_adjustment_rejects_single_tree_models():
     with pytest.raises(TypeError, match="dts or dtbls"):
         SwitchAdjustedPolicy(model_532(), 1, 0.1)
-    with pytest.raises(TypeError):
-        adjust_switch(BehaviorPolicy(model_532()), S, 0, 0.1)
 
 
 def test_adjust_switch_requeries_with_a_new_shift():
     m = leaf_model([9, 1], [5, 3, 2])
     base = TopKPolicy(m, 3)
-    out = adjust_switch(base, S, 0, 0.4)
+    out = SwitchAdjustedPolicy(base.model, base.k, 0.4).probabilities(S, 0, 2)
     assert out[0] == 0.5
-    unshifted = adjust_switch(base, S, 0, 0.0)
-    assert np.array_equal(unshifted, SwitchAdjustedPolicy(m, 3, 0.0).probabilities(S, 0, 2))
+    # a zero shift reproduces the unadjusted top-k policy exactly
+    unshifted = SwitchAdjustedPolicy(base.model, base.k, 0.0).probabilities(S, 0, 2)
+    assert np.array_equal(unshifted, base.probabilities(S, 0, 2))
 
 
 def test_p1_out_of_range_is_rejected():

@@ -27,12 +27,18 @@ from clinpol.sim import (
 
 
 def dataset_payload(ds):
-    """Flatten every stored number for bitwise comparisons."""
-    rows = []
-    for tr in ds.trajectories:
-        for s in tr.steps:
-            rows.append((tr.id, tuple(sorted(s.features.items())), s.action, s.reward))
-    return rows
+    """Every stored number, per trajectory, for bitwise comparisons."""
+    return [(tid, ds.covariates[lo:hi].tobytes(), ds.actions[lo:hi].tobytes(),
+             ds.rewards[lo:hi].tobytes())
+            for tid, lo, hi in zip(ds.ids, ds.offsets[:-1], ds.offsets[1:])]
+
+
+def column(ds, name):
+    return ds.covariates[:, ds.schema.names.index(name)]
+
+
+def terminal_rewards(ds):
+    return ds.rewards[ds.offsets[1:] - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -75,23 +81,24 @@ def test_chronic_horizons_and_features_are_in_range():
     cfg = ChronicSimConfig(n_patients=300, seed=11)
     ds = generate_chronic(cfg)
     lo, hi = cfg.horizon_range
-    for tr in ds.trajectories:
-        assert lo <= len(tr.steps) <= hi
-        for s in tr.steps:
-            assert 0 <= s.action < cfg.n_actions
-            assert cfg.index_range[0] <= s.features["disease_index"] <= cfg.index_range[1]
-            assert s.features["biomarker"] in ("g0", "g1")
+    assert np.all((lo <= ds.lengths) & (ds.lengths <= hi))
+    assert np.all((0 <= ds.actions) & (ds.actions < cfg.n_actions))
+    index = column(ds, "disease_index")
+    assert np.all((cfg.index_range[0] <= index) & (index <= cfg.index_range[1]))
+    # categorical values are stored as their index in ("g0", "g1")
+    assert set(column(ds, "biomarker").tolist()) == {0.0, 1.0}
 
 
 def test_time_on_treatment_tracks_stay_runs():
     ds = generate_chronic(ChronicSimConfig(n_patients=300, seed=12))
-    for tr in ds.trajectories:
+    tot = column(ds, "time_on_tx")
+    for lo, hi in zip(ds.offsets[:-1], ds.offsets[1:]):
         run = 0
         prev = None
-        for s in tr.steps:
-            assert s.features["time_on_tx"] == run
-            run = run + 1 if s.action == prev else 1
-            prev = s.action
+        for r in range(lo, hi):
+            assert tot[r] == run
+            run = run + 1 if ds.actions[r] == prev else 1
+            prev = ds.actions[r]
 
 
 def test_stay_rate_clears_the_inertia_bound():
@@ -203,30 +210,30 @@ def test_truth_policy_rejects_unknown_configs():
 def test_episodic_rewards_are_terminal_only():
     cfg = EpisodicSimConfig(n_patients=400, seed=23)
     ds = generate_episodic(cfg)
-    for tr in ds.trajectories:
-        assert len(tr.steps) == cfg.horizon
-        for s in tr.steps[:-1]:
-            assert s.reward == 0.0
-        assert tr.steps[-1].reward in (100.0, -100.0)
+    assert np.all(ds.lengths == cfg.horizon)
+    inner = np.ones(ds.n_steps, dtype=bool)
+    inner[ds.offsets[1:] - 1] = False
+    assert np.all(ds.rewards[inner] == 0.0)
+    assert set(terminal_rewards(ds).tolist()) == {100.0, -100.0}
 
 
 def test_zero_hazard_scale_means_everyone_survives():
     ds = generate_episodic(EpisodicSimConfig(n_patients=300, hazard_scale=0.0, seed=24))
-    assert all(tr.steps[-1].reward == 100.0 for tr in ds.trajectories)
+    assert np.all(terminal_rewards(ds) == 100.0)
 
 
 def test_survival_matches_the_closed_form():
     cfg = EpisodicSimConfig(n_patients=6000, seed=25)
     ds = generate_episodic(cfg)
     p = episodic_survival_probabilities(cfg, ds)
-    emp = np.mean([tr.steps[-1].reward > 0 for tr in ds.trajectories])
+    emp = np.mean(terminal_rewards(ds) > 0)
     sigma = np.sqrt((p * (1 - p)).sum()) / len(p)
     assert abs(emp - p.mean()) <= 4 * sigma
 
 
 def test_survival_rate_is_near_the_tuned_target():
     ds = generate_episodic(EpisodicSimConfig(n_patients=4000, seed=26))
-    emp = np.mean([tr.steps[-1].reward > 0 for tr in ds.trajectories])
+    emp = np.mean(terminal_rewards(ds) > 0)
     assert 0.6 <= emp <= 0.8
 
 
@@ -269,7 +276,7 @@ def test_mc_value_of_truth_policy_matches_dataset_mean():
 def test_mc_value_of_episodic_truth_matches_dataset_mean():
     cfg = EpisodicSimConfig(n_patients=4000, seed=32)
     ds = generate_episodic(cfg)
-    term = np.array([tr.steps[-1].reward for tr in ds.trajectories])
+    term = terminal_rewards(ds)
     v, se = monte_carlo_value(truth_policy(cfg), cfg, 30000)
     data_se = term.std(ddof=1) / np.sqrt(len(term))
     assert abs(v - term.mean()) <= 4 * np.sqrt(se**2 + data_se**2)

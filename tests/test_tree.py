@@ -239,7 +239,7 @@ def test_leaf_index_matches_training_tally():
 
 def test_single_leaf_tree_maps_everything_to_leaf_zero():
     tree = fit_tree(np.array([[0.0], [1.0]]), [1, 1], TreeHyperparams(), n_classes=2)
-    assert tree.leaf_index([123.0]) == 0
+    assert tree.leaf_index_batch(np.array([[123.0]])).tolist() == [0]
 
 
 # ---------------------------------------------------------------------------
