@@ -9,6 +9,8 @@ with a terminal survival outcome. Both are seeded per patient, so any cohort
 can be regenerated bit for bit from its config.
 """
 
+from pathlib import Path
+
 import numpy as np
 
 from clinpol import (
@@ -61,9 +63,11 @@ print(f"survival fraction: {np.mean(returns > 0):.3f}")
 # cohorts round-trip through JSONL with their provenance attached
 # ---------------------------------------------------------------------------
 
-save_dataset(cohort, "/tmp/chronic_demo.jsonl")
-write_manifest("/tmp/chronic_demo.manifest.json", cfg)
-reloaded = load_dataset("/tmp/chronic_demo.jsonl")
+out = Path("demo_output")
+out.mkdir(exist_ok=True)
+save_dataset(cohort, out / "chronic_demo.jsonl")
+write_manifest(out / "chronic_demo.manifest.json", cfg)
+reloaded = load_dataset(out / "chronic_demo.jsonl")
 
 print(f"\nJSONL round trip preserves every step: {reloaded == cohort}")
 

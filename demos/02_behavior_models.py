@@ -10,6 +10,8 @@ dedicated tree for the first prescription, whose rules differ from follow-up
 care. All three expose the same probability interface.
 """
 
+from pathlib import Path
+
 import numpy as np
 
 from clinpol import (
@@ -77,8 +79,9 @@ print(f"max |row sum - 1| on test: {np.max(np.abs(probs.sum(axis=1) - 1.0)):.2e}
 # ---------------------------------------------------------------------------
 
 dot = tree_to_dot(best.switch_tree, class_names=("stay", "switch"))
-with open("/tmp/switch_tree.dot", "w", encoding="utf-8") as fh:
-    fh.write(dot)
-print("\nswitch tree written to /tmp/switch_tree.dot; its root split:")
+out = Path("demo_output")
+out.mkdir(exist_ok=True)
+(out / "switch_tree.dot").write_text(dot, encoding="utf-8")
+print(f"\nswitch tree written to {out / 'switch_tree.dot'}; its root split:")
 root = best.switch_tree.root
 print(f"  {best.switch_tree.feature_names[root.feature]} <= {root.threshold:.3f}")

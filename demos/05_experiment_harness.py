@@ -27,7 +27,7 @@ config = ExperimentConfig(
         {"type": "mc_switch_adj", "k": 2, "p1": 0.1},
     ),
     estimator="wis",
-    out_dir="/tmp/clinpol_demo_experiment",
+    out_dir="demo_output/experiment",
     seed=42,
 )
 
@@ -53,7 +53,7 @@ for row in rows:
 again = run_experiment(ExperimentConfig(
     simulator=config.simulator, n_repeats=config.n_repeats, model=config.model,
     n_candidates=config.n_candidates, policies=config.policies,
-    estimator=config.estimator, out_dir="/tmp/clinpol_demo_experiment_b",
+    estimator=config.estimator, out_dir="demo_output/experiment_b",
     seed=config.seed,
 ))
 identical = all(

@@ -41,6 +41,7 @@ from .calibration import (
 from .data import NONE_ACTION, StepData
 from .tree import (
     DecisionTree,
+    SplitSearch,
     TreeHyperparams,
     attach_outcomes,
     fit_tree,
@@ -316,17 +317,25 @@ class TreeMemo:
     rule, so each component is grown once per fraction, to the deepest depth
     drawn for it, and every candidate's tree is that tree truncated. Keys are
     (component, min_leaf_fraction); a fit that raised raises the same error
-    for every later candidate with that fraction. One memo serves one
-    fitting set: ``data`` is the :class:`StepData` passed to the fit calls.
+    for every later candidate with that fraction. A component's first request
+    grows its tree for every drawn fraction, so those fits can share one
+    :class:`SplitSearch` that lives no longer than they do. One memo serves
+    one fitting set: ``data`` is the :class:`StepData` passed to the fit calls.
     """
 
     def __init__(self, data: StepData, candidates):
         self.data = data
-        self._depths: dict[float, int] = {}
+        # per fraction: its first candidate, at the deepest depth drawn with it
+        self._deep: dict[float, TreeHyperparams] = {}
         for hp in candidates:
-            f = hp.min_leaf_fraction
-            self._depths[f] = max(self._depths.get(f, 0), hp.max_depth)
+            first = self._deep.setdefault(hp.min_leaf_fraction, hp)
+            if hp.max_depth > first.max_depth:
+                self._deep[hp.min_leaf_fraction] = replace(first, max_depth=hp.max_depth)
         self._grown: dict[tuple, DecisionTree | ValueError] = {}
+
+    @property
+    def fractions(self) -> tuple:
+        return tuple(self._deep)
 
     def check(self, data: StepData) -> None:
         if data is not self.data:
@@ -334,15 +343,17 @@ class TreeMemo:
 
     def deep_tree(self, component: str, hp: TreeHyperparams, grow) -> DecisionTree:
         """The memoized deep tree ``grow(deep_hp)`` for ``hp``'s fraction."""
-        depth = self._depths.get(hp.min_leaf_fraction, 0)
-        if hp.max_depth > depth:
+        deep_hp = self._deep.get(hp.min_leaf_fraction)
+        if deep_hp is None or hp.max_depth > deep_hp.max_depth:
             raise RuntimeError(f"tree memo grows no tree as deep as {hp}")
         key = (component, hp.min_leaf_fraction)
         if key not in self._grown:
-            try:
-                self._grown[key] = grow(replace(hp, max_depth=depth))
-            except ValueError as e:
-                self._grown[key] = e
+            for f, deep_hp in self._deep.items():
+                try:
+                    tree = grow(deep_hp)
+                except ValueError as e:
+                    tree = e
+                self._grown[(component, f)] = tree
         found = self._grown[key]
         if isinstance(found, ValueError):
             raise found
@@ -357,10 +368,19 @@ def _component_tree(component: str, X, y, rewards, hp: TreeHyperparams,
     node. Outcomes are tallied afresh on the fitting rows rather than summed
     from cut children, which would reorder the float sums.
     """
-    def grow(deep_hp):
-        return fit_tree(X, y, deep_hp, n_classes=n_classes, feature_names=feature_names)
+    if memo is None:
+        deep = fit_tree(X, y, hp, n_classes=n_classes, feature_names=feature_names)
+    else:
+        search = None
 
-    deep = grow(hp) if memo is None else memo.deep_tree(component, hp, grow)
+        def grow(deep_hp):
+            nonlocal search
+            if search is None:
+                search = SplitSearch(X, y, n_classes, memo.fractions)
+            return fit_tree(search.X, search.y, deep_hp, n_classes=n_classes,
+                            feature_names=feature_names, search=search)
+
+        deep = memo.deep_tree(component, hp, grow)
     return attach_outcomes(truncate_tree(deep, hp.max_depth), X, y, rewards)
 
 

@@ -558,9 +558,14 @@ def apply_imputation(ds: Dataset, stats: ImputationStats) -> Dataset:
     return replace(ds, schema=enc_schema, covariates=out)
 
 
-def impute_and_encode(ds: Dataset, stats_source: Dataset | None = None) -> Dataset:
-    """Impute with statistics from ``stats_source`` (default: ``ds`` itself)."""
-    stats = fit_imputation(stats_source if stats_source is not None else ds)
+def impute_and_encode(ds: Dataset, stats_source: Dataset | None = None,
+                      stats: ImputationStats | None = None) -> Dataset:
+    """Impute with ``stats``, or with statistics fitted on ``stats_source``
+    (default: ``ds`` itself)."""
+    if stats is None:
+        stats = fit_imputation(stats_source if stats_source is not None else ds)
+    elif stats_source is not None:
+        raise DatasetError("pass imputation statistics or a source to fit them on, not both")
     return apply_imputation(ds, stats)
 
 

@@ -34,6 +34,7 @@ from .data import (
     SplitSpec,
     StateConfig,
     build_states,
+    fit_imputation,
     impute_and_encode,
     load_dataset,
     split_dataset,
@@ -205,10 +206,10 @@ def cross_validate(dataset: Dataset, model_type: str, folds: int,
     for f in range(folds):
         val_ds = dataset.take(np.flatnonzero(assignment == f))
         train_ds = dataset.take(np.flatnonzero(assignment != f))
-        enc_train = impute_and_encode(train_ds)
-        enc_val = impute_and_encode(val_ds, stats_source=train_ds)
-        train = build_states(enc_train)
-        parts.append((train, build_states(enc_val), TreeMemo(train, grid.all())))
+        stats = fit_imputation(train_ds)
+        train = build_states(impute_and_encode(train_ds, stats=stats))
+        val = build_states(impute_and_encode(val_ds, stats=stats))
+        parts.append((train, val, TreeMemo(train, grid.all())))
 
     best = None
     best_score = -math.inf
@@ -515,11 +516,10 @@ def _run_repeat(cfg: ExperimentConfig, raw: Dataset, repeat: int,
     if len(np.unique(ids)) < len(ids):
         raise RuntimeError("trajectory leaked across partitions")
 
-    train = build_states(impute_and_encode(train_ds), cfg.state_config)
-    val = build_states(impute_and_encode(val_ds, stats_source=train_ds),
-                       cfg.state_config)
-    test = build_states(impute_and_encode(test_ds, stats_source=train_ds),
-                        cfg.state_config)
+    stats = fit_imputation(train_ds)
+    train, val, test = (build_states(impute_and_encode(part, stats=stats),
+                                     cfg.state_config)
+                        for part in (train_ds, val_ds, test_ds))
 
     model = select_model(train, val, cfg.model, cfg.n_candidates, select_seed,
                          cfg.grid)

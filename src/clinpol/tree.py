@@ -19,6 +19,10 @@ Growth reads ``max_depth`` only as its stop rule, so the tree grown at depth
 d is the tree grown at any deeper cap, cut at depth d (the nested-subtree
 property behind CART cost-complexity pruning). Internal nodes keep their
 class counts, and :func:`truncate_tree` makes that cut without refitting.
+
+Every fit grows through a :class:`SplitSearch`: columns are sorted once per
+fitting set, and fits that share a search (one per min-leaf fraction) share
+the node searches their trees have in common.
 """
 
 from __future__ import annotations
@@ -180,55 +184,8 @@ class DecisionTree:
 # fitting
 # ---------------------------------------------------------------------------
 
-def _gini_node(counts, n) -> float:
-    p = counts / n
-    return float(1.0 - np.dot(p, p))
-
-
-def _best_split(X, y, idx, n_classes, floor):
-    """Scan every feature for the impurity-minimizing split of one node.
-
-    Returns (feature, threshold, weighted_child_impurity) or None. Ties keep
-    the lowest feature index, then the lowest threshold (argmin hits the first
-    of equal minima and thresholds increase along the sorted sweep).
-    """
-    n = len(idx)
-    y_node = y[idx]
-    best = None
-    for j in range(X.shape[1]):
-        xs = X[idx, j]
-        order = np.argsort(xs, kind="stable")
-        xv = xs[order]
-        boundaries = np.nonzero(xv[:-1] != xv[1:])[0]
-        if len(boundaries) == 0:
-            continue
-        lo, hi = floor - 1, n - floor - 1
-        boundaries = boundaries[(boundaries >= lo) & (boundaries <= hi)]
-        if len(boundaries) == 0:
-            continue
-        onehot = np.zeros((n, n_classes), dtype=np.float64)
-        onehot[np.arange(n), y_node[order]] = 1.0
-        cum = np.cumsum(onehot, axis=0)
-        left = cum[boundaries]
-        total = cum[-1]
-        n_l = (boundaries + 1).astype(np.float64)
-        n_r = n - n_l
-        right = total[None, :] - left
-        g_l = 1.0 - np.sum((left / n_l[:, None]) ** 2, axis=1)
-        g_r = 1.0 - np.sum((right / n_r[:, None]) ** 2, axis=1)
-        weighted = (n_l * g_l + n_r * g_r) / n
-        pos = int(np.argmin(weighted))
-        w = float(weighted[pos])
-        if best is None or w < best[2]:
-            i = boundaries[pos]
-            threshold = (xv[i] + xv[i + 1]) / 2.0
-            best = (j, float(threshold), w)
-    return best
-
-
-def fit_tree(X, y, hp: TreeHyperparams, n_classes: int | None = None,
-             feature_names=None) -> DecisionTree:
-    """Grow a tree on integer class labels ``y`` (< ``n_classes``)."""
+def _fitting_set(X, y, n_classes):
+    """Validated float64 features, int64 labels and the class count."""
     X = np.ascontiguousarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if X.ndim != 2:
@@ -243,32 +200,165 @@ def fit_tree(X, y, hp: TreeHyperparams, n_classes: int | None = None,
         n_classes = int(y.max()) + 1
     elif y.max() >= n_classes:
         raise TreeError(f"label {int(y.max())} outside [0, {n_classes})")
+    return X, y, n_classes
+
+
+class SplitSearch:
+    """Split search over one fitting set, shared by every tree grown on it.
+
+    Each column is stable-argsorted once; a node holds its rows as a
+    (features + 1, m) index matrix whose row j lists the node's rows in
+    feature-j order (ties in row order, as a per-node stable sort gives) and
+    whose last row lists them in row order. Children get their rows by a
+    stable partition of that matrix, so no node sorts.
+
+    Trees with different min-leaf fractions pick the same split at most of
+    the nodes they share, and a node's rows are fixed by its path from the
+    root. One search per path therefore serves every fraction: it scores
+    every boundary in the widest window (the smallest floor's) and keeps,
+    for each floor ``ceil(fraction * n_train)``, the first minimum inside
+    that floor's window.
+    """
+
+    def __init__(self, X, y, n_classes, min_leaf_fractions):
+        self.X, self.y, self.n_classes = _fitting_set(X, y, n_classes)
+        n = len(self.X)
+        self.fractions = frozenset(float(f) for f in min_leaf_fractions)
+        self.floors = sorted({math.ceil(f * n) for f in self.fractions})
+        self._root = np.empty((self.X.shape[1] + 1, n), dtype=np.int32)
+        for j, column in enumerate(self.X.T):
+            self._root[j] = np.argsort(column, kind="stable")
+        self._root[-1] = np.arange(n)
+        self._columns = np.arange(self.X.shape[1])[:, None]
+        self._found: dict[tuple, tuple] = {}
+        self.searches = 0
+
+    def check(self, X, y, n_classes, min_leaf_fraction) -> None:
+        """Refuse rows, labels, classes or a fraction this search was not built for."""
+        X, y = np.asarray(X, dtype=np.float64), np.asarray(y)
+        same = ((X is self.X or np.array_equal(X, self.X, equal_nan=True))
+                and (y is self.y or np.array_equal(y, self.y)))
+        if not same:
+            raise RuntimeError("split search used with a different fitting set")
+        if n_classes is not None and n_classes != self.n_classes:
+            raise RuntimeError(
+                f"split search built for {self.n_classes} classes, not {n_classes}")
+        if min_leaf_fraction not in self.fractions:
+            raise RuntimeError(
+                f"split search not built for min_leaf_fraction {min_leaf_fraction}")
+
+    def grow(self, hp: TreeHyperparams) -> Node:
+        """The root of the tree greedy growth under ``hp`` gives."""
+        floor = math.ceil(hp.min_leaf_fraction * len(self.X))
+        slot = self.floors.index(floor)
+
+        def grow(rows, path, depth) -> Node:
+            node = Node()
+            node.n = rows.shape[1]
+            node.counts = np.bincount(self.y.take(rows[-1]),
+                                      minlength=self.n_classes).astype(np.float64)
+            pure = node.counts.max() == node.n
+            if depth >= hp.max_depth or pure or node.n < 2 * floor:
+                return node
+            if path not in self._found:
+                self._found[path] = self._search(rows, node.counts)
+            found = self._found[path][slot]
+            if found is None:
+                return node
+            j, threshold = found
+            node.feature = j
+            node.threshold = threshold
+            # np.compress on the flat matrix: boolean indexing is several
+            # times slower on these unpredictable masks
+            goes_left = (self.X[:, j] <= threshold).take(rows).ravel()
+            n_left = int(np.count_nonzero(goes_left[-node.n:]))
+            flat = rows.ravel()
+            left = np.compress(goes_left, flat).reshape(len(rows), n_left)
+            node.left = grow(left, path + ((j, threshold, True),), depth + 1)
+            del left
+            right = np.compress(~goes_left, flat).reshape(len(rows), node.n - n_left)
+            node.right = grow(right, path + ((j, threshold, False),), depth + 1)
+            return node
+
+        return grow(self._root, (), 0)
+
+    def _search(self, rows, counts) -> tuple:
+        """Each floor's best (feature, threshold) at one node, or None.
+
+        Ties keep the lowest feature index, then the lowest threshold: the
+        boundaries are scored in (feature, sorted position) order and argmin
+        hits the first of equal minima.
+        """
+        self.searches += 1
+        m = rows.shape[1]
+        lo, hi = self.floors[0] - 1, m - self.floors[0] - 1
+        order = rows[:-1]
+        F = len(order)
+        xv = self.X.take(np.multiply(order, F, dtype=np.int64) + self._columns)
+        feat, pos = np.nonzero(xv[:, lo:hi + 1] != xv[:, lo + 1:hi + 2])
+        del xv
+        if len(feat) == 0:
+            return (None,) * len(self.floors)
+        pos += lo
+        # class counts left of every boundary: tally the labels of each run
+        # between consecutive boundaries (runs of all features laid end to
+        # end) and sum the runs; the runs before feature j hold j * counts.
+        # Work in place: these arrays are features x m long.
+        K = self.n_classes
+        run = np.zeros(F * m, dtype=np.int64)
+        run[::m] = 1
+        run[feat * m + pos + 1] = 1
+        np.cumsum(run, out=run)
+        run -= 1
+        at = run[feat * m + pos]
+        n_runs = int(run[-1]) + 1
+        run *= K
+        run += self.y.take(order).ravel()
+        cum = np.bincount(run, minlength=n_runs * K).reshape(n_runs, K)
+        del run
+        np.cumsum(cum, axis=0, out=cum)
+        left = cum[at]
+        del cum
+        left -= feat[:, None] * counts.astype(np.int64)
+        left = left.astype(np.float64)
+        # the weighted child impurity, term for term as a per-feature sweep
+        n_l = (pos + 1).astype(np.float64)
+        n_r = m - n_l
+        right = counts[None, :] - left
+        g_l = 1.0 - np.sum((left / n_l[:, None]) ** 2, axis=1)
+        g_r = 1.0 - np.sum((right / n_r[:, None]) ** 2, axis=1)
+        weighted = (n_l * g_l + n_r * g_r) / m
+        # a boundary lies in floor f's window iff f <= its slack
+        slack = np.minimum(pos + 1, m - 1 - pos)
+        out = []
+        for floor in self.floors:
+            if slack.max() < floor:
+                out.append(None)
+                continue
+            e = int(np.argmin(np.where(slack >= floor, weighted, np.inf)))
+            j, i = int(feat[e]), int(pos[e])
+            a, b = self.X[order[j, i], j], self.X[order[j, i + 1], j]
+            out.append((j, float((a + b) / 2.0)))
+        return tuple(out)
+
+
+def fit_tree(X, y, hp: TreeHyperparams, n_classes: int | None = None,
+             feature_names=None, search: SplitSearch | None = None) -> DecisionTree:
+    """Grow a tree on integer class labels ``y`` (< ``n_classes``).
+
+    ``search`` shares split searches among fits on the same rows; it must
+    have been built on ``X`` and ``y`` for ``hp.min_leaf_fraction``.
+    Without one, the fit builds its own.
+    """
+    if search is None:
+        search = SplitSearch(X, y, n_classes, (hp.min_leaf_fraction,))
+    else:
+        search.check(X, y, n_classes, hp.min_leaf_fraction)
+    X = search.X
     if feature_names is not None and len(feature_names) != X.shape[1]:
         raise TreeError("feature_names length does not match X columns")
-
-    n_train = len(X)
-    floor = math.ceil(hp.min_leaf_fraction * n_train)
-
-    def grow(idx, depth) -> Node:
-        node = Node()
-        node.n = len(idx)
-        node.counts = np.bincount(y[idx], minlength=n_classes).astype(np.float64)
-        pure = node.counts.max() == node.n
-        if depth >= hp.max_depth or pure or node.n < 2 * floor:
-            return node
-        found = _best_split(X, y, idx, n_classes, floor)
-        if found is None:
-            return node
-        j, threshold, _ = found
-        mask = X[idx, j] <= threshold
-        node.feature = j
-        node.threshold = threshold
-        node.left = grow(idx[mask], depth + 1)
-        node.right = grow(idx[~mask], depth + 1)
-        return node
-
-    root = grow(np.arange(n_train), 0)
-    return DecisionTree(root, n_classes, X.shape[1], hp, n_train, feature_names)
+    return DecisionTree(search.grow(hp), search.n_classes, X.shape[1], hp, len(X),
+                        feature_names)
 
 
 def truncate_tree(tree: DecisionTree, max_depth: int) -> DecisionTree:

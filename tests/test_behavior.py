@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from clinpol import tree
 from clinpol.behavior import (
     BaselineSwitchModel,
     BehaviorError,
@@ -436,6 +437,35 @@ def test_memoized_fits_equal_fresh_fits():
         a = fit_dtbls(data, hp, hp, hp, memo=memo)
         b = fit_dtbls(data, hp, hp, hp)
         assert json.dumps(model_to_json(a)) == json.dumps(model_to_json(b))
+
+
+def test_memo_shares_one_split_search_per_component(monkeypatch):
+    data = make_cohort(6)
+    cands = [TreeHyperparams(max_depth=9, min_leaf_fraction=f)
+             for f in (0.03, 0.01, 0.05, 0.02, 0.04)]
+    searches = []
+    built = []
+    real_search, real_init = tree.SplitSearch._search, tree.SplitSearch.__init__
+
+    def counted_search(self, *args):
+        searches.append(self)
+        return real_search(self, *args)
+
+    def counted_init(self, *args):
+        built.append(self)
+        real_init(self, *args)
+
+    monkeypatch.setattr(tree.SplitSearch, "_search", counted_search)
+    monkeypatch.setattr(tree.SplitSearch, "__init__", counted_init)
+    memo = TreeMemo(data, cands)
+    shared = [model_to_json(fit_dtbls(data, hp, hp, hp, memo=memo)) for hp in cands]
+    n_shared, n_built = len(searches), len(built)
+    private = [model_to_json(fit_dtbls(data, hp, hp, hp)) for hp in cands]
+    assert shared == private
+    # one search per component (baseline, switch, treatment) serves all five
+    assert n_built == 3
+    assert len(built) - n_built == 15
+    assert 0 < n_shared < len(searches) - n_shared
 
 
 def test_memo_replays_a_failed_deep_fit_for_every_candidate():

@@ -294,6 +294,19 @@ def test_imputation_uses_stats_source_not_target():
     assert enc.covariates[0, 0] == 15.0
 
 
+def test_imputation_takes_precomputed_statistics():
+    train = one_trajectory([
+        ({"sev": 10.0, "marker": "hi"}, 0, 0.0),
+        ({"sev": 20.0, "marker": "hi"}, 0, 0.0),
+    ])
+    test = one_trajectory([({"sev": None, "marker": "lo"}, 0, 0.0)])
+    stats = fit_imputation(train)
+    enc = impute_and_encode(test, stats=stats)
+    assert enc == impute_and_encode(test, stats_source=train)
+    with pytest.raises(DatasetError, match="not both"):
+        impute_and_encode(test, stats_source=train, stats=stats)
+
+
 def test_entirely_missing_feature_is_error():
     ds = one_trajectory([({"sev": None, "marker": "hi"}, 0, 0.0)])
     with pytest.raises(DatasetError, match="entirely missing"):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from clinpol import behavior, harness
+from clinpol import data as data_module
 from clinpol.behavior import MODEL_KINDS, fit_dt, model_to_json
 from clinpol.data import (
     Dataset,
@@ -175,6 +176,39 @@ def test_selection_grows_each_component_once_per_fraction(monkeypatch):
     grid = HyperparamGrid(max_depths=(2, 6), min_leaf_fractions=(0.01, 0.04))
     cross_validate(ds, "dtbls", folds=3, grid=grid)
     assert calls == {"fit_tree": 3 * 2 * 3, "fit_model": 4 * 3}
+
+
+def test_imputation_statistics_are_fitted_once_per_repeat_and_fold(monkeypatch, tmp_path):
+    fitted = []
+    real = data_module.fit_imputation
+
+    def counted(ds):
+        fitted.append(len(ds))
+        return real(ds)
+
+    # the harness fits through its own import; impute_and_encode through data's
+    monkeypatch.setattr(harness, "fit_imputation", counted)
+    monkeypatch.setattr(data_module, "fit_imputation", counted)
+    cfg = ExperimentConfig(simulator=ChronicSimConfig(n_patients=60, seed=2), n_repeats=2,
+                           n_candidates=2, out_dir=str(tmp_path / "run"))
+    spy = []
+    real_impute = harness.impute_and_encode
+
+    def spied(ds, *args, **kwargs):
+        spy.append(len(ds))
+        return real_impute(ds, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "impute_and_encode", spied)
+    run_experiment(cfg)
+    # one fit on each repeat's train partition; all three partitions impute
+    assert len(fitted) == 2 and len(spy) == 6
+    assert fitted == spy[0::3]
+
+    ds = impute_and_encode(generate_chronic(ChronicSimConfig(n_patients=30, seed=7)))
+    fitted.clear()
+    cross_validate(ds, "dt", folds=3, grid=HyperparamGrid(max_depths=(2,),
+                                                          min_leaf_fractions=(0.05,)))
+    assert fitted == [20, 20, 20]
 
 
 def test_selection_fails_loudly_when_every_candidate_fails():

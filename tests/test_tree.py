@@ -8,6 +8,8 @@ import pytest
 
 from clinpol.tree import (
     DecisionTree,
+    Node,
+    SplitSearch,
     TreeError,
     TreeHyperparams,
     attach_outcomes,
@@ -384,6 +386,142 @@ def test_truncation_survives_a_json_round_trip_and_refuses_to_deepen():
                 == export_tree(truncate_tree(deep, depth), "json"))
     with pytest.raises(TreeError, match="cannot truncate a depth-6 tree to depth 7"):
         truncate_tree(deep, 7)
+
+
+# ---------------------------------------------------------------------------
+# the shared split search
+# ---------------------------------------------------------------------------
+
+def per_node_sort_fit(X, y, hp, n_classes):
+    """Reference grower: every node stable-argsorts every feature afresh.
+
+    This is the splitter the presorted search replaced, kept term for term
+    (the class axis summed in the same order), so its trees pin the
+    search's tie order and float bits.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    floor = math.ceil(hp.min_leaf_fraction * len(X))
+
+    def best_split(idx):
+        n = len(idx)
+        best = None
+        for j in range(X.shape[1]):
+            xs = X[idx, j]
+            order = np.argsort(xs, kind="stable")
+            xv = xs[order]
+            b = np.nonzero(xv[:-1] != xv[1:])[0]
+            b = b[(b >= floor - 1) & (b <= n - floor - 1)]
+            if len(b) == 0:
+                continue
+            onehot = np.zeros((n, n_classes))
+            onehot[np.arange(n), y[idx][order]] = 1.0
+            cum = np.cumsum(onehot, axis=0)
+            left, total = cum[b], cum[-1]
+            n_l = (b + 1).astype(np.float64)
+            n_r = n - n_l
+            right = total[None, :] - left
+            g_l = 1.0 - np.sum((left / n_l[:, None]) ** 2, axis=1)
+            g_r = 1.0 - np.sum((right / n_r[:, None]) ** 2, axis=1)
+            weighted = (n_l * g_l + n_r * g_r) / n
+            pos = int(np.argmin(weighted))
+            if best is None or weighted[pos] < best[2]:
+                i = b[pos]
+                best = (j, float((xv[i] + xv[i + 1]) / 2.0), weighted[pos])
+        return best
+
+    def grow(idx, depth):
+        node = Node()
+        node.n = len(idx)
+        node.counts = np.bincount(y[idx], minlength=n_classes).astype(np.float64)
+        if depth >= hp.max_depth or node.counts.max() == node.n or node.n < 2 * floor:
+            return node
+        found = best_split(idx)
+        if found is None:
+            return node
+        node.feature, node.threshold = found[0], found[1]
+        mask = X[idx, node.feature] <= node.threshold
+        node.left = grow(idx[mask], depth + 1)
+        node.right = grow(idx[~mask], depth + 1)
+        return node
+
+    return DecisionTree(grow(np.arange(len(X)), 0), n_classes, X.shape[1], hp, len(X))
+
+
+FRACTIONS = (0.01, 0.02, 0.03, 0.04, 0.05)
+
+
+@pytest.mark.parametrize("n_classes", [2, 4, 25])
+def test_shared_search_fits_equal_private_and_per_node_sort_fits(n_classes):
+    X, y, _ = tied_columns_data(n_classes + 40, 600, n_classes)
+    rng = np.random.default_rng(n_classes)
+    for depth in range(1, 10):
+        search = SplitSearch(X, y, n_classes, rng.permutation(FRACTIONS))
+        for frac in rng.permutation(FRACTIONS):
+            hp = TreeHyperparams(max_depth=depth, min_leaf_fraction=float(frac))
+            shared = export_tree(fit_tree(X, y, hp, n_classes=n_classes,
+                                          search=search), "json")
+            assert shared == export_tree(fit_tree(X, y, hp, n_classes=n_classes), "json")
+            assert shared == export_tree(per_node_sort_fit(X, y, hp, n_classes), "json")
+
+
+def permuted_count_columns(seed, n_classes=25, per_class=40, n_features=30):
+    """Binary columns whose left class counts are permutations of one vector.
+
+    Every column's split has the same Gini in exact arithmetic; in floats
+    the class-axis sum order decides which column scores lowest, so these
+    ties pin that order.
+    """
+    rng = np.random.default_rng(seed)
+    y = np.repeat(np.arange(n_classes), per_class)
+    base = rng.integers(0, per_class + 1, size=n_classes)
+    X = np.zeros((len(y), n_features))
+    for j in range(n_features):
+        for k, count in enumerate(rng.permutation(base)):
+            X[rng.choice(np.flatnonzero(y == k), size=count, replace=False), j] = 1.0
+    return X, y
+
+
+def test_float_ties_between_equal_gini_splits_break_as_per_node_sort_fits():
+    hp = TreeHyperparams(max_depth=2, min_leaf_fraction=0.01)
+    for seed in range(40):
+        X, y = permuted_count_columns(seed)
+        assert (export_tree(fit_tree(X, y, hp, n_classes=25), "json")
+                == export_tree(per_node_sort_fit(X, y, hp, 25), "json")), seed
+
+
+def test_shared_search_runs_fewer_node_searches_than_private_fits():
+    X, y, _ = tied_columns_data(9, 800, 4)
+    shared = SplitSearch(X, y, 4, FRACTIONS)
+    private = 0
+    for frac in FRACTIONS:
+        hp = TreeHyperparams(max_depth=9, min_leaf_fraction=frac)
+        fit_tree(X, y, hp, n_classes=4, search=shared)
+        alone = SplitSearch(X, y, 4, (frac,))
+        fit_tree(X, y, hp, n_classes=4, search=alone)
+        private += alone.searches
+    assert 0 < shared.searches < private
+
+
+def test_shared_search_refuses_other_rows_classes_and_fractions():
+    X, y, _ = tied_columns_data(4, 300, 3)
+    search = SplitSearch(X, y, 3, (0.02, 0.04))
+    hp = TreeHyperparams(max_depth=4, min_leaf_fraction=0.02)
+    other_X = X.copy()
+    other_X[0, 0] += 1.0
+    other_y = y.copy()
+    other_y[0] = (y[0] + 1) % 3
+    for bad_X, bad_y in ((other_X, y), (X, other_y), (X[:-1], y[:-1])):
+        with pytest.raises(RuntimeError, match="different fitting set"):
+            fit_tree(bad_X, bad_y, hp, n_classes=3, search=search)
+    with pytest.raises(RuntimeError, match="built for 3 classes"):
+        fit_tree(X, y, hp, n_classes=4, search=search)
+    with pytest.raises(RuntimeError, match="min_leaf_fraction 0.03"):
+        fit_tree(X, y, TreeHyperparams(max_depth=4, min_leaf_fraction=0.03),
+                 n_classes=3, search=search)
+    # an equal copy of the fitting set is the same fitting set
+    copy = fit_tree(X.copy(), list(y), hp, n_classes=3, search=search)
+    assert export_tree(copy, "json") == export_tree(fit_tree(X, y, hp, n_classes=3), "json")
 
 
 def test_unknown_export_format_raises():
