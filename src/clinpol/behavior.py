@@ -39,6 +39,7 @@ from .calibration import (
     identity_calibration,
 )
 from .data import NONE_ACTION, StepData
+from .errors import ClinpolError
 from .tree import (
     DecisionTree,
     SplitSearch,
@@ -57,7 +58,7 @@ MODEL_KINDS = ("dt", "dts", "dtbls")
 STAY, SWITCH = 0, 1
 
 
-class BehaviorError(ValueError):
+class BehaviorError(ClinpolError):
     pass
 
 
@@ -321,6 +322,11 @@ class TreeMemo:
     grows its tree for every drawn fraction, so those fits can share one
     :class:`SplitSearch` that lives no longer than they do. One memo serves
     one fitting set: ``data`` is the :class:`StepData` passed to the fit calls.
+
+    The memo also keeps every cut it hands out, outcomes attached, keyed by
+    (component, hyperparameters), so a candidate drawn twice gets the same
+    tree object. Sharing is safe: tree queries are pure, and calibration
+    lives on the model, not on its trees.
     """
 
     def __init__(self, data: StepData, candidates):
@@ -331,7 +337,8 @@ class TreeMemo:
             first = self._deep.setdefault(hp.min_leaf_fraction, hp)
             if hp.max_depth > first.max_depth:
                 self._deep[hp.min_leaf_fraction] = replace(first, max_depth=hp.max_depth)
-        self._grown: dict[tuple, DecisionTree | ValueError] = {}
+        self._grown: dict[tuple, DecisionTree | ClinpolError] = {}
+        self.cuts: dict[tuple, DecisionTree] = {}
 
     @property
     def fractions(self) -> tuple:
@@ -351,11 +358,11 @@ class TreeMemo:
             for f, deep_hp in self._deep.items():
                 try:
                     tree = grow(deep_hp)
-                except ValueError as e:
+                except ClinpolError as e:
                     tree = e
                 self._grown[(component, f)] = tree
         found = self._grown[key]
-        if isinstance(found, ValueError):
+        if isinstance(found, ClinpolError):
             raise found
         return found
 
@@ -370,18 +377,23 @@ def _component_tree(component: str, X, y, rewards, hp: TreeHyperparams,
     """
     if memo is None:
         deep = fit_tree(X, y, hp, n_classes=n_classes, feature_names=feature_names)
-    else:
-        search = None
+        return attach_outcomes(truncate_tree(deep, hp.max_depth), X, y, rewards)
+    key = (component, hp)
+    if key in memo.cuts:
+        return memo.cuts[key]
+    search = None
 
-        def grow(deep_hp):
-            nonlocal search
-            if search is None:
-                search = SplitSearch(X, y, n_classes, memo.fractions)
-            return fit_tree(search.X, search.y, deep_hp, n_classes=n_classes,
-                            feature_names=feature_names, search=search)
+    def grow(deep_hp):
+        nonlocal search
+        if search is None:
+            search = SplitSearch(X, y, n_classes, memo.fractions)
+        return fit_tree(search.X, search.y, deep_hp, n_classes=n_classes,
+                        feature_names=feature_names, search=search)
 
-        deep = memo.deep_tree(component, hp, grow)
-    return attach_outcomes(truncate_tree(deep, hp.max_depth), X, y, rewards)
+    deep = memo.deep_tree(component, hp, grow)
+    cut = attach_outcomes(truncate_tree(deep, hp.max_depth), X, y, rewards)
+    memo.cuts[key] = cut
+    return cut
 
 
 def fit_dt(data: StepData, hp: TreeHyperparams, val: StepData | None = None,

@@ -16,8 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
+from .errors import ClinpolError
 
-class CalibrationError(ValueError):
+
+class CalibrationError(ClinpolError):
     pass
 
 
@@ -61,20 +63,22 @@ def _fit_sigmoid(x, y, tol, max_iter):
     """Two-parameter logistic MLE by Newton's method with step halving."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
+    xx = x * x
     b, a = 1.0, 0.0
 
-    def nll(b_, a_):
+    def linear_nll(b_, a_):
         z = b_ * x + a_
-        return float(np.sum(np.logaddexp(0.0, z) - y * z))
+        return z, float(np.sum(np.logaddexp(0.0, z) - y * z))
 
-    current = nll(b, a)
+    # z and current always belong to the accepted (b, a): an accepted
+    # line-search point is exactly the update, so its values carry over
+    z, current = linear_nll(b, a)
     for _ in range(max_iter):
-        z = b * x + a
         p = expit(z)
         r = p - y
         g = np.array([np.dot(r, x), np.sum(r)])
         w = p * (1.0 - p)
-        h11 = np.dot(w, x * x)
+        h11 = np.dot(w, xx)
         h12 = np.dot(w, x)
         h22 = np.sum(w)
         # tiny ridge keeps the solve well-posed on separable or constant scores
@@ -82,15 +86,19 @@ def _fit_sigmoid(x, y, tol, max_iter):
         step = np.linalg.solve(H, g)
         scale = 1.0
         for _ in range(25):
-            cand = nll(b - scale * step[0], a - scale * step[1])
-            if cand <= current + 1e-12:
+            z_new, new = linear_nll(b - scale * step[0], a - scale * step[1])
+            if new <= current + 1e-12:
                 break
             scale *= 0.5
+        else:
+            z_new = None
         b -= scale * step[0]
         a -= scale * step[1]
-        new = nll(b, a)
+        if z_new is None:
+            # every halving failed, so the step taken is half the last one tried
+            z_new, new = linear_nll(b, a)
+        z = z_new
         if max(abs(scale * step[0]), abs(scale * step[1])) < tol or current - new < tol * 1e-3:
-            current = new
             break
         current = new
     return float(b), float(a)

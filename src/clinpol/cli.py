@@ -26,6 +26,7 @@ from .data import (
     save_dataset,
     split_dataset,
 )
+from .errors import ClinpolError
 from .harness import (
     ExperimentConfig,
     HarnessError,
@@ -45,7 +46,7 @@ from .tree import tree_to_dot, tree_to_json
 EVAL_COLUMNS = ("policy", "k", "p1", "estimator", "value", "ess", "n", "seed")
 
 
-class CliError(ValueError):
+class CliError(ClinpolError):
     pass
 
 

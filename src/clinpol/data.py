@@ -31,6 +31,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .errors import ClinpolError
+
 log = logging.getLogger(__name__)
 
 NONE_ACTION = -1
@@ -39,7 +41,7 @@ NUMERIC = "numeric"
 CATEGORICAL = "categorical"
 
 
-class DatasetError(ValueError):
+class DatasetError(ClinpolError):
     """Base class for dataset construction and I/O failures."""
 
 

@@ -24,7 +24,7 @@ import json
 import logging
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -39,6 +39,7 @@ from .data import (
     load_dataset,
     split_dataset,
 )
+from .errors import ClinpolError
 from .metrics import auroc_macro, sce
 from .ope import ESTIMATORS, importance_weights, median_iqr
 from .policies import POLICY_TYPES, build_policy
@@ -48,7 +49,7 @@ from .tree import TreeHyperparams
 log = logging.getLogger(__name__)
 
 
-class HarnessError(ValueError):
+class HarnessError(ClinpolError):
     pass
 
 
@@ -133,14 +134,16 @@ def select_model(train, validation, model_type: str, n_candidates: int,
     """Best-of-``n_candidates`` by validation AUROC, then calibrated.
 
     Ties keep the earliest sampled candidate (strict improvement replaces).
-    Candidates that fail to fit are skipped; if every one fails the last
-    failure is surfaced.
+    Candidates that fail with a domain error (a ``ClinpolError``) are
+    skipped; if every one fails the last failure is surfaced. Any other
+    exception is a bug and propagates.
 
     Each component tree is grown once per distinct min-leaf fraction among
     the draws, to the deepest depth drawn with it, and each candidate's trees
     are that tree truncated at the candidate's depth. This is exact: greedy
     growth reads ``max_depth`` only as its stop rule, so a shallower fit is
-    the deeper one cut (see :func:`clinpol.tree.truncate_tree`).
+    the deeper one cut (see :func:`clinpol.tree.truncate_tree`). A cell drawn
+    twice reuses the first draw's cut trees.
     """
     if model_type not in MODEL_KINDS:
         raise HarnessError(
@@ -161,7 +164,7 @@ def select_model(train, validation, model_type: str, n_candidates: int,
                 ),
                 validation.actions,
             )
-        except ValueError as e:
+        except ClinpolError as e:
             last_error = e
             log.warning("candidate %s failed: %s", hp, e)
             continue
@@ -224,7 +227,7 @@ def cross_validate(dataset: Dataset, model_type: str, folds: int,
                                                  val.stages),
                     val.actions,
                 ))
-        except ValueError as e:
+        except ClinpolError as e:
             last_error = e
             log.warning("grid cell %s failed: %s", hp, e)
             continue
@@ -302,10 +305,6 @@ class ExperimentConfig:
     grid: HyperparamGrid = field(default_factory=HyperparamGrid)
     state_config: StateConfig = field(default_factory=StateConfig)
     seed: int = 0
-    # accepted for config-file compatibility with registry-style cohorts that
-    # mix auxiliary observation pools; simulated cohorts have none, so any
-    # value other than None is refused rather than silently ignored
-    aux_fractions: tuple | None = None
 
     def __post_init__(self):
         if (self.dataset is None) == (self.simulator is None):
@@ -327,11 +326,6 @@ class ExperimentConfig:
             raise HarnessError("at least one policy descriptor is required")
         for desc in self.policies:
             _check_descriptor(desc)
-        if self.aux_fractions is not None:
-            raise HarnessError(
-                "aux_fractions has no effect on simulated or complete cohorts; "
-                "leave it unset"
-            )
 
     def to_json(self) -> dict:
         out = {
@@ -355,6 +349,16 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentConfig":
+        if not isinstance(obj, dict):
+            raise HarnessError(f"experiment config must be a JSON object, got {obj!r}")
+        # a key this version does not read must not be silently ignored
+        known = {f.name for f in fields(cls)}
+        unknown = sorted(set(obj) - known)
+        if unknown:
+            raise HarnessError(
+                f"unknown experiment config keys {unknown}; valid keys are "
+                f"{sorted(known)}"
+            )
         sim = None
         if "simulator" in obj:
             sim = simulator_config_from_json(obj["simulator"])
@@ -371,8 +375,6 @@ class ExperimentConfig:
             grid=HyperparamGrid.from_json(obj.get("grid", {})),
             state_config=StateConfig.from_json(obj.get("state_config", {})),
             seed=int(obj.get("seed", 0)),
-            aux_fractions=(tuple(obj["aux_fractions"])
-                           if obj.get("aux_fractions") is not None else None),
         )
 
 
@@ -452,8 +454,8 @@ def _write_csv(path, header, rows) -> None:
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Run every repeat and write the report files; returns their paths.
 
-    A repeat that fails with a domain error (a ``ValueError``) is logged to
-    ``failures.csv`` and excluded from every table; the summary counts
+    A repeat that fails with a domain error (a ``ClinpolError``) is logged
+    to ``failures.csv`` and excluded from every table; the summary counts
     missing seeds. Any other exception is a bug and propagates. Repeats are
     independent (per-repeat seeds derive from ``SeedSequence([master,
     repeat])``), so the sequential loop here could be parallelized without
@@ -471,7 +473,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         split_seed, select_seed = (int(x) for x in ss.generate_state(2))
         try:
             rows.extend(_run_repeat(cfg, raw, r, split_seed, select_seed))
-        except ValueError as e:
+        except ClinpolError as e:
             log.warning("seed %d failed: %s", r, e)
             failures.append((r, f"{type(e).__name__}: {e}"))
 

@@ -11,10 +11,11 @@ result is the mean over classes, in [0, 1].
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import rankdata
+
+from .errors import ClinpolError
 
 
-class MetricError(ValueError):
+class MetricError(ClinpolError):
     pass
 
 
@@ -29,28 +30,50 @@ def _check_inputs(scores, labels):
         raise MetricError("no samples")
     if labels.min() < 0 or labels.max() >= scores.shape[1]:
         raise MetricError(f"label outside [0, {scores.shape[1]})")
+    if not np.all(np.isfinite(scores)):
+        raise MetricError("scores must be finite")
     return scores, labels
+
+
+def _sorted_auroc(ordered, positive_scores) -> float:
+    """AUROC of the positives' scores among all scores, sorted in ``ordered``.
+
+    A score's tie-averaged 1-based rank is (#below + #at-or-below + 1) / 2,
+    so the positives' rank sum is an exact integer over two; from there the
+    Mann-Whitney U and its normalization are the usual half-integer
+    arithmetic.
+    """
+    n_pos = len(positive_scores)
+    n_neg = len(ordered) - n_pos
+    if n_pos == 0 or n_neg == 0:
+        return float("nan")
+    below = np.searchsorted(ordered, positive_scores, "left").sum()
+    at_or_below = np.searchsorted(ordered, positive_scores, "right").sum()
+    rank_sum = (below + at_or_below + n_pos) / 2.0
+    u = rank_sum - n_pos * (n_pos + 1) / 2.0
+    return float(u / (n_pos * n_neg))
 
 
 def binary_auroc(scores, positives) -> float:
     """Rank-based AUROC of a score vector against a boolean positive mask."""
     scores = np.asarray(scores, dtype=np.float64)
     positives = np.asarray(positives, dtype=bool)
-    n_pos = int(positives.sum())
-    n_neg = len(positives) - n_pos
-    if n_pos == 0 or n_neg == 0:
-        return float("nan")
-    ranks = rankdata(scores)
-    u = ranks[positives].sum() - n_pos * (n_pos + 1) / 2.0
-    return float(u / (n_pos * n_neg))
+    if not np.all(np.isfinite(scores)):
+        raise MetricError("scores must be finite")
+    return _sorted_auroc(np.sort(scores), scores[positives])
 
 
 def auroc_macro(scores, labels) -> float:
-    """Macro-average one-vs-rest AUROC; NaN if no class has both outcomes."""
+    """Macro-average one-vs-rest AUROC; NaN if no class has both outcomes.
+
+    Every row is a positive of exactly one class, its label, so one sort of
+    each score column serves every class.
+    """
     scores, labels = _check_inputs(scores, labels)
+    ordered = np.sort(scores, axis=0)
     aucs = []
     for c in range(scores.shape[1]):
-        a = binary_auroc(scores[:, c], labels == c)
+        a = _sorted_auroc(ordered[:, c], scores[labels == c, c])
         if not np.isnan(a):
             aucs.append(a)
     if not aucs:

@@ -24,9 +24,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import StepData
+from .errors import ClinpolError
 
 
-class OPEError(ValueError):
+class OPEError(ClinpolError):
     pass
 
 

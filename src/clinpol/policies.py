@@ -30,9 +30,10 @@ import numpy as np
 
 from .behavior import BaselineSwitchModel, SwitchTreatmentModel, _as_batch
 from .data import NONE_ACTION
+from .errors import ClinpolError
 
 
-class PolicyError(ValueError):
+class PolicyError(ClinpolError):
     pass
 
 

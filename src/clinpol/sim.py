@@ -46,6 +46,7 @@ from .data import (
     StateAssembler,
     StateConfig,
 )
+from .errors import ClinpolError
 
 INDEX_CENTER = 40.0  # disease-index standardization used by the switch logit
 INDEX_SCALE = 15.0
@@ -55,7 +56,7 @@ FRAILTY_SCALE = 15.0
 MC_SALT = 22695477  # keeps the rollout stream away from patient streams
 
 
-class SimError(ValueError):
+class SimError(ClinpolError):
     pass
 
 

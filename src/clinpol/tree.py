@@ -33,8 +33,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .errors import ClinpolError
 
-class TreeError(ValueError):
+
+class TreeError(ClinpolError):
     pass
 
 

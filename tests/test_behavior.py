@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from clinpol import tree
+from clinpol import behavior, tree
 from clinpol.behavior import (
     BaselineSwitchModel,
     BehaviorError,
@@ -20,6 +20,7 @@ from clinpol.behavior import (
     model_to_json,
 )
 from clinpol.data import NONE_ACTION, StepData
+from clinpol.errors import ClinpolError
 from clinpol.metrics import auroc_macro
 from clinpol.tree import TreeError, TreeHyperparams, attach_outcomes, fit_tree
 
@@ -482,6 +483,65 @@ def test_memo_replays_a_failed_deep_fit_for_every_candidate():
         with pytest.raises(TreeError, match="cannot grow"):
             memo.deep_tree("tree", hp, grow)
     assert grown == [TreeHyperparams(max_depth=6, min_leaf_fraction=0.02)]
+
+
+def test_memo_hands_a_drawn_cell_the_same_cut_trees():
+    data = make_cohort(6)
+    val = make_cohort(9, n_traj=80)
+    cands = [TreeHyperparams(max_depth=3, min_leaf_fraction=0.02),
+             TreeHyperparams(max_depth=3, min_leaf_fraction=0.02),
+             TreeHyperparams(max_depth=9, min_leaf_fraction=0.02)]
+    memo = TreeMemo(data, cands)
+    first, again, deeper = (fit_dtbls(data, hp, hp, hp, memo=memo) for hp in cands)
+    assert first is not again
+    for name in ("baseline_tree", "switch_tree", "treatment_tree"):
+        assert getattr(first, name) is getattr(again, name)
+        assert getattr(first, name) is not getattr(deeper, name)
+    assert len(memo.cuts) == 6
+    # calibration lives on the model: calibrating one sharer leaves the other raw
+    before = again.action_probabilities_batch(val.states, val.prev_actions, val.stages)
+    first.calibrate(val)
+    np.testing.assert_array_equal(
+        again.action_probabilities_batch(val.states, val.prev_actions, val.stages), before)
+    fresh = fit_dtbls(data, cands[0], cands[0], cands[0])
+    assert json.dumps(model_to_json(again)) == json.dumps(model_to_json(fresh))
+
+
+def test_memo_raises_a_failed_fraction_for_each_of_its_candidates(monkeypatch):
+    data = make_cohort(6)
+    grown = []
+    real_fit_tree = behavior.fit_tree
+
+    def failing_fit_tree(X, y, hp, **kwargs):
+        grown.append(hp)
+        if hp.min_leaf_fraction == 0.04:
+            raise TreeError("cannot grow at 0.04")
+        return real_fit_tree(X, y, hp, **kwargs)
+
+    monkeypatch.setattr(behavior, "fit_tree", failing_fit_tree)
+    cands = [TreeHyperparams(max_depth=d, min_leaf_fraction=f)
+             for d, f in ((3, 0.04), (5, 0.02), (3, 0.04), (2, 0.04))]
+    memo = TreeMemo(data, cands)
+    for hp in cands:
+        if hp.min_leaf_fraction == 0.04:
+            with pytest.raises(TreeError, match="cannot grow"):
+                fit_dt(data, hp, memo=memo)
+        else:
+            fit_dt(data, hp, memo=memo)
+    assert len(grown) == 2
+
+
+def test_memo_lets_a_bare_value_error_propagate():
+    data = make_cohort(7, n_traj=20)
+    hp = TreeHyperparams(max_depth=3, min_leaf_fraction=0.02)
+    memo = TreeMemo(data, [hp])
+
+    def grow(deep_hp):
+        raise ValueError("operands could not be broadcast together")
+
+    with pytest.raises(ValueError, match="broadcast") as info:
+        memo.deep_tree("tree", hp, grow)
+    assert not isinstance(info.value, ClinpolError)
 
 
 def test_memo_refuses_other_data_and_undrawn_candidates():

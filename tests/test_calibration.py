@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 from scipy.special import expit
+from scipy.stats import rankdata
 
 from clinpol.calibration import (
     CalibrationError,
     CalibrationModel,
+    _fit_sigmoid,
     apply_calibration_batch,
     fit_calibration,
     identity_calibration,
@@ -68,6 +70,68 @@ def test_fit_is_deterministic():
     b = fit_calibration(scores.copy(), labels.copy())
     np.testing.assert_array_equal(a.slope, b.slope)
     np.testing.assert_array_equal(a.intercept, b.intercept)
+
+
+def reference_fit_sigmoid(x, y, tol, max_iter, exhausted):
+    """The Newton fit as first written: every objective value recomputed.
+
+    Appends to ``exhausted`` each time all 25 step halvings fail.
+    """
+    b, a = 1.0, 0.0
+
+    def nll(b_, a_):
+        z = b_ * x + a_
+        return float(np.sum(np.logaddexp(0.0, z) - y * z))
+
+    current = nll(b, a)
+    for _ in range(max_iter):
+        z = b * x + a
+        p = expit(z)
+        r = p - y
+        g = np.array([np.dot(r, x), np.sum(r)])
+        w = p * (1.0 - p)
+        H = np.array([[np.dot(w, x * x) + 1e-10, np.dot(w, x)],
+                      [np.dot(w, x), np.sum(w) + 1e-10]])
+        step = np.linalg.solve(H, g)
+        scale = 1.0
+        for _ in range(25):
+            if nll(b - scale * step[0], a - scale * step[1]) <= current + 1e-12:
+                break
+            scale *= 0.5
+        else:
+            exhausted.append(1)
+        b -= scale * step[0]
+        a -= scale * step[1]
+        new = nll(b, a)
+        if max(abs(scale * step[0]), abs(scale * step[1])) < tol or current - new < tol * 1e-3:
+            break
+        current = new
+    return float(b), float(a)
+
+
+def test_sigmoid_fit_is_bit_identical_to_the_recomputing_reference():
+    rng = np.random.default_rng(8)
+    exhausted = []
+    for trial in range(60):
+        n = int(rng.integers(2, 300))
+        x = rng.random(n)
+        kind = trial % 4
+        if kind == 0:
+            y = (rng.random(n) < x).astype(np.float64)
+        elif kind == 1:  # separable: the slope runs off
+            y = (x > 0.5).astype(np.float64)
+        elif kind == 2:  # leaf-like scores: few distinct values
+            x = rng.dirichlet(np.ones(3), size=4)[rng.integers(4, size=n), 0]
+            y = (rng.random(n) < 0.3).astype(np.float64)
+        else:  # coarse, wide scores exhaust the step halvings
+            x = np.round(x, 1) * 1e3
+            y = (rng.random(n) < 0.5).astype(np.float64)
+        if y.min() == y.max():
+            continue
+        for tol, max_iter in ((1e-8, 100), (1e-12, 5)):
+            assert (_fit_sigmoid(x, y, tol, max_iter)
+                    == reference_fit_sigmoid(x, y, tol, max_iter, exhausted))
+    assert exhausted, "no case took the all-halvings-failed path"
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +257,73 @@ def test_auroc_excludes_absent_classes():
 def test_auroc_all_one_class_is_nan():
     scores = np.array([[0.7, 0.3], [0.4, 0.6]])
     assert np.isnan(auroc_macro(scores, np.array([0, 0])))
+
+
+def reference_binary_auroc(scores, positives):
+    """The Mann-Whitney AUROC from ``rankdata``'s tie-averaged ranks."""
+    n_pos = int(positives.sum())
+    n_neg = len(positives) - n_pos
+    if n_pos == 0 or n_neg == 0:
+        return float("nan")
+    u = rankdata(scores)[positives].sum() - n_pos * (n_pos + 1) / 2.0
+    return float(u / (n_pos * n_neg))
+
+
+def reference_auroc_macro(scores, labels):
+    """Per-class reference AUROCs averaged in class order."""
+    aucs = [reference_binary_auroc(scores[:, c], labels == c)
+            for c in range(scores.shape[1])]
+    aucs = [a for a in aucs if not np.isnan(a)]
+    return float(np.mean(aucs)) if aucs else float("nan")
+
+
+def same_float(a, b):
+    return a == b or (np.isnan(a) and np.isnan(b))
+
+
+@pytest.mark.parametrize("K", [2, 4, 25])
+def test_auroc_is_bit_identical_to_the_rankdata_reference(K):
+    rng = np.random.default_rng(K)
+    for trial in range(40):
+        n = int(rng.integers(1, 600))
+        if trial % 2:  # leaf frequencies: a few distinct rows, heavy ties
+            leaves = rng.dirichlet(np.ones(K), size=int(rng.integers(1, 12)))
+            scores = leaves[rng.integers(len(leaves), size=n)]
+        else:
+            scores = rng.dirichlet(np.ones(K), size=n)
+        if trial % 5 == 0:  # only the first two classes occur
+            labels = rng.integers(0, 2, size=n)
+        elif trial % 7 == 0:  # one class only
+            labels = np.full(n, K - 1)
+        else:
+            labels = rng.integers(0, K, size=n)
+        assert same_float(auroc_macro(scores, labels),
+                          reference_auroc_macro(scores, labels))
+        for c in range(K):
+            assert same_float(binary_auroc(scores[:, c], labels == c),
+                              reference_binary_auroc(scores[:, c], labels == c))
+
+
+def test_auroc_counts_signed_zeros_as_ties():
+    scores = np.array([[-0.0, 1.0], [0.0, 1.0], [0.0, 0.5], [-0.0, 0.5], [0.5, 0.0]])
+    labels = np.array([0, 1, 0, 1, 0])
+    assert auroc_macro(scores, labels) == reference_auroc_macro(scores, labels)
+    # each signed-zero positive ties both signed-zero negatives
+    assert binary_auroc(scores[:, 0], labels == 0) == 4 / 6
+
+
+def test_metrics_reject_non_finite_scores():
+    # a NaN used to drop its class from the macro average silently
+    scores = np.array([[0.2, 0.8], [0.6, 0.4], [np.nan, 0.5], [0.3, 0.7]])
+    labels = np.array([0, 1, 0, 1])
+    with pytest.raises(MetricError, match="finite"):
+        auroc_macro(scores, labels)
+    with pytest.raises(MetricError, match="finite"):
+        sce(scores, labels)
+    with pytest.raises(MetricError, match="finite"):
+        binary_auroc(scores[:, 0], labels == 0)
+    with pytest.raises(MetricError, match="finite"):
+        auroc_macro(np.array([[np.inf, 0.0], [0.0, 1.0]]), np.array([0, 1]))
 
 
 # ---------------------------------------------------------------------------

@@ -152,7 +152,7 @@ def test_winner_has_the_best_validation_auroc(kind, grid):
 
 
 def test_selection_grows_each_component_once_per_fraction(monkeypatch):
-    calls = {"fit_tree": 0, "fit_model": 0}
+    calls = {"fit_tree": 0, "fit_model": 0, "attach_outcomes": 0}
 
     def count(module, name):
         original = getattr(module, name)
@@ -164,18 +164,24 @@ def test_selection_grows_each_component_once_per_fraction(monkeypatch):
         monkeypatch.setattr(module, name, counted)
 
     count(behavior, "fit_tree")
+    count(behavior, "attach_outcomes")
     count(harness, "fit_model")
     train, val, _ = chronic_states(5)
     n, seed = 30, 3
-    fractions = {hp.min_leaf_fraction for hp in sample_candidates(HyperparamGrid(), n, seed)}
+    draws = sample_candidates(HyperparamGrid(), n, seed)
+    fractions = {hp.min_leaf_fraction for hp in draws}
+    cells = set(draws)
+    assert len(cells) < n  # some cell is drawn twice, so its cuts are reused
     select_model(train, val, "dtbls", n, seed=seed)
-    assert calls == {"fit_tree": 3 * len(fractions), "fit_model": n}
+    assert calls == {"fit_tree": 3 * len(fractions), "fit_model": n,
+                     "attach_outcomes": 3 * len(cells)}
 
-    calls.update(fit_tree=0, fit_model=0)
+    calls.update(fit_tree=0, fit_model=0, attach_outcomes=0)
     ds = impute_and_encode(generate_chronic(ChronicSimConfig(n_patients=90, seed=7)))
     grid = HyperparamGrid(max_depths=(2, 6), min_leaf_fractions=(0.01, 0.04))
     cross_validate(ds, "dtbls", folds=3, grid=grid)
-    assert calls == {"fit_tree": 3 * 2 * 3, "fit_model": 4 * 3}
+    assert calls == {"fit_tree": 3 * 2 * 3, "fit_model": 4 * 3,
+                     "attach_outcomes": 3 * 4 * 3}
 
 
 def test_imputation_statistics_are_fitted_once_per_repeat_and_fold(monkeypatch, tmp_path):
@@ -216,6 +222,21 @@ def test_selection_fails_loudly_when_every_candidate_fails():
     val = make_cohort(1, n_traj=60, switch_bias=-50.0)
     with pytest.raises(HarnessError, match="all 4 candidates failed"):
         select_model(data, val, "dts", 4, seed=0)
+
+
+def broken_auroc(scores, labels):
+    raise ValueError("operands could not be broadcast together")
+
+
+def test_a_bug_in_a_candidate_is_not_logged_as_a_failed_candidate(monkeypatch):
+    train, val, _ = chronic_states(4, n=60)
+    monkeypatch.setattr(harness, "auroc_macro", broken_auroc)
+    with pytest.raises(ValueError, match="broadcast"):
+        select_model(train, val, "dtbls", 3, seed=0)
+    ds = constant_feature_dataset(6)
+    with pytest.raises(ValueError, match="broadcast"):
+        cross_validate(ds, "dt", folds=2, grid=HyperparamGrid(max_depths=(2,),
+                                                              min_leaf_fractions=(0.1,)))
 
 
 def test_selection_rejects_unknown_model_types():
@@ -326,8 +347,17 @@ def test_config_validates_fields():
             simulator=sim_cfg(),
             policies=({"type": "mc_switch_adj", "k": 1, "p1": 2.0},), out_dir="x",
         )
-    with pytest.raises(HarnessError, match="aux_fractions"):
-        ExperimentConfig(simulator=sim_cfg(), aux_fractions=(0.5,), out_dir="x")
+
+
+def test_config_file_refuses_unknown_keys():
+    obj = ExperimentConfig(simulator=sim_cfg(), out_dir="x").to_json()
+    # aux_fractions was once accepted and ignored; a config that sets it fails
+    with pytest.raises(HarnessError, match=r"unknown experiment config keys \['aux_fractions'\]"):
+        ExperimentConfig.from_json({**obj, "aux_fractions": [0.5]})
+    with pytest.raises(HarnessError, match="'n_repeat', 'polices'"):
+        ExperimentConfig.from_json({**obj, "polices": [], "n_repeat": 3})
+    with pytest.raises(HarnessError, match="JSON object"):
+        ExperimentConfig.from_json([obj])
 
 
 def test_config_json_round_trip():
@@ -501,13 +531,18 @@ def test_a_partition_leak_crashes_the_experiment(tmp_path, monkeypatch):
 
 
 def test_a_bug_in_a_repeat_is_not_logged_as_a_failed_seed(tmp_path, monkeypatch):
-    def broken_select(*args, **kwargs):
-        raise TypeError("select_model() got an unexpected argument")
+    # a bare numpy ValueError is a bug too: only a ClinpolError fails a repeat
+    for error in (TypeError("select_model() got an unexpected argument"),
+                  ValueError("shapes (3,) and (4,) not aligned")):
+        def broken_select(*args, **kwargs):
+            raise error
 
-    monkeypatch.setattr(harness, "select_model", broken_select)
-    with pytest.raises(TypeError, match="unexpected argument"):
-        run_small(tmp_path, "bug", simulator=sim_cfg(seed=2), n_repeats=2,
-                  n_candidates=2, policies=({"type": "behavior"},), seed=1)
+        monkeypatch.setattr(harness, "select_model", broken_select)
+        with pytest.raises(type(error)) as info:
+            run_small(tmp_path, "bug", simulator=sim_cfg(seed=2), n_repeats=2,
+                      n_candidates=2, policies=({"type": "behavior"},), seed=1)
+        assert info.value is error
+        assert not (tmp_path / "bug").exists()
 
 
 def test_per_policy_tables_filter_by_descriptor_fields(tmp_path):

@@ -1,6 +1,7 @@
 """Source-level rules the package keeps."""
 
 import ast
+import builtins
 from pathlib import Path
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "clinpol").glob("*.py"))
@@ -17,4 +18,50 @@ def test_no_assert_statements_in_the_package():
              for path in SOURCES
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def _classes():
+    """Every class defined in the package: name -> (file, base names)."""
+    found = {}
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                bases = [b.id if isinstance(b, ast.Name) else ast.unparse(b)
+                         for b in node.bases]
+                found[node.name] = (path.name, bases)
+    return found
+
+
+def test_every_package_exception_derives_from_clinpol_error():
+    # the harness tells a domain failure from a bug by this one base class
+    classes = _classes()
+    builtin_exceptions = {name for name, obj in vars(builtins).items()
+                          if isinstance(obj, type) and issubclass(obj, BaseException)}
+
+    def ancestry(name, seen=()):
+        out = {name}
+        for base in classes.get(name, ("", []))[1]:
+            if base not in seen:
+                out |= ancestry(base, seen + (name,))
+        return out
+
+    exceptions = {name for name in classes if ancestry(name) & builtin_exceptions}
+    assert {"ClinpolError", "HarnessError", "TreeError"} <= exceptions
+    stray = sorted(f"{classes[name][0]}:{name}" for name in exceptions
+                   if name != "ClinpolError" and "ClinpolError" not in ancestry(name))
+    assert stray == []
+
+
+def test_selection_and_memo_catch_no_bare_value_error():
+    # catching ValueError would log a numpy shape bug as a failed candidate
+    found = []
+    for path in SOURCES:
+        if path.name not in ("harness.py", "behavior.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                if any(isinstance(t, ast.Name) and t.id == "ValueError" for t in caught):
+                    found.append(f"{path.name}:{node.lineno}")
     assert found == []
