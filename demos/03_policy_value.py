@@ -15,6 +15,7 @@ import numpy as np
 from clinpol import (
     BestOutcomePolicy,
     ChronicSimConfig,
+    Evaluation,
     TopKPolicy,
     TreeHyperparams,
     build_states,
@@ -34,6 +35,10 @@ data = build_states(impute_and_encode(generate_chronic(cfg)))
 hp = TreeHyperparams(max_depth=4, min_leaf_fraction=0.01)
 model = fit_dtbls(data, hp, hp, hp)
 
+# one evaluation of the model on the cohort serves every policy below: each
+# policy transforms its probabilities, and it is every weight's denominator
+evaluation = Evaluation(model, data)
+
 behavior_mean = float(np.mean(data.trajectory_returns()))
 print(f"behavior policy mean return: {behavior_mean:.2f}")
 
@@ -44,15 +49,15 @@ print(f"behavior policy mean return: {behavior_mean:.2f}")
 print(f"\n{'policy':10s} {'WIS':>8s} {'ESS':>8s} {'rollout':>8s}")
 for k in (1, 2, 3, 4):
     policy = TopKPolicy(model, k)
-    weights = importance_weights(policy, model, data)
+    weights = importance_weights(policy, model, data, evaluation)
     res = wis_estimate(weights)
     rollout, se = monte_carlo_value(policy, cfg, 20_000)
     print(f"mc k={k:<5d} {res.value:8.2f} {res.ess:8.1f} {rollout:8.2f}")
 
 # k = K reproduces the behavior policy: every weight is exactly 1
-full = importance_weights(TopKPolicy(model, 4), model, data)
-print(f"\nk = K self-check: all weights 1 -> {all(t.weight == 1.0 for t in full)}, "
-      f"ESS = {effective_sample_size(full):.0f} of n = {len(full)}")
+full = importance_weights(TopKPolicy(model, 4), model, data, evaluation)
+print(f"\nk = K self-check: all weights 1 -> {bool(np.all(full.weights == 1.0))}, "
+      f"ESS = {effective_sample_size(full.weights):.0f} of n = {len(full)}")
 
 # ---------------------------------------------------------------------------
 # outcome-guided selection inside the top-k set
@@ -60,7 +65,8 @@ print(f"\nk = K self-check: all weights 1 -> {all(t.weight == 1.0 for t in full)
 
 # mc_o picks, among the k most probable drugs, the one with the best average
 # observed outcome in the matching leaf
-res_o = wis_estimate(importance_weights(BestOutcomePolicy(model, 2), model, data))
+res_o = wis_estimate(importance_weights(BestOutcomePolicy(model, 2), model, data,
+                                        evaluation))
 print(f"\nmc_o k=2: WIS {res_o.value:.2f}, ESS {res_o.ess:.1f}")
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import numpy as np
 
 from clinpol import (
     ChronicSimConfig,
+    Evaluation,
     SwitchAdjustedPolicy,
     TreeHyperparams,
     build_states,
@@ -36,9 +37,11 @@ for i in range(n_seeds):
     cfg = ChronicSimConfig(n_patients=1000, seed=600 + i)
     data = build_states(impute_and_encode(generate_chronic(cfg)))
     model = fit_dtbls(data, hp, hp, hp)
+    # evaluate the model once; every p1 reuses its switch probabilities
+    evaluation = Evaluation(model, data)
     for p1 in p1_grid:
         policy = SwitchAdjustedPolicy(model, k=2, p1=p1)
-        res = wis_estimate(importance_weights(policy, model, data))
+        res = wis_estimate(importance_weights(policy, model, data, evaluation))
         values[p1].append(res.value)
         ess[p1].append(res.ess)
 

@@ -9,11 +9,12 @@ The package covers the full loop for observational treatment sequences:
 * ``calibration``: per-class sigmoid recalibration of leaf frequencies.
 * ``behavior``: behavior-policy models, from a single K-class tree (``dt``)
   through a switch/treatment composition (``dts``) to that plus a dedicated
-  baseline tree (``dtbls``).
+  baseline tree (``dtbls``), and the one ``Evaluation`` of a model on a
+  cohort that every policy and importance weight reads.
 * ``policies``: target policies derived from a fitted model (top-k, outcome
   guided, switch-rate adjusted, random, softened).
-* ``ope``: trajectory importance weights in log space, WIS/IS estimates,
-  effective sample size, and median/IQR summaries.
+* ``ope``: trajectory importance weights in log space, as arrays, WIS/IS
+  estimates, effective sample size, and median/IQR summaries.
 * ``sim``: two synthetic cohorts with replayable generator policies and a
   Monte-Carlo rollout oracle.
 * ``harness``: repeated-split experiment protocol with random hyperparameter
@@ -29,6 +30,7 @@ from .behavior import (
     BaselineSwitchModel,
     BehaviorError,
     DegenerateSwitchError,
+    Evaluation,
     SwitchTreatmentModel,
     TreeBehaviorModel,
     fit_dt,
@@ -67,11 +69,11 @@ from .harness import (
 from .metrics import auroc_macro, binary_auroc, sce
 from .ope import (
     ESTIMATORS,
+    ImportanceWeights,
     NoOverlapError,
     OPEError,
     OPEResult,
     SupportViolationError,
-    TrajectoryWeight,
     effective_sample_size,
     importance_weights,
     is_estimate,

@@ -23,12 +23,16 @@ held-out validation records and applied before composition. Leaf outcome
 averages attached at fit time power outcome-guided target policies: staying
 reads the switch tree's stay-leaf average, switching reads the treatment
 tree's per-action average.
+
+An :class:`Evaluation` evaluates a model once on one cohort; every target
+policy and every importance-weight denominator reads that one record.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 
@@ -131,7 +135,8 @@ class TreeBehaviorModel(_Base):
             log.warning("dt calibration skipped: %d validation records", len(val))
         return self
 
-    def action_probabilities_batch(self, states, prev_actions, stages) -> np.ndarray:
+    def action_probabilities_batch(self, states, prev_actions, stages,
+                                   parts=None) -> np.ndarray:
         states = _as_batch(states)
         _check_prev_stage(prev_actions, stages, self.n_actions)
         raw = self.tree.predict_proba_batch(states)
@@ -211,7 +216,11 @@ class SwitchTreatmentModel(_Base):
             denom[bad] = p[bad].sum(axis=1)
         return p / denom[:, None]
 
-    def action_probabilities_batch(self, states, prev_actions, stages) -> np.ndarray:
+    def action_probabilities_batch(self, states, prev_actions, stages,
+                                   parts=None) -> np.ndarray:
+        """The composed distribution; ``parts``, a dict if given, receives
+        the composition's pieces on the t>1 rows: ``switch`` and
+        ``conditional``."""
         states = _as_batch(states)
         prev, t = _check_prev_stage(prev_actions, stages, self.n_actions)
         out = np.empty((len(states), self.n_actions), dtype=np.float64)
@@ -227,6 +236,8 @@ class SwitchTreatmentModel(_Base):
             composed = ps[:, None] * q
             composed[np.arange(len(ps)), prev[rest]] = 1.0 - ps
             out[rest] = composed
+            if parts is not None:
+                parts.update(switch=ps, conditional=q)
         return out
 
     def outcome_batch(self, states, prev_actions, stages) -> np.ndarray:
@@ -279,7 +290,8 @@ class BaselineSwitchModel(_Base):
     def conditional_switch_batch(self, states, prev_actions) -> np.ndarray:
         return self.inner.conditional_switch_batch(states, prev_actions)
 
-    def action_probabilities_batch(self, states, prev_actions, stages) -> np.ndarray:
+    def action_probabilities_batch(self, states, prev_actions, stages,
+                                   parts=None) -> np.ndarray:
         states = _as_batch(states)
         prev, t = _check_prev_stage(prev_actions, stages, self.n_actions)
         out = np.empty((len(states), self.n_actions), dtype=np.float64)
@@ -290,7 +302,7 @@ class BaselineSwitchModel(_Base):
         rest = ~first
         if np.any(rest):
             out[rest] = self.inner.action_probabilities_batch(
-                states[rest], prev[rest], t[rest])
+                states[rest], prev[rest], t[rest], parts)
         return out
 
     def outcome_batch(self, states, prev_actions, stages) -> np.ndarray:
@@ -304,6 +316,64 @@ class BaselineSwitchModel(_Base):
         if np.any(rest):
             out[rest] = self.inner.outcome_batch(states[rest], prev[rest], t[rest])
         return out
+
+
+def _descending_order(probs: np.ndarray) -> np.ndarray:
+    """Each row's actions by descending probability; ties keep id order."""
+    return np.argsort(-probs, axis=1, kind="stable")
+
+
+def _read_only(a):
+    if a is not None:
+        a.flags.writeable = False
+    return a
+
+
+class Evaluation:
+    """One evaluation of a behavior model on one :class:`StepData`.
+
+    Every target policy is a transform of the behavior model, and the
+    importance-weight denominator is the model itself, so one evaluation
+    serves them all. It holds:
+
+    * ``probs``: the calibrated action probabilities, one row per step;
+    * ``switch`` and ``conditional``: for ``dts`` and ``dtbls``, the switch
+      probability and the conditional switch distribution on the t>1 rows,
+      in row order, from the very composition that made ``probs`` (None for
+      ``dt`` or when every row is a first stage);
+    * ``outcomes``: leaf outcome averages, evaluated on first use;
+    * ``order``: :func:`_descending_order` of ``probs``, sorted on first use.
+
+    Every query goes through the model's public batch methods. Tree and
+    calibration queries are row-wise, so ``probs[rows]`` equals evaluating
+    the model on those rows alone, bit for bit. The arrays are read-only:
+    policies hand them out as they are.
+    """
+
+    def __init__(self, model, data: StepData):
+        self.model = model
+        self.data = data
+        parts = {}
+        self.probs = _read_only(model.action_probabilities_batch(
+            data.states, data.prev_actions, data.stages, parts))
+        self.switch = _read_only(parts.get("switch"))
+        self.conditional = _read_only(parts.get("conditional"))
+
+    @cached_property
+    def outcomes(self) -> np.ndarray:
+        d = self.data
+        return _read_only(self.model.outcome_batch(d.states, d.prev_actions, d.stages))
+
+    @cached_property
+    def order(self) -> np.ndarray:
+        return _read_only(_descending_order(self.probs))
+
+    def check(self, model, states) -> None:
+        """Refuse a query by another model or on other rows."""
+        if model is not self.model:
+            raise RuntimeError("evaluation record used with a different model")
+        if states is not self.data.states:
+            raise RuntimeError("evaluation record used with a different StepData")
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Command-line pipeline: simulate, fit, evaluate, export, report, experiment.
 
 Every subcommand takes ``--seed``, ``--config``, and ``--out``; config files
-are JSON with the key schemas documented in the README. Any failure prints a
-single-line diagnostic to stderr and exits nonzero.
+are JSON with the key schemas documented in the README. A domain error
+(``ClinpolError``) or an input error (``OSError``, malformed JSON) prints a
+single-line diagnostic to stderr and exits nonzero; any other exception is a
+bug and propagates.
 """
 
 from __future__ import annotations
@@ -12,10 +14,12 @@ import csv
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
 
+from .behavior import Evaluation
 from .data import (
     SplitSpec,
     StateConfig,
@@ -31,6 +35,7 @@ from .harness import (
     ExperimentConfig,
     HarnessError,
     HyperparamGrid,
+    _unrunnable,
     _write_csv,
     load_bundle,
     run_experiment,
@@ -53,11 +58,26 @@ class CliError(ClinpolError):
 def _read_json(path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except OSError as e:
         raise CliError(f"cannot read config {path}: {e.strerror}") from None
     except json.JSONDecodeError as e:
         raise CliError(f"config {path} is not valid JSON: {e}") from None
+    if not isinstance(obj, dict):
+        raise CliError(f"config {path} must hold a JSON object")
+    return obj
+
+
+@contextmanager
+def _parsing(what: str):
+    """Report a malformed value met while reading a JSON input file as bad
+    input (a ``CliError``), not as a bug."""
+    try:
+        yield
+    except ClinpolError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        raise CliError(f"malformed {what} ({type(e).__name__}: {e})") from None
 
 
 def _require_out(args) -> str:
@@ -73,7 +93,8 @@ def _require_out(args) -> str:
 def _cmd_simulate(args) -> int:
     out = _require_out(args)
     if args.config:
-        cfg = simulator_config_from_json(_read_json(args.config))
+        with _parsing(f"simulator config {args.config}"):
+            cfg = simulator_config_from_json(_read_json(args.config))
     else:
         cfg = ChronicSimConfig()
     if args.seed is not None:
@@ -87,10 +108,11 @@ def _cmd_fit(args) -> int:
     out = _require_out(args)
     cfg = _read_json(args.config) if args.config else {}
     model_type = cfg.get("model", "dtbls")
-    n_candidates = int(cfg.get("n_candidates", 30))
-    grid = HyperparamGrid.from_json(cfg.get("grid", {}))
-    spec = SplitSpec.from_json(cfg.get("split", {}))
-    state_config = StateConfig.from_json(cfg.get("state_config", {}))
+    with _parsing(f"fit config {args.config}"):
+        n_candidates = int(cfg.get("n_candidates", 30))
+        grid = HyperparamGrid.from_json(cfg.get("grid", {}))
+        spec = SplitSpec.from_json(cfg.get("split", {}))
+        state_config = StateConfig.from_json(cfg.get("state_config", {}))
 
     seed = args.seed if args.seed is not None else spec.seed
     split_seed, select_seed = (
@@ -121,14 +143,25 @@ def _cmd_evaluate(args) -> int:
         )
     seed = args.seed if args.seed is not None else 0
 
-    model, stats, state_config = load_bundle(args.model)
+    with _parsing(f"bundle {args.model}"):
+        model, stats, state_config = load_bundle(args.model)
+    # every policy is built before the data is read, so a policy the model
+    # cannot serve fails fast
+    policies = []
+    for desc in descriptors:
+        reason = _unrunnable(desc, model.kind)
+        if reason:
+            raise CliError(reason)
+        policies.append(build_policy(desc, model))
     data = build_states(
         apply_imputation(load_dataset(args.dataset), stats), state_config
     )
+    # one evaluation of the model serves every policy and weight denominator
+    evaluation = Evaluation(model, data)
     rows = []
-    for desc in descriptors:
-        policy = build_policy(desc, model)
-        result = ESTIMATORS[estimator](importance_weights(policy, model, data))
+    for desc, policy in zip(descriptors, policies):
+        result = ESTIMATORS[estimator](
+            importance_weights(policy, model, data, evaluation))
         rows.append((
             desc["type"],
             "" if desc.get("k") is None else desc["k"],
@@ -156,7 +189,8 @@ def _cmd_export(args) -> int:
     out = _require_out(args)
     if not args.model:
         raise CliError("export needs --model (a fitted bundle)")
-    model, _, _ = load_bundle(args.model)
+    with _parsing(f"bundle {args.model}"):
+        model, _, _ = load_bundle(args.model)
     os.makedirs(out, exist_ok=True)
     written = []
     for name, (tree, class_names) in _component_trees(model).items():
@@ -188,11 +222,14 @@ def _cmd_report(args) -> int:
             f"rows file must have columns {sorted(needed)} with at least one row"
         )
     groups: dict[tuple, list] = {}
-    for row in raw:
+    for i, row in enumerate(raw, start=1):
         key = (row["policy"], row["k"], row["p1"], row["estimator"])
-        groups.setdefault(key, []).append(
-            (float(row["value"]), float(row["ess"]))
-        )
+        try:
+            pair = (float(row["value"]), float(row["ess"]))
+        except (TypeError, ValueError):
+            raise CliError(f"rows {args.rows} row {i}: value and ess "
+                           "must be numbers") from None
+        groups.setdefault(key, []).append(pair)
     table = []
     for key in sorted(groups):
         vals = groups[key]
@@ -210,7 +247,8 @@ def _cmd_experiment(args) -> int:
     if not args.config:
         raise CliError("experiment needs --config (an experiment spec)")
     obj = _read_json(args.config)
-    cfg = ExperimentConfig.from_json(obj)
+    with _parsing(f"experiment config {args.config}"):
+        cfg = ExperimentConfig.from_json(obj)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     if args.out:
@@ -266,7 +304,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except Exception as e:  # single-line diagnostic, nonzero exit
+    # a domain or input error gets a single-line diagnostic and a nonzero
+    # exit; anything else is a bug and raises with its traceback
+    except (ClinpolError, OSError, json.JSONDecodeError) as e:
         message = str(e).splitlines()[0] if str(e) else type(e).__name__
         print(f"error: {message}", file=sys.stderr)
         return 1

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .behavior import MODEL_KINDS, TreeMemo, fit_dt, fit_dtbls, fit_dts
+from .behavior import MODEL_KINDS, Evaluation, TreeMemo, fit_dt, fit_dtbls, fit_dts
 from .data import (
     Dataset,
     SplitSpec,
@@ -143,7 +143,9 @@ def select_model(train, validation, model_type: str, n_candidates: int,
     are that tree truncated at the candidate's depth. This is exact: greedy
     growth reads ``max_depth`` only as its stop rule, so a shallower fit is
     the deeper one cut (see :func:`clinpol.tree.truncate_tree`). A cell drawn
-    twice reuses the first draw's cut trees.
+    twice reuses the first draw's cut trees, so it is fitted again but scored
+    once: a repeat replays the first draw's score or error, and a tie never
+    replaces the leader, so the winner is the same.
     """
     if model_type not in MODEL_KINDS:
         raise HarnessError(
@@ -152,27 +154,23 @@ def select_model(train, validation, model_type: str, n_candidates: int,
     grid = grid or HyperparamGrid()
     candidates = sample_candidates(grid, n_candidates, seed)
     memo = TreeMemo(train, candidates)
+    scored: dict[TreeHyperparams, float | ClinpolError] = {}
     best = None
     best_score = -math.inf
     last_error = None
     for hp in candidates:
         try:
             model = fit_model(model_type, train, hp, memo=memo)
-            score = auroc_macro(
-                model.action_probabilities_batch(
-                    validation.states, validation.prev_actions, validation.stages
-                ),
-                validation.actions,
-            )
         except ClinpolError as e:
             last_error = e
             log.warning("candidate %s failed: %s", hp, e)
             continue
-        if math.isnan(score):
-            last_error = HarnessError(
-                "validation AUROC undefined: no class has both outcomes"
-            )
-            log.warning("candidate %s failed: %s", hp, last_error)
+        if hp not in scored:
+            scored[hp] = _validation_score(model, validation)
+        score = scored[hp]
+        if isinstance(score, ClinpolError):
+            last_error = score
+            log.warning("candidate %s failed: %s", hp, score)
             continue
         if score > best_score:
             best, best_score = model, score
@@ -182,6 +180,22 @@ def select_model(train, validation, model_type: str, n_candidates: int,
             f"to fit (last error: {last_error})"
         )
     return best.calibrate(validation)
+
+
+def _validation_score(model, validation) -> float | ClinpolError:
+    """Macro AUROC on the validation steps, or the error that leaves it undefined."""
+    try:
+        score = auroc_macro(
+            model.action_probabilities_batch(
+                validation.states, validation.prev_actions, validation.stages
+            ),
+            validation.actions,
+        )
+    except ClinpolError as e:
+        return e
+    if math.isnan(score):
+        return HarnessError("validation AUROC undefined: no class has both outcomes")
+    return score
 
 
 def cross_validate(dataset: Dataset, model_type: str, folds: int,
@@ -281,6 +295,15 @@ def _check_descriptor(desc) -> None:
         raise HarnessError(f"epsilon must be >= 0, got {eps!r}")
 
 
+def _unrunnable(desc, model_kind: str) -> str | None:
+    """Why policy ``desc`` cannot run on a ``model_kind`` model, or None."""
+    if (model_kind == "dt" and isinstance(desc, dict)
+            and desc.get("type") == "mc_switch_adj"):
+        return (f"policy {desc['type']!r} needs a switch-composed model "
+                "(dts or dtbls), not 'dt'")
+    return None
+
+
 DEFAULT_POLICIES = (
     {"type": "behavior"},
     {"type": "mc", "k": 1},
@@ -326,6 +349,9 @@ class ExperimentConfig:
             raise HarnessError("at least one policy descriptor is required")
         for desc in self.policies:
             _check_descriptor(desc)
+            reason = _unrunnable(desc, self.model)
+            if reason:
+                raise HarnessError(reason)
 
     def to_json(self) -> dict:
         out = {
@@ -525,16 +551,16 @@ def _run_repeat(cfg: ExperimentConfig, raw: Dataset, repeat: int,
 
     model = select_model(train, val, cfg.model, cfg.n_candidates, select_seed,
                          cfg.grid)
-    test_probs = model.action_probabilities_batch(
-        test.states, test.prev_actions, test.stages
-    )
-    test_auroc = auroc_macro(test_probs, test.actions)
-    test_sce = sce(test_probs, test.actions)
+    # one evaluation of the model on the test steps serves the test metrics,
+    # every policy and every importance-weight denominator
+    evaluation = Evaluation(model, test)
+    test_auroc = auroc_macro(evaluation.probs, test.actions)
+    test_sce = sce(evaluation.probs, test.actions)
 
     out = []
     for desc in cfg.policies:
         policy = build_policy(desc, model)
-        weights = importance_weights(policy, model, test)
+        weights = importance_weights(policy, model, test, evaluation)
         result = ESTIMATORS[cfg.estimator](weights)
         out.append(ReportRow(seed=repeat, model=cfg.model, policy=dict(desc),
                              value=result.value, ess=result.ess, n=result.n,
@@ -571,7 +597,7 @@ def load_bundle(path):
 
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
-    version = payload.get("bundle_version")
+    version = payload.get("bundle_version") if isinstance(payload, dict) else None
     if version != BUNDLE_VERSION:
         raise HarnessError(
             f"unsupported bundle version {version!r} (this library reads "

@@ -19,7 +19,7 @@ itself) and collapses toward 1 as the mass concentrates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,12 +39,17 @@ class NoOverlapError(OPEError):
     """Every trajectory weight is zero; the estimate is undefined."""
 
 
-@dataclass(frozen=True)
-class TrajectoryWeight:
-    traj_id: str
-    weight: float
-    ret: float
-    length: int
+@dataclass(frozen=True, eq=False)
+class ImportanceWeights:
+    """Per-trajectory weights, returns and lengths, in ``traj_ids`` order."""
+
+    traj_ids: list
+    weights: np.ndarray
+    returns: np.ndarray
+    lengths: np.ndarray
+
+    def __len__(self):
+        return len(self.weights)
 
 
 @dataclass(frozen=True)
@@ -53,20 +58,28 @@ class OPEResult:
     ess: float
     n: int
     estimator: str
-    per_trajectory: tuple = field(default=(), repr=False)
 
 
-def importance_weights(policy, behavior_model, data: StepData) -> list[TrajectoryWeight]:
+def importance_weights(policy, behavior_model, data: StepData,
+                       evaluation=None) -> ImportanceWeights:
     """Per-trajectory importance weights of ``policy`` against ``behavior_model``.
 
     ``data`` must hold complete trajectories: the weight is a product over
     every logged step, so evaluating on a row subset would silently drop
-    factors.
+    factors. ``evaluation``, a :class:`~clinpol.behavior.Evaluation` of
+    ``behavior_model`` on ``data``, is handed to the policy and supplies the
+    denominator, so neither queries the model again; a record built for
+    another model or ``StepData`` raises ``RuntimeError``.
     """
-    p_pi = policy.probabilities_batch(data.states, data.prev_actions, data.stages)
-    p_mu = behavior_model.action_probabilities_batch(
-        data.states, data.prev_actions, data.stages
-    )
+    if evaluation is not None:
+        evaluation.check(behavior_model, data.states)
+        if evaluation.data is not data:
+            raise RuntimeError("evaluation record used with a different StepData")
+    p_pi = policy.probabilities_batch(data.states, data.prev_actions, data.stages,
+                                      evaluation=evaluation)
+    p_mu = evaluation.probs if evaluation is not None else (
+        behavior_model.action_probabilities_batch(data.states, data.prev_actions,
+                                                  data.stages))
     rows = np.arange(len(data.actions))
     num = p_pi[rows, data.actions]
     den = p_mu[rows, data.actions]
@@ -89,60 +102,37 @@ def importance_weights(policy, behavior_model, data: StepData) -> list[Trajector
     dead = np.bincount(data.traj_index, weights=zero_num, minlength=n_traj) > 0
     w = np.exp(log_w)
     w[dead] = 0.0
-
-    returns = data.trajectory_returns()
-    lengths = data.trajectory_lengths()
-    return [
-        TrajectoryWeight(data.traj_ids[j], float(w[j]), float(returns[j]), int(lengths[j]))
-        for j in range(n_traj)
-    ]
+    return ImportanceWeights(data.traj_ids, w, data.trajectory_returns(),
+                             data.trajectory_lengths())
 
 
-def _arrays(weights: list[TrajectoryWeight]) -> tuple[np.ndarray, np.ndarray]:
-    if not weights:
+def _arrays(weights: ImportanceWeights) -> tuple[np.ndarray, np.ndarray]:
+    if len(weights) == 0:
         raise OPEError("no trajectories to estimate from")
-    w = np.array([t.weight for t in weights], dtype=np.float64)
-    g = np.array([t.ret for t in weights], dtype=np.float64)
-    if not np.any(w > 0.0):
+    if not np.any(weights.weights > 0.0):
         raise NoOverlapError(
             "no overlap mass: every trajectory weight is zero under the target policy"
         )
-    return w, g
+    return weights.weights, weights.returns
 
 
 def effective_sample_size(weights) -> float:
     """(sum w)^2 / sum(w^2); equals n for uniform weights, 1 for a point mass."""
-    seq = list(weights)
-    if seq and isinstance(seq[0], TrajectoryWeight):
-        seq = [t.weight for t in seq]
-    w = np.asarray(seq, dtype=np.float64)
+    w = np.asarray(weights, dtype=np.float64)
     if w.size == 0 or not np.any(w > 0.0):
         raise OPEError("effective sample size undefined: no positive weights")
     return float(w.sum() ** 2 / np.sum(w**2))
 
 
-def wis_estimate(weights: list[TrajectoryWeight]) -> OPEResult:
+def wis_estimate(weights: ImportanceWeights) -> OPEResult:
     w, g = _arrays(weights)
-    value = float(np.sum(w * g) / np.sum(w))
-    return OPEResult(
-        value=value,
-        ess=float(w.sum() ** 2 / np.sum(w**2)),
-        n=len(weights),
-        estimator="wis",
-        per_trajectory=tuple(weights),
-    )
+    return OPEResult(float(np.sum(w * g) / np.sum(w)), effective_sample_size(w),
+                     len(w), "wis")
 
 
-def is_estimate(weights: list[TrajectoryWeight]) -> OPEResult:
+def is_estimate(weights: ImportanceWeights) -> OPEResult:
     w, g = _arrays(weights)
-    value = float(np.mean(w * g))
-    return OPEResult(
-        value=value,
-        ess=float(w.sum() ** 2 / np.sum(w**2)),
-        n=len(weights),
-        estimator="is",
-        per_trajectory=tuple(weights),
-    )
+    return OPEResult(float(np.mean(w * g)), effective_sample_size(w), len(w), "is")
 
 
 ESTIMATORS = {"wis": wis_estimate, "is": is_estimate}

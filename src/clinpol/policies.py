@@ -28,7 +28,8 @@ import struct
 
 import numpy as np
 
-from .behavior import BaselineSwitchModel, SwitchTreatmentModel, _as_batch
+from .behavior import (BaselineSwitchModel, SwitchTreatmentModel, _as_batch,
+                       _descending_order)
 from .data import NONE_ACTION
 from .errors import ClinpolError
 
@@ -38,9 +39,19 @@ class PolicyError(ClinpolError):
 
 
 class _PolicyBase:
-    """Scalar convenience wrapper over the batch query."""
+    """The model a policy transforms, and a scalar convenience wrapper over
+    the batch query.
+
+    ``probabilities_batch`` takes an optional ``evaluation``, an
+    :class:`~clinpol.behavior.Evaluation` of the policy's model on the same
+    rows, and then transforms its arrays instead of querying the model.
+    """
 
     n_actions: int
+
+    def __init__(self, model):
+        self.model = model
+        self.n_actions = model.n_actions
 
     def probabilities(self, state, prev_action, t: int) -> np.ndarray:
         prev = NONE_ACTION if prev_action is None else int(prev_action)
@@ -50,78 +61,83 @@ class _PolicyBase:
         raise NotImplementedError
 
 
-def _top_k_sets(probs: np.ndarray, k: int) -> np.ndarray:
-    """Per-row boolean mask of the k most probable actions.
+def _model_probs(model, states, prev_actions, stages, evaluation):
+    if evaluation is None:
+        return model.action_probabilities_batch(states, prev_actions, stages)
+    evaluation.check(model, states)
+    return evaluation.probs
+
+
+def _top_k_sets(order: np.ndarray, k: int) -> np.ndarray:
+    """Per-row boolean mask of the first k actions of a descending ``order``.
 
     A stable sort on descending probability keeps equal entries in action-id
     order, so ties at the k-th rank resolve to the lower id.
     """
-    order = np.argsort(-probs, axis=1, kind="stable")
-    mask = np.zeros(probs.shape, dtype=bool)
-    rows = np.repeat(np.arange(len(probs)), k)
-    mask[rows, order[:, :k].ravel()] = True
+    mask = np.zeros(order.shape, dtype=bool)
+    mask[np.repeat(np.arange(len(order)), k), order[:, :k].ravel()] = True
     return mask
+
+
+def _top_k(p: np.ndarray, k: int, order: np.ndarray | None = None) -> np.ndarray:
+    """Each row restricted to its k most probable actions, renormalized;
+    ``p`` itself when k is every action."""
+    if k == p.shape[1]:
+        return p
+    if order is None:
+        order = _descending_order(p)
+    restricted = np.where(_top_k_sets(order, k), p, 0.0)
+    return restricted / restricted.sum(axis=1, keepdims=True)
+
+
+class _TopKBase(_PolicyBase):
+    """A policy that keeps the model's k most probable treatments."""
+
+    def __init__(self, model, k: int):
+        super().__init__(model)
+        if not (1 <= k <= model.n_actions):
+            raise PolicyError(f"k must be an integer in [1, {model.n_actions}], got {k}")
+        self.k = int(k)
 
 
 class BehaviorPolicy(_PolicyBase):
     """The cloned behavior itself, used for self-evaluation baselines."""
 
-    def __init__(self, model):
-        self.model = model
-        self.n_actions = model.n_actions
-
-    def probabilities_batch(self, states, prev_actions, stages) -> np.ndarray:
-        return self.model.action_probabilities_batch(states, prev_actions, stages)
+    def probabilities_batch(self, states, prev_actions, stages, evaluation=None) -> np.ndarray:
+        return _model_probs(self.model, states, prev_actions, stages, evaluation)
 
     def descriptor(self) -> dict:
         return {"type": "behavior"}
 
 
-class TopKPolicy(_PolicyBase):
+class TopKPolicy(_TopKBase):
     """Renormalized restriction to the k most probable treatments."""
 
-    def __init__(self, model, k: int):
-        self.model = model
-        self.n_actions = model.n_actions
-        if not (1 <= k <= model.n_actions):
-            raise PolicyError(f"k must be an integer in [1, {model.n_actions}], got {k}")
-        self.k = int(k)
-
-    def probabilities_batch(self, states, prev_actions, stages) -> np.ndarray:
-        p = self.model.action_probabilities_batch(states, prev_actions, stages)
-        if self.k == self.n_actions:
-            return p
-        mask = _top_k_sets(p, self.k)
-        restricted = np.where(mask, p, 0.0)
-        z = restricted.sum(axis=1, keepdims=True)
-        return restricted / z
+    def probabilities_batch(self, states, prev_actions, stages, evaluation=None) -> np.ndarray:
+        p = _model_probs(self.model, states, prev_actions, stages, evaluation)
+        return _top_k(p, self.k, None if evaluation is None else evaluation.order)
 
     def descriptor(self) -> dict:
         return {"type": "mc", "k": self.k}
 
 
-class BestOutcomePolicy(_PolicyBase):
+class BestOutcomePolicy(_TopKBase):
     """Deterministic argmax of leaf-average outcome over the top-k set."""
 
-    def __init__(self, model, k: int):
-        self.model = model
-        self.n_actions = model.n_actions
-        if not (1 <= k <= model.n_actions):
-            raise PolicyError(f"k must be an integer in [1, {model.n_actions}], got {k}")
-        self.k = int(k)
-
-    def probabilities_batch(self, states, prev_actions, stages) -> np.ndarray:
-        p = self.model.action_probabilities_batch(states, prev_actions, stages)
-        mask = _top_k_sets(p, self.k)
-        outcomes = self.model.outcome_batch(states, prev_actions, stages)
-        candidates = np.where(mask & ~np.isnan(outcomes), outcomes, -np.inf)
+    def probabilities_batch(self, states, prev_actions, stages, evaluation=None) -> np.ndarray:
+        p = _model_probs(self.model, states, prev_actions, stages, evaluation)
+        if evaluation is None:
+            order = _descending_order(p)
+            outcomes = self.model.outcome_batch(states, prev_actions, stages)
+        else:
+            order, outcomes = evaluation.order, evaluation.outcomes
+        candidates = np.where(_top_k_sets(order, self.k) & ~np.isnan(outcomes),
+                              outcomes, -np.inf)
         # argmax hits the first maximum, so outcome ties go to the lower id
         best = np.argmax(candidates, axis=1)
+        # where no action in the top-k set carries outcome data, take the top-1
         no_data = ~np.isfinite(candidates.max(axis=1))
-        if np.any(no_data):
-            # no action in the top-k set carries outcome data: take the top-1
-            order = np.argsort(-p[no_data], axis=1, kind="stable")
-            best[no_data] = order[:, 0]
+        best[no_data] = order[no_data, 0]
         out = np.zeros_like(p)
         out[np.arange(len(p)), best] = 1.0
         return out
@@ -130,7 +146,7 @@ class BestOutcomePolicy(_PolicyBase):
         return {"type": "mc_o", "k": self.k}
 
 
-class SwitchAdjustedPolicy(_PolicyBase):
+class SwitchAdjustedPolicy(_TopKBase):
     """Top-k policy over a switch-composed model with a shifted switch rate.
 
     The adjusted switch probability is clamp(p_switch + p1, 0, 1); staying
@@ -146,13 +162,9 @@ class SwitchAdjustedPolicy(_PolicyBase):
                 "switch adjustment needs a switch-composed model (dts or dtbls); "
                 f"got {type(model).__name__}"
             )
-        self.model = model
-        self.n_actions = model.n_actions
-        if not (1 <= k <= model.n_actions):
-            raise PolicyError(f"k must be an integer in [1, {model.n_actions}], got {k}")
+        super().__init__(model, k)
         if not (-1.0 <= p1 <= 1.0):
             raise PolicyError(f"p1 must lie in [-1, 1], got {p1}")
-        self.k = int(k)
         self.p1 = float(p1)
         self.clamp_events = 0
         self.queries = 0
@@ -161,29 +173,27 @@ class SwitchAdjustedPolicy(_PolicyBase):
     def clamp_rate(self) -> float:
         return self.clamp_events / self.queries if self.queries else 0.0
 
-    def probabilities_batch(self, states, prev_actions, stages) -> np.ndarray:
-        states = _as_batch(states)
+    def probabilities_batch(self, states, prev_actions, stages, evaluation=None) -> np.ndarray:
         prev = np.asarray(prev_actions, dtype=np.int64)
         t = np.asarray(stages, dtype=np.int64)
-        out = np.empty((len(states), self.n_actions), dtype=np.float64)
-        first = t == 1
+        first, rest = t == 1, t != 1
+        if evaluation is not None:
+            evaluation.check(self.model, states)
+            p, order = evaluation.probs[first], evaluation.order[first]
+            ps, q = evaluation.switch, evaluation.conditional
+        else:
+            states, order = _as_batch(states), None
+            if np.any(first):
+                p = self.model.action_probabilities_batch(states[first], prev[first], t[first])
+            if np.any(rest):
+                ps = self.model.switch_probability_batch(states[rest])
+                q = self.model.conditional_switch_batch(states[rest], prev[rest])
+        out = np.empty((len(t), self.n_actions), dtype=np.float64)
         if np.any(first):
-            # no previous treatment yet, nothing to adjust
-            p = self.model.action_probabilities_batch(states[first], prev[first], t[first])
-            if self.k == self.n_actions:
-                out[first] = p
-            else:
-                mask = _top_k_sets(p, self.k)
-                restricted = np.where(mask, p, 0.0)
-                out[first] = restricted / restricted.sum(axis=1, keepdims=True)
-        rest = ~first
+            # no previous treatment at t=1: nothing to adjust there
+            out[first] = _top_k(p, self.k, order)
         if np.any(rest):
-            ps = self.model.switch_probability_batch(states[rest])
-            q = self.model.conditional_switch_batch(states[rest], prev[rest])
-            if self.k < self.n_actions:
-                mask = _top_k_sets(q, self.k)
-                q = np.where(mask, q, 0.0)
-                q = q / q.sum(axis=1, keepdims=True)
+            q = _top_k(q, self.k)
             shifted = ps + self.p1
             clamped = np.clip(shifted, 0.0, 1.0)
             self.clamp_events += int(np.sum((shifted < 0.0) | (shifted > 1.0)))
@@ -206,7 +216,7 @@ class RandomPolicy(_PolicyBase):
         self.n_actions = int(n_actions)
         self.deterministic_seed = deterministic_seed
 
-    def probabilities_batch(self, states, prev_actions, stages) -> np.ndarray:
+    def probabilities_batch(self, states, prev_actions, stages, evaluation=None) -> np.ndarray:
         states = _as_batch(states)
         n = len(states)
         if self.deterministic_seed is None:
@@ -239,8 +249,8 @@ class SoftenedPolicy(_PolicyBase):
             )
         self.epsilon = float(epsilon)
 
-    def probabilities_batch(self, states, prev_actions, stages) -> np.ndarray:
-        p = self.inner.probabilities_batch(states, prev_actions, stages)
+    def probabilities_batch(self, states, prev_actions, stages, evaluation=None) -> np.ndarray:
+        p = self.inner.probabilities_batch(states, prev_actions, stages, evaluation)
         if self.epsilon == 0.0:
             return p
         return (1.0 - self.n_actions * self.epsilon) * p + self.epsilon
@@ -280,6 +290,13 @@ def build_policy(descriptor: dict, model):
             )
         return k
 
+    def number(key):
+        try:
+            return float(descriptor.get(key, 0.0))
+        except (TypeError, ValueError):
+            raise PolicyError(f"policy {ptype!r}: {key} must be a number, "
+                              f"got {descriptor[key]!r}") from None
+
     if ptype == "behavior":
         policy = BehaviorPolicy(model)
     elif ptype == "mc":
@@ -287,10 +304,8 @@ def build_policy(descriptor: dict, model):
     elif ptype == "mc_o":
         policy = BestOutcomePolicy(model, need_k())
     elif ptype == "mc_switch_adj":
-        p1 = float(descriptor.get("p1", 0.0))
-        policy = SwitchAdjustedPolicy(model, need_k(), p1)
+        policy = SwitchAdjustedPolicy(model, need_k(), number("p1"))
     else:
         policy = RandomPolicy(K, descriptor.get("seed"))
 
-    epsilon = float(descriptor.get("epsilon", 0.0))
-    return soften(policy, epsilon)
+    return soften(policy, number("epsilon"))

@@ -492,11 +492,16 @@ def default_assembler(cfg, state_config: StateConfig = StateConfig()) -> StateAs
 
 
 class _TruthBase:
-    """Exact generator probabilities, read back out of assembled states."""
+    """Exact generator probabilities, read back out of assembled states.
+
+    ``probabilities_batch`` takes a policy's optional ``evaluation`` argument
+    and ignores it: the generator's probabilities need no behavior model.
+    """
 
     kind = "truth"
 
-    def probabilities_batch(self, states, prev_actions, stages) -> np.ndarray:
+    def probabilities_batch(self, states, prev_actions, stages,
+                            evaluation=None) -> np.ndarray:
         raise NotImplementedError
 
     # the truth policy serves both sides of an evaluation: target policy and
@@ -523,7 +528,8 @@ class ChronicTruthPolicy(_TruthBase):
         self._c_tot = asm.column("time_on_tx")
         self._c_g1 = asm.column("biomarker=g1")
 
-    def probabilities_batch(self, states, prev_actions, stages) -> np.ndarray:
+    def probabilities_batch(self, states, prev_actions, stages,
+                            evaluation=None) -> np.ndarray:
         states = np.asarray(states, dtype=np.float64)
         prev = np.asarray(prev_actions, dtype=np.int64)
         t = np.asarray(stages, dtype=np.int64)
@@ -545,7 +551,8 @@ class EpisodicTruthPolicy(_TruthBase):
         self._c_sev = asm.column("severity")
         self._c_vol = asm.column("volume")
 
-    def probabilities_batch(self, states, prev_actions, stages) -> np.ndarray:
+    def probabilities_batch(self, states, prev_actions, stages,
+                            evaluation=None) -> np.ndarray:
         states = np.asarray(states, dtype=np.float64)
         return _episodic_probs(self.cfg, states[:, self._c_sev], states[:, self._c_vol])
 
@@ -560,7 +567,8 @@ class ChronicOraclePolicy(_TruthBase):
         self._c_g1 = asm.column("biomarker=g1")
         self._best = np.argmax(cfg.effects(), axis=1)
 
-    def probabilities_batch(self, states, prev_actions, stages) -> np.ndarray:
+    def probabilities_batch(self, states, prev_actions, stages,
+                            evaluation=None) -> np.ndarray:
         states = np.asarray(states, dtype=np.float64)
         g = (states[:, self._c_g1] > 0.5).astype(np.int64)
         out = np.zeros((len(states), self.n_actions))

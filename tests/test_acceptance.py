@@ -76,10 +76,9 @@ def test_01_self_evaluation_is_exact():
     ok = True
     notes = []
     for model in models:
-        res = wis_estimate(
-            importance_weights(TopKPolicy(model, model.n_actions), model, data)
-        )
-        weights_one = all(t.weight == 1.0 for t in res.per_trajectory)
+        weights = importance_weights(TopKPolicy(model, model.n_actions), model, data)
+        res = wis_estimate(weights)
+        weights_one = bool(np.all(weights.weights == 1.0))
         value_gap = abs(res.value - mean_return)
         ess_exact = res.ess == float(res.n) and res.n == data.n_trajectories
         ok = ok and weights_one and value_gap <= 1e-12 and ess_exact
@@ -112,8 +111,9 @@ def test_02_is_estimate_tracks_rollout_value():
     for i in range(50):
         cfg = ChronicSimConfig(seed=1000 + i, **base)
         data = _prepared(generate_chronic(cfg))
-        res = is_estimate(importance_weights(target, truth_policy(cfg), data))
-        wg = np.array([t.weight * t.ret for t in res.per_trajectory])
+        weights = importance_weights(target, truth_policy(cfg), data)
+        res = is_estimate(weights)
+        wg = weights.weights * weights.returns
         se = float(wg.std(ddof=1) / np.sqrt(len(wg)))
         z = (res.value - mc_value) / float(np.hypot(se, mc_se))
         worst = max(worst, abs(z))

@@ -193,3 +193,66 @@ def test_report_rejects_foreign_csvs(tmp_path, capsys):
     rows.write_text("a,b\n1,2\n")
     expect_error(capsys, ["report", str(rows), "--out", str(tmp_path / "s.csv")],
                  "columns")
+
+
+def test_switch_policy_on_a_dt_bundle_is_refused_before_loading_data(pipeline, capsys):
+    tmp_path, cohort, _ = pipeline
+    fit = write_json(tmp_path / "fit_dt.json", {"model": "dt", "n_candidates": 2})
+    bundle = str(tmp_path / "dt.json")
+    assert main(["fit", cohort, "--config", fit, "--out", bundle]) == 0
+    cfg = write_json(tmp_path / "eval.json", {"policies": [
+        {"type": "behavior"}, {"type": "mc_switch_adj", "k": 2, "p1": 0.1}]})
+    # the dataset does not exist: the policy check must come first
+    expect_error(capsys, ["evaluate", str(tmp_path / "absent.jsonl"), "--model", bundle,
+                          "--config", cfg, "--out", str(tmp_path / "x.csv")],
+                 "needs a switch-composed model")
+    # so does a policy that fails to build
+    bad = write_json(tmp_path / "bad.json", {"policies": [{"type": "mc", "k": 9}]})
+    expect_error(capsys, ["evaluate", str(tmp_path / "absent.jsonl"), "--model", bundle,
+                          "--config", bad, "--out", str(tmp_path / "x.csv")], "[1, 4]")
+
+
+def test_a_bug_in_a_subcommand_raises_instead_of_printing(pipeline, monkeypatch):
+    tmp_path, cohort, bundle = pipeline
+    from clinpol import cli
+
+    def broken(*args, **kwargs):
+        raise KeyError("a programming error")
+
+    monkeypatch.setattr(cli, "build_policy", broken)
+    with pytest.raises(KeyError, match="a programming error"):
+        main(["evaluate", cohort, "--model", bundle, "--out", str(tmp_path / "x.csv")])
+
+
+def test_input_errors_stay_one_line_diagnostics(tmp_path, capsys):
+    listed = write_json(tmp_path / "list.json", [1, 2])
+    expect_error(capsys, ["fit", "absent.jsonl", "--config", listed,
+                          "--out", str(tmp_path / "b.json")], "must hold a JSON object")
+    rows = tmp_path / "rows.csv"
+    rows.write_text("policy,k,p1,estimator,value,ess\nmc,1,,wis,high,3.0\n")
+    expect_error(capsys, ["report", str(rows), "--out", str(tmp_path / "s.csv")],
+                 "row 1: value and ess must be numbers")
+    # an unreadable output path is an input error, not a crash
+    cohort = str(tmp_path / "missing_dir" / "cohort.jsonl")
+    expect_error(capsys, ["simulate", "--out", cohort], "missing_dir")
+
+
+def test_malformed_config_values_are_domain_errors(pipeline, capsys):
+    tmp_path, cohort, bundle = pipeline
+    out = str(tmp_path / "x")
+    sim = write_json(tmp_path / "sim.json", {"kind": "chronic", "config": {"typo": 1}})
+    expect_error(capsys, ["simulate", "--config", sim, "--out", out],
+                 "malformed simulator config")
+    fit = write_json(tmp_path / "fit.json", {"n_candidates": "many"})
+    expect_error(capsys, ["fit", cohort, "--config", fit, "--out", out],
+                 "malformed fit config")
+    ev = write_json(tmp_path / "ev.json", {"policies": [{"type": "mc", "k": 1,
+                                                         "epsilon": "some"}]})
+    expect_error(capsys, ["evaluate", cohort, "--model", bundle, "--config", ev,
+                          "--out", out], "epsilon must be a number")
+    exp = write_json(tmp_path / "exp.json", {"simulator": {"kind": "chronic"},
+                                             "n_repeats": "two"})
+    expect_error(capsys, ["experiment", "--config", exp], "malformed experiment config")
+    broken = write_json(tmp_path / "broken.json", {"bundle_version": 1})
+    expect_error(capsys, ["export", "--model", broken, "--out", out],
+                 "malformed bundle")

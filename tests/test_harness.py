@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -217,6 +218,65 @@ def test_imputation_statistics_are_fitted_once_per_repeat_and_fold(monkeypatch, 
     assert fitted == [20, 20, 20]
 
 
+def reference_selection(train, val, kind, n, seed, grid=None):
+    """Score every draw, a repeated cell included; strict improvement wins."""
+    best, best_score = None, -math.inf
+    for hp in sample_candidates(grid or HyperparamGrid(), n, seed):
+        m = fit_model(kind, train, hp)
+        score = auroc_macro(
+            m.action_probabilities_batch(val.states, val.prev_actions, val.stages),
+            val.actions)
+        if score > best_score:
+            best, best_score = m, score
+    return best.calibrate(val)
+
+
+@pytest.mark.parametrize("grid", [HyperparamGrid(), TIE_GRID], ids=["default", "ties"])
+def test_selection_scores_each_distinct_cell_once(monkeypatch, grid):
+    train, val, _ = chronic_states(3)
+    n, seed = 30, 3
+    draws = sample_candidates(grid, n, seed)
+    assert len(set(draws)) < n
+    scored, fitted = [], []
+    real_auroc, real_fit = harness.auroc_macro, harness.fit_model
+
+    def counted_auroc(scores, labels):
+        scored.append(len(labels))
+        return real_auroc(scores, labels)
+
+    def counted_fit(kind, data, hp, memo=None):
+        fitted.append(hp)
+        return real_fit(kind, data, hp, memo=memo)
+
+    monkeypatch.setattr(harness, "auroc_macro", counted_auroc)
+    monkeypatch.setattr(harness, "fit_model", counted_fit)
+    chosen = select_model(train, val, "dtbls", n, seed=seed, grid=grid)
+    assert fitted == draws  # every draw is still fitted
+    assert len(scored) == len(set(draws))
+    monkeypatch.undo()
+    expected = reference_selection(train, val, "dtbls", n, seed, grid)
+    assert model_text(chosen) == model_text(expected)
+
+
+def test_a_repeated_cell_replays_its_scoring_error(monkeypatch, caplog):
+    train, val, _ = chronic_states(4, n=60)
+    # one class everywhere: no class has both outcomes, so AUROC is undefined
+    val = replace(val, actions=np.zeros_like(val.actions))
+    grid = HyperparamGrid(max_depths=(2,), min_leaf_fractions=(0.05,))
+    scored = []
+    real = harness.auroc_macro
+    monkeypatch.setattr(harness, "auroc_macro",
+                        lambda s, y: scored.append(1) or real(s, y))
+    with pytest.raises(HarnessError) as err:
+        select_model(train, val, "dt", 3, seed=0, grid=grid)
+    assert str(err.value) == (
+        "model selection failed: all 3 candidates failed to fit (last error: "
+        "validation AUROC undefined: no class has both outcomes)")
+    assert len(scored) == 1
+    assert sum("candidate" in r.message and "failed" in r.message
+               for r in caplog.records) == 3
+
+
 def test_selection_fails_loudly_when_every_candidate_fails():
     data = make_cohort(0, n_traj=120, switch_bias=-50.0)
     val = make_cohort(1, n_traj=60, switch_bias=-50.0)
@@ -347,6 +407,15 @@ def test_config_validates_fields():
             simulator=sim_cfg(),
             policies=({"type": "mc_switch_adj", "k": 1, "p1": 2.0},), out_dir="x",
         )
+
+
+def test_config_refuses_a_switch_policy_on_a_single_tree_model():
+    switch = {"type": "mc_switch_adj", "k": 1, "p1": 0.1}
+    with pytest.raises(HarnessError, match="needs a switch-composed model"):
+        ExperimentConfig(simulator=sim_cfg(), model="dt",
+                         policies=({"type": "behavior"}, switch), out_dir="x")
+    for kind in ("dts", "dtbls"):
+        ExperimentConfig(simulator=sim_cfg(), model=kind, policies=(switch,), out_dir="x")
 
 
 def test_config_file_refuses_unknown_keys():

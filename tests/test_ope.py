@@ -10,8 +10,8 @@ from clinpol.data import NONE_ACTION, StepData
 from clinpol.ope import (
     NoOverlapError,
     OPEError,
+    ImportanceWeights,
     SupportViolationError,
-    TrajectoryWeight,
     effective_sample_size,
     importance_weights,
     is_estimate,
@@ -60,18 +60,18 @@ def test_reciprocal_step_ratios_cancel_exactly():
     mu = two_leaf_model([4, 6], [8, 2])
     pi = two_leaf_model([8, 2], [4, 6])
     data = one_trajectory([[0.0], [1.0]], [0, 0], [1.0, 2.0])
-    (w,) = importance_weights(BehaviorPolicy(pi), mu, data)
-    assert w.weight == 1.0
-    assert w.ret == 3.0
-    assert w.length == 2
+    w = importance_weights(BehaviorPolicy(pi), mu, data)
+    assert w.weights.tolist() == [1.0]
+    assert w.returns.tolist() == [3.0]
+    assert w.lengths.tolist() == [2]
 
 
 def test_zero_numerator_short_circuits_to_exact_zero():
     mu = two_leaf_model([4, 6], [8, 2])
     data = one_trajectory([[0.0], [1.0]], [1, 1], [0.0, 0.0])
     # top-1 on the left leaf picks action 1, on the right leaf action 0
-    (w,) = importance_weights(TopKPolicy(mu, 1), mu, data)
-    assert w.weight == 0.0
+    w = importance_weights(TopKPolicy(mu, 1), mu, data)
+    assert w.weights.tolist() == [0.0]
 
 
 def test_zero_denominator_is_a_hard_error():
@@ -90,7 +90,7 @@ def test_self_evaluation_weights_are_exactly_one():
         for pol in (BehaviorPolicy(m), TopKPolicy(m, data.n_actions)):
             weights = importance_weights(pol, m, data)
             assert len(weights) == data.n_trajectories
-            assert all(t.weight == 1.0 for t in weights)
+            assert np.all(weights.weights == 1.0)
 
 
 def test_dts_first_stage_support_gap_is_a_hard_error():
@@ -114,16 +114,17 @@ def test_weights_survive_long_horizons_in_log_space():
     pi = two_leaf_model([8, 2], [4, 6])
     states = [[0.0], [1.0]] * 60
     data = one_trajectory(states, [0] * 120, [0.0] * 120)
-    (w,) = importance_weights(BehaviorPolicy(pi), mu, data)
-    assert w.weight == 1.0
+    w = importance_weights(BehaviorPolicy(pi), mu, data)
+    assert w.weights.tolist() == [1.0]
 
 
 def test_weight_magnitude_over_a_monotone_horizon():
     mu = two_leaf_model([4, 6], [8, 2])
     pi = two_leaf_model([8, 2], [4, 6])
     data = one_trajectory([[1.0]] * 60, [0] * 60, [0.0] * 60)  # ratio 1/2 each
-    (w,) = importance_weights(BehaviorPolicy(pi), mu, data)
-    assert w.weight == pytest.approx(2.0**-60, rel=1e-12)
+    w = importance_weights(BehaviorPolicy(pi), mu, data)
+    assert len(w) == 1
+    assert w.weights[0] == pytest.approx(2.0**-60, rel=1e-12)
 
 
 def test_returns_and_lengths_come_from_the_data():
@@ -132,10 +133,11 @@ def test_returns_and_lengths_come_from_the_data():
     weights = importance_weights(BehaviorPolicy(m), m, data)
     returns = data.trajectory_returns()
     lengths = data.trajectory_lengths()
-    for j, t in enumerate(weights):
-        assert t.traj_id == data.traj_ids[j]
-        assert t.ret == returns[j]
-        assert t.length == lengths[j]
+    assert len(weights) == data.n_trajectories
+    for j in range(len(weights)):
+        assert weights.traj_ids[j] == data.traj_ids[j]
+        assert weights.returns[j] == returns[j]
+        assert weights.lengths[j] == lengths[j]
 
 
 # ---------------------------------------------------------------------------
@@ -144,10 +146,10 @@ def test_returns_and_lengths_come_from_the_data():
 
 def tw(weights, returns, lengths=None):
     lengths = lengths or [1] * len(weights)
-    return [
-        TrajectoryWeight(f"t{i}", w, g, T)
-        for i, (w, g, T) in enumerate(zip(weights, returns, lengths))
-    ]
+    return ImportanceWeights([f"t{i}" for i in range(len(weights))],
+                             np.asarray(weights, dtype=np.float64),
+                             np.asarray(returns, dtype=np.float64),
+                             np.asarray(lengths, dtype=np.int64))
 
 
 def test_wis_equal_weights_is_the_plain_mean():
@@ -184,7 +186,7 @@ def test_all_zero_weights_is_an_error_not_a_silent_zero():
         with pytest.raises(NoOverlapError, match="no overlap mass"):
             est(tw([0.0, 0.0], [1.0, 2.0]))
     with pytest.raises(OPEError):
-        wis_estimate([])
+        wis_estimate(tw([], []))
 
 
 def test_wis_is_invariant_to_weight_scale():
@@ -203,7 +205,7 @@ def test_ess_arithmetic_cases():
     assert effective_sample_size([2.0, 0.0, 0.0, 0.0]) == 1.0
     assert effective_sample_size([1.0, 2.0, 3.0]) == 36.0 / 14.0
     assert effective_sample_size([1.0, 2.0, 3.0]) == pytest.approx(18.0 / 7.0)
-    assert effective_sample_size(tw([1.0, 1.0], [0.0, 0.0])) == 2.0
+    assert effective_sample_size(tw([1.0, 1.0], [0.0, 0.0]).weights) == 2.0
     with pytest.raises(OPEError):
         effective_sample_size([0.0, 0.0])
 

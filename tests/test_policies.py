@@ -315,3 +315,8 @@ def test_build_policy_validation_messages():
         build_policy({"type": "mc_o"}, m)
     with pytest.raises(PolicyError, match="type"):
         build_policy({}, m)
+    with pytest.raises(PolicyError, match="epsilon must be a number, got 'some'"):
+        build_policy({"type": "mc", "k": 1, "epsilon": "some"}, m)
+    with pytest.raises(PolicyError, match="p1 must be a number, got None"):
+        build_policy({"type": "mc_switch_adj", "k": 1, "p1": None},
+                     leaf_model([5, 5], [5, 3, 2]))

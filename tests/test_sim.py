@@ -182,8 +182,9 @@ def test_truth_policy_self_weights_are_exactly_one():
     cfg = ChronicSimConfig(n_patients=300, seed=18)
     data = build_states(impute_and_encode(generate_chronic(cfg)))
     tp = truth_policy(cfg)
-    for tw in importance_weights(tp, tp, data):
-        assert tw.weight == 1.0
+    weights = importance_weights(tp, tp, data)
+    assert len(weights) == data.n_trajectories
+    assert np.all(weights.weights == 1.0)
 
 
 def test_truth_policy_scalar_wrapper_agrees_with_batch():
