@@ -77,6 +77,15 @@ def _as_batch(states):
     return states
 
 
+def _take(a: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``a[mask]``, or ``a`` itself when the mask selects every row.
+
+    Model queries are row-wise and read-only, so a full selection needs no
+    copy; the t>1 states of a large cohort are megabytes.
+    """
+    return a if mask.all() else a[mask]
+
+
 def _maybe_calibrate(cal: CalibrationModel, raw: np.ndarray) -> np.ndarray:
     # a fully-identity calibration must not perturb leaf frequencies, so the
     # sigmoid-and-renormalize path only runs when some class was fitted
@@ -228,13 +237,14 @@ class SwitchTreatmentModel(_Base):
         if np.any(first):
             # no previous treatment: any choice is a fresh start, so the raw
             # treatment distribution applies without exclusion
-            out[first] = self._treatment_probs(states[first])
+            out[first] = self._treatment_probs(_take(states, first))
         rest = ~first
         if np.any(rest):
-            ps = self.switch_probability_batch(states[rest])
-            q = self.conditional_switch_batch(states[rest], prev[rest])
+            follow, follow_prev = _take(states, rest), _take(prev, rest)
+            ps = self.switch_probability_batch(follow)
+            q = self.conditional_switch_batch(follow, follow_prev)
             composed = ps[:, None] * q
-            composed[np.arange(len(ps)), prev[rest]] = 1.0 - ps
+            composed[np.arange(len(ps)), follow_prev] = 1.0 - ps
             out[rest] = composed
             if parts is not None:
                 parts.update(switch=ps, conditional=q)
@@ -246,8 +256,8 @@ class SwitchTreatmentModel(_Base):
         out = self.treatment_tree.outcome_avg_batch(states).copy()
         rest = t > 1
         if np.any(rest):
-            stay_avg = self.switch_tree.outcome_avg_batch(states[rest])[:, STAY]
-            out[np.nonzero(rest)[0], prev[rest]] = stay_avg
+            stay_avg = self.switch_tree.outcome_avg_batch(_take(states, rest))[:, STAY]
+            out[np.nonzero(rest)[0], _take(prev, rest)] = stay_avg
         return out
 
 
@@ -297,12 +307,12 @@ class BaselineSwitchModel(_Base):
         out = np.empty((len(states), self.n_actions), dtype=np.float64)
         first = t == 1
         if np.any(first):
-            raw = self.baseline_tree.predict_proba_batch(states[first])
+            raw = self.baseline_tree.predict_proba_batch(_take(states, first))
             out[first] = _maybe_calibrate(self.baseline_calibration, raw)
         rest = ~first
         if np.any(rest):
             out[rest] = self.inner.action_probabilities_batch(
-                states[rest], prev[rest], t[rest], parts)
+                _take(states, rest), _take(prev, rest), _take(t, rest), parts)
         return out
 
     def outcome_batch(self, states, prev_actions, stages) -> np.ndarray:
@@ -311,10 +321,11 @@ class BaselineSwitchModel(_Base):
         out = np.empty((len(states), self.n_actions), dtype=np.float64)
         first = t == 1
         if np.any(first):
-            out[first] = self.baseline_tree.outcome_avg_batch(states[first])
+            out[first] = self.baseline_tree.outcome_avg_batch(_take(states, first))
         rest = ~first
         if np.any(rest):
-            out[rest] = self.inner.outcome_batch(states[rest], prev[rest], t[rest])
+            out[rest] = self.inner.outcome_batch(
+                _take(states, rest), _take(prev, rest), _take(t, rest))
         return out
 
 
@@ -396,7 +407,8 @@ class TreeMemo:
     The memo also keeps every cut it hands out, outcomes attached, keyed by
     (component, hyperparameters), so a candidate drawn twice gets the same
     tree object. Sharing is safe: tree queries are pure, and calibration
-    lives on the model, not on its trees.
+    lives on the model, not on its trees. Likewise it keeps each component's
+    fitting rows, taken once from ``data`` (see :meth:`fitting_set`).
     """
 
     def __init__(self, data: StepData, candidates):
@@ -409,6 +421,7 @@ class TreeMemo:
                 self._deep[hp.min_leaf_fraction] = replace(first, max_depth=hp.max_depth)
         self._grown: dict[tuple, DecisionTree | ClinpolError] = {}
         self.cuts: dict[tuple, DecisionTree] = {}
+        self._sets: dict[str, tuple | ClinpolError] = {}
 
     @property
     def fractions(self) -> tuple:
@@ -417,6 +430,19 @@ class TreeMemo:
     def check(self, data: StepData) -> None:
         if data is not self.data:
             raise RuntimeError("tree memo used with a different fitting set")
+
+    def fitting_set(self, name: str, build):
+        """The memoized ``build()``; a domain error it raised is raised again
+        on every later request, as a fresh build would."""
+        if name not in self._sets:
+            try:
+                self._sets[name] = build()
+            except ClinpolError as e:
+                self._sets[name] = e
+        found = self._sets[name]
+        if isinstance(found, ClinpolError):
+            raise found
+        return found
 
     def deep_tree(self, component: str, hp: TreeHyperparams, grow) -> DecisionTree:
         """The memoized deep tree ``grow(deep_hp)`` for ``hp``'s fraction."""
@@ -466,6 +492,35 @@ def _component_tree(component: str, X, y, rewards, hp: TreeHyperparams,
     return cut
 
 
+def _fitting_set(memo: TreeMemo | None, name: str, build):
+    return build() if memo is None else memo.fitting_set(name, build)
+
+
+def _first_stage_rows(data: StepData) -> StepData:
+    first = data.subset(data.stages == 1)
+    if len(first) == 0:
+        raise BehaviorError("no first-stage records to fit a baseline tree")
+    return first
+
+
+def _switch_rows(data: StepData):
+    """(follow-up rows, their switch labels, switch events) of ``data``."""
+    follow = data.subset(data.stages > 1)
+    if len(follow) == 0:
+        raise DegenerateSwitchError(
+            "degenerate switch data: no follow-up records to fit a switch tree"
+        )
+    labels = follow.switch_labels()
+    if labels.sum() == 0:
+        raise DegenerateSwitchError(
+            "degenerate switch data: no treatment changes in fitting records"
+        )
+    switched = follow.subset(labels == 1)
+    if np.any(switched.actions == switched.prev_actions):
+        raise RuntimeError("a stay event reached the treatment tree's fitting set")
+    return follow, labels, switched
+
+
 def fit_dt(data: StepData, hp: TreeHyperparams, val: StepData | None = None,
            memo: TreeMemo | None = None) -> TreeBehaviorModel:
     """One K-class tree on all (state, action) pairs, outcomes attached."""
@@ -487,22 +542,9 @@ def fit_dts(data: StepData, hp_switch: TreeHyperparams, hp_treatment: TreeHyperp
     """Switch tree on follow-up records, treatment tree on switch events only."""
     if memo is not None:
         memo.check(data)
-    follow = data.subset(data.stages > 1)
-    if len(follow) == 0:
-        raise DegenerateSwitchError(
-            "degenerate switch data: no follow-up records to fit a switch tree"
-        )
-    labels = follow.switch_labels()
-    if labels.sum() == 0:
-        raise DegenerateSwitchError(
-            "degenerate switch data: no treatment changes in fitting records"
-        )
+    follow, labels, switched = _fitting_set(memo, "switch", lambda: _switch_rows(data))
     switch_tree = _component_tree("switch", follow.states, labels, follow.rewards,
                                   hp_switch, 2, follow.feature_names, memo)
-
-    switched = follow.subset(labels == 1)
-    if np.any(switched.actions == switched.prev_actions):
-        raise RuntimeError("a stay event reached the treatment tree's fitting set")
     treat_tree = _component_tree("treatment", switched.states, switched.actions,
                                  switched.rewards, hp_treatment, data.n_actions,
                                  switched.feature_names, memo)
@@ -518,9 +560,7 @@ def fit_dtbls(data: StepData, hp_baseline: TreeHyperparams, hp_switch: TreeHyper
     """``dts`` plus a first-stage tree fitted on t=1 records."""
     if memo is not None:
         memo.check(data)
-    first = data.subset(data.stages == 1)
-    if len(first) == 0:
-        raise BehaviorError("no first-stage records to fit a baseline tree")
+    first = _fitting_set(memo, "baseline", lambda: _first_stage_rows(data))
     baseline = _component_tree("baseline", first.states, first.actions, first.rewards,
                                hp_baseline, data.n_actions, first.feature_names, memo)
     inner = fit_dts(data, hp_switch, hp_treatment, memo=memo)

@@ -7,14 +7,24 @@ model maps each class score through its sigmoid and renormalizes the result
 onto the probability simplex. A class whose indicator never varies in the
 fitting data gets an identity map instead; fitting sigmoids to one-class data
 diverges.
+
+The sigmoid is :func:`_expit`, which reproduces ``scipy.special.expit`` bit
+for bit without importing scipy: ``1 / (1 + exp(-x))`` with the C library's
+``exp``, reached through :func:`math.exp`. Neither ``np.exp`` nor a closed
+form may stand in for it. NumPy's vectorized ``exp`` differs from the C
+library's in the last bit on about 2% of arguments, and a rearranged formula
+rounds differently; either would change fitted slopes and calibrated
+probabilities. One Python call per element would be slow, but calibration
+inputs are leaf frequencies, so an array holds few distinct values and each
+is mapped once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ClinpolError
 
@@ -59,22 +69,41 @@ def identity_calibration(n_classes: int) -> CalibrationModel:
     )
 
 
+def _sigmoid(v: float) -> float:
+    try:
+        return 1.0 / (1.0 + math.exp(-v))
+    except OverflowError:
+        # exp(-v) is +inf in C, and 1 / (1 + inf) is 0
+        return 0.0
+
+
+def _expit(v) -> np.ndarray:
+    """``scipy.special.expit`` bit for bit, one libm call per distinct value."""
+    v = np.asarray(v, dtype=np.float64)
+    distinct, inverse = np.unique(v.ravel(), return_inverse=True, equal_nan=False)
+    table = np.array([_sigmoid(u) for u in distinct.tolist()], dtype=np.float64)
+    return table[inverse].reshape(v.shape)
+
+
 def _fit_sigmoid(x, y, tol, max_iter):
     """Two-parameter logistic MLE by Newton's method with step halving."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     xx = x * x
+    # b * xu[inv] + a is elementwise the z that nll builds, so the sigmoid
+    # needs only the distinct scores
+    xu, inv = np.unique(x, return_inverse=True)
     b, a = 1.0, 0.0
 
-    def linear_nll(b_, a_):
+    def nll(b_, a_):
         z = b_ * x + a_
-        return z, float(np.sum(np.logaddexp(0.0, z) - y * z))
+        return float(np.sum(np.logaddexp(0.0, z) - y * z))
 
-    # z and current always belong to the accepted (b, a): an accepted
-    # line-search point is exactly the update, so its values carry over
-    z, current = linear_nll(b, a)
+    # current always belongs to the accepted (b, a): an accepted line-search
+    # point is exactly the update, so its objective value carries over
+    current = nll(b, a)
     for _ in range(max_iter):
-        p = expit(z)
+        p = _expit(b * xu + a)[inv]
         r = p - y
         g = np.array([np.dot(r, x), np.sum(r)])
         w = p * (1.0 - p)
@@ -86,18 +115,15 @@ def _fit_sigmoid(x, y, tol, max_iter):
         step = np.linalg.solve(H, g)
         scale = 1.0
         for _ in range(25):
-            z_new, new = linear_nll(b - scale * step[0], a - scale * step[1])
+            new = nll(b - scale * step[0], a - scale * step[1])
             if new <= current + 1e-12:
                 break
             scale *= 0.5
         else:
-            z_new = None
+            # every halving failed, so the step taken is half the last one tried
+            new = nll(b - scale * step[0], a - scale * step[1])
         b -= scale * step[0]
         a -= scale * step[1]
-        if z_new is None:
-            # every halving failed, so the step taken is half the last one tried
-            z_new, new = linear_nll(b, a)
-        z = z_new
         if max(abs(scale * step[0]), abs(scale * step[1])) < tol or current - new < tol * 1e-3:
             break
         current = new
@@ -143,7 +169,11 @@ def apply_calibration_batch(cm: CalibrationModel, scores) -> np.ndarray:
         S = S[None, :]
     if S.shape[1] != cm.n_classes:
         raise CalibrationError(f"expected {cm.n_classes} columns, got {S.shape[1]}")
-    mapped = expit(S * cm.slope + cm.intercept)
+    mapped = S * cm.slope + cm.intercept
+    # column by column: a leaf-frequency column has few distinct values, and
+    # an identity column is replaced by S below, so it needs no sigmoid
+    for c in np.flatnonzero(~cm.identity):
+        mapped[:, c] = _expit(mapped[:, c])
     out = np.where(cm.identity, S, mapped)
     totals = out.sum(axis=1, keepdims=True)
     # an all-zero row can only come from identity maps on a zero vector

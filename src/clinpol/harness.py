@@ -23,6 +23,7 @@ import csv
 import json
 import logging
 import math
+import numbers
 import os
 from dataclasses import dataclass, field, fields, replace
 
@@ -287,6 +288,11 @@ def _check_descriptor(desc) -> None:
             raise HarnessError(
                 f"policy {t!r} needs an integer k >= 1, got {desc.get('k')!r}"
             )
+    for key in ("p1", "epsilon"):
+        if not isinstance(desc.get(key, 0.0), numbers.Real):
+            raise HarnessError(
+                f"policy {t!r}: {key} must be a number, got {desc[key]!r}"
+            )
     p1 = desc.get("p1", 0.0)
     if not -1.0 <= float(p1) <= 1.0:
         raise HarnessError(f"p1 must lie in [-1, 1], got {p1!r}")
@@ -388,20 +394,40 @@ class ExperimentConfig:
         sim = None
         if "simulator" in obj:
             sim = simulator_config_from_json(obj["simulator"])
+        policies = obj.get("policies", [dict(d) for d in DEFAULT_POLICIES])
+        if not isinstance(policies, list):
+            raise HarnessError("malformed experiment config: 'policies' must be "
+                               f"a list of descriptors, got {policies!r}")
         return cls(
             dataset=obj.get("dataset"),
             simulator=sim,
-            n_repeats=int(obj.get("n_repeats", 50)),
-            split=SplitSpec.from_json(obj.get("split", {})),
+            n_repeats=_config_integer(obj, "n_repeats", 50),
+            split=SplitSpec.from_json(_config_object(obj, "split")),
             model=obj.get("model", "dtbls"),
-            n_candidates=int(obj.get("n_candidates", 30)),
-            policies=tuple(obj.get("policies", [dict(d) for d in DEFAULT_POLICIES])),
+            n_candidates=_config_integer(obj, "n_candidates", 30),
+            policies=tuple(policies),
             estimator=obj.get("estimator", "wis"),
             out_dir=obj.get("out_dir", "results"),
-            grid=HyperparamGrid.from_json(obj.get("grid", {})),
-            state_config=StateConfig.from_json(obj.get("state_config", {})),
-            seed=int(obj.get("seed", 0)),
+            grid=HyperparamGrid.from_json(_config_object(obj, "grid")),
+            state_config=StateConfig.from_json(_config_object(obj, "state_config")),
+            seed=_config_integer(obj, "seed", 0),
         )
+
+
+def _config_integer(obj: dict, key: str, default: int) -> int:
+    value = obj.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise HarnessError(f"malformed experiment config: {key!r} must be an "
+                           f"integer, got {value!r}")
+    return int(value)
+
+
+def _config_object(obj: dict, key: str) -> dict:
+    value = obj.get(key, {})
+    if not isinstance(value, dict):
+        raise HarnessError(f"malformed experiment config: {key!r} must be a "
+                           f"JSON object, got {value!r}")
+    return value
 
 
 def simulator_config_from_json(obj: dict):
@@ -603,6 +629,10 @@ def load_bundle(path):
             f"unsupported bundle version {version!r} (this library reads "
             f"version {BUNDLE_VERSION})"
         )
+    for key in ("model", "imputation", "state_config"):
+        if not isinstance(payload.get(key), dict):
+            problem = "missing" if key not in payload else "not a JSON object"
+            raise HarnessError(f"malformed bundle {path}: key {key!r} is {problem}")
     return (model_from_json(payload["model"]),
             ImputationStats.from_json(payload["imputation"]),
             StateConfig.from_json(payload["state_config"]))

@@ -230,6 +230,38 @@ def test_a_stay_event_in_the_treatment_set_is_a_bug_not_a_domain_error(monkeypat
     assert not isinstance(info.value, ValueError)
 
 
+def test_follow_up_queries_copy_no_state_rows(monkeypatch):
+    data = make_cohort(3)
+    follow = data.subset(data.stages > 1)
+    dts, dtbls = fit_dts(data, HP, HP), fit_dtbls(data, HP, HP, HP)
+    seen = []
+
+    def spy(name):
+        real = getattr(tree.DecisionTree, name)
+
+        def query(self, X):
+            seen.append((self, X))
+            return real(self, X)
+        return query
+
+    for name in ("predict_proba_batch", "outcome_avg_batch"):
+        monkeypatch.setattr(tree.DecisionTree, name, spy(name))
+    # every row is a follow-up: both trees get the caller's states object
+    dts.action_probabilities_batch(follow.states, follow.prev_actions, follow.stages)
+    assert [t for t, _ in seen] == [dts.switch_tree, dts.treatment_tree]
+    assert all(X is follow.states for _, X in seen)
+    seen.clear()
+    dts.outcome_batch(follow.states, follow.prev_actions, follow.stages)
+    assert len(seen) == 2 and all(X is follow.states for _, X in seen)
+    # with first stages present, one copy of the t>1 rows serves both trees
+    seen.clear()
+    dtbls.action_probabilities_batch(data.states, data.prev_actions, data.stages)
+    assert [t for t, _ in seen] == [dtbls.baseline_tree, dtbls.switch_tree,
+                                    dtbls.treatment_tree]
+    assert seen[1][1] is seen[2][1]
+    np.testing.assert_array_equal(seen[1][1], follow.states)
+
+
 def test_fit_dtbls_rejects_cohort_without_first_stage():
     data = make_cohort(4)
     no_first = data.subset(data.stages > 1)
@@ -467,6 +499,41 @@ def test_memo_shares_one_split_search_per_component(monkeypatch):
     assert n_built == 3
     assert len(built) - n_built == 15
     assert 0 < n_shared < len(searches) - n_shared
+
+
+def test_memo_takes_each_fitting_set_once(monkeypatch):
+    data = make_cohort(6)
+    cands = [TreeHyperparams(max_depth=d, min_leaf_fraction=0.02) for d in (2, 5, 3)]
+    subsets = []
+    real_subset = StepData.subset
+
+    def counted_subset(self, mask):
+        subsets.append(len(self))
+        return real_subset(self, mask)
+
+    monkeypatch.setattr(StepData, "subset", counted_subset)
+    memo = TreeMemo(data, cands)
+    for hp in cands:
+        fit_dtbls(data, hp, hp, hp, memo=memo)
+    # t=1 rows and follow-up rows of data, switch events of the follow-ups
+    assert len(subsets) == 3
+    subsets.clear()
+    for hp in cands:
+        fit_dtbls(data, hp, hp, hp)
+    assert len(subsets) == 3 * len(cands)
+
+
+@pytest.mark.parametrize("cohort, message", [
+    (dict(seed=1, n_traj=40, horizon=1), "no follow-up records"),
+    (dict(seed=2, n_traj=40, switch_bias=-40.0), "no treatment changes"),
+])
+def test_memo_raises_a_degenerate_switch_set_on_every_draw(cohort, message):
+    data = make_cohort(**cohort)
+    cands = [TreeHyperparams(max_depth=d, min_leaf_fraction=0.02) for d in (2, 4, 2)]
+    memo = TreeMemo(data, cands)
+    for hp in cands:
+        with pytest.raises(DegenerateSwitchError, match=message):
+            fit_dts(data, hp, hp, memo=memo)
 
 
 def test_memo_replays_a_failed_deep_fit_for_every_candidate():

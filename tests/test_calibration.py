@@ -8,6 +8,7 @@ from scipy.stats import rankdata
 from clinpol.calibration import (
     CalibrationError,
     CalibrationModel,
+    _expit,
     _fit_sigmoid,
     apply_calibration_batch,
     fit_calibration,
@@ -132,6 +133,97 @@ def test_sigmoid_fit_is_bit_identical_to_the_recomputing_reference():
             assert (_fit_sigmoid(x, y, tol, max_iter)
                     == reference_fit_sigmoid(x, y, tol, max_iter, exhausted))
     assert exhausted, "no case took the all-halvings-failed path"
+
+
+# ---------------------------------------------------------------------------
+# the exact sigmoid, against scipy's
+# ---------------------------------------------------------------------------
+
+def same_bits(a, b) -> bool:
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    b = np.ascontiguousarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def test_expit_equals_scipy_bit_for_bit_on_random_draws():
+    rng = np.random.default_rng(20)
+    for scale in (1.0, 5.0, 30.0, 800.0):
+        x = rng.normal(size=200_000) * scale
+        assert same_bits(_expit(x), expit(x))
+        # a matrix keeps its shape; leaf-like columns repeat a few values
+        m = rng.choice(x[:7], size=(500, 3))
+        assert same_bits(_expit(m), expit(m))
+
+
+def test_expit_equals_scipy_bit_for_bit_at_the_edges():
+    tiny = np.finfo(np.float64).tiny
+    x = np.array([np.inf, -np.inf, np.nan, -np.nan, 0.0, -0.0,
+                  709.8, -709.8, 745.0, -745.0, 746.0, -746.0, -710.0, 36.7, -36.7,
+                  5e-324, -5e-324, tiny / 2, -tiny / 2, tiny, -tiny])
+    assert same_bits(_expit(x), expit(x))
+    assert same_bits(_expit(x[::-1]), expit(x[::-1]))
+    # exp(-v) overflows for v below about -709.78: 1 / (1 + inf) is 0
+    assert _expit(np.array([-710.0]))[0] == 0.0
+    assert _expit(np.empty((0, 3))).shape == (0, 3)
+
+
+def reference_fit_calibration(scores, labels):
+    """fit_calibration on the recomputing Newton reference (scipy's expit)."""
+    n, C = scores.shape
+    slope, intercept = np.ones(C), np.zeros(C)
+    identity = np.zeros(C, dtype=bool)
+    for c in range(C):
+        y = (labels == c).astype(np.float64)
+        if y.sum() == 0 or y.sum() == n:
+            identity[c] = True
+            continue
+        slope[c], intercept[c] = reference_fit_sigmoid(scores[:, c], y, 1e-8, 100, [])
+    return CalibrationModel(slope=slope, intercept=intercept, identity=identity)
+
+
+def reference_apply_calibration_batch(cm, S):
+    """apply_calibration_batch as written on scipy.special.expit."""
+    mapped = expit(S * cm.slope + cm.intercept)
+    out = np.where(cm.identity, S, mapped)
+    totals = out.sum(axis=1, keepdims=True)
+    uniform = np.full_like(out, 1.0 / cm.n_classes)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(totals > 0, out / np.where(totals > 0, totals, 1.0), uniform)
+
+
+def leaf_like_scores(rng, n, K):
+    """Rows drawn from a few leaf distributions: ties, a pure leaf, exact zeros."""
+    leaves = rng.dirichlet(np.full(K, 0.4), size=int(rng.integers(2, 12)))
+    leaves[0] = np.eye(K)[int(rng.integers(K))]
+    return leaves[rng.integers(len(leaves), size=n)]
+
+
+@pytest.mark.parametrize("K", [2, 4, 25])
+def test_calibration_equals_the_scipy_reference_bit_for_bit(K):
+    rng = np.random.default_rng(K)
+    identities = 0
+    for trial in range(8):
+        n = int(rng.integers(20, 400))
+        S = leaf_like_scores(rng, n, K)
+        labels = np.array([rng.choice(K, p=row) for row in S])
+        if trial % 2:
+            labels[labels == K - 1] = 0  # class K-1 absent: an identity map
+        cm = fit_calibration(S, labels)
+        ref = reference_fit_calibration(S, labels)
+        assert same_bits(cm.slope, ref.slope)
+        assert same_bits(cm.intercept, ref.intercept)
+        assert np.array_equal(cm.identity, ref.identity)
+        identities += int(cm.identity.sum())
+        queries = np.vstack([leaf_like_scores(rng, 300, K), np.zeros((1, K))])
+        # slopes of 1e4 push |slope * s + intercept| far past 710, where
+        # exp overflows one way and underflows the other
+        steep = CalibrationModel(slope=np.where(np.arange(K) % 2, 1e4, -1e4),
+                                 intercept=rng.normal(size=K) * 50.0,
+                                 identity=cm.identity.copy())
+        for model in (cm, steep):
+            assert same_bits(apply_calibration_batch(model, queries),
+                             reference_apply_calibration_batch(model, queries))
+    assert identities > 0
 
 
 # ---------------------------------------------------------------------------

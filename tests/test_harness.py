@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -429,6 +430,29 @@ def test_config_file_refuses_unknown_keys():
         ExperimentConfig.from_json([obj])
 
 
+def test_malformed_config_values_are_harness_errors_naming_the_key():
+    obj = {"simulator": {"kind": "chronic"}}
+    for key in ("n_repeats", "n_candidates", "seed"):
+        for bad in ("two", 2.5, None, True):
+            with pytest.raises(HarnessError, match=f"'{key}' must be an integer, got {bad!r}"):
+                ExperimentConfig.from_json({**obj, key: bad})
+    for key in ("split", "grid", "state_config"):
+        with pytest.raises(HarnessError, match=f"'{key}' must be a JSON object"):
+            ExperimentConfig.from_json({**obj, key: [0.5]})
+    with pytest.raises(HarnessError, match="'policies' must be a list"):
+        ExperimentConfig.from_json({**obj, "policies": 3})
+    for key in ("p1", "epsilon"):
+        for bad in ("x", None, [0.1]):
+            desc = {"type": "mc_switch_adj", "k": 1, key: bad}
+            with pytest.raises(HarnessError,
+                               match=re.escape(f"{key} must be a number, got {bad!r}")):
+                ExperimentConfig.from_json({**obj, "policies": [desc]})
+    # numbers of any numeric type still pass
+    cfg = ExperimentConfig.from_json({**obj, "n_repeats": np.int64(2), "policies": [
+        {"type": "mc_switch_adj", "k": 1, "p1": 1, "epsilon": np.float32(0.5)}]})
+    assert cfg.n_repeats == 2
+
+
 def test_config_json_round_trip():
     cfg = ExperimentConfig(
         simulator=EpisodicSimConfig(n_patients=120, dose_levels=3, seed=2),
@@ -657,3 +681,15 @@ def test_bundle_version_gate(tmp_path):
     path.write_text('{"bundle_version": 99}')
     with pytest.raises(HarnessError, match="unsupported bundle version"):
         load_bundle(path)
+
+
+def test_bundle_with_a_missing_or_malformed_part_is_a_harness_error(tmp_path):
+    path = tmp_path / "bundle.json"
+    whole = {"bundle_version": 1, "model": {}, "imputation": {}, "state_config": {}}
+    for key in ("model", "imputation", "state_config"):
+        path.write_text(json.dumps({k: v for k, v in whole.items() if k != key}))
+        with pytest.raises(HarnessError, match=f"key '{key}' is missing"):
+            load_bundle(path)
+        path.write_text(json.dumps({**whole, key: [1]}))
+        with pytest.raises(HarnessError, match=f"key '{key}' is not a JSON object"):
+            load_bundle(path)

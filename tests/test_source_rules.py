@@ -2,9 +2,13 @@
 
 import ast
 import builtins
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "clinpol").glob("*.py"))
+SRC = Path(__file__).resolve().parents[1] / "src"
+SOURCES = sorted((SRC / "clinpol").glob("*.py"))
 
 
 def test_sources_are_found():
@@ -65,3 +69,35 @@ def test_selection_and_memo_catch_no_bare_value_error():
                 if any(isinstance(t, ast.Name) and t.id == "ValueError" for t in caught):
                     found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_the_package_imports_no_scipy():
+    # scipy is the tests' reference for the calibration sigmoid; the package
+    # computes it exactly without scipy
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "scipy" for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_importing_and_running_the_cli_loads_no_scipy():
+    code = ("import sys\n"
+            "import clinpol, clinpol.cli\n"
+            "try:\n"
+            "    clinpol.cli.main(['--help'])\n"
+            "except SystemExit as e:\n"
+            "    assert e.code == 0, e.code\n"
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
