@@ -78,10 +78,11 @@ print(f"max |row sum - 1| on test: {np.max(np.abs(probs.sum(axis=1) - 1.0)):.2e}
 # the fitted trees are small enough to read
 # ---------------------------------------------------------------------------
 
-dot = tree_to_dot(best.switch_tree, class_names=("stay", "switch"))
+switch_tree = best.trees["switch"]
+dot = tree_to_dot(switch_tree, class_names=("stay", "switch"))
 out = Path("demo_output")
 out.mkdir(exist_ok=True)
 (out / "switch_tree.dot").write_text(dot, encoding="utf-8")
 print(f"\nswitch tree written to {out / 'switch_tree.dot'}; its root split:")
-root = best.switch_tree.root
-print(f"  {best.switch_tree.feature_names[root.feature]} <= {root.threshold:.3f}")
+root = switch_tree.root
+print(f"  {switch_tree.feature_names[root.feature]} <= {root.threshold:.3f}")

@@ -7,10 +7,11 @@ The package covers the full loop for observational treatment sequences:
 * ``tree``: a CART classifier with probabilistic leaves, leaf outcome
   averages, and DOT/JSON export.
 * ``calibration``: per-class sigmoid recalibration of leaf frequencies.
-* ``behavior``: behavior-policy models, from a single K-class tree (``dt``)
-  through a switch/treatment composition (``dts``) to that plus a dedicated
-  baseline tree (``dtbls``), and the one ``Evaluation`` of a model on a
-  cohort that every policy and importance weight reads.
+* ``behavior``: one behavior-model class whose component trees are keyed
+  by name: a single K-class ``tree`` (``dt``), a ``switch``/``treatment``
+  composition (``dts``), or that plus a dedicated ``baseline`` tree
+  (``dtbls``); and the one ``Evaluation`` of a model on a cohort that every
+  policy and importance weight reads.
 * ``policies``: target policies derived from a fitted model (top-k, outcome
   guided, switch-rate adjusted, random, softened).
 * ``ope``: trajectory importance weights in log space, as arrays, WIS/IS
@@ -29,6 +30,7 @@ from .behavior import (
     MODEL_KINDS,
     BaselineSwitchModel,
     BehaviorError,
+    BehaviorModel,
     DegenerateSwitchError,
     Evaluation,
     SwitchTreatmentModel,

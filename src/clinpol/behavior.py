@@ -1,12 +1,14 @@
 """Tree-based behavior policy models for sequential treatment data.
 
-Three model families estimate p(a_t | s_t), the probability that the observed
-prescriber picks each treatment:
+A behavior model estimates p(a_t | s_t), the probability that the observed
+prescriber picks each treatment. One class, :class:`BehaviorModel`, composes
+a model kind's component trees; its ``trees`` and ``calibrations`` are keyed
+by the component names that model JSON v1 uses (:data:`COMPONENTS`):
 
-* ``dt``:  one K-class tree over all step records.
+* ``dt``:  one K-class ``tree`` over all step records.
 * ``dts``: a composition that mirrors how follow-up decisions are made. A
-  binary *switch tree* predicts whether the current treatment changes at all,
-  and a K-class *treatment tree*, fitted only on steps where a change
+  binary ``switch`` tree predicts whether the current treatment changes at
+  all, and a K-class ``treatment`` tree, fitted only on steps where a change
   happened, predicts what it changes to. The composed probability is
 
       p(a | s) = (1 - p_switch(s)) * 1[a = prev] + p_switch(s) * q(a | s)
@@ -15,14 +17,15 @@ prescriber picks each treatment:
   zeroed out and the rest renormalized. First-stage queries, where there is
   no previous treatment to stay on, fall through to the raw treatment-tree
   distribution.
-* ``dtbls``: ``dts`` plus a dedicated K-class *baseline tree* fitted on
+* ``dtbls``: ``dts`` plus a dedicated K-class ``baseline`` tree fitted on
   first-stage records, replacing the treatment-tree fallback at t=1.
 
-Each component tree can carry its own sigmoid recalibration, fitted on
-held-out validation records and applied before composition. Leaf outcome
-averages attached at fit time power outcome-guided target policies: staying
-reads the switch tree's stay-leaf average, switching reads the treatment
-tree's per-action average.
+:func:`component_rows` is the one rule for which rows each component is
+fitted and calibrated on. Each component tree can carry its own sigmoid
+recalibration, fitted on held-out validation records and applied before
+composition. Leaf outcome averages attached at fit time power
+outcome-guided target policies: staying reads the switch tree's stay-leaf
+average, switching reads the treatment tree's per-action average.
 
 An :class:`Evaluation` evaluates a model once on one cohort; every target
 policy and every importance-weight denominator reads that one record.
@@ -58,6 +61,10 @@ from .tree import (
 log = logging.getLogger(__name__)
 
 MODEL_KINDS = ("dt", "dts", "dtbls")
+
+# each kind's component trees, by their model JSON v1 names, in file order
+COMPONENTS = {"dt": ("tree",), "dts": ("switch", "treatment"),
+              "dtbls": ("baseline", "switch", "treatment")}
 
 STAY, SWITCH = 0, 1
 
@@ -109,96 +116,112 @@ def _check_prev_stage(prev_actions, stages, n_actions):
     return prev, t
 
 
-class _Base:
-    """Shared scalar wrappers; subclasses implement the batch queries."""
+def _n_classes(component: str, n_actions: int) -> int:
+    return 2 if component == "switch" else n_actions
+
+
+def component_rows(data: StepData, names) -> dict:
+    """``{name: (rows, labels)}``: the rows of ``data`` that each named
+    component is fitted and calibrated on, and the class of each row.
+
+    * ``tree``: every step and its action;
+    * ``baseline``: the t=1 steps and their actions;
+    * ``switch``: the t>1 steps and their switch labels;
+    * ``treatment``: the switch events and their actions.
+
+    The switch events are taken from the t>1 rows, so one selection of those
+    serves both ``switch`` and ``treatment``.
+    """
+    rows = {}
+    if "tree" in names:
+        rows["tree"] = (data, data.actions)
+    if "baseline" in names:
+        first = data.subset(data.stages == 1)
+        rows["baseline"] = (first, first.actions)
+    if "switch" in names or "treatment" in names:
+        follow = data.subset(data.stages > 1)
+        labels = follow.switch_labels()
+        switched = follow.subset(labels == 1)
+        rows["switch"] = (follow, labels)
+        rows["treatment"] = (switched, switched.actions)
+    return {name: rows[name] for name in names}
+
+
+# the queries each kind class binds in its own namespace (see
+# BehaviorModel.__init_subclass__)
+_QUERIES = ("calibrate", "action_probabilities_batch", "outcome_batch",
+            "switch_probability_batch", "conditional_switch_batch")
+
+
+class BehaviorModel:
+    """A model kind's component trees, each with its own calibration.
+
+    ``trees`` and ``calibrations`` are dicts keyed by the kind's component
+    names (:data:`COMPONENTS`); a component given no calibration gets the
+    identity. The kind comes from the subclass: :class:`TreeBehaviorModel`,
+    :class:`SwitchTreatmentModel` or :class:`BaselineSwitchModel`.
+
+    Queries at t=1 read the ``baseline`` tree, else the ``treatment`` tree;
+    queries at t>1 read the switch composition. ``dt`` has no switch tree and
+    reads its one ``tree`` on every row.
+    """
 
     kind: str
-    n_actions: int
 
-    def action_probabilities(self, state, prev_action, t: int) -> np.ndarray:
-        prev = NONE_ACTION if prev_action is None else int(prev_action)
-        return self.action_probabilities_batch(_as_batch(state), [prev], [t])[0]
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # perfbench/tracing.py wraps these methods on each kind class and
+        # finds a method only in the class's own namespace, not in a base;
+        # so every kind class binds the one implementation here
+        for name in _QUERIES:
+            if name not in vars(cls):
+                setattr(cls, name, vars(BehaviorModel)[name])
 
-    def outcome(self, state, action: int, prev_action, t: int):
-        """Average fitting-set outcome for taking ``action`` here, or None."""
-        prev = NONE_ACTION if prev_action is None else int(prev_action)
-        v = self.outcome_batch(_as_batch(state), [prev], [t])[0, int(action)]
-        return None if np.isnan(v) else float(v)
+    def __init__(self, trees: dict, calibrations: dict | None = None):
+        names = COMPONENTS[self.kind]
+        if set(trees) != set(names):
+            raise BehaviorError(f"a {self.kind} model has the trees {names}, "
+                                f"got {tuple(trees)}")
+        self.n_actions = trees[names[-1]].n_classes
+        for name in names:
+            want = _n_classes(name, self.n_actions)
+            if trees[name].n_classes != want:
+                raise BehaviorError(f"the {name} tree has {trees[name].n_classes} "
+                                    f"classes, not {want}")
+        calibrations = calibrations or {}
+        self.trees = {name: trees[name] for name in names}
+        self.calibrations = {
+            name: (calibrations.get(name)
+                   or identity_calibration(_n_classes(name, self.n_actions)))
+            for name in names}
 
-
-class TreeBehaviorModel(_Base):
-    """One K-class tree over every step record (model kind "dt")."""
-
-    kind = "dt"
-
-    def __init__(self, tree: DecisionTree, calibration: CalibrationModel | None = None):
-        self.tree = tree
-        self.n_actions = tree.n_classes
-        self.calibration = calibration or identity_calibration(tree.n_classes)
-
-    def calibrate(self, val: StepData) -> "TreeBehaviorModel":
-        if len(val) >= 2:
-            scores = self.tree.predict_proba_batch(val.states)
-            self.calibration = fit_calibration(scores, val.actions)
-        else:
-            log.warning("dt calibration skipped: %d validation records", len(val))
-        return self
-
-    def action_probabilities_batch(self, states, prev_actions, stages,
-                                   parts=None) -> np.ndarray:
-        states = _as_batch(states)
-        _check_prev_stage(prev_actions, stages, self.n_actions)
-        raw = self.tree.predict_proba_batch(states)
-        return _maybe_calibrate(self.calibration, raw)
-
-    def outcome_batch(self, states, prev_actions, stages) -> np.ndarray:
-        return self.tree.outcome_avg_batch(_as_batch(states))
-
-
-class SwitchTreatmentModel(_Base):
-    """Binary switch tree composed with a switch-only treatment tree ("dts")."""
-
-    kind = "dts"
-
-    def __init__(self, switch_tree: DecisionTree, treatment_tree: DecisionTree,
-                 switch_calibration: CalibrationModel | None = None,
-                 treatment_calibration: CalibrationModel | None = None):
-        if switch_tree.n_classes != 2:
-            raise BehaviorError("switch tree must be binary (stay/switch)")
-        self.switch_tree = switch_tree
-        self.treatment_tree = treatment_tree
-        self.n_actions = treatment_tree.n_classes
-        self.switch_calibration = switch_calibration or identity_calibration(2)
-        self.treatment_calibration = (treatment_calibration
-                                      or identity_calibration(self.n_actions))
-        self.uniform_fallbacks = 0
-
-    def calibrate(self, val: StepData) -> "SwitchTreatmentModel":
-        follow = val.subset(val.stages > 1)
-        if len(follow) >= 2:
-            scores = self.switch_tree.predict_proba_batch(follow.states)
-            self.switch_calibration = fit_calibration(scores, follow.switch_labels())
-        else:
-            log.warning("switch calibration skipped: %d follow-up records", len(follow))
-        if len(follow):
-            switched = follow.subset(follow.switch_labels() == 1)
-            if len(switched) >= 2:
-                scores = self.treatment_tree.predict_proba_batch(switched.states)
-                self.treatment_calibration = fit_calibration(scores, switched.actions)
-            else:
-                log.warning("treatment calibration skipped: %d switch events", len(switched))
+    def calibrate(self, val: StepData) -> "BehaviorModel":
+        """Fit each component's calibration, in place, on its own rows of
+        ``val`` (:func:`component_rows`); one with under two rows is kept."""
+        for name, (rows, labels) in component_rows(val, self.trees).items():
+            if len(rows) < 2:
+                log.warning("%s calibration skipped: %d validation records",
+                            name, len(rows))
+                continue
+            scores = self.trees[name].predict_proba_batch(rows.states)
+            self.calibrations[name] = fit_calibration(scores, labels)
         return self
 
     # -- composition pieces ------------------------------------------------
 
+    def _probs(self, name: str, states) -> np.ndarray:
+        """Component ``name``'s calibrated class probabilities."""
+        raw = self.trees[name].predict_proba_batch(states)
+        return _maybe_calibrate(self.calibrations[name], raw)
+
+    @property
+    def _first_stage(self) -> str:
+        """The component t=1 rows read when a switch tree serves the rest."""
+        return "baseline" if "baseline" in self.trees else "treatment"
+
     def switch_probability_batch(self, states) -> np.ndarray:
         """Calibrated probability that the treatment changes at this step."""
-        raw = self.switch_tree.predict_proba_batch(_as_batch(states))
-        return _maybe_calibrate(self.switch_calibration, raw)[:, SWITCH]
-
-    def _treatment_probs(self, states) -> np.ndarray:
-        raw = self.treatment_tree.predict_proba_batch(states)
-        return _maybe_calibrate(self.treatment_calibration, raw)
+        return self._probs("switch", _as_batch(states))[:, SWITCH]
 
     def conditional_switch_batch(self, states, prev_actions) -> np.ndarray:
         """Distribution over the *new* treatment given that a switch happens.
@@ -207,126 +230,100 @@ class SwitchTreatmentModel(_Base):
         nothing remains (a hard one-hot on the previous action) the mass
         spreads uniformly over the other K-1 actions.
         """
-        states = _as_batch(states)
+        return self._conditional_switch(_as_batch(states), prev_actions)[0]
+
+    def _conditional_switch(self, states, prev_actions):
+        """:meth:`conditional_switch_batch` and how many of its rows fell
+        back to uniform."""
         prev = np.asarray(prev_actions, dtype=np.int64)
         if np.any((prev < 0) | (prev >= self.n_actions)):
             raise BehaviorError("conditional switch distribution needs a previous action")
-        p = self._treatment_probs(states).copy()
+        p = self._probs("treatment", states).copy()
         rows = np.arange(len(p))
         p[rows, prev] = 0.0
         denom = p.sum(axis=1)
         bad = denom <= 0.0
-        if np.any(bad):
-            self.uniform_fallbacks += int(bad.sum())
+        n_bad = int(bad.sum())
+        if n_bad:
             log.debug("conditional switch distribution degenerate on %d states; "
-                      "falling back to uniform over other actions", int(bad.sum()))
+                      "falling back to uniform over other actions", n_bad)
             p[bad] = 1.0 / (self.n_actions - 1)
             p[rows[bad], prev[bad]] = 0.0
             denom[bad] = p[bad].sum(axis=1)
-        return p / denom[:, None]
+        return p / denom[:, None], n_bad
+
+    # -- queries -----------------------------------------------------------
 
     def action_probabilities_batch(self, states, prev_actions, stages,
                                    parts=None) -> np.ndarray:
         """The composed distribution; ``parts``, a dict if given, receives
-        the composition's pieces on the t>1 rows: ``switch`` and
-        ``conditional``."""
+        the composition's pieces on the t>1 rows: ``switch``,
+        ``conditional`` and ``uniform_fallbacks``, the number of those rows
+        whose conditional distribution fell back to uniform."""
         states = _as_batch(states)
         prev, t = _check_prev_stage(prev_actions, stages, self.n_actions)
+        if "switch" not in self.trees:
+            return self._probs("tree", states)
         out = np.empty((len(states), self.n_actions), dtype=np.float64)
         first = t == 1
         if np.any(first):
-            # no previous treatment: any choice is a fresh start, so the raw
-            # treatment distribution applies without exclusion
-            out[first] = self._treatment_probs(_take(states, first))
+            # no previous treatment: any choice is a fresh start, so the
+            # first-stage distribution applies without exclusion
+            out[first] = self._probs(self._first_stage, _take(states, first))
         rest = ~first
         if np.any(rest):
             follow, follow_prev = _take(states, rest), _take(prev, rest)
             ps = self.switch_probability_batch(follow)
-            q = self.conditional_switch_batch(follow, follow_prev)
+            q, fallbacks = self._conditional_switch(follow, follow_prev)
             composed = ps[:, None] * q
             composed[np.arange(len(ps)), follow_prev] = 1.0 - ps
             out[rest] = composed
             if parts is not None:
-                parts.update(switch=ps, conditional=q)
+                parts.update(switch=ps, conditional=q, uniform_fallbacks=fallbacks)
         return out
 
     def outcome_batch(self, states, prev_actions, stages) -> np.ndarray:
+        """Average fitting-set outcome for taking each action here (NaN where
+        the leaf never saw it): staying reads the switch tree's stay average,
+        any other action the first-stage or treatment tree's."""
         states = _as_batch(states)
         prev, t = _check_prev_stage(prev_actions, stages, self.n_actions)
-        out = self.treatment_tree.outcome_avg_batch(states).copy()
-        rest = t > 1
+        if "switch" not in self.trees:
+            return self.trees["tree"].outcome_avg_batch(states)
+        out = np.empty((len(states), self.n_actions), dtype=np.float64)
+        first = t == 1
+        if np.any(first):
+            out[first] = self.trees[self._first_stage].outcome_avg_batch(
+                _take(states, first))
+        rest = ~first
         if np.any(rest):
-            stay_avg = self.switch_tree.outcome_avg_batch(_take(states, rest))[:, STAY]
+            follow = _take(states, rest)
+            out[rest] = self.trees["treatment"].outcome_avg_batch(follow)
+            stay_avg = self.trees["switch"].outcome_avg_batch(follow)[:, STAY]
             out[np.nonzero(rest)[0], _take(prev, rest)] = stay_avg
         return out
 
 
-class BaselineSwitchModel(_Base):
+class TreeBehaviorModel(BehaviorModel):
+    """One K-class tree over every step record (model kind "dt")."""
+
+    kind = "dt"
+
+
+class SwitchTreatmentModel(BehaviorModel):
+    """Binary switch tree composed with a switch-only treatment tree ("dts")."""
+
+    kind = "dts"
+
+
+class BaselineSwitchModel(BehaviorModel):
     """``dts`` with a dedicated first-stage tree (model kind "dtbls")."""
 
     kind = "dtbls"
 
-    def __init__(self, baseline_tree: DecisionTree, inner: SwitchTreatmentModel,
-                 baseline_calibration: CalibrationModel | None = None):
-        if baseline_tree.n_classes != inner.n_actions:
-            raise BehaviorError("baseline tree and treatment tree disagree on K")
-        self.baseline_tree = baseline_tree
-        self.inner = inner
-        self.n_actions = inner.n_actions
-        self.baseline_calibration = (baseline_calibration
-                                     or identity_calibration(self.n_actions))
 
-    @property
-    def switch_tree(self):
-        return self.inner.switch_tree
-
-    @property
-    def treatment_tree(self):
-        return self.inner.treatment_tree
-
-    def calibrate(self, val: StepData) -> "BaselineSwitchModel":
-        first = val.subset(val.stages == 1)
-        if len(first) >= 2:
-            scores = self.baseline_tree.predict_proba_batch(first.states)
-            self.baseline_calibration = fit_calibration(scores, first.actions)
-        else:
-            log.warning("baseline calibration skipped: %d first-stage records", len(first))
-        self.inner.calibrate(val)
-        return self
-
-    def switch_probability_batch(self, states) -> np.ndarray:
-        return self.inner.switch_probability_batch(states)
-
-    def conditional_switch_batch(self, states, prev_actions) -> np.ndarray:
-        return self.inner.conditional_switch_batch(states, prev_actions)
-
-    def action_probabilities_batch(self, states, prev_actions, stages,
-                                   parts=None) -> np.ndarray:
-        states = _as_batch(states)
-        prev, t = _check_prev_stage(prev_actions, stages, self.n_actions)
-        out = np.empty((len(states), self.n_actions), dtype=np.float64)
-        first = t == 1
-        if np.any(first):
-            raw = self.baseline_tree.predict_proba_batch(_take(states, first))
-            out[first] = _maybe_calibrate(self.baseline_calibration, raw)
-        rest = ~first
-        if np.any(rest):
-            out[rest] = self.inner.action_probabilities_batch(
-                _take(states, rest), _take(prev, rest), _take(t, rest), parts)
-        return out
-
-    def outcome_batch(self, states, prev_actions, stages) -> np.ndarray:
-        states = _as_batch(states)
-        prev, t = _check_prev_stage(prev_actions, stages, self.n_actions)
-        out = np.empty((len(states), self.n_actions), dtype=np.float64)
-        first = t == 1
-        if np.any(first):
-            out[first] = self.baseline_tree.outcome_avg_batch(_take(states, first))
-        rest = ~first
-        if np.any(rest):
-            out[rest] = self.inner.outcome_batch(
-                _take(states, rest), _take(prev, rest), _take(t, rest))
-        return out
+_KIND_CLASSES = {cls.kind: cls for cls in
+                 (TreeBehaviorModel, SwitchTreatmentModel, BaselineSwitchModel)}
 
 
 def _descending_order(probs: np.ndarray) -> np.ndarray:
@@ -352,6 +349,8 @@ class Evaluation:
       probability and the conditional switch distribution on the t>1 rows,
       in row order, from the very composition that made ``probs`` (None for
       ``dt`` or when every row is a first stage);
+    * ``uniform_fallbacks``: how many of those rows' conditional
+      distributions fell back to uniform (0 for ``dt``);
     * ``outcomes``: leaf outcome averages, evaluated on first use;
     * ``order``: :func:`_descending_order` of ``probs``, sorted on first use.
 
@@ -369,6 +368,7 @@ class Evaluation:
             data.states, data.prev_actions, data.stages, parts))
         self.switch = _read_only(parts.get("switch"))
         self.conditional = _read_only(parts.get("conditional"))
+        self.uniform_fallbacks = parts.get("uniform_fallbacks", 0)
 
     @cached_property
     def outcomes(self) -> np.ndarray:
@@ -407,7 +407,7 @@ class TreeMemo:
     The memo also keeps every cut it hands out, outcomes attached, keyed by
     (component, hyperparameters), so a candidate drawn twice gets the same
     tree object. Sharing is safe: tree queries are pure, and calibration
-    lives on the model, not on its trees. Likewise it keeps each component's
+    lives on the model, not on its trees. Likewise it keeps the components'
     fitting rows, taken once from ``data`` (see :meth:`fitting_set`).
     """
 
@@ -421,7 +421,7 @@ class TreeMemo:
                 self._deep[hp.min_leaf_fraction] = replace(first, max_depth=hp.max_depth)
         self._grown: dict[tuple, DecisionTree | ClinpolError] = {}
         self.cuts: dict[tuple, DecisionTree] = {}
-        self._sets: dict[str, tuple | ClinpolError] = {}
+        self._sets: dict[tuple, dict | ClinpolError] = {}
 
     @property
     def fractions(self) -> tuple:
@@ -431,15 +431,15 @@ class TreeMemo:
         if data is not self.data:
             raise RuntimeError("tree memo used with a different fitting set")
 
-    def fitting_set(self, name: str, build):
-        """The memoized ``build()``; a domain error it raised is raised again
-        on every later request, as a fresh build would."""
-        if name not in self._sets:
+    def fitting_set(self, names: tuple) -> dict:
+        """The memoized :func:`_fitting_rows` of ``data``; a domain error it
+        raised is raised again on every later request, as a fresh take would."""
+        if names not in self._sets:
             try:
-                self._sets[name] = build()
+                self._sets[names] = _fitting_rows(self.data, names)
             except ClinpolError as e:
-                self._sets[name] = e
-        found = self._sets[name]
+                self._sets[names] = e
+        found = self._sets[names]
         if isinstance(found, ClinpolError):
             raise found
         return found
@@ -492,82 +492,70 @@ def _component_tree(component: str, X, y, rewards, hp: TreeHyperparams,
     return cut
 
 
-def _fitting_set(memo: TreeMemo | None, name: str, build):
-    return build() if memo is None else memo.fitting_set(name, build)
+# the domain error for a component left with no fitting rows
+_NO_ROWS = {
+    "tree": (BehaviorError, "no records to fit"),
+    "baseline": (BehaviorError, "no first-stage records to fit a baseline tree"),
+    "switch": (DegenerateSwitchError,
+               "degenerate switch data: no follow-up records to fit a switch tree"),
+    "treatment": (DegenerateSwitchError,
+                  "degenerate switch data: no treatment changes in fitting records"),
+}
 
 
-def _first_stage_rows(data: StepData) -> StepData:
-    first = data.subset(data.stages == 1)
-    if len(first) == 0:
-        raise BehaviorError("no first-stage records to fit a baseline tree")
-    return first
+def _fitting_rows(data: StepData, names: tuple) -> dict:
+    """:func:`component_rows` for fitting, where an empty set is a domain error."""
+    rows = component_rows(data, names)
+    for name, (part, _) in rows.items():
+        if len(part) == 0:
+            error, message = _NO_ROWS[name]
+            raise error(message)
+    if "treatment" in rows:
+        switched = rows["treatment"][0]
+        if np.any(switched.actions == switched.prev_actions):
+            raise RuntimeError("a stay event reached the treatment tree's fitting set")
+    return rows
 
 
-def _switch_rows(data: StepData):
-    """(follow-up rows, their switch labels, switch events) of ``data``."""
-    follow = data.subset(data.stages > 1)
-    if len(follow) == 0:
-        raise DegenerateSwitchError(
-            "degenerate switch data: no follow-up records to fit a switch tree"
-        )
-    labels = follow.switch_labels()
-    if labels.sum() == 0:
-        raise DegenerateSwitchError(
-            "degenerate switch data: no treatment changes in fitting records"
-        )
-    switched = follow.subset(labels == 1)
-    if np.any(switched.actions == switched.prev_actions):
-        raise RuntimeError("a stay event reached the treatment tree's fitting set")
-    return follow, labels, switched
+def _fit(cls, data: StepData, hps: tuple, val: StepData | None,
+         memo: TreeMemo | None) -> BehaviorModel:
+    """A ``cls`` model with one tree per component, grown at ``hps`` in
+    :data:`COMPONENTS` order, then calibrated on ``val`` if given."""
+    if memo is not None:
+        memo.check(data)
+    names = COMPONENTS[cls.kind]
+    sets = _fitting_rows(data, names) if memo is None else memo.fitting_set(names)
+    trees = {}
+    for name, hp in zip(names, hps):
+        rows, labels = sets[name]
+        trees[name] = _component_tree(name, rows.states, labels, rows.rewards, hp,
+                                      _n_classes(name, data.n_actions),
+                                      rows.feature_names, memo)
+    model = cls(trees)
+    if val is not None:
+        model.calibrate(val)
+    return model
 
 
 def fit_dt(data: StepData, hp: TreeHyperparams, val: StepData | None = None,
            memo: TreeMemo | None = None) -> TreeBehaviorModel:
     """One K-class tree on all (state, action) pairs, outcomes attached."""
-    if len(data) == 0:
-        raise BehaviorError("no records to fit")
-    if memo is not None:
-        memo.check(data)
-    tree = _component_tree("tree", data.states, data.actions, data.rewards, hp,
-                           data.n_actions, data.feature_names, memo)
-    model = TreeBehaviorModel(tree)
-    if val is not None:
-        model.calibrate(val)
-    return model
+    return _fit(TreeBehaviorModel, data, (hp,), val, memo)
 
 
 def fit_dts(data: StepData, hp_switch: TreeHyperparams, hp_treatment: TreeHyperparams,
             val: StepData | None = None,
             memo: TreeMemo | None = None) -> SwitchTreatmentModel:
     """Switch tree on follow-up records, treatment tree on switch events only."""
-    if memo is not None:
-        memo.check(data)
-    follow, labels, switched = _fitting_set(memo, "switch", lambda: _switch_rows(data))
-    switch_tree = _component_tree("switch", follow.states, labels, follow.rewards,
-                                  hp_switch, 2, follow.feature_names, memo)
-    treat_tree = _component_tree("treatment", switched.states, switched.actions,
-                                 switched.rewards, hp_treatment, data.n_actions,
-                                 switched.feature_names, memo)
-    model = SwitchTreatmentModel(switch_tree, treat_tree)
-    if val is not None:
-        model.calibrate(val)
-    return model
+    return _fit(SwitchTreatmentModel, data, (hp_switch, hp_treatment), val, memo)
 
 
 def fit_dtbls(data: StepData, hp_baseline: TreeHyperparams, hp_switch: TreeHyperparams,
               hp_treatment: TreeHyperparams, val: StepData | None = None,
               memo: TreeMemo | None = None) -> BaselineSwitchModel:
     """``dts`` plus a first-stage tree fitted on t=1 records."""
-    if memo is not None:
-        memo.check(data)
-    first = _fitting_set(memo, "baseline", lambda: _first_stage_rows(data))
-    baseline = _component_tree("baseline", first.states, first.actions, first.rewards,
-                               hp_baseline, data.n_actions, first.feature_names, memo)
-    inner = fit_dts(data, hp_switch, hp_treatment, memo=memo)
-    model = BaselineSwitchModel(baseline, inner)
-    if val is not None:
-        model.calibrate(val)
-    return model
+    return _fit(BaselineSwitchModel, data, (hp_baseline, hp_switch, hp_treatment),
+                val, memo)
 
 
 # ---------------------------------------------------------------------------
@@ -577,31 +565,20 @@ def fit_dtbls(data: StepData, hp_baseline: TreeHyperparams, hp_switch: TreeHyper
 MODEL_FORMAT_VERSION = 1
 
 
-def model_to_json(model) -> dict:
+def model_to_json(model: BehaviorModel) -> dict:
     """A versioned JSON envelope holding every tree and calibration."""
-    obj = {"version": MODEL_FORMAT_VERSION, "kind": model.kind,
-           "n_actions": model.n_actions}
-    if model.kind == "dt":
-        obj["trees"] = {"tree": tree_to_json(model.tree)}
-        obj["calibration"] = {"tree": model.calibration.to_json()}
-    elif model.kind == "dts":
-        obj["trees"] = {"switch": tree_to_json(model.switch_tree),
-                        "treatment": tree_to_json(model.treatment_tree)}
-        obj["calibration"] = {"switch": model.switch_calibration.to_json(),
-                              "treatment": model.treatment_calibration.to_json()}
-    elif model.kind == "dtbls":
-        obj["trees"] = {"baseline": tree_to_json(model.baseline_tree),
-                        "switch": tree_to_json(model.switch_tree),
-                        "treatment": tree_to_json(model.treatment_tree)}
-        obj["calibration"] = {"baseline": model.baseline_calibration.to_json(),
-                              "switch": model.inner.switch_calibration.to_json(),
-                              "treatment": model.inner.treatment_calibration.to_json()}
-    else:
-        raise BehaviorError(f"unknown model kind {model.kind!r}")
-    return obj
+    return {"version": MODEL_FORMAT_VERSION, "kind": model.kind,
+            "n_actions": model.n_actions,
+            "trees": {name: tree_to_json(tree) for name, tree in model.trees.items()},
+            "calibration": {name: cal.to_json()
+                            for name, cal in model.calibrations.items()}}
 
 
-def model_from_json(obj):
+def model_from_json(obj) -> BehaviorModel:
+    """The model in an envelope written by :func:`model_to_json`; a
+    malformed envelope raises a :class:`BehaviorError` naming the key."""
+    if not isinstance(obj, dict):
+        raise BehaviorError(f"a model must be a JSON object, got {type(obj).__name__}")
     version = obj.get("version")
     if version != MODEL_FORMAT_VERSION:
         raise BehaviorError(
@@ -609,25 +586,17 @@ def model_from_json(obj):
             f"(this library reads version {MODEL_FORMAT_VERSION})"
         )
     kind = obj.get("kind")
-    trees = obj.get("trees", {})
-    cals = obj.get("calibration", {})
-
-    def cal(name, k):
-        return (CalibrationModel.from_json(cals[name]) if name in cals
-                else identity_calibration(k))
-
-    if kind == "dt":
-        tree = tree_from_json(trees["tree"])
-        return TreeBehaviorModel(tree, cal("tree", tree.n_classes))
-    if kind == "dts":
-        sw = tree_from_json(trees["switch"])
-        tr = tree_from_json(trees["treatment"])
-        return SwitchTreatmentModel(sw, tr, cal("switch", 2), cal("treatment", tr.n_classes))
-    if kind == "dtbls":
-        base = tree_from_json(trees["baseline"])
-        sw = tree_from_json(trees["switch"])
-        tr = tree_from_json(trees["treatment"])
-        inner = SwitchTreatmentModel(sw, tr, cal("switch", 2),
-                                     cal("treatment", tr.n_classes))
-        return BaselineSwitchModel(base, inner, cal("baseline", base.n_classes))
-    raise BehaviorError(f"unknown model kind {kind!r}")
+    if kind not in MODEL_KINDS:
+        raise BehaviorError(f"unknown model kind {kind!r}")
+    parsed = {}
+    for key, parse in (("trees", tree_from_json),
+                       ("calibration", CalibrationModel.from_json)):
+        found = obj.get(key)
+        if not isinstance(found, dict):
+            raise BehaviorError(f"model {key!r} is missing or not a JSON object")
+        for name in COMPONENTS[kind]:
+            if not isinstance(found.get(name), dict):
+                raise BehaviorError(f"model {key}[{name!r}] of a {kind} model "
+                                    "is missing or not a JSON object")
+        parsed[key] = {name: parse(found[name]) for name in COMPONENTS[kind]}
+    return _KIND_CLASSES[kind](parsed["trees"], parsed["calibration"])

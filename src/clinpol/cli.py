@@ -35,6 +35,7 @@ from .harness import (
     ExperimentConfig,
     HarnessError,
     HyperparamGrid,
+    _desc_fields,
     _unrunnable,
     _write_csv,
     load_bundle,
@@ -162,27 +163,11 @@ def _cmd_evaluate(args) -> int:
     for desc, policy in zip(descriptors, policies):
         result = ESTIMATORS[estimator](
             importance_weights(policy, model, data, evaluation))
-        rows.append((
-            desc["type"],
-            "" if desc.get("k") is None else desc["k"],
-            "" if desc.get("p1") is None else repr(float(desc["p1"])),
-            estimator, result.value, result.ess, result.n, seed,
-        ))
+        rows.append((*_desc_fields(desc)[:3], estimator, result.value,
+                     result.ess, result.n, seed))
     _write_csv(out, EVAL_COLUMNS, rows)
     print(f"wrote {out}")
     return 0
-
-
-def _component_trees(model) -> dict:
-    if model.kind == "dt":
-        return {"tree": (model.tree, None)}
-    switch_names = ("stay", "switch")
-    if model.kind == "dts":
-        return {"switch": (model.switch_tree, switch_names),
-                "treatment": (model.treatment_tree, None)}
-    return {"baseline": (model.baseline_tree, None),
-            "switch": (model.inner.switch_tree, switch_names),
-            "treatment": (model.inner.treatment_tree, None)}
 
 
 def _cmd_export(args) -> int:
@@ -193,9 +178,9 @@ def _cmd_export(args) -> int:
         model, _, _ = load_bundle(args.model)
     os.makedirs(out, exist_ok=True)
     written = []
-    for name, (tree, class_names) in _component_trees(model).items():
-        if class_names is None:
-            class_names = [f"a{i}" for i in range(tree.n_classes)]
+    for name, tree in model.trees.items():
+        class_names = (("stay", "switch") if name == "switch"
+                       else [f"a{i}" for i in range(tree.n_classes)])
         dot_path = os.path.join(out, f"{name}.dot")
         with open(dot_path, "w", encoding="utf-8") as fh:
             fh.write(tree_to_dot(tree, class_names))

@@ -608,10 +608,6 @@ class StateAssembler:
             names.append("mean_prev_reward")
         self.names = names
 
-    @property
-    def dim(self) -> int:
-        return len(self.names)
-
     def column(self, name: str) -> int:
         return self.names.index(name)
 

@@ -28,9 +28,7 @@ import struct
 
 import numpy as np
 
-from .behavior import (BaselineSwitchModel, SwitchTreatmentModel, _as_batch,
-                       _descending_order)
-from .data import NONE_ACTION
+from .behavior import _as_batch, _descending_order
 from .errors import ClinpolError
 
 
@@ -39,8 +37,7 @@ class PolicyError(ClinpolError):
 
 
 class _PolicyBase:
-    """The model a policy transforms, and a scalar convenience wrapper over
-    the batch query.
+    """The model a policy transforms.
 
     ``probabilities_batch`` takes an optional ``evaluation``, an
     :class:`~clinpol.behavior.Evaluation` of the policy's model on the same
@@ -52,13 +49,6 @@ class _PolicyBase:
     def __init__(self, model):
         self.model = model
         self.n_actions = model.n_actions
-
-    def probabilities(self, state, prev_action, t: int) -> np.ndarray:
-        prev = NONE_ACTION if prev_action is None else int(prev_action)
-        return self.probabilities_batch(_as_batch(state), [prev], [t])[0]
-
-    def descriptor(self) -> dict:
-        raise NotImplementedError
 
 
 def _model_probs(model, states, prev_actions, stages, evaluation):
@@ -106,9 +96,6 @@ class BehaviorPolicy(_PolicyBase):
     def probabilities_batch(self, states, prev_actions, stages, evaluation=None) -> np.ndarray:
         return _model_probs(self.model, states, prev_actions, stages, evaluation)
 
-    def descriptor(self) -> dict:
-        return {"type": "behavior"}
-
 
 class TopKPolicy(_TopKBase):
     """Renormalized restriction to the k most probable treatments."""
@@ -116,9 +103,6 @@ class TopKPolicy(_TopKBase):
     def probabilities_batch(self, states, prev_actions, stages, evaluation=None) -> np.ndarray:
         p = _model_probs(self.model, states, prev_actions, stages, evaluation)
         return _top_k(p, self.k, None if evaluation is None else evaluation.order)
-
-    def descriptor(self) -> dict:
-        return {"type": "mc", "k": self.k}
 
 
 class BestOutcomePolicy(_TopKBase):
@@ -142,9 +126,6 @@ class BestOutcomePolicy(_TopKBase):
         out[np.arange(len(p)), best] = 1.0
         return out
 
-    def descriptor(self) -> dict:
-        return {"type": "mc_o", "k": self.k}
-
 
 class SwitchAdjustedPolicy(_TopKBase):
     """Top-k policy over a switch-composed model with a shifted switch rate.
@@ -157,7 +138,7 @@ class SwitchAdjustedPolicy(_TopKBase):
     """
 
     def __init__(self, model, k: int, p1: float):
-        if not isinstance(model, (SwitchTreatmentModel, BaselineSwitchModel)):
+        if "switch" not in getattr(model, "trees", ()):
             raise TypeError(
                 "switch adjustment needs a switch-composed model (dts or dtbls); "
                 f"got {type(model).__name__}"
@@ -203,9 +184,6 @@ class SwitchAdjustedPolicy(_TopKBase):
             out[rest] = adjusted
         return out
 
-    def descriptor(self) -> dict:
-        return {"type": "mc_switch_adj", "k": self.k, "p1": self.p1}
-
 
 class RandomPolicy(_PolicyBase):
     """Uniform over all K actions; with a seed, a fixed per-state choice."""
@@ -229,12 +207,6 @@ class RandomPolicy(_PolicyBase):
             out[i, a] = 1.0
         return out
 
-    def descriptor(self) -> dict:
-        d = {"type": "random"}
-        if self.deterministic_seed is not None:
-            d["seed"] = self.deterministic_seed
-        return d
-
 
 class SoftenedPolicy(_PolicyBase):
     """Mixture with the uniform distribution: p' = (1 - K*eps) * p + eps."""
@@ -254,11 +226,6 @@ class SoftenedPolicy(_PolicyBase):
         if self.epsilon == 0.0:
             return p
         return (1.0 - self.n_actions * self.epsilon) * p + self.epsilon
-
-    def descriptor(self) -> dict:
-        d = dict(self.inner.descriptor())
-        d["epsilon"] = self.epsilon
-        return d
 
 
 def soften(policy, epsilon: float):

@@ -509,15 +509,6 @@ class _TruthBase:
     def action_probabilities_batch(self, states, prev_actions, stages) -> np.ndarray:
         return self.probabilities_batch(states, prev_actions, stages)
 
-    def probabilities(self, state, prev_action, t: int) -> np.ndarray:
-        prev = NONE_ACTION if prev_action is None else int(prev_action)
-        return self.probabilities_batch(
-            np.asarray(state, dtype=np.float64)[None, :], [prev], [t]
-        )[0]
-
-    def descriptor(self) -> dict:
-        return {"type": "truth"}
-
 
 class ChronicTruthPolicy(_TruthBase):
     def __init__(self, cfg: ChronicSimConfig, assembler: StateAssembler | None = None):
@@ -574,9 +565,6 @@ class ChronicOraclePolicy(_TruthBase):
         out = np.zeros((len(states), self.n_actions))
         out[np.arange(len(states)), self._best[g]] = 1.0
         return out
-
-    def descriptor(self) -> dict:
-        return {"type": "oracle_best"}
 
 
 def truth_policy(cfg, assembler: StateAssembler | None = None) -> _TruthBase:

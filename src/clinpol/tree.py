@@ -27,7 +27,6 @@ the node searches their trees have in common.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -139,10 +138,6 @@ class DecisionTree:
         def d(node):
             return 0 if node.is_leaf else 1 + max(d(node.left), d(node.right))
         return d(self.root)
-
-    @property
-    def has_outcomes(self) -> bool:
-        return self._leaf_outcomes is not None
 
     # -- queries -----------------------------------------------------------
 
@@ -562,12 +557,3 @@ def tree_to_dot(tree: DecisionTree, class_names=None) -> str:
 
 def _dot_escape(s: str) -> str:
     return s.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-
-
-def export_tree(tree: DecisionTree, fmt: str, class_names=None) -> str:
-    """Serialize to "json" (round-trippable) or "dot" (Graphviz) text."""
-    if fmt == "json":
-        return json.dumps(tree_to_json(tree), sort_keys=True, indent=2) + "\n"
-    if fmt == "dot":
-        return tree_to_dot(tree, class_names=class_names)
-    raise TreeError(f"unknown export format {fmt!r}; expected 'json' or 'dot'")

@@ -267,7 +267,7 @@ def test_07_composition_battery():
     S = np.zeros(1)
     # p_switch = 0.2 with conditional (0, 0.6, 0.4): exact complement and products
     m = leaf_model([8, 2], [5, 3, 2])
-    out = m.action_probabilities(S, 0, 2)
+    out = m.action_probabilities_batch(S[None, :], [0], [2])[0]
     exact_mid = (
         out[0] == 1.0 - 0.2
         and out[1] == 0.2 * (0.3 / 0.5)
@@ -275,11 +275,11 @@ def test_07_composition_battery():
         and bool(np.allclose(out, [0.8, 0.12, 0.08], rtol=0.0, atol=1e-12))
     )
     # p_switch = 0: probability mass stays on the previous treatment
-    never = leaf_model([10, 0], [5, 3, 2]).action_probabilities(S, 1, 2)
+    never = leaf_model([10, 0], [5, 3, 2]).action_probabilities_batch(S[None, :], [1], [2])[0]
     exact_zero = never.tolist() == [0.0, 1.0, 0.0]
     # p_switch = 1: the composition collapses to the conditional distribution
     always_model = leaf_model([0, 10], [5, 3, 2])
-    always = always_model.action_probabilities(S, 0, 2)
+    always = always_model.action_probabilities_batch(S[None, :], [0], [2])[0]
     cond = always_model.conditional_switch_batch(S[None, :], [0])[0]
     exact_one = bool(np.array_equal(always, cond)) and always[0] == 0.0
 

@@ -7,6 +7,8 @@ import pytest
 
 from clinpol import behavior, tree
 from clinpol.behavior import (
+    COMPONENTS,
+    MODEL_KINDS,
     BaselineSwitchModel,
     BehaviorError,
     DegenerateSwitchError,
@@ -19,6 +21,7 @@ from clinpol.behavior import (
     model_from_json,
     model_to_json,
 )
+from clinpol.calibration import fit_calibration
 from clinpol.data import NONE_ACTION, StepData
 from clinpol.errors import ClinpolError
 from clinpol.metrics import auroc_macro
@@ -43,13 +46,14 @@ def leaf_model(switch_counts, treat_counts, switch_rewards=None, treat_rewards=N
     """dts model whose component probabilities are count ratios we choose."""
     sy = [0] * switch_counts[0] + [1] * switch_counts[1]
     ty = sum(([a] * c for a, c in enumerate(treat_counts)), [])
-    return SwitchTreatmentModel(
-        leaf_tree(sy, 2, switch_rewards),
-        leaf_tree(ty, len(treat_counts), treat_rewards),
-    )
+    return SwitchTreatmentModel({
+        "switch": leaf_tree(sy, 2, switch_rewards),
+        "treatment": leaf_tree(ty, len(treat_counts), treat_rewards),
+    })
 
 
 S = np.zeros(1)  # any state; single-leaf trees ignore it
+ONE = S[None, :]  # that state as a one-row batch
 
 
 # ---------------------------------------------------------------------------
@@ -58,7 +62,7 @@ S = np.zeros(1)  # any state; single-leaf trees ignore it
 
 def test_composition_worked_example():
     m = leaf_model([8, 2], [5, 3, 2])
-    out = m.action_probabilities(S, 0, 2)
+    out = m.action_probabilities_batch(ONE, [0], [2])[0]
     np.testing.assert_allclose(out, [0.8, 0.12, 0.08], rtol=0.0, atol=1e-12)
     # the stay entry is the exact complement, the rest exact products
     assert out[0] == 1.0 - 0.2
@@ -68,14 +72,14 @@ def test_composition_worked_example():
 
 def test_composition_never_switch_is_one_hot_on_prev():
     m = leaf_model([10, 0], [5, 3, 2])
-    out = m.action_probabilities(S, 1, 3)
+    out = m.action_probabilities_batch(ONE, [1], [3])[0]
     assert out.tolist() == [0.0, 1.0, 0.0]
 
 
 def test_composition_always_switch_equals_conditional():
     m = leaf_model([0, 10], [5, 3, 2])
-    out = m.action_probabilities(S, 0, 2)
-    cond = m.conditional_switch_batch(S[None, :], [0])[0]
+    out = m.action_probabilities_batch(ONE, [0], [2])[0]
+    cond = m.conditional_switch_batch(ONE, [0])[0]
     assert np.array_equal(out, cond)
     assert out[0] == 0.0
 
@@ -96,9 +100,20 @@ def test_conditional_two_actions_is_forced():
 
 def test_conditional_one_hot_on_prev_falls_back_to_uniform():
     m = leaf_model([5, 5], [10, 0, 0])
-    cond = m.conditional_switch_batch(S[None, :], [0])[0]
+    cond = m.conditional_switch_batch(ONE, [0])[0]
     assert cond.tolist() == [0.0, 0.5, 0.5]
-    assert m.uniform_fallbacks == 1
+    # the count comes back with the composition it belongs to; the model
+    # itself keeps no counter, so a second query counts the same
+    for _ in range(2):
+        parts = {}
+        out = m.action_probabilities_batch(np.zeros((3, 1)), [0, 0, NONE_ACTION],
+                                           [2, 3, 1], parts)
+        assert parts["uniform_fallbacks"] == 2
+        assert np.array_equal(parts["conditional"], [[0.0, 0.5, 0.5]] * 2)
+        assert out[0].tolist() == [0.5, 0.25, 0.25]
+    parts = {}
+    m.action_probabilities_batch(ONE, [1], [2], parts)
+    assert parts["uniform_fallbacks"] == 0
 
 
 def test_conditional_requires_a_previous_action():
@@ -109,18 +124,18 @@ def test_conditional_requires_a_previous_action():
 
 def test_first_stage_uses_raw_treatment_distribution():
     m = leaf_model([8, 2], [5, 3, 2])
-    out = m.action_probabilities(S, None, 1)
+    out = m.action_probabilities_batch(ONE, [NONE_ACTION], [1])[0]
     assert out.tolist() == [0.5, 0.3, 0.2]
 
 
 def test_stage_and_prev_action_must_agree():
     m = leaf_model([8, 2], [5, 3, 2])
     with pytest.raises(BehaviorError):
-        m.action_probabilities(S, None, 2)
+        m.action_probabilities_batch(ONE, [NONE_ACTION], [2])
     with pytest.raises(BehaviorError):
-        m.action_probabilities(S, 1, 1)
+        m.action_probabilities_batch(ONE, [1], [1])
     with pytest.raises(BehaviorError):
-        m.action_probabilities(S, None, 0)
+        m.action_probabilities_batch(ONE, [NONE_ACTION], [0])
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +231,8 @@ def test_treatment_tree_fits_only_switch_events():
     follow = data.subset(data.stages > 1)
     n_switch = int(follow.switch_labels().sum())
     m = fit_dts(data, HP, HP)
-    assert m.treatment_tree.n_train == n_switch
-    assert m.switch_tree.n_train == len(follow)
+    assert m.trees["treatment"].n_train == n_switch
+    assert m.trees["switch"].n_train == len(follow)
 
 
 def test_a_stay_event_in_the_treatment_set_is_a_bug_not_a_domain_error(monkeypatch):
@@ -248,7 +263,7 @@ def test_follow_up_queries_copy_no_state_rows(monkeypatch):
         monkeypatch.setattr(tree.DecisionTree, name, spy(name))
     # every row is a follow-up: both trees get the caller's states object
     dts.action_probabilities_batch(follow.states, follow.prev_actions, follow.stages)
-    assert [t for t, _ in seen] == [dts.switch_tree, dts.treatment_tree]
+    assert [t for t, _ in seen] == [dts.trees["switch"], dts.trees["treatment"]]
     assert all(X is follow.states for _, X in seen)
     seen.clear()
     dts.outcome_batch(follow.states, follow.prev_actions, follow.stages)
@@ -256,8 +271,8 @@ def test_follow_up_queries_copy_no_state_rows(monkeypatch):
     # with first stages present, one copy of the t>1 rows serves both trees
     seen.clear()
     dtbls.action_probabilities_batch(data.states, data.prev_actions, data.stages)
-    assert [t for t, _ in seen] == [dtbls.baseline_tree, dtbls.switch_tree,
-                                    dtbls.treatment_tree]
+    assert [t for t, _ in seen] == list(dtbls.trees.values())
+    assert list(dtbls.trees) == ["baseline", "switch", "treatment"]
     assert seen[1][1] is seen[2][1]
     np.testing.assert_array_equal(seen[1][1], follow.states)
 
@@ -276,14 +291,16 @@ def test_dtbls_first_stage_comes_from_baseline_tree():
     out = m.action_probabilities_batch(
         first.states, first.prev_actions, first.stages
     )
-    expect = m.baseline_tree.predict_proba_batch(first.states)
+    expect = m.trees["baseline"].predict_proba_batch(first.states)
     assert np.array_equal(out, expect)
-    # and follow-up queries agree with the inner switch composition
+    # and follow-up queries agree with the switch composition of a dts model
+    # made of the same switch and treatment trees
     follow = data.subset(data.stages > 1)
     out2 = m.action_probabilities_batch(
         follow.states, follow.prev_actions, follow.stages
     )
-    inner = m.inner.action_probabilities_batch(
+    dts = SwitchTreatmentModel({name: m.trees[name] for name in ("switch", "treatment")})
+    inner = dts.action_probabilities_batch(
         follow.states, follow.prev_actions, follow.stages
     )
     assert np.array_equal(out2, inner)
@@ -293,7 +310,7 @@ def test_dt_probabilities_are_leaf_frequencies():
     data = make_cohort(6, n_traj=120)
     m = fit_dt(data, HP)
     out = m.action_probabilities_batch(data.states, data.prev_actions, data.stages)
-    assert np.array_equal(out, m.tree.predict_proba_batch(data.states))
+    assert np.array_equal(out, m.trees["tree"].predict_proba_batch(data.states))
 
 
 def test_models_recover_the_assignment_rule():
@@ -320,11 +337,13 @@ def test_outcome_stay_averages_switch_tree_rewards():
     # (rewards 1 and 5); all states identical so every record shares a leaf
     m = leaf_model([2, 2], [0, 2, 0],
                    switch_rewards=[2.0, 4.0, 1.0, 5.0], treat_rewards=[1.0, 5.0])
-    assert m.outcome(S, 0, 0, 2) == 3.0          # stay on 0: mean of {2, 4}
-    assert m.outcome(S, 1, 0, 2) == 3.0          # switch to 1: mean of {1, 5}
-    assert m.outcome(S, 2, 0, 2) is None         # action 2 never taken
-    assert m.outcome(S, 1, None, 1) == 3.0       # t=1 reads the raw treatment tree
-    assert m.outcome(S, 0, None, 1) is None
+    follow = m.outcome_batch(ONE, [0], [2])[0]
+    assert follow[0] == 3.0                      # stay on 0: mean of {2, 4}
+    assert follow[1] == 3.0                      # switch to 1: mean of {1, 5}
+    assert np.isnan(follow[2])                   # action 2 never taken
+    first = m.outcome_batch(ONE, [NONE_ACTION], [1])[0]
+    assert first[1] == 3.0                       # t=1 reads the raw treatment tree
+    assert np.isnan(first[0])
 
 
 def test_outcome_batch_matches_groupby_oracle():
@@ -342,13 +361,13 @@ def test_outcome_batch_matches_groupby_oracle():
             table.setdefault((int(lf), int(c)), []).append(r)
         return {k: float(np.mean(v)) for k, v in table.items()}
 
-    treat_avg = groupby(m.treatment_tree, switched.states, switched.actions,
+    treat_avg = groupby(m.trees["treatment"], switched.states, switched.actions,
                         switched.rewards)
-    stay_avg = groupby(m.switch_tree, follow.states, labels, follow.rewards)
+    stay_avg = groupby(m.trees["switch"], follow.states, labels, follow.rewards)
 
     out = m.outcome_batch(follow.states, follow.prev_actions, follow.stages)
-    t_leaves = m.treatment_tree.leaf_index_batch(follow.states)
-    s_leaves = m.switch_tree.leaf_index_batch(follow.states)
+    t_leaves = m.trees["treatment"].leaf_index_batch(follow.states)
+    s_leaves = m.trees["switch"].leaf_index_batch(follow.states)
     for i in range(len(follow)):
         prev = int(follow.prev_actions[i])
         for a in range(data.n_actions):
@@ -368,7 +387,7 @@ def test_outcome_first_stage_dtbls_reads_baseline_tree():
     m = fit_dtbls(data, HP, HP, HP)
     first = data.subset(data.stages == 1)
     out = m.outcome_batch(first.states, first.prev_actions, first.stages)
-    expect = m.baseline_tree.outcome_avg_batch(first.states)
+    expect = m.trees["baseline"].outcome_avg_batch(first.states)
     assert np.array_equal(np.isnan(out), np.isnan(expect))
     assert np.array_equal(out[~np.isnan(out)], expect[~np.isnan(expect)])
 
@@ -377,23 +396,40 @@ def test_outcome_first_stage_dtbls_reads_baseline_tree():
 # calibration hooks
 # ---------------------------------------------------------------------------
 
+FIT = {"dt": lambda data, val=None: fit_dt(data, HP, val),
+       "dts": lambda data, val=None: fit_dts(data, HP, HP, val),
+       "dtbls": lambda data, val=None: fit_dtbls(data, HP, HP, HP, val)}
+
+
 def test_calibrate_fits_each_component_on_its_own_records():
     train = make_cohort(13, n_traj=400)
     val = make_cohort(14, n_traj=200)
-    m = fit_dtbls(train, HP, HP, HP, val=val)
-    for cal in (m.baseline_calibration, m.inner.switch_calibration,
-                m.inner.treatment_calibration):
-        assert not np.all(cal.identity)
-    out = m.action_probabilities_batch(val.states, val.prev_actions, val.stages)
-    assert np.all(out >= 0.0)
-    np.testing.assert_allclose(out.sum(axis=1), 1.0, rtol=0.0, atol=1e-9)
+    # each component's validation rows and labels, picked by hand
+    first, later = val.stages == 1, val.stages > 1
+    switched = later & (val.actions != val.prev_actions)
+    rows = {"tree": (np.ones(len(val), dtype=bool), val.actions),
+            "baseline": (first, val.actions[first]),
+            "switch": (later, switched[later].astype(np.int64)),
+            "treatment": (switched, val.actions[switched])}
+    for kind in MODEL_KINDS:
+        m = FIT[kind](train, val=val)
+        assert list(m.calibrations) == list(m.trees) == list(COMPONENTS[kind])
+        for name, component in m.trees.items():
+            mask, labels = rows[name]
+            want = fit_calibration(component.predict_proba_batch(val.states[mask]),
+                                   labels)
+            assert not np.all(m.calibrations[name].identity)
+            assert m.calibrations[name].to_json() == want.to_json(), (kind, name)
+        out = m.action_probabilities_batch(val.states, val.prev_actions, val.stages)
+        assert np.all(out >= 0.0)
+        np.testing.assert_allclose(out.sum(axis=1), 1.0, rtol=0.0, atol=1e-9)
 
 
 def test_calibrate_skipped_on_tiny_validation_set():
     train = make_cohort(15, n_traj=150)
     val = train.subset(np.arange(len(train)) == 0)
     m = fit_dt(train, HP, val=val)
-    assert np.all(m.calibration.identity)
+    assert np.all(m.calibrations["tree"].identity)
 
 
 def test_calibration_keeps_boundary_switch_dominance():
@@ -401,7 +437,7 @@ def test_calibration_keeps_boundary_switch_dominance():
     val = make_cohort(17, n_traj=250)
     deep = TreeHyperparams(max_depth=8, min_leaf_fraction=0.01)
     m = fit_dts(train, deep, deep, val=val)
-    raw = m.switch_tree.predict_proba_batch(val.states)[:, 1]
+    raw = m.trees["switch"].predict_proba_batch(val.states)[:, 1]
     cal = m.switch_probability_batch(val.states)
     sure_stay = raw == 0.0
     sure_switch = raw == 1.0
@@ -448,6 +484,25 @@ def test_rejects_other_format_versions():
     obj["version"] = 99
     with pytest.raises(BehaviorError, match="version"):
         model_from_json(obj)
+
+
+@pytest.mark.parametrize("edit, key", [
+    (lambda obj: [obj], "JSON object"),
+    (lambda obj: dict(obj, trees=None), "'trees'"),
+    (lambda obj: {k: v for k, v in obj.items() if k != "trees"}, "'trees'"),
+    (lambda obj: dict(obj, calibration=[]), "'calibration'"),
+    (lambda obj: {k: v for k, v in obj.items() if k != "calibration"}, "'calibration'"),
+    (lambda obj: dict(obj, trees={}), r"trees\['switch'\]"),
+    (lambda obj: dict(obj, trees=dict(obj["trees"], treatment=[])), r"trees\['treatment'\]"),
+    (lambda obj: dict(obj, calibration={"switch": obj["calibration"]["switch"]}),
+     r"calibration\['treatment'\]"),
+    (lambda obj: dict(obj, kind="dt"), r"trees\['tree'\]"),
+    (lambda obj: dict(obj, kind=["dts"]), "unknown model kind"),
+])
+def test_malformed_envelopes_raise_a_behavior_error_naming_the_key(edit, key):
+    obj = json.loads(json.dumps(model_to_json(leaf_model([8, 2], [5, 3, 2]))))
+    with pytest.raises(BehaviorError, match=key):
+        model_from_json(edit(obj))
 
 
 def test_kind_tags():
@@ -561,9 +616,9 @@ def test_memo_hands_a_drawn_cell_the_same_cut_trees():
     memo = TreeMemo(data, cands)
     first, again, deeper = (fit_dtbls(data, hp, hp, hp, memo=memo) for hp in cands)
     assert first is not again
-    for name in ("baseline_tree", "switch_tree", "treatment_tree"):
-        assert getattr(first, name) is getattr(again, name)
-        assert getattr(first, name) is not getattr(deeper, name)
+    for name in ("baseline", "switch", "treatment"):
+        assert first.trees[name] is again.trees[name]
+        assert first.trees[name] is not deeper.trees[name]
     assert len(memo.cuts) == 6
     # calibration lives on the model: calibrating one sharer leaves the other raw
     before = again.action_probabilities_batch(val.states, val.prev_actions, val.stages)

@@ -20,11 +20,7 @@ from clinpol.data import NONE_ACTION, StepData
 from clinpol.ope import ESTIMATORS, importance_weights
 from clinpol.policies import SoftenedPolicy, SwitchAdjustedPolicy, TopKPolicy, build_policy
 from clinpol.sim import ChronicSimConfig
-from test_behavior import HP, make_cohort
-
-FIT = {"dt": lambda d, v: fit_dt(d, HP, v),
-       "dts": lambda d, v: fit_dts(d, HP, HP, v),
-       "dtbls": lambda d, v: fit_dtbls(d, HP, HP, HP, v)}
+from test_behavior import FIT, HP, make_cohort
 
 
 def take_trajectories(data: StepData, keep) -> StepData:
@@ -64,7 +60,7 @@ def evaluation_data(model, data: StepData) -> StepData:
     out = take_trajectories(data, np.setdiff1d(np.arange(data.n_trajectories), unsupported))
     if model.kind == "dt":
         return out
-    treat = model.treatment_tree.predict_proba_batch(out.states)
+    treat = model.trees["treatment"].predict_proba_batch(out.states)
     p_switch = model.switch_probability_batch(out.states)
     first = np.flatnonzero(out.stages == 1)
     for r in np.flatnonzero((treat.max(axis=1) == 1.0) & (p_switch < 1.0)):
@@ -98,12 +94,9 @@ def test_record_path_is_bitwise_equal_to_the_per_policy_path(kind, calibrated):
     model = FIT[kind](train, make_cohort(140, n_traj=100) if calibrated else None)
     data = evaluation_data(model, make_cohort(41, n_traj=150))
     assert np.any(data.stages == 1) and np.any(data.stages > 1)
-    if kind != "dt":
-        inner = model.inner if kind == "dtbls" else model
-        before = inner.uniform_fallbacks
     evaluation = Evaluation(model, data)
     if kind != "dt" and not calibrated:
-        assert inner.uniform_fallbacks > before  # the fallback row is in there
+        assert evaluation.uniform_fallbacks > 0  # the fallback row is in there
     clamped = 0
     for desc in descriptors(kind, data.n_actions):
         alone, shared = build_policy(desc, model), build_policy(desc, model)
@@ -123,6 +116,21 @@ def test_record_path_is_bitwise_equal_to_the_per_policy_path(kind, calibrated):
         assert clamp_events(alone) == clamp_events(shared)
         clamped += clamp_events(shared) or 0
     assert (clamped > 0) == (kind != "dt")
+
+
+@pytest.mark.parametrize("kind", ["dt", "dts", "dtbls"])
+def test_uniform_fallbacks_are_counted_per_evaluation(kind):
+    model = FIT[kind](make_cohort(40, n_traj=200), None)
+    data = evaluation_data(model, make_cohort(41, n_traj=150))
+    first = Evaluation(model, data)
+    # per-policy queries in between leave the next evaluation's count alone
+    for desc in descriptors(kind, data.n_actions):
+        build_policy(desc, model).probabilities_batch(data.states, data.prev_actions,
+                                                      data.stages)
+    second = Evaluation(model, data)
+    assert second.uniform_fallbacks == first.uniform_fallbacks
+    # the appended trajectory's second step is the one fallback row
+    assert first.uniform_fallbacks == (0 if kind == "dt" else 1)
 
 
 def test_record_arrays_are_read_only_and_outcomes_are_lazy(monkeypatch):

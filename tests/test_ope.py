@@ -33,7 +33,7 @@ def two_leaf_model(left_counts, right_counts):
     t = fit_tree(np.asarray(X), np.asarray(y, dtype=np.int64),
                  TreeHyperparams(max_depth=1, min_leaf_fraction=0.01), n_classes=2)
     assert t.depth() == 1
-    return TreeBehaviorModel(t)
+    return TreeBehaviorModel({"tree": t})
 
 
 def one_trajectory(states, actions, rewards):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from clinpol.behavior import TreeBehaviorModel, fit_dt, fit_dts
+from clinpol.data import NONE_ACTION
 from clinpol.policies import (
     BehaviorPolicy,
     BestOutcomePolicy,
@@ -16,11 +17,11 @@ from clinpol.policies import (
     soften,
 )
 from clinpol.tree import TreeHyperparams, attach_outcomes, fit_tree
-from test_behavior import HP, S, leaf_model, leaf_tree, make_cohort
+from test_behavior import HP, ONE, S, leaf_model, leaf_tree, make_cohort
 
 
 def dt_leaf_model(labels, n_classes, rewards=None):
-    return TreeBehaviorModel(leaf_tree(labels, n_classes, rewards))
+    return TreeBehaviorModel({"tree": leaf_tree(labels, n_classes, rewards)})
 
 
 def model_532():
@@ -34,7 +35,7 @@ def model_532():
 
 def test_top_k_restriction_arithmetic():
     pol = TopKPolicy(model_532(), 2)
-    out = pol.probabilities(S, None, 1)
+    out = pol.probabilities_batch(ONE, [NONE_ACTION], [1])[0]
     np.testing.assert_allclose(out, [0.625, 0.375, 0.0], rtol=0.0, atol=1e-12)
     assert out[0] == 0.5 / 0.8
     assert out[2] == 0.0
@@ -48,18 +49,18 @@ def test_top_k_full_k_recovers_the_model():
 
 def test_top_1_is_one_hot_on_argmax():
     pol = TopKPolicy(model_532(), 1)
-    assert pol.probabilities(S, None, 1).tolist() == [1.0, 0.0, 0.0]
+    assert pol.probabilities_batch(ONE, [NONE_ACTION], [1])[0].tolist() == [1.0, 0.0, 0.0]
 
 
 def test_top_k_rank_tie_goes_to_lower_id():
     m = dt_leaf_model([0] * 4 + [1] * 4 + [2] * 2, 3)
-    assert TopKPolicy(m, 1).probabilities(S, None, 1).tolist() == [1.0, 0.0, 0.0]
+    assert TopKPolicy(m, 1).probabilities_batch(ONE, [NONE_ACTION], [1])[0].tolist() == [1.0, 0.0, 0.0]
 
 
 def test_top_k_positive_support_count():
     m = dt_leaf_model([0] * 5 + [1] * 5, 3)  # action 2 has zero mass
     for k, expect in [(1, 1), (2, 2), (3, 2)]:
-        out = TopKPolicy(m, k).probabilities(S, None, 1)
+        out = TopKPolicy(m, k).probabilities_batch(ONE, [NONE_ACTION], [1])[0]
         assert int(np.sum(out > 0.0)) == expect
 
 
@@ -111,24 +112,24 @@ def outcome_model(avgs_by_class, probs_labels):
             ar.append(v)
     t = attach_outcomes(t, np.zeros((len(ay), 1)), np.asarray(ay, dtype=np.int64),
                         np.asarray(ar, dtype=np.float64))
-    return TreeBehaviorModel(t)
+    return TreeBehaviorModel({"tree": t})
 
 
 def test_outcome_guided_picks_best_average_in_top_k():
     m = outcome_model([2.0, 3.5, 99.0], [0] * 5 + [1] * 3 + [2] * 2)
-    out = BestOutcomePolicy(m, 2).probabilities(S, None, 1)
+    out = BestOutcomePolicy(m, 2).probabilities_batch(ONE, [NONE_ACTION], [1])[0]
     assert out.tolist() == [0.0, 1.0, 0.0]
 
 
 def test_outcome_guided_tie_goes_to_lower_id():
     m = outcome_model([5.0, None, 5.0], [0] * 5 + [1] * 3 + [2] * 2)
-    out = BestOutcomePolicy(m, 3).probabilities(S, None, 1)
+    out = BestOutcomePolicy(m, 3).probabilities_batch(ONE, [NONE_ACTION], [1])[0]
     assert out.tolist() == [1.0, 0.0, 0.0]
 
 
 def test_outcome_guided_all_missing_falls_back_to_top_1():
     m = outcome_model([None, None, None], [0] * 3 + [1] * 5 + [2] * 2)
-    out = BestOutcomePolicy(m, 2).probabilities(S, None, 1)
+    out = BestOutcomePolicy(m, 2).probabilities_batch(ONE, [NONE_ACTION], [1])[0]
     assert out.tolist() == [0.0, 1.0, 0.0]
 
 
@@ -151,7 +152,7 @@ def test_outcome_guided_k1_equals_top_1_everywhere():
 def test_switch_adjustment_shifts_stay_probability():
     m = leaf_model([9, 1], [5, 3, 2])  # p_switch = 0.1
     pol = SwitchAdjustedPolicy(m, 3, 0.4)
-    out = pol.probabilities(S, 0, 2)
+    out = pol.probabilities_batch(ONE, [0], [2])[0]
     assert out[0] == 0.5
     assert pol.clamp_events == 0
 
@@ -159,7 +160,7 @@ def test_switch_adjustment_shifts_stay_probability():
 def test_switch_adjustment_clamps_and_counts():
     m = leaf_model([1, 9], [5, 3, 2])  # p_switch = 0.9
     pol = SwitchAdjustedPolicy(m, 3, 0.5)
-    out = pol.probabilities(S, 0, 2)
+    out = pol.probabilities_batch(ONE, [0], [2])[0]
     assert out[0] == 0.0
     assert pol.clamp_events == 1
     assert pol.clamp_rate == 1.0
@@ -177,7 +178,7 @@ def test_switch_adjustment_zero_shift_matches_composition():
 def test_switch_adjustment_spreads_mass_over_top_k():
     m = leaf_model([5, 5], [1, 4, 3, 2])  # conditional from [0.1, 0.4, 0.3, 0.2]
     pol = SwitchAdjustedPolicy(m, 2, 0.2)
-    out = pol.probabilities(S, 0, 2)
+    out = pol.probabilities_batch(ONE, [0], [2])[0]
     # adjusted switch mass 0.7 over the top-2 of [_, 4/9, 3/9, 2/9]
     assert out[0] == pytest.approx(0.3, abs=1e-12)
     assert out[1] == pytest.approx(0.7 * 4.0 / 7.0, abs=1e-12)
@@ -188,7 +189,7 @@ def test_switch_adjustment_spreads_mass_over_top_k():
 def test_switch_adjustment_is_inert_at_first_stage():
     m = leaf_model([5, 5], [5, 3, 2])
     pol = SwitchAdjustedPolicy(m, 3, 0.4)
-    out = pol.probabilities(S, None, 1)
+    out = pol.probabilities_batch(ONE, [NONE_ACTION], [1])[0]
     assert out.tolist() == [0.5, 0.3, 0.2]
 
 
@@ -200,11 +201,11 @@ def test_switch_adjustment_rejects_single_tree_models():
 def test_adjust_switch_requeries_with_a_new_shift():
     m = leaf_model([9, 1], [5, 3, 2])
     base = TopKPolicy(m, 3)
-    out = SwitchAdjustedPolicy(base.model, base.k, 0.4).probabilities(S, 0, 2)
+    out = SwitchAdjustedPolicy(base.model, base.k, 0.4).probabilities_batch(ONE, [0], [2])[0]
     assert out[0] == 0.5
     # a zero shift reproduces the unadjusted top-k policy exactly
-    unshifted = SwitchAdjustedPolicy(base.model, base.k, 0.0).probabilities(S, 0, 2)
-    assert np.array_equal(unshifted, base.probabilities(S, 0, 2))
+    unshifted = SwitchAdjustedPolicy(base.model, base.k, 0.0).probabilities_batch(ONE, [0], [2])[0]
+    assert np.array_equal(unshifted, base.probabilities_batch(ONE, [0], [2])[0])
 
 
 def test_p1_out_of_range_is_rejected():
@@ -256,8 +257,8 @@ def test_softening_epsilon_zero_is_identity():
     base = TopKPolicy(model_532(), 2)
     assert soften(base, 0.0) is base
     wrapped = SoftenedPolicy(base, 0.0)
-    a = wrapped.probabilities(S, None, 1)
-    assert np.array_equal(a, base.probabilities(S, None, 1))
+    a = wrapped.probabilities_batch(ONE, [NONE_ACTION], [1])[0]
+    assert np.array_equal(a, base.probabilities_batch(ONE, [NONE_ACTION], [1])[0])
 
 
 def test_softening_keeps_the_simplex():
@@ -294,15 +295,17 @@ def test_build_policy_constructs_each_type():
     for desc, cls in cases:
         pol = build_policy(desc, m)
         assert isinstance(pol, cls)
-        for key, val in desc.items():
-            assert pol.descriptor()[key] == val
+        for key in ("k", "p1"):
+            if key in desc:
+                assert getattr(pol, key) == desc[key]
 
 
 def test_build_policy_softens_on_request():
     m = model_532()
     pol = build_policy({"type": "mc", "k": 1, "epsilon": 0.05}, m)
     assert isinstance(pol, SoftenedPolicy)
-    assert pol.descriptor() == {"type": "mc", "k": 1, "epsilon": 0.05}
+    assert type(pol.inner) is TopKPolicy
+    assert (pol.inner.k, pol.epsilon) == (1, 0.05)
 
 
 def test_build_policy_validation_messages():

@@ -192,10 +192,9 @@ def test_truth_policy_scalar_wrapper_agrees_with_batch():
     data = build_states(impute_and_encode(generate_chronic(cfg)))
     tp = truth_policy(cfg)
     batch = tp.probabilities_batch(data.states, data.prev_actions, data.stages)
-    one = tp.probabilities(
-        data.states[0], None if data.stages[0] == 1 else data.prev_actions[0],
-        int(data.stages[0]),
-    )
+    # the first row queried alone, as a one-row batch
+    one = tp.probabilities_batch(data.states[:1], data.prev_actions[:1],
+                                 data.stages[:1])[0]
     np.testing.assert_array_equal(one, batch[0])
 
 

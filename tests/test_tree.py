@@ -13,9 +13,9 @@ from clinpol.tree import (
     TreeError,
     TreeHyperparams,
     attach_outcomes,
-    export_tree,
     fit_tree,
     tree_from_json,
+    tree_to_dot,
     tree_to_json,
     truncate_tree,
 )
@@ -260,7 +260,8 @@ def test_attach_outcomes_means_and_no_data():
     assert avg[1] == 1.0
     assert math.isnan(avg[2])
     # original tree untouched
-    assert not tree.has_outcomes
+    with pytest.raises(TreeError):
+        tree.outcome_avg_batch(X[:1])
 
 
 def test_attach_outcomes_matches_group_by_oracle():
@@ -287,9 +288,14 @@ def test_attach_outcomes_rejects_misaligned_arrays():
 # export / import
 # ---------------------------------------------------------------------------
 
+def json_text(tree) -> str:
+    """The tree's JSON as text, keys sorted, so two exports compare as strings."""
+    return json.dumps(tree_to_json(tree), sort_keys=True)
+
+
 def test_single_leaf_dot_export():
     tree = fit_tree(np.array([[0.0]]), [0], TreeHyperparams(), n_classes=2)
-    dot = export_tree(tree, "dot")
+    dot = tree_to_dot(tree)
     assert dot.count("[label=") == 1
     assert "->" not in dot
 
@@ -300,7 +306,7 @@ def test_depth_two_dot_structure():
     y = ((X[:, 0] > 0) ^ (X[:, 1] > 0)).astype(int)
     tree = fit_tree(X, y, TreeHyperparams(max_depth=2, min_leaf_fraction=0.01),
                     feature_names=["left_col", "right_col"])
-    dot = export_tree(tree, "dot")
+    dot = tree_to_dot(tree)
     assert "<=" in dot
     assert "left_col" in dot or "right_col" in dot
     lines = dot.splitlines()
@@ -317,7 +323,7 @@ def test_json_round_trip_identical_predictions():
     tree = attach_outcomes(
         fit_tree(X, y, TreeHyperparams(max_depth=5, min_leaf_fraction=0.02), n_classes=3),
         X, y, outcomes)
-    back = tree_from_json(json.loads(export_tree(tree, "json")))
+    back = tree_from_json(json.loads(json_text(tree)))
     Xq = rng.normal(size=(1000, 4))
     np.testing.assert_array_equal(tree.predict_proba_batch(Xq),
                                   back.predict_proba_batch(Xq))
@@ -332,8 +338,8 @@ def test_export_is_bitwise_deterministic_across_refits():
     X = rng.normal(size=(300, 3))
     y = rng.integers(0, 2, size=300)
     hp = TreeHyperparams(max_depth=4, min_leaf_fraction=0.03)
-    a = export_tree(fit_tree(X, y, hp), "json")
-    b = export_tree(fit_tree(X.copy(), y.copy(), hp), "json")
+    a = json_text(fit_tree(X, y, hp))
+    b = json_text(fit_tree(X.copy(), y.copy(), hp))
     assert a == b
 
 
@@ -369,7 +375,7 @@ def test_truncated_deep_tree_equals_a_fresh_fit(n_classes):
             fresh = attach_outcomes(fit_tree(X, y, hp, n_classes=n_classes),
                                     X, y, outcomes)
             cut = attach_outcomes(truncate_tree(deep, depth), X, y, outcomes)
-            assert export_tree(cut, "json") == export_tree(fresh, "json"), (frac, depth)
+            assert json_text(cut) == json_text(fresh), (frac, depth)
             np.testing.assert_array_equal(cut.predict_proba_batch(Xq),
                                           fresh.predict_proba_batch(Xq))
             assert np.array_equal(cut.outcome_avg_batch(Xq),
@@ -380,10 +386,10 @@ def test_truncation_survives_a_json_round_trip_and_refuses_to_deepen():
     X, y, _ = tied_columns_data(3, 400, 4)
     deep = fit_tree(X, y, TreeHyperparams(max_depth=6, min_leaf_fraction=0.02),
                     n_classes=4)
-    back = tree_from_json(json.loads(export_tree(deep, "json")))
+    back = tree_from_json(json.loads(json_text(deep)))
     for depth in (1, 3, 6):
-        assert (export_tree(truncate_tree(back, depth), "json")
-                == export_tree(truncate_tree(deep, depth), "json"))
+        assert (json_text(truncate_tree(back, depth))
+                == json_text(truncate_tree(deep, depth)))
     with pytest.raises(TreeError, match="cannot truncate a depth-6 tree to depth 7"):
         truncate_tree(deep, 7)
 
@@ -459,10 +465,10 @@ def test_shared_search_fits_equal_private_and_per_node_sort_fits(n_classes):
         search = SplitSearch(X, y, n_classes, rng.permutation(FRACTIONS))
         for frac in rng.permutation(FRACTIONS):
             hp = TreeHyperparams(max_depth=depth, min_leaf_fraction=float(frac))
-            shared = export_tree(fit_tree(X, y, hp, n_classes=n_classes,
-                                          search=search), "json")
-            assert shared == export_tree(fit_tree(X, y, hp, n_classes=n_classes), "json")
-            assert shared == export_tree(per_node_sort_fit(X, y, hp, n_classes), "json")
+            shared = json_text(fit_tree(X, y, hp, n_classes=n_classes,
+                                        search=search))
+            assert shared == json_text(fit_tree(X, y, hp, n_classes=n_classes))
+            assert shared == json_text(per_node_sort_fit(X, y, hp, n_classes))
 
 
 def permuted_count_columns(seed, n_classes=25, per_class=40, n_features=30):
@@ -486,8 +492,8 @@ def test_float_ties_between_equal_gini_splits_break_as_per_node_sort_fits():
     hp = TreeHyperparams(max_depth=2, min_leaf_fraction=0.01)
     for seed in range(40):
         X, y = permuted_count_columns(seed)
-        assert (export_tree(fit_tree(X, y, hp, n_classes=25), "json")
-                == export_tree(per_node_sort_fit(X, y, hp, 25), "json")), seed
+        assert (json_text(fit_tree(X, y, hp, n_classes=25))
+                == json_text(per_node_sort_fit(X, y, hp, 25))), seed
 
 
 def test_shared_search_runs_fewer_node_searches_than_private_fits():
@@ -521,10 +527,4 @@ def test_shared_search_refuses_other_rows_classes_and_fractions():
                  n_classes=3, search=search)
     # an equal copy of the fitting set is the same fitting set
     copy = fit_tree(X.copy(), list(y), hp, n_classes=3, search=search)
-    assert export_tree(copy, "json") == export_tree(fit_tree(X, y, hp, n_classes=3), "json")
-
-
-def test_unknown_export_format_raises():
-    tree = fit_tree(np.ones((2, 1)), [0, 1], TreeHyperparams())
-    with pytest.raises(TreeError, match="unknown export format"):
-        export_tree(tree, "yaml")
+    assert json_text(copy) == json_text(fit_tree(X, y, hp, n_classes=3))
