@@ -189,6 +189,11 @@ class BehaviorModel:
                 raise BehaviorError(f"the {name} tree has {trees[name].n_classes} "
                                     f"classes, not {want}")
         calibrations = calibrations or {}
+        for name, cal in calibrations.items():
+            want = _n_classes(name, self.n_actions)
+            if cal is not None and cal.n_classes != want:
+                raise BehaviorError(f"the {name} calibration has {cal.n_classes} "
+                                    f"classes, not {want}")
         self.trees = {name: trees[name] for name in names}
         self.calibrations = {
             name: (calibrations.get(name)
@@ -598,5 +603,14 @@ def model_from_json(obj) -> BehaviorModel:
             if not isinstance(found.get(name), dict):
                 raise BehaviorError(f"model {key}[{name!r}] of a {kind} model "
                                     "is missing or not a JSON object")
-        parsed[key] = {name: parse(found[name]) for name in COMPONENTS[kind]}
-    return _KIND_CLASSES[kind](parsed["trees"], parsed["calibration"])
+        parsed[key] = {}
+        for name in COMPONENTS[kind]:
+            try:
+                parsed[key][name] = parse(found[name])
+            except ClinpolError as exc:
+                raise BehaviorError(f"model {key}[{name!r}]: {exc}") from None
+    model = _KIND_CLASSES[kind](parsed["trees"], parsed["calibration"])
+    if obj.get("n_actions", model.n_actions) != model.n_actions:
+        raise BehaviorError(f"model 'n_actions' is {obj['n_actions']!r}, "
+                            f"but its trees have {model.n_actions} actions")
+    return model

@@ -54,11 +54,22 @@ class CalibrationModel:
 
     @classmethod
     def from_json(cls, obj) -> "CalibrationModel":
-        return cls(
-            slope=np.asarray(obj["slope"], dtype=np.float64),
-            intercept=np.asarray(obj["intercept"], dtype=np.float64),
-            identity=np.asarray(obj["identity"], dtype=bool),
-        )
+        """The model :meth:`to_json` wrote; a missing key or lists of unequal
+        length raise a :class:`CalibrationError`."""
+        try:
+            cm = cls(
+                slope=np.asarray(obj["slope"], dtype=np.float64),
+                intercept=np.asarray(obj["intercept"], dtype=np.float64),
+                identity=np.asarray(obj["identity"], dtype=bool),
+            )
+        except KeyError as exc:
+            raise CalibrationError(f"calibration JSON lacks the key {exc.args[0]!r}") from None
+        except (TypeError, ValueError) as exc:
+            raise CalibrationError(f"malformed calibration JSON: {exc}") from None
+        if cm.slope.ndim != 1 or not cm.slope.shape == cm.intercept.shape == cm.identity.shape:
+            raise CalibrationError("calibration slope, intercept and identity are not "
+                                   "lists of one length")
+        return cm
 
 
 def identity_calibration(n_classes: int) -> CalibrationModel:

@@ -3,9 +3,10 @@
 A dataset is a cohort of per-patient trajectories stored as columns, one row
 per step: the covariates observed *before* acting, the treatment chosen from
 ``K`` discrete options, and the reward realized after acting, with trajectory
-offsets marking where each patient's rows start. ``from_records`` is the one
-conversion from parsed input to columns and holds every input check. Two
-interchange formats are supported:
+offsets marking where each patient's rows start. ``from_records`` and the
+JSONL loader share one conversion from parsed input to columns, which holds
+every input check and runs them a chunk of columns at a time. Two interchange
+formats are supported:
 
 * JSONL: a header line ``{"schema": [...], "K": ..., "provenance": ...}``
   followed by one trajectory object per line.
@@ -28,6 +29,8 @@ import json
 import logging
 import math
 from dataclasses import dataclass, replace
+from itertools import chain, compress, islice, repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -232,25 +235,158 @@ def from_records(schema: FeatureSchema, n_actions: int, records,
                  provenance: str = "") -> Dataset:
     """Columns from ``(id, steps)`` records, each step ``(features, action, reward)``.
 
-    This is the one conversion from parsed input to a ``Dataset``, and every
-    check on that input lives here. ``features`` maps feature names to
-    values; an absent name or None is missing. A missing or non-finite
-    reward cuts its trajectory before that step, and a trajectory cut at its
-    first step is dropped. Records are consumed one at a time, so a
-    generator keeps only the current one alive.
+    ``load_jsonl`` shares this conversion from parsed input to a ``Dataset``,
+    which holds every check on that input. ``features`` is a dict of feature names
+    to values; an absent name or None is missing. An action is an int and a
+    reward None or a number. A missing or non-finite reward cuts its
+    trajectory before that step, and a trajectory cut at its first step is
+    dropped. Records are consumed ``LOAD_CHUNK`` at a time, so a generator
+    keeps only one chunk alive.
+    """
+    return _assemble(schema, n_actions, _record_chunks(records), provenance)
+
+
+# Records converted per columnar pass. Small chunks keep the parsed objects
+# young: a 20k-trajectory load then triggers no full garbage collection.
+LOAD_CHUNK = 64
+# Trajectories formatted per write; larger chunks raise peak memory.
+SAVE_CHUNK = 256
+
+_NUMBER = (int, float)
+_NO_FEATURES: dict = {}  # the features of a JSON step that has none; never written to
+
+
+def _assemble(schema: FeatureSchema, n_actions: int, chunks, provenance: str) -> Dataset:
+    """A ``Dataset`` from chunks of up to ``LOAD_CHUNK`` records, checked a
+    chunk of columns at a time.
+
+    A chunk is ``(columns, records)``: ``columns`` is ``(ids, lengths,
+    features, actions, rewards)`` over all the chunk's steps, or None if the
+    records are not shaped as expected, and ``records()`` replays them as
+    ``(id, steps)`` records. The column checks only decide whether a chunk is
+    clean. A chunk they refuse goes through ``_check_records``, the
+    record-by-record conversion, which logs as it goes and raises the chunk's
+    first error with its message.
     """
     if n_actions < 2:
         raise SchemaError(f"K must be >= 2, got {n_actions}")
+    # name -> None for a numeric feature, else category -> index (None -> NaN)
+    lookups = {f.name: None if f.kind == NUMERIC else
+               {**{c: float(i) for i, c in enumerate(f.categories)}, None: math.nan}
+               for f in schema}
+    seen: set = set()
+    parts = [(np.empty((0, len(schema))), np.empty(0, np.int64), np.empty(0),
+              np.empty(0, np.int64), [])]
+    for columns, records in chunks:
+        part = None if columns is None else _chunk_arrays(lookups, n_actions, columns, seen)
+        if part is None:
+            _check_records(schema, n_actions, records(), seen)
+            raise RuntimeError("the column checks refused records the record checks accept")
+        parts.append(part)
+    covariates, actions, rewards, lengths, ids = zip(*parts)
+    return Dataset(schema=schema, n_actions=n_actions, covariates=np.concatenate(covariates),
+                   actions=np.concatenate(actions), rewards=np.concatenate(rewards),
+                   offsets=np.concatenate(([0], np.cumsum(np.concatenate(lengths)))),
+                   ids=list(chain.from_iterable(ids)), provenance=provenance)
+
+
+def _only(types, kinds, none: bool = False) -> bool:
+    """Whether values of these types are all ``kinds`` but not bool, or None if ``none``."""
+    return all((none and t is type(None)) or (issubclass(t, kinds) and not issubclass(t, bool))
+               for t in types)
+
+
+def _chunk_arrays(lookups: dict, n_actions: int, columns, seen: set):
+    """A chunk's covariates, actions, rewards, lengths and ids after its cuts,
+    or None if any check refuses it. Logs the cuts and adds the ids to
+    ``seen`` only when every check passes."""
+    ids, lengths, features, actions, rewards = columns
+    if not all(lengths) or not _only(set(map(type, rewards)), _NUMBER, none=True):
+        return None
+    try:
+        rewards = np.array(rewards, dtype=np.float64)  # None reads as NaN
+    except OverflowError:
+        return None
+    lengths = np.array(lengths, dtype=np.int64)
+    kept, cut = lengths, np.flatnonzero(~np.isfinite(rewards))
+    cut_at = {}  # trajectory -> its steps before the first missing reward
+    if cut.size:
+        starts = np.cumsum(lengths) - lengths
+        traj, first = np.unique(np.searchsorted(starts, cut, side="right") - 1,
+                                return_index=True)
+        kept = lengths.copy()
+        kept[traj] = cut[first] - starts[traj]
+        cut_at = dict(zip(traj.tolist(), kept[traj].tolist()))
+        keep = np.arange(len(rewards)) - np.repeat(starts, lengths) < np.repeat(kept, lengths)
+        rewards = rewards[keep]
+        keep = keep.tolist()
+        features, actions = list(compress(features, keep)), list(compress(actions, keep))
+    live = list(compress(ids, (kept > 0).tolist())) if cut.size else ids
+    try:
+        if len(set(live)) < len(live) or not seen.isdisjoint(live):
+            return None
+    except TypeError:  # an unhashable id
+        return None
+    if (not _only(set(map(type, features)), dict)
+            or not set().union(*features).issubset(lookups)):
+        return None
+    covariates = np.empty((len(features), len(lookups)))
+    for j, (name, lookup) in enumerate(lookups.items()):
+        values = list(map(dict.get, features, repeat(name)))
+        types = set(map(type, values))
+        if lookup is None:
+            if not _only(types, _NUMBER, none=True):
+                return None
+            try:
+                covariates[:, j] = values  # None reads as NaN
+            except OverflowError:
+                return None
+            if np.count_nonzero(np.isfinite(covariates[:, j])) + values.count(None) < len(values):
+                return None
+        else:
+            if not _only(types, str, none=True):
+                return None
+            values = list(map(lookup.get, values))
+            if None in values:
+                return None
+            covariates[:, j] = values
+    if not _only(set(map(type, actions)), int):
+        return None
+    try:
+        actions = np.array(actions, dtype=np.int64)
+    except OverflowError:
+        return None
+    if actions.size and (actions.min() < 0 or actions.max() >= n_actions):
+        return None
+    for i, n in cut_at.items():
+        if n:
+            log.debug("trajectory %r truncated at step %d (missing reward)", ids[i], n)
+        else:
+            log.warning("trajectory %r dropped: reward missing at first step", ids[i])
+    seen.update(live)
+    return covariates, actions, rewards, kept[kept > 0], live
+
+
+def _check_records(schema: FeatureSchema, n_actions: int, records, seen: set) -> None:
+    """Convert ``records`` one step at a time, only to find and word the first
+    error: logs cuts as it goes, adds ids to ``seen`` and raises that error."""
     column = {f.name: j for j, f in enumerate(schema)}
     codes = [None if f.kind == NUMERIC else {c: i for i, c in enumerate(f.categories)}
              for f in schema]
-    blank = [math.nan] * len(schema)
-    values, actions, rewards, offsets, ids, seen = [], [], [], [0], [], set()
 
     def error(message):  # reads the tid and t being checked
         return SchemaError(f"trajectory {tid!r} step {t}: {message}")
 
     for tid, steps in records:
+        for t, (_, _, reward) in enumerate(steps, start=1):
+            if reward is None:
+                continue
+            if not isinstance(reward, _NUMBER) or isinstance(reward, bool):
+                raise error(f"reward {reward!r} is not a number")
+            try:
+                float(reward)
+            except OverflowError:
+                raise error("reward is an integer too large for a float") from None
         kept = _before_missing_reward(steps)
         if steps and not kept:
             log.warning("trajectory %r dropped: reward missing at first step", tid)
@@ -263,9 +399,12 @@ def from_records(schema: FeatureSchema, n_actions: int, records,
         if not kept:
             raise SchemaError(f"trajectory {tid!r}: empty trajectory")
         for t, (features, action, reward) in enumerate(kept, start=1):
+            if not isinstance(action, int) or isinstance(action, bool):
+                raise error(f"action {action!r} is not an integer")
             if not 0 <= action < n_actions:
                 raise error(f"action {action} outside [0, {n_actions})")
-            row = blank.copy()
+            if not isinstance(features, dict):
+                raise error(f"features {features!r} are not a dict")
             for name, v in features.items():
                 j = column.get(name)
                 if j is None:
@@ -273,24 +412,18 @@ def from_records(schema: FeatureSchema, n_actions: int, records,
                 if v is None:
                     continue
                 if codes[j] is not None:
-                    row[j] = codes[j].get(v) if isinstance(v, str) else None
-                    if row[j] is None:
+                    if not isinstance(v, str) or v not in codes[j]:
                         raise error(f"value {v!r} not a declared category of {name!r}")
-                elif not isinstance(v, (int, float)) or isinstance(v, bool):
+                elif not isinstance(v, _NUMBER) or isinstance(v, bool):
                     raise error(f"numeric feature {name!r} holds {type(v).__name__}")
-                elif not math.isfinite(v):
-                    raise error(f"numeric feature {name!r} is {v!r}, not a finite number")
                 else:
-                    row[j] = float(v)
-            values.extend(row)
-            actions.append(action)
-            rewards.append(reward)
-        offsets.append(len(actions))
-        ids.append(tid)
-    covariates = np.array(values, dtype=np.float64).reshape(len(actions), len(schema))
-    return Dataset(schema=schema, n_actions=n_actions, covariates=covariates,
-                   actions=actions, rewards=rewards, offsets=offsets, ids=ids,
-                   provenance=provenance)
+                    try:
+                        finite = math.isfinite(v)
+                    except OverflowError:
+                        raise error(f"numeric feature {name!r} is an integer too large "
+                                    "for a float") from None
+                    if not finite:
+                        raise error(f"numeric feature {name!r} is {v!r}, not a finite number")
 
 
 def _before_missing_reward(steps):
@@ -301,62 +434,237 @@ def _before_missing_reward(steps):
     return steps
 
 
+def _record_chunks(records):
+    """Chunks of ``(id, steps)`` records with ``(features, action, reward)`` steps."""
+    records = iter(records)
+    while chunk := list(islice(records, LOAD_CHUNK)):
+        yield _record_columns(chunk), lambda chunk=chunk: chunk
+
+
+def _record_columns(records):
+    """Columns over all steps of ``records``, or None if they are not pairs of
+    an id and a list or tuple of 3-item lists or tuples."""
+    try:
+        if set(map(len, records)) != {2}:
+            return None
+        ids, step_lists = list(map(itemgetter(0), records)), list(map(itemgetter(1), records))
+    except (KeyError, TypeError):
+        return None
+    if not _only(set(map(type, step_lists)), (list, tuple)):
+        return None
+    steps = list(chain.from_iterable(step_lists))
+    if not _only(set(map(type, steps)), (list, tuple)) or set(map(len, steps)) - {3}:
+        return None
+    features, actions, rewards = zip(*steps) if steps else ((), (), ())
+    return ids, list(map(len, step_lists)), features, actions, rewards
+
+
 # ---------------------------------------------------------------------------
 # file I/O
 # ---------------------------------------------------------------------------
 
-def _step_features(ds: Dataset) -> list:
-    """Each step's feature values in schema order: None where missing, the
-    category name for a categorical, a float otherwise."""
-    cols = []
+def _texts(values: np.ndarray, missing: str | None = None) -> list:
+    """Each value's repr, as ``json.dumps`` and ``csv`` write a Python int or
+    float; NaN as ``missing`` when given.
+
+    Covariates repeat within a trajectory, so each distinct value is
+    formatted once; values are told apart by their bits, which keeps -0.0
+    apart from 0.0.
+    """
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    texts = repr(bits.view(values.dtype).tolist())[1:-1].split(", ")
+    if missing is not None:
+        texts = [missing if text == "nan" else text for text in texts]
+    return np.array(texts, dtype=object)[inverse].tolist()
+
+
+def _feature_texts(ds: Dataset, lo: int, hi: int, missing: str, category) -> list:
+    """Each feature's values on rows ``lo:hi``: a float's repr, ``category(c)``
+    for a category ``c``, ``missing`` where the value is missing."""
+    columns = []
+    for f, col in zip(ds.schema, ds.covariates[lo:hi].T):
+        if f.kind == NUMERIC:
+            columns.append(_texts(col, missing))
+        else:
+            choices = np.array([*map(category, f.categories), missing], dtype=object)
+            index = np.where(np.isnan(col), len(f.categories), col).astype(np.int64)
+            columns.append(choices[index].tolist())
+    return columns
+
+
+def _chunk_rows(ds: Dataset):
+    """``(i, j, lo, hi)``: trajectories ``i:j`` and their rows ``lo:hi``,
+    ``SAVE_CHUNK`` trajectories at a time."""
+    offsets = ds.offsets.tolist()
+    for i in range(0, len(ds), SAVE_CHUNK):
+        j = min(i + SAVE_CHUNK, len(ds))
+        yield i, j, offsets[i], offsets[j]
+
+
+def _step_name(ds: Dataset, row: int) -> str:
+    traj = int(np.searchsorted(ds.offsets, row, side="right")) - 1
+    return f"trajectory {ds.ids[traj]!r} step {row - int(ds.offsets[traj]) + 1}"
+
+
+def _refuse_bad_codes(ds: Dataset) -> None:
+    """Raise a ``DatasetError`` at a categorical value that is neither
+    missing nor a category's index: no file can name its category."""
     for f, col in zip(ds.schema, ds.covariates.T):
-        missing = np.isnan(col)
         if f.kind == CATEGORICAL:
-            col = np.array(f.categories, dtype=object)[np.where(missing, 0, col).astype(np.int64)]
-        cols.append([None if m else v for v, m in zip(col.tolist(), missing.tolist())])
-    return list(zip(*cols)) if cols else [()] * ds.n_steps
+            bad = ~(np.isnan(col) | np.isin(col, np.arange(len(f.categories))))
+            if bad.any():
+                row = int(np.argmax(bad))
+                raise DatasetError(f"{_step_name(ds, row)}: categorical feature {f.name!r} "
+                                   f"holds {float(col[row])!r}, not a category index")
+
+
+def _refuse_non_finite(ds: Dataset) -> None:
+    """Raise a ``DatasetError`` at the first step whose reward is not finite
+    or whose numeric covariate is infinite: JSON cannot hold either."""
+    numeric = [j for j, f in enumerate(ds.schema) if f.kind == NUMERIC]
+    bad = ~np.isfinite(ds.rewards)
+    for j in numeric:
+        bad |= np.isinf(ds.covariates[:, j])
+    if not bad.any():
+        return
+    row = int(np.argmax(bad))
+    for j in numeric:
+        value = float(ds.covariates[row, j])
+        if math.isinf(value):
+            raise DatasetError(f"{_step_name(ds, row)}: numeric feature {ds.schema.names[j]!r} "
+                               f"is {value!r}, which JSON cannot hold")
+    raise DatasetError(f"{_step_name(ds, row)}: reward is {float(ds.rewards[row])!r}, "
+                       "which JSON cannot hold")
 
 
 def save_jsonl(ds: Dataset, path) -> None:
-    features = _step_features(ds)
-    actions, rewards = ds.actions.tolist(), ds.rewards.tolist()
-    names = ds.schema.names
+    """The header line, then one line per trajectory, byte for byte as
+    ``json.dumps`` with compact separators writes them.
+
+    A non-finite reward, an infinite covariate or a categorical value that
+    is no category's index raises a ``DatasetError``; a missing covariate is
+    written as null.
+    """
+    _refuse_bad_codes(ds)
+    _refuse_non_finite(ds)
+    features = ",".join(json.dumps(name).replace("%", "%%") + ":%s" for name in ds.schema.names)
+    # one step: its line's head (or a comma), its fields, its line's end (or nothing)
+    step = '%s{"features":{' + features + '},"action":%s,"reward":%s}%s'
     with open(path, "w") as fh:
         header = {"schema": ds.schema.to_json(), "K": ds.n_actions, "provenance": ds.provenance}
         fh.write(json.dumps(header, separators=(",", ":")) + "\n")
-        for tid, lo, hi in zip(ds.ids, ds.offsets[:-1].tolist(), ds.offsets[1:].tolist()):
-            obj = {
-                "id": tid,
-                "steps": [
-                    {"features": dict(zip(names, features[r])),
-                     "action": actions[r], "reward": rewards[r]}
-                    for r in range(lo, hi)
-                ],
-            }
-            fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
+        for i, j, lo, hi in _chunk_rows(ds):
+            heads = np.full(hi - lo, ",", dtype=object)
+            heads[ds.offsets[i:j] - lo] = ['{"id":' + json.dumps(tid) + ',"steps":['
+                                           for tid in ds.ids[i:j]]
+            ends = np.full(hi - lo, "", dtype=object)
+            ends[ds.offsets[i + 1:j + 1] - lo - 1] = "]}\n"
+            columns = [heads.tolist(), *_feature_texts(ds, lo, hi, "null", json.dumps),
+                       _texts(ds.actions[lo:hi]), _texts(ds.rewards[lo:hi]), ends.tolist()]
+            fh.write("".join(map(step.__mod__, zip(*columns))))
 
 
-def _jsonl_records(path, lines):
-    """``(id, steps)`` per trajectory line; line 1 is the header."""
+def _jsonl_chunks(path, lines):
+    """Chunks of the trajectory lines; line 1 is the header."""
+    objs, linenos = [], []
     for lineno, line in enumerate(lines, start=2):
-        if not line.strip():
-            continue
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path} line {lineno}: {exc.msg}") from None
+            objs.append(json.loads(line))
+        except ValueError as exc:  # bad JSON, or an integer of over 4300 digits
+            if not line.strip():
+                continue
+            if objs:  # the lines before come first, and so do their errors
+                yield _json_chunk(path, linenos, objs)
+            raise ParseError(f"{path} line {lineno}: {getattr(exc, 'msg', exc)}") from None
+        linenos.append(lineno)
+        if len(objs) == LOAD_CHUNK:
+            yield _json_chunk(path, linenos, objs)
+            objs, linenos = [], []
+    if objs:
+        yield _json_chunk(path, linenos, objs)
+
+
+def _json_chunk(path, linenos, objs):
+    return _json_columns(objs), lambda: _json_records(path, linenos, objs)
+
+
+_ID, _STEPS, _ACTION, _REWARD = map(itemgetter, ("id", "steps", "action", "reward"))
+
+
+def _json_columns(objs):
+    """Columns over all steps of parsed trajectory lines, or None unless every
+    line is an object with an ``id`` and a ``steps`` list of objects, each with
+    an optional ``features`` object, an integer ``action`` and a ``reward``
+    that is null or a number."""
+    try:
+        ids = list(map(str, map(_ID, objs)))
+        step_lists = list(map(_STEPS, objs))
+    except (KeyError, TypeError):
+        return None
+    if set(map(type, step_lists)) != {list}:
+        return None
+    steps = list(chain.from_iterable(step_lists))
+    if set(map(type, steps)) != {dict}:
+        return None
+    try:
+        actions, rewards = list(map(_ACTION, steps)), list(map(_REWARD, steps))
+    except KeyError:
+        return None
+    features = list(map(dict.get, steps, repeat("features"), repeat(_NO_FEATURES)))
+    if (set(map(type, features)) != {dict} or set(map(type, actions)) != {int}
+            or not set(map(type, rewards)) <= {float, int, type(None)}):
+        return None
+    return ids, list(map(len, step_lists)), features, actions, rewards
+
+
+def _json_records(path, linenos, objs):
+    """The lines' ``(id, steps)`` records, parsed a step at a time for the
+    per-record checks; raises a line's first ``ParseError``."""
+    for lineno, obj in zip(linenos, objs):
         try:
             tid = str(obj["id"])
             raw_steps = obj["steps"]
         except (KeyError, TypeError):
             raise ParseError(f"{path} line {lineno}: trajectory needs 'id' and 'steps'") from None
         try:
-            steps = [(dict(s.get("features", {})), int(s["action"]),
-                      None if s["reward"] is None else float(s["reward"]))
-                     for s in raw_steps]
+            steps = [_json_step(f"{path} line {lineno}: trajectory {tid!r} step {t}", s)
+                     for t, s in enumerate(raw_steps, start=1)]
+        except ParseError:
+            raise
         except (KeyError, TypeError, ValueError):
             raise ParseError(f"{path} line {lineno}: malformed step in {tid!r}") from None
         yield tid, steps
+
+
+def _json_step(where: str, s):
+    """A JSON step as ``(features, action, reward)``.
+
+    What the loader always refused (a missing key, a null or unparsable
+    action, a reward that is no number even as text) raises KeyError,
+    TypeError or ValueError, reported as a malformed step. What it used to
+    coerce (a non-object step or features, a non-integer action, a reward
+    given as text or a boolean, an integer too large for a float) raises a
+    ``ParseError`` naming the step.
+    """
+    if not isinstance(s, dict):
+        raise ParseError(f"{where}: step is not an object")
+    try:  # the old coercion, for what it refused
+        dict(s.get("features", {})), int(s["action"]), s["reward"] is None or float(s["reward"])
+    except OverflowError:  # an infinite action or a huge integer reward
+        pass
+    features, action, reward = s.get("features", {}), s["action"], s["reward"]
+    if not isinstance(features, dict):
+        raise ParseError(f"{where}: features {features!r} are not an object")
+    if type(action) is not int:
+        raise ParseError(f"{where}: action {action!r} is not an integer")
+    if reward is not None:
+        if type(reward) not in (int, float):
+            raise ParseError(f"{where}: reward {reward!r} is not a number")
+        try:
+            reward = float(reward)
+        except OverflowError:
+            raise ParseError(f"{where}: reward is an integer too large for a float") from None
+    return features, action, reward
 
 
 def load_jsonl(path) -> Dataset:
@@ -366,28 +674,33 @@ def load_jsonl(path) -> Dataset:
             raise ParseError(f"{path}: empty file, expected a header line")
         try:
             header = json.loads(first)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path} line 1: bad header ({exc.msg})") from None
+        except ValueError as exc:
+            raise ParseError(f"{path} line 1: bad header ({getattr(exc, 'msg', exc)})") from None
         if not isinstance(header, dict) or "schema" not in header or "K" not in header:
             raise ParseError(f"{path} line 1: header must carry 'schema' and 'K'")
-        return from_records(FeatureSchema.from_json(header["schema"]), int(header["K"]),
-                            _jsonl_records(path, fh), str(header.get("provenance", "")))
+        try:
+            n_actions = int(header["K"])
+        except (TypeError, ValueError):
+            raise ParseError(f"{path} line 1: K is {header['K']!r}, not an integer") from None
+        return _assemble(FeatureSchema.from_json(header["schema"]), n_actions,
+                         _jsonl_chunks(path, fh), str(header.get("provenance", "")))
 
 
 def save_csv(ds: Dataset, path) -> None:
-    features = _step_features(ds)
-    actions, rewards = ds.actions.tolist(), ds.rewards.tolist()
+    _refuse_bad_codes(ds)
     with open(path, "w", newline="") as fh:
         meta = {"K": ds.n_actions, "provenance": ds.provenance}
         fh.write("# " + json.dumps(meta, separators=(",", ":")) + "\n")
         writer = csv.writer(fh)
         writer.writerow(["id", "t", "action", "reward"] + ds.schema.names)
-        for tid, lo, hi in zip(ds.ids, ds.offsets[:-1].tolist(), ds.offsets[1:].tolist()):
-            for t, r in enumerate(range(lo, hi), start=1):
-                writer.writerow([tid, t, actions[r], repr(rewards[r])] + [
-                    "" if v is None else v if isinstance(v, str) else repr(v)
-                    for v in features[r]
-                ])
+        for i, j, lo, hi in _chunk_rows(ds):
+            lengths = ds.lengths[i:j]
+            ids = chain.from_iterable(map(repeat, ds.ids[i:j], lengths.tolist()))
+            stages = np.arange(lo, hi) - np.repeat(ds.offsets[i:j], lengths) + 1
+            # a category goes to the writer as it is, which writes None as ""
+            writer.writerows(zip(ids, stages.tolist(), ds.actions[lo:hi].tolist(),
+                                 _texts(ds.rewards[lo:hi]),
+                                 *_feature_texts(ds, lo, hi, "", lambda c: c)))
 
 
 def load_csv(path, n_actions: int | None = None) -> Dataset:

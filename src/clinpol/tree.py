@@ -507,11 +507,21 @@ def tree_to_json(tree: DecisionTree) -> dict:
 
 
 def tree_from_json(obj) -> DecisionTree:
-    hp = TreeHyperparams.from_json(obj["hyperparams"])
-    n_classes = int(obj["n_classes"])
-    root = _node_from_json(obj["tree"], n_classes)
-    return DecisionTree(root, n_classes, int(obj["n_features"]), hp,
-                        int(obj["n_train"]), obj.get("feature_names"))
+    """The tree :func:`tree_to_json` wrote. A missing key raises a
+    :class:`TreeError` that names it, a value of the wrong type one that
+    says what went wrong."""
+    try:
+        hp = TreeHyperparams.from_json(obj["hyperparams"])
+        n_classes = int(obj["n_classes"])
+        root = _node_from_json(obj["tree"], n_classes)
+        return DecisionTree(root, n_classes, int(obj["n_features"]), hp,
+                            int(obj["n_train"]), obj.get("feature_names"))
+    except KeyError as exc:
+        raise TreeError(f"tree JSON lacks the key {exc.args[0]!r}") from None
+    except TreeError:
+        raise
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise TreeError(f"malformed tree JSON: {exc}") from None
 
 
 def _feature_label(tree, j) -> str:

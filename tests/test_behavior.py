@@ -498,6 +498,14 @@ def test_rejects_other_format_versions():
      r"calibration\['treatment'\]"),
     (lambda obj: dict(obj, kind="dt"), r"trees\['tree'\]"),
     (lambda obj: dict(obj, kind=["dts"]), "unknown model kind"),
+    (lambda obj: dict(obj, trees=dict(obj["trees"], switch={"n_classes": 2})),
+     r"trees\['switch'\]: tree JSON lacks the key 'hyperparams'"),
+    (lambda obj: dict(obj, calibration=dict(obj["calibration"], switch={"slope": [1.0, 1.0]})),
+     r"calibration\['switch'\]: calibration JSON lacks the key 'intercept'"),
+    (lambda obj: dict(obj, calibration=dict(obj["calibration"],
+                                            treatment=obj["calibration"]["switch"])),
+     "the treatment calibration has 2 classes, not 3"),
+    (lambda obj: dict(obj, n_actions=4), "'n_actions' is 4, but its trees have 3 actions"),
 ])
 def test_malformed_envelopes_raise_a_behavior_error_naming_the_key(edit, key):
     obj = json.loads(json.dumps(model_to_json(leaf_model([8, 2], [5, 3, 2]))))

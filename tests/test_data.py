@@ -1,10 +1,17 @@
 """Dataset containers, file round-trips, imputation/encoding, states, splits."""
 
+import csv
+import json
+import logging
+import math
+import random
+
 import numpy as np
 import pytest
 
 from clinpol.data import (
     CATEGORICAL,
+    LOAD_CHUNK,
     NONE_ACTION,
     NUMERIC,
     Dataset,
@@ -12,6 +19,7 @@ from clinpol.data import (
     Feature,
     FeatureSchema,
     ParseError,
+    SAVE_CHUNK,
     SchemaError,
     SplitSpec,
     StateConfig,
@@ -216,6 +224,348 @@ def test_jsonl_explicit_empty_trajectory_is_error(tmp_path):
     )
     with pytest.raises(SchemaError, match="empty trajectory"):
         load_jsonl(path)
+
+
+# ---------------------------------------------------------------------------
+# JSONL type rules
+# ---------------------------------------------------------------------------
+
+def write_steps(tmp_path, *steps, line_two=None):
+    """A one-numeric-feature JSONL file: line 2 holds ``line_two`` (raw JSON)
+    or p0 with the given raw JSON steps; p1 is a clean line after it."""
+    path = tmp_path / "d.jsonl"
+    line = line_two or '{"id":"p0","steps":[%s]}' % ",".join(steps)
+    path.write_text(JSONL_HEADER + line + "\n"
+                    + '{"id":"p1","steps":[{"features":{"sev":1.0},"action":0,"reward":0.0}]}\n')
+    return path
+
+
+OK_STEP = '{"features":{"sev":1.0},"action":1,"reward":0.5}'
+
+
+@pytest.mark.parametrize("step, message", [
+    ('{"features":{"sev":1.0},"action":2.7,"reward":0.5}', "action 2.7 is not an integer"),
+    ('{"features":{"sev":1.0},"action":"1","reward":0.5}', "action '1' is not an integer"),
+    ('{"features":{"sev":1.0},"action":true,"reward":0.5}', "action True is not an integer"),
+    ('{"features":{"sev":1.0},"action":Infinity,"reward":0.5}', "action inf is not an integer"),
+    ('{"features":{"sev":1.0},"action":1,"reward":"1.5"}', "reward '1.5' is not a number"),
+    ('{"features":{"sev":1.0},"action":1,"reward":true}', "reward True is not a number"),
+    ('{"features":{"sev":1.0},"action":1,"reward":1%s}' % ("0" * 400),
+     "reward is an integer too large for a float"),
+    ('{"features":[["sev",1.0]],"action":1,"reward":0.5}',
+     r"features \[\['sev', 1.0\]\] are not an object"),
+    ('[{"sev":1.0},1,0.5]', "step is not an object"),
+    ('7', "step is not an object"),
+])
+def test_jsonl_type_errors_name_the_line_trajectory_and_step(tmp_path, step, message):
+    path = write_steps(tmp_path, OK_STEP, step)
+    with pytest.raises(ParseError, match=rf"d.jsonl line 2: trajectory 'p0' step 2: {message}"):
+        load_jsonl(path)
+
+
+def test_jsonl_type_errors_hold_after_a_missing_reward(tmp_path):
+    # a reward cut keeps later steps out of the dataset, not out of the parse
+    path = write_steps(tmp_path, '{"features":{"sev":1.0},"action":1,"reward":null}',
+                       '{"features":{"sev":1.0},"action":"1","reward":0.5}')
+    with pytest.raises(ParseError, match="line 2: trajectory 'p0' step 2: action '1'"):
+        load_jsonl(path)
+
+
+def test_jsonl_integer_feature_too_large_for_a_float_is_schema_error(tmp_path):
+    path = write_steps(tmp_path, OK_STEP, '{"features":{"sev":%s},"action":1,"reward":0.5}'
+                       % ("9" * 400))
+    with pytest.raises(SchemaError, match="trajectory 'p0' step 2: numeric feature 'sev' is an "
+                                          "integer too large for a float"):
+        load_jsonl(path)
+
+
+@pytest.mark.parametrize("step", [
+    '{"features":null,"action":1,"reward":0.5}',
+    '{"features":{"sev":1.0},"reward":0.5}',
+    '{"features":{"sev":1.0},"action":"x","reward":0.5}',
+    '{"features":{"sev":1.0},"action":NaN,"reward":0.5}',
+    '{"features":{"sev":1.0},"action":1,"reward":"x"}',
+    '{"features":{"sev":1.0},"action":1}',
+])
+def test_jsonl_malformed_steps_keep_their_message(tmp_path, step):
+    with pytest.raises(ParseError, match=r"^\S*d.jsonl line 2: malformed step in 'p0'$"):
+        load_jsonl(write_steps(tmp_path, OK_STEP, step))
+
+
+def test_jsonl_header_k_that_is_no_integer_is_parse_error(tmp_path):
+    path = tmp_path / "d.jsonl"
+    path.write_text(JSONL_HEADER.replace('"K":2', '"K":"two"'))
+    with pytest.raises(ParseError, match="line 1: K is 'two', not an integer"):
+        load_jsonl(path)
+
+
+def test_jsonl_integer_of_too_many_digits_is_parse_error(tmp_path):
+    path = write_steps(tmp_path, '{"features":{"sev":1%s},"action":1,"reward":0.5}' % ("0" * 5000))
+    with pytest.raises(ParseError, match="line 2: Exceeds the limit"):
+        load_jsonl(path)
+
+
+@pytest.mark.parametrize("line", ['{"steps":[]}', '[1,2]', '"p0"'])
+def test_jsonl_line_without_id_and_steps_is_parse_error(tmp_path, line):
+    with pytest.raises(ParseError, match="line 2: trajectory needs 'id' and 'steps'"):
+        load_jsonl(write_steps(tmp_path, line_two=line))
+
+
+@pytest.mark.parametrize("step, message", [
+    (({"sev": 1.0}, "1", 0.5), "step 1: action '1' is not an integer"),
+    (({"sev": 1.0}, 1.0, 0.5), "step 1: action 1.0 is not an integer"),
+    (({"sev": 1.0}, True, 0.5), "step 1: action True is not an integer"),
+    (({"sev": 1.0}, 1, "0.5"), "step 1: reward '0.5' is not a number"),
+    (({"sev": 1.0}, 1, False), "step 1: reward False is not a number"),
+    (({"sev": 1.0}, 1, 10 ** 400), "step 1: reward is an integer too large for a float"),
+    (([("sev", 1.0)], 1, 0.5), r"step 1: features \[\('sev', 1.0\)\] are not a dict"),
+])
+def test_records_type_errors_are_schema_errors(step, message):
+    schema = FeatureSchema((Feature("sev", NUMERIC),))
+    with pytest.raises(SchemaError, match=rf"^trajectory 'p0' {message}$"):
+        one_trajectory([step], schema)
+
+
+def test_records_accept_int_and_float_subclasses():
+    schema = FeatureSchema((Feature("sev", NUMERIC),))
+    ds = one_trajectory([({"sev": np.float64(2.5)}, 1, np.float64(0.5)), ({"sev": 3}, 0, 1)],
+                        schema)
+    assert ds.covariates[:, 0].tolist() == [2.5, 3.0] and ds.rewards.tolist() == [0.5, 1.0]
+
+
+# ---------------------------------------------------------------------------
+# the columnar loader against a record-by-record reference
+# ---------------------------------------------------------------------------
+
+RANDOM_HEADER = {
+    "schema": [{"name": "sev", "kind": "numeric", "categories": None},
+               {"name": "marker", "kind": "categorical", "categories": ["mid", "hi", "lo"]},
+               {"name": "dose", "kind": "numeric", "categories": None}],
+    "K": 3, "provenance": "random",
+}
+
+
+def random_lines(rng, n):
+    """Trajectory lines with missing (null or absent) values, integer
+    numerics, categories, rewards that cut or drop, and blank lines."""
+    lines = []
+    for i in range(n):
+        steps = []
+        for _ in range(rng.randint(1, 6)):
+            features = {}
+            for name in ("sev", "marker", "dose"):
+                r = rng.random()
+                if r < 0.1:
+                    continue  # absent
+                if r < 0.2:
+                    features[name] = None
+                elif name == "marker":
+                    features[name] = rng.choice(["mid", "hi", "lo"])
+                else:
+                    features[name] = rng.randint(-9, 9) if r < 0.35 else rng.uniform(-9, 9)
+            r = rng.random()
+            reward = (None if r < 0.05 else math.nan if r < 0.07 else -math.inf if r < 0.08
+                      else rng.randint(-3, 3) if r < 0.2 else rng.uniform(-3, 3))
+            step = {"features": features, "action": rng.randint(0, 2), "reward": reward}
+            if not features and rng.random() < 0.5:
+                del step["features"]
+            steps.append(step)
+        lines.append(json.dumps({"id": f"p{i}" if rng.random() < 0.9 else i, "steps": steps}))
+        if rng.random() < 0.03:
+            lines.append(rng.choice(["", "   ", "\t"]))
+    return lines
+
+
+def reference_load(schema, n_actions, lines):
+    """The record-by-record conversion the columnar loader replaced: the
+    dataset and the log lines it writes."""
+    codes = {f.name: f.categories and {c: i for i, c in enumerate(f.categories)} for f in schema}
+    rows, actions, rewards, offsets, ids, logs = [], [], [], [0], [], []
+    for line in lines:
+        if not line.strip():
+            continue
+        obj = json.loads(line)
+        steps = [(s.get("features", {}), s["action"], s["reward"]) for s in obj["steps"]]
+        kept = next((steps[:t] for t, (_, _, r) in enumerate(steps)
+                     if r is None or not math.isfinite(r)), steps)
+        tid = str(obj["id"])
+        if not kept:
+            logs.append(f"trajectory {tid!r} dropped: reward missing at first step")
+            continue
+        if len(kept) < len(steps):
+            logs.append(f"trajectory {tid!r} truncated at step {len(kept)} (missing reward)")
+        for features, action, reward in kept:
+            rows.append([math.nan if features.get(f.name) is None
+                         else codes[f.name][features[f.name]] if codes[f.name]
+                         else float(features[f.name]) for f in schema])
+            actions.append(action)
+            rewards.append(float(reward))
+        offsets.append(len(actions))
+        ids.append(tid)
+    ds = Dataset(schema, n_actions, np.array(rows).reshape(len(actions), len(schema)),
+                 actions, rewards, offsets, ids, provenance="random")
+    return ds, logs
+
+
+def records_of(lines):
+    for line in lines:
+        if line.strip():
+            obj = json.loads(line)
+            yield str(obj["id"]), [(s.get("features", {}), s["action"], s["reward"])
+                                   for s in obj["steps"]]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_columnar_loader_equals_the_record_by_record_reference(tmp_path, caplog, seed):
+    rng = random.Random(seed)
+    lines = random_lines(rng, rng.randint(3 * LOAD_CHUNK, 6 * LOAD_CHUNK))
+    path = tmp_path / "d.jsonl"
+    path.write_text("\n".join([json.dumps(RANDOM_HEADER)] + lines) + "\n")
+    schema = FeatureSchema.from_json(RANDOM_HEADER["schema"])
+    want, want_logs = reference_load(schema, 3, lines)
+    assert want_logs and want.n_steps > LOAD_CHUNK  # cuts and drops happen, over many chunks
+    for load in (lambda: load_jsonl(path),
+                 lambda: from_records(schema, 3, records_of(lines), provenance="random")):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="clinpol.data"):
+            got = load()
+        assert got == want
+        assert [r.getMessage() for r in caplog.records] == want_logs
+
+
+def chunked_file(tmp_path, n, edits):
+    """``n`` clean one-step lines for ids p0..; ``edits`` maps a trajectory
+    index to the raw JSON line that replaces it."""
+    lines = [edits.get(i, '{"id":"p%d","steps":[{"features":{"sev":%d.5},"action":%d,'
+                          '"reward":1.0}]}' % (i, i, i % 2)) for i in range(n)]
+    path = tmp_path / "d.jsonl"
+    path.write_text(JSONL_HEADER + "\n".join(lines) + "\n")
+    return path
+
+
+def test_a_bad_row_in_a_later_chunk_raises_its_own_error(tmp_path):
+    late = 3 * LOAD_CHUNK + 5
+    path = chunked_file(tmp_path, 4 * LOAD_CHUNK, {
+        late: '{"id":"bad","steps":[{"features":{"sev":1.0},"action":0,"reward":1.0},'
+              '{"features":{"sev":1.0},"action":2,"reward":1.0}]}'})
+    with pytest.raises(SchemaError, match=r"^trajectory 'bad' step 2: action 2 outside \[0, 2\)$"):
+        load_jsonl(path)
+
+
+def test_a_duplicate_id_across_chunks_is_schema_error(tmp_path):
+    path = chunked_file(tmp_path, 3 * LOAD_CHUNK, {
+        2 * LOAD_CHUNK + 1: '{"id":"p3","steps":[{"features":{},"action":0,"reward":1.0}]}'})
+    with pytest.raises(SchemaError, match=r"^duplicate trajectory id 'p3'$"):
+        load_jsonl(path)
+
+
+def test_the_first_error_of_a_chunk_wins_and_logs_stop_there(tmp_path, caplog):
+    drop = '{"id":"p%d","steps":[{"features":{},"action":0,"reward":null}]}'
+    path = chunked_file(tmp_path, 2 * LOAD_CHUNK, {
+        LOAD_CHUNK + 1: drop % (LOAD_CHUNK + 1),
+        LOAD_CHUNK + 3: '{"id":"p0","steps":[{"features":{},"action":0,"reward":1.0}]}',
+        LOAD_CHUNK + 4: '{"id":"x","steps":[{"features":{"dose":1.0},"action":0,"reward":1.0}]}',
+        LOAD_CHUNK + 6: drop % (LOAD_CHUNK + 6),
+        LOAD_CHUNK + 8: "{not json",
+    })
+    with caplog.at_level(logging.DEBUG, logger="clinpol.data"):
+        with pytest.raises(SchemaError, match=r"^duplicate trajectory id 'p0'$"):
+            load_jsonl(path)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"trajectory 'p{LOAD_CHUNK + 1}' dropped: reward missing at first step"]
+
+
+def test_a_json_error_comes_after_the_errors_of_earlier_lines(tmp_path):
+    path = chunked_file(tmp_path, 10, {
+        4: '{"id":"p4","steps":[{"features":{"sev":"high"},"action":0,"reward":1.0}]}',
+        6: "{not json"})
+    with pytest.raises(SchemaError, match="trajectory 'p4' step 1: numeric feature 'sev' holds str"):
+        load_jsonl(path)
+    path = chunked_file(tmp_path, 10, {6: "{not json"})
+    with pytest.raises(ParseError, match="line 8"):
+        load_jsonl(path)
+
+
+# ---------------------------------------------------------------------------
+# writers against json.dumps and csv oracles
+# ---------------------------------------------------------------------------
+
+def awkward_dataset():
+    """Ids and categories with quotes, backslashes, non-ASCII and '%'; extreme
+    floats; missing values; more trajectories than one write chunk."""
+    schema = FeatureSchema((
+        Feature('na"me%s', NUMERIC),
+        Feature("größe", CATEGORICAL, ('q"uote', "ümlaut", "back\\slash", "a,b")),
+        Feature("x", NUMERIC),
+    ))
+    rng = np.random.default_rng(7)
+    extremes = [-0.0, 0.0, 5e-324, 1e16, 1e-7, 123456789.125, -2.5e300, 0.1, None]
+    records = []
+    for i in range(SAVE_CHUNK + 40):
+        steps = []
+        for t in range(1 + i % 4):
+            cat = [None, 'q"uote', "ümlaut", "back\\slash", "a,b"][(i + t) % 5]
+            steps.append(({'na"me%s': extremes[int(rng.integers(0, 9))], "größe": cat,
+                           "x": None if (i * t) % 7 == 3 else float(rng.normal())},
+                          int(rng.integers(0, 3)), extremes[int(rng.integers(0, 8))]))
+        tid = ["p%d" % i, 'q"%d' % i, "ü%d" % i, "tab\t%d" % i][i % 4]
+        records.append((tid, steps))
+    return from_records(schema, 3, records, provenance='prov "ü"'), records
+
+
+def test_jsonl_writer_matches_a_json_dumps_oracle(tmp_path):
+    ds, records = awkward_dataset()
+    path = tmp_path / "d.jsonl"
+    save_jsonl(ds, path)
+    header = {"schema": ds.schema.to_json(), "K": 3, "provenance": ds.provenance}
+    want = [json.dumps(header, separators=(",", ":"))] + [
+        json.dumps({"id": tid, "steps": [
+            {"features": features, "action": action, "reward": reward}
+            for features, action, reward in steps]}, separators=(",", ":"))
+        for tid, steps in records]
+    assert path.read_text().split("\n") == want + [""]
+    assert load_jsonl(path) == ds
+
+
+def test_csv_writer_matches_a_csv_module_oracle(tmp_path):
+    ds, records = awkward_dataset()
+    path = tmp_path / "d.csv"
+    save_csv(ds, path)
+    with open(tmp_path / "want.csv", "w", newline="") as fh:
+        fh.write("# " + json.dumps({"K": 3, "provenance": ds.provenance},
+                                   separators=(",", ":")) + "\n")
+        writer = csv.writer(fh)
+        writer.writerow(["id", "t", "action", "reward"] + ds.schema.names)
+        for tid, steps in records:
+            for t, (features, action, reward) in enumerate(steps, start=1):
+                writer.writerow([tid, t, action, repr(reward)] + [
+                    "" if v is None else v if isinstance(v, str) else repr(v)
+                    for v in features.values()])
+    assert path.read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+@pytest.mark.parametrize("column, row, value, message", [
+    ("rewards", 1, math.nan, "trajectory 'p0' step 2: reward is nan"),
+    ("rewards", 2, -math.inf, "trajectory 'p1' step 1: reward is -inf"),
+    ("covariates", (1, 0), math.inf, "trajectory 'p0' step 2: numeric feature 'sev' is inf"),
+])
+def test_jsonl_writer_refuses_what_json_cannot_hold(tmp_path, column, row, value, message):
+    ds = tiny_dataset()
+    getattr(ds, column)[row] = value
+    with pytest.raises(DatasetError, match=message):
+        save_jsonl(ds, tmp_path / "d.jsonl")
+    assert not (tmp_path / "d.jsonl").exists()
+
+
+@pytest.mark.parametrize("code", [-1.0, 2.0, 0.5, math.inf])
+@pytest.mark.parametrize("save", [save_jsonl, save_csv])
+def test_writers_refuse_a_categorical_value_that_is_no_category_index(tmp_path, save, code):
+    ds = tiny_dataset()
+    ds.covariates[2, 1] = code
+    with pytest.raises(DatasetError, match=f"trajectory 'p1' step 1: categorical feature "
+                                           f"'marker' holds {code!r}, not a category index"):
+        save(ds, tmp_path / "d.out")
+    assert not (tmp_path / "d.out").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -315,6 +315,24 @@ def test_depth_two_dot_structure():
     assert n_edges == n_nodes - 1
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda obj: {k: v for k, v in obj.items() if k != "hyperparams"},
+     "tree JSON lacks the key 'hyperparams'"),
+    (lambda obj: dict(obj, hyperparams={"max_depth": 3}),
+     "tree JSON lacks the key 'min_leaf_fraction'"),
+    (lambda obj: dict(obj, tree={"feature": 0, "threshold": 0.5, "left": {"counts": [1, 2]}}),
+     "tree JSON lacks the key 'right'"),
+    (lambda obj: dict(obj, tree=[1, 2]), "malformed tree JSON"),
+    (lambda obj: dict(obj, n_classes="two"), "malformed tree JSON"),
+])
+def test_malformed_tree_json_is_a_tree_error_naming_the_key(edit, message):
+    rng = np.random.default_rng(2)
+    X = rng.normal(size=(100, 2))
+    tree = fit_tree(X, (X[:, 0] > 0).astype(int), TreeHyperparams(max_depth=2))
+    with pytest.raises(TreeError, match=message):
+        tree_from_json(edit(json.loads(json_text(tree))))
+
+
 def test_json_round_trip_identical_predictions():
     rng = np.random.default_rng(17)
     X = rng.normal(size=(500, 4))
