@@ -84,23 +84,6 @@ def _as_batch(states):
     return states
 
 
-def _take(a: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """``a[mask]``, or ``a`` itself when the mask selects every row.
-
-    Model queries are row-wise and read-only, so a full selection needs no
-    copy; the t>1 states of a large cohort are megabytes.
-    """
-    return a if mask.all() else a[mask]
-
-
-def _maybe_calibrate(cal: CalibrationModel, raw: np.ndarray) -> np.ndarray:
-    # a fully-identity calibration must not perturb leaf frequencies, so the
-    # sigmoid-and-renormalize path only runs when some class was fitted
-    if np.all(cal.identity):
-        return raw
-    return apply_calibration_batch(cal, raw)
-
-
 def _check_prev_stage(prev_actions, stages, n_actions):
     prev = np.asarray(prev_actions, dtype=np.int64)
     t = np.asarray(stages, dtype=np.int64)
@@ -214,10 +197,26 @@ class BehaviorModel:
 
     # -- composition pieces ------------------------------------------------
 
-    def _probs(self, name: str, states) -> np.ndarray:
-        """Component ``name``'s calibrated class probabilities."""
-        raw = self.trees[name].predict_proba_batch(states)
-        return _maybe_calibrate(self.calibrations[name], raw)
+    def _table(self, name: str) -> np.ndarray:
+        """Component ``name``'s calibrated leaf table, one row per leaf.
+
+        Calibration maps each row on its own, so mapping the leaf table once
+        and gathering by leaf gives every query row the bits a per-row map
+        would. A fully-identity calibration must not perturb leaf
+        frequencies, so the sigmoid-and-renormalize map only runs when some
+        class was fitted.
+        """
+        raw, cal = self.trees[name].leaf_probs, self.calibrations[name]
+        return raw if np.all(cal.identity) else apply_calibration_batch(cal, raw)
+
+    def _probs(self, name: str, states, rows=None) -> np.ndarray:
+        """Component ``name``'s calibrated class probabilities of ``states``,
+        or of its rows ``rows`` only."""
+        return self.trees[name].predict_proba_batch(states, rows, self._table(name))
+
+    def _switch(self, states, rows=None) -> np.ndarray:
+        return self.trees["switch"].predict_proba_batch(
+            states, rows, self._table("switch")[:, SWITCH])
 
     @property
     def _first_stage(self) -> str:
@@ -226,7 +225,7 @@ class BehaviorModel:
 
     def switch_probability_batch(self, states) -> np.ndarray:
         """Calibrated probability that the treatment changes at this step."""
-        return self._probs("switch", _as_batch(states))[:, SWITCH]
+        return self._switch(_as_batch(states))
 
     def conditional_switch_batch(self, states, prev_actions) -> np.ndarray:
         """Distribution over the *new* treatment given that a switch happens.
@@ -237,15 +236,16 @@ class BehaviorModel:
         """
         return self._conditional_switch(_as_batch(states), prev_actions)[0]
 
-    def _conditional_switch(self, states, prev_actions):
-        """:meth:`conditional_switch_batch` and how many of its rows fell
-        back to uniform."""
+    def _conditional_switch(self, states, prev_actions, rows=None):
+        """:meth:`conditional_switch_batch` of ``states``, or of its rows
+        ``rows`` (whose previous actions ``prev_actions`` are), and how many
+        of those rows fell back to uniform."""
         prev = np.asarray(prev_actions, dtype=np.int64)
         if np.any((prev < 0) | (prev >= self.n_actions)):
             raise BehaviorError("conditional switch distribution needs a previous action")
-        p = self._probs("treatment", states).copy()
-        rows = np.arange(len(p))
-        p[rows, prev] = 0.0
+        p = self._probs("treatment", states, rows)  # a gather: a fresh array
+        at = np.arange(len(p))
+        p[at, prev] = 0.0
         denom = p.sum(axis=1)
         bad = denom <= 0.0
         n_bad = int(bad.sum())
@@ -253,33 +253,43 @@ class BehaviorModel:
             log.debug("conditional switch distribution degenerate on %d states; "
                       "falling back to uniform over other actions", n_bad)
             p[bad] = 1.0 / (self.n_actions - 1)
-            p[rows[bad], prev[bad]] = 0.0
+            p[at[bad], prev[bad]] = 0.0
             denom[bad] = p[bad].sum(axis=1)
-        return p / denom[:, None], n_bad
+        p /= denom[:, None]
+        return p, n_bad
 
     # -- queries -----------------------------------------------------------
+
+    def _check_rows(self, states, prev_actions, stages):
+        """Validated states, previous actions and stages, and the positions
+        of the t=1 and the t>1 rows."""
+        states = _as_batch(states)
+        prev, t = _check_prev_stage(prev_actions, stages, self.n_actions)
+        if len(prev) != len(states):
+            raise BehaviorError(f"{len(states)} states but {len(prev)} previous actions")
+        first = t == 1
+        return states, prev, np.flatnonzero(first), np.flatnonzero(~first)
 
     def action_probabilities_batch(self, states, prev_actions, stages,
                                    parts=None) -> np.ndarray:
         """The composed distribution; ``parts``, a dict if given, receives
         the composition's pieces on the t>1 rows: ``switch``,
         ``conditional`` and ``uniform_fallbacks``, the number of those rows
-        whose conditional distribution fell back to uniform."""
-        states = _as_batch(states)
-        prev, t = _check_prev_stage(prev_actions, stages, self.n_actions)
+        whose conditional distribution fell back to uniform.
+
+        Each component routes only its own rows of ``states``, in place."""
+        states, prev, first, rest = self._check_rows(states, prev_actions, stages)
         if "switch" not in self.trees:
             return self._probs("tree", states)
         out = np.empty((len(states), self.n_actions), dtype=np.float64)
-        first = t == 1
-        if np.any(first):
+        if len(first):
             # no previous treatment: any choice is a fresh start, so the
             # first-stage distribution applies without exclusion
-            out[first] = self._probs(self._first_stage, _take(states, first))
-        rest = ~first
-        if np.any(rest):
-            follow, follow_prev = _take(states, rest), _take(prev, rest)
-            ps = self.switch_probability_batch(follow)
-            q, fallbacks = self._conditional_switch(follow, follow_prev)
+            out[first] = self._probs(self._first_stage, states, first)
+        if len(rest):
+            follow_prev = prev[rest]
+            ps = self._switch(states, rest)
+            q, fallbacks = self._conditional_switch(states, follow_prev, rest)
             composed = ps[:, None] * q
             composed[np.arange(len(ps)), follow_prev] = 1.0 - ps
             out[rest] = composed
@@ -291,21 +301,16 @@ class BehaviorModel:
         """Average fitting-set outcome for taking each action here (NaN where
         the leaf never saw it): staying reads the switch tree's stay average,
         any other action the first-stage or treatment tree's."""
-        states = _as_batch(states)
-        prev, t = _check_prev_stage(prev_actions, stages, self.n_actions)
+        states, prev, first, rest = self._check_rows(states, prev_actions, stages)
         if "switch" not in self.trees:
             return self.trees["tree"].outcome_avg_batch(states)
         out = np.empty((len(states), self.n_actions), dtype=np.float64)
-        first = t == 1
-        if np.any(first):
-            out[first] = self.trees[self._first_stage].outcome_avg_batch(
-                _take(states, first))
-        rest = ~first
-        if np.any(rest):
-            follow = _take(states, rest)
-            out[rest] = self.trees["treatment"].outcome_avg_batch(follow)
-            stay_avg = self.trees["switch"].outcome_avg_batch(follow)[:, STAY]
-            out[np.nonzero(rest)[0], _take(prev, rest)] = stay_avg
+        if len(first):
+            out[first] = self.trees[self._first_stage].outcome_avg_batch(states, first)
+        if len(rest):
+            out[rest] = self.trees["treatment"].outcome_avg_batch(states, rest)
+            stay_avg = self.trees["switch"].outcome_avg_batch(states, rest)[:, STAY]
+            out[rest, prev[rest]] = stay_avg
         return out
 
 

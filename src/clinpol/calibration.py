@@ -14,9 +14,9 @@ for bit without importing scipy: ``1 / (1 + exp(-x))`` with the C library's
 form may stand in for it. NumPy's vectorized ``exp`` differs from the C
 library's in the last bit on about 2% of arguments, and a rearranged formula
 rounds differently; either would change fitted slopes and calibrated
-probabilities. One Python call per element would be slow, but calibration
-inputs are leaf frequencies, so an array holds few distinct values and each
-is mapped once.
+probabilities. It makes one Python call per element, which is cheap here:
+the fit maps only the distinct scores, and a behavior model maps its leaf
+tables, a row per leaf, not a row per query.
 """
 
 from __future__ import annotations
@@ -89,11 +89,10 @@ def _sigmoid(v: float) -> float:
 
 
 def _expit(v) -> np.ndarray:
-    """``scipy.special.expit`` bit for bit, one libm call per distinct value."""
+    """``scipy.special.expit`` bit for bit, one libm call per element."""
     v = np.asarray(v, dtype=np.float64)
-    distinct, inverse = np.unique(v.ravel(), return_inverse=True, equal_nan=False)
-    table = np.array([_sigmoid(u) for u in distinct.tolist()], dtype=np.float64)
-    return table[inverse].reshape(v.shape)
+    return np.array([_sigmoid(u) for u in v.ravel().tolist()],
+                    dtype=np.float64).reshape(v.shape)
 
 
 def _fit_sigmoid(x, y, tol, max_iter):
@@ -101,14 +100,14 @@ def _fit_sigmoid(x, y, tol, max_iter):
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     xx = x * x
-    # b * xu[inv] + a is elementwise the z that nll builds, so the sigmoid
-    # needs only the distinct scores
+    # b * xu[inv] + a is elementwise b * x + a, so every elementwise map of
+    # it (the sigmoid, the log-partition) needs only the distinct scores
     xu, inv = np.unique(x, return_inverse=True)
     b, a = 1.0, 0.0
 
     def nll(b_, a_):
-        z = b_ * x + a_
-        return float(np.sum(np.logaddexp(0.0, z) - y * z))
+        zu = b_ * xu + a_
+        return float(np.sum(np.logaddexp(0.0, zu)[inv] - y * zu[inv]))
 
     # current always belongs to the accepted (b, a): an accepted line-search
     # point is exactly the update, so its objective value carries over
@@ -181,7 +180,6 @@ def apply_calibration_batch(cm: CalibrationModel, scores) -> np.ndarray:
     if S.shape[1] != cm.n_classes:
         raise CalibrationError(f"expected {cm.n_classes} columns, got {S.shape[1]}")
     mapped = S * cm.slope + cm.intercept
-    # column by column: a leaf-frequency column has few distinct values, and
     # an identity column is replaced by S below, so it needs no sigmoid
     for c in np.flatnonzero(~cm.identity):
         mapped[:, c] = _expit(mapped[:, c])

@@ -34,6 +34,7 @@ from operator import itemgetter
 
 import numpy as np
 
+from .checks import is_integer, is_number
 from .errors import ClinpolError
 
 log = logging.getLogger(__name__)
@@ -518,9 +519,10 @@ def _refuse_bad_codes(ds: Dataset) -> None:
                                    f"holds {float(col[row])!r}, not a category index")
 
 
-def _refuse_non_finite(ds: Dataset) -> None:
+def _refuse_non_finite(ds: Dataset, fmt: str) -> None:
     """Raise a ``DatasetError`` at the first step whose reward is not finite
-    or whose numeric covariate is infinite: JSON cannot hold either."""
+    or whose numeric covariate is infinite: neither format can hold either
+    (the CSV reader would cut the trajectory at a ``nan`` reward)."""
     numeric = [j for j, f in enumerate(ds.schema) if f.kind == NUMERIC]
     bad = ~np.isfinite(ds.rewards)
     for j in numeric:
@@ -532,9 +534,9 @@ def _refuse_non_finite(ds: Dataset) -> None:
         value = float(ds.covariates[row, j])
         if math.isinf(value):
             raise DatasetError(f"{_step_name(ds, row)}: numeric feature {ds.schema.names[j]!r} "
-                               f"is {value!r}, which JSON cannot hold")
+                               f"is {value!r}, which {fmt} cannot hold")
     raise DatasetError(f"{_step_name(ds, row)}: reward is {float(ds.rewards[row])!r}, "
-                       "which JSON cannot hold")
+                       f"which {fmt} cannot hold")
 
 
 def save_jsonl(ds: Dataset, path) -> None:
@@ -546,7 +548,7 @@ def save_jsonl(ds: Dataset, path) -> None:
     written as null.
     """
     _refuse_bad_codes(ds)
-    _refuse_non_finite(ds)
+    _refuse_non_finite(ds, "JSON")
     features = ",".join(json.dumps(name).replace("%", "%%") + ":%s" for name in ds.schema.names)
     # one step: its line's head (or a comma), its fields, its line's end (or nothing)
     step = '%s{"features":{' + features + '},"action":%s,"reward":%s}%s'
@@ -687,7 +689,11 @@ def load_jsonl(path) -> Dataset:
 
 
 def save_csv(ds: Dataset, path) -> None:
+    """A ``# {"K":...,"provenance":...}`` line, the header row, then one row
+    per step. Refuses what :func:`save_jsonl` refuses, before it opens the
+    file; a missing covariate is written as an empty field."""
     _refuse_bad_codes(ds)
+    _refuse_non_finite(ds, "a CSV cohort")
     with open(path, "w", newline="") as fh:
         meta = {"K": ds.n_actions, "provenance": ds.provenance}
         fh.write("# " + json.dumps(meta, separators=(",", ":")) + "\n")
@@ -891,13 +897,20 @@ class StateConfig:
     switch_count: bool = True
     mean_reward: bool = True
 
+    def __post_init__(self):
+        for key in ("switch_count", "mean_reward"):
+            value = getattr(self, key)
+            if not isinstance(value, bool):
+                raise DatasetError(f"malformed state config: {key!r} must be a boolean, "
+                                   f"got {value!r}")
+
     def to_json(self) -> dict:
         return {"switch_count": self.switch_count, "mean_reward": self.mean_reward}
 
     @classmethod
     def from_json(cls, obj) -> "StateConfig":
-        return cls(switch_count=bool(obj.get("switch_count", True)),
-                   mean_reward=bool(obj.get("mean_reward", True)))
+        return cls(switch_count=obj.get("switch_count", True),
+                   mean_reward=obj.get("mean_reward", True))
 
 
 class StateAssembler:
@@ -1065,6 +1078,14 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self):
+        # a value of the right type is stored as a Python float or int
+        for key, ok, what, kind in (("train_fraction", is_number, "a finite number", float),
+                                    ("validation_fraction", is_number, "a finite number", float),
+                                    ("seed", is_integer, "an integer", int)):
+            value = getattr(self, key)
+            if not ok(value):
+                raise DatasetError(f"malformed split: {key!r} must be {what}, got {value!r}")
+            object.__setattr__(self, key, kind(value))
         if not (0.0 < self.train_fraction < 1.0):
             raise DatasetError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
         if not (0.0 <= self.validation_fraction < 1.0):
@@ -1078,9 +1099,9 @@ class SplitSpec:
 
     @classmethod
     def from_json(cls, obj) -> "SplitSpec":
-        return cls(train_fraction=float(obj.get("train_fraction", 0.8)),
-                   validation_fraction=float(obj.get("validation_fraction", 0.2)),
-                   seed=int(obj.get("seed", 0)))
+        return cls(train_fraction=obj.get("train_fraction", 0.8),
+                   validation_fraction=obj.get("validation_fraction", 0.2),
+                   seed=obj.get("seed", 0))
 
 
 def split_dataset(ds: Dataset, spec: SplitSpec):

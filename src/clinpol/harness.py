@@ -23,13 +23,13 @@ import csv
 import json
 import logging
 import math
-import numbers
 import os
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .behavior import MODEL_KINDS, Evaluation, TreeMemo, fit_dt, fit_dtbls, fit_dts
+from .checks import is_integer, is_number
 from .data import (
     Dataset,
     SplitSpec,
@@ -71,6 +71,12 @@ class HyperparamGrid:
     min_leaf_fractions: tuple = DEFAULT_MIN_LEAF_FRACTIONS
 
     def __post_init__(self):
+        for key, ok, what in (("max_depths", is_integer, "integers"),
+                              ("min_leaf_fractions", is_number, "finite numbers")):
+            value = getattr(self, key)
+            if not (isinstance(value, (tuple, list)) and all(map(ok, value))):
+                raise HarnessError(f"malformed grid: {key!r} must be a list of {what}, "
+                                   f"got {value!r}")
         if not self.max_depths or not self.min_leaf_fractions:
             raise HarnessError("hyperparameter grid must not be empty")
         for d in self.max_depths:
@@ -88,12 +94,12 @@ class HyperparamGrid:
 
     @classmethod
     def from_json(cls, obj) -> "HyperparamGrid":
-        return cls(
-            max_depths=tuple(obj.get("max_depths", DEFAULT_MAX_DEPTHS)),
-            min_leaf_fractions=tuple(
-                obj.get("min_leaf_fractions", DEFAULT_MIN_LEAF_FRACTIONS)
-            ),
-        )
+        def read(key, default):
+            value = obj.get(key, default)
+            return tuple(value) if isinstance(value, list) else value
+
+        return cls(max_depths=read("max_depths", DEFAULT_MAX_DEPTHS),
+                   min_leaf_fractions=read("min_leaf_fractions", DEFAULT_MIN_LEAF_FRACTIONS))
 
 
 def sample_candidates(grid: HyperparamGrid, n_candidates: int, seed: int) -> list:
@@ -284,12 +290,12 @@ def _check_descriptor(desc) -> None:
         )
     if t in _K_POLICIES:
         k = desc.get("k")
-        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+        if not is_integer(k) or k < 1:
             raise HarnessError(
                 f"policy {t!r} needs an integer k >= 1, got {desc.get('k')!r}"
             )
     for key in ("p1", "epsilon"):
-        if not isinstance(desc.get(key, 0.0), numbers.Real):
+        if not is_number(desc.get(key, 0.0)):
             raise HarnessError(
                 f"policy {t!r}: {key} must be a number, got {desc[key]!r}"
             )
@@ -336,6 +342,7 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
+        self._check_types()
         if (self.dataset is None) == (self.simulator is None):
             raise HarnessError(
                 "configure exactly one dataset source: a file path or a simulator"
@@ -358,6 +365,31 @@ class ExperimentConfig:
             reason = _unrunnable(desc, self.model)
             if reason:
                 raise HarnessError(reason)
+
+    def _check_types(self) -> None:
+        """Refuse a field of the wrong type by name; integers become ints."""
+        def refuse(key, what):
+            raise HarnessError(f"malformed experiment config: {key!r} must be {what}, "
+                               f"got {getattr(self, key)!r}")
+
+        for key in ("n_repeats", "n_candidates", "seed"):
+            if not is_integer(getattr(self, key)):
+                refuse(key, "an integer")
+            setattr(self, key, int(getattr(self, key)))
+        for key in ("model", "estimator", "out_dir"):
+            if not isinstance(getattr(self, key), str):
+                refuse(key, "a string")
+        if self.dataset is not None and not isinstance(self.dataset, str):
+            refuse("dataset", "a path")
+        if self.simulator is not None and not isinstance(
+                self.simulator, (ChronicSimConfig, EpisodicSimConfig)):
+            refuse("simulator", "a simulator config")
+        for key, kind in (("split", SplitSpec), ("grid", HyperparamGrid),
+                          ("state_config", StateConfig)):
+            if not isinstance(getattr(self, key), kind):
+                refuse(key, f"a {kind.__name__}")
+        if not isinstance(self.policies, (tuple, list)):
+            refuse("policies", "a list of descriptors")
 
     def to_json(self) -> dict:
         out = {
@@ -401,25 +433,17 @@ class ExperimentConfig:
         return cls(
             dataset=obj.get("dataset"),
             simulator=sim,
-            n_repeats=_config_integer(obj, "n_repeats", 50),
+            n_repeats=obj.get("n_repeats", 50),
             split=SplitSpec.from_json(_config_object(obj, "split")),
             model=obj.get("model", "dtbls"),
-            n_candidates=_config_integer(obj, "n_candidates", 30),
+            n_candidates=obj.get("n_candidates", 30),
             policies=tuple(policies),
             estimator=obj.get("estimator", "wis"),
             out_dir=obj.get("out_dir", "results"),
             grid=HyperparamGrid.from_json(_config_object(obj, "grid")),
             state_config=StateConfig.from_json(_config_object(obj, "state_config")),
-            seed=_config_integer(obj, "seed", 0),
+            seed=obj.get("seed", 0),
         )
-
-
-def _config_integer(obj: dict, key: str, default: int) -> int:
-    value = obj.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise HarnessError(f"malformed experiment config: {key!r} must be an "
-                           f"integer, got {value!r}")
-    return int(value)
 
 
 def _config_object(obj: dict, key: str) -> dict:

@@ -33,10 +33,11 @@ seed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .checks import is_integer, is_number
 from .data import (
     CATEGORICAL,
     NONE_ACTION,
@@ -58,6 +59,41 @@ MC_SALT = 22695477  # keeps the rollout stream away from patient streams
 
 class SimError(ClinpolError):
     pass
+
+
+# what a config field of each declared scalar type must hold
+_FIELD_KINDS = {"int": ("an integer", is_integer),
+                "float": ("a finite number", is_number),
+                "bool": ("a boolean", lambda v: isinstance(v, bool))}
+
+
+def _check_field_types(cfg) -> None:
+    """Raise a :class:`SimError` naming the first scalar field whose value
+    is not of its declared type."""
+    for f in fields(cfg):
+        if f.type in _FIELD_KINDS:
+            what, ok = _FIELD_KINDS[f.type]
+            value = getattr(cfg, f.name)
+            if not ok(value):
+                raise SimError(f"{f.name} must be {what}, got {value!r}")
+
+
+def _is_pair(value, ok) -> bool:
+    return isinstance(value, (tuple, list)) and len(value) == 2 and all(map(ok, value))
+
+
+def _config_kwargs(cls, obj) -> dict:
+    """``obj`` as keyword arguments of ``cls``; a key ``cls`` lacks raises a
+    :class:`SimError` that names it."""
+    if not isinstance(obj, dict):
+        raise SimError(f"malformed simulator config: {cls.__name__} needs a JSON "
+                       f"object, got {obj!r}")
+    known = {f.name for f in fields(cls)}
+    unknown = sorted(set(obj) - known)
+    if unknown:
+        raise SimError(f"malformed simulator config: unknown {cls.__name__} keys "
+                       f"{unknown}; valid keys are {sorted(known)}")
+    return dict(obj)
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -130,6 +166,13 @@ class ChronicSimConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_field_types(self)
+        if not _is_pair(self.horizon_range, is_integer):
+            raise SimError(f"horizon_range must be a pair of integers, got "
+                           f"{self.horizon_range!r}")
+        if not _is_pair(self.index_range, is_number):
+            raise SimError(f"index_range must be a pair of finite numbers, got "
+                           f"{self.index_range!r}")
         if self.n_patients < 1:
             raise SimError(f"n_patients must be >= 1, got {self.n_patients}")
         if not (2 <= self.n_actions <= 8):
@@ -148,12 +191,13 @@ class ChronicSimConfig:
             raise SimError(f"noise scale must be >= 0, got {self.noise_scale}")
         if self.seed < 0:
             raise SimError(f"seed must be >= 0, got {self.seed}")
-        if self.effect_matrix is not None:
-            m = np.asarray(self.effect_matrix, dtype=np.float64)
-            if m.shape != (2, self.n_actions):
-                raise SimError(
-                    f"effect matrix must have shape (2, {self.n_actions}), got {m.shape}"
-                )
+        m = self.effect_matrix
+        if m is not None and not (
+                isinstance(m, (tuple, list)) and len(m) == 2
+                and all(isinstance(r, (tuple, list)) and len(r) == self.n_actions
+                        and all(map(is_number, r)) for r in m)):
+            raise SimError(f"effect matrix must be 2 rows of {self.n_actions} finite "
+                           f"numbers, got {m!r}")
 
     def effects(self) -> np.ndarray:
         """Per-subgroup index drop for each action, shape (2, K)."""
@@ -199,11 +243,13 @@ class ChronicSimConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ChronicSimConfig":
-        obj = dict(obj)
-        obj["horizon_range"] = tuple(obj.get("horizon_range", (3, 6)))
-        obj["index_range"] = tuple(obj.get("index_range", (0.0, 76.0)))
-        if obj.get("effect_matrix") is not None:
-            obj["effect_matrix"] = tuple(tuple(r) for r in obj["effect_matrix"])
+        obj = _config_kwargs(cls, obj)
+        for key in ("horizon_range", "index_range"):
+            if isinstance(obj.get(key), list):
+                obj[key] = tuple(obj[key])
+        matrix = obj.get("effect_matrix")
+        if isinstance(matrix, list) and all(isinstance(r, list) for r in matrix):
+            obj["effect_matrix"] = tuple(tuple(r) for r in matrix)
         return cls(**obj)
 
 
@@ -335,6 +381,7 @@ class EpisodicSimConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_field_types(self)
         if self.n_patients < 1:
             raise SimError(f"n_patients must be >= 1, got {self.n_patients}")
         if self.dose_levels < 2:
@@ -375,7 +422,7 @@ class EpisodicSimConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "EpisodicSimConfig":
-        return cls(**obj)
+        return cls(**_config_kwargs(cls, obj))
 
 
 def episodic_schema(cfg: EpisodicSimConfig) -> FeatureSchema:

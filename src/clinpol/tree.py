@@ -10,7 +10,7 @@ exactly and can be checked against a brute-force oracle:
 * growth stops at ``max_depth``, at pure nodes, or when a child would fall
   below ceil(min_leaf_fraction * n_train) samples.
 
-Leaves store their class counts (so ``predict_proba`` returns empirical
+Leaves store their class counts (so ``predict_proba_batch`` returns empirical
 frequencies) and, after :func:`attach_outcomes`, a per-class average outcome
 used by outcome-guided target policies. Trees serialize to a JSON document
 that reimports to identical predictions, and to Graphviz DOT for inspection.
@@ -122,6 +122,7 @@ class DecisionTree:
         visit(self.root)
         self.leaves = leaves
         self._leaf_probs = np.stack([lf.counts / lf.n for lf in leaves])
+        self._leaf_probs.flags.writeable = False
         self._refresh_outcome_cache()
 
     def _refresh_outcome_cache(self):
@@ -129,6 +130,11 @@ class DecisionTree:
             self._leaf_outcomes = np.stack([lf.outcome_avg for lf in self.leaves])
         else:
             self._leaf_outcomes = None
+
+    @property
+    def leaf_probs(self) -> np.ndarray:
+        """The read-only L × C table of leaf class frequencies, by leaf id."""
+        return self._leaf_probs
 
     @property
     def n_leaves(self) -> int:
@@ -149,32 +155,47 @@ class DecisionTree:
             )
         return X
 
-    def leaf_index_batch(self, X) -> np.ndarray:
+    def leaf_index_batch(self, X, rows=None) -> np.ndarray:
+        """The leaf of each row of ``X``, or of the rows ``rows`` (integer
+        positions in ``X``) only, in their order; no row of ``X`` is copied."""
         X = self._check(X)
-        out = np.empty(len(X), dtype=np.int64)
-
-        def route(node, idx):
+        if rows is not None:
+            rows = np.asarray(rows)
+            if rows.ndim != 1 or (len(rows) and rows.dtype.kind not in "iu"):
+                raise TreeError("rows must be a 1-D array of row positions")
+            if len(rows) and (rows.min() < 0 or rows.max() >= len(X)):
+                raise TreeError(f"row position outside [0, {len(X)})")
+            rows = rows.astype(np.intp, copy=False)
+        out = np.empty(len(X) if rows is None else len(rows), dtype=np.int64)
+        # (node, the places in out of the rows that reach it); the pending
+        # nodes hold disjoint places, so a walk holds about one index per row
+        pending = [(self.root, np.arange(len(out)))]
+        while pending:
+            node, at = pending.pop()
             if node.is_leaf:
-                out[idx] = node.leaf_id
-                return
-            mask = X[idx, node.feature] <= node.threshold
-            route(node.left, idx[mask])
-            route(node.right, idx[~mask])
-
-        route(self.root, np.arange(len(X)))
+                out[at] = node.leaf_id
+                continue
+            goes_left = X[at if rows is None else rows[at], node.feature] <= node.threshold
+            pending.append((node.right, at[~goes_left]))
+            pending.append((node.left, at[goes_left]))
         return out
 
-    def predict_proba_batch(self, X) -> np.ndarray:
-        return self._leaf_probs[self.leaf_index_batch(X)]
+    def predict_proba_batch(self, X, rows=None, table=None) -> np.ndarray:
+        """Each row's leaf class frequencies, or its row of ``table``, an
+        L × C array over this tree's leaves (a calibrated copy, say)."""
+        return self._gather(self._leaf_probs if table is None else table, X, rows)
 
-    def predict_proba(self, x) -> np.ndarray:
-        return self.predict_proba_batch(np.asarray(x, dtype=np.float64)[None, :])[0]
-
-    def outcome_avg_batch(self, X) -> np.ndarray:
-        """Per-class average outcome of each row's leaf; NaN where no data."""
+    def outcome_avg_batch(self, X, rows=None) -> np.ndarray:
+        """Per-class average outcome of each row's leaf; NaN where no data.
+        ``rows`` as for :meth:`leaf_index_batch`."""
         if self._leaf_outcomes is None:
             raise TreeError("tree has no attached outcomes")
-        return self._leaf_outcomes[self.leaf_index_batch(X)]
+        return self._gather(self._leaf_outcomes, X, rows)
+
+    def _gather(self, table, X, rows) -> np.ndarray:
+        if len(table) != self.n_leaves:
+            raise TreeError(f"a leaf table needs {self.n_leaves} rows, got {len(table)}")
+        return table[self.leaf_index_batch(X, rows)]
 
 
 # ---------------------------------------------------------------------------

@@ -254,27 +254,29 @@ def test_follow_up_queries_copy_no_state_rows(monkeypatch):
     def spy(name):
         real = getattr(tree.DecisionTree, name)
 
-        def query(self, X):
-            seen.append((self, X))
-            return real(self, X)
+        def query(self, X, rows=None, *table):
+            seen.append((self, X, rows))
+            return real(self, X, rows, *table)
         return query
 
     for name in ("predict_proba_batch", "outcome_avg_batch"):
         monkeypatch.setattr(tree.DecisionTree, name, spy(name))
-    # every row is a follow-up: both trees get the caller's states object
-    dts.action_probabilities_batch(follow.states, follow.prev_actions, follow.stages)
-    assert [t for t, _ in seen] == [dts.trees["switch"], dts.trees["treatment"]]
-    assert all(X is follow.states for _, X in seen)
-    seen.clear()
-    dts.outcome_batch(follow.states, follow.prev_actions, follow.stages)
-    assert len(seen) == 2 and all(X is follow.states for _, X in seen)
-    # with first stages present, one copy of the t>1 rows serves both trees
-    seen.clear()
-    dtbls.action_probabilities_batch(data.states, data.prev_actions, data.stages)
-    assert [t for t, _ in seen] == list(dtbls.trees.values())
-    assert list(dtbls.trees) == ["baseline", "switch", "treatment"]
-    assert seen[1][1] is seen[2][1]
-    np.testing.assert_array_equal(seen[1][1], follow.states)
+    # every tree query gets the caller's states object itself and the
+    # positions of the rows its component reads
+    first, rest = np.flatnonzero(data.stages == 1), np.flatnonzero(data.stages > 1)
+    for model, steps, rows in ((dts, follow, {"switch": np.arange(len(follow)),
+                                               "treatment": np.arange(len(follow))}),
+                               (dtbls, data, {"baseline": first, "switch": rest,
+                                              "treatment": rest})):
+        for query in (model.action_probabilities_batch, model.outcome_batch):
+            seen.clear()
+            query(steps.states, steps.prev_actions, steps.stages)
+            assert sorted(id(t) for t, _, _ in seen) == sorted(map(id, model.trees.values()))
+            for t, X, got in seen:
+                assert X is steps.states
+                name = next(n for n, c in model.trees.items() if c is t)
+                np.testing.assert_array_equal(got, rows[name])
+    assert len(first) and len(rest)
 
 
 def test_fit_dtbls_rejects_cohort_without_first_stage():

@@ -5,6 +5,7 @@ import json
 import logging
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -544,17 +545,32 @@ def test_csv_writer_matches_a_csv_module_oracle(tmp_path):
     assert path.read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
-@pytest.mark.parametrize("column, row, value, message", [
+NON_FINITE = [
     ("rewards", 1, math.nan, "trajectory 'p0' step 2: reward is nan"),
     ("rewards", 2, -math.inf, "trajectory 'p1' step 1: reward is -inf"),
     ("covariates", (1, 0), math.inf, "trajectory 'p0' step 2: numeric feature 'sev' is inf"),
-])
+]
+
+
+@pytest.mark.parametrize("column, row, value, message", NON_FINITE)
 def test_jsonl_writer_refuses_what_json_cannot_hold(tmp_path, column, row, value, message):
     ds = tiny_dataset()
     getattr(ds, column)[row] = value
     with pytest.raises(DatasetError, match=message):
         save_jsonl(ds, tmp_path / "d.jsonl")
     assert not (tmp_path / "d.jsonl").exists()
+
+
+@pytest.mark.parametrize("column, row, value, message", NON_FINITE)
+def test_csv_writer_refuses_what_the_csv_reader_cannot_read_back(tmp_path, column, row,
+                                                                  value, message):
+    # a nan reward written as "nan" would come back as a trajectory cut short
+    ds = tiny_dataset()
+    getattr(ds, column)[row] = value
+    with pytest.raises(DatasetError) as info:
+        save_csv(ds, tmp_path / "d.csv")
+    assert str(info.value) == message + ", which a CSV cohort cannot hold"
+    assert not (tmp_path / "d.csv").exists()
 
 
 @pytest.mark.parametrize("code", [-1.0, 2.0, 0.5, math.inf])
@@ -817,3 +833,24 @@ def test_split_spec_validates_fractions():
         SplitSpec(train_fraction=1.5)
     with pytest.raises(DatasetError):
         SplitSpec(validation_fraction=1.0)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: SplitSpec(train_fraction="x"), "'train_fraction' must be a finite number, got 'x'"),
+    (lambda: SplitSpec(validation_fraction=math.nan), "'validation_fraction' must be a finite"),
+    (lambda: SplitSpec.from_json({"seed": 1.5}), "'seed' must be an integer, got 1.5"),
+    (lambda: SplitSpec(seed=True), "'seed' must be an integer, got True"),
+    (lambda: StateConfig(mean_reward=1), "'mean_reward' must be a boolean, got 1"),
+    (lambda: StateConfig.from_json({"switch_count": "no"}),
+     "'switch_count' must be a boolean, got 'no'"),
+])
+def test_split_and_state_configs_refuse_a_value_of_the_wrong_type_by_name(build, message):
+    with pytest.raises(DatasetError, match=re.escape(message)):
+        build()
+
+
+def test_split_spec_stores_python_floats_and_ints():
+    spec = SplitSpec.from_json({"train_fraction": 1 - 0.25, "validation_fraction": 0,
+                                "seed": np.int64(3)})
+    assert spec.to_json() == {"train_fraction": 0.75, "validation_fraction": 0.0, "seed": 3}
+    assert type(spec.validation_fraction) is float and type(spec.seed) is int

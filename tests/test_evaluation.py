@@ -1,5 +1,6 @@
 """One evaluation record per (model, steps): exactness, call counts, refusals."""
 
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -8,6 +9,7 @@ import pytest
 
 from clinpol import cli, harness
 from clinpol.behavior import (
+    COMPONENTS,
     BaselineSwitchModel,
     Evaluation,
     SwitchTreatmentModel,
@@ -16,6 +18,7 @@ from clinpol.behavior import (
     fit_dtbls,
     fit_dts,
 )
+from clinpol.calibration import CalibrationModel, apply_calibration_batch
 from clinpol.data import NONE_ACTION, StepData
 from clinpol.ope import ESTIMATORS, importance_weights
 from clinpol.policies import SoftenedPolicy, SwitchAdjustedPolicy, TopKPolicy, build_policy
@@ -58,8 +61,11 @@ def evaluation_data(model, data: StepData) -> StepData:
     logged = probs[np.arange(len(data)), data.actions]
     unsupported = np.unique(data.traj_index[logged <= 0.0])
     out = take_trajectories(data, np.setdiff1d(np.arange(data.n_trajectories), unsupported))
-    if model.kind == "dt":
-        return out
+    return out if model.kind == "dt" else with_fallback_row(model, out)
+
+
+def with_fallback_row(model, out: StepData) -> StepData:
+    """``out`` plus one trajectory whose second step falls back to uniform."""
     treat = model.trees["treatment"].predict_proba_batch(out.states)
     p_switch = model.switch_probability_batch(out.states)
     first = np.flatnonzero(out.stages == 1)
@@ -116,6 +122,96 @@ def test_record_path_is_bitwise_equal_to_the_per_policy_path(kind, calibrated):
         assert clamp_events(alone) == clamp_events(shared)
         clamped += clamp_events(shared) or 0
     assert (clamped > 0) == (kind != "dt")
+
+
+def row_path(model, data: StepData):
+    """``(probs, switch, conditional, outcomes)`` the way the model once
+    computed them: each component's rows copied out of the states, routed,
+    and then calibrated row by row."""
+    def probs(name, X):
+        raw = model.trees[name].predict_proba_batch(X)
+        cal = model.calibrations[name]
+        return raw if np.all(cal.identity) else apply_calibration_batch(cal, raw)
+
+    X = data.states
+    if model.kind == "dt":
+        return probs("tree", X), None, None, model.trees["tree"].outcome_avg_batch(X)
+    start = "baseline" if model.kind == "dtbls" else "treatment"
+    first, rest = data.stages == 1, data.stages > 1
+    follow, prev = X[rest], data.prev_actions[rest]
+    at = np.arange(len(follow))
+    p = np.empty((len(X), data.n_actions))
+    p[first] = probs(start, X[first])
+    ps = probs("switch", follow)[:, 1]
+    q = probs("treatment", follow).copy()
+    q[at, prev] = 0.0
+    denom = q.sum(axis=1)
+    bad = denom <= 0.0
+    q[bad] = 1.0 / (data.n_actions - 1)
+    q[at[bad], prev[bad]] = 0.0
+    denom[bad] = q[bad].sum(axis=1)
+    q = q / denom[:, None]
+    composed = ps[:, None] * q
+    composed[at, prev] = 1.0 - ps
+    p[rest] = composed
+    o = np.empty_like(p)
+    o[first] = model.trees[start].outcome_avg_batch(X[first])
+    o[rest] = model.trees["treatment"].outcome_avg_batch(follow)
+    o[np.flatnonzero(rest), prev] = model.trees["switch"].outcome_avg_batch(follow)[:, 0]
+    return p, ps, q, o
+
+
+def handmade_calibration(n_classes):
+    """Class 0 identity, class 1 a sigmoid that underflows to 0.0 on every
+    score, any further class an ordinary sigmoid."""
+    slope = np.array([1.0, 1.0] + [3.0] * (n_classes - 2))
+    intercept = np.array([0.0, -1000.0] + [-1.0] * (n_classes - 2))
+    identity = np.arange(n_classes) == 0
+    return CalibrationModel(slope=slope, intercept=intercept, identity=identity)
+
+
+@pytest.mark.parametrize("calibration", ["raw", "fitted", "handmade"])
+@pytest.mark.parametrize("kind", ["dt", "dts", "dtbls"])
+def test_leaf_tables_give_the_row_path_bit_for_bit(kind, calibration):
+    val = make_cohort(140, n_traj=100) if calibration == "fitted" else None
+    model = FIT[kind](make_cohort(40, n_traj=200), val)
+    if calibration == "handmade":
+        for name in COMPONENTS[kind]:
+            model.calibrations[name] = handmade_calibration(model.trees[name].n_classes)
+    data = make_cohort(41, n_traj=150)
+    if kind != "dt" and calibration != "fitted":
+        data = with_fallback_row(model, data)
+    evaluation = Evaluation(model, data)
+    assert evaluation.uniform_fallbacks == (kind != "dt" and calibration != "fitted")
+    want = row_path(model, data)
+    got = (evaluation.probs, evaluation.switch, evaluation.conditional, evaluation.outcomes)
+    for name, w, g in zip(("probs", "switch", "conditional", "outcomes"), want, got):
+        if w is None:
+            assert g is None, name
+        else:
+            assert w.shape == g.shape and w.tobytes() == g.tobytes(), name
+    if calibration == "handmade":
+        # the underflowing class reads 0.0 on every row it reaches; a switch
+        # leaf that never saw a stay maps to zeros and falls back to uniform
+        assert np.all(evaluation.probs[data.stages == 1, 1] == 0.0)
+        if kind != "dt":
+            assert set(np.unique(evaluation.switch)) == {0.0, 0.5}
+
+
+def test_building_a_record_copies_no_state_rows():
+    # the queries route the caller's rows in place, so a record costs its
+    # own arrays plus less than one more copy of the states
+    model = fit_dtbls(make_cohort(40, n_traj=200), HP, HP, HP, make_cohort(140, n_traj=100))
+    data = make_cohort(45, n_traj=2000)
+    Evaluation(model, data)
+    tracemalloc.start()
+    try:
+        evaluation = Evaluation(model, data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    own = sum(a.nbytes for a in (evaluation.probs, evaluation.switch, evaluation.conditional))
+    assert peak < data.states.nbytes + own
 
 
 @pytest.mark.parametrize("kind", ["dt", "dts", "dtbls"])

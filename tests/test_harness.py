@@ -14,6 +14,7 @@ from clinpol import data as data_module
 from clinpol.behavior import MODEL_KINDS, fit_dt, model_to_json
 from clinpol.data import (
     Dataset,
+    DatasetError,
     Feature,
     FeatureSchema,
     SplitSpec,
@@ -40,7 +41,7 @@ from clinpol.harness import (
 )
 from clinpol.metrics import auroc_macro
 from clinpol.ope import median_iqr
-from clinpol.sim import ChronicSimConfig, EpisodicSimConfig, generate_chronic
+from clinpol.sim import ChronicSimConfig, EpisodicSimConfig, SimError, generate_chronic
 from clinpol.tree import TreeHyperparams
 
 from test_behavior import make_cohort
@@ -442,7 +443,7 @@ def test_malformed_config_values_are_harness_errors_naming_the_key():
     with pytest.raises(HarnessError, match="'policies' must be a list"):
         ExperimentConfig.from_json({**obj, "policies": 3})
     for key in ("p1", "epsilon"):
-        for bad in ("x", None, [0.1]):
+        for bad in ("x", None, [0.1], True, float("inf"), 10**400):
             desc = {"type": "mc_switch_adj", "k": 1, key: bad}
             with pytest.raises(HarnessError,
                                match=re.escape(f"{key} must be a number, got {bad!r}")):
@@ -451,6 +452,30 @@ def test_malformed_config_values_are_harness_errors_naming_the_key():
     cfg = ExperimentConfig.from_json({**obj, "n_repeats": np.int64(2), "policies": [
         {"type": "mc_switch_adj", "k": 1, "p1": 1, "epsilon": np.float32(0.5)}]})
     assert cfg.n_repeats == 2
+
+
+SIM_SPEC = {"simulator": {"kind": "chronic"}}
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: ExperimentConfig.from_json({**SIM_SPEC, "split": {"train_fraction": "x"}}),
+     DatasetError, "malformed split: 'train_fraction' must be a finite number, got 'x'"),
+    (lambda: ExperimentConfig.from_json({**SIM_SPEC, "state_config": {"switch_count": "no"}}),
+     DatasetError, "malformed state config: 'switch_count' must be a boolean, got 'no'"),
+    (lambda: ExperimentConfig.from_json({**SIM_SPEC, "grid": {"max_depths": 3}}),
+     HarnessError, "'max_depths' must be a list of integers, got 3"),
+    (lambda: ExperimentConfig.from_json(
+        {"simulator": {"kind": "chronic", "config": {"n_patients": "x"}}}),
+     SimError, "n_patients must be an integer, got 'x'"),
+    (lambda: ExperimentConfig(simulator=sim_cfg(), n_repeats="two", out_dir="x"),
+     HarnessError, "'n_repeats' must be an integer, got 'two'"),
+    (lambda: ExperimentConfig(simulator=sim_cfg(), estimator=[], out_dir="x"),
+     HarnessError, "'estimator' must be a string, got []"),
+], ids=["split", "state_config", "grid", "simulator", "n_repeats", "estimator"])
+def test_nested_and_direct_config_values_are_domain_errors_naming_the_key(build, error,
+                                                                         message):
+    with pytest.raises(error, match=re.escape(message)):
+        build()
 
 
 def test_config_json_round_trip():

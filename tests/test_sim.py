@@ -1,5 +1,7 @@
 """Generator determinism, closed-form agreement, and the rollout oracle."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -348,6 +350,24 @@ def test_config_validation_messages():
         EpisodicSimConfig(n_patients=5, dose_levels=1)
     with pytest.raises(SimError, match="hazard_scale"):
         EpisodicSimConfig(n_patients=5, hazard_scale=-0.5)
+
+
+def test_malformed_config_values_are_sim_errors_naming_the_key():
+    for cls, key, bad, message in (
+            (ChronicSimConfig, "n_patients", "x", "n_patients must be an integer"),
+            (EpisodicSimConfig, "horizon", 2.5, "horizon must be an integer"),
+            (ChronicSimConfig, "drift", None, "drift must be a finite number"),
+            (EpisodicSimConfig, "hazard_scale", float("nan"),
+             "hazard_scale must be a finite number"),
+            (ChronicSimConfig, "hidden_confounder", "yes", "hidden_confounder must be a boolean"),
+            (ChronicSimConfig, "horizon_range", 3, "horizon_range must be a pair of integers"),
+            (ChronicSimConfig, "index_range", ["a", 1], "index_range must be a pair"),
+            (ChronicSimConfig, "effect_matrix", [[1, 2, 3, 4], "abcd"], "effect matrix"),
+            (ChronicSimConfig, "typo", 1, "unknown ChronicSimConfig keys ['typo']")):
+        with pytest.raises(SimError, match=re.escape(message)):
+            cls.from_json({key: bad})
+    with pytest.raises(SimError, match="needs a JSON object"):
+        EpisodicSimConfig.from_json([1])
 
 
 def test_custom_effect_matrix_is_used_verbatim():

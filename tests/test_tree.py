@@ -98,7 +98,7 @@ def test_pure_labels_give_single_leaf():
     tree = fit_tree(X, [1, 1, 1], TreeHyperparams(max_depth=4), n_classes=3)
     assert tree.n_leaves == 1
     assert tree.root.is_leaf
-    np.testing.assert_array_equal(tree.predict_proba([5.0]), [0.0, 1.0, 0.0])
+    np.testing.assert_array_equal(tree.predict_proba_batch([[5.0]]), [[0.0, 1.0, 0.0]])
 
 
 def test_separable_1d_split_lands_between_classes():
@@ -108,8 +108,8 @@ def test_separable_1d_split_lands_between_classes():
     assert not tree.root.is_leaf
     assert 1.0 < tree.root.threshold < 2.0
     assert tree.root.threshold == 1.5
-    np.testing.assert_array_equal(tree.predict_proba([0.2]), [1.0, 0.0])
-    np.testing.assert_array_equal(tree.predict_proba([2.9]), [0.0, 1.0])
+    np.testing.assert_array_equal(tree.predict_proba_batch([[0.2]]), [[1.0, 0.0]])
+    np.testing.assert_array_equal(tree.predict_proba_batch([[2.9]]), [[0.0, 1.0]])
 
 
 def test_root_split_matches_exhaustive_oracle():
@@ -172,7 +172,7 @@ def test_depth_cap_is_respected():
 def test_single_sample_fits_single_leaf():
     tree = fit_tree(np.array([[1.0]]), [0], TreeHyperparams(), n_classes=2)
     assert tree.n_leaves == 1
-    np.testing.assert_array_equal(tree.predict_proba([1.0]), [1.0, 0.0])
+    np.testing.assert_array_equal(tree.predict_proba_batch([[1.0]]), [[1.0, 0.0]])
 
 
 def test_fit_rejects_empty_and_misaligned_input():
@@ -203,8 +203,8 @@ def test_predict_proba_is_leaf_frequency():
     # floor of 2 forbids any split, so the root leaf holds counts [2, 1]
     tree = fit_tree(X, y, TreeHyperparams(max_depth=4, min_leaf_fraction=0.45))
     assert tree.n_leaves == 1
-    probs = tree.predict_proba([0.1])
-    np.testing.assert_allclose(probs, [2 / 3, 1 / 3], atol=1e-12)
+    probs = tree.predict_proba_batch([[0.1]])
+    np.testing.assert_allclose(probs, [[2 / 3, 1 / 3]], atol=1e-12)
 
 
 def test_predict_proba_rows_sum_to_one():
@@ -220,7 +220,7 @@ def test_predict_proba_rows_sum_to_one():
 def test_dimension_mismatch_raises():
     tree = fit_tree(np.ones((4, 2)), [0, 0, 1, 1], TreeHyperparams())
     with pytest.raises(TreeError, match="2 columns"):
-        tree.predict_proba([1.0, 2.0, 3.0])
+        tree.predict_proba_batch([[1.0, 2.0, 3.0]])
 
 
 def test_leaf_index_matches_training_tally():
@@ -242,6 +242,32 @@ def test_leaf_index_matches_training_tally():
 def test_single_leaf_tree_maps_everything_to_leaf_zero():
     tree = fit_tree(np.array([[0.0], [1.0]]), [1, 1], TreeHyperparams(), n_classes=2)
     assert tree.leaf_index_batch(np.array([[123.0]])).tolist() == [0]
+
+
+def test_queries_on_selected_rows_read_those_rows_in_place():
+    rng = np.random.default_rng(17)
+    X = rng.normal(size=(500, 3))
+    y = rng.integers(0, 3, size=500)
+    tree = attach_outcomes(fit_tree(X, y, TreeHyperparams(max_depth=5, min_leaf_fraction=0.02)),
+                           X, y, rng.normal(size=500))
+    ids = tree.leaf_index_batch(X)
+    for rows in (np.arange(500), np.flatnonzero(X[:, 0] > 0.3), np.array([7, 7, 3]),
+                 [], np.arange(500)[::-1].astype(np.int32)):
+        np.testing.assert_array_equal(tree.leaf_index_batch(X, rows), ids[rows])
+        assert tree.predict_proba_batch(X, rows).tobytes() == \
+            tree.predict_proba_batch(X[rows]).tobytes()
+        assert tree.outcome_avg_batch(X, rows).tobytes() == \
+            tree.outcome_avg_batch(X[rows]).tobytes()
+    # a table over the leaves stands in for the leaf frequencies
+    table = np.arange(tree.n_leaves * 2.0).reshape(tree.n_leaves, 2)
+    np.testing.assert_array_equal(tree.predict_proba_batch(X, [4, 2], table),
+                                  table[ids[[4, 2]]])
+    with pytest.raises(TreeError, match=f"needs {tree.n_leaves} rows"):
+        tree.predict_proba_batch(X, None, table[1:])
+    for bad in ([500], [-1], [0.5], [[0, 1]]):
+        with pytest.raises(TreeError, match="row position"):
+            tree.leaf_index_batch(X, bad)
+    assert not tree.leaf_probs.flags.writeable
 
 
 # ---------------------------------------------------------------------------
