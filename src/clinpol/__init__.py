@@ -62,7 +62,6 @@ from .harness import (
     HarnessError,
     HyperparamGrid,
     ReportRow,
-    cross_validate,
     load_bundle,
     run_experiment,
     save_bundle,

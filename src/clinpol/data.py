@@ -3,16 +3,23 @@
 A dataset is a cohort of per-patient trajectories stored as columns, one row
 per step: the covariates observed *before* acting, the treatment chosen from
 ``K`` discrete options, and the reward realized after acting, with trajectory
-offsets marking where each patient's rows start. ``from_records`` and the
-JSONL loader share one conversion from parsed input to columns, which holds
-every input check and runs them a chunk of columns at a time. Two interchange
-formats are supported:
+offsets marking where each patient's rows start. ``from_records`` builds one
+from Python records, and loaders read two interchange formats:
 
 * JSONL: a header line ``{"schema": [...], "K": ..., "provenance": ...}``
   followed by one trajectory object per line.
 * CSV: long format with columns ``id, t, action, reward, <features...>``,
   preceded by a ``# {...}`` comment line carrying K and provenance (plain CSV
   readers can skip it; the mandatory header row follows).
+
+All three readers hand their input, a chunk of columns at a time, to one
+checker that holds every input rule (``_assemble``). Every rule checks every
+step, those after a missing reward included. A chunk that breaks rules raises
+the fault at the smallest (trajectory, step, check) position, after logging
+the cuts and drops of the trajectories before it. A trajectory's shape is
+checked first; then each step's shape, features, action, reward, unknown
+feature names and each feature's value, in that order; then whether the
+trajectory is empty or repeats an id.
 
 Model-ready matrices are produced in two stages: ``impute_and_encode`` fills
 missing values with training-set statistics and one-hot expands categorical
@@ -24,11 +31,11 @@ t=1), the previous reward, and optional history aggregates.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import logging
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import chain, compress, islice, repeat
 from operator import itemgetter
 
@@ -164,8 +171,7 @@ class Dataset:
     provenance: str = ""
 
     def __post_init__(self):
-        if self.n_actions < 2:
-            raise SchemaError(f"K must be >= 2, got {self.n_actions}")
+        self.n_actions = _checked_k(self.n_actions)
         self.covariates = np.asarray(self.covariates, dtype=np.float64)
         self.actions = np.asarray(self.actions, dtype=np.int64)
         self.rewards = np.asarray(self.rewards, dtype=np.float64)
@@ -236,13 +242,10 @@ def from_records(schema: FeatureSchema, n_actions: int, records,
                  provenance: str = "") -> Dataset:
     """Columns from ``(id, steps)`` records, each step ``(features, action, reward)``.
 
-    ``load_jsonl`` shares this conversion from parsed input to a ``Dataset``,
-    which holds every check on that input. ``features`` is a dict of feature names
-    to values; an absent name or None is missing. An action is an int and a
-    reward None or a number. A missing or non-finite reward cuts its
-    trajectory before that step, and a trajectory cut at its first step is
-    dropped. Records are consumed ``LOAD_CHUNK`` at a time, so a generator
-    keeps only one chunk alive.
+    ``features`` is a dict of feature names to values, an action an int and
+    a reward None or a number; every broken rule is a ``SchemaError``.
+    Records are consumed ``LOAD_CHUNK`` at a time, so a generator keeps only
+    one chunk alive.
     """
     return _assemble(schema, n_actions, _record_chunks(records), provenance)
 
@@ -254,23 +257,40 @@ LOAD_CHUNK = 64
 SAVE_CHUNK = 256
 
 _NUMBER = (int, float)
-_NO_FEATURES: dict = {}  # the features of a JSON step that has none; never written to
+_NO_FEATURES: dict = {}  # the features of a step that has none; never written to
+_ABSENT = object()  # the action or reward of a JSON step that has none
+
+# The checks of one step, in the order that breaks ties between faults (see
+# the module docstring); schema feature j's value is check _VALUES + j.
+_SHAPE, _FEATURES, _ACTION, _REWARD, _UNKNOWN, _VALUES = range(6)
 
 
-def _assemble(schema: FeatureSchema, n_actions: int, chunks, provenance: str) -> Dataset:
-    """A ``Dataset`` from chunks of up to ``LOAD_CHUNK`` records, checked a
-    chunk of columns at a time.
+def _checked_k(n_actions) -> int:
+    """K, refused unless an integer from 2 up to the largest int64."""
+    if not is_integer(n_actions):
+        raise SchemaError(f"K is {n_actions!r}, not an integer")
+    if n_actions < 2 or n_actions >= 2 ** 63:
+        raise SchemaError(f"K must be >= 2, got {n_actions}" if n_actions < 2 else
+                          f"K is {n_actions}, more actions than an int64 can number")
+    return int(n_actions)
 
-    A chunk is ``(columns, records)``: ``columns`` is ``(ids, lengths,
-    features, actions, rewards)`` over all the chunk's steps, or None if the
-    records are not shaped as expected, and ``records()`` replays them as
-    ``(id, steps)`` records. The column checks only decide whether a chunk is
-    clean. A chunk they refuse goes through ``_check_records``, the
-    record-by-record conversion, which logs as it goes and raises the chunk's
-    first error with its message.
+
+def _assemble(schema: FeatureSchema, n_actions, chunks, provenance: str) -> Dataset:
+    """A ``Dataset`` from chunks of columns, each checked by the one input
+    checker that all three readers share.
+
+    A chunk is ``(columns, faults, lines)``: ``(ids, lengths, features,
+    actions, rewards)`` over its steps, ``features`` one dict per step or the
+    schema's columns by name; the reader's shape faults, each
+    ``((trajectory, step, check), kind, message)``; and a JSONL chunk's
+    ``(path, line numbers)``, its type and shape faults being
+    ``ParseError``s that name the line, or None. Every rule checks every
+    step, cut or not, and a chunk raises the fault at the smallest
+    (trajectory, step, check) position (see the module docstring).
+    ``n_actions`` None infers K from the kept actions of the first chunk.
     """
-    if n_actions < 2:
-        raise SchemaError(f"K must be >= 2, got {n_actions}")
+    if n_actions is not None:
+        n_actions = _checked_k(n_actions)
     # name -> None for a numeric feature, else category -> index (None -> NaN)
     lookups = {f.name: None if f.kind == NUMERIC else
                {**{c: float(i) for i, c in enumerate(f.categories)}, None: math.nan}
@@ -278,11 +298,8 @@ def _assemble(schema: FeatureSchema, n_actions: int, chunks, provenance: str) ->
     seen: set = set()
     parts = [(np.empty((0, len(schema))), np.empty(0, np.int64), np.empty(0),
               np.empty(0, np.int64), [])]
-    for columns, records in chunks:
-        part = None if columns is None else _chunk_arrays(lookups, n_actions, columns, seen)
-        if part is None:
-            _check_records(schema, n_actions, records(), seen)
-            raise RuntimeError("the column checks refused records the record checks accept")
+    for chunk in chunks:
+        *part, n_actions = _chunk_arrays(lookups, n_actions, chunk, seen)
         parts.append(part)
     covariates, actions, rewards, lengths, ids = zip(*parts)
     return Dataset(schema=schema, n_actions=n_actions, covariates=np.concatenate(covariates),
@@ -297,167 +314,184 @@ def _only(types, kinds, none: bool = False) -> bool:
                for t in types)
 
 
-def _chunk_arrays(lookups: dict, n_actions: int, columns, seen: set):
-    """A chunk's covariates, actions, rewards, lengths and ids after its cuts,
-    or None if any check refuses it. Logs the cuts and adds the ids to
-    ``seen`` only when every check passes."""
-    ids, lengths, features, actions, rewards = columns
-    if not all(lengths) or not _only(set(map(type, rewards)), _NUMBER, none=True):
-        return None
+def _kind(parse, value) -> str:
+    """A fault's kind: "schema" without ``parse`` or for a value of the type
+    it makes, else "malformed" if ``parse`` cannot read the value at all
+    (the JSONL reader names no step for it), else "type"."""
+    if parse is None or type(value) is parse:
+        return "schema"
     try:
-        rewards = np.array(rewards, dtype=np.float64)  # None reads as NaN
+        parse(value)
+    except (TypeError, ValueError):
+        return "malformed"
     except OverflowError:
-        return None
+        pass
+    return "type"
+
+
+def _floats(values):
+    """``values`` as float64 (None as NaN) if each is None or a float's number."""
+    if _only(set(map(type, values)), _NUMBER, none=True):
+        try:
+            return np.array(values, dtype=np.float64)
+        except OverflowError:  # an integer too large for a float
+            pass
+    return None
+
+
+# Each check's rule for one value: the fault's message, or a false value.
+
+def _reward_fault(reward):
+    if not _only((type(reward),), _NUMBER, none=True):
+        return f"reward {reward!r} is not a number"
+    if _floats([reward]) is None:
+        return "reward is an integer too large for a float"
+
+
+def _action_fault(n_actions, action):
+    if not _only((type(action),), int):
+        return f"action {action!r} is not an integer"
+    return not 0 <= action < n_actions and f"action {action} outside [0, {n_actions})"
+
+
+def _numeric_fault(name, value):
+    if not _only((type(value),), _NUMBER, none=True):
+        return f"numeric feature {name!r} holds {type(value).__name__}"
+    if _floats([value]) is None:
+        return f"numeric feature {name!r} is an integer too large for a float"
+    if value is not None and not math.isfinite(value):
+        return f"numeric feature {name!r} is {value!r}, not a finite number"
+
+
+def _chunk_arrays(lookups: dict, n_actions, chunk, seen: set):
+    """A chunk's covariates, actions, rewards, lengths and ids after its cuts,
+    and K. Each check decides a whole column at once; only a column it
+    refuses is walked value by value, to find the first fault and to read
+    the refused values as clean ones for the checks after it. Raises the
+    chunk's first fault, or logs its cuts and adds its ids to ``seen``."""
+    (ids, lengths, features, actions, rewards), faults, lines = chunk
     lengths = np.array(lengths, dtype=np.int64)
-    kept, cut = lengths, np.flatnonzero(~np.isfinite(rewards))
-    cut_at = {}  # trajectory -> its steps before the first missing reward
+    starts = np.cumsum(lengths) - lengths
+
+    def refuse(values, check, fault, clean=None, parse=None):
+        """``values`` with each that ``fault`` refuses read as ``clean``, the
+        first recorded as a fault of its step."""
+        found = list(map(fault, values))
+        row = next(r for r, message in enumerate(found) if message)
+        i = int(np.searchsorted(starts, row, side="right")) - 1
+        t = row - int(starts[i]) + 1
+        faults.append(((i, t, check), _kind(parse, values[row]),
+                       f"trajectory {ids[i]!r} step {t}: {found[row]}"))
+        return [clean if message else v for v, message in zip(values, found)]
+
+    if not isinstance(features, dict):  # one dict per step
+        if not _only(set(map(type, features)), dict):
+            noun = "an object" if lines else "a dict"
+            features = refuse(features, _FEATURES, lambda f: not isinstance(f, dict) and
+                              f"features {f!r} are not {noun}", _NO_FEATURES, dict)
+        if not set().union(*features) <= lookups.keys():
+            refuse(features, _UNKNOWN, lambda f: next(
+                (f"unknown feature {name!r}" for name in f if name not in lookups), None))
+        features = {name: list(map(dict.get, features, repeat(name))) for name in lookups}
+
+    floats = _floats(rewards)
+    if floats is None:
+        floats = _floats(refuse(rewards, _REWARD, _reward_fault, parse=float))
+    rewards = floats
+    kept, cut, keep, cut_at = lengths, np.flatnonzero(~np.isfinite(rewards)), slice(None), {}
     if cut.size:
-        starts = np.cumsum(lengths) - lengths
         traj, first = np.unique(np.searchsorted(starts, cut, side="right") - 1,
                                 return_index=True)
         kept = lengths.copy()
         kept[traj] = cut[first] - starts[traj]
         cut_at = dict(zip(traj.tolist(), kept[traj].tolist()))
         keep = np.arange(len(rewards)) - np.repeat(starts, lengths) < np.repeat(kept, lengths)
-        rewards = rewards[keep]
-        keep = keep.tolist()
-        features, actions = list(compress(features, keep)), list(compress(actions, keep))
-    live = list(compress(ids, (kept > 0).tolist())) if cut.size else ids
+
+    if n_actions is None:  # every action is an int (the CSV reader's)
+        n_actions = _checked_k(1 + max(compress(actions, keep.tolist()) if cut.size else actions,
+                                       default=1))
     try:
-        if len(set(live)) < len(live) or not seen.isdisjoint(live):
-            return None
-    except TypeError:  # an unhashable id
-        return None
-    if (not _only(set(map(type, features)), dict)
-            or not set().union(*features).issubset(lookups)):
-        return None
-    covariates = np.empty((len(features), len(lookups)))
+        ints = np.array(actions, dtype=np.int64) if _only(set(map(type, actions)), int) else None
+    except OverflowError:  # an action past int64, and so past K
+        ints = None
+    if ints is None or ints.size and (ints.min() < 0 or ints.max() >= n_actions):
+        ints = np.array(refuse(actions, _ACTION, partial(_action_fault, n_actions), 0, int),
+                        dtype=np.int64)
+    actions = ints
+
+    covariates = np.empty((len(rewards), len(lookups)))
     for j, (name, lookup) in enumerate(lookups.items()):
-        values = list(map(dict.get, features, repeat(name)))
-        types = set(map(type, values))
+        values = features[name]
         if lookup is None:
-            if not _only(types, _NUMBER, none=True):
-                return None
-            try:
-                covariates[:, j] = values  # None reads as NaN
-            except OverflowError:
-                return None
-            if np.count_nonzero(np.isfinite(covariates[:, j])) + values.count(None) < len(values):
-                return None
+            column = _floats(values)
+            if column is None or np.isfinite(column).sum() < len(values) - values.count(None):
+                column = refuse(values, _VALUES + j, partial(_numeric_fault, name))
+            covariates[:, j] = column  # None reads as NaN
         else:
-            if not _only(types, str, none=True):
-                return None
-            values = list(map(lookup.get, values))
-            if None in values:
-                return None
-            covariates[:, j] = values
-    if not _only(set(map(type, actions)), int):
-        return None
-    try:
-        actions = np.array(actions, dtype=np.int64)
-    except OverflowError:
-        return None
-    if actions.size and (actions.min() < 0 or actions.max() >= n_actions):
-        return None
+            codes = (list(map(lookup.get, values))
+                     if _only(set(map(type, values)), str, none=True) else [None])
+            if None in codes:
+                codes = list(map(lookup.get, refuse(values, _VALUES + j, lambda v: not (
+                    v is None or isinstance(v, str) and v in lookup)
+                    and f"value {v!r} not a declared category of {name!r}")))
+            covariates[:, j] = codes
+
+    empty = np.flatnonzero(lengths == 0)
+    if empty.size:
+        i = int(empty[0])
+        faults.append(((i, 1, _SHAPE), "schema", f"trajectory {ids[i]!r}: empty trajectory"))
+    live = list(compress(ids, (kept > 0).tolist())) if cut.size or empty.size else ids
+    if len(set(live)) < len(live) or not seen.isdisjoint(live):
+        taken = set(seen)  # set.add returns None, so the walk stops at the first id taken
+        i = next(i for i in np.flatnonzero(kept).tolist() if ids[i] in taken or taken.add(ids[i]))
+        faults.append(((i, int(lengths[i]) + 1, _SHAPE), "schema",
+                       f"duplicate trajectory id {ids[i]!r}"))
+
+    first = min(faults, key=itemgetter(0), default=None)
     for i, n in cut_at.items():
+        if first and i >= first[0][0]:
+            break
         if n:
             log.debug("trajectory %r truncated at step %d (missing reward)", ids[i], n)
         else:
             log.warning("trajectory %r dropped: reward missing at first step", ids[i])
+    if first:
+        (i, _, _), kind, message = first
+        if kind == "schema" or lines is None:
+            raise SchemaError(message)
+        path, linenos = lines
+        raise ParseError(f"{path} line {linenos[i]}: " + (
+            f"malformed step in {ids[i]!r}" if kind == "malformed" else message))
     seen.update(live)
-    return covariates, actions, rewards, kept[kept > 0], live
-
-
-def _check_records(schema: FeatureSchema, n_actions: int, records, seen: set) -> None:
-    """Convert ``records`` one step at a time, only to find and word the first
-    error: logs cuts as it goes, adds ids to ``seen`` and raises that error."""
-    column = {f.name: j for j, f in enumerate(schema)}
-    codes = [None if f.kind == NUMERIC else {c: i for i, c in enumerate(f.categories)}
-             for f in schema]
-
-    def error(message):  # reads the tid and t being checked
-        return SchemaError(f"trajectory {tid!r} step {t}: {message}")
-
-    for tid, steps in records:
-        for t, (_, _, reward) in enumerate(steps, start=1):
-            if reward is None:
-                continue
-            if not isinstance(reward, _NUMBER) or isinstance(reward, bool):
-                raise error(f"reward {reward!r} is not a number")
-            try:
-                float(reward)
-            except OverflowError:
-                raise error("reward is an integer too large for a float") from None
-        kept = _before_missing_reward(steps)
-        if steps and not kept:
-            log.warning("trajectory %r dropped: reward missing at first step", tid)
-            continue
-        if len(kept) < len(steps):
-            log.debug("trajectory %r truncated at step %d (missing reward)", tid, len(kept))
-        if tid in seen:
-            raise SchemaError(f"duplicate trajectory id {tid!r}")
-        seen.add(tid)
-        if not kept:
-            raise SchemaError(f"trajectory {tid!r}: empty trajectory")
-        for t, (features, action, reward) in enumerate(kept, start=1):
-            if not isinstance(action, int) or isinstance(action, bool):
-                raise error(f"action {action!r} is not an integer")
-            if not 0 <= action < n_actions:
-                raise error(f"action {action} outside [0, {n_actions})")
-            if not isinstance(features, dict):
-                raise error(f"features {features!r} are not a dict")
-            for name, v in features.items():
-                j = column.get(name)
-                if j is None:
-                    raise error(f"unknown feature {name!r}")
-                if v is None:
-                    continue
-                if codes[j] is not None:
-                    if not isinstance(v, str) or v not in codes[j]:
-                        raise error(f"value {v!r} not a declared category of {name!r}")
-                elif not isinstance(v, _NUMBER) or isinstance(v, bool):
-                    raise error(f"numeric feature {name!r} holds {type(v).__name__}")
-                else:
-                    try:
-                        finite = math.isfinite(v)
-                    except OverflowError:
-                        raise error(f"numeric feature {name!r} is an integer too large "
-                                    "for a float") from None
-                    if not finite:
-                        raise error(f"numeric feature {name!r} is {v!r}, not a finite number")
-
-
-def _before_missing_reward(steps):
-    """The steps before the first missing or non-finite reward."""
-    for i, (_, _, reward) in enumerate(steps):
-        if reward is None or not math.isfinite(reward):
-            return steps[:i]
-    return steps
+    return covariates[keep], actions[keep], rewards[keep], kept[kept > 0], live, n_actions
 
 
 def _record_chunks(records):
-    """Chunks of ``(id, steps)`` records with ``(features, action, reward)`` steps."""
-    records = iter(records)
-    while chunk := list(islice(records, LOAD_CHUNK)):
-        yield _record_columns(chunk), lambda chunk=chunk: chunk
-
-
-def _record_columns(records):
-    """Columns over all steps of ``records``, or None if they are not pairs of
-    an id and a list or tuple of 3-item lists or tuples."""
+    """Chunks of records as columns, and the faults in their shape: a record
+    is ``(id, steps)`` with a hashable id and ``(features, action, reward)``
+    steps, and one that does not unpack so reads as one with no steps."""
     try:
-        if set(map(len, records)) != {2}:
-            return None
-        ids, step_lists = list(map(itemgetter(0), records)), list(map(itemgetter(1), records))
-    except (KeyError, TypeError):
-        return None
-    if not _only(set(map(type, step_lists)), (list, tuple)):
-        return None
-    steps = list(chain.from_iterable(step_lists))
-    if not _only(set(map(type, steps)), (list, tuple)) or set(map(len, steps)) - {3}:
-        return None
-    features, actions, rewards = zip(*steps) if steps else ((), (), ())
-    return ids, list(map(len, step_lists)), features, actions, rewards
+        records = iter(records)
+    except TypeError:
+        raise SchemaError(f"records {records!r} are not iterable") from None
+    done = 0
+    while chunk := list(islice(records, LOAD_CHUNK)):
+        ids, step_lists, faults = [], [], []
+        for i, record in enumerate(chunk):
+            try:
+                tid, steps = record
+                hash(tid)
+                steps = [(features, action, reward) for features, action, reward in steps]
+            except (TypeError, ValueError):
+                faults.append(((i, 0, _SHAPE), "schema", f"record {done + i} is no (id, steps) "
+                               "pair of a hashable id and (features, action, reward) steps"))
+                tid, steps = None, []
+            ids.append(tid)
+            step_lists.append(steps)
+        steps = list(chain.from_iterable(step_lists))
+        features, actions, rewards = zip(*steps) if steps else ((), (), ())
+        yield (ids, list(map(len, step_lists)), features, actions, rewards), faults, None
+        done += len(chunk)
 
 
 # ---------------------------------------------------------------------------
@@ -576,100 +610,57 @@ def _jsonl_chunks(path, lines):
             if not line.strip():
                 continue
             if objs:  # the lines before come first, and so do their errors
-                yield _json_chunk(path, linenos, objs)
+                yield *_json_columns(objs), (path, linenos)
             raise ParseError(f"{path} line {lineno}: {getattr(exc, 'msg', exc)}") from None
         linenos.append(lineno)
         if len(objs) == LOAD_CHUNK:
-            yield _json_chunk(path, linenos, objs)
+            yield *_json_columns(objs), (path, linenos)
             objs, linenos = [], []
     if objs:
-        yield _json_chunk(path, linenos, objs)
-
-
-def _json_chunk(path, linenos, objs):
-    return _json_columns(objs), lambda: _json_records(path, linenos, objs)
-
-
-_ID, _STEPS, _ACTION, _REWARD = map(itemgetter, ("id", "steps", "action", "reward"))
+        yield *_json_columns(objs), (path, linenos)
 
 
 def _json_columns(objs):
-    """Columns over all steps of parsed trajectory lines, or None unless every
-    line is an object with an ``id`` and a ``steps`` list of objects, each with
-    an optional ``features`` object, an integer ``action`` and a ``reward``
-    that is null or a number."""
+    """Columns over all steps of parsed trajectory lines, and the faults in
+    their shape. A line is an object with an ``id`` and a ``steps`` list of
+    objects, read up to its first fault; an absent ``action`` or ``reward``
+    reads as ``_ABSENT``."""
     try:
-        ids = list(map(str, map(_ID, objs)))
-        step_lists = list(map(_STEPS, objs))
+        ids, step_lists = (list(map(str, map(itemgetter("id"), objs))),
+                             list(map(itemgetter("steps"), objs)))
+        steps = list(chain.from_iterable(step_lists))
+        clean = set(map(type, step_lists)) == {list} and set(map(type, steps)) <= {dict}
     except (KeyError, TypeError):
-        return None
-    if set(map(type, step_lists)) != {list}:
-        return None
-    steps = list(chain.from_iterable(step_lists))
-    if set(map(type, steps)) != {dict}:
-        return None
-    try:
-        actions, rewards = list(map(_ACTION, steps)), list(map(_REWARD, steps))
-    except KeyError:
-        return None
-    features = list(map(dict.get, steps, repeat("features"), repeat(_NO_FEATURES)))
-    if (set(map(type, features)) != {dict} or set(map(type, actions)) != {int}
-            or not set(map(type, rewards)) <= {float, int, type(None)}):
-        return None
-    return ids, list(map(len, step_lists)), features, actions, rewards
-
-
-def _json_records(path, linenos, objs):
-    """The lines' ``(id, steps)`` records, parsed a step at a time for the
-    per-record checks; raises a line's first ``ParseError``."""
-    for lineno, obj in zip(linenos, objs):
-        try:
-            tid = str(obj["id"])
-            raw_steps = obj["steps"]
-        except (KeyError, TypeError):
-            raise ParseError(f"{path} line {lineno}: trajectory needs 'id' and 'steps'") from None
-        try:
-            steps = [_json_step(f"{path} line {lineno}: trajectory {tid!r} step {t}", s)
-                     for t, s in enumerate(raw_steps, start=1)]
-        except ParseError:
-            raise
-        except (KeyError, TypeError, ValueError):
-            raise ParseError(f"{path} line {lineno}: malformed step in {tid!r}") from None
-        yield tid, steps
-
-
-def _json_step(where: str, s):
-    """A JSON step as ``(features, action, reward)``.
-
-    What the loader always refused (a missing key, a null or unparsable
-    action, a reward that is no number even as text) raises KeyError,
-    TypeError or ValueError, reported as a malformed step. What it used to
-    coerce (a non-object step or features, a non-integer action, a reward
-    given as text or a boolean, an integer too large for a float) raises a
-    ``ParseError`` naming the step.
-    """
-    if not isinstance(s, dict):
-        raise ParseError(f"{where}: step is not an object")
-    try:  # the old coercion, for what it refused
-        dict(s.get("features", {})), int(s["action"]), s["reward"] is None or float(s["reward"])
-    except OverflowError:  # an infinite action or a huge integer reward
-        pass
-    features, action, reward = s.get("features", {}), s["action"], s["reward"]
-    if not isinstance(features, dict):
-        raise ParseError(f"{where}: features {features!r} are not an object")
-    if type(action) is not int:
-        raise ParseError(f"{where}: action {action!r} is not an integer")
-    if reward is not None:
-        if type(reward) not in (int, float):
-            raise ParseError(f"{where}: reward {reward!r} is not a number")
-        try:
-            reward = float(reward)
-        except OverflowError:
-            raise ParseError(f"{where}: reward is an integer too large for a float") from None
-    return features, action, reward
+        clean = False
+    faults = []
+    if not clean:
+        ids, step_lists = [], []
+        for i, obj in enumerate(objs):
+            try:
+                tid, steps = str(obj["id"]), obj["steps"]
+            except (KeyError, TypeError):
+                tid, steps = None, None
+            if type(steps) is not list:
+                faults.append(((i, 0, _SHAPE), "type", "trajectory needs 'id' and 'steps'"))
+                steps = []
+            t = next((t for t, step in enumerate(steps) if type(step) is not dict), len(steps))
+            if t < len(steps):  # that step and the ones after it are not read
+                faults.append(((i, t + 1, _SHAPE), "type",
+                               f"trajectory {tid!r} step {t + 1}: step is not an object"))
+            ids.append(tid)
+            step_lists.append(steps[:t])
+        steps = list(chain.from_iterable(step_lists))
+    features, actions, rewards = (list(map(dict.get, steps, repeat(key), repeat(default)))
+                                  for key, default in (("features", _NO_FEATURES),
+                                                       ("action", _ABSENT),
+                                                       ("reward", _ABSENT)))
+    return (ids, list(map(len, step_lists)), features, actions, rewards), faults
 
 
 def load_jsonl(path) -> Dataset:
+    """A cohort from a JSONL file: a header line with an integer ``K``, then
+    one trajectory a line. A broken type or shape rule is a ``ParseError``
+    naming the line, any other broken rule a ``SchemaError``."""
     with open(path) as fh:
         first = fh.readline()
         if not first:
@@ -680,11 +671,9 @@ def load_jsonl(path) -> Dataset:
             raise ParseError(f"{path} line 1: bad header ({getattr(exc, 'msg', exc)})") from None
         if not isinstance(header, dict) or "schema" not in header or "K" not in header:
             raise ParseError(f"{path} line 1: header must carry 'schema' and 'K'")
-        try:
-            n_actions = int(header["K"])
-        except (TypeError, ValueError):
-            raise ParseError(f"{path} line 1: K is {header['K']!r}, not an integer") from None
-        return _assemble(FeatureSchema.from_json(header["schema"]), n_actions,
+        if not is_integer(header["K"]):
+            raise ParseError(f"{path} line 1: K is {header['K']!r}, not an integer")
+        return _assemble(FeatureSchema.from_json(header["schema"]), header["K"],
                          _jsonl_chunks(path, fh), str(header.get("provenance", "")))
 
 
@@ -710,83 +699,92 @@ def save_csv(ds: Dataset, path) -> None:
 
 
 def load_csv(path, n_actions: int | None = None) -> Dataset:
+    """A cohort from a CSV file, read as columns, each distinct token parsed
+    once. The rows of one id, whose ``t`` counts 1..T, make one trajectory.
+    ``n_actions`` overrides the meta line's K, an integer; without either,
+    K is one more than the largest kept action."""
+    meta, meta_line, lines = {}, 0, []
     with open(path, newline="") as fh:
-        raw = fh.read()
-    meta = {}
-    body_lines = []
-    for line in raw.splitlines():
-        if line.startswith("#"):
-            payload = line.lstrip("#").strip()
-            if payload.startswith("{"):
+        for lineno, line in enumerate(fh, start=1):
+            if not line.startswith("#"):
+                lines.append(line)
+            elif line.lstrip("#").strip().startswith("{"):
                 try:
-                    meta = json.loads(payload)
-                except json.JSONDecodeError:
+                    meta, meta_line = json.loads(line.lstrip("#")), lineno
+                except ValueError:  # a comment, not a meta line
                     pass
-        else:
-            body_lines.append(line)
-    reader = csv.reader(io.StringIO("\n".join(body_lines)))
-    rows = [r for r in reader if r]
+    try:
+        rows = [row for row in csv.reader(lines) if row]
+    except csv.Error as exc:  # a field over the csv module's size limit
+        raise ParseError(f"{path}: {exc}") from None
     if not rows:
         raise ParseError(f"{path}: no header row")
-    header = rows[0]
+    header, body = rows[0], rows[1:]
     if header[:4] != ["id", "t", "action", "reward"]:
         raise ParseError(f"{path}: header must start with id,t,action,reward")
-    feat_names = header[4:]
-
-    parsed = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise ParseError(f"{path} row {lineno}: expected {len(header)} fields, got {len(row)}")
-        try:
-            t = int(row[1])
-            action = int(row[2])
-        except ValueError:
-            raise ParseError(f"{path} row {lineno}: t and action must be integers") from None
-        reward = None if row[3] == "" else _parse_float(path, lineno, "reward", row[3])
-        parsed.append((row[0], t, action, reward, row[4:]))
+    # row numbers count the header as row 1 and skip comments and blank lines
+    end = next((r for r, row in enumerate(body) if len(row) != len(header)), len(body))
+    columns = list(zip(*body[:end])) or [()] * len(header)
+    (stages, bad_t), (actions, bad_a), (rewards, bad_r) = (
+        _parsed(columns[c], parse) for c, parse in ((1, int), (2, int), (3, _float_or_none)))
+    if bad_t or bad_a or bad_r:
+        for r, (t, a, reward) in enumerate(zip(*columns[1:4])):
+            if t in bad_t or a in bad_a:
+                raise ParseError(f"{path} row {r + 2}: t and action must be integers")
+            if reward in bad_r:
+                raise ParseError(f"{path} row {r + 2}: reward {reward!r} is not a number")
+    if end < len(body):
+        raise ParseError(f"{path} row {end + 2}: expected {len(header)} fields, "
+                         f"got {len(body[end])}")
 
     # a column is numeric when every present token parses as a number
-    features = []
-    for j, name in enumerate(feat_names):
-        tokens = {p[4][j] for p in parsed} - {""}
-        if all(_is_float(tok) for tok in tokens):
-            features.append(Feature(name, NUMERIC))
-        else:
-            features.append(Feature(name, CATEGORICAL, tuple(sorted(tokens))))
+    features, values = [], {}
+    for name, column in zip(header[4:], columns[4:]):
+        numbers, refused = _parsed(column, _float_or_none)
+        categories = tuple(sorted(set(column) - {""})) if refused else None
+        features.append(Feature(name, CATEGORICAL if refused else NUMERIC, categories))
+        values[name] = [token or None for token in column] if refused else numbers
     schema = FeatureSchema(tuple(features))
 
-    by_id: dict[str, list] = {}
-    for tid, t, action, reward, tokens in parsed:
-        values = {f.name: None if tok == "" else float(tok) if f.kind == NUMERIC else tok
-                  for f, tok in zip(features, tokens)}
-        by_id.setdefault(tid, []).append((t, (values, action, reward)))
-    records = []
-    for tid, entries in by_id.items():
-        if [t for t, _ in entries] != list(range(1, len(entries) + 1)):
-            raise ParseError(f"{path}: trajectory {tid!r} steps are not t=1..T in order")
-        records.append((tid, [step for _, step in entries]))
+    first: dict = {}  # id -> its trajectory's index
+    traj = np.array([first.setdefault(tid, len(first)) for tid in columns[0]], dtype=np.int64)
+    lengths = np.bincount(traj, minlength=len(first))
+    if np.any(traj[1:] < traj[:-1]):  # gather each trajectory's rows
+        order = np.argsort(traj, kind="stable")
+        stages, actions, rewards, *gathered = (np.array(column, dtype=object)[order].tolist()
+                                               for column in (stages, actions, rewards,
+                                                              *values.values()))
+        values = dict(zip(values, gathered))
+    ends = np.cumsum(lengths)
+    want = (np.arange(len(stages)) - np.repeat(ends - lengths, lengths) + 1).tolist()
+    if stages != want:
+        row = next(r for r, (t, w) in enumerate(zip(stages, want)) if t != w)
+        tid = list(first)[int(np.searchsorted(ends, row, side="right"))]
+        raise ParseError(f"{path}: trajectory {tid!r} steps are not t=1..T in order")
 
     if n_actions is None:
         n_actions = meta.get("K")
-    if n_actions is None:
-        n_actions = 1 + max((a for _, steps in records
-                             for _, a, _ in _before_missing_reward(steps)), default=1)
-    return from_records(schema, int(n_actions), records, str(meta.get("provenance", "")))
+        if n_actions is not None and not is_integer(n_actions):
+            raise ParseError(f"{path} line {meta_line}: K is {n_actions!r}, not an integer")
+    return _assemble(schema, n_actions, [((list(first), lengths, values, actions, rewards),
+                                          [], None)], str(meta.get("provenance", "")))
 
 
-def _is_float(tok: str) -> bool:
-    try:
-        float(tok)
-        return True
-    except ValueError:
-        return False
+def _float_or_none(token: str):
+    return float(token) if token else None
 
 
-def _parse_float(path, lineno, what, tok):
-    try:
-        return float(tok)
-    except ValueError:
-        raise ParseError(f"{path} row {lineno}: {what} {tok!r} is not a number") from None
+def _parsed(tokens, parse):
+    """``tokens`` read by ``parse``, once per distinct token, and the set of
+    tokens it refuses (read as None)."""
+    table, refused = {}, set()
+    for token in set(tokens):
+        try:
+            table[token] = parse(token)
+        except ValueError:
+            table[token] = None
+            refused.add(token)
+    return list(map(table.__getitem__, tokens)), refused
 
 
 def save_dataset(ds: Dataset, path) -> None:

@@ -205,73 +205,6 @@ def _validation_score(model, validation) -> float | ClinpolError:
     return score
 
 
-def cross_validate(dataset: Dataset, model_type: str, folds: int,
-                   grid: HyperparamGrid | None = None) -> TreeHyperparams:
-    """Full-grid search scored by mean validation AUROC across folds.
-
-    Folds are strided over trajectory order (trajectory ``i`` validates in
-    fold ``i mod folds``), capped at the number of trajectories. Ties keep
-    the earliest grid cell in ``grid.all()`` order.
-
-    Within each fold, each component tree is grown once per min-leaf
-    fraction at the grid's deepest depth and every cell's trees are
-    truncations of it, exact for the reason given in :func:`select_model`.
-    """
-    grid = grid or HyperparamGrid()
-    n = len(dataset)
-    if n < 2:
-        raise HarnessError(f"need >= 2 trajectories to cross-validate, got {n}")
-    if folds < 2:
-        raise HarnessError(f"folds must be >= 2, got {folds}")
-    folds = min(folds, n)
-    assignment = np.arange(n) % folds
-
-    parts = []
-    for f in range(folds):
-        val_ds = dataset.take(np.flatnonzero(assignment == f))
-        train_ds = dataset.take(np.flatnonzero(assignment != f))
-        stats = fit_imputation(train_ds)
-        train = build_states(impute_and_encode(train_ds, stats=stats))
-        val = build_states(impute_and_encode(val_ds, stats=stats))
-        parts.append((train, val, TreeMemo(train, grid.all())))
-
-    best = None
-    best_score = -math.inf
-    last_error = None
-    for hp in grid.all():
-        scores = []
-        try:
-            for train, val, memo in parts:
-                m = fit_model(model_type, train, hp, memo=memo)
-                scores.append(auroc_macro(
-                    m.action_probabilities_batch(val.states, val.prev_actions,
-                                                 val.stages),
-                    val.actions,
-                ))
-        except ClinpolError as e:
-            last_error = e
-            log.warning("grid cell %s failed: %s", hp, e)
-            continue
-        # folds whose validation part has no class with both outcomes leave
-        # the AUROC undefined; score on the folds where it is defined
-        defined = [s for s in scores if not math.isnan(s)]
-        if not defined:
-            last_error = HarnessError(
-                "validation AUROC undefined in every fold"
-            )
-            log.warning("grid cell %s failed: %s", hp, last_error)
-            continue
-        score = float(np.mean(defined))
-        if score > best_score:
-            best, best_score = hp, score
-    if best is None:
-        raise HarnessError(
-            f"cross-validation failed: every grid cell failed "
-            f"(last error: {last_error})"
-        )
-    return best
-
-
 # ---------------------------------------------------------------------------
 # experiment configuration
 # ---------------------------------------------------------------------------

@@ -6,10 +6,12 @@ import logging
 import math
 import random
 import re
+from functools import partial
 
 import numpy as np
 import pytest
 
+from clinpol.errors import ClinpolError
 from clinpol.data import (
     CATEGORICAL,
     LOAD_CHUNK,
@@ -272,6 +274,44 @@ def test_jsonl_type_errors_hold_after_a_missing_reward(tmp_path):
         load_jsonl(path)
 
 
+def load_steps(reader, tmp_path, steps):
+    """``steps`` as p0 of a cohort with one numeric feature and K=2, read by ``reader``."""
+    schema = FeatureSchema((Feature("sev", NUMERIC),))
+    if reader == "from_records":
+        return from_records(schema, 2, [("p0", steps)])
+    path = tmp_path / f"d.{reader}"
+    if reader == "jsonl":
+        path.write_text(JSONL_HEADER + json.dumps({"id": "p0", "steps": [
+            {"features": f, "action": a, "reward": r} for f, a, r in steps]}) + "\n")
+        return load_jsonl(path)
+    path.write_text('# {"K":2}\nid,t,action,reward,sev\n' + "".join(
+        f"p0,{t},{a},{'' if r is None else r},{f['sev']}\n"
+        for t, (f, a, r) in enumerate(steps, start=1)))
+    return load_csv(path)
+
+
+AFTER_A_CUT = [  # a step after a missing reward, and its fault
+    (({"sev": 1.0}, 9, 0.5), "action 9 outside [0, 2)", ("from_records", "jsonl", "csv")),
+    (({"sev": math.nan}, 1, 0.5), "numeric feature 'sev' is nan, not a finite number",
+     ("from_records", "jsonl", "csv")),
+    (({"sev": 1.0}, "1", 0.5), "action '1' is not an integer", ("from_records", "jsonl")),
+    (({"dose": 1.0}, 1, 0.5), "unknown feature 'dose'", ("from_records", "jsonl")),
+]
+
+
+@pytest.mark.parametrize("reader, late, message", [
+    (reader, late, message) for late, message, readers in AFTER_A_CUT for reader in readers])
+@pytest.mark.parametrize("first_reward", [None, 0.5])
+def test_every_rule_checks_the_steps_a_missing_reward_cuts(tmp_path, reader, late, message,
+                                                           first_reward):
+    # the cut drops p0 or keeps its first step; either way its later steps are checked
+    steps = [({"sev": 1.0}, 1, first_reward), ({"sev": 2.0}, 0, None), late]
+    with pytest.raises((SchemaError, ParseError), match=re.escape(
+            f"trajectory 'p0' step 3: {message}")):
+        load_steps(reader, tmp_path, steps)
+    assert len(load_steps(reader, tmp_path, steps[:2])) == (first_reward is not None)
+
+
 def test_jsonl_integer_feature_too_large_for_a_float_is_schema_error(tmp_path):
     path = write_steps(tmp_path, OK_STEP, '{"features":{"sev":%s},"action":1,"reward":0.5}'
                        % ("9" * 400))
@@ -298,6 +338,20 @@ def test_jsonl_header_k_that_is_no_integer_is_parse_error(tmp_path):
     path.write_text(JSONL_HEADER.replace('"K":2', '"K":"two"'))
     with pytest.raises(ParseError, match="line 1: K is 'two', not an integer"):
         load_jsonl(path)
+    # the CSV meta line's K follows the same rule, on the line it stands
+    for k, shown in (('2.7', "2.7"), ('"3"', "'3'"), ('true', "True"), ('[2]', "[2]"),
+                     ('"two"', "'two'"), ('1e400', "inf")):
+        path.write_text(JSONL_HEADER.replace('"K":2', f'"K":{k}'))
+        with pytest.raises(ParseError, match=re.escape(f"d.jsonl line 1: K is {shown}, not an")):
+            load_jsonl(path)
+        csv_path = tmp_path / "d.csv"
+        csv_path.write_text(f'# note\n# {{"K":{k}}}\nid,t,action,reward,sev\np0,1,0,1.0,3.0\n')
+        with pytest.raises(ParseError, match=re.escape(f"d.csv line 2: K is {shown}, not an")):
+            load_csv(csv_path)
+    for k in ("1" + "0" * 400, "1"):  # integers, but no K
+        path.write_text(JSONL_HEADER.replace('"K":2', f'"K":{k}'))
+        with pytest.raises(SchemaError, match="K "):
+            load_jsonl(path)
 
 
 def test_jsonl_integer_of_too_many_digits_is_parse_error(tmp_path):
@@ -346,9 +400,10 @@ RANDOM_HEADER = {
 }
 
 
-def random_lines(rng, n):
+def random_lines(rng, n, faults=()):
     """Trajectory lines with missing (null or absent) values, integer
-    numerics, categories, rewards that cut or drop, and blank lines."""
+    numerics, categories, rewards that cut or drop, and blank lines; then
+    one fault of each kind in ``faults`` (see ``inject``) on a random line."""
     lines = []
     for i in range(n):
         steps = []
@@ -374,7 +429,49 @@ def random_lines(rng, n):
         lines.append(json.dumps({"id": f"p{i}" if rng.random() < 0.9 else i, "steps": steps}))
         if rng.random() < 0.03:
             lines.append(rng.choice(["", "   ", "\t"]))
+    targets = rng.sample([i for i, line in enumerate(lines) if line.strip()][1:], len(faults))
+    for kind, i in zip(faults, targets):
+        inject(rng, lines, i, kind)
     return lines
+
+
+JSON_ONLY_FAULTS = ("json", "shape", "step", "absent")  # no record can hold these
+FAULTS = JSON_ONLY_FAULTS + ("features", "action", "range", "reward", "unknown",
+                             "category", "numeric", "duplicate")
+
+
+def inject(rng, lines, i, kind):
+    """One fault of ``kind`` on trajectory line ``lines[i]``."""
+    obj = json.loads(lines[i])
+    step = rng.choice(obj["steps"])
+    features = step.setdefault("features", {})
+    if kind == "json":
+        lines[i] = lines[i][:-1]
+        return
+    if kind == "shape":
+        obj = rng.choice([{"steps": []}, [1, 2], {"id": obj["id"], "steps": 5}])
+    elif kind == "step":
+        obj["steps"][rng.randrange(len(obj["steps"]))] = rng.choice([7, [features, 0, 1.0]])
+    elif kind == "absent":
+        del step[rng.choice(["action", "reward"])]
+    elif kind == "features":
+        step["features"] = rng.choice([None, [["sev", 1.0]], "x", 3])
+    elif kind == "action":
+        step["action"] = rng.choice(["1", 2.5, True, None, "x", math.inf, math.nan])
+    elif kind == "range":
+        step["action"] = rng.choice([3, -1, 10 ** 30])
+    elif kind == "reward":
+        step["reward"] = rng.choice(["1.5", True, "x", [1], 10 ** 400])
+    elif kind == "unknown":
+        features["bogus"] = 1.0
+    elif kind == "category":
+        features["marker"] = rng.choice(["nope", 2.5, True, ["hi"]])
+    elif kind == "numeric":
+        features[rng.choice(["sev", "dose"])] = rng.choice(
+            ["3", True, [1.0], math.nan, math.inf, 10 ** 400])
+    elif kind == "duplicate":
+        obj["id"] = json.loads(rng.choice([line for line in lines[:i] if line.strip()]))["id"]
+    lines[i] = json.dumps(obj)
 
 
 def reference_load(schema, n_actions, lines):
@@ -408,6 +505,101 @@ def reference_load(schema, n_actions, lines):
     return ds, logs
 
 
+def reference_error(schema, n_actions, lines, path=None):
+    """The first error, as ``(class, message)`` or None, and the log lines of
+    a record-by-record check in the documented order: the JSONL loader's if
+    ``path`` is given, else ``from_records``' on ``records_of(lines)``."""
+    categories = {f.name: f.categories for f in schema}
+    seen, logs, absent = set(), [], object()
+
+    def too_large(number):
+        try:
+            float(number)
+        except OverflowError:
+            return True
+        return False
+
+    def kind(parse, value):  # the JSONL loader words a value parse cannot read as malformed
+        if type(value) is parse:
+            return "schema"
+        try:
+            parse(value)
+        except (TypeError, ValueError):
+            return "malformed"
+        except OverflowError:
+            pass
+        return "type"
+
+    def fault(s):  # of one step: None or (kind, message)
+        if path and type(s) is not dict:
+            return "type", "step is not an object"
+        f, a, r = (s.get("features", {}), s.get("action", absent),
+                   s.get("reward", absent)) if path else s
+        if not isinstance(f, dict):
+            return kind(dict, f), f"features {f!r} are not {'an object' if path else 'a dict'}"
+        if type(a) is not int:
+            return kind(int, a), f"action {a!r} is not an integer"
+        if not 0 <= a < n_actions:
+            return "schema", f"action {a} outside [0, {n_actions})"
+        if r is not None and type(r) not in (int, float):
+            return kind(float, r), f"reward {r!r} is not a number"
+        if r is not None and too_large(r):
+            return "type", "reward is an integer too large for a float"
+        for name in f:
+            if name not in categories:
+                return "schema", f"unknown feature {name!r}"
+        for name, cats in categories.items():
+            v = f.get(name)
+            if v is None:
+                continue
+            if cats and not (isinstance(v, str) and v in cats):
+                return "schema", f"value {v!r} not a declared category of {name!r}"
+            if not cats and type(v) not in (int, float):
+                return "schema", f"numeric feature {name!r} holds {type(v).__name__}"
+            if not cats and too_large(v):
+                return "schema", f"numeric feature {name!r} is an integer too large for a float"
+            if not cats and not math.isfinite(v):
+                return "schema", f"numeric feature {name!r} is {v!r}, not a finite number"
+        return None
+
+    def error(kind, message):
+        if path is None or kind == "schema":
+            return SchemaError, message
+        if kind == "malformed":
+            message = f"malformed step in {tid!r}"
+        return ParseError, f"{path} line {lineno}: {message}"
+
+    for lineno, line in enumerate(lines, start=2):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except ValueError as exc:
+            return (ParseError, f"{path} line {lineno}: {exc.msg}"), logs
+        if not (isinstance(obj, dict) and "id" in obj and type(obj.get("steps")) is list):
+            return error("type", "trajectory needs 'id' and 'steps'"), logs
+        tid, steps = str(obj["id"]), obj["steps"]
+        if path is None:
+            steps = [(s.get("features", {}), s["action"], s["reward"]) for s in steps]
+        for t, s in enumerate(steps, start=1):
+            if found := fault(s):
+                return error(found[0], f"trajectory {tid!r} step {t}: {found[1]}"), logs
+        rewards = [s.get("reward") if path else s[2] for s in steps]
+        kept = next((t for t, r in enumerate(rewards) if r is None or not math.isfinite(r)),
+                    len(steps))
+        if not steps:
+            return (SchemaError, f"trajectory {tid!r}: empty trajectory"), logs
+        if not kept:
+            logs.append(f"trajectory {tid!r} dropped: reward missing at first step")
+            continue
+        if tid in seen:
+            return (SchemaError, f"duplicate trajectory id {tid!r}"), logs
+        seen.add(tid)
+        if kept < len(steps):
+            logs.append(f"trajectory {tid!r} truncated at step {kept} (missing reward)")
+    return None, logs
+
+
 def records_of(lines):
     for line in lines:
         if line.strip():
@@ -432,6 +624,88 @@ def test_columnar_loader_equals_the_record_by_record_reference(tmp_path, caplog,
             got = load()
         assert got == want
         assert [r.getMessage() for r in caplog.records] == want_logs
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_first_errors_and_logs_equal_a_record_by_record_oracle(tmp_path, caplog, seed):
+    rng = random.Random(100 + seed)
+    faults = rng.sample(FAULTS, rng.randint(1, 3))
+    lines = random_lines(rng, rng.randint(3 * LOAD_CHUNK, 5 * LOAD_CHUNK), faults)
+    path = tmp_path / "d.jsonl"
+    path.write_text("\n".join([json.dumps(RANDOM_HEADER)] + lines) + "\n")
+    schema = FeatureSchema.from_json(RANDOM_HEADER["schema"])
+    loads = [(str(path), lambda: load_jsonl(path))]
+    if not set(faults) & set(JSON_ONLY_FAULTS):
+        loads.append((None, lambda: from_records(schema, 3, records_of(lines))))
+    for where, load in loads:
+        want, want_logs = reference_error(schema, 3, lines, where)
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="clinpol.data"):
+            try:
+                load()
+                got = None
+            except DatasetError as exc:
+                got = (type(exc), str(exc))
+        assert got == want
+        assert [r.getMessage() for r in caplog.records] == want_logs
+
+
+MUTANTS = [None, "x", [], {}, True, 2.5, -1, 10 ** 400, math.nan]
+
+
+def mutations(obj):
+    """``obj`` with one value, or one dict key, replaced by each of ``MUTANTS``."""
+    yield from MUTANTS
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from ({**obj, key: inner} for inner in mutations(value))
+            yield from ({(new if k == key else k): v for k, v in obj.items()}
+                        for new in MUTANTS if not isinstance(new, (list, dict)))
+    elif isinstance(obj, (list, tuple)):
+        for i, item in enumerate(obj):
+            yield from (type(obj)([*obj[:i], inner, *obj[i + 1:]]) for inner in mutations(item))
+
+
+def test_every_mutation_of_an_input_loads_or_raises_a_clinpol_error(tmp_path):
+    schema = tiny_schema()
+    records = [("p0", [({"sev": 1.0, "marker": "hi"}, 0, 1.0),
+                       ({"sev": 2, "marker": "lo"}, 1, None)]),
+               ("p1", [({"sev": None}, 1, 0.5)])]
+    document = [{"schema": schema.to_json(), "K": 2, "provenance": "p"}] + [
+        {"id": tid, "steps": [{"features": f, "action": a, "reward": r} for f, a, r in steps]}
+        for tid, steps in records]
+    table = [["id", "t", "action", "reward", "sev", "marker"], ["p0", 1, 0, 1.0, 1.0, "hi"],
+             ["p0", 2, 1, None, 2.0, "lo"], ["p1", 1, 1, 0.5, None, "hi"]]
+    jsonl, csv_path = tmp_path / "d.jsonl", tmp_path / "d.csv"
+
+    def read_jsonl(doc):
+        jsonl.write_text("".join(json.dumps(obj) + "\n" for obj in doc))
+        return load_jsonl(jsonl)
+
+    def read_csv(meta, rows):
+        with open(csv_path, "w", newline="") as fh:
+            fh.write("# " + json.dumps(meta) + "\n")
+            csv.writer(fh).writerows(rows)
+        return load_csv(csv_path)
+
+    loads = [partial(read_jsonl, [*document[:i], inner, *document[i + 1:]])
+             for i in range(len(document)) for inner in mutations(document[i])]
+    loads += [partial(read_csv, meta, table) for meta in mutations({"K": 2, "provenance": "p"})]
+    loads += [partial(read_csv, {"K": 2}, [[*row[:j], new, *row[j + 1:]] if r == i else row
+                                           for r, row in enumerate(table)])
+              for i, row in enumerate(table) for j in range(len(row)) for new in MUTANTS]
+    loads += [partial(from_records, schema, k, records) for k in MUTANTS]
+    loads += [partial(from_records, schema, 2, recs) for recs in mutations(records)]
+    assert len(loads) > 900
+    bare = []
+    for load in loads:
+        try:
+            load()
+        except ClinpolError:
+            pass
+        except Exception as exc:  # any other exception is a finding
+            bare.append(f"{type(exc).__name__}: {exc}"[:200])
+    assert bare == []
 
 
 def chunked_file(tmp_path, n, edits):

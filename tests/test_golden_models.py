@@ -2,9 +2,9 @@
 
 The pinned digests were computed on the per-node ``argsort`` splitter that
 preceded the shared presorted split search; they hold the winners of
-``select_model`` and ``cross_validate`` (and so every tree, threshold, leaf
-count, outcome average and calibration in them) to exactly what that
-implementation produced.
+``select_model`` and models fitted at fixed hyperparameters (and so every
+tree, threshold, leaf count, outcome average and calibration in them) to
+exactly what that implementation produced.
 """
 
 import hashlib
@@ -14,8 +14,9 @@ import pytest
 
 from clinpol.behavior import model_to_json
 from clinpol.data import SplitSpec, build_states, impute_and_encode, split_dataset
-from clinpol.harness import HyperparamGrid, cross_validate, fit_model, select_model
+from clinpol.harness import fit_model, select_model
 from clinpol.sim import ChronicSimConfig, EpisodicSimConfig, generate_chronic, generate_episodic
+from clinpol.tree import TreeHyperparams
 
 
 def digest(model) -> str:
@@ -48,10 +49,7 @@ def test_selected_model_is_pinned(kind, seed, expected):
     ("episodic", 150, 8, "dtbls", 7, 0.05,
      "7c9c7997745a1a72cb6ca3e7aa012be06d41a50b381d2634cf5f8882e21888a1"),
 ])
-def test_cross_validated_model_is_pinned(kind, n, seed, model_type, depth, fraction,
-                                         expected):
+def test_fitted_model_is_pinned(kind, n, seed, model_type, depth, fraction, expected):
     ds = impute_and_encode(cohort(kind, n, seed))
-    grid = HyperparamGrid(max_depths=(2, 4, 7), min_leaf_fractions=(0.01, 0.03, 0.05))
-    hp = cross_validate(ds, model_type, folds=3, grid=grid)
-    assert (hp.max_depth, hp.min_leaf_fraction) == (depth, fraction)
+    hp = TreeHyperparams(max_depth=depth, min_leaf_fraction=fraction)
     assert digest(fit_model(model_type, build_states(ds), hp)) == expected

@@ -1,4 +1,4 @@
-"""Selection, cross-validation, and the repeated-split experiment loop."""
+"""Selection and the repeated-split experiment loop."""
 
 import csv
 import json
@@ -30,7 +30,6 @@ from clinpol.harness import (
     HarnessError,
     HyperparamGrid,
     ReportRow,
-    cross_validate,
     fit_model,
     load_bundle,
     run_experiment,
@@ -179,15 +178,8 @@ def test_selection_grows_each_component_once_per_fraction(monkeypatch):
     assert calls == {"fit_tree": 3 * len(fractions), "fit_model": n,
                      "attach_outcomes": 3 * len(cells)}
 
-    calls.update(fit_tree=0, fit_model=0, attach_outcomes=0)
-    ds = impute_and_encode(generate_chronic(ChronicSimConfig(n_patients=90, seed=7)))
-    grid = HyperparamGrid(max_depths=(2, 6), min_leaf_fractions=(0.01, 0.04))
-    cross_validate(ds, "dtbls", folds=3, grid=grid)
-    assert calls == {"fit_tree": 3 * 2 * 3, "fit_model": 4 * 3,
-                     "attach_outcomes": 3 * 4 * 3}
 
-
-def test_imputation_statistics_are_fitted_once_per_repeat_and_fold(monkeypatch, tmp_path):
+def test_imputation_statistics_are_fitted_once_per_repeat(monkeypatch, tmp_path):
     fitted = []
     real = data_module.fit_imputation
 
@@ -212,12 +204,6 @@ def test_imputation_statistics_are_fitted_once_per_repeat_and_fold(monkeypatch, 
     # one fit on each repeat's train partition; all three partitions impute
     assert len(fitted) == 2 and len(spy) == 6
     assert fitted == spy[0::3]
-
-    ds = impute_and_encode(generate_chronic(ChronicSimConfig(n_patients=30, seed=7)))
-    fitted.clear()
-    cross_validate(ds, "dt", folds=3, grid=HyperparamGrid(max_depths=(2,),
-                                                          min_leaf_fractions=(0.05,)))
-    assert fitted == [20, 20, 20]
 
 
 def reference_selection(train, val, kind, n, seed, grid=None):
@@ -295,10 +281,6 @@ def test_a_bug_in_a_candidate_is_not_logged_as_a_failed_candidate(monkeypatch):
     monkeypatch.setattr(harness, "auroc_macro", broken_auroc)
     with pytest.raises(ValueError, match="broadcast"):
         select_model(train, val, "dtbls", 3, seed=0)
-    ds = constant_feature_dataset(6)
-    with pytest.raises(ValueError, match="broadcast"):
-        cross_validate(ds, "dt", folds=2, grid=HyperparamGrid(max_depths=(2,),
-                                                              min_leaf_fractions=(0.1,)))
 
 
 def test_selection_rejects_unknown_model_types():
@@ -307,73 +289,26 @@ def test_selection_rejects_unknown_model_types():
         select_model(train, val, "rnn", 2, seed=0)
 
 
-# ---------------------------------------------------------------------------
-# cross-validation
-# ---------------------------------------------------------------------------
+def test_selection_needs_a_candidate():
+    train, val, _ = chronic_states(4, n=60)
+    with pytest.raises(HarnessError, match="n_candidates"):
+        select_model(train, val, "dt", 0, seed=0)
 
-def constant_feature_dataset(n_traj=12):
+
+def constant_feature_states(n_traj=12):
     schema = FeatureSchema((Feature("x"),))
     steps = [({"x": 1.0}, t % 2, 0.0) for t in range(3)]
-    return from_records(schema, 2, [(f"t{i}", steps) for i in range(n_traj)])
+    return build_states(from_records(schema, 2, [(f"t{i}", steps) for i in range(n_traj)]))
 
 
-def test_constant_data_ties_and_first_grid_cell_wins():
+def test_constant_data_ties_and_the_first_draw_wins():
+    # every candidate predicts the same constant probabilities, so all tie
+    data = constant_feature_states()
     grid = HyperparamGrid(max_depths=(2, 5, 9), min_leaf_fractions=(0.01, 0.05))
-    best = cross_validate(constant_feature_dataset(), "dt", folds=3, grid=grid)
-    assert best == grid.all()[0]
-
-
-def test_folds_are_capped_at_the_trajectory_count():
-    ds = impute_and_encode(generate_chronic(ChronicSimConfig(n_patients=15, seed=6)))
-    grid = HyperparamGrid(max_depths=(3,), min_leaf_fractions=(0.01,))
-    assert cross_validate(ds, "dt", folds=10**6, grid=grid) == grid.all()[0]
-
-
-@pytest.mark.parametrize("kind", MODEL_KINDS)
-def test_cross_validation_matches_a_brute_force_loop(kind):
-    ds = impute_and_encode(generate_chronic(ChronicSimConfig(n_patients=90, seed=7)))
-    grid = HyperparamGrid(max_depths=(2, 6), min_leaf_fractions=(0.01, 0.04))
-    folds = 3
-    n = len(ds)
-    assignment = np.arange(n) % folds
-
-    def take(mask):
-        # trajectory by trajectory, the way a per-trajectory loop would cut it
-        rows = [r for i in np.flatnonzero(mask)
-                for r in range(ds.offsets[i], ds.offsets[i + 1])]
-        return Dataset(schema=ds.schema, n_actions=ds.n_actions,
-                       covariates=ds.covariates[rows], actions=ds.actions[rows],
-                       rewards=ds.rewards[rows],
-                       offsets=np.concatenate(([0], np.cumsum(ds.lengths[mask]))),
-                       ids=[ds.ids[i] for i in np.flatnonzero(mask)],
-                       provenance=ds.provenance)
-
-    best_hp, best_score = None, -math.inf
-    for hp in grid.all():
-        scores = []
-        for f in range(folds):
-            train = build_states(impute_and_encode(take(assignment != f)))
-            val = build_states(impute_and_encode(take(assignment == f),
-                                                 stats_source=take(assignment != f)))
-            m = fit_model(kind, train, hp)
-            scores.append(auroc_macro(
-                m.action_probabilities_batch(val.states, val.prev_actions, val.stages),
-                val.actions,
-            ))
-        score = float(np.mean(scores))
-        assert math.isfinite(score)
-        if score > best_score:
-            best_hp, best_score = hp, score
-    assert cross_validate(ds, kind, folds=folds, grid=grid) == best_hp
-
-
-def test_cross_validation_input_guards():
-    ds = constant_feature_dataset(4)
-    with pytest.raises(HarnessError, match="folds"):
-        cross_validate(ds, "dt", folds=1)
-    one = ds.take([0])
-    with pytest.raises(HarnessError, match=">= 2 trajectories"):
-        cross_validate(one, "dt", folds=3)
+    draws = sample_candidates(grid, 6, seed=3)
+    assert len(set(draws)) > 1
+    chosen = select_model(data, data, "dt", 6, seed=3, grid=grid)
+    assert model_text(chosen) == model_text(fit_model("dt", data, draws[0]).calibrate(data))
 
 
 # ---------------------------------------------------------------------------
