@@ -50,9 +50,11 @@ from .errors import ClinpolError
 from .tree import (
     DecisionTree,
     SplitSearch,
+    TreeError,
     TreeHyperparams,
     attach_outcomes,
     fit_tree,
+    leaf_map,
     tree_from_json,
     tree_to_json,
     truncate_tree,
@@ -82,6 +84,17 @@ def _as_batch(states):
     if states.ndim == 1:
         states = states[None, :]
     return states
+
+
+def _leaf_ids(tree: DecisionTree, states, rows=None) -> np.ndarray:
+    """Each row's leaf in ``tree``, of the rows ``rows`` only if given.
+
+    The routing is the tree query over the table of leaf ids, so that every
+    routing a model makes is one ``predict_proba_batch`` call: the tree query
+    perfbench/tracing.py times and counts. The ids are int32, which halves
+    what an :class:`Evaluation` keeps of them.
+    """
+    return tree.predict_proba_batch(states, rows, np.arange(tree.n_leaves, dtype=np.int32))
 
 
 def _check_prev_stage(prev_actions, stages, n_actions):
@@ -209,23 +222,39 @@ class BehaviorModel:
         raw, cal = self.trees[name].leaf_probs, self.calibrations[name]
         return raw if np.all(cal.identity) else apply_calibration_batch(cal, raw)
 
-    def _probs(self, name: str, states, rows=None) -> np.ndarray:
-        """Component ``name``'s calibrated class probabilities of ``states``,
-        or of its rows ``rows`` only."""
-        return self.trees[name].predict_proba_batch(states, rows, self._table(name))
-
-    def _switch(self, states, rows=None) -> np.ndarray:
-        return self.trees["switch"].predict_proba_batch(
-            states, rows, self._table("switch")[:, SWITCH])
+    def _outcome_table(self, name: str) -> np.ndarray:
+        """Component ``name``'s L × C table of leaf outcome averages."""
+        table = self.trees[name].outcome_avg
+        if table is None:
+            raise TreeError(f"the {name} tree has no attached outcomes")
+        return table
 
     @property
     def _first_stage(self) -> str:
         """The component t=1 rows read when a switch tree serves the rest."""
         return "baseline" if "baseline" in self.trees else "treatment"
 
+    def _route(self, states, first, rest, route=None) -> dict:
+        """``{(component, part): leaf ids}`` for each component's rows of
+        ``states`` that a composed query reads: ``tree`` of every row (part
+        ``"all"``), the first-stage component of the t=1 rows ``first``, and
+        ``switch`` and ``treatment`` of the t>1 rows ``rest``; an empty part
+        is not read. ``route(component, part, row positions)`` gives the ids;
+        by default each component routes its own rows of ``states``, in place.
+        """
+        if route is None:
+            def route(name, part, at):
+                return _leaf_ids(self.trees[name], states, at)
+        if "switch" not in self.trees:
+            return {("tree", "all"): route("tree", "all", None)}
+        reads = ((self._first_stage, "first", first), ("switch", "rest", rest),
+                 ("treatment", "rest", rest))
+        return {(name, part): route(name, part, at) for name, part, at in reads if len(at)}
+
     def switch_probability_batch(self, states) -> np.ndarray:
         """Calibrated probability that the treatment changes at this step."""
-        return self._switch(_as_batch(states))
+        return self.trees["switch"].predict_proba_batch(
+            _as_batch(states), None, self._table("switch")[:, SWITCH])
 
     def conditional_switch_batch(self, states, prev_actions) -> np.ndarray:
         """Distribution over the *new* treatment given that a switch happens.
@@ -234,16 +263,17 @@ class BehaviorModel:
         nothing remains (a hard one-hot on the previous action) the mass
         spreads uniformly over the other K-1 actions.
         """
-        return self._conditional_switch(_as_batch(states), prev_actions)[0]
-
-    def _conditional_switch(self, states, prev_actions, rows=None):
-        """:meth:`conditional_switch_batch` of ``states``, or of its rows
-        ``rows`` (whose previous actions ``prev_actions`` are), and how many
-        of those rows fell back to uniform."""
         prev = np.asarray(prev_actions, dtype=np.int64)
         if np.any((prev < 0) | (prev >= self.n_actions)):
             raise BehaviorError("conditional switch distribution needs a previous action")
-        p = self._probs("treatment", states, rows)  # a gather: a fresh array
+        p = self.trees["treatment"].predict_proba_batch(
+            _as_batch(states), None, self._table("treatment"))
+        return self._conditional_switch(p, prev)[0]
+
+    def _conditional_switch(self, p, prev):
+        """:meth:`conditional_switch_batch` from the treatment probabilities
+        ``p`` (a fresh array, changed in place) of rows whose previous
+        actions ``prev`` are, and how many rows fell back to uniform."""
         at = np.arange(len(p))
         p[at, prev] = 0.0
         denom = p.sum(axis=1)
@@ -271,25 +301,34 @@ class BehaviorModel:
         return states, prev, np.flatnonzero(first), np.flatnonzero(~first)
 
     def action_probabilities_batch(self, states, prev_actions, stages,
-                                   parts=None) -> np.ndarray:
+                                   parts=None, leaves=None) -> np.ndarray:
         """The composed distribution; ``parts``, a dict if given, receives
-        the composition's pieces on the t>1 rows: ``switch``,
-        ``conditional`` and ``uniform_fallbacks``, the number of those rows
-        whose conditional distribution fell back to uniform.
+        the composition's pieces: ``leaves``, the leaf ids it read
+        (:meth:`_route`), and on the t>1 rows ``switch``, ``conditional``
+        and ``uniform_fallbacks``, the number of those rows whose
+        conditional distribution fell back to uniform.
 
-        Each component routes only its own rows of ``states``, in place."""
+        Each component routes only its own rows of ``states``, in place;
+        ``leaves`` given, from an earlier routing of the same rows, none is
+        routed."""
         states, prev, first, rest = self._check_rows(states, prev_actions, stages)
+        if leaves is None:
+            leaves = self._route(states, first, rest)
+        if parts is not None:
+            parts["leaves"] = leaves
         if "switch" not in self.trees:
-            return self._probs("tree", states)
+            return self._table("tree")[leaves["tree", "all"]]
         out = np.empty((len(states), self.n_actions), dtype=np.float64)
         if len(first):
             # no previous treatment: any choice is a fresh start, so the
             # first-stage distribution applies without exclusion
-            out[first] = self._probs(self._first_stage, states, first)
+            name = self._first_stage
+            out[first] = self._table(name)[leaves[name, "first"]]
         if len(rest):
             follow_prev = prev[rest]
-            ps = self._switch(states, rest)
-            q, fallbacks = self._conditional_switch(states, follow_prev, rest)
+            ps = self._table("switch")[:, SWITCH][leaves["switch", "rest"]]
+            q, fallbacks = self._conditional_switch(
+                self._table("treatment")[leaves["treatment", "rest"]], follow_prev)
             composed = ps[:, None] * q
             composed[np.arange(len(ps)), follow_prev] = 1.0 - ps
             out[rest] = composed
@@ -297,19 +336,23 @@ class BehaviorModel:
                 parts.update(switch=ps, conditional=q, uniform_fallbacks=fallbacks)
         return out
 
-    def outcome_batch(self, states, prev_actions, stages) -> np.ndarray:
+    def outcome_batch(self, states, prev_actions, stages, leaves=None) -> np.ndarray:
         """Average fitting-set outcome for taking each action here (NaN where
         the leaf never saw it): staying reads the switch tree's stay average,
-        any other action the first-stage or treatment tree's."""
+        any other action the first-stage or treatment tree's. ``leaves`` as
+        for :meth:`action_probabilities_batch`."""
         states, prev, first, rest = self._check_rows(states, prev_actions, stages)
+        if leaves is None:
+            leaves = self._route(states, first, rest)
         if "switch" not in self.trees:
-            return self.trees["tree"].outcome_avg_batch(states)
+            return self._outcome_table("tree")[leaves["tree", "all"]]
         out = np.empty((len(states), self.n_actions), dtype=np.float64)
         if len(first):
-            out[first] = self.trees[self._first_stage].outcome_avg_batch(states, first)
+            name = self._first_stage
+            out[first] = self._outcome_table(name)[leaves[name, "first"]]
         if len(rest):
-            out[rest] = self.trees["treatment"].outcome_avg_batch(states, rest)
-            stay_avg = self.trees["switch"].outcome_avg_batch(states, rest)[:, STAY]
+            out[rest] = self._outcome_table("treatment")[leaves["treatment", "rest"]]
+            stay_avg = self._outcome_table("switch")[:, STAY][leaves["switch", "rest"]]
             out[rest, prev[rest]] = stay_avg
         return out
 
@@ -361,7 +404,10 @@ class Evaluation:
       ``dt`` or when every row is a first stage);
     * ``uniform_fallbacks``: how many of those rows' conditional
       distributions fell back to uniform (0 for ``dt``);
-    * ``outcomes``: leaf outcome averages, evaluated on first use;
+    * ``leaves``: each component's leaf ids, from the routing that made
+      ``probs`` (see :meth:`BehaviorModel.action_probabilities_batch`);
+    * ``outcomes``: leaf outcome averages, gathered by ``leaves`` on first
+      use, so no row is routed twice;
     * ``order``: :func:`_descending_order` of ``probs``, sorted on first use.
 
     Every query goes through the model's public batch methods. Tree and
@@ -379,11 +425,13 @@ class Evaluation:
         self.switch = _read_only(parts.get("switch"))
         self.conditional = _read_only(parts.get("conditional"))
         self.uniform_fallbacks = parts.get("uniform_fallbacks", 0)
+        self.leaves = parts["leaves"]
 
     @cached_property
     def outcomes(self) -> np.ndarray:
         d = self.data
-        return _read_only(self.model.outcome_batch(d.states, d.prev_actions, d.stages))
+        return _read_only(self.model.outcome_batch(d.states, d.prev_actions, d.stages,
+                                                   self.leaves))
 
     @cached_property
     def order(self) -> np.ndarray:
@@ -419,9 +467,15 @@ class TreeMemo:
     tree object. Sharing is safe: tree queries are pure, and calibration
     lives on the model, not on its trees. Likewise it keeps the components'
     fitting rows, taken once from ``data`` (see :meth:`fitting_set`).
+
+    Each deep tree routes its fitting rows once, and the rows of
+    ``validation`` its component reads once; a cut reads its leaf ids from
+    those through :func:`~clinpol.tree.leaf_map`, which is exact because a
+    cut keeps every path. These arrays live as long as the memo, one model
+    selection.
     """
 
-    def __init__(self, data: StepData, candidates):
+    def __init__(self, data: StepData, candidates, validation: StepData | None = None):
         self.data = data
         # per fraction: its first candidate, at the deepest depth drawn with it
         self._deep: dict[float, TreeHyperparams] = {}
@@ -432,6 +486,12 @@ class TreeMemo:
         self._grown: dict[tuple, DecisionTree | ClinpolError] = {}
         self.cuts: dict[tuple, DecisionTree] = {}
         self._sets: dict[tuple, dict | ClinpolError] = {}
+        self.validation = validation
+        # (component, fraction, rows) -> leaf ids in the deep tree, where rows
+        # is "fit" or a part of the validation rows (BehaviorModel._route)
+        self._routed: dict[tuple, np.ndarray] = {}
+        # (component, hyperparameters) -> the cut's leaf_map
+        self._maps: dict[tuple, np.ndarray] = {}
 
     @property
     def fractions(self) -> tuple:
@@ -472,21 +532,56 @@ class TreeMemo:
             raise found
         return found
 
+    def _deep_leaves(self, component: str, hp: TreeHyperparams, part: str,
+                     states, rows=None) -> np.ndarray:
+        """The memoized leaf ids of ``rows`` of ``states`` (the rows ``part``
+        names) in ``component``'s grown deep tree for ``hp``'s fraction."""
+        key = (component, hp.min_leaf_fraction, part)
+        if key not in self._routed:
+            deep = self._grown[component, hp.min_leaf_fraction]
+            self._routed[key] = _leaf_ids(deep, states, rows)
+        return self._routed[key]
+
+    def cut(self, component: str, hp: TreeHyperparams, X, y, rewards, grow) -> DecisionTree:
+        """The memoized deep tree for ``hp`` (see :meth:`deep_tree`) cut at
+        ``hp.max_depth``, with the outcomes ``rewards`` of its fitting rows
+        ``X``, ``y`` attached."""
+        key = (component, hp)
+        if key not in self.cuts:
+            deep = self.deep_tree(component, hp, grow)
+            to_cut = leaf_map(deep, hp.max_depth)
+            ids = to_cut[self._deep_leaves(component, hp, "fit", X)]
+            self.cuts[key] = attach_outcomes(truncate_tree(deep, hp.max_depth), X, y,
+                                             rewards, ids)
+            self._maps[key] = to_cut
+        return self.cuts[key]
+
+    def validation_leaves(self, model: BehaviorModel, hp: TreeHyperparams) -> dict:
+        """The ``leaves`` that ``model.action_probabilities_batch`` reads on
+        the validation rows, for a model whose every tree is this memo's cut
+        at ``hp``."""
+        v = self.validation
+
+        def route(name, part, rows):
+            if model.trees[name] is not self.cuts.get((name, hp)):
+                raise RuntimeError(f"the {name} tree is not this memo's cut at {hp}")
+            return self._maps[name, hp][self._deep_leaves(name, hp, part, v.states, rows)]
+
+        first = v.stages == 1
+        return model._route(v.states, np.flatnonzero(first), np.flatnonzero(~first), route)
+
 
 def _component_tree(component: str, X, y, rewards, hp: TreeHyperparams,
                     n_classes: int, feature_names, memo: TreeMemo | None) -> DecisionTree:
     """Grow (or look up) a component tree, cut it at ``hp`` and attach outcomes.
 
-    Without a memo this is one fit at ``hp`` itself, so the cut keeps every
-    node. Outcomes are tallied afresh on the fitting rows rather than summed
-    from cut children, which would reorder the float sums.
+    Without a memo this is one fit at ``hp`` itself. Outcomes are tallied
+    afresh on the fitting rows rather than summed from cut children, which
+    would reorder the float sums.
     """
     if memo is None:
-        deep = fit_tree(X, y, hp, n_classes=n_classes, feature_names=feature_names)
-        return attach_outcomes(truncate_tree(deep, hp.max_depth), X, y, rewards)
-    key = (component, hp)
-    if key in memo.cuts:
-        return memo.cuts[key]
+        tree = fit_tree(X, y, hp, n_classes=n_classes, feature_names=feature_names)
+        return attach_outcomes(tree, X, y, rewards)
     search = None
 
     def grow(deep_hp):
@@ -496,10 +591,7 @@ def _component_tree(component: str, X, y, rewards, hp: TreeHyperparams,
         return fit_tree(search.X, search.y, deep_hp, n_classes=n_classes,
                         feature_names=feature_names, search=search)
 
-    deep = memo.deep_tree(component, hp, grow)
-    cut = attach_outcomes(truncate_tree(deep, hp.max_depth), X, y, rewards)
-    memo.cuts[key] = cut
-    return cut
+    return memo.cut(component, hp, X, y, rewards, grow)
 
 
 # the domain error for a component left with no fitting rows

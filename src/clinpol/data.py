@@ -84,6 +84,10 @@ class Feature:
                 raise SchemaError(
                     f"feature {self.name!r}: categorical features need >= 2 categories"
                 )
+            stray = [c for c in self.categories if not isinstance(c, str)]
+            if stray:
+                raise SchemaError(f"feature {self.name!r}: categories must be strings, "
+                                  f"got {stray[0]!r}")
             if len(set(self.categories)) != len(self.categories):
                 raise SchemaError(f"feature {self.name!r}: duplicate categories")
         elif self.categories is not None:
@@ -586,7 +590,7 @@ def save_jsonl(ds: Dataset, path) -> None:
     features = ",".join(json.dumps(name).replace("%", "%%") + ":%s" for name in ds.schema.names)
     # one step: its line's head (or a comma), its fields, its line's end (or nothing)
     step = '%s{"features":{' + features + '},"action":%s,"reward":%s}%s'
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         header = {"schema": ds.schema.to_json(), "K": ds.n_actions, "provenance": ds.provenance}
         fh.write(json.dumps(header, separators=(",", ":")) + "\n")
         for i, j, lo, hi in _chunk_rows(ds):
@@ -657,24 +661,41 @@ def _json_columns(objs):
     return (ids, list(map(len, step_lists)), features, actions, rewards), faults
 
 
+def _not_utf8(path, exc: UnicodeDecodeError) -> ParseError:
+    """The error for a cohort file that is not UTF-8 text, naming the first
+    line that is not (a UTF-8 sequence never spans a newline byte)."""
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError:
+                break
+    return ParseError(f"{path} line {lineno}: not UTF-8 text ({exc.reason})")
+
+
 def load_jsonl(path) -> Dataset:
-    """A cohort from a JSONL file: a header line with an integer ``K``, then
-    one trajectory a line. A broken type or shape rule is a ``ParseError``
-    naming the line, any other broken rule a ``SchemaError``."""
-    with open(path) as fh:
-        first = fh.readline()
-        if not first:
-            raise ParseError(f"{path}: empty file, expected a header line")
-        try:
-            header = json.loads(first)
-        except ValueError as exc:
-            raise ParseError(f"{path} line 1: bad header ({getattr(exc, 'msg', exc)})") from None
-        if not isinstance(header, dict) or "schema" not in header or "K" not in header:
-            raise ParseError(f"{path} line 1: header must carry 'schema' and 'K'")
-        if not is_integer(header["K"]):
-            raise ParseError(f"{path} line 1: K is {header['K']!r}, not an integer")
-        return _assemble(FeatureSchema.from_json(header["schema"]), header["K"],
-                         _jsonl_chunks(path, fh), str(header.get("provenance", "")))
+    """A cohort from a UTF-8 JSONL file: a header line with an integer
+    ``K``, then one trajectory a line. A broken type or shape rule, or a
+    byte that is not UTF-8, is a ``ParseError`` naming the line, any other
+    broken rule a ``SchemaError``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            first = fh.readline()
+            if not first:
+                raise ParseError(f"{path}: empty file, expected a header line")
+            try:
+                header = json.loads(first)
+            except ValueError as exc:
+                raise ParseError(f"{path} line 1: bad header "
+                                 f"({getattr(exc, 'msg', exc)})") from None
+            if not isinstance(header, dict) or "schema" not in header or "K" not in header:
+                raise ParseError(f"{path} line 1: header must carry 'schema' and 'K'")
+            if not is_integer(header["K"]):
+                raise ParseError(f"{path} line 1: K is {header['K']!r}, not an integer")
+            return _assemble(FeatureSchema.from_json(header["schema"]), header["K"],
+                             _jsonl_chunks(path, fh), str(header.get("provenance", "")))
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from None
 
 
 def save_csv(ds: Dataset, path) -> None:
@@ -683,7 +704,7 @@ def save_csv(ds: Dataset, path) -> None:
     file; a missing covariate is written as an empty field."""
     _refuse_bad_codes(ds)
     _refuse_non_finite(ds, "a CSV cohort")
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         meta = {"K": ds.n_actions, "provenance": ds.provenance}
         fh.write("# " + json.dumps(meta, separators=(",", ":")) + "\n")
         writer = csv.writer(fh)
@@ -699,20 +720,23 @@ def save_csv(ds: Dataset, path) -> None:
 
 
 def load_csv(path, n_actions: int | None = None) -> Dataset:
-    """A cohort from a CSV file, read as columns, each distinct token parsed
-    once. The rows of one id, whose ``t`` counts 1..T, make one trajectory.
-    ``n_actions`` overrides the meta line's K, an integer; without either,
-    K is one more than the largest kept action."""
+    """A cohort from a UTF-8 CSV file, read as columns, each distinct token
+    parsed once. The rows of one id, whose ``t`` counts 1..T, make one
+    trajectory. ``n_actions`` overrides the meta line's K, an integer;
+    without either, K is one more than the largest kept action."""
     meta, meta_line, lines = {}, 0, []
-    with open(path, newline="") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.startswith("#"):
-                lines.append(line)
-            elif line.lstrip("#").strip().startswith("{"):
-                try:
-                    meta, meta_line = json.loads(line.lstrip("#")), lineno
-                except ValueError:  # a comment, not a meta line
-                    pass
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.startswith("#"):
+                    lines.append(line)
+                elif line.lstrip("#").strip().startswith("{"):
+                    try:
+                        meta, meta_line = json.loads(line.lstrip("#")), lineno
+                    except ValueError:  # a comment, not a meta line
+                        pass
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from None
     try:
         rows = [row for row in csv.reader(lines) if row]
     except csv.Error as exc:  # a field over the csv module's size limit

@@ -149,7 +149,9 @@ def select_model(train, validation, model_type: str, n_candidates: int,
     the draws, to the deepest depth drawn with it, and each candidate's trees
     are that tree truncated at the candidate's depth. This is exact: greedy
     growth reads ``max_depth`` only as its stop rule, so a shallower fit is
-    the deeper one cut (see :func:`clinpol.tree.truncate_tree`). A cell drawn
+    the deeper one cut (see :func:`clinpol.tree.truncate_tree`). Each deep
+    tree routes the fitting and validation rows once, and every cut of it
+    reads their leaf ids through :func:`clinpol.tree.leaf_map`. A cell drawn
     twice reuses the first draw's cut trees, so it is fitted again but scored
     once: a repeat replays the first draw's score or error, and a tie never
     replaces the leader, so the winner is the same.
@@ -160,7 +162,7 @@ def select_model(train, validation, model_type: str, n_candidates: int,
         )
     grid = grid or HyperparamGrid()
     candidates = sample_candidates(grid, n_candidates, seed)
-    memo = TreeMemo(train, candidates)
+    memo = TreeMemo(train, candidates, validation)
     scored: dict[TreeHyperparams, float | ClinpolError] = {}
     best = None
     best_score = -math.inf
@@ -173,7 +175,7 @@ def select_model(train, validation, model_type: str, n_candidates: int,
             log.warning("candidate %s failed: %s", hp, e)
             continue
         if hp not in scored:
-            scored[hp] = _validation_score(model, validation)
+            scored[hp] = _validation_score(model, validation, memo, hp)
         score = scored[hp]
         if isinstance(score, ClinpolError):
             last_error = score
@@ -189,15 +191,15 @@ def select_model(train, validation, model_type: str, n_candidates: int,
     return best.calibrate(validation)
 
 
-def _validation_score(model, validation) -> float | ClinpolError:
-    """Macro AUROC on the validation steps, or the error that leaves it undefined."""
+def _validation_score(model, validation, memo: TreeMemo,
+                      hp: TreeHyperparams) -> float | ClinpolError:
+    """Macro AUROC on the validation steps, or the error that leaves it
+    undefined; the model's trees read the validation leaf ids of ``memo``."""
     try:
-        score = auroc_macro(
-            model.action_probabilities_batch(
-                validation.states, validation.prev_actions, validation.stages
-            ),
-            validation.actions,
-        )
+        probs = model.action_probabilities_batch(
+            validation.states, validation.prev_actions, validation.stages,
+            leaves=memo.validation_leaves(model, hp))
+        score = auroc_macro(probs, validation.actions)
     except ClinpolError as e:
         return e
     if math.isnan(score):

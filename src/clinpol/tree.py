@@ -19,14 +19,24 @@ Growth reads ``max_depth`` only as its stop rule, so the tree grown at depth
 d is the tree grown at any deeper cap, cut at depth d (the nested-subtree
 property behind CART cost-complexity pruning). Internal nodes keep their
 class counts, and :func:`truncate_tree` makes that cut without refitting.
+Leaves are numbered depth-first, so the deep leaves under one cut leaf are a
+contiguous range: :func:`leaf_map` maps deep leaf ids to cut leaf ids, and
+rows routed once through the deep tree are routed through every cut of it.
 
-Every fit grows through a :class:`SplitSearch`: columns are sorted once per
-fitting set, and fits that share a search (one per min-leaf fraction) share
-the node searches their trees have in common.
+Every fit grows through a :class:`SplitSearch`, which tells column kinds
+apart once per fitting set. A constant column cannot split and leaves the
+search. A two-valued column (a one-hot indicator, say) has one boundary,
+scored from a tally of the node's rows that hold its rarer value, so it is
+never sorted. Only the other columns are sorted, once per fitting set. The
+boundaries of both kinds go through one Gini sweep, in (feature, position)
+order, with the arithmetic of a per-node sort; fits that share a search
+(one per min-leaf fraction) share the node searches their trees have in
+common.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, replace
 
@@ -67,14 +77,13 @@ class TreeHyperparams:
 
 
 class Node:
-    """Internal node (feature, threshold, children) or leaf (outcomes).
+    """Internal node (feature, threshold, children) or leaf.
 
     Both kinds carry the class counts of the samples that reached them; an
     internal node's counts are what a cut at that node leaves on the leaf.
     """
 
-    __slots__ = ("feature", "threshold", "left", "right", "counts", "n",
-                 "leaf_id", "outcome_avg", "outcome_count")
+    __slots__ = ("feature", "threshold", "left", "right", "counts", "n", "leaf_id")
 
     def __init__(self):
         self.feature = None
@@ -84,8 +93,6 @@ class Node:
         self.counts = None
         self.n = 0
         self.leaf_id = None
-        self.outcome_avg = None
-        self.outcome_count = None
 
     @property
     def is_leaf(self) -> bool:
@@ -93,7 +100,12 @@ class Node:
 
 
 class DecisionTree:
-    """A fitted tree. Queries are pure; refitting builds a new object."""
+    """A fitted tree. Queries are pure; refitting builds a new object.
+
+    Attached outcomes are two L × C tables by leaf id, ``outcome_avg`` and
+    ``outcome_count`` (None until :func:`attach_outcomes`); a tree with
+    outcomes shares its nodes with the tree they were attached to.
+    """
 
     def __init__(self, root: Node, n_classes: int, n_features: int,
                  hyperparams: TreeHyperparams, n_train: int, feature_names=None):
@@ -103,6 +115,7 @@ class DecisionTree:
         self.hyperparams = hyperparams
         self.n_train = n_train
         self.feature_names = list(feature_names) if feature_names is not None else None
+        self.outcome_avg = self.outcome_count = None
         self._index_leaves()
 
     # -- structure ---------------------------------------------------------
@@ -123,13 +136,14 @@ class DecisionTree:
         self.leaves = leaves
         self._leaf_probs = np.stack([lf.counts / lf.n for lf in leaves])
         self._leaf_probs.flags.writeable = False
-        self._refresh_outcome_cache()
 
-    def _refresh_outcome_cache(self):
-        if all(lf.outcome_avg is not None for lf in self.leaves):
-            self._leaf_outcomes = np.stack([lf.outcome_avg for lf in self.leaves])
-        else:
-            self._leaf_outcomes = None
+    def _with_outcomes(self, avg, count) -> "DecisionTree":
+        """This tree, nodes shared, with the L × C outcome tables ``avg`` and
+        ``count``."""
+        avg.flags.writeable = count.flags.writeable = False
+        out = copy.copy(self)
+        out.outcome_avg, out.outcome_count = avg, count
+        return out
 
     @property
     def leaf_probs(self) -> np.ndarray:
@@ -188,9 +202,9 @@ class DecisionTree:
     def outcome_avg_batch(self, X, rows=None) -> np.ndarray:
         """Per-class average outcome of each row's leaf; NaN where no data.
         ``rows`` as for :meth:`leaf_index_batch`."""
-        if self._leaf_outcomes is None:
+        if self.outcome_avg is None:
             raise TreeError("tree has no attached outcomes")
-        return self._gather(self._leaf_outcomes, X, rows)
+        return self._gather(self.outcome_avg, X, rows)
 
     def _gather(self, table, X, rows) -> np.ndarray:
         if len(table) != self.n_leaves:
@@ -224,10 +238,18 @@ def _fitting_set(X, y, n_classes):
 class SplitSearch:
     """Split search over one fitting set, shared by every tree grown on it.
 
-    Each column is stable-argsorted once; a node holds its rows as a
-    (features + 1, m) index matrix whose row j lists the node's rows in
-    feature-j order (ties in row order, as a per-node stable sort gives) and
-    whose last row lists them in row order. Children get their rows by a
+    Columns come in three kinds, told apart once per fitting set:
+
+    * a constant column has no boundary at any node and leaves the search;
+    * a two-valued column has one boundary, between its two values. A node
+      scores it from the class counts of its rows that hold the column's
+      rarer value, one ``bincount`` for all such columns at once;
+    * every other column (more than two values, or a NaN) is sorted.
+
+    Each sorted column is stable-argsorted once; a node holds its rows as a
+    (sorted columns + 1, m) index matrix whose row j lists the node's rows in
+    that column's order (ties in row order, as a per-node stable sort gives)
+    and whose last row lists them in row order. Children get their rows by a
     stable partition of that matrix, so no node sorts.
 
     Trees with different min-leaf fractions pick the same split at most of
@@ -243,11 +265,29 @@ class SplitSearch:
         n = len(self.X)
         self.fractions = frozenset(float(f) for f in min_leaf_fractions)
         self.floors = sorted({math.ceil(f * n) for f in self.fractions})
-        self._root = np.empty((self.X.shape[1] + 1, n), dtype=np.int32)
-        for j, column in enumerate(self.X.T):
-            self._root[j] = np.argsort(column, kind="stable")
+        low, high = self.X.min(axis=0), self.X.max(axis=0)  # NaN if any
+        is_low, is_high = self.X == low, self.X == high
+        two = (low < high) & np.all(is_low | is_high, axis=0)
+        self._sorted = np.flatnonzero(~two & ~(low == high))
+        self._root = np.empty((len(self._sorted) + 1, n), dtype=np.int32)
+        for i, j in enumerate(self._sorted):
+            self._root[i] = np.argsort(self.X[:, j], kind="stable")
         self._root[-1] = np.arange(n)
-        self._columns = np.arange(self.X.shape[1])[:, None]
+        # a two-valued column's boundary: its feature, whether its rarer
+        # value is the lower one, and the midpoint a sort would compute
+        self._two = np.flatnonzero(two)
+        rare_low = 2 * is_low[:, two].sum(axis=0) <= n
+        rare = np.where(rare_low, is_low[:, two], is_high[:, two])
+        self._rare_low = rare_low[:, None]
+        self._midpoints = [float((low[j] + high[j]) / 2.0) for j in self._two]
+        # each row's (two-valued column, class) cells, one per rarer value it
+        # holds, padded with the spare cell len(two) * K: a node's rare-value
+        # tallies are one bincount of its rows' cells
+        K = self.n_classes
+        width = int(rare.sum(axis=1).max(initial=0))
+        cols = np.argsort(~rare, axis=1, kind="stable")[:, :width]
+        self._cells = np.where(np.take_along_axis(rare, cols, axis=1),
+                               cols * K + self.y[:, None], len(self._two) * K)
         self._found: dict[tuple, tuple] = {}
         self.searches = 0
 
@@ -273,13 +313,13 @@ class SplitSearch:
         def grow(rows, path, depth) -> Node:
             node = Node()
             node.n = rows.shape[1]
-            node.counts = np.bincount(self.y.take(rows[-1]),
-                                      minlength=self.n_classes).astype(np.float64)
+            tally = np.bincount(self.y.take(rows[-1]), minlength=self.n_classes)
+            node.counts = tally.astype(np.float64)
             pure = node.counts.max() == node.n
             if depth >= hp.max_depth or pure or node.n < 2 * floor:
                 return node
             if path not in self._found:
-                self._found[path] = self._search(rows, node.counts)
+                self._found[path] = self._search(rows, tally, node.counts)
             found = self._found[path][slot]
             if found is None:
                 return node
@@ -300,7 +340,7 @@ class SplitSearch:
 
         return grow(self._root, (), 0)
 
-    def _search(self, rows, counts) -> tuple:
+    def _search(self, rows, tally, counts) -> tuple:
         """Each floor's best (feature, threshold) at one node, or None.
 
         Ties keep the lowest feature index, then the lowest threshold: the
@@ -310,25 +350,74 @@ class SplitSearch:
         self.searches += 1
         m = rows.shape[1]
         lo, hi = self.floors[0] - 1, m - self.floors[0] - 1
-        order = rows[:-1]
-        F = len(order)
-        xv = self.X.take(np.multiply(order, F, dtype=np.int64) + self._columns)
+        # boundaries of the sorted columns, then of the two-valued ones: the
+        # column, the last sorted position left of it and the class counts
+        # left of it
+        s_col, s_pos, s_left = self._sorted_boundaries(rows[:-1], tally, lo, hi)
+        t_col, t_pos, t_left = self._two_valued_boundaries(rows[-1], tally, lo, hi)
+        n_sorted = len(s_col)
+        if n_sorted + len(t_col) == 0:
+            return (None,) * len(self.floors)
+        pos = np.concatenate((s_pos, t_pos))
+        left = np.concatenate((s_left, t_left), dtype=np.float64)
+        # the weighted child impurity, term for term as a per-feature sweep
+        n_left = pos + 1
+        n_l = n_left.astype(np.float64)
+        n_r = m - n_l
+        right = counts[None, :] - left
+        left /= n_l[:, None]
+        g_l = 1.0 - np.sum(np.square(left, out=left), axis=1)
+        right /= n_r[:, None]
+        g_r = 1.0 - np.sum(np.square(right, out=right), axis=1)
+        weighted = (n_l * g_l + n_r * g_r) / m
+        # (feature, position) order, so argmin's first minimum breaks ties
+        feat = np.concatenate((self._sorted[s_col], self._two[t_col]))
+        order = np.argsort(feat, kind="stable")
+        weighted = weighted[order]
+        # a boundary lies in floor f's window iff f <= its slack. Every one
+        # lies in the smallest floor's; windows shrink as floors grow, so a
+        # floor keeps the last minimum while that lies in its window
+        slack = np.minimum(n_left, m - n_left)[order]
+        best = int(np.argmin(weighted))
+        out = []
+        for floor in self.floors:
+            if slack[best] < floor:
+                score = np.where(slack >= floor, weighted, np.inf)
+                best = int(np.argmin(score))
+                if score[best] == np.inf:
+                    break
+            e = order[best]
+            if e >= n_sorted:
+                out.append((int(feat[e]), self._midpoints[t_col[e - n_sorted]]))
+            else:
+                j, s, i = int(feat[e]), s_col[e], int(pos[e])
+                a, b = self.X[rows[s, i], j], self.X[rows[s, i + 1], j]
+                out.append((j, float((a + b) / 2.0)))
+        return tuple(out) + (None,) * (len(self.floors) - len(out))
+
+    def _sorted_boundaries(self, order, counts, lo, hi):
+        """(sorted column, position, left class counts) of each boundary
+        between distinct sorted values at positions ``lo..hi``."""
+        S, m = order.shape
+        flat = np.multiply(order, self.X.shape[1], dtype=np.int64)
+        flat += self._sorted[:, None]
+        xv = self.X.take(flat)
         feat, pos = np.nonzero(xv[:, lo:hi + 1] != xv[:, lo + 1:hi + 2])
         del xv
         if len(feat) == 0:
-            return (None,) * len(self.floors)
+            return feat, pos, np.empty((0, self.n_classes), dtype=np.int64)
         pos += lo
+        at = feat * m + pos
         # class counts left of every boundary: tally the labels of each run
-        # between consecutive boundaries (runs of all features laid end to
-        # end) and sum the runs; the runs before feature j hold j * counts.
-        # Work in place: these arrays are features x m long.
+        # between consecutive boundaries (runs of all columns laid end to
+        # end) and sum the runs; the runs before column s hold s * counts.
+        # Work in place: these arrays are columns x m long.
         K = self.n_classes
-        run = np.zeros(F * m, dtype=np.int64)
-        run[::m] = 1
-        run[feat * m + pos + 1] = 1
+        run = np.zeros(S * m, dtype=np.int64)
+        run[m::m] = 1
+        run[at + 1] = 1
         np.cumsum(run, out=run)
-        run -= 1
-        at = run[feat * m + pos]
+        at = run[at]
         n_runs = int(run[-1]) + 1
         run *= K
         run += self.y.take(order).ravel()
@@ -337,27 +426,20 @@ class SplitSearch:
         np.cumsum(cum, axis=0, out=cum)
         left = cum[at]
         del cum
-        left -= feat[:, None] * counts.astype(np.int64)
-        left = left.astype(np.float64)
-        # the weighted child impurity, term for term as a per-feature sweep
-        n_l = (pos + 1).astype(np.float64)
-        n_r = m - n_l
-        right = counts[None, :] - left
-        g_l = 1.0 - np.sum((left / n_l[:, None]) ** 2, axis=1)
-        g_r = 1.0 - np.sum((right / n_r[:, None]) ** 2, axis=1)
-        weighted = (n_l * g_l + n_r * g_r) / m
-        # a boundary lies in floor f's window iff f <= its slack
-        slack = np.minimum(pos + 1, m - 1 - pos)
-        out = []
-        for floor in self.floors:
-            if slack.max() < floor:
-                out.append(None)
-                continue
-            e = int(np.argmin(np.where(slack >= floor, weighted, np.inf)))
-            j, i = int(feat[e]), int(pos[e])
-            a, b = self.X[order[j, i], j], self.X[order[j, i + 1], j]
-            out.append((j, float((a + b) / 2.0)))
-        return tuple(out)
+        left -= feat[:, None] * counts
+        return feat, pos, left
+
+    def _two_valued_boundaries(self, node_rows, counts, lo, hi):
+        """(two-valued column, position, left class counts) of each such
+        column that holds both its values at the node, boundary in ``lo..hi``."""
+        K = self.n_classes
+        cells = np.bincount(self._cells.take(node_rows, axis=0).ravel(),
+                            minlength=len(self._two) * K + 1)
+        rare = cells[:-1].reshape(-1, K)
+        left = np.where(self._rare_low, rare, counts - rare)
+        pos = left.sum(axis=1) - 1
+        keep = np.flatnonzero((pos >= lo) & (pos <= hi))
+        return keep, pos[keep], left[keep]
 
 
 def fit_tree(X, y, hp: TreeHyperparams, n_classes: int | None = None,
@@ -396,7 +478,7 @@ def truncate_tree(tree: DecisionTree, max_depth: int) -> DecisionTree:
     def cut(node, depth):
         m = Node()
         m.n = node.n
-        m.counts = node.counts.copy()
+        m.counts = node.counts
         if not node.is_leaf and depth < max_depth:
             m.feature = node.feature
             m.threshold = node.threshold
@@ -408,12 +490,38 @@ def truncate_tree(tree: DecisionTree, max_depth: int) -> DecisionTree:
                         tree.n_train, tree.feature_names)
 
 
-def attach_outcomes(tree: DecisionTree, X, y_action, outcomes) -> DecisionTree:
+def leaf_map(tree: DecisionTree, max_depth: int) -> np.ndarray:
+    """The leaf of ``truncate_tree(tree, max_depth)`` that each leaf of
+    ``tree`` falls in, by leaf id.
+
+    Leaves are numbered depth-first, so the leaves under one cut leaf are a
+    contiguous range of ids, and ``leaf_map(tree, d)[tree.leaf_index_batch(X)]``
+    routes ``X`` through the cut without walking it.
+    """
+    firsts = []
+
+    def walk(node, depth):
+        if node.is_leaf or depth == max_depth:
+            while not node.is_leaf:
+                node = node.left
+            firsts.append(node.leaf_id)
+        else:
+            walk(node.left, depth + 1)
+            walk(node.right, depth + 1)
+
+    walk(tree.root, 0)
+    return np.repeat(np.arange(len(firsts)), np.diff(firsts + [tree.n_leaves]))
+
+
+def attach_outcomes(tree: DecisionTree, X, y_action, outcomes,
+                    leaf_ids=None) -> DecisionTree:
     """Record per-leaf, per-class average outcomes from fitting data.
 
     ``outcomes[i]`` is tallied under class ``y_action[i]`` in the leaf that
-    ``X[i]`` lands in. Returns a new tree; averages are NaN where a leaf saw
-    no sample of a class ("no data").
+    ``X[i]`` lands in; ``leaf_ids``, those leaves if already known, saves
+    routing ``X``. Returns a new tree sharing ``tree``'s nodes; averages are
+    NaN where a leaf saw no sample of a class ("no data"). Each cell's sum
+    adds its outcomes in row order.
     """
     X = np.asarray(X, dtype=np.float64)
     y_action = np.asarray(y_action, dtype=np.int64)
@@ -425,48 +533,25 @@ def attach_outcomes(tree: DecisionTree, X, y_action, outcomes) -> DecisionTree:
         )
     if len(y_action) and (y_action.min() < 0 or y_action.max() >= tree.n_classes):
         raise TreeError(f"action id outside [0, {tree.n_classes})")
+    if leaf_ids is None:
+        leaf_ids = tree.leaf_index_batch(X)
+    elif len(leaf_ids) != len(X):
+        raise TreeError(f"{len(leaf_ids)} leaf ids for {len(X)} rows")
 
-    out = _copy_tree(tree)
-    L, C = out.n_leaves, out.n_classes
-    sums = np.zeros((L, C), dtype=np.float64)
-    cnts = np.zeros((L, C), dtype=np.int64)
-    leaf_ids = out.leaf_index_batch(X)
-    np.add.at(sums, (leaf_ids, y_action), outcomes)
-    np.add.at(cnts, (leaf_ids, y_action), 1)
+    L, C = tree.n_leaves, tree.n_classes
+    cell = leaf_ids * C + y_action
+    sums = np.bincount(cell, weights=outcomes, minlength=L * C).reshape(L, C)
+    cnts = np.bincount(cell, minlength=L * C).reshape(L, C)
     with np.errstate(invalid="ignore"):
         avg = np.where(cnts > 0, sums / np.maximum(cnts, 1), np.nan)
-    for lf in out.leaves:
-        lf.outcome_avg = avg[lf.leaf_id].copy()
-        lf.outcome_count = cnts[lf.leaf_id].copy()
-    out._refresh_outcome_cache()
-    return out
-
-
-def _copy_tree(tree: DecisionTree) -> DecisionTree:
-    def cp(node):
-        m = Node()
-        m.n = node.n
-        m.counts = node.counts.copy()
-        if node.is_leaf:
-            if node.outcome_avg is not None:
-                m.outcome_avg = node.outcome_avg.copy()
-                m.outcome_count = node.outcome_count.copy()
-        else:
-            m.feature = node.feature
-            m.threshold = node.threshold
-            m.left = cp(node.left)
-            m.right = cp(node.right)
-        return m
-
-    return DecisionTree(cp(tree.root), tree.n_classes, tree.n_features,
-                        tree.hyperparams, tree.n_train, tree.feature_names)
+    return tree._with_outcomes(avg, cnts)
 
 
 # ---------------------------------------------------------------------------
 # export / import
 # ---------------------------------------------------------------------------
 
-def _node_to_json(node: Node):
+def _node_to_json(node: Node, tree: DecisionTree):
     if node.is_leaf:
         obj = {
             "feature": None,
@@ -474,24 +559,26 @@ def _node_to_json(node: Node):
             "n": int(node.n),
             "counts": [int(c) for c in node.counts],
         }
-        if node.outcome_avg is not None:
+        if tree.outcome_avg is not None:
+            avg = tree.outcome_avg[node.leaf_id]
             obj["outcome_avg"] = {
-                str(c): (None if math.isnan(node.outcome_avg[c]) else float(node.outcome_avg[c]))
-                for c in range(len(node.outcome_avg))
+                str(c): (None if math.isnan(v) else float(v)) for c, v in enumerate(avg)
             }
             obj["outcome_count"] = {
-                str(c): int(node.outcome_count[c]) for c in range(len(node.outcome_count))
+                str(c): int(v) for c, v in enumerate(tree.outcome_count[node.leaf_id])
             }
         return obj
     return {
         "feature": int(node.feature),
         "threshold": float(node.threshold),
-        "left": _node_to_json(node.left),
-        "right": _node_to_json(node.right),
+        "left": _node_to_json(node.left, tree),
+        "right": _node_to_json(node.right, tree),
     }
 
 
-def _node_from_json(obj, n_classes) -> Node:
+def _node_from_json(obj, n_classes, outcomes: list) -> Node:
+    """The node ``obj`` describes; each leaf appends its (averages, counts)
+    to ``outcomes``, or None if it has none, in leaf-id order."""
     node = Node()
     if obj.get("feature") is None:
         node.counts = np.asarray(obj["counts"], dtype=np.float64)
@@ -504,13 +591,14 @@ def _node_from_json(obj, n_classes) -> Node:
                     avg[int(k)] = float(v)
             for k, v in obj.get("outcome_count", {}).items():
                 cnt[int(k)] = int(v)
-            node.outcome_avg = avg
-            node.outcome_count = cnt
+            outcomes.append((avg, cnt))
+        else:
+            outcomes.append(None)
     else:
         node.feature = int(obj["feature"])
         node.threshold = float(obj["threshold"])
-        node.left = _node_from_json(obj["left"], n_classes)
-        node.right = _node_from_json(obj["right"], n_classes)
+        node.left = _node_from_json(obj["left"], n_classes, outcomes)
+        node.right = _node_from_json(obj["right"], n_classes, outcomes)
         node.n = node.left.n + node.right.n
         node.counts = node.left.counts + node.right.counts
     return node
@@ -523,7 +611,7 @@ def tree_to_json(tree: DecisionTree) -> dict:
         "n_train": tree.n_train,
         "feature_names": tree.feature_names,
         "hyperparams": tree.hyperparams.to_json(),
-        "tree": _node_to_json(tree.root),
+        "tree": _node_to_json(tree.root, tree),
     }
 
 
@@ -534,9 +622,15 @@ def tree_from_json(obj) -> DecisionTree:
     try:
         hp = TreeHyperparams.from_json(obj["hyperparams"])
         n_classes = int(obj["n_classes"])
-        root = _node_from_json(obj["tree"], n_classes)
-        return DecisionTree(root, n_classes, int(obj["n_features"]), hp,
+        outcomes = []
+        root = _node_from_json(obj["tree"], n_classes, outcomes)
+        tree = DecisionTree(root, n_classes, int(obj["n_features"]), hp,
                             int(obj["n_train"]), obj.get("feature_names"))
+        if all(o is None for o in outcomes):
+            return tree
+        if any(o is None for o in outcomes):
+            raise TreeError("tree JSON has outcome averages on some leaves only")
+        return tree._with_outcomes(*map(np.stack, zip(*outcomes)))
     except KeyError as exc:
         raise TreeError(f"tree JSON lacks the key {exc.args[0]!r}") from None
     except TreeError:
@@ -567,10 +661,10 @@ def tree_to_dot(tree: DecisionTree, class_names=None) -> str:
             top = int(np.argmax(probs))
             label = [f"leaf {node.leaf_id}", f"n={node.n}",
                      f"P({class_names[top]})={probs[top]:.3f}"]
-            if node.outcome_avg is not None:
-                for c in range(tree.n_classes):
-                    if not math.isnan(node.outcome_avg[c]):
-                        label.append(f"avg({class_names[c]})={node.outcome_avg[c]:.3f}")
+            if tree.outcome_avg is not None:
+                for c, v in enumerate(tree.outcome_avg[node.leaf_id]):
+                    if not math.isnan(v):
+                        label.append(f"avg({class_names[c]})={v:.3f}")
             lines.append(f'  n{my_id} [label="{_dot_escape(chr(10).join(label))}"];')
         else:
             text = f"{_feature_label(tree, node.feature)} <= {node.threshold:g}"

@@ -79,6 +79,16 @@ def test_schema_rejects_duplicates_and_thin_categoricals():
         Feature("m", "weird")
 
 
+@pytest.mark.parametrize("categories, shown", [([1, 2], "1"), (["a", None], "None"),
+                                              (["a", ["b"]], "['b']")])
+def test_schema_categories_that_are_not_strings_are_schema_errors(categories, shown):
+    # a category matches only a string value, so a number could never be filled
+    entry = {"name": "m", "kind": "categorical", "categories": categories}
+    with pytest.raises(SchemaError, match=re.escape(
+            f"feature 'm': categories must be strings, got {shown}")):
+        FeatureSchema.from_json([entry])
+
+
 def test_encoded_names_are_ordered_and_deterministic():
     schema = tiny_schema()
     assert schema.encoded_names() == ["sev", "marker=hi", "marker=lo"]
@@ -352,6 +362,25 @@ def test_jsonl_header_k_that_is_no_integer_is_parse_error(tmp_path):
         path.write_text(JSONL_HEADER.replace('"K":2', f'"K":{k}'))
         with pytest.raises(SchemaError, match="K "):
             load_jsonl(path)
+
+
+def test_a_byte_that_is_not_utf8_is_a_parse_error_naming_file_and_line(tmp_path):
+    step = b'{"features":{"sev":1.0},"action":0,"reward":1.0}'
+    path = tmp_path / "d.jsonl"
+    path.write_bytes(JSONL_HEADER.encode() + b'{"id":"a","steps":[' + step + b']}\n'
+                     + b'{"id":"p\xe9","steps":[' + step + b']}\n')
+    with pytest.raises(ParseError, match=r"d\.jsonl line 3: not UTF-8 text"):
+        load_jsonl(path)
+    csv_path = tmp_path / "d.csv"
+    csv_path.write_bytes(b'# {"K":2}\nid,t,action,reward,sev\np\xe9,1,0,1.0,3.0\n')
+    with pytest.raises(ParseError, match=r"d\.csv line 3: not UTF-8 text"):
+        load_csv(csv_path)
+    # UTF-8 text, non-ASCII included, loads in either format
+    ds = from_records(FeatureSchema((Feature("sev"),)), 2,
+                      [("pé", [({"sev": 1.0}, 0, 1.0)])])
+    for save, load, name in ((save_jsonl, load_jsonl, "u.jsonl"), (save_csv, load_csv, "u.csv")):
+        save(ds, tmp_path / name)
+        assert load(tmp_path / name).ids == ["pé"]
 
 
 def test_jsonl_integer_of_too_many_digits_is_parse_error(tmp_path):

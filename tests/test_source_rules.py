@@ -71,6 +71,22 @@ def test_selection_and_memo_catch_no_bare_value_error():
     assert found == []
 
 
+def test_every_open_names_its_encoding_or_is_binary():
+    # the locale's encoding differs between hosts, and so would the files
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "open"):
+                continue
+            mode = node.args[1] if len(node.args) > 1 else next(
+                (k.value for k in node.keywords if k.arg == "mode"), None)
+            binary = isinstance(mode, ast.Constant) and "b" in str(mode.value)
+            if not binary and not any(k.arg == "encoding" for k in node.keywords):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_the_package_imports_no_scipy():
     # scipy is the tests' reference for the calibration sigmoid; the package
     # computes it exactly without scipy

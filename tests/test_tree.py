@@ -14,6 +14,7 @@ from clinpol.tree import (
     TreeHyperparams,
     attach_outcomes,
     fit_tree,
+    leaf_map,
     tree_from_json,
     tree_to_dot,
     tree_to_json,
@@ -572,3 +573,83 @@ def test_shared_search_refuses_other_rows_classes_and_fractions():
     # an equal copy of the fitting set is the same fitting set
     copy = fit_tree(X.copy(), list(y), hp, n_classes=3, search=search)
     assert json_text(copy) == json_text(fit_tree(X, y, hp, n_classes=3))
+
+
+# ---------------------------------------------------------------------------
+# column kinds and leaf maps
+# ---------------------------------------------------------------------------
+
+def mixed_kind_columns(seed, n, n_classes):
+    """Constant, two-valued, NaN-bearing and continuous columns, interleaved.
+
+    The two-valued columns hold their rarer value low or high, some track
+    the label (so they win splits and become one-valued below them), one
+    mixes -0.0 and 0.0 into one value, and one is nested under a continuous
+    column, so it turns one-valued in the nodes a split on that column makes.
+    """
+    rng = np.random.default_rng(seed)
+    y = rng.integers(0, n_classes, size=n)
+    noisy = np.where(rng.random(n) < 0.3, rng.integers(0, n_classes, size=n), y)
+    cont = np.round(rng.normal(size=n) + 0.2 * y, 1)
+    signed_zero = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+    # fewer NaNs than the smallest leaf floor: NaN sorts last, and a boundary
+    # next to one (whose midpoint is NaN) never falls inside a window
+    nan_rows = rng.choice(n, size=4, replace=False)
+    X = np.column_stack([
+        np.full(n, 3.5),
+        np.where(rng.random(n) < 0.3, -2.5, 7.0),
+        cont,
+        *[(noisy == k).astype(float) for k in range(min(n_classes, 5))],
+        np.where(rng.random(n) < 0.8, -2.5, 7.0),
+        signed_zero,
+        np.where(rng.random(n) < 0.1, 1.0, signed_zero),
+        np.where(cont > 0.4, np.where(noisy % 2 == 0, 4.0, -1.0), -1.0),
+        np.where(np.isin(np.arange(n), nan_rows), np.nan, np.round(rng.normal(size=n), 1)),
+        np.where(np.isin(np.arange(n), nan_rows), np.nan, np.where(noisy == 1, 5.0, 2.0)),
+        rng.normal(size=n),
+    ])
+    return X, y
+
+
+@pytest.mark.parametrize("n_classes", [2, 4, 25])
+def test_column_kinds_fit_as_per_node_sort_fits(n_classes):
+    for seed in range(3):
+        X, y = mixed_kind_columns(10 * n_classes + seed, 500, n_classes)
+        search = SplitSearch(X, y, n_classes, FRACTIONS)
+        for frac in FRACTIONS:
+            hp = TreeHyperparams(max_depth=7, min_leaf_fraction=frac)
+            shared = json_text(fit_tree(X, y, hp, n_classes=n_classes, search=search))
+            assert shared == json_text(per_node_sort_fit(X, y, hp, n_classes)), (seed, frac)
+
+
+@pytest.mark.parametrize("n_classes", [2, 4, 25])
+def test_leaf_maps_route_and_tally_as_the_cut_trees(n_classes):
+    X, y, _ = tied_columns_data(50 + n_classes, 700, n_classes)
+    Xq = tied_columns_data(60 + n_classes, 300, n_classes)[0]
+    rng = np.random.default_rng(n_classes)
+    # magnitudes far apart, so a sum in another order would change its bits
+    outcomes = rng.normal(size=len(y)) * 10.0 ** rng.integers(-8, 9, size=len(y))
+    deep = fit_tree(X, y, TreeHyperparams(max_depth=9, min_leaf_fraction=0.01),
+                    n_classes=n_classes)
+    deep_ids, deep_q = deep.leaf_index_batch(X), deep.leaf_index_batch(Xq)
+    for depth in range(1, 10):
+        cut = truncate_tree(deep, depth)
+        to_cut = leaf_map(deep, depth)
+        ids = to_cut[deep_ids]
+        np.testing.assert_array_equal(ids, cut.leaf_index_batch(X))
+        np.testing.assert_array_equal(to_cut[deep_q], cut.leaf_index_batch(Xq))
+        fast = attach_outcomes(cut, X, y, outcomes, ids)
+        routed = attach_outcomes(truncate_tree(deep, depth), X, y, outcomes)
+        assert json_text(fast) == json_text(routed)
+        # the tallies add each cell's outcomes in row order, as np.add.at does
+        sums = np.zeros((cut.n_leaves, n_classes))
+        cnts = np.zeros((cut.n_leaves, n_classes), dtype=np.int64)
+        np.add.at(sums, (ids, y), outcomes)
+        np.add.at(cnts, (ids, y), 1)
+        with np.errstate(invalid="ignore"):
+            avg = np.where(cnts > 0, sums / np.maximum(cnts, 1), np.nan)
+        assert fast.outcome_avg.tobytes() == avg.tobytes()
+        assert fast.outcome_count.tobytes() == cnts.tobytes()
+        assert fast.root is cut.root and cut.outcome_avg is None
+    with pytest.raises(TreeError, match="699 leaf ids for 700 rows"):
+        attach_outcomes(cut, X, y, outcomes, ids[1:])
