@@ -395,7 +395,9 @@ class Evaluation:
 
     Every target policy is a transform of the behavior model, and the
     importance-weight denominator is the model itself, so one evaluation
-    serves them all. It holds:
+    serves them all. ``data`` needs only ``states``, ``prev_actions`` and
+    ``stages``: a policy asked about rows without a record builds one on
+    them. It holds:
 
     * ``probs``: the calibrated action probabilities, one row per step;
     * ``switch`` and ``conditional``: for ``dts`` and ``dtbls``, the switch

@@ -36,7 +36,6 @@ from .harness import (
     HarnessError,
     HyperparamGrid,
     _desc_fields,
-    _unrunnable,
     _write_csv,
     load_bundle,
     run_experiment,
@@ -148,12 +147,7 @@ def _cmd_evaluate(args) -> int:
         model, stats, state_config = load_bundle(args.model)
     # every policy is built before the data is read, so a policy the model
     # cannot serve fails fast
-    policies = []
-    for desc in descriptors:
-        reason = _unrunnable(desc, model.kind)
-        if reason:
-            raise CliError(reason)
-        policies.append(build_policy(desc, model))
+    policies = [build_policy(desc, model) for desc in descriptors]
     data = build_states(
         apply_imputation(load_dataset(args.dataset), stats), state_config
     )

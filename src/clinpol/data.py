@@ -34,14 +34,14 @@ import csv
 import json
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import partial
 from itertools import chain, compress, islice, repeat
 from operator import itemgetter
 
 import numpy as np
 
-from .checks import is_integer, is_number
+from .checks import check_keys, is_integer, is_number
 from .errors import ClinpolError
 
 log = logging.getLogger(__name__)
@@ -140,18 +140,18 @@ class FeatureSchema:
 
     @classmethod
     def from_json(cls, obj) -> "FeatureSchema":
+        feats = []
         try:
-            feats = tuple(
-                Feature(
-                    name=str(d["name"]),
-                    kind=str(d.get("kind", NUMERIC)),
-                    categories=tuple(d["categories"]) if d.get("categories") else None,
-                )
-                for d in obj
-            )
+            for d in obj:
+                name, categories = str(d["name"]), d.get("categories")
+                if categories is not None and not isinstance(categories, list):
+                    raise SchemaError(f"feature {name!r}: categories must be a list, "
+                                      f"got {categories!r}")
+                feats.append(Feature(name=name, kind=str(d.get("kind", NUMERIC)),
+                                     categories=tuple(categories) if categories else None))
         except (KeyError, TypeError) as exc:
             raise SchemaError(f"malformed schema entry: {exc}") from None
-        return cls(feats)
+        return cls(tuple(feats))
 
 
 @dataclass(eq=False)
@@ -931,6 +931,8 @@ class StateConfig:
 
     @classmethod
     def from_json(cls, obj) -> "StateConfig":
+        check_keys(obj, [f.name for f in fields(cls)], DatasetError,
+                   "malformed state config: unknown keys")
         return cls(switch_count=obj.get("switch_count", True),
                    mean_reward=obj.get("mean_reward", True))
 
@@ -1121,6 +1123,8 @@ class SplitSpec:
 
     @classmethod
     def from_json(cls, obj) -> "SplitSpec":
+        check_keys(obj, [f.name for f in fields(cls)], DatasetError,
+                   "malformed split: unknown keys")
         return cls(train_fraction=obj.get("train_fraction", 0.8),
                    validation_fraction=obj.get("validation_fraction", 0.2),
                    seed=obj.get("seed", 0))

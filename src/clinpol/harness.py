@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .behavior import MODEL_KINDS, Evaluation, TreeMemo, fit_dt, fit_dtbls, fit_dts
-from .checks import is_integer, is_number
+from .checks import check_keys, is_integer, is_number
 from .data import (
     Dataset,
     SplitSpec,
@@ -43,7 +43,7 @@ from .data import (
 from .errors import ClinpolError
 from .metrics import auroc_macro, sce
 from .ope import ESTIMATORS, importance_weights, median_iqr
-from .policies import POLICY_TYPES, build_policy
+from .policies import PolicyError, build_policy, check_descriptor
 from .sim import ChronicSimConfig, EpisodicSimConfig, simulate
 from .tree import TreeHyperparams
 
@@ -94,6 +94,9 @@ class HyperparamGrid:
 
     @classmethod
     def from_json(cls, obj) -> "HyperparamGrid":
+        check_keys(obj, [f.name for f in fields(cls)], HarnessError,
+                   "malformed grid: unknown keys")
+
         def read(key, default):
             value = obj.get(key, default)
             return tuple(value) if isinstance(value, list) else value
@@ -211,46 +214,6 @@ def _validation_score(model, validation, memo: TreeMemo,
 # experiment configuration
 # ---------------------------------------------------------------------------
 
-_K_POLICIES = ("mc", "mc_o", "mc_switch_adj")
-
-
-def _check_descriptor(desc) -> None:
-    """Static descriptor checks; bounds that need K wait for the model."""
-    if not isinstance(desc, dict) or "type" not in desc:
-        raise HarnessError(f"policy descriptor needs a 'type' key, got {desc!r}")
-    t = desc["type"]
-    if t not in POLICY_TYPES:
-        raise HarnessError(
-            f"unknown policy type {t!r}; valid types are {POLICY_TYPES}"
-        )
-    if t in _K_POLICIES:
-        k = desc.get("k")
-        if not is_integer(k) or k < 1:
-            raise HarnessError(
-                f"policy {t!r} needs an integer k >= 1, got {desc.get('k')!r}"
-            )
-    for key in ("p1", "epsilon"):
-        if not is_number(desc.get(key, 0.0)):
-            raise HarnessError(
-                f"policy {t!r}: {key} must be a number, got {desc[key]!r}"
-            )
-    p1 = desc.get("p1", 0.0)
-    if not -1.0 <= float(p1) <= 1.0:
-        raise HarnessError(f"p1 must lie in [-1, 1], got {p1!r}")
-    eps = desc.get("epsilon", 0.0)
-    if float(eps) < 0.0:
-        raise HarnessError(f"epsilon must be >= 0, got {eps!r}")
-
-
-def _unrunnable(desc, model_kind: str) -> str | None:
-    """Why policy ``desc`` cannot run on a ``model_kind`` model, or None."""
-    if (model_kind == "dt" and isinstance(desc, dict)
-            and desc.get("type") == "mc_switch_adj"):
-        return (f"policy {desc['type']!r} needs a switch-composed model "
-                "(dts or dtbls), not 'dt'")
-    return None
-
-
 DEFAULT_POLICIES = (
     {"type": "behavior"},
     {"type": "mc", "k": 1},
@@ -296,10 +259,10 @@ class ExperimentConfig:
         if not self.policies:
             raise HarnessError("at least one policy descriptor is required")
         for desc in self.policies:
-            _check_descriptor(desc)
-            reason = _unrunnable(desc, self.model)
-            if reason:
-                raise HarnessError(reason)
+            try:
+                check_descriptor(desc, model_kind=self.model)
+            except PolicyError as e:
+                raise HarnessError(str(e)) from None
 
     def _check_types(self) -> None:
         """Refuse a field of the wrong type by name; integers become ints."""
@@ -350,14 +313,8 @@ class ExperimentConfig:
     def from_json(cls, obj: dict) -> "ExperimentConfig":
         if not isinstance(obj, dict):
             raise HarnessError(f"experiment config must be a JSON object, got {obj!r}")
-        # a key this version does not read must not be silently ignored
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(obj) - known)
-        if unknown:
-            raise HarnessError(
-                f"unknown experiment config keys {unknown}; valid keys are "
-                f"{sorted(known)}"
-            )
+        check_keys(obj, [f.name for f in fields(cls)], HarnessError,
+                   "unknown experiment config keys")
         sim = None
         if "simulator" in obj:
             sim = simulator_config_from_json(obj["simulator"])

@@ -1,7 +1,10 @@
 """Target policies derived from a fitted behavior model.
 
 All policies map a state (plus previous action and stage) to a distribution
-over the K treatments:
+over the K treatments. Every model-backed policy transforms one
+:class:`~clinpol.behavior.Evaluation` of its model: the caller's record of
+the model on the same rows, or, when the caller passes none, a record the
+policy builds on the rows it is given.
 
 * ``BehaviorPolicy`` returns the behavior model's own distribution unchanged.
 * ``TopKPolicy`` keeps the k most probable treatments (ties to the lower
@@ -11,24 +14,28 @@ over the K treatments:
   the one with the best leaf-average outcome; treatments whose leaf never saw
   them are skipped, and if none carries data it falls back to the top-1.
 * ``SwitchAdjustedPolicy`` shifts a switch-composed model's probability of
-  changing treatment by a constant p1 (clamped to [0, 1], with a clamp-event
-  counter), spreading the switch mass over the top-k of the conditional
-  switch distribution. At t=1 there is no stay/switch split to adjust and it
-  behaves like plain top-k.
+  changing treatment by a constant p1 (clamped to [0, 1]), spreading the
+  switch mass over the top-k of the conditional switch distribution. At t=1
+  there is no stay/switch split to adjust and it behaves like plain top-k.
 * ``RandomPolicy`` is uniform, or a per-state deterministic uniform draw when
   given a seed (replayable: the same state always maps to the same action).
 * ``soften`` mixes any policy with the uniform distribution,
   p' = (1 - K*eps) * p + eps, so every action keeps at least eps mass.
+
+A descriptor, ``{"type", "k", "p1", "epsilon", "seed"}``, names a policy;
+:func:`check_descriptor` is the one rule for which descriptors build.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 
-from .behavior import _as_batch, _descending_order
+from .behavior import COMPONENTS, Evaluation, _as_batch, _descending_order
+from .checks import check_keys, is_integer, is_number
 from .errors import ClinpolError
 
 
@@ -41,7 +48,7 @@ class _PolicyBase:
 
     ``probabilities_batch`` takes an optional ``evaluation``, an
     :class:`~clinpol.behavior.Evaluation` of the policy's model on the same
-    rows, and then transforms its arrays instead of querying the model.
+    rows; without one the policy evaluates its model on those rows.
     """
 
     n_actions: int
@@ -50,12 +57,12 @@ class _PolicyBase:
         self.model = model
         self.n_actions = model.n_actions
 
-
-def _model_probs(model, states, prev_actions, stages, evaluation):
-    if evaluation is None:
-        return model.action_probabilities_batch(states, prev_actions, stages)
-    evaluation.check(model, states)
-    return evaluation.probs
+    def _record(self, states, prev_actions, stages, evaluation) -> Evaluation:
+        if evaluation is None:
+            rows = SimpleNamespace(states=states, prev_actions=prev_actions, stages=stages)
+            return Evaluation(self.model, rows)
+        evaluation.check(self.model, states)
+        return evaluation
 
 
 def _top_k_sets(order: np.ndarray, k: int) -> np.ndarray:
@@ -94,27 +101,23 @@ class BehaviorPolicy(_PolicyBase):
     """The cloned behavior itself, used for self-evaluation baselines."""
 
     def probabilities_batch(self, states, prev_actions, stages, evaluation=None) -> np.ndarray:
-        return _model_probs(self.model, states, prev_actions, stages, evaluation)
+        return self._record(states, prev_actions, stages, evaluation).probs
 
 
 class TopKPolicy(_TopKBase):
     """Renormalized restriction to the k most probable treatments."""
 
     def probabilities_batch(self, states, prev_actions, stages, evaluation=None) -> np.ndarray:
-        p = _model_probs(self.model, states, prev_actions, stages, evaluation)
-        return _top_k(p, self.k, None if evaluation is None else evaluation.order)
+        e = self._record(states, prev_actions, stages, evaluation)
+        return _top_k(e.probs, self.k, e.order)
 
 
 class BestOutcomePolicy(_TopKBase):
     """Deterministic argmax of leaf-average outcome over the top-k set."""
 
     def probabilities_batch(self, states, prev_actions, stages, evaluation=None) -> np.ndarray:
-        p = _model_probs(self.model, states, prev_actions, stages, evaluation)
-        if evaluation is None:
-            order = _descending_order(p)
-            outcomes = self.model.outcome_batch(states, prev_actions, stages)
-        else:
-            order, outcomes = evaluation.order, evaluation.outcomes
+        e = self._record(states, prev_actions, stages, evaluation)
+        order, outcomes = e.order, e.outcomes
         candidates = np.where(_top_k_sets(order, self.k) & ~np.isnan(outcomes),
                               outcomes, -np.inf)
         # argmax hits the first maximum, so outcome ties go to the lower id
@@ -122,8 +125,8 @@ class BestOutcomePolicy(_TopKBase):
         # where no action in the top-k set carries outcome data, take the top-1
         no_data = ~np.isfinite(candidates.max(axis=1))
         best[no_data] = order[no_data, 0]
-        out = np.zeros_like(p)
-        out[np.arange(len(p)), best] = 1.0
+        out = np.zeros_like(e.probs)
+        out[np.arange(len(out)), best] = 1.0
         return out
 
 
@@ -132,9 +135,9 @@ class SwitchAdjustedPolicy(_TopKBase):
 
     The adjusted switch probability is clamp(p_switch + p1, 0, 1); staying
     keeps the complement, and the switch mass follows the model's conditional
-    switch distribution restricted to its top-k treatments. Clamping events
-    are counted in ``clamp_events`` (each one flags a state where the target
-    leaves the behavior support, inflating evaluation variance).
+    switch distribution restricted to its top-k treatments. A clamped row is
+    one where the target leaves the behavior support, which inflates
+    evaluation variance; the record's ``switch + p1`` shows which rows clamp.
     """
 
     def __init__(self, model, k: int, p1: float):
@@ -147,40 +150,21 @@ class SwitchAdjustedPolicy(_TopKBase):
         if not (-1.0 <= p1 <= 1.0):
             raise PolicyError(f"p1 must lie in [-1, 1], got {p1}")
         self.p1 = float(p1)
-        self.clamp_events = 0
-        self.queries = 0
-
-    @property
-    def clamp_rate(self) -> float:
-        return self.clamp_events / self.queries if self.queries else 0.0
 
     def probabilities_batch(self, states, prev_actions, stages, evaluation=None) -> np.ndarray:
+        e = self._record(states, prev_actions, stages, evaluation)
         prev = np.asarray(prev_actions, dtype=np.int64)
         t = np.asarray(stages, dtype=np.int64)
         first, rest = t == 1, t != 1
-        if evaluation is not None:
-            evaluation.check(self.model, states)
-            p, order = evaluation.probs[first], evaluation.order[first]
-            ps, q = evaluation.switch, evaluation.conditional
-        else:
-            states, order = _as_batch(states), None
-            if np.any(first):
-                p = self.model.action_probabilities_batch(states[first], prev[first], t[first])
-            if np.any(rest):
-                ps = self.model.switch_probability_batch(states[rest])
-                q = self.model.conditional_switch_batch(states[rest], prev[rest])
         out = np.empty((len(t), self.n_actions), dtype=np.float64)
         if np.any(first):
             # no previous treatment at t=1: nothing to adjust there
-            out[first] = _top_k(p, self.k, order)
+            out[first] = _top_k(e.probs[first], self.k, e.order[first])
         if np.any(rest):
-            q = _top_k(q, self.k)
-            shifted = ps + self.p1
-            clamped = np.clip(shifted, 0.0, 1.0)
-            self.clamp_events += int(np.sum((shifted < 0.0) | (shifted > 1.0)))
-            self.queries += int(len(ps))
+            q = _top_k(e.conditional, self.k)
+            clamped = np.clip(e.switch + self.p1, 0.0, 1.0)
             adjusted = clamped[:, None] * q
-            adjusted[np.arange(len(ps)), prev[rest]] = 1.0 - clamped
+            adjusted[np.arange(len(q)), prev[rest]] = 1.0 - clamped
             out[rest] = adjusted
         return out
 
@@ -238,41 +222,64 @@ def soften(policy, epsilon: float):
 POLICY_TYPES = ("behavior", "mc", "mc_o", "mc_switch_adj", "random")
 
 
-def build_policy(descriptor: dict, model):
-    """Construct a policy from a descriptor dict {type, k, p1, epsilon, seed}."""
-    if not isinstance(descriptor, dict) or "type" not in descriptor:
-        raise PolicyError(f"policy descriptor needs a 'type' key, got {descriptor!r}")
-    ptype = descriptor["type"]
-    if ptype not in POLICY_TYPES:
+def check_descriptor(desc, n_actions: int | None = None, model_kind: str | None = None):
+    """Refuse, naming the key, a policy descriptor that cannot build a policy.
+
+    ``type`` is one of :data:`POLICY_TYPES`, and no other key than ``k``,
+    ``p1``, ``epsilon`` and ``seed`` is set. ``k``, which the top-k types
+    need, is an integer >= 1; ``p1`` is a number in [-1, 1], ``epsilon`` one
+    >= 0, and ``seed`` null or a 64-bit integer. When known, the number of
+    actions ``n_actions`` bounds k by K and epsilon by 1/K, and the
+    ``model_kind`` must be switch-composed for ``mc_switch_adj``.
+    """
+    if not isinstance(desc, dict) or "type" not in desc:
+        raise PolicyError(f"policy descriptor needs a 'type' key, got {desc!r}")
+    t = desc["type"]
+    if not isinstance(t, str) or t not in POLICY_TYPES:
         raise PolicyError(
-            f"unknown policy type {ptype!r}; valid types are {', '.join(POLICY_TYPES)}"
+            f"unknown policy type {t!r}; valid types are {', '.join(POLICY_TYPES)}"
         )
-    K = model.n_actions
+    check_keys(desc, ("type", "k", "p1", "epsilon", "seed"), PolicyError,
+               f"policy {t!r}: unknown keys")
+    if "k" in desc or t in ("mc", "mc_o", "mc_switch_adj"):
+        k = desc.get("k")
+        if not is_integer(k) or k < 1 or (n_actions is not None and k > n_actions):
+            bound = ">= 1" if n_actions is None else f"in [1, {n_actions}]"
+            raise PolicyError(f"policy {t!r} needs an integer k {bound}, got {k!r}")
+    for key in ("p1", "epsilon"):
+        if key in desc and not is_number(desc[key]):
+            raise PolicyError(f"policy {t!r}: {key} must be a number, got {desc[key]!r}")
+    p1 = desc.get("p1", 0.0)
+    if not -1.0 <= p1 <= 1.0:
+        raise PolicyError(f"p1 must lie in [-1, 1], got {p1!r}")
+    eps = desc.get("epsilon", 0.0)
+    if eps < 0.0 or (n_actions is not None and eps > 1.0 / n_actions):
+        bound = ("be >= 0" if n_actions is None
+                 else f"lie in [0, 1/K] = [0, {1.0 / n_actions:.6g}]")
+        raise PolicyError(f"epsilon must {bound}, got {eps!r}")
+    seed = desc.get("seed")
+    if seed is not None and not (is_integer(seed) and -2**63 <= seed < 2**63):
+        raise PolicyError(f"policy {t!r}: seed must be null or a 64-bit integer, "
+                          f"got {seed!r}")
+    if (t == "mc_switch_adj" and model_kind is not None
+            and "switch" not in COMPONENTS.get(model_kind, ())):
+        raise PolicyError(f"policy {t!r} needs a switch-composed model "
+                          f"(dts or dtbls), not {model_kind!r}")
 
-    def need_k():
-        k = descriptor.get("k")
-        if not isinstance(k, int) or isinstance(k, bool) or not (1 <= k <= K):
-            raise PolicyError(
-                f"policy {ptype!r} needs an integer k in [1, {K}], got {k!r}"
-            )
-        return k
 
-    def number(key):
-        try:
-            return float(descriptor.get(key, 0.0))
-        except (TypeError, ValueError):
-            raise PolicyError(f"policy {ptype!r}: {key} must be a number, "
-                              f"got {descriptor[key]!r}") from None
-
+def build_policy(descriptor: dict, model):
+    """Construct the policy a descriptor names, once :func:`check_descriptor`
+    accepts it for ``model``'s K and kind."""
+    check_descriptor(descriptor, model.n_actions, model.kind)
+    ptype, k = descriptor["type"], descriptor.get("k")
     if ptype == "behavior":
         policy = BehaviorPolicy(model)
     elif ptype == "mc":
-        policy = TopKPolicy(model, need_k())
+        policy = TopKPolicy(model, k)
     elif ptype == "mc_o":
-        policy = BestOutcomePolicy(model, need_k())
+        policy = BestOutcomePolicy(model, k)
     elif ptype == "mc_switch_adj":
-        policy = SwitchAdjustedPolicy(model, need_k(), number("p1"))
+        policy = SwitchAdjustedPolicy(model, k, descriptor.get("p1", 0.0))
     else:
-        policy = RandomPolicy(K, descriptor.get("seed"))
-
-    return soften(policy, number("epsilon"))
+        policy = RandomPolicy(model.n_actions, descriptor.get("seed"))
+    return soften(policy, descriptor.get("epsilon", 0.0))

@@ -37,7 +37,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .checks import is_integer, is_number
+from .checks import check_keys, is_integer, is_number
 from .data import (
     CATEGORICAL,
     NONE_ACTION,
@@ -88,11 +88,8 @@ def _config_kwargs(cls, obj) -> dict:
     if not isinstance(obj, dict):
         raise SimError(f"malformed simulator config: {cls.__name__} needs a JSON "
                        f"object, got {obj!r}")
-    known = {f.name for f in fields(cls)}
-    unknown = sorted(set(obj) - known)
-    if unknown:
-        raise SimError(f"malformed simulator config: unknown {cls.__name__} keys "
-                       f"{unknown}; valid keys are {sorted(known)}")
+    check_keys(obj, [f.name for f in fields(cls)], SimError,
+               f"malformed simulator config: unknown {cls.__name__} keys")
     return dict(obj)
 
 

@@ -576,6 +576,16 @@ def _node_to_json(node: Node, tree: DecisionTree):
     }
 
 
+def _class_key(key, n_classes: int) -> int:
+    """The class a leaf outcome key names; one outside [0, n_classes) would
+    index past the table or wrap to its end."""
+    c = int(key)
+    if not 0 <= c < n_classes:
+        raise TreeError(f"leaf outcome key {key!r} is not a class of a "
+                        f"{n_classes}-class tree")
+    return c
+
+
 def _node_from_json(obj, n_classes, outcomes: list) -> Node:
     """The node ``obj`` describes; each leaf appends its (averages, counts)
     to ``outcomes``, or None if it has none, in leaf-id order."""
@@ -588,9 +598,9 @@ def _node_from_json(obj, n_classes, outcomes: list) -> Node:
             cnt = np.zeros(n_classes, dtype=np.int64)
             for k, v in obj["outcome_avg"].items():
                 if v is not None:
-                    avg[int(k)] = float(v)
+                    avg[_class_key(k, n_classes)] = float(v)
             for k, v in obj.get("outcome_count", {}).items():
-                cnt[int(k)] = int(v)
+                cnt[_class_key(k, n_classes)] = int(v)
             outcomes.append((avg, cnt))
         else:
             outcomes.append(None)

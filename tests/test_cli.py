@@ -2,13 +2,17 @@
 
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
 
 from clinpol.cli import main
 from clinpol.data import load_dataset
+from clinpol.errors import ClinpolError
+from clinpol.harness import ExperimentConfig, load_bundle
 from clinpol.ope import median_iqr
+from clinpol.policies import build_policy
 from clinpol.sim import ChronicSimConfig, config_from_provenance, generate_chronic
 
 
@@ -246,6 +250,13 @@ def test_malformed_config_values_are_domain_errors(pipeline, capsys):
     fit = write_json(tmp_path / "fit.json", {"n_candidates": "many"})
     expect_error(capsys, ["fit", cohort, "--config", fit, "--out", out],
                  "malformed fit config")
+    # a misspelt nested key is refused, not left at its default
+    for key, typo, message in (("split", "train_fracton", "malformed split"),
+                               ("state_config", "switch_cnt", "malformed state config"),
+                               ("grid", "max_depth", "malformed grid")):
+        fit = write_json(tmp_path / "fit.json", {key: {typo: 1}})
+        expect_error(capsys, ["fit", cohort, "--config", fit, "--out", out],
+                     f"{message}: unknown keys ['{typo}']")
     ev = write_json(tmp_path / "ev.json", {"policies": [{"type": "mc", "k": 1,
                                                          "epsilon": "some"}]})
     expect_error(capsys, ["evaluate", cohort, "--model", bundle, "--config", ev,
@@ -256,3 +267,55 @@ def test_malformed_config_values_are_domain_errors(pipeline, capsys):
     broken = write_json(tmp_path / "broken.json", {"bundle_version": 1})
     expect_error(capsys, ["export", "--model", broken, "--out", out],
                  "malformed bundle")
+
+
+# ---------------------------------------------------------------------------
+# policy descriptors: one verdict from every reader
+# ---------------------------------------------------------------------------
+
+DESCRIPTOR_BASES = ({"type": "behavior"}, {"type": "mc_o", "k": 1},
+                    {"type": "mc_switch_adj", "k": 2, "p1": 0.1, "epsilon": 0.05},
+                    {"type": "random", "seed": 3, "epsilon": 0.05})
+DESCRIPTOR_MUTANTS = (None, "x", "0.5", [], True, 2.5, -1, 10 ** 30, math.nan, math.inf)
+
+
+def test_every_descriptor_mutant_gets_one_verdict_from_every_reader(pipeline, capsys):
+    tmp_path, cohort, bundle = pipeline
+    model = load_bundle(bundle)[0]
+    K = model.n_actions
+
+    def verdict(read):
+        try:
+            read()
+        except ClinpolError as exc:
+            return str(exc)
+        return None
+
+    def evaluate(desc):
+        cfg = write_json(tmp_path / "eval.json", {"policies": [desc]})
+        code = main(["evaluate", cohort, "--model", bundle, "--config", cfg,
+                     "--out", str(tmp_path / "eval.csv")])
+        err = capsys.readouterr().err
+        assert (code == 0) == (err == ""), err
+        return err.removeprefix("error: ").removesuffix("\n") or None
+
+    mutants = [{**base, key: new} for base in DESCRIPTOR_BASES
+               for key in ("type", "k", "p1", "epsilon", "seed", "name")
+               for new in DESCRIPTOR_MUTANTS]
+    accepted = 0
+    for desc in mutants:
+        built = verdict(lambda: build_policy(desc, model))
+        configured = verdict(lambda: ExperimentConfig.from_json(
+            {"simulator": {"kind": "chronic"}, "model": model.kind, "policies": [desc]}))
+        assert evaluate(desc) == built, desc
+        # an experiment config is read before any model gives K, so only
+        # the bounds k <= K and epsilon <= 1/K wait for the model
+        k, eps = desc.get("k"), desc.get("epsilon")
+        past_k = type(k) is int and k > K
+        past_eps = type(eps) in (int, float) and math.isfinite(eps) and eps > 1 / K
+        if past_k or past_eps:
+            assert configured is None and built is not None, desc
+        else:
+            assert (configured is None) == (built is None), (desc, configured, built)
+        accepted += built is None
+    assert 0 < accepted < len(mutants)

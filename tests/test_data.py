@@ -89,6 +89,15 @@ def test_schema_categories_that_are_not_strings_are_schema_errors(categories, sh
         FeatureSchema.from_json([entry])
 
 
+@pytest.mark.parametrize("categories", ["ab", {"a": 1, "b": 2}, 2])
+def test_schema_categories_that_are_not_a_list_are_schema_errors(categories):
+    # a string would otherwise read as the list of its characters
+    entry = {"name": "m", "kind": "categorical", "categories": categories}
+    with pytest.raises(SchemaError, match=re.escape(
+            f"feature 'm': categories must be a list, got {categories!r}")):
+        FeatureSchema.from_json([entry])
+
+
 def test_encoded_names_are_ordered_and_deterministic():
     schema = tiny_schema()
     assert schema.encoded_names() == ["sev", "marker=hi", "marker=lo"]

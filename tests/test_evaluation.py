@@ -3,6 +3,7 @@
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from clinpol.behavior import (
 from clinpol.calibration import CalibrationModel, apply_calibration_batch
 from clinpol.data import NONE_ACTION, StepData
 from clinpol.ope import ESTIMATORS, importance_weights
-from clinpol.policies import SoftenedPolicy, SwitchAdjustedPolicy, TopKPolicy, build_policy
+from clinpol.policies import RandomPolicy, SwitchAdjustedPolicy, TopKPolicy, build_policy
 from clinpol.sim import ChronicSimConfig
 from test_behavior import FIT, HP, make_cohort
 
@@ -88,9 +89,61 @@ def descriptors(kind, n_actions):
     return out + [dict(d, epsilon=0.05) for d in out]
 
 
-def clamp_events(policy):
-    inner = policy.inner if isinstance(policy, SoftenedPolicy) else policy
-    return getattr(inner, "clamp_events", None)
+def top_k_sets(p, k):
+    """Each row's actions by descending probability (ties to the lower id),
+    and the mask of its first k."""
+    order = np.argsort(-p, axis=1, kind="stable")
+    keep = np.zeros(p.shape, dtype=bool)
+    np.put_along_axis(keep, order[:, :k], True, axis=1)
+    return order, keep
+
+
+def top_k(p, k):
+    """Each row of ``p`` restricted to its k most probable actions and
+    renormalized; ``p`` itself when k is every action."""
+    if k == p.shape[1]:
+        return p
+    restricted = np.where(top_k_sets(p, k)[1], p, 0.0)
+    return restricted / restricted.sum(axis=1, keepdims=True)
+
+
+def reference_probs(desc, model, data: StepData) -> np.ndarray:
+    """``desc``'s target distribution by each policy's own arithmetic (top-k,
+    best outcome, switch shift, softening) on the :func:`row_path` arrays."""
+    p, ps, q, o = row_path(model, data)
+    K, kind = data.n_actions, desc["type"]
+    if kind == "behavior":
+        out = p
+    elif kind == "mc":
+        out = top_k(p, desc["k"])
+    elif kind == "mc_o":
+        order, in_top = top_k_sets(p, desc["k"])
+        candidates = np.where(in_top & ~np.isnan(o), o, -np.inf)
+        best = np.argmax(candidates, axis=1)
+        no_data = ~np.isfinite(candidates.max(axis=1))
+        best[no_data] = order[no_data, 0]
+        out = np.zeros_like(p)
+        out[np.arange(len(p)), best] = 1.0
+    elif kind == "mc_switch_adj":
+        first, rest = data.stages == 1, data.stages > 1
+        out = np.empty_like(p)
+        out[first] = top_k(p[first], desc["k"])
+        shifted = np.clip(ps + desc["p1"], 0.0, 1.0)
+        adjusted = shifted[:, None] * top_k(q, desc["k"])
+        adjusted[np.arange(len(ps)), data.prev_actions[rest]] = 1.0 - shifted
+        out[rest] = adjusted
+    else:
+        out = RandomPolicy(K, desc.get("seed")).probabilities_batch(data.states, None, None)
+    eps = desc.get("epsilon", 0.0)
+    return out if eps == 0.0 else (1.0 - K * eps) * out + eps
+
+
+def clamped_rows(desc, evaluation) -> int:
+    """How many t>1 rows ``desc``'s switch shift pushes out of [0, 1]."""
+    if desc["type"] != "mc_switch_adj":
+        return 0
+    shifted = evaluation.switch + desc["p1"]
+    return int(np.sum((shifted < 0.0) | (shifted > 1.0)))
 
 
 @pytest.mark.parametrize("calibrated", [False, True], ids=["raw", "calibrated"])
@@ -107,8 +160,9 @@ def test_record_path_is_bitwise_equal_to_the_per_policy_path(kind, calibrated):
     for desc in descriptors(kind, data.n_actions):
         alone, shared = build_policy(desc, model), build_policy(desc, model)
         args = (data.states, data.prev_actions, data.stages)
-        assert np.array_equal(alone.probabilities_batch(*args),
-                              shared.probabilities_batch(*args, evaluation=evaluation))
+        want = reference_probs(desc, model, data).tobytes()
+        assert alone.probabilities_batch(*args).tobytes() == want, desc
+        assert shared.probabilities_batch(*args, evaluation=evaluation).tobytes() == want, desc
         a = importance_weights(alone, model, data)
         b = importance_weights(shared, model, data, evaluation)
         assert a.weights.tobytes() == b.weights.tobytes(), desc
@@ -119,8 +173,7 @@ def test_record_path_is_bitwise_equal_to_the_per_policy_path(kind, calibrated):
             if np.any(a.weights > 0.0):
                 ra, rb = estimate(a), estimate(b)
                 assert (ra.value, ra.ess, ra.n) == (rb.value, rb.ess, rb.n), desc
-        assert clamp_events(alone) == clamp_events(shared)
-        clamped += clamp_events(shared) or 0
+        clamped += clamped_rows(desc, evaluation)
     assert (clamped > 0) == (kind != "dt")
 
 
@@ -266,6 +319,11 @@ def test_a_record_for_another_model_or_steps_is_refused():
     # the same arrays under another StepData object are refused as well
     with pytest.raises(RuntimeError, match="different StepData"):
         importance_weights(policy, model, replace(data), evaluation)
+    # and so is a record built on the bare rows, as a policy builds its own
+    bare = SimpleNamespace(states=data.states, prev_actions=data.prev_actions,
+                           stages=data.stages)
+    with pytest.raises(RuntimeError, match="different StepData"):
+        importance_weights(policy, model, data, Evaluation(model, bare))
     # a policy of another model cannot read this model's record
     for foreign in (TopKPolicy(model2, 2), SwitchAdjustedPolicy(model2, 2, 0.1)):
         with pytest.raises(RuntimeError, match="different model"):

@@ -406,7 +406,14 @@ SIM_SPEC = {"simulator": {"kind": "chronic"}}
      HarnessError, "'n_repeats' must be an integer, got 'two'"),
     (lambda: ExperimentConfig(simulator=sim_cfg(), estimator=[], out_dir="x"),
      HarnessError, "'estimator' must be a string, got []"),
-], ids=["split", "state_config", "grid", "simulator", "n_repeats", "estimator"])
+    (lambda: ExperimentConfig.from_json({**SIM_SPEC, "split": {"train_fracton": 0.5}}),
+     DatasetError, "malformed split: unknown keys ['train_fracton']"),
+    (lambda: ExperimentConfig.from_json({**SIM_SPEC, "state_config": {"switch_cnt": False}}),
+     DatasetError, "malformed state config: unknown keys ['switch_cnt']"),
+    (lambda: ExperimentConfig.from_json({**SIM_SPEC, "grid": {"max_depth": [2]}}),
+     HarnessError, "malformed grid: unknown keys ['max_depth']"),
+], ids=["split", "state_config", "grid", "simulator", "n_repeats", "estimator",
+        "split_typo", "state_config_typo", "grid_typo"])
 def test_nested_and_direct_config_values_are_domain_errors_naming_the_key(build, error,
                                                                          message):
     with pytest.raises(error, match=re.escape(message)):

@@ -1,9 +1,11 @@
 """Top-k restriction, outcome-guided choice, switch adjustment, softening."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from clinpol.behavior import TreeBehaviorModel, fit_dt, fit_dts
+from clinpol.behavior import Evaluation, TreeBehaviorModel, fit_dt, fit_dts
 from clinpol.data import NONE_ACTION
 from clinpol.policies import (
     BehaviorPolicy,
@@ -149,12 +151,20 @@ def test_outcome_guided_k1_equals_top_1_everywhere():
 # switch adjustment
 # ---------------------------------------------------------------------------
 
+def clamped(policy, states, prev_actions, stages) -> np.ndarray:
+    """Per t>1 row, whether the policy's shifted switch probability leaves
+    [0, 1], read from an evaluation of its model on those rows."""
+    rows = SimpleNamespace(states=states, prev_actions=prev_actions, stages=stages)
+    shifted = Evaluation(policy.model, rows).switch + policy.p1
+    return (shifted < 0.0) | (shifted > 1.0)
+
+
 def test_switch_adjustment_shifts_stay_probability():
     m = leaf_model([9, 1], [5, 3, 2])  # p_switch = 0.1
     pol = SwitchAdjustedPolicy(m, 3, 0.4)
     out = pol.probabilities_batch(ONE, [0], [2])[0]
     assert out[0] == 0.5
-    assert pol.clamp_events == 0
+    assert clamped(pol, ONE, [0], [2]).sum() == 0
 
 
 def test_switch_adjustment_clamps_and_counts():
@@ -162,8 +172,8 @@ def test_switch_adjustment_clamps_and_counts():
     pol = SwitchAdjustedPolicy(m, 3, 0.5)
     out = pol.probabilities_batch(ONE, [0], [2])[0]
     assert out[0] == 0.0
-    assert pol.clamp_events == 1
-    assert pol.clamp_rate == 1.0
+    assert clamped(pol, ONE, [0], [2]).sum() == 1
+    assert clamped(pol, ONE, [0], [2]).mean() == 1.0
 
 
 def test_switch_adjustment_zero_shift_matches_composition():

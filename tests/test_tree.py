@@ -351,6 +351,13 @@ def test_depth_two_dot_structure():
      "tree JSON lacks the key 'right'"),
     (lambda obj: dict(obj, tree=[1, 2]), "malformed tree JSON"),
     (lambda obj: dict(obj, n_classes="two"), "malformed tree JSON"),
+    (lambda obj: dict(obj, tree={"counts": [1, 2], "outcome_avg": {"7": 1.0}}),
+     "leaf outcome key '7' is not a class of a 2-class tree"),
+    (lambda obj: dict(obj, tree={"counts": [1, 2], "outcome_avg": {"-1": 1.0}}),
+     "leaf outcome key '-1' is not a class"),
+    (lambda obj: dict(obj, tree={"counts": [1, 2], "outcome_avg": {"0": 1.0},
+                                 "outcome_count": {"2": 1}}),
+     "leaf outcome key '2' is not a class"),
 ])
 def test_malformed_tree_json_is_a_tree_error_naming_the_key(edit, message):
     rng = np.random.default_rng(2)
