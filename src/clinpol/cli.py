@@ -20,6 +20,7 @@ from dataclasses import replace
 import numpy as np
 
 from .behavior import Evaluation
+from .checks import check_keys, is_integer
 from .data import (
     SplitSpec,
     StateConfig,
@@ -43,12 +44,15 @@ from .harness import (
     select_model,
     simulator_config_from_json,
 )
-from .ope import ESTIMATORS, importance_weights, median_iqr
+from .ope import ESTIMATORS, ImportanceWeights, importance_weights, median_iqr
 from .policies import build_policy
 from .sim import ChronicSimConfig, simulate
 from .tree import tree_to_dot, tree_to_json
 
 EVAL_COLUMNS = ("policy", "k", "p1", "estimator", "value", "ess", "n", "seed")
+# the keys a fit or an evaluate config may set
+FIT_KEYS = ("model", "n_candidates", "grid", "split", "state_config")
+EVAL_KEYS = ("policies", "estimator")
 
 
 class CliError(ClinpolError):
@@ -107,9 +111,13 @@ def _cmd_simulate(args) -> int:
 def _cmd_fit(args) -> int:
     out = _require_out(args)
     cfg = _read_json(args.config) if args.config else {}
+    check_keys(cfg, FIT_KEYS, CliError, f"malformed fit config {args.config}: unknown keys")
     model_type = cfg.get("model", "dtbls")
+    n_candidates = cfg.get("n_candidates", 30)
+    if not is_integer(n_candidates):
+        raise CliError(f"malformed fit config {args.config}: 'n_candidates' must be an integer, "
+                       f"got {n_candidates!r}")
     with _parsing(f"fit config {args.config}"):
-        n_candidates = int(cfg.get("n_candidates", 30))
         grid = HyperparamGrid.from_json(cfg.get("grid", {}))
         spec = SplitSpec.from_json(cfg.get("split", {}))
         state_config = StateConfig.from_json(cfg.get("state_config", {}))
@@ -134,9 +142,14 @@ def _cmd_evaluate(args) -> int:
     if not args.model:
         raise CliError("evaluate needs --model (a fitted bundle)")
     cfg = _read_json(args.config) if args.config else {}
+    check_keys(cfg, EVAL_KEYS, CliError,
+               f"malformed evaluate config {args.config}: unknown keys")
     descriptors = cfg.get("policies", [{"type": "behavior"}])
+    if not isinstance(descriptors, list):
+        raise CliError(f"malformed evaluate config {args.config}: 'policies' must be a list, "
+                       f"got {descriptors!r}")
     estimator = cfg.get("estimator", "wis")
-    if estimator not in ESTIMATORS:
+    if not isinstance(estimator, str) or estimator not in ESTIMATORS:
         raise CliError(
             f"unknown estimator {estimator!r}; valid estimators are "
             f"{tuple(ESTIMATORS)}"
@@ -148,15 +161,20 @@ def _cmd_evaluate(args) -> int:
     # every policy is built before the data is read, so a policy the model
     # cannot serve fails fast
     policies = [build_policy(desc, model) for desc in descriptors]
-    data = build_states(
-        apply_imputation(load_dataset(args.dataset), stats), state_config
-    )
-    # one evaluation of the model serves every policy and weight denominator
-    evaluation = Evaluation(model, data)
+    weights = [[] for _ in policies]
+
+    def weigh(part):
+        data = build_states(apply_imputation(part, stats), state_config)
+        # one evaluation of the model serves every policy and weight denominator
+        evaluation = Evaluation(model, data)
+        for policy, parts in zip(policies, weights):
+            parts.append(importance_weights(policy, model, data, evaluation))
+
+    # the cohort is weighed part by part, so a pass holds one part's states
+    load_dataset(args.dataset, each=weigh)
     rows = []
-    for desc, policy in zip(descriptors, policies):
-        result = ESTIMATORS[estimator](
-            importance_weights(policy, model, data, evaluation))
+    for desc, parts in zip(descriptors, weights):
+        result = ESTIMATORS[estimator](ImportanceWeights.joined(parts))
         rows.append((*_desc_fields(desc)[:3], estimator, result.value,
                      result.ess, result.n, seed))
     _write_csv(out, EVAL_COLUMNS, rows)

@@ -13,7 +13,9 @@ from Python records, and loaders read two interchange formats:
   readers can skip it; the mandatory header row follows).
 
 All three readers hand their input, a chunk of columns at a time, to one
-checker that holds every input rule (``_assemble``). Every rule checks every
+checker that holds every input rule (``_assemble``), which joins the checked
+chunks into one ``Dataset`` or, for ``load_dataset(path, each=...)``, into
+parts of whole chunks that it hands out one at a time. Every rule checks every
 step, those after a missing reward included. A chunk that breaks rules raises
 the fault at the smallest (trajectory, step, check) position, after logging
 the cuts and drops of the trajectories before it. A trajectory's shape is
@@ -257,6 +259,10 @@ def from_records(schema: FeatureSchema, n_actions: int, records,
 # Records converted per columnar pass. Small chunks keep the parsed objects
 # young: a 20k-trajectory load then triggers no full garbage collection.
 LOAD_CHUNK = 64
+# Steps read per part of a cohort handed out by ``load_dataset(path, each=...)``.
+# A part is whole chunks, so no trajectory is split; a chronic part is about
+# 3,600 trajectories, and its states (13 columns) take 1.6 MiB.
+PART_STEPS = 16384
 # Trajectories formatted per write; larger chunks raise peak memory.
 SAVE_CHUNK = 256
 
@@ -279,7 +285,7 @@ def _checked_k(n_actions) -> int:
     return int(n_actions)
 
 
-def _assemble(schema: FeatureSchema, n_actions, chunks, provenance: str) -> Dataset:
+def _assemble(schema: FeatureSchema, n_actions, chunks, provenance: str, each=None):
     """A ``Dataset`` from chunks of columns, each checked by the one input
     checker that all three readers share.
 
@@ -292,6 +298,12 @@ def _assemble(schema: FeatureSchema, n_actions, chunks, provenance: str) -> Data
     step, cut or not, and a chunk raises the fault at the smallest
     (trajectory, step, check) position (see the module docstring).
     ``n_actions`` None infers K from the kept actions of the first chunk.
+
+    With ``each``, the checked chunks are joined into parts of whole chunks,
+    a part ending once ``PART_STEPS`` steps are read; each non-empty part is
+    passed to ``each`` as soon as it is whole, and None is returned. K and
+    the ids seen carry over from part to part, so a part breaks no rule that
+    the whole cohort keeps.
     """
     if n_actions is not None:
         n_actions = _checked_k(n_actions)
@@ -300,16 +312,33 @@ def _assemble(schema: FeatureSchema, n_actions, chunks, provenance: str) -> Data
                {**{c: float(i) for i, c in enumerate(f.categories)}, None: math.nan}
                for f in schema}
     seen: set = set()
-    parts = [(np.empty((0, len(schema))), np.empty(0, np.int64), np.empty(0),
-              np.empty(0, np.int64), [])]
+    parts, steps = [], 0
     for chunk in chunks:
+        steps += len(chunk[0][3])  # one action per step read
         *part, n_actions = _chunk_arrays(lookups, n_actions, chunk, seen)
         parts.append(part)
-    covariates, actions, rewards, lengths, ids = zip(*parts)
+        if each is not None and steps >= PART_STEPS:
+            _hand_out(each, _joined(schema, n_actions, parts, provenance))
+            parts, steps = [], 0
+    if each is None:
+        return _joined(schema, n_actions, parts, provenance)
+    _hand_out(each, _joined(schema, n_actions, parts, provenance))
+
+
+def _joined(schema: FeatureSchema, n_actions, parts, provenance: str) -> Dataset:
+    """One ``Dataset`` of checked chunks' columns, in order."""
+    covariates, actions, rewards, lengths, ids = zip(
+        (np.empty((0, len(schema))), np.empty(0, np.int64), np.empty(0),
+         np.empty(0, np.int64), []), *parts)
     return Dataset(schema=schema, n_actions=n_actions, covariates=np.concatenate(covariates),
                    actions=np.concatenate(actions), rewards=np.concatenate(rewards),
                    offsets=np.concatenate(([0], np.cumsum(np.concatenate(lengths)))),
                    ids=list(chain.from_iterable(ids)), provenance=provenance)
+
+
+def _hand_out(each, part: Dataset) -> None:
+    if len(part):
+        each(part)
 
 
 def _only(types, kinds, none: bool = False) -> bool:
@@ -678,6 +707,12 @@ def load_jsonl(path) -> Dataset:
     ``K``, then one trajectory a line. A broken type or shape rule, or a
     byte that is not UTF-8, is a ``ParseError`` naming the line, any other
     broken rule a ``SchemaError``."""
+    return _load_jsonl(path)
+
+
+def _load_jsonl(path, each=None):
+    """:func:`load_jsonl`, or with ``each`` the cohort in parts (see
+    :func:`_assemble`)."""
     try:
         with open(path, encoding="utf-8") as fh:
             first = fh.readline()
@@ -693,7 +728,7 @@ def load_jsonl(path) -> Dataset:
             if not is_integer(header["K"]):
                 raise ParseError(f"{path} line 1: K is {header['K']!r}, not an integer")
             return _assemble(FeatureSchema.from_json(header["schema"]), header["K"],
-                             _jsonl_chunks(path, fh), str(header.get("provenance", "")))
+                             _jsonl_chunks(path, fh), str(header.get("provenance", "")), each)
     except UnicodeDecodeError as exc:
         raise _not_utf8(path, exc) from None
 
@@ -819,13 +854,21 @@ def save_dataset(ds: Dataset, path) -> None:
         save_jsonl(ds, path)
 
 
-def load_dataset(path, n_actions: int | None = None) -> Dataset:
-    """Read JSONL or CSV depending on the file extension."""
-    if str(path).endswith(".csv"):
-        return load_csv(path, n_actions=n_actions)
-    return load_jsonl(path)
+def load_dataset(path, n_actions: int | None = None, each=None) -> Dataset | None:
+    """Read JSONL or CSV depending on the file extension.
 
-
+    With ``each``, the cohort is read in parts and each non-empty part is
+    passed to ``each`` in file order, as soon as it is read and checked;
+    None is returned. A JSONL part is about ``PART_STEPS`` steps of whole
+    trajectories. A CSV cohort is one part: its reader needs every row to
+    infer the schema and to group the trajectories.
+    """
+    if not str(path).endswith(".csv"):
+        return _load_jsonl(path, each)
+    ds = load_csv(path, n_actions=n_actions)
+    if each is None:
+        return ds
+    _hand_out(each, ds)
 
 
 # ---------------------------------------------------------------------------

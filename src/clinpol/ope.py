@@ -20,6 +20,7 @@ itself) and collapses toward 1 as the mass concentrates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -50,6 +51,18 @@ class ImportanceWeights:
 
     def __len__(self):
         return len(self.weights)
+
+    @classmethod
+    def joined(cls, parts) -> "ImportanceWeights":
+        """The weights of consecutive cohort parts as those of one cohort.
+
+        A weight, return and length is a sum over its own trajectory's rows,
+        so the joined arrays equal those of the whole cohort bit for bit;
+        the estimators then run once over them.
+        """
+        return cls(list(chain.from_iterable(p.traj_ids for p in parts)),
+                   *(np.concatenate([getattr(p, name) for p in parts] or [np.empty(0)])
+                     for name in ("weights", "returns", "lengths")))
 
 
 @dataclass(frozen=True)

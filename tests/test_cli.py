@@ -3,10 +3,12 @@
 import csv
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from clinpol import data
 from clinpol.cli import main
 from clinpol.data import load_dataset
 from clinpol.errors import ClinpolError
@@ -150,6 +152,111 @@ def test_experiment_subcommand_is_deterministic(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# evaluate in parts
+# ---------------------------------------------------------------------------
+
+EVAL_POLICIES = [{"type": "behavior"}, {"type": "mc", "k": 2, "epsilon": 0.05},
+                 {"type": "mc_o", "k": 2}, {"type": "mc_switch_adj", "k": 2, "p1": 0.1},
+                 {"type": "random", "seed": 3, "epsilon": 0.05}]
+
+
+def edited_cohort(cohort, path, edits):
+    """``cohort`` with ``edits`` (line number -> function of the line's object)
+    applied; line 1 is the header."""
+    with open(cohort) as fh:
+        lines = fh.read().splitlines()
+    for lineno, edit in edits.items():
+        lines[lineno - 1] = edit(json.loads(lines[lineno - 1]))
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def with_reward(t, reward):
+    def edit(obj):
+        obj["steps"][t]["reward"] = reward
+        return json.dumps(obj)
+    return edit
+
+
+@pytest.mark.parametrize("size", ["1 step", "7 steps", "LOAD_CHUNK + 1 trajectories"])
+def test_evaluate_writes_the_same_bytes_at_every_part_size(pipeline, monkeypatch, size):
+    tmp_path, cohort, bundle = pipeline
+    # a cut and a dropped trajectory ride along
+    cohort = edited_cohort(cohort, tmp_path / "edited.jsonl",
+                           {10: with_reward(1, None), 100: with_reward(0, None)})
+    cfg = write_json(tmp_path / "eval.json", {"policies": EVAL_POLICIES})
+
+    def evaluate(out):
+        assert main(["evaluate", cohort, "--model", bundle, "--config", cfg,
+                     "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    whole = evaluate(tmp_path / "whole.csv")
+    steps = [len(json.loads(line)["steps"]) for line in open(cohort).readlines()[1:]]
+    monkeypatch.setattr(data, "PART_STEPS", {"1 step": 1, "7 steps": 7,
+                                             "LOAD_CHUNK + 1 trajectories":
+                                             sum(steps[:data.LOAD_CHUNK + 1])}[size])
+    parts = []
+    load_dataset(cohort, each=parts.append)
+    assert len(parts) > 1
+    assert evaluate(tmp_path / "parts.csv") == whole
+
+
+def test_a_failed_pass_writes_no_eval_csv(pipeline, monkeypatch, capsys):
+    tmp_path, cohort, bundle = pipeline
+    monkeypatch.setattr(data, "PART_STEPS", 1)
+    out = tmp_path / "eval.csv"
+    # the parts before the broken line are weighed, then the pass fails
+    broken = edited_cohort(cohort, tmp_path / "broken.jsonl", {200: lambda obj: "{not json"})
+    expect_error(capsys, ["evaluate", broken, "--model", bundle, "--out", str(out)],
+                 "broken.jsonl line 200:")
+    assert not out.exists()
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text(open(cohort).readline())
+    expect_error(capsys, ["evaluate", str(empty), "--model", bundle, "--out", str(out)],
+                 "error: no trajectories to estimate from")
+    assert not out.exists()
+
+
+@pytest.fixture()
+def cohorts(tmp_path):
+    """A fitted bundle and two cohorts, one four times the other's size."""
+    sim = {n: write_json(tmp_path / f"sim{n}.json",
+                         {"kind": "chronic", "config": {"n_patients": n}})
+           for n in (256, 1024)}
+    fit = write_json(tmp_path / "fit.json", {"model": "dtbls", "n_candidates": 3})
+    bundle = str(tmp_path / "bundle.json")
+    assert main(["simulate", "--config", sim[256], "--seed", "1",
+                 "--out", str(tmp_path / "fitting.jsonl")]) == 0
+    assert main(["fit", str(tmp_path / "fitting.jsonl"), "--config", fit,
+                 "--out", bundle]) == 0
+    for n in sim:
+        assert main(["simulate", "--config", sim[n], "--seed", "2",
+                     "--out", str(tmp_path / f"cohort{n}.jsonl")]) == 0
+    return tmp_path, bundle
+
+
+def test_an_evaluate_pass_holds_one_part_not_the_cohort(cohorts, monkeypatch):
+    tmp_path, bundle = cohorts
+    cfg = write_json(tmp_path / "eval.json", {"policies": EVAL_POLICIES})
+    # the small cohort is about 1,150 steps, so both span several parts
+    monkeypatch.setattr(data, "PART_STEPS", 300)
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            assert main(["evaluate", str(tmp_path / f"cohort{n}.jsonl"), "--model", bundle,
+                         "--config", cfg, "--out", str(tmp_path / "eval.csv")]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(256)  # imports and first-use caches
+    # only the per-trajectory weights grow with the cohort
+    assert peak(1024) < 1.5 * peak(256)
+
+
+# ---------------------------------------------------------------------------
 # failure modes
 # ---------------------------------------------------------------------------
 
@@ -267,6 +374,48 @@ def test_malformed_config_values_are_domain_errors(pipeline, capsys):
     broken = write_json(tmp_path / "broken.json", {"bundle_version": 1})
     expect_error(capsys, ["export", "--model", broken, "--out", out],
                  "malformed bundle")
+
+
+def test_fit_and_evaluate_refuse_unknown_top_level_keys(pipeline, capsys):
+    tmp_path, cohort, bundle = pipeline
+    out = str(tmp_path / "x")
+    fit = write_json(tmp_path / "fit.json", {"n_candidate": 2, "modle": "dt"})
+    expect_error(capsys, ["fit", cohort, "--config", fit, "--out", out],
+                 f"malformed fit config {fit}: unknown keys ['modle', 'n_candidate']; "
+                 "valid keys are ['grid', 'model', 'n_candidates', 'split', 'state_config']")
+    ev = write_json(tmp_path / "ev.json", {"polices": [{"type": "mc", "k": 1}]})
+    expect_error(capsys, ["evaluate", cohort, "--model", bundle, "--config", ev,
+                          "--out", out],
+                 f"malformed evaluate config {ev}: unknown keys ['polices']; "
+                 "valid keys are ['estimator', 'policies']")
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("policies", [{"type": "mc", "k": 1}, "behavior", None, 3])
+def test_evaluate_refuses_policies_that_are_not_a_list(pipeline, capsys, policies):
+    tmp_path, cohort, bundle = pipeline
+    ev = write_json(tmp_path / "ev.json", {"policies": policies})
+    expect_error(capsys, ["evaluate", cohort, "--model", bundle, "--config", ev,
+                          "--out", str(tmp_path / "x.csv")],
+                 f"malformed evaluate config {ev}: 'policies' must be a list, "
+                 f"got {policies!r}")
+
+
+@pytest.mark.parametrize("estimator", [["wis"], {"wis": 1}, None])
+def test_evaluate_refuses_an_estimator_that_is_no_name(pipeline, capsys, estimator):
+    tmp_path, cohort, bundle = pipeline
+    ev = write_json(tmp_path / "ev.json", {"estimator": estimator})
+    expect_error(capsys, ["evaluate", cohort, "--model", bundle, "--config", ev,
+                          "--out", str(tmp_path / "x.csv")], "unknown estimator")
+
+
+@pytest.mark.parametrize("n_candidates", [2.7, True, "3", 2.0, None])
+def test_fit_refuses_n_candidates_that_is_not_an_integer(pipeline, capsys, n_candidates):
+    tmp_path, cohort, _ = pipeline
+    fit = write_json(tmp_path / "fit.json", {"n_candidates": n_candidates})
+    expect_error(capsys, ["fit", cohort, "--config", fit, "--out", str(tmp_path / "b.json")],
+                 f"malformed fit config {fit}: 'n_candidates' must be an integer, "
+                 f"got {n_candidates!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,13 @@ import logging
 import math
 import random
 import re
+import sys
 from functools import partial
 
 import numpy as np
 import pytest
 
+from clinpol import data
 from clinpol.errors import ClinpolError
 from clinpol.data import (
     CATEGORICAL,
@@ -31,6 +33,7 @@ from clinpol.data import (
     from_records,
     impute_and_encode,
     load_csv,
+    load_dataset,
     load_jsonl,
     save_csv,
     save_jsonl,
@@ -797,6 +800,111 @@ def test_a_json_error_comes_after_the_errors_of_earlier_lines(tmp_path):
     path = chunked_file(tmp_path, 10, {6: "{not json"})
     with pytest.raises(ParseError, match="line 8"):
         load_jsonl(path)
+
+
+# ---------------------------------------------------------------------------
+# reading in parts
+# ---------------------------------------------------------------------------
+
+def parts_of(path, monkeypatch, part_steps, chunk=LOAD_CHUNK):
+    """The parts ``load_dataset(path, each=...)`` hands out at this part size."""
+    monkeypatch.setattr(data, "PART_STEPS", part_steps)
+    monkeypatch.setattr(data, "LOAD_CHUNK", chunk)
+    parts = []
+    assert load_dataset(path, each=parts.append) is None
+    return parts
+
+
+def concatenated(parts):
+    return Dataset(schema=parts[0].schema, n_actions=parts[0].n_actions,
+                   covariates=np.concatenate([p.covariates for p in parts]),
+                   actions=np.concatenate([p.actions for p in parts]),
+                   rewards=np.concatenate([p.rewards for p in parts]),
+                   offsets=np.cumsum([0, *(n for p in parts for n in p.lengths)]),
+                   ids=[tid for p in parts for tid in p.ids],
+                   provenance=parts[0].provenance)
+
+
+@pytest.mark.parametrize("chunk", [3, LOAD_CHUNK])
+@pytest.mark.parametrize("size", ["1 step", "7 steps", "LOAD_CHUNK + 1 trajectories",
+                                  "unbounded"])
+def test_parts_concatenate_to_the_whole_cohort(tmp_path, monkeypatch, caplog, size, chunk):
+    rng = random.Random(7)
+    lines = [line for line in random_lines(rng, 4 * LOAD_CHUNK) if line.strip()]
+    path = tmp_path / "d.jsonl"
+    path.write_text("\n".join([json.dumps(RANDOM_HEADER)] + lines) + "\n")
+    steps = [len(json.loads(line)["steps"]) for line in lines]
+    part_steps = {"1 step": 1, "7 steps": 7, "unbounded": sys.maxsize,
+                  "LOAD_CHUNK + 1 trajectories": sum(steps[:LOAD_CHUNK + 1])}[size]
+    with caplog.at_level(logging.DEBUG, logger="clinpol.data"):
+        whole = load_dataset(path)
+        logs = [r.getMessage() for r in caplog.records]
+        caplog.clear()
+        parts = parts_of(path, monkeypatch, part_steps, chunk)
+    assert any("dropped" in m for m in logs) and any("truncated" in m for m in logs)
+    assert [r.getMessage() for r in caplog.records] == logs
+    assert concatenated(parts) == whole
+    # a part is whole chunks, and ends once it has read its size in steps
+    ids = [str(json.loads(line)["id"]) for line in lines]
+    want, group, read = [], [], 0
+    for start in range(0, len(ids), chunk):
+        group += [tid for tid in ids[start:start + chunk] if tid in whole.ids]
+        read += sum(steps[start:start + chunk])
+        if read >= part_steps or start + chunk >= len(ids):
+            want += [group] if group else []
+            group, read = [], 0
+    assert [part.ids for part in parts] == want
+    assert (len(parts) == 1) == (size == "unbounded")
+
+
+def test_a_part_whose_trajectories_are_all_dropped_is_skipped(tmp_path, monkeypatch, caplog):
+    drop = '{"id":"p%d","steps":[{"features":{},"action":0,"reward":null}]}'
+    path = chunked_file(tmp_path, 9, {i: drop % i for i in (3, 4, 5)})
+    with caplog.at_level(logging.WARNING, logger="clinpol.data"):
+        parts = parts_of(path, monkeypatch, 1, chunk=3)
+    assert [part.ids for part in parts] == [["p0", "p1", "p2"], ["p6", "p7", "p8"]]
+    assert len(caplog.records) == 3
+    assert concatenated(parts) == load_jsonl(path)
+
+
+def test_a_cut_trajectory_stays_whole_in_its_part(tmp_path, monkeypatch):
+    cut = ('{"id":"p4","steps":[{"features":{"sev":1.0},"action":0,"reward":2.0},'
+           '{"features":{"sev":2.0},"action":1,"reward":3.0},'
+           '{"features":{"sev":3.0},"action":1,"reward":null}]}')
+    path = chunked_file(tmp_path, 9, {4: cut})
+    parts = parts_of(path, monkeypatch, 1, chunk=3)
+    assert [part.lengths.tolist() for part in parts] == [[1, 1, 1], [1, 2, 1], [1, 1, 1]]
+    assert concatenated(parts) == load_jsonl(path)
+
+
+def test_a_duplicate_of_an_id_in_an_earlier_part_is_the_same_schema_error(tmp_path,
+                                                                          monkeypatch):
+    path = chunked_file(tmp_path, 9, {7: '{"id":"p1","steps":[{"features":{},"action":0,'
+                                         '"reward":1.0}]}'})
+    with pytest.raises(SchemaError) as whole:
+        load_jsonl(path)
+    parts = []
+    monkeypatch.setattr(data, "PART_STEPS", 1)
+    monkeypatch.setattr(data, "LOAD_CHUNK", 3)
+    with pytest.raises(SchemaError, match=r"^duplicate trajectory id 'p1'$") as in_parts:
+        load_dataset(path, each=parts.append)
+    assert str(in_parts.value) == str(whole.value)
+    # the parts before the fault were handed out, in file order
+    assert [part.ids for part in parts] == [["p0", "p1", "p2"], ["p3", "p4", "p5"]]
+
+
+def test_a_csv_cohort_is_one_part(tmp_path, monkeypatch):
+    path = tmp_path / "d.csv"
+    save_csv(from_records(tiny_schema(), 3, [(f"p{i}", tiny_records()[i % 2][1])
+                                             for i in range(20)]), path)
+    assert parts_of(path, monkeypatch, 1, chunk=3) == [load_csv(path)]
+
+
+def test_an_empty_cohort_hands_out_no_part(tmp_path, monkeypatch):
+    path = tmp_path / "d.jsonl"
+    path.write_text(JSONL_HEADER)
+    assert len(load_jsonl(path)) == 0
+    assert parts_of(path, monkeypatch, 1) == []
 
 
 # ---------------------------------------------------------------------------

@@ -87,6 +87,19 @@ def test_every_open_names_its_encoding_or_is_binary():
     assert found == []
 
 
+def test_no_setting_enters_through_the_environment():
+    # every setting is an argument, a config key or a module constant, so a
+    # run is repeated from its command line and configs alone
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv",
+                                                                  "environb", "getenvb")
+                    or isinstance(node, ast.alias) and node.name in ("environ", "getenv")):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_the_package_imports_no_scipy():
     # scipy is the tests' reference for the calibration sigmoid; the package
     # computes it exactly without scipy
