@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -163,8 +164,7 @@ EVAL_POLICIES = [{"type": "behavior"}, {"type": "mc", "k": 2, "epsilon": 0.05},
 def edited_cohort(cohort, path, edits):
     """``cohort`` with ``edits`` (line number -> function of the line's object)
     applied; line 1 is the header."""
-    with open(cohort) as fh:
-        lines = fh.read().splitlines()
+    lines = Path(cohort).read_text().splitlines()
     for lineno, edit in edits.items():
         lines[lineno - 1] = edit(json.loads(lines[lineno - 1]))
     path.write_text("\n".join(lines) + "\n")
@@ -192,7 +192,7 @@ def test_evaluate_writes_the_same_bytes_at_every_part_size(pipeline, monkeypatch
         return out.read_bytes()
 
     whole = evaluate(tmp_path / "whole.csv")
-    steps = [len(json.loads(line)["steps"]) for line in open(cohort).readlines()[1:]]
+    steps = [len(json.loads(line)["steps"]) for line in Path(cohort).read_text().splitlines()[1:]]
     monkeypatch.setattr(data, "PART_STEPS", {"1 step": 1, "7 steps": 7,
                                              "LOAD_CHUNK + 1 trajectories":
                                              sum(steps[:data.LOAD_CHUNK + 1])}[size])
@@ -212,7 +212,7 @@ def test_a_failed_pass_writes_no_eval_csv(pipeline, monkeypatch, capsys):
                  "broken.jsonl line 200:")
     assert not out.exists()
     empty = tmp_path / "empty.jsonl"
-    empty.write_text(open(cohort).readline())
+    empty.write_text(Path(cohort).read_text().splitlines(keepends=True)[0])
     expect_error(capsys, ["evaluate", str(empty), "--model", bundle, "--out", str(out)],
                  "error: no trajectories to estimate from")
     assert not out.exists()
