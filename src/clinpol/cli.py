@@ -103,7 +103,16 @@ def _cmd_simulate(args) -> int:
         cfg = ChronicSimConfig()
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    save_dataset(simulate(cfg), out)
+    first = None
+
+    def write(block):
+        nonlocal first
+        save_dataset(block, out, first)
+        if first is None:
+            first = block.take([])  # the cohort's header, without its rows
+
+    # the cohort is generated and written block by block, so memory holds one block
+    simulate(cfg, each=write)
     print(f"wrote {out}")
     return 0
 
@@ -148,6 +157,9 @@ def _cmd_evaluate(args) -> int:
     if not isinstance(descriptors, list):
         raise CliError(f"malformed evaluate config {args.config}: 'policies' must be a list, "
                        f"got {descriptors!r}")
+    if not descriptors:
+        raise CliError(f"malformed evaluate config {args.config}: at least one policy "
+                       "descriptor is required")
     estimator = cfg.get("estimator", "wis")
     if not isinstance(estimator, str) or estimator not in ESTIMATORS:
         raise CliError(
@@ -172,9 +184,11 @@ def _cmd_evaluate(args) -> int:
 
     # the cohort is weighed part by part, so a pass holds one part's states
     load_dataset(args.dataset, each=weigh)
-    rows = []
+    rows, joined = [], None
     for desc, parts in zip(descriptors, weights):
-        result = ESTIMATORS[estimator](ImportanceWeights.joined(parts))
+        # the policies' parts share ids, returns and lengths: they are joined once
+        joined = ImportanceWeights.joined(parts, joined)
+        result = ESTIMATORS[estimator](joined)
         rows.append((*_desc_fields(desc)[:3], estimator, result.value,
                      result.ess, result.n, seed))
     _write_csv(out, EVAL_COLUMNS, rows)

@@ -37,7 +37,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass, fields, replace
-from functools import partial
+from functools import cached_property, partial
 from itertools import chain, compress, islice, repeat
 from operator import itemgetter
 
@@ -606,31 +606,81 @@ def _refuse_non_finite(ds: Dataset, fmt: str) -> None:
                        f"which {fmt} cannot hold")
 
 
-def save_jsonl(ds: Dataset, path) -> None:
-    """The header line, then one line per trajectory, byte for byte as
-    ``json.dumps`` with compact separators writes them.
+def _jsonl_header(ds: Dataset, fh) -> None:
+    header = {"schema": ds.schema.to_json(), "K": ds.n_actions, "provenance": ds.provenance}
+    fh.write(json.dumps(header, separators=(",", ":")) + "\n")
 
-    A non-finite reward, an infinite covariate or a categorical value that
-    is no category's index raises a ``DatasetError``; a missing covariate is
-    written as null.
-    """
-    _refuse_bad_codes(ds)
-    _refuse_non_finite(ds, "JSON")
+
+def _jsonl_body(ds: Dataset, fh) -> None:
+    """One line per trajectory, byte for byte as ``json.dumps`` with compact
+    separators writes it; a missing covariate is written as null."""
     features = ",".join(json.dumps(name).replace("%", "%%") + ":%s" for name in ds.schema.names)
     # one step: its line's head (or a comma), its fields, its line's end (or nothing)
     step = '%s{"features":{' + features + '},"action":%s,"reward":%s}%s'
-    with open(path, "w", encoding="utf-8") as fh:
-        header = {"schema": ds.schema.to_json(), "K": ds.n_actions, "provenance": ds.provenance}
-        fh.write(json.dumps(header, separators=(",", ":")) + "\n")
-        for i, j, lo, hi in _chunk_rows(ds):
-            heads = np.full(hi - lo, ",", dtype=object)
-            heads[ds.offsets[i:j] - lo] = ['{"id":' + json.dumps(tid) + ',"steps":['
-                                           for tid in ds.ids[i:j]]
-            ends = np.full(hi - lo, "", dtype=object)
-            ends[ds.offsets[i + 1:j + 1] - lo - 1] = "]}\n"
-            columns = [heads.tolist(), *_feature_texts(ds, lo, hi, "null", json.dumps),
-                       _texts(ds.actions[lo:hi]), _texts(ds.rewards[lo:hi]), ends.tolist()]
-            fh.write("".join(map(step.__mod__, zip(*columns))))
+    for i, j, lo, hi in _chunk_rows(ds):
+        heads = np.full(hi - lo, ",", dtype=object)
+        heads[ds.offsets[i:j] - lo] = ['{"id":' + json.dumps(tid) + ',"steps":['
+                                       for tid in ds.ids[i:j]]
+        ends = np.full(hi - lo, "", dtype=object)
+        ends[ds.offsets[i + 1:j + 1] - lo - 1] = "]}\n"
+        columns = [heads.tolist(), *_feature_texts(ds, lo, hi, "null", json.dumps),
+                   _texts(ds.actions[lo:hi]), _texts(ds.rewards[lo:hi]), ends.tolist()]
+        fh.write("".join(map(step.__mod__, zip(*columns))))
+
+
+def _csv_header(ds: Dataset, fh) -> None:
+    fh.write("# " + json.dumps({"K": ds.n_actions, "provenance": ds.provenance},
+                               separators=(",", ":")) + "\n")
+    csv.writer(fh).writerow(["id", "t", "action", "reward"] + ds.schema.names)
+
+
+def _csv_body(ds: Dataset, fh) -> None:
+    """One row per step; a missing covariate is written as an empty field."""
+    writer = csv.writer(fh)
+    for i, j, lo, hi in _chunk_rows(ds):
+        lengths = ds.lengths[i:j]
+        ids = chain.from_iterable(map(repeat, ds.ids[i:j], lengths.tolist()))
+        stages = np.arange(lo, hi) - np.repeat(ds.offsets[i:j], lengths) + 1
+        # a category goes to the writer as it is, which writes None as ""
+        writer.writerows(zip(ids, stages.tolist(), ds.actions[lo:hi].tolist(),
+                             _texts(ds.rewards[lo:hi]),
+                             *_feature_texts(ds, lo, hi, "", lambda c: c)))
+
+
+# format -> its name in an error, its header, its body and ``open``'s newline
+_FORMATS = {"jsonl": ("JSON", _jsonl_header, _jsonl_body, None),
+            "csv": ("a CSV cohort", _csv_header, _csv_body, "")}
+
+
+def _save(ds: Dataset, path, first: Dataset | None, fmt: str) -> None:
+    """The one cohort writer: the header, then ``ds``'s lines; with
+    ``first``, the first part of the cohort that an earlier call wrote to
+    ``path``, only ``ds``'s lines, appended.
+
+    A non-finite reward, an infinite covariate or a categorical value that
+    is no category's index raises a ``DatasetError`` before the file is
+    opened, and so does a schema, K or provenance that differs from
+    ``first``'s.
+    """
+    name, header, body, newline = _FORMATS[fmt]
+    _refuse_bad_codes(ds)
+    _refuse_non_finite(ds, name)
+    if first is not None:
+        differs = next((what for what, mine, its in (
+            ("schema", ds.schema, first.schema), ("K", ds.n_actions, first.n_actions),
+            ("provenance", ds.provenance, first.provenance)) if mine != its), None)
+        if differs:
+            raise DatasetError(f"{path}: the part's {differs} differs from the first part's")
+    with open(path, "w" if first is None else "a", encoding="utf-8", newline=newline) as fh:
+        if first is None:
+            header(ds, fh)
+        body(ds, fh)
+
+
+def save_jsonl(ds: Dataset, path) -> None:
+    """The header line ``{"schema":...,"K":...,"provenance":...}``, then one
+    line per trajectory. Refuses what :func:`save_dataset` refuses."""
+    _save(ds, path, None, "jsonl")
 
 
 def _jsonl_chunks(path, lines):
@@ -710,9 +760,10 @@ def load_jsonl(path) -> Dataset:
     return _load_jsonl(path)
 
 
-def _load_jsonl(path, each=None):
-    """:func:`load_jsonl`, or with ``each`` the cohort in parts (see
-    :func:`_assemble`)."""
+def _load_jsonl(path, n_actions=None, each=None):
+    """:func:`load_jsonl`, with ``n_actions`` in place of the header's K if
+    given (the header's is then not read), or with ``each`` the cohort in
+    parts (see :func:`_assemble`)."""
     try:
         with open(path, encoding="utf-8") as fh:
             first = fh.readline()
@@ -725,9 +776,11 @@ def _load_jsonl(path, each=None):
                                  f"({getattr(exc, 'msg', exc)})") from None
             if not isinstance(header, dict) or "schema" not in header or "K" not in header:
                 raise ParseError(f"{path} line 1: header must carry 'schema' and 'K'")
-            if not is_integer(header["K"]):
-                raise ParseError(f"{path} line 1: K is {header['K']!r}, not an integer")
-            return _assemble(FeatureSchema.from_json(header["schema"]), header["K"],
+            if n_actions is None:
+                if not is_integer(header["K"]):
+                    raise ParseError(f"{path} line 1: K is {header['K']!r}, not an integer")
+                n_actions = header["K"]
+            return _assemble(FeatureSchema.from_json(header["schema"]), n_actions,
                              _jsonl_chunks(path, fh), str(header.get("provenance", "")), each)
     except UnicodeDecodeError as exc:
         raise _not_utf8(path, exc) from None
@@ -735,23 +788,8 @@ def _load_jsonl(path, each=None):
 
 def save_csv(ds: Dataset, path) -> None:
     """A ``# {"K":...,"provenance":...}`` line, the header row, then one row
-    per step. Refuses what :func:`save_jsonl` refuses, before it opens the
-    file; a missing covariate is written as an empty field."""
-    _refuse_bad_codes(ds)
-    _refuse_non_finite(ds, "a CSV cohort")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        meta = {"K": ds.n_actions, "provenance": ds.provenance}
-        fh.write("# " + json.dumps(meta, separators=(",", ":")) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["id", "t", "action", "reward"] + ds.schema.names)
-        for i, j, lo, hi in _chunk_rows(ds):
-            lengths = ds.lengths[i:j]
-            ids = chain.from_iterable(map(repeat, ds.ids[i:j], lengths.tolist()))
-            stages = np.arange(lo, hi) - np.repeat(ds.offsets[i:j], lengths) + 1
-            # a category goes to the writer as it is, which writes None as ""
-            writer.writerows(zip(ids, stages.tolist(), ds.actions[lo:hi].tolist(),
-                                 _texts(ds.rewards[lo:hi]),
-                                 *_feature_texts(ds, lo, hi, "", lambda c: c)))
+    per step. Refuses what :func:`save_dataset` refuses."""
+    _save(ds, path, None, "csv")
 
 
 def load_csv(path, n_actions: int | None = None) -> Dataset:
@@ -846,12 +884,21 @@ def _parsed(tokens, parse):
     return list(map(table.__getitem__, tokens)), refused
 
 
-def save_dataset(ds: Dataset, path) -> None:
-    """Write JSONL or CSV depending on the file extension."""
-    if str(path).endswith(".csv"):
-        save_csv(ds, path)
-    else:
-        save_jsonl(ds, path)
+def save_dataset(ds: Dataset, path, first: Dataset | None = None) -> None:
+    """Write JSONL or CSV depending on the file extension.
+
+    A non-finite reward, an infinite covariate or a categorical value that
+    is no category's index raises a ``DatasetError`` before the file is
+    opened: no format can hold it.
+
+    A cohort can be written part by part: the first part as a whole
+    cohort, then each later one with ``first``, the first part (its rows
+    are not read, so any ``Dataset`` with its header will do). A later
+    part's lines are appended, formatted as a whole-cohort write formats
+    them, so the file has the same bytes; a schema, K or provenance that
+    differs from ``first``'s raises a ``DatasetError``.
+    """
+    _save(ds, path, first, "csv" if str(path).endswith(".csv") else "jsonl")
 
 
 def load_dataset(path, n_actions: int | None = None, each=None) -> Dataset | None:
@@ -861,10 +908,11 @@ def load_dataset(path, n_actions: int | None = None, each=None) -> Dataset | Non
     passed to ``each`` in file order, as soon as it is read and checked;
     None is returned. A JSONL part is about ``PART_STEPS`` steps of whole
     trajectories. A CSV cohort is one part: its reader needs every row to
-    infer the schema and to group the trajectories.
+    infer the schema and to group the trajectories. ``n_actions`` overrides
+    the file's K in either format, and the actions are checked against it.
     """
     if not str(path).endswith(".csv"):
-        return _load_jsonl(path, each)
+        return _load_jsonl(path, n_actions, each)
     ds = load_csv(path, n_actions=n_actions)
     if each is None:
         return ds
@@ -1076,11 +1124,20 @@ class StepData:
 
     def trajectory_returns(self) -> np.ndarray:
         """Sum of rewards per trajectory, ordered like ``traj_ids``."""
-        return np.bincount(self.traj_index, weights=self.rewards,
-                           minlength=len(self.traj_ids))
+        return self._per_trajectory[0]
 
     def trajectory_lengths(self) -> np.ndarray:
-        return np.bincount(self.traj_index, minlength=len(self.traj_ids))
+        return self._per_trajectory[1]
+
+    @cached_property
+    def _per_trajectory(self) -> tuple[np.ndarray, np.ndarray]:
+        """Returns and lengths, computed once and read-only, so the weights
+        of every policy evaluated on these steps share them."""
+        returns = np.bincount(self.traj_index, weights=self.rewards,
+                              minlength=len(self.traj_ids))
+        lengths = np.bincount(self.traj_index, minlength=len(self.traj_ids))
+        returns.flags.writeable = lengths.flags.writeable = False
+        return returns, lengths
 
 
 def build_states(ds: Dataset, config: StateConfig = StateConfig()) -> StepData:

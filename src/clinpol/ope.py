@@ -19,7 +19,7 @@ itself) and collapses toward 1 as the mass concentrates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 
 import numpy as np
@@ -53,16 +53,21 @@ class ImportanceWeights:
         return len(self.weights)
 
     @classmethod
-    def joined(cls, parts) -> "ImportanceWeights":
+    def joined(cls, parts, shared: "ImportanceWeights | None" = None) -> "ImportanceWeights":
         """The weights of consecutive cohort parts as those of one cohort.
 
         A weight, return and length is a sum over its own trajectory's rows,
         so the joined arrays equal those of the whole cohort bit for bit;
-        the estimators then run once over them.
+        the estimators then run once over them. ``shared``, another policy's
+        weights joined from the same parts, lends its ids, returns and
+        lengths, so every policy reads one copy of them.
         """
-        return cls(list(chain.from_iterable(p.traj_ids for p in parts)),
+        weights = np.concatenate([p.weights for p in parts] or [np.empty(0)])
+        if shared is not None:
+            return replace(shared, weights=weights)
+        return cls(list(chain.from_iterable(p.traj_ids for p in parts)), weights,
                    *(np.concatenate([getattr(p, name) for p in parts] or [np.empty(0)])
-                     for name in ("weights", "returns", "lengths")))
+                     for name in ("returns", "lengths")))
 
 
 @dataclass(frozen=True)
@@ -115,6 +120,7 @@ def importance_weights(policy, behavior_model, data: StepData,
     dead = np.bincount(data.traj_index, weights=zero_num, minlength=n_traj) > 0
     w = np.exp(log_w)
     w[dead] = 0.0
+    # the returns and lengths are computed once per StepData, for every policy
     return ImportanceWeights(data.traj_ids, w, data.trajectory_returns(),
                              data.trajectory_lengths())
 

@@ -25,9 +25,11 @@ rollouts, assembling the same state vectors the data pipeline builds so
 fitted-model policies can be rolled out directly.
 
 Determinism: every patient draws from ``SeedSequence([seed, patient_index])``
-with a fixed draw order, so datasets are bitwise stable under regeneration
-regardless of batching. Rollouts use a single dedicated stream per config
-seed.
+with a fixed draw order, and every step after the draws works row by row, so
+datasets are bitwise stable under regeneration regardless of batching: a
+generator makes any range of patients, and ``simulate(cfg, each=...)`` hands
+the cohort out in blocks that concatenate to the whole. Rollouts use a single
+dedicated stream per config seed.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import data
 from .checks import check_keys, is_integer, is_number
 from .data import (
     CATEGORICAL,
@@ -106,8 +109,20 @@ def _sample_rows(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum(a, probs.shape[1] - 1)
 
 
-def _cohort(cfg, schema: FeatureSchema, T, columns, actions, rewards) -> Dataset:
-    """Hand (n, H) generator arrays over as a dataset: patient i keeps t < T[i].
+def _patients(cfg, first: int, stop: int | None) -> range:
+    """Patients ``first:stop`` of the cohort, all of them by default; a range
+    that is empty or reaches past the cohort raises a :class:`SimError`."""
+    stop = cfg.n_patients if stop is None else stop
+    if not (is_integer(first) and is_integer(stop) and 0 <= first < stop <= cfg.n_patients):
+        raise SimError(f"patients {first}:{stop} are not a non-empty range of the "
+                       f"cohort's {cfg.n_patients}")
+    return range(first, stop)
+
+
+def _cohort(cfg, schema: FeatureSchema, patients: range, T, columns, actions,
+            rewards) -> Dataset:
+    """Hand (n, H) generator arrays of ``patients`` over as a dataset: row i
+    keeps t < T[i], and patient ``patients[i]`` keeps its id in the cohort.
 
     ``columns`` holds one (n, H) array per schema feature, a categorical
     one as category indices.
@@ -120,7 +135,7 @@ def _cohort(cfg, schema: FeatureSchema, T, columns, actions, rewards) -> Dataset
         actions=actions[keep],
         rewards=rewards[keep],
         offsets=np.concatenate(([0], np.cumsum(T))),
-        ids=[f"p{i:06d}" for i in range(len(T))],
+        ids=[f"p{i:06d}" for i in patients],
         provenance=config_to_provenance(cfg),
     )
 
@@ -300,9 +315,13 @@ def _chronic_probs(cfg: ChronicSimConfig, index, time_on_tx, subgroup, prev,
     return (1.0 - eps) * core + eps / K
 
 
-def generate_chronic(cfg: ChronicSimConfig) -> Dataset:
-    """Simulate the chronic cohort; bitwise deterministic in (cfg, seed)."""
-    n = cfg.n_patients
+def generate_chronic(cfg: ChronicSimConfig, first: int = 0,
+                     stop: int | None = None) -> Dataset:
+    """Simulate patients ``first:stop`` of the chronic cohort, all of them by
+    default; bitwise deterministic in (cfg, seed), and a patient's rows are
+    the same in every range that holds it."""
+    patients = _patients(cfg, first, stop)
+    n = len(patients)
     lo, hi = cfg.horizon_range
     H = hi
     T = np.empty(n, dtype=np.int64)
@@ -314,16 +333,16 @@ def generate_chronic(cfg: ChronicSimConfig) -> Dataset:
     confound = np.zeros(n, dtype=np.float64)
     # fixed per-patient draw order: horizon, subgroup, age, initial index,
     # action uniforms, index noise, then the optional confounder
-    for i in range(n):
+    for row, i in enumerate(patients):
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, i]))
-        T[i] = rng.integers(lo, hi + 1)
-        g[i] = rng.integers(2)
-        age[i] = rng.uniform(35.0, 85.0)
-        idx[i] = rng.uniform(20.0, 60.0)
-        U[i] = rng.random(H)
-        Z[i] = rng.standard_normal(H)
+        T[row] = rng.integers(lo, hi + 1)
+        g[row] = rng.integers(2)
+        age[row] = rng.uniform(35.0, 85.0)
+        idx[row] = rng.uniform(20.0, 60.0)
+        U[row] = rng.random(H)
+        Z[row] = rng.standard_normal(H)
         if cfg.hidden_confounder:
-            confound[i] = cfg.confounder_scale * rng.standard_normal()
+            confound[row] = cfg.confounder_scale * rng.standard_normal()
 
     eff = cfg.effects()
     ilo, ihi = cfg.index_range
@@ -347,7 +366,7 @@ def generate_chronic(cfg: ChronicSimConfig) -> Dataset:
         prev = a
         idx = nxt
 
-    return _cohort(cfg, chronic_schema(cfg), T,
+    return _cohort(cfg, chronic_schema(cfg), patients, T,
                    [feat_index, np.repeat(age[:, None], H, axis=1), feat_tot,
                     np.repeat(g[:, None], H, axis=1)],
                    actions, rewards)
@@ -470,9 +489,13 @@ def _survival_probability(cfg: EpisodicSimConfig, mismatch_sum, frailty) -> np.n
     return np.exp(-hazard)
 
 
-def generate_episodic(cfg: EpisodicSimConfig) -> Dataset:
-    """Simulate the acute cohort; bitwise deterministic in (cfg, seed)."""
-    n, H = cfg.n_patients, cfg.horizon
+def generate_episodic(cfg: EpisodicSimConfig, first: int = 0,
+                      stop: int | None = None) -> Dataset:
+    """Simulate patients ``first:stop`` of the acute cohort, all of them by
+    default; bitwise deterministic in (cfg, seed), and a patient's rows are
+    the same in every range that holds it."""
+    patients = _patients(cfg, first, stop)
+    n, H = len(patients), cfg.horizon
     frailty = np.empty(n)
     sev = np.empty(n)
     vol = np.empty(n)
@@ -481,14 +504,14 @@ def generate_episodic(cfg: EpisodicSimConfig) -> Dataset:
     u_surv = np.empty(n)
     # fixed per-patient draw order: frailty, severity, volume, action
     # uniforms, state noise, survival uniform
-    for i in range(n):
+    for row, i in enumerate(patients):
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, i]))
-        frailty[i] = np.clip(rng.normal(FRAILTY_CENTER, FRAILTY_SCALE), 0.0, 100.0)
-        sev[i] = rng.uniform(30.0, 80.0)
-        vol[i] = rng.uniform(20.0, 80.0)
-        U[i] = rng.random(H)
-        Z[i] = rng.standard_normal((H, 2))
-        u_surv[i] = rng.random()
+        frailty[row] = np.clip(rng.normal(FRAILTY_CENTER, FRAILTY_SCALE), 0.0, 100.0)
+        sev[row] = rng.uniform(30.0, 80.0)
+        vol[row] = rng.uniform(20.0, 80.0)
+        U[row] = rng.random(H)
+        Z[row] = rng.standard_normal((H, 2))
+        u_surv[row] = rng.random()
 
     feat_sev = np.zeros((n, H))
     feat_vol = np.zeros((n, H))
@@ -512,7 +535,7 @@ def generate_episodic(cfg: EpisodicSimConfig) -> Dataset:
     survived = u_surv < _survival_probability(cfg, msum, frailty)
     rewards = np.zeros((n, H))
     rewards[:, H - 1] = np.where(survived, 100.0, -100.0)
-    return _cohort(cfg, episodic_schema(cfg), np.full(n, H),
+    return _cohort(cfg, episodic_schema(cfg), patients, np.full(n, H),
                    [feat_sev, feat_vol, np.repeat(frailty[:, None], H, axis=1)],
                    actions, rewards)
 
@@ -778,12 +801,26 @@ def config_from_provenance(text: str):
     raise SimError(f"unknown simulator kind {kind!r}")
 
 
-def simulate(cfg) -> Dataset:
+def simulate(cfg, each=None) -> Dataset | None:
+    """The cohort of ``cfg``.
+
+    With ``each``, the cohort is generated a block at a time and each
+    block's ``Dataset`` is passed to ``each`` in patient order; None is
+    returned. A block is ``data.PART_STEPS // horizon`` patients (at least
+    one), so it holds at most about ``PART_STEPS`` steps, and the blocks
+    concatenate to the whole cohort bit for bit.
+    """
     if isinstance(cfg, ChronicSimConfig):
-        return generate_chronic(cfg)
-    if isinstance(cfg, EpisodicSimConfig):
-        return generate_episodic(cfg)
-    raise SimError(f"cannot simulate a {type(cfg).__name__}")
+        generate, horizon = generate_chronic, cfg.horizon_range[1]
+    elif isinstance(cfg, EpisodicSimConfig):
+        generate, horizon = generate_episodic, cfg.horizon
+    else:
+        raise SimError(f"cannot simulate a {type(cfg).__name__}")
+    if each is None:
+        return generate(cfg)
+    block = max(1, data.PART_STEPS // horizon)
+    for first in range(0, cfg.n_patients, block):
+        each(generate(cfg, first, min(first + block, cfg.n_patients)))
 
 
 def write_manifest(path, cfg) -> None:

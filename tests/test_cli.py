@@ -3,20 +3,27 @@
 import csv
 import json
 import math
+import sys
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from clinpol import data
+from clinpol import cli, data
 from clinpol.cli import main
-from clinpol.data import load_dataset
+from clinpol.data import load_dataset, save_dataset
 from clinpol.errors import ClinpolError
 from clinpol.harness import ExperimentConfig, load_bundle
 from clinpol.ope import median_iqr
 from clinpol.policies import build_policy
-from clinpol.sim import ChronicSimConfig, config_from_provenance, generate_chronic
+from clinpol.sim import (
+    ChronicSimConfig,
+    EpisodicSimConfig,
+    config_from_provenance,
+    generate_chronic,
+    generate_episodic,
+)
 
 
 def write_json(path, obj):
@@ -257,6 +264,76 @@ def test_an_evaluate_pass_holds_one_part_not_the_cohort(cohorts, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# simulate in blocks
+# ---------------------------------------------------------------------------
+
+SIMULATORS = {"chronic": (ChronicSimConfig, generate_chronic),
+              "episodic": (EpisodicSimConfig, generate_episodic)}
+
+
+@pytest.mark.parametrize("kind", SIMULATORS)
+@pytest.mark.parametrize("size", ["1 step", "7 steps", "unbounded"])
+def test_simulate_writes_the_same_bytes_at_every_block_size(tmp_path, monkeypatch, kind, size):
+    config, generate = SIMULATORS[kind]
+    sim = write_json(tmp_path / "sim.json", {"kind": kind, "config": {"n_patients": 40}})
+    whole = generate(config(n_patients=40, seed=9))
+    monkeypatch.setattr(data, "PART_STEPS", {"1 step": 1, "7 steps": 7,
+                                             "unbounded": sys.maxsize}[size])
+    for name in ("cohort.jsonl", "cohort.csv"):
+        save_dataset(whole, tmp_path / f"whole_{name}")
+        assert main(["simulate", "--config", sim, "--seed", "9",
+                     "--out", str(tmp_path / name)]) == 0
+        assert (tmp_path / name).read_bytes() == (tmp_path / f"whole_{name}").read_bytes()
+
+
+def test_simulate_hands_each_block_to_one_save_dataset_call(tmp_path, monkeypatch):
+    # perfbench traces generation and writing through these two names
+    events = []
+
+    def logged(name, record):
+        original = getattr(cli, name)
+
+        def call(*args, **kwargs):
+            events.append((name, "enter", record(args)))
+            result = original(*args, **kwargs)
+            events.append((name, "exit", None))
+            return result
+        monkeypatch.setattr(cli, name, call)
+
+    logged("simulate", lambda args: args[0].n_patients)
+    logged("save_dataset", lambda args: (args[0].ids[0], len(args[0])))
+    monkeypatch.setattr(data, "PART_STEPS", 60)  # 10 patients at horizon 6
+    sim = write_json(tmp_path / "sim.json", {"kind": "chronic", "config": {"n_patients": 45}})
+    assert main(["simulate", "--config", sim, "--out", str(tmp_path / "c.jsonl")]) == 0
+    # one generation call, inside which each block is written by its own call
+    assert events == [("simulate", "enter", 45),
+                      *[event for first in range(0, 45, 10) for event in (
+                          ("save_dataset", "enter", (f"p{first:06d}", min(10, 45 - first))),
+                          ("save_dataset", "exit", None))],
+                      ("simulate", "exit", None)]
+
+
+def test_a_simulate_run_holds_one_block_not_the_cohort(tmp_path, monkeypatch):
+    sim = {n: write_json(tmp_path / f"sim{n}.json",
+                         {"kind": "chronic", "config": {"n_patients": n}})
+           for n in (1000, 4000)}
+    # 50 patients a block, so both cohorts span several blocks
+    monkeypatch.setattr(data, "PART_STEPS", 300)
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            assert main(["simulate", "--config", sim[n], "--seed", "2",
+                         "--out", str(tmp_path / "cohort.jsonl")]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1000)  # imports and first-use caches
+    assert peak(4000) < 1.5 * peak(1000)
+
+
+# ---------------------------------------------------------------------------
 # failure modes
 # ---------------------------------------------------------------------------
 
@@ -399,6 +476,16 @@ def test_evaluate_refuses_policies_that_are_not_a_list(pipeline, capsys, policie
                           "--out", str(tmp_path / "x.csv")],
                  f"malformed evaluate config {ev}: 'policies' must be a list, "
                  f"got {policies!r}")
+
+
+def test_evaluate_refuses_an_empty_policy_list(pipeline, capsys):
+    tmp_path, cohort, bundle = pipeline
+    ev = write_json(tmp_path / "ev.json", {"policies": []})
+    out = tmp_path / "x.csv"
+    expect_error(capsys, ["evaluate", cohort, "--model", bundle, "--config", ev,
+                          "--out", str(out)],
+                 f"malformed evaluate config {ev}: at least one policy descriptor is required")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("estimator", [["wis"], {"wis": 1}, None])

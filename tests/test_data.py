@@ -7,6 +7,7 @@ import math
 import random
 import re
 import sys
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -36,6 +37,7 @@ from clinpol.data import (
     load_dataset,
     load_jsonl,
     save_csv,
+    save_dataset,
     save_jsonl,
     split_dataset,
 )
@@ -907,6 +909,35 @@ def test_an_empty_cohort_hands_out_no_part(tmp_path, monkeypatch):
     assert parts_of(path, monkeypatch, 1) == []
 
 
+@pytest.mark.parametrize("name", ["d.jsonl", "d.csv"])
+@pytest.mark.parametrize("in_parts", [False, True], ids=["whole", "in parts"])
+def test_n_actions_overrides_the_files_k(tmp_path, name, in_parts):
+    path = tmp_path / name
+    save_dataset(tiny_dataset(), path)
+
+    def load(n_actions):
+        if not in_parts:
+            return load_dataset(path, n_actions=n_actions)
+        parts = []
+        assert load_dataset(path, n_actions=n_actions, each=parts.append) is None
+        return concatenated(parts)
+
+    assert load(None) == tiny_dataset()
+    assert load(99).n_actions == 99
+    # the actions are checked against the override
+    with pytest.raises(SchemaError, match=r"^trajectory 'p1' step 1: action 2 outside \[0, 2\)$"):
+        load(2)
+
+
+def test_an_override_reads_no_k_from_the_jsonl_header(tmp_path):
+    path = tmp_path / "d.jsonl"
+    path.write_text(JSONL_HEADER.replace('"K":2', '"K":"two"')
+                    + '{"id":"p0","steps":[{"features":{"sev":1.0},"action":1,"reward":0.5}]}\n')
+    with pytest.raises(ParseError, match="line 1: K is 'two', not an integer"):
+        load_jsonl(path)
+    assert load_dataset(path, n_actions=3).n_actions == 3
+
+
 # ---------------------------------------------------------------------------
 # writers against json.dumps and csv oracles
 # ---------------------------------------------------------------------------
@@ -1002,6 +1033,42 @@ def test_writers_refuse_a_categorical_value_that_is_no_category_index(tmp_path, 
                                            f"'marker' holds {code!r}, not a category index"):
         save(ds, tmp_path / "d.out")
     assert not (tmp_path / "d.out").exists()
+
+
+@pytest.mark.parametrize("name", ["d.jsonl", "d.csv"])
+def test_a_cohort_written_in_parts_has_the_whole_cohorts_bytes(tmp_path, name):
+    ds, _ = awkward_dataset()
+    save_dataset(ds, tmp_path / f"whole_{name}")
+    cuts = [0, 1, 3, SAVE_CHUNK + 5, len(ds)]
+    parts = [ds.take(np.arange(lo, hi)) for lo, hi in zip(cuts, cuts[1:])]
+    for part in parts:
+        save_dataset(part, tmp_path / name, None if part is parts[0] else parts[0])
+    assert (tmp_path / name).read_bytes() == (tmp_path / f"whole_{name}").read_bytes()
+
+
+LATER_PARTS = {
+    "schema": (lambda ds: replace(ds, schema=FeatureSchema((
+        Feature("sev", NUMERIC), Feature("marker", CATEGORICAL, ("hi", "lo", "mid"))))),
+        "the part's schema differs from the first part's"),
+    "K": (lambda ds: replace(ds, n_actions=4), "the part's K differs from the first part's"),
+    "provenance": (lambda ds: replace(ds, provenance="other"),
+                   "the part's provenance differs from the first part's"),
+    "a reward no file can hold": (lambda ds: replace(ds, rewards=[math.nan]),
+                                  "trajectory 'p1' step 1: reward is nan"),
+}
+
+
+@pytest.mark.parametrize("name", ["d.jsonl", "d.csv"])
+@pytest.mark.parametrize("later", LATER_PARTS)
+def test_a_later_part_that_breaks_the_cohort_is_refused_before_writing(tmp_path, name, later):
+    path = tmp_path / name
+    first = tiny_dataset().take([0])
+    save_dataset(first, path)
+    written = path.read_bytes()
+    change, message = LATER_PARTS[later]
+    with pytest.raises(DatasetError, match=message):
+        save_dataset(change(tiny_dataset().take([1])), path, first)
+    assert path.read_bytes() == written
 
 
 # ---------------------------------------------------------------------------

@@ -140,6 +140,24 @@ def test_returns_and_lengths_come_from_the_data():
         assert weights.lengths[j] == lengths[j]
 
 
+def test_policies_on_one_cohort_share_its_returns_and_lengths():
+    data = make_cohort(31, n_traj=50)
+    m = fit_dt(data, HP)
+    parts = [data.subset(data.traj_index < 20), data.subset(data.traj_index >= 20)]
+    by_policy = [[importance_weights(policy, m, part) for part in parts]
+                 for policy in (BehaviorPolicy(m), TopKPolicy(m, 2))]
+    for a, b in zip(*by_policy):
+        assert a.returns is b.returns and a.lengths is b.lengths
+        assert not a.returns.flags.writeable and not a.lengths.flags.writeable
+    first = ImportanceWeights.joined(by_policy[0])
+    second = ImportanceWeights.joined(by_policy[1], first)
+    assert all(getattr(second, name) is getattr(first, name)
+               for name in ("traj_ids", "returns", "lengths"))
+    alone = ImportanceWeights.joined(by_policy[1])
+    for name in ("weights", "returns", "lengths"):
+        assert getattr(second, name).tobytes() == getattr(alone, name).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # estimators
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 """Generator determinism, closed-form agreement, and the rollout oracle."""
 
 import re
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from clinpol import data
 from clinpol.data import StateConfig, build_states, impute_and_encode
 from clinpol.ope import importance_weights
 from clinpol.policies import RandomPolicy
@@ -67,6 +70,53 @@ def test_chronic_patients_have_independent_streams():
 def test_episodic_regeneration_is_bitwise_identical():
     cfg = EpisodicSimConfig(n_patients=150, seed=5)
     assert dataset_payload(generate_episodic(cfg)) == dataset_payload(generate_episodic(cfg))
+
+
+# ---------------------------------------------------------------------------
+# blocks
+# ---------------------------------------------------------------------------
+
+BLOCK_CONFIGS = {"chronic": ChronicSimConfig(n_patients=23, seed=6, hidden_confounder=True),
+                 "episodic": EpisodicSimConfig(n_patients=23, seed=6)}
+
+
+def blocks_of(cfg, monkeypatch, part_steps):
+    monkeypatch.setattr(data, "PART_STEPS", part_steps)
+    blocks = []
+    assert simulate(cfg, each=blocks.append) is None
+    return blocks
+
+
+@pytest.mark.parametrize("kind", BLOCK_CONFIGS)
+@pytest.mark.parametrize("size, per_block", [("1 step", 1), ("7 steps", 1),
+                                             ("20 steps", 3), ("unbounded", 23)])
+def test_simulated_blocks_concatenate_to_the_whole_cohort(monkeypatch, kind, size, per_block):
+    cfg = BLOCK_CONFIGS[kind]
+    whole = simulate(cfg)
+    blocks = blocks_of(cfg, monkeypatch, {"1 step": 1, "7 steps": 7, "20 steps": 20,
+                                          "unbounded": sys.maxsize}[size])
+    # a block is PART_STEPS // horizon patients (horizon 6), the last one the rest
+    assert [len(b) for b in blocks] == [min(per_block, 23 - first)
+                                        for first in range(0, 23, per_block)]
+    assert sum(map(dataset_payload, blocks), []) == dataset_payload(whole)
+    assert all(b.schema == whole.schema and b.n_actions == whole.n_actions
+               and b.provenance == whole.provenance for b in blocks)
+
+
+@pytest.mark.parametrize("kind", BLOCK_CONFIGS)
+def test_a_one_patient_cohort_is_one_block(monkeypatch, kind):
+    cfg = replace(BLOCK_CONFIGS[kind], n_patients=1)
+    assert blocks_of(cfg, monkeypatch, 1) == [simulate(cfg)]
+
+
+@pytest.mark.parametrize("generate", [generate_chronic, generate_episodic])
+def test_a_patient_range_must_be_a_non_empty_part_of_the_cohort(generate):
+    cfg = BLOCK_CONFIGS["chronic" if generate is generate_chronic else "episodic"]
+    assert generate(cfg, 5, 9).ids == ["p000005", "p000006", "p000007", "p000008"]
+    for first, stop in ((-1, 3), (4, 4), (20, 24), (2.0, 5)):
+        with pytest.raises(SimError, match=re.escape(
+                f"patients {first}:{stop} are not a non-empty range of the cohort's 23")):
+            generate(cfg, first, stop)
 
 
 def test_monte_carlo_value_is_deterministic():
