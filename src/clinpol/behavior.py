@@ -46,6 +46,7 @@ from .calibration import (
     identity_calibration,
 )
 from .data import NONE_ACTION, StepData
+from .checks import OBJECT, member
 from .errors import ClinpolError
 from .tree import (
     DecisionTree,
@@ -695,17 +696,11 @@ def model_from_json(obj) -> BehaviorModel:
     parsed = {}
     for key, parse in (("trees", tree_from_json),
                        ("calibration", CalibrationModel.from_json)):
-        found = obj.get(key)
-        if not isinstance(found, dict):
-            raise BehaviorError(f"model {key!r} is missing or not a JSON object")
-        for name in COMPONENTS[kind]:
-            if not isinstance(found.get(name), dict):
-                raise BehaviorError(f"model {key}[{name!r}] of a {kind} model "
-                                    "is missing or not a JSON object")
+        found = member(obj, key, OBJECT, BehaviorError, "model JSON")
         parsed[key] = {}
         for name in COMPONENTS[kind]:
             try:
-                parsed[key][name] = parse(found[name])
+                parsed[key][name] = parse(found.get(name))
             except ClinpolError as exc:
                 raise BehaviorError(f"model {key}[{name!r}]: {exc}") from None
     model = _KIND_CLASSES[kind](parsed["trees"], parsed["calibration"])

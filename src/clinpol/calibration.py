@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import BOOL, NUMBER, Items, member
 from .errors import ClinpolError
 
 
@@ -54,19 +55,16 @@ class CalibrationModel:
 
     @classmethod
     def from_json(cls, obj) -> "CalibrationModel":
-        """The model :meth:`to_json` wrote; a missing key or lists of unequal
-        length raise a :class:`CalibrationError`."""
-        try:
-            cm = cls(
-                slope=np.asarray(obj["slope"], dtype=np.float64),
-                intercept=np.asarray(obj["intercept"], dtype=np.float64),
-                identity=np.asarray(obj["identity"], dtype=bool),
-            )
-        except KeyError as exc:
-            raise CalibrationError(f"calibration JSON lacks the key {exc.args[0]!r}") from None
-        except (TypeError, ValueError) as exc:
-            raise CalibrationError(f"malformed calibration JSON: {exc}") from None
-        if cm.slope.ndim != 1 or not cm.slope.shape == cm.intercept.shape == cm.identity.shape:
+        """The model :meth:`to_json` wrote; a missing key, a value that is not
+        a list of finite numbers (of booleans, for ``identity``) or lists of
+        unequal length raise a :class:`CalibrationError`."""
+        def read(key, kind):
+            return member(obj, key, Items(kind), CalibrationError, "calibration JSON")
+
+        cm = cls(slope=np.array(read("slope", NUMBER), dtype=np.float64),
+                 intercept=np.array(read("intercept", NUMBER), dtype=np.float64),
+                 identity=np.array(read("identity", BOOL), dtype=bool))
+        if not cm.slope.shape == cm.intercept.shape == cm.identity.shape:
             raise CalibrationError("calibration slope, intercept and identity are not "
                                    "lists of one length")
         return cm

@@ -14,13 +14,12 @@ import csv
 import json
 import os
 import sys
-from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .behavior import Evaluation
-from .checks import check_keys, is_integer
+from .checks import ANY, INT, LIST, Config, checked, setting
 from .data import (
     SplitSpec,
     StateConfig,
@@ -34,7 +33,6 @@ from .data import (
 from .errors import ClinpolError
 from .harness import (
     ExperimentConfig,
-    HarnessError,
     HyperparamGrid,
     _desc_fields,
     _write_csv,
@@ -50,13 +48,30 @@ from .sim import ChronicSimConfig, simulate
 from .tree import tree_to_dot, tree_to_json
 
 EVAL_COLUMNS = ("policy", "k", "p1", "estimator", "value", "ess", "n", "seed")
-# the keys a fit or an evaluate config may set
-FIT_KEYS = ("model", "n_candidates", "grid", "split", "state_config")
-EVAL_KEYS = ("policies", "estimator")
 
 
 class CliError(ClinpolError):
     pass
+
+
+@dataclass(frozen=True)
+class FitConfig(Config, error=CliError, lead="malformed fit config"):
+    """The keys a ``fit`` config may set."""
+
+    model: str = "dtbls"
+    n_candidates: int = setting(30, least=1)
+    grid: HyperparamGrid = field(default_factory=HyperparamGrid)
+    split: SplitSpec = field(default_factory=SplitSpec)
+    state_config: StateConfig = field(default_factory=StateConfig)
+
+
+@dataclass(frozen=True)
+class EvaluateConfig(Config, error=CliError, lead="malformed evaluate config"):
+    """The keys an ``evaluate`` config may set; an estimator that is not the
+    name of one is refused as unknown."""
+
+    policies: tuple = setting(({"type": "behavior"},), LIST)
+    estimator: object = setting("wis", ANY)
 
 
 def _read_json(path) -> dict:
@@ -72,16 +87,10 @@ def _read_json(path) -> dict:
     return obj
 
 
-@contextmanager
-def _parsing(what: str):
-    """Report a malformed value met while reading a JSON input file as bad
-    input (a ``CliError``), not as a bug."""
-    try:
-        yield
-    except ClinpolError:
-        raise
-    except (AttributeError, KeyError, TypeError, ValueError) as e:
-        raise CliError(f"malformed {what} ({type(e).__name__}: {e})") from None
+def _config(record, path):
+    """The ``record`` the ``--config`` file at ``path`` sets, or the record's
+    defaults without one."""
+    return record.from_json(_read_json(path) if path else {}, path)
 
 
 def _require_out(args) -> str:
@@ -96,11 +105,8 @@ def _require_out(args) -> str:
 
 def _cmd_simulate(args) -> int:
     out = _require_out(args)
-    if args.config:
-        with _parsing(f"simulator config {args.config}"):
-            cfg = simulator_config_from_json(_read_json(args.config))
-    else:
-        cfg = ChronicSimConfig()
+    cfg = (simulator_config_from_json(_read_json(args.config)) if args.config
+           else ChronicSimConfig())
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     first = None
@@ -119,29 +125,18 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_fit(args) -> int:
     out = _require_out(args)
-    cfg = _read_json(args.config) if args.config else {}
-    check_keys(cfg, FIT_KEYS, CliError, f"malformed fit config {args.config}: unknown keys")
-    model_type = cfg.get("model", "dtbls")
-    n_candidates = cfg.get("n_candidates", 30)
-    if not is_integer(n_candidates):
-        raise CliError(f"malformed fit config {args.config}: 'n_candidates' must be an integer, "
-                       f"got {n_candidates!r}")
-    with _parsing(f"fit config {args.config}"):
-        grid = HyperparamGrid.from_json(cfg.get("grid", {}))
-        spec = SplitSpec.from_json(cfg.get("split", {}))
-        state_config = StateConfig.from_json(cfg.get("state_config", {}))
-
-    seed = args.seed if args.seed is not None else spec.seed
+    cfg = _config(FitConfig, args.config)
+    spec = cfg.split if args.seed is None else replace(cfg.split, seed=args.seed)
     split_seed, select_seed = (
-        int(x) for x in np.random.SeedSequence([seed]).generate_state(2)
+        int(x) for x in np.random.SeedSequence([spec.seed]).generate_state(2)
     )
     ds = load_dataset(args.dataset)
     train_ds, val_ds, _ = split_dataset(ds, replace(spec, seed=split_seed))
     stats = fit_imputation(train_ds)
-    train = build_states(apply_imputation(train_ds, stats), state_config)
-    val = build_states(apply_imputation(val_ds, stats), state_config)
-    model = select_model(train, val, model_type, n_candidates, select_seed, grid)
-    save_bundle(out, model, stats, state_config)
+    train = build_states(apply_imputation(train_ds, stats), cfg.state_config)
+    val = build_states(apply_imputation(val_ds, stats), cfg.state_config)
+    model = select_model(train, val, cfg.model, cfg.n_candidates, select_seed, cfg.grid)
+    save_bundle(out, model, stats, cfg.state_config)
     print(f"wrote {out}")
     return 0
 
@@ -150,17 +145,11 @@ def _cmd_evaluate(args) -> int:
     out = _require_out(args)
     if not args.model:
         raise CliError("evaluate needs --model (a fitted bundle)")
-    cfg = _read_json(args.config) if args.config else {}
-    check_keys(cfg, EVAL_KEYS, CliError,
-               f"malformed evaluate config {args.config}: unknown keys")
-    descriptors = cfg.get("policies", [{"type": "behavior"}])
-    if not isinstance(descriptors, list):
-        raise CliError(f"malformed evaluate config {args.config}: 'policies' must be a list, "
-                       f"got {descriptors!r}")
-    if not descriptors:
+    cfg = _config(EvaluateConfig, args.config)
+    if not cfg.policies:
         raise CliError(f"malformed evaluate config {args.config}: at least one policy "
                        "descriptor is required")
-    estimator = cfg.get("estimator", "wis")
+    estimator = cfg.estimator
     if not isinstance(estimator, str) or estimator not in ESTIMATORS:
         raise CliError(
             f"unknown estimator {estimator!r}; valid estimators are "
@@ -168,11 +157,10 @@ def _cmd_evaluate(args) -> int:
         )
     seed = args.seed if args.seed is not None else 0
 
-    with _parsing(f"bundle {args.model}"):
-        model, stats, state_config = load_bundle(args.model)
+    model, stats, state_config = load_bundle(args.model)
     # every policy is built before the data is read, so a policy the model
     # cannot serve fails fast
-    policies = [build_policy(desc, model) for desc in descriptors]
+    policies = [build_policy(desc, model) for desc in cfg.policies]
     weights = [[] for _ in policies]
 
     def weigh(part):
@@ -185,7 +173,7 @@ def _cmd_evaluate(args) -> int:
     # the cohort is weighed part by part, so a pass holds one part's states
     load_dataset(args.dataset, each=weigh)
     rows, joined = [], None
-    for desc, parts in zip(descriptors, weights):
+    for desc, parts in zip(cfg.policies, weights):
         # the policies' parts share ids, returns and lengths: they are joined once
         joined = ImportanceWeights.joined(parts, joined)
         result = ESTIMATORS[estimator](joined)
@@ -200,8 +188,7 @@ def _cmd_export(args) -> int:
     out = _require_out(args)
     if not args.model:
         raise CliError("export needs --model (a fitted bundle)")
-    with _parsing(f"bundle {args.model}"):
-        model, _, _ = load_bundle(args.model)
+    model, _, _ = load_bundle(args.model)
     os.makedirs(out, exist_ok=True)
     written = []
     for name, tree in model.trees.items():
@@ -257,9 +244,7 @@ def _cmd_report(args) -> int:
 def _cmd_experiment(args) -> int:
     if not args.config:
         raise CliError("experiment needs --config (an experiment spec)")
-    obj = _read_json(args.config)
-    with _parsing(f"experiment config {args.config}"):
-        cfg = ExperimentConfig.from_json(obj)
+    cfg = ExperimentConfig.from_json(_read_json(args.config))
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     if args.out:
@@ -314,6 +299,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.seed is not None:
+            checked(INT.bounded(0).read, args.seed, CliError, "--seed")
         return args.func(args)
     # a domain or input error gets a single-line diagnostic and a nonzero
     # exit; anything else is a bug and raises with its traceback

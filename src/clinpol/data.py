@@ -36,14 +36,14 @@ import csv
 import json
 import logging
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from itertools import chain, compress, islice, repeat
 from operator import itemgetter
 
 import numpy as np
 
-from .checks import check_keys, is_integer, is_number
+from .checks import ANY, NUMBER, OBJECT, Config, Kind, is_integer, member, setting
 from .errors import ClinpolError
 
 log = logging.getLogger(__name__)
@@ -939,7 +939,24 @@ class ImputationStats:
 
     @classmethod
     def from_json(cls, obj) -> "ImputationStats":
-        return cls(schema=FeatureSchema.from_json(obj["schema"]), values=dict(obj["values"]))
+        """The statistics :meth:`to_json` wrote. A missing key raises a
+        :class:`DatasetError` naming it, and so does a fill value that is not
+        a finite number for a numeric feature or one of its categories for a
+        categorical one."""
+        schema = FeatureSchema.from_json(member(obj, "schema", ANY, DatasetError,
+                                                "imputation JSON"))
+        values = member(obj, "values", OBJECT, DatasetError, "imputation JSON")
+        return cls(schema, {f.name: member(values, f.name, _fill_kind(f), DatasetError,
+                                           "imputation JSON")
+                            for f in schema})
+
+
+def _fill_kind(f: Feature) -> Kind:
+    """What an imputation value of ``f`` must be."""
+    if f.kind == NUMERIC:
+        return NUMBER
+    return Kind(f"one of its categories {list(f.categories)}",
+                lambda v: isinstance(v, str) and v in f.categories)
 
 
 def fit_imputation(ds: Dataset) -> ImputationStats:
@@ -1004,28 +1021,11 @@ def impute_and_encode(ds: Dataset, stats_source: Dataset | None = None,
 
 
 @dataclass(frozen=True)
-class StateConfig:
+class StateConfig(Config, error=DatasetError, lead="malformed state config"):
     """Which history aggregates the state vector carries."""
 
     switch_count: bool = True
     mean_reward: bool = True
-
-    def __post_init__(self):
-        for key in ("switch_count", "mean_reward"):
-            value = getattr(self, key)
-            if not isinstance(value, bool):
-                raise DatasetError(f"malformed state config: {key!r} must be a boolean, "
-                                   f"got {value!r}")
-
-    def to_json(self) -> dict:
-        return {"switch_count": self.switch_count, "mean_reward": self.mean_reward}
-
-    @classmethod
-    def from_json(cls, obj) -> "StateConfig":
-        check_keys(obj, [f.name for f in fields(cls)], DatasetError,
-                   "malformed state config: unknown keys")
-        return cls(switch_count=obj.get("switch_count", True),
-                   mean_reward=obj.get("mean_reward", True))
 
 
 class StateAssembler:
@@ -1194,40 +1194,24 @@ def build_states(ds: Dataset, config: StateConfig = StateConfig()) -> StepData:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SplitSpec:
+class SplitSpec(Config, error=DatasetError, lead="malformed split"):
     """Trajectory-level split: held-out test, then validation carved from train."""
 
     train_fraction: float = 0.8
     validation_fraction: float = 0.2
-    seed: int = 0
+    seed: int = setting(0, least=0)
 
     def __post_init__(self):
-        # a value of the right type is stored as a Python float or int
-        for key, ok, what, kind in (("train_fraction", is_number, "a finite number", float),
-                                    ("validation_fraction", is_number, "a finite number", float),
-                                    ("seed", is_integer, "an integer", int)):
-            value = getattr(self, key)
-            if not ok(value):
-                raise DatasetError(f"malformed split: {key!r} must be {what}, got {value!r}")
-            object.__setattr__(self, key, kind(value))
+        super().__post_init__()
+        # a fraction is kept as a Python float, whatever number it was given as
+        for key in ("train_fraction", "validation_fraction"):
+            object.__setattr__(self, key, float(getattr(self, key)))
         if not (0.0 < self.train_fraction < 1.0):
             raise DatasetError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
         if not (0.0 <= self.validation_fraction < 1.0):
             raise DatasetError(
                 f"validation_fraction must be in [0, 1), got {self.validation_fraction}"
             )
-
-    def to_json(self) -> dict:
-        return {"train_fraction": self.train_fraction,
-                "validation_fraction": self.validation_fraction, "seed": self.seed}
-
-    @classmethod
-    def from_json(cls, obj) -> "SplitSpec":
-        check_keys(obj, [f.name for f in fields(cls)], DatasetError,
-                   "malformed split: unknown keys")
-        return cls(train_fraction=obj.get("train_fraction", 0.8),
-                   validation_fraction=obj.get("validation_fraction", 0.2),
-                   seed=obj.get("seed", 0))
 
 
 def split_dataset(ds: Dataset, spec: SplitSpec):

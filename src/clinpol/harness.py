@@ -24,12 +24,12 @@ import json
 import logging
 import math
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .behavior import MODEL_KINDS, Evaluation, TreeMemo, fit_dt, fit_dtbls, fit_dts
-from .checks import check_keys, is_integer, is_number
+from .checks import INT, LIST, NUMBER, Config, Items, Nullable, checked, setting
 from .data import (
     Dataset,
     SplitSpec,
@@ -44,7 +44,7 @@ from .errors import ClinpolError
 from .metrics import auroc_macro, sce
 from .ope import ESTIMATORS, importance_weights, median_iqr
 from .policies import PolicyError, build_policy, check_descriptor
-from .sim import ChronicSimConfig, EpisodicSimConfig, simulate
+from .sim import SIMULATOR, simulate
 from .tree import TreeHyperparams
 
 log = logging.getLogger(__name__)
@@ -63,20 +63,15 @@ DEFAULT_MIN_LEAF_FRACTIONS = (0.01, 0.02, 0.03, 0.04, 0.05)
 
 
 @dataclass(frozen=True)
-class HyperparamGrid:
+class HyperparamGrid(Config, error=HarnessError, lead="malformed grid"):
     """Search space for tree candidates; meta-models reuse one draw for
     every component tree."""
 
-    max_depths: tuple = DEFAULT_MAX_DEPTHS
-    min_leaf_fractions: tuple = DEFAULT_MIN_LEAF_FRACTIONS
+    max_depths: tuple = setting(DEFAULT_MAX_DEPTHS, Items(INT))
+    min_leaf_fractions: tuple = setting(DEFAULT_MIN_LEAF_FRACTIONS, Items(NUMBER))
 
     def __post_init__(self):
-        for key, ok, what in (("max_depths", is_integer, "integers"),
-                              ("min_leaf_fractions", is_number, "finite numbers")):
-            value = getattr(self, key)
-            if not (isinstance(value, (tuple, list)) and all(map(ok, value))):
-                raise HarnessError(f"malformed grid: {key!r} must be a list of {what}, "
-                                   f"got {value!r}")
+        super().__post_init__()
         if not self.max_depths or not self.min_leaf_fractions:
             raise HarnessError("hyperparameter grid must not be empty")
         for d in self.max_depths:
@@ -87,22 +82,6 @@ class HyperparamGrid:
         """Every cell in fixed (depth-major) order."""
         return [TreeHyperparams(max_depth=d, min_leaf_fraction=f)
                 for d in self.max_depths for f in self.min_leaf_fractions]
-
-    def to_json(self) -> dict:
-        return {"max_depths": list(self.max_depths),
-                "min_leaf_fractions": list(self.min_leaf_fractions)}
-
-    @classmethod
-    def from_json(cls, obj) -> "HyperparamGrid":
-        check_keys(obj, [f.name for f in fields(cls)], HarnessError,
-                   "malformed grid: unknown keys")
-
-        def read(key, default):
-            value = obj.get(key, default)
-            return tuple(value) if isinstance(value, list) else value
-
-        return cls(max_depths=read("max_depths", DEFAULT_MAX_DEPTHS),
-                   min_leaf_fractions=read("min_leaf_fractions", DEFAULT_MIN_LEAF_FRACTIONS))
 
 
 def sample_candidates(grid: HyperparamGrid, n_candidates: int, seed: int) -> list:
@@ -223,30 +202,29 @@ DEFAULT_POLICIES = (
 
 
 @dataclass
-class ExperimentConfig:
+class ExperimentConfig(Config, error=HarnessError, lead="malformed experiment config",
+                       noun="experiment config"):
     """Everything one repeated-split run needs; JSON-round-trippable."""
 
     dataset: str | None = None
-    simulator: object | None = None
-    n_repeats: int = 50
+    simulator: object | None = setting(None, Nullable(SIMULATOR))
+    n_repeats: int = setting(50, least=1)
     split: SplitSpec = field(default_factory=SplitSpec)
     model: str = "dtbls"
-    n_candidates: int = 30
-    policies: tuple = DEFAULT_POLICIES
+    n_candidates: int = setting(30, least=1)
+    policies: tuple = setting(DEFAULT_POLICIES, LIST)
     estimator: str = "wis"
     out_dir: str = "results"
     grid: HyperparamGrid = field(default_factory=HyperparamGrid)
     state_config: StateConfig = field(default_factory=StateConfig)
-    seed: int = 0
+    seed: int = setting(0, least=0)
 
     def __post_init__(self):
-        self._check_types()
+        super().__post_init__()
         if (self.dataset is None) == (self.simulator is None):
             raise HarnessError(
                 "configure exactly one dataset source: a file path or a simulator"
             )
-        if self.n_repeats < 1:
-            raise HarnessError(f"n_repeats must be >= 1, got {self.n_repeats}")
         if self.model not in MODEL_KINDS:
             raise HarnessError(
                 f"unknown model type {self.model!r}; valid types are {MODEL_KINDS}"
@@ -258,105 +236,18 @@ class ExperimentConfig:
             )
         if not self.policies:
             raise HarnessError("at least one policy descriptor is required")
+        # a simulator fixes K up front, so k and epsilon are bounded by it here
+        K = None if self.simulator is None else self.simulator.n_actions
         for desc in self.policies:
             try:
-                check_descriptor(desc, model_kind=self.model)
+                check_descriptor(desc, n_actions=K, model_kind=self.model)
             except PolicyError as e:
                 raise HarnessError(str(e)) from None
 
-    def _check_types(self) -> None:
-        """Refuse a field of the wrong type by name; integers become ints."""
-        def refuse(key, what):
-            raise HarnessError(f"malformed experiment config: {key!r} must be {what}, "
-                               f"got {getattr(self, key)!r}")
 
-        for key in ("n_repeats", "n_candidates", "seed"):
-            if not is_integer(getattr(self, key)):
-                refuse(key, "an integer")
-            setattr(self, key, int(getattr(self, key)))
-        for key in ("model", "estimator", "out_dir"):
-            if not isinstance(getattr(self, key), str):
-                refuse(key, "a string")
-        if self.dataset is not None and not isinstance(self.dataset, str):
-            refuse("dataset", "a path")
-        if self.simulator is not None and not isinstance(
-                self.simulator, (ChronicSimConfig, EpisodicSimConfig)):
-            refuse("simulator", "a simulator config")
-        for key, kind in (("split", SplitSpec), ("grid", HyperparamGrid),
-                          ("state_config", StateConfig)):
-            if not isinstance(getattr(self, key), kind):
-                refuse(key, f"a {kind.__name__}")
-        if not isinstance(self.policies, (tuple, list)):
-            refuse("policies", "a list of descriptors")
-
-    def to_json(self) -> dict:
-        out = {
-            "n_repeats": self.n_repeats,
-            "split": self.split.to_json(),
-            "model": self.model,
-            "n_candidates": self.n_candidates,
-            "policies": [dict(d) for d in self.policies],
-            "estimator": self.estimator,
-            "out_dir": self.out_dir,
-            "grid": self.grid.to_json(),
-            "state_config": self.state_config.to_json(),
-            "seed": self.seed,
-        }
-        if self.dataset is not None:
-            out["dataset"] = self.dataset
-        else:
-            kind = "chronic" if isinstance(self.simulator, ChronicSimConfig) else "episodic"
-            out["simulator"] = {"kind": kind, "config": self.simulator.to_json()}
-        return out
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ExperimentConfig":
-        if not isinstance(obj, dict):
-            raise HarnessError(f"experiment config must be a JSON object, got {obj!r}")
-        check_keys(obj, [f.name for f in fields(cls)], HarnessError,
-                   "unknown experiment config keys")
-        sim = None
-        if "simulator" in obj:
-            sim = simulator_config_from_json(obj["simulator"])
-        policies = obj.get("policies", [dict(d) for d in DEFAULT_POLICIES])
-        if not isinstance(policies, list):
-            raise HarnessError("malformed experiment config: 'policies' must be "
-                               f"a list of descriptors, got {policies!r}")
-        return cls(
-            dataset=obj.get("dataset"),
-            simulator=sim,
-            n_repeats=obj.get("n_repeats", 50),
-            split=SplitSpec.from_json(_config_object(obj, "split")),
-            model=obj.get("model", "dtbls"),
-            n_candidates=obj.get("n_candidates", 30),
-            policies=tuple(policies),
-            estimator=obj.get("estimator", "wis"),
-            out_dir=obj.get("out_dir", "results"),
-            grid=HyperparamGrid.from_json(_config_object(obj, "grid")),
-            state_config=StateConfig.from_json(_config_object(obj, "state_config")),
-            seed=obj.get("seed", 0),
-        )
-
-
-def _config_object(obj: dict, key: str) -> dict:
-    value = obj.get(key, {})
-    if not isinstance(value, dict):
-        raise HarnessError(f"malformed experiment config: {key!r} must be a "
-                           f"JSON object, got {value!r}")
-    return value
-
-
-def simulator_config_from_json(obj: dict):
+def simulator_config_from_json(obj):
     """Parse {"kind": "chronic"|"episodic", "config": {...}}."""
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise HarnessError(f"simulator spec needs a 'kind' key, got {obj!r}")
-    kind = obj["kind"]
-    cfg = obj.get("config", {})
-    if kind == "chronic":
-        return ChronicSimConfig.from_json(cfg)
-    if kind == "episodic":
-        return EpisodicSimConfig.from_json(cfg)
-    raise HarnessError(f"unknown simulator kind {kind!r}")
+    return checked(SIMULATOR.load, obj, HarnessError, "simulator spec")
 
 
 @dataclass(frozen=True)

@@ -35,12 +35,12 @@ dedicated stream per config seed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import data
-from .checks import check_keys, is_integer, is_number
+from .checks import ANY, INT, NUMBER, Config, Items, Spec, is_integer, is_number, setting
 from .data import (
     CATEGORICAL,
     NONE_ACTION,
@@ -64,36 +64,8 @@ class SimError(ClinpolError):
     pass
 
 
-# what a config field of each declared scalar type must hold
-_FIELD_KINDS = {"int": ("an integer", is_integer),
-                "float": ("a finite number", is_number),
-                "bool": ("a boolean", lambda v: isinstance(v, bool))}
-
-
-def _check_field_types(cfg) -> None:
-    """Raise a :class:`SimError` naming the first scalar field whose value
-    is not of its declared type."""
-    for f in fields(cfg):
-        if f.type in _FIELD_KINDS:
-            what, ok = _FIELD_KINDS[f.type]
-            value = getattr(cfg, f.name)
-            if not ok(value):
-                raise SimError(f"{f.name} must be {what}, got {value!r}")
-
-
-def _is_pair(value, ok) -> bool:
-    return isinstance(value, (tuple, list)) and len(value) == 2 and all(map(ok, value))
-
-
-def _config_kwargs(cls, obj) -> dict:
-    """``obj`` as keyword arguments of ``cls``; a key ``cls`` lacks raises a
-    :class:`SimError` that names it."""
-    if not isinstance(obj, dict):
-        raise SimError(f"malformed simulator config: {cls.__name__} needs a JSON "
-                       f"object, got {obj!r}")
-    check_keys(obj, [f.name for f in fields(cls)], SimError,
-               f"malformed simulator config: unknown {cls.__name__} keys")
-    return dict(obj)
+# how both simulator configs word a malformed value: "n_patients must be ..."
+_SIM_WORDING = {"error": SimError, "lead": "malformed simulator config", "quote": False}
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -145,7 +117,7 @@ def _cohort(cfg, schema: FeatureSchema, patients: range, T, columns, actions,
 # ---------------------------------------------------------------------------
 
 @dataclass
-class ChronicSimConfig:
+class ChronicSimConfig(Config, **_SIM_WORDING, noun="ChronicSimConfig"):
     """Relapsing-disease generator parameters.
 
     The per-subgroup effect matrix (rows = 2 subgroups, columns = K actions)
@@ -157,36 +129,28 @@ class ChronicSimConfig:
     to weaker ones.
     """
 
-    n_patients: int = 1000
+    n_patients: int = setting(1000, least=1)
     n_actions: int = 4
-    horizon_range: tuple = (3, 6)
-    index_range: tuple = (0.0, 76.0)
+    horizon_range: tuple = setting((3, 6), Items(INT, 2))
+    index_range: tuple = setting((0.0, 76.0), Items(NUMBER, 2))
     switch_intercept: float = -1.6
     switch_index_coef: float = 0.8
     switch_time_coef: float = -0.3
     baseline_index_tilt: float = 0.8
     preference_sharpness: float = 2.4
-    effect_matrix: tuple | None = None
+    effect_matrix: tuple | None = setting(None, ANY)  # shape checked below
     effect_primary: float = 12.0
     effect_secondary: float = 4.0
     effect_other: float = 1.0
     drift: float = 3.0
-    noise_scale: float = 2.0
+    noise_scale: float = setting(2.0, least=0)
     floor_epsilon: float = 0.08
     hidden_confounder: bool = False
     confounder_scale: float = 4.0
-    seed: int = 0
+    seed: int = setting(0, least=0)
 
     def __post_init__(self):
-        _check_field_types(self)
-        if not _is_pair(self.horizon_range, is_integer):
-            raise SimError(f"horizon_range must be a pair of integers, got "
-                           f"{self.horizon_range!r}")
-        if not _is_pair(self.index_range, is_number):
-            raise SimError(f"index_range must be a pair of finite numbers, got "
-                           f"{self.index_range!r}")
-        if self.n_patients < 1:
-            raise SimError(f"n_patients must be >= 1, got {self.n_patients}")
+        super().__post_init__()
         if not (2 <= self.n_actions <= 8):
             raise SimError(f"K must lie in [2, 8], got {self.n_actions}")
         lo, hi = self.horizon_range
@@ -199,17 +163,15 @@ class ChronicSimConfig:
             raise SimError(
                 f"floor_epsilon must lie in (0, 1), got {self.floor_epsilon}"
             )
-        if self.noise_scale < 0.0:
-            raise SimError(f"noise scale must be >= 0, got {self.noise_scale}")
-        if self.seed < 0:
-            raise SimError(f"seed must be >= 0, got {self.seed}")
         m = self.effect_matrix
-        if m is not None and not (
-                isinstance(m, (tuple, list)) and len(m) == 2
+        if m is None:
+            return
+        if not (isinstance(m, (tuple, list)) and len(m) == 2
                 and all(isinstance(r, (tuple, list)) and len(r) == self.n_actions
                         and all(map(is_number, r)) for r in m)):
             raise SimError(f"effect matrix must be 2 rows of {self.n_actions} finite "
                            f"numbers, got {m!r}")
+        self.effect_matrix = tuple(tuple(map(NUMBER.read, r)) for r in m)
 
     def effects(self) -> np.ndarray:
         """Per-subgroup index drop for each action, shape (2, K)."""
@@ -228,41 +190,6 @@ class ChronicSimConfig:
     def preference_logits(self) -> np.ndarray:
         eff = self.effects()
         return self.preference_sharpness * eff / eff.max(axis=1, keepdims=True)
-
-    def to_json(self) -> dict:
-        return {
-            "n_patients": self.n_patients,
-            "n_actions": self.n_actions,
-            "horizon_range": list(self.horizon_range),
-            "index_range": list(self.index_range),
-            "switch_intercept": self.switch_intercept,
-            "switch_index_coef": self.switch_index_coef,
-            "switch_time_coef": self.switch_time_coef,
-            "baseline_index_tilt": self.baseline_index_tilt,
-            "preference_sharpness": self.preference_sharpness,
-            "effect_matrix": (None if self.effect_matrix is None
-                              else [list(r) for r in self.effect_matrix]),
-            "effect_primary": self.effect_primary,
-            "effect_secondary": self.effect_secondary,
-            "effect_other": self.effect_other,
-            "drift": self.drift,
-            "noise_scale": self.noise_scale,
-            "floor_epsilon": self.floor_epsilon,
-            "hidden_confounder": self.hidden_confounder,
-            "confounder_scale": self.confounder_scale,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ChronicSimConfig":
-        obj = _config_kwargs(cls, obj)
-        for key in ("horizon_range", "index_range"):
-            if isinstance(obj.get(key), list):
-                obj[key] = tuple(obj[key])
-        matrix = obj.get("effect_matrix")
-        if isinstance(matrix, list) and all(isinstance(r, list) for r in matrix):
-            obj["effect_matrix"] = tuple(tuple(r) for r in matrix)
-        return cls(**obj)
 
 
 def chronic_schema(cfg: ChronicSimConfig) -> FeatureSchema:
@@ -377,14 +304,14 @@ def generate_chronic(cfg: ChronicSimConfig, first: int = 0,
 # ---------------------------------------------------------------------------
 
 @dataclass
-class EpisodicSimConfig:
+class EpisodicSimConfig(Config, **_SIM_WORDING, noun="EpisodicSimConfig"):
     """Acute-care generator: K = dose_levels^2 joint fluid/vasopressor bins."""
 
-    n_patients: int = 1000
-    dose_levels: int = 5
-    horizon: int = 6
+    n_patients: int = setting(1000, least=1)
+    dose_levels: int = setting(5, least=2)
+    horizon: int = setting(6, least=2)
     preference_sharpness: float = 2.5
-    hazard_scale: float = 1.0
+    hazard_scale: float = setting(1.0, least=0)
     hazard_intercept: float = -1.3
     hazard_mismatch_coef: float = 0.10
     hazard_frailty_coef: float = 0.35
@@ -394,51 +321,18 @@ class EpisodicSimConfig:
     vol_fluid_coef: float = 3.0
     vol_drift: float = 6.0
     vol_noise: float = 2.0
-    seed: int = 0
+    seed: int = setting(0, least=0)
 
     def __post_init__(self):
-        _check_field_types(self)
-        if self.n_patients < 1:
-            raise SimError(f"n_patients must be >= 1, got {self.n_patients}")
-        if self.dose_levels < 2:
-            raise SimError(f"dose_levels must be >= 2, got {self.dose_levels}")
-        if self.horizon < 2:
-            raise SimError(f"horizon must be >= 2, got {self.horizon}")
-        if self.hazard_scale < 0.0:
-            raise SimError(f"hazard_scale must be >= 0, got {self.hazard_scale}")
+        super().__post_init__()
         if self.preference_sharpness <= 0.0:
             raise SimError(
                 f"preference_sharpness must be > 0, got {self.preference_sharpness}"
             )
-        if self.seed < 0:
-            raise SimError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def n_actions(self) -> int:
         return self.dose_levels**2
-
-    def to_json(self) -> dict:
-        return {
-            "n_patients": self.n_patients,
-            "dose_levels": self.dose_levels,
-            "horizon": self.horizon,
-            "preference_sharpness": self.preference_sharpness,
-            "hazard_scale": self.hazard_scale,
-            "hazard_intercept": self.hazard_intercept,
-            "hazard_mismatch_coef": self.hazard_mismatch_coef,
-            "hazard_frailty_coef": self.hazard_frailty_coef,
-            "sev_mismatch_coef": self.sev_mismatch_coef,
-            "sev_drift": self.sev_drift,
-            "sev_noise": self.sev_noise,
-            "vol_fluid_coef": self.vol_fluid_coef,
-            "vol_drift": self.vol_drift,
-            "vol_noise": self.vol_noise,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "EpisodicSimConfig":
-        return cls(**_config_kwargs(cls, obj))
 
 
 def episodic_schema(cfg: EpisodicSimConfig) -> FeatureSchema:
@@ -774,11 +668,15 @@ def _rollout_episodic(policy, cfg, n, state_config):
 
 MANIFEST_VERSION = 1
 
+SIMULATORS = {"chronic": ChronicSimConfig, "episodic": EpisodicSimConfig}
+# a simulator config as a spec, {"kind": <its SIMULATORS key>, "config": {...}}
+SIMULATOR = Spec(SIMULATORS, "simulator")
+
 
 def config_to_provenance(cfg) -> str:
-    kind = "chronic" if isinstance(cfg, ChronicSimConfig) else "episodic"
+    spec = SIMULATOR.dump(cfg)
     return json.dumps(
-        {"simulator": kind, "version": MANIFEST_VERSION, "config": cfg.to_json()},
+        {"simulator": spec["kind"], "version": MANIFEST_VERSION, "config": spec["config"]},
         sort_keys=True,
     )
 
@@ -794,11 +692,9 @@ def config_from_provenance(text: str):
     if obj.get("version") != MANIFEST_VERSION:
         raise SimError(f"unsupported manifest version {obj.get('version')!r}")
     kind = obj["simulator"]
-    if kind == "chronic":
-        return ChronicSimConfig.from_json(obj["config"])
-    if kind == "episodic":
-        return EpisodicSimConfig.from_json(obj["config"])
-    raise SimError(f"unknown simulator kind {kind!r}")
+    if not (isinstance(kind, str) and kind in SIMULATORS):
+        raise SimError(f"unknown simulator kind {kind!r}")
+    return SIMULATORS[kind].from_json(obj.get("config"))
 
 
 def simulate(cfg, each=None) -> Dataset | None:

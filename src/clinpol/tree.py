@@ -38,10 +38,23 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, replace
 
 import numpy as np
 
+from .checks import (
+    ANY,
+    INT,
+    NUMBER,
+    OBJECT,
+    STR,
+    Config,
+    Items,
+    Kind,
+    Nullable,
+    member,
+    setting,
+)
 from .errors import ClinpolError
 
 
@@ -50,30 +63,20 @@ class TreeError(ClinpolError):
 
 
 @dataclass(frozen=True)
-class TreeHyperparams:
+class TreeHyperparams(Config, error=TreeError, lead="malformed tree hyperparameters",
+                      quote=False):
     """Depth cap and minimum leaf occupancy (as a fraction of fitting data)."""
 
-    max_depth: int = 5
+    max_depth: int = setting(5, least=1)
     min_leaf_fraction: float = 0.01
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_depth < 1:
-            raise TreeError(f"max_depth must be >= 1, got {self.max_depth}")
+        super().__post_init__()
         if not (0.0 < self.min_leaf_fraction < 0.5):
             raise TreeError(
                 f"min_leaf_fraction must be in (0, 0.5), got {self.min_leaf_fraction}"
             )
-
-    def to_json(self) -> dict:
-        return {"max_depth": self.max_depth, "min_leaf_fraction": self.min_leaf_fraction,
-                "seed": self.seed}
-
-    @classmethod
-    def from_json(cls, obj) -> "TreeHyperparams":
-        return cls(max_depth=int(obj["max_depth"]),
-                   min_leaf_fraction=float(obj["min_leaf_fraction"]),
-                   seed=int(obj.get("seed", 0)))
 
 
 class Node:
@@ -226,6 +229,9 @@ def _fitting_set(X, y, n_classes):
         raise TreeError(f"X and y disagree on length: {len(X)} vs {len(y)}")
     if len(X) == 0:
         raise TreeError("cannot fit a tree on zero samples")
+    # a NaN would give a split a NaN midpoint that no row goes left of
+    if np.isnan(X).any():
+        raise TreeError(f"feature {int(np.isnan(X).any(axis=0).argmax())} holds NaN")
     if y.min() < 0:
         raise TreeError("negative class label")
     if n_classes is None:
@@ -579,36 +585,55 @@ def _node_to_json(node: Node, tree: DecisionTree):
 def _class_key(key, n_classes: int) -> int:
     """The class a leaf outcome key names; one outside [0, n_classes) would
     index past the table or wrap to its end."""
-    c = int(key)
+    text = str(key)
+    # a key of 19 digits or more names no class (and int() refuses thousands)
+    c = int(text) if text.isdecimal() and len(text) < 19 else -1
     if not 0 <= c < n_classes:
         raise TreeError(f"leaf outcome key {key!r} is not a class of a "
                         f"{n_classes}-class tree")
     return c
 
 
-def _node_from_json(obj, n_classes, outcomes: list) -> Node:
+def _read(obj, key, kind: Kind, default=MISSING):
+    return member(obj, key, kind, TreeError, "tree JSON", default)
+
+
+_COUNT = INT.bounded(0)
+_AVERAGE = Nullable(NUMBER)  # a leaf's average outcome of a class; null if it has none
+
+
+def _node_from_json(obj, features: Kind, counts: Items, outcomes: list) -> Node:
     """The node ``obj`` describes; each leaf appends its (averages, counts)
-    to ``outcomes``, or None if it has none, in leaf-id order."""
+    to ``outcomes``, or None if it has none, in leaf-id order. ``features``
+    and ``counts`` are what the tree's split features and leaf counts must be."""
     node = Node()
-    if obj.get("feature") is None:
-        node.counts = np.asarray(obj["counts"], dtype=np.float64)
-        node.n = int(obj.get("n", node.counts.sum()))
-        if "outcome_avg" in obj:
-            avg = np.full(n_classes, np.nan)
-            cnt = np.zeros(n_classes, dtype=np.int64)
-            for k, v in obj["outcome_avg"].items():
-                if v is not None:
-                    avg[_class_key(k, n_classes)] = float(v)
-            for k, v in obj.get("outcome_count", {}).items():
-                cnt[_class_key(k, n_classes)] = int(v)
-            outcomes.append((avg, cnt))
-        else:
+    n_classes = counts.size
+    feature = _read(obj, "feature", features, None)
+    if feature is None:
+        node.counts = np.array(_read(obj, "counts", counts), dtype=np.float64)
+        node.n = _read(obj, "n", _COUNT, int(node.counts.sum()))
+        if node.n == 0 or node.n != node.counts.sum():
+            raise TreeError(f"malformed tree JSON: a leaf's 'n' is {node.n}, but its "
+                            f"counts sum to {int(node.counts.sum())}")
+        avg_obj = _read(obj, "outcome_avg", OBJECT, None)
+        if avg_obj is None:
             outcomes.append(None)
+            return node
+        avg = np.full(n_classes, np.nan)
+        cnt = np.zeros(n_classes, dtype=np.int64)
+        for k in avg_obj:
+            v = _read(avg_obj, k, _AVERAGE)
+            if v is not None:
+                avg[_class_key(k, n_classes)] = v
+        count_obj = _read(obj, "outcome_count", OBJECT, {})
+        for k in count_obj:
+            cnt[_class_key(k, n_classes)] = _read(count_obj, k, _COUNT)
+        outcomes.append((avg, cnt))
     else:
-        node.feature = int(obj["feature"])
-        node.threshold = float(obj["threshold"])
-        node.left = _node_from_json(obj["left"], n_classes, outcomes)
-        node.right = _node_from_json(obj["right"], n_classes, outcomes)
+        node.feature = feature
+        node.threshold = float(_read(obj, "threshold", NUMBER))
+        node.left = _node_from_json(_read(obj, "left", OBJECT), features, counts, outcomes)
+        node.right = _node_from_json(_read(obj, "right", OBJECT), features, counts, outcomes)
         node.n = node.left.n + node.right.n
         node.counts = node.left.counts + node.right.counts
     return node
@@ -626,27 +651,26 @@ def tree_to_json(tree: DecisionTree) -> dict:
 
 
 def tree_from_json(obj) -> DecisionTree:
-    """The tree :func:`tree_to_json` wrote. A missing key raises a
-    :class:`TreeError` that names it, a value of the wrong type one that
-    says what went wrong."""
-    try:
-        hp = TreeHyperparams.from_json(obj["hyperparams"])
-        n_classes = int(obj["n_classes"])
-        outcomes = []
-        root = _node_from_json(obj["tree"], n_classes, outcomes)
-        tree = DecisionTree(root, n_classes, int(obj["n_features"]), hp,
-                            int(obj["n_train"]), obj.get("feature_names"))
-        if all(o is None for o in outcomes):
-            return tree
-        if any(o is None for o in outcomes):
-            raise TreeError("tree JSON has outcome averages on some leaves only")
-        return tree._with_outcomes(*map(np.stack, zip(*outcomes)))
-    except KeyError as exc:
-        raise TreeError(f"tree JSON lacks the key {exc.args[0]!r}") from None
-    except TreeError:
-        raise
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise TreeError(f"malformed tree JSON: {exc}") from None
+    """The tree :func:`tree_to_json` wrote. A missing key, or a value that is
+    not of its kind (a split feature outside [0, n_features), say), raises a
+    :class:`TreeError` that names it."""
+    hyperparams = _read(obj, "hyperparams", OBJECT)
+    for key in ("max_depth", "min_leaf_fraction"):
+        _read(hyperparams, key, ANY)
+    hp = TreeHyperparams.from_json(hyperparams)
+    n_classes = _read(obj, "n_classes", INT.bounded(1))
+    n_features = _read(obj, "n_features", INT.bounded(1))
+    names = _read(obj, "feature_names", Nullable(Items(STR, n_features)), None)
+    n_train = _read(obj, "n_train", _COUNT)
+    outcomes = []
+    root = _node_from_json(_read(obj, "tree", OBJECT), Nullable(INT.bounded(0, n_features - 1)),
+                           Items(_COUNT, n_classes), outcomes)
+    tree = DecisionTree(root, n_classes, n_features, hp, n_train, names)
+    if all(o is None for o in outcomes):
+        return tree
+    if any(o is None for o in outcomes):
+        raise TreeError("tree JSON has outcome averages on some leaves only")
+    return tree._with_outcomes(*map(np.stack, zip(*outcomes)))
 
 
 def _feature_label(tree, j) -> str:

@@ -542,10 +542,14 @@ def test_every_descriptor_mutant_gets_one_verdict_from_every_reader(pipeline, ca
     for desc in mutants:
         built = verdict(lambda: build_policy(desc, model))
         configured = verdict(lambda: ExperimentConfig.from_json(
+            {"dataset": cohort, "model": model.kind, "policies": [desc]}))
+        simulated = verdict(lambda: ExperimentConfig.from_json(
             {"simulator": {"kind": "chronic"}, "model": model.kind, "policies": [desc]}))
         assert evaluate(desc) == built, desc
-        # an experiment config is read before any model gives K, so only
-        # the bounds k <= K and epsilon <= 1/K wait for the model
+        # a simulator fixes K up front (the default chronic one at the bundle's K)
+        assert (simulated is None) == (built is None), (desc, simulated, built)
+        # a dataset config is read before any model gives K, so only the
+        # bounds k <= K and epsilon <= 1/K wait for the model
         k, eps = desc.get("k"), desc.get("epsilon")
         past_k = type(k) is int and k > K
         past_eps = type(eps) in (int, float) and math.isfinite(eps) and eps > 1 / K

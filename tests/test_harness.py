@@ -385,8 +385,21 @@ def test_malformed_config_values_are_harness_errors_naming_the_key():
                 ExperimentConfig.from_json({**obj, "policies": [desc]})
     # numbers of any numeric type still pass
     cfg = ExperimentConfig.from_json({**obj, "n_repeats": np.int64(2), "policies": [
-        {"type": "mc_switch_adj", "k": 1, "p1": 1, "epsilon": np.float32(0.5)}]})
+        {"type": "mc_switch_adj", "k": 1, "p1": 1, "epsilon": np.float32(0.25)}]})
     assert cfg.n_repeats == 2
+
+
+def test_a_simulator_bounds_k_and_epsilon_by_its_k_up_front():
+    # the default chronic simulator has K = 4, so 1/K = 0.25
+    obj = {"simulator": {"kind": "chronic"}}
+    for desc, message in (({"type": "mc", "k": 1, "epsilon": 0.5}, r"\[0, 1/K\]"),
+                          ({"type": "mc", "k": 1, "epsilon": np.float32(0.5)}, r"\[0, 1/K\]"),
+                          ({"type": "mc", "k": 10}, r"integer k in \[1, 4\]")):
+        with pytest.raises(HarnessError, match=message):
+            ExperimentConfig.from_json({**obj, "policies": [desc]})
+    # without a simulator K is known only once a repeat has a model
+    ExperimentConfig.from_json({"dataset": "d.jsonl", "policies": [
+        {"type": "mc", "k": 10, "epsilon": 0.5}]})
 
 
 SIM_SPEC = {"simulator": {"kind": "chronic"}}

@@ -420,6 +420,24 @@ def test_malformed_config_values_are_sim_errors_naming_the_key():
         EpisodicSimConfig.from_json([1])
 
 
+def test_numpy_typed_values_write_the_provenance_of_plain_ones():
+    plain = [ChronicSimConfig(n_patients=5, n_actions=3, horizon_range=(2, 4),
+                              index_range=(0, 70.0), drift=2.5,
+                              effect_matrix=((5.0, 1, 0.5), (0.25, 1.0, 5)), seed=3),
+             EpisodicSimConfig(n_patients=6, dose_levels=3, hazard_scale=0.5, seed=3)]
+    typed = [ChronicSimConfig(n_patients=np.int64(5), n_actions=np.int32(3),
+                              horizon_range=(np.int64(2), np.uint8(4)),
+                              index_range=(0, np.float32(70.0)), drift=np.float32(2.5),
+                              effect_matrix=[[np.float32(5.0), 1, 0.5], [np.float64(0.25), 1.0, 5]],
+                              seed=np.int64(3)),
+             EpisodicSimConfig(n_patients=np.int64(6), dose_levels=np.int16(3),
+                               hazard_scale=np.float32(0.5), seed=np.uint64(3))]
+    for a, b in zip(plain, typed):
+        assert b == a
+        assert simulate(b).provenance == simulate(a).provenance
+    assert type(typed[0].horizon_range[1]) is int and type(typed[0].drift) is float
+
+
 def test_custom_effect_matrix_is_used_verbatim():
     m = ((5.0, 1.0, 0.0), (0.0, 1.0, 5.0))
     cfg = ChronicSimConfig(n_patients=5, n_actions=3, effect_matrix=m)

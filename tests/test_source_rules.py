@@ -130,3 +130,40 @@ def test_importing_and_running_the_cli_loads_no_scipy():
                           text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+def _calls(path, name):
+    """The (line, enclosing function) of each call of ``name`` in ``path``,
+    as a plain or an attribute call."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                called = child.func
+                if (isinstance(called, ast.Name) and called.id == name
+                        or isinstance(called, ast.Attribute) and called.attr == name):
+                    found.append((child.lineno, function))
+            visit(child, function)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    return found
+
+
+def test_the_cli_reads_no_config_key_by_hand():
+    # fit and evaluate read their configs as records through checks.Config,
+    # so a key they take is declared once and a misspelt one is refused
+    cli = SRC / "clinpol" / "cli.py"
+    assert _calls(cli, "get") == []
+
+
+def test_only_the_config_reader_and_the_descriptor_check_list_known_keys():
+    # every config record refuses unknown keys through checks.Config; a
+    # policy descriptor is a plain dict and checks its own
+    found = [f"{path.name}:{line}" for path in SOURCES if path.name != "checks.py"
+             for line, function in _calls(path, "check_keys")
+             if (path.name, function) != ("policies.py", "check_descriptor")]
+    assert found == []

@@ -185,6 +185,17 @@ def test_fit_rejects_empty_and_misaligned_input():
         fit_tree(np.ones((2, 1)), [0, 5], TreeHyperparams(), n_classes=2)
 
 
+def test_fit_refuses_a_feature_holding_nan():
+    # a boundary next to a NaN has a NaN midpoint: no row goes left of it, so
+    # the split would leave an empty leaf with NaN probabilities
+    X = np.column_stack([np.arange(40.0), np.r_[np.arange(39.0), np.nan]])
+    y = (np.arange(40) % 2).astype(int)
+    for fit in (lambda: fit_tree(X, y, TreeHyperparams(max_depth=3)),
+                lambda: SplitSearch(X, y, 2, (0.01,))):
+        with pytest.raises(TreeError, match="feature 1 holds NaN"):
+            fit()
+
+
 def test_hyperparams_validate_ranges():
     with pytest.raises(TreeError):
         TreeHyperparams(max_depth=0)
@@ -587,7 +598,7 @@ def test_shared_search_refuses_other_rows_classes_and_fractions():
 # ---------------------------------------------------------------------------
 
 def mixed_kind_columns(seed, n, n_classes):
-    """Constant, two-valued, NaN-bearing and continuous columns, interleaved.
+    """Constant, two-valued and continuous columns, interleaved.
 
     The two-valued columns hold their rarer value low or high, some track
     the label (so they win splits and become one-valued below them), one
@@ -599,9 +610,6 @@ def mixed_kind_columns(seed, n, n_classes):
     noisy = np.where(rng.random(n) < 0.3, rng.integers(0, n_classes, size=n), y)
     cont = np.round(rng.normal(size=n) + 0.2 * y, 1)
     signed_zero = np.where(rng.random(n) < 0.5, -0.0, 0.0)
-    # fewer NaNs than the smallest leaf floor: NaN sorts last, and a boundary
-    # next to one (whose midpoint is NaN) never falls inside a window
-    nan_rows = rng.choice(n, size=4, replace=False)
     X = np.column_stack([
         np.full(n, 3.5),
         np.where(rng.random(n) < 0.3, -2.5, 7.0),
@@ -611,8 +619,8 @@ def mixed_kind_columns(seed, n, n_classes):
         signed_zero,
         np.where(rng.random(n) < 0.1, 1.0, signed_zero),
         np.where(cont > 0.4, np.where(noisy % 2 == 0, 4.0, -1.0), -1.0),
-        np.where(np.isin(np.arange(n), nan_rows), np.nan, np.round(rng.normal(size=n), 1)),
-        np.where(np.isin(np.arange(n), nan_rows), np.nan, np.where(noisy == 1, 5.0, 2.0)),
+        np.round(rng.normal(size=n), 1),
+        np.where(noisy == 1, 5.0, 2.0),
         rng.normal(size=n),
     ])
     return X, y
