@@ -46,7 +46,7 @@ from .calibration import (
     identity_calibration,
 )
 from .data import NONE_ACTION, StepData
-from .checks import OBJECT, member
+from .checks import INT, OBJECT, member
 from .errors import ClinpolError
 from .tree import (
     DecisionTree,
@@ -684,7 +684,7 @@ def model_from_json(obj) -> BehaviorModel:
     malformed envelope raises a :class:`BehaviorError` naming the key."""
     if not isinstance(obj, dict):
         raise BehaviorError(f"a model must be a JSON object, got {type(obj).__name__}")
-    version = obj.get("version")
+    version = member(obj, "version", INT, BehaviorError, "model JSON")
     if version != MODEL_FORMAT_VERSION:
         raise BehaviorError(
             f"unsupported model format version {version!r} "
@@ -704,7 +704,8 @@ def model_from_json(obj) -> BehaviorModel:
             except ClinpolError as exc:
                 raise BehaviorError(f"model {key}[{name!r}]: {exc}") from None
     model = _KIND_CLASSES[kind](parsed["trees"], parsed["calibration"])
-    if obj.get("n_actions", model.n_actions) != model.n_actions:
-        raise BehaviorError(f"model 'n_actions' is {obj['n_actions']!r}, "
+    n_actions = member(obj, "n_actions", INT, BehaviorError, "model JSON", model.n_actions)
+    if n_actions != model.n_actions:
+        raise BehaviorError(f"model 'n_actions' is {n_actions!r}, "
                             f"but its trees have {model.n_actions} actions")
     return model

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .behavior import MODEL_KINDS, Evaluation, TreeMemo, fit_dt, fit_dtbls, fit_dts
-from .checks import INT, LIST, NUMBER, Config, Items, Nullable, checked, setting
+from .checks import INT, LIST, NUMBER, Config, Items, Nullable, checked, member, setting
 from .data import (
     Dataset,
     SplitSpec,
@@ -430,7 +430,7 @@ def load_bundle(path):
 
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
-    version = payload.get("bundle_version") if isinstance(payload, dict) else None
+    version = member(payload, "bundle_version", INT, HarnessError, f"bundle {path}")
     if version != BUNDLE_VERSION:
         raise HarnessError(
             f"unsupported bundle version {version!r} (this library reads "

@@ -31,7 +31,9 @@ never sorted. Only the other columns are sorted, once per fitting set. The
 boundaries of both kinds go through one Gini sweep, in (feature, position)
 order, with the arithmetic of a per-node sort; fits that share a search
 (one per min-leaf fraction) share the node searches their trees have in
-common.
+common. The sweep takes a node's boundaries in blocks of a fixed size, so
+its class-count arrays are bounded by the block size times K, not by the
+boundaries times K.
 """
 
 from __future__ import annotations
@@ -241,6 +243,11 @@ def _fitting_set(X, y, n_classes):
     return X, y, n_classes
 
 
+# the most boundaries a node scores at once: a block's class counts are
+# (block, K) arrays, so they bound a node search's working set
+_BLOCK = 1024
+
+
 class SplitSearch:
     """Split search over one fitting set, shared by every tree grown on it.
 
@@ -257,6 +264,12 @@ class SplitSearch:
     that column's order (ties in row order, as a per-node stable sort gives)
     and whose last row lists them in row order. Children get their rows by a
     stable partition of that matrix, so no node sorts.
+
+    A node scores its boundaries at most ``_BLOCK`` at a time: each block's
+    left class counts come from a running integer tally, and only the 1-D
+    scores are kept for every boundary. A node's working set is bounded by
+    the block size times K, not by its boundaries times K, and the scores
+    have the bits of one sweep over all of them.
 
     Trees with different min-leaf fractions pick the same split at most of
     the nodes they share, and a node's rows are fixed by its path from the
@@ -290,10 +303,12 @@ class SplitSearch:
         # holds, padded with the spare cell len(two) * K: a node's rare-value
         # tallies are one bincount of its rows' cells
         K = self.n_classes
-        width = int(rare.sum(axis=1).max(initial=0))
-        cols = np.argsort(~rare, axis=1, kind="stable")[:, :width]
-        self._cells = np.where(np.take_along_axis(rare, cols, axis=1),
-                               cols * K + self.y[:, None], len(self._two) * K)
+        held = rare.sum(axis=1)
+        row, col = np.nonzero(rare)  # row by row, each row's columns in order
+        slot = np.arange(len(row)) - np.repeat(np.cumsum(held) - held, held)
+        self._cells = np.full((n, int(held.max(initial=0))), len(self._two) * K,
+                              dtype=np.int64)
+        self._cells[row, slot] = col * K + self.y[row]
         self._found: dict[tuple, tuple] = {}
         self.searches = 0
 
@@ -357,25 +372,21 @@ class SplitSearch:
         m = rows.shape[1]
         lo, hi = self.floors[0] - 1, m - self.floors[0] - 1
         # boundaries of the sorted columns, then of the two-valued ones: the
-        # column, the last sorted position left of it and the class counts
-        # left of it
-        s_col, s_pos, s_left = self._sorted_boundaries(rows[:-1], tally, lo, hi)
+        # column, the last sorted position left of it and, a block of
+        # boundaries at a time, the class counts left of it
         t_col, t_pos, t_left = self._two_valued_boundaries(rows[-1], tally, lo, hi)
+        s_col, s_pos, lefts = self._sorted_boundaries(rows[:-1], tally, lo, hi, t_left)
         n_sorted = len(s_col)
         if n_sorted + len(t_col) == 0:
             return (None,) * len(self.floors)
-        pos = np.concatenate((s_pos, t_pos))
-        left = np.concatenate((s_left, t_left), dtype=np.float64)
-        # the weighted child impurity, term for term as a per-feature sweep
-        n_left = pos + 1
-        n_l = n_left.astype(np.float64)
-        n_r = m - n_l
-        right = counts[None, :] - left
-        left /= n_l[:, None]
-        g_l = 1.0 - np.sum(np.square(left, out=left), axis=1)
-        right /= n_r[:, None]
-        g_r = 1.0 - np.sum(np.square(right, out=right), axis=1)
-        weighted = (n_l * g_l + n_r * g_r) / m
+        n_left = np.concatenate((s_pos, t_pos))
+        n_left += 1
+        weighted = np.empty(len(n_left))
+        start = 0
+        for left in lefts:
+            stop = start + len(left)
+            _gini(left, n_left[start:stop], counts, m, weighted[start:stop])
+            start = stop
         # (feature, position) order, so argmin's first minimum breaks ties
         feat = np.concatenate((self._sorted[s_col], self._two[t_col]))
         order = np.argsort(feat, kind="stable")
@@ -396,44 +407,70 @@ class SplitSearch:
             if e >= n_sorted:
                 out.append((int(feat[e]), self._midpoints[t_col[e - n_sorted]]))
             else:
-                j, s, i = int(feat[e]), s_col[e], int(pos[e])
+                j, s, i = int(feat[e]), s_col[e], int(s_pos[e])
                 a, b = self.X[rows[s, i], j], self.X[rows[s, i + 1], j]
                 out.append((j, float((a + b) / 2.0)))
         return tuple(out) + (None,) * (len(self.floors) - len(out))
 
-    def _sorted_boundaries(self, order, counts, lo, hi):
-        """(sorted column, position, left class counts) of each boundary
-        between distinct sorted values at positions ``lo..hi``."""
+    def _sorted_boundaries(self, order, counts, lo, hi, tail):
+        """(sorted column, position) of each boundary between distinct sorted
+        values at positions ``lo..hi``, and an iterator over their float64
+        left class counts, ``_BLOCK`` boundaries a block; ``tail`` (the
+        two-valued boundaries' counts) closes the last block."""
         S, m = order.shape
         flat = np.multiply(order, self.X.shape[1], dtype=np.int64)
         flat += self._sorted[:, None]
         xv = self.X.take(flat)
+        del flat
         feat, pos = np.nonzero(xv[:, lo:hi + 1] != xv[:, lo + 1:hi + 2])
         del xv
         if len(feat) == 0:
-            return feat, pos, np.empty((0, self.n_classes), dtype=np.int64)
+            return feat, pos, iter((tail.astype(np.float64),))
         pos += lo
         at = feat * m + pos
-        # class counts left of every boundary: tally the labels of each run
-        # between consecutive boundaries (runs of all columns laid end to
-        # end) and sum the runs; the runs before column s hold s * counts.
-        # Work in place: these arrays are columns x m long.
+        # number the runs between consecutive boundaries (runs of all
+        # columns laid end to end), then turn each sorted position's run
+        # into its (run, class) cell. Work in place: these are columns x m.
         K = self.n_classes
         run = np.zeros(S * m, dtype=np.int64)
         run[m::m] = 1
         run[at + 1] = 1
         np.cumsum(run, out=run)
         at = run[at]
-        n_runs = int(run[-1]) + 1
         run *= K
         run += self.y.take(order).ravel()
-        cum = np.bincount(run, minlength=n_runs * K).reshape(n_runs, K)
-        del run
-        np.cumsum(cum, axis=0, out=cum)
-        left = cum[at]
-        del cum
-        left -= feat[:, None] * counts
-        return feat, pos, left
+        return feat, pos, self._left_counts(run, at, feat, pos, m, counts, tail)
+
+    def _left_counts(self, cells, runs, feat, pos, m, counts, tail):
+        """The sorted boundaries' left class counts, ``_BLOCK`` at a time.
+
+        Boundary i ends the run ``runs[i]`` and sorted position ``pos[i]`` of
+        column ``feat[i]``. A block tallies the (run, class) ``cells`` of its
+        runs onto a running tally of the runs before it: integer counts,
+        exact in any block order. The runs before column s hold s * counts.
+        """
+        K = self.n_classes
+        carry, first, begin = None, 0, 0
+        for start in range(0, len(runs), _BLOCK):
+            stop = min(start + _BLOCK, len(runs))
+            last = int(runs[stop - 1])
+            end = int(feat[stop - 1]) * m + int(pos[stop - 1]) + 1
+            block = cells[begin:end]
+            if first:
+                block -= first * K  # in place: each cell is read once
+            cum = np.bincount(block, minlength=(last + 1 - first) * K).reshape(-1, K)
+            if carry is not None:
+                cum[0] += carry
+            np.cumsum(cum, axis=0, out=cum)
+            left = cum[runs[start:stop] - first if first else runs[start:stop]]
+            left -= feat[start:stop, None] * counts
+            if stop < len(runs):
+                carry, first, begin = cum[-1].copy(), last + 1, end
+                left = left.astype(np.float64)
+            else:
+                left = np.concatenate((left, tail), dtype=np.float64)
+            del cum
+            yield left
 
     def _two_valued_boundaries(self, node_rows, counts, lo, hi):
         """(two-valued column, position, left class counts) of each such
@@ -446,6 +483,24 @@ class SplitSearch:
         pos = left.sum(axis=1) - 1
         keep = np.flatnonzero((pos >= lo) & (pos <= hi))
         return keep, pos[keep], left[keep]
+
+
+def _gini(left, n_left, counts, m, out) -> None:
+    """Write into ``out`` the weighted child impurity of the boundaries whose
+    float64 left class counts are the rows of ``left`` (overwritten), with
+    ``n_left`` rows left of each, at a node of ``m`` rows and ``counts``.
+
+    Term for term as a per-feature sweep: each boundary's class terms are one
+    row of a C-contiguous array, summed over that row alone.
+    """
+    n_l = n_left.astype(np.float64)
+    n_r = m - n_l
+    right = counts[None, :] - left
+    left /= n_l[:, None]
+    g_l = 1.0 - np.sum(np.square(left, out=left), axis=1)
+    right /= n_r[:, None]
+    g_r = 1.0 - np.sum(np.square(right, out=right), axis=1)
+    np.divide(n_l * g_l + n_r * g_r, m, out=out)
 
 
 def fit_tree(X, y, hp: TreeHyperparams, n_classes: int | None = None,

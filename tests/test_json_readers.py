@@ -9,16 +9,17 @@ any depth) with one of :data:`MUTANTS`.
 
 import json
 import math
+import re
 from contextlib import contextmanager
 from functools import reduce
 from operator import getitem
 
 import pytest
 
-from clinpol.behavior import model_from_json, model_to_json
+from clinpol.behavior import BehaviorError, model_from_json, model_to_json
 from clinpol.cli import main
 from clinpol.errors import ClinpolError
-from clinpol.harness import ExperimentConfig, HyperparamGrid, load_bundle
+from clinpol.harness import ExperimentConfig, HarnessError, HyperparamGrid, load_bundle
 from clinpol.sim import ChronicSimConfig, EpisodicSimConfig
 
 MUTANTS = (None, "x", [], {}, True, 2.5, -1, 10**400, math.nan, "3")
@@ -144,6 +145,24 @@ def test_bundle_mutants_load_or_raise_a_domain_error_and_evaluate_in_one_line(
     for text in loaded:
         path_out.write_text(text)
         run(capsys, ["evaluate", heldout, "--model", path_out, "--out", out])
+
+
+@pytest.mark.parametrize("path, error", [(("bundle_version",), HarnessError),
+                                         (("model", "version"), BehaviorError),
+                                         (("model", "n_actions"), BehaviorError)])
+def test_bundle_and_model_integers_refuse_a_bool_or_a_float(fitted, tmp_path, path, error):
+    """``true == 1`` and ``4.0 == 4``, so an equality test would let these load."""
+    obj = json.loads(fitted[2].read_text())
+    out = tmp_path / "mutant.json"
+    held = reduce(getitem, path, obj)
+    assert type(held) is int
+    load_bundle(write(out, obj))
+    for value in (True, float(held)):
+        with mutated(obj, path, value):
+            write(out, obj)
+        with pytest.raises(error, match=re.escape(f"{path[-1]!r} must be an integer, "
+                                                  f"got {value!r}")):
+            load_bundle(out)
 
 
 # ---------------------------------------------------------------------------

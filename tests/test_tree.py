@@ -2,10 +2,12 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from clinpol import tree as tree_module
 from clinpol.tree import (
     DecisionTree,
     Node,
@@ -635,6 +637,76 @@ def test_column_kinds_fit_as_per_node_sort_fits(n_classes):
             hp = TreeHyperparams(max_depth=7, min_leaf_fraction=frac)
             shared = json_text(fit_tree(X, y, hp, n_classes=n_classes, search=search))
             assert shared == json_text(per_node_sort_fit(X, y, hp, n_classes)), (seed, frac)
+
+
+@pytest.mark.parametrize("n_classes", [2, 4, 25])
+def test_two_valued_cells_list_each_rows_rarer_values_in_column_order(n_classes):
+    X, y = mixed_kind_columns(n_classes, 500, n_classes)
+    search = SplitSearch(X, y, n_classes, FRACTIONS)
+    low, high = X.min(axis=0), X.max(axis=0)
+    two = search._two
+    rare = np.where(search._rare_low[:, 0], X[:, two] == low[two], X[:, two] == high[two])
+    assert rare.any(axis=0).all() and (rare.sum(axis=1) > 1).any()
+    # a stable argsort puts each row's rarer-value columns first, in order
+    width = int(rare.sum(axis=1).max())
+    cols = np.argsort(~rare, axis=1, kind="stable")[:, :width]
+    want = np.where(np.take_along_axis(rare, cols, axis=1),
+                    cols * n_classes + y[:, None], len(two) * n_classes)
+    assert search._cells.dtype == want.dtype
+    np.testing.assert_array_equal(search._cells, want)
+
+
+BLOCKS = (1, 2, 7, 10**9)
+
+
+def test_block_size_changes_no_tree_under_float_ties(monkeypatch):
+    """Equal-Gini columns, two-valued and (with a third value) sorted, so the
+    tied boundaries fall in different blocks of a small block size."""
+    hp = TreeHyperparams(max_depth=2, min_leaf_fraction=0.01)
+    for seed in range(8):
+        X, y = permuted_count_columns(seed)
+        third = X.copy()
+        third[X.argmax(axis=0), np.arange(X.shape[1])] = 2.0
+        for data in (X, third):
+            want = json_text(per_node_sort_fit(data, y, hp, 25))
+            for block in BLOCKS:
+                monkeypatch.setattr(tree_module, "_BLOCK", block)
+                assert json_text(fit_tree(data, y, hp, n_classes=25)) == want, (seed, block)
+
+
+@pytest.mark.parametrize("n_classes", [2, 4, 25])
+def test_block_size_changes_no_tree_of_a_shared_search(n_classes, monkeypatch):
+    X, y = mixed_kind_columns(100 + n_classes, 500, n_classes)
+    hps = [TreeHyperparams(max_depth=7, min_leaf_fraction=f) for f in FRACTIONS]
+    want = [json_text(per_node_sort_fit(X, y, hp, n_classes)) for hp in hps]
+    for block in BLOCKS:
+        monkeypatch.setattr(tree_module, "_BLOCK", block)
+        search = SplitSearch(X, y, n_classes, FRACTIONS)
+        got = [json_text(fit_tree(X, y, hp, n_classes=n_classes, search=search))
+               for hp in hps]
+        assert got == want, block
+
+
+def test_a_root_search_holds_its_boundaries_in_blocks():
+    """At K=25 the root of 6,000 rows with 4 continuous columns has about
+    24,000 boundaries, so boundaries x K arrays of class counts would take
+    about 4.6 MiB each."""
+    rng = np.random.default_rng(0)
+    n, K = 6000, 25
+    y = rng.integers(0, K, size=n)
+    X = np.column_stack([rng.normal(size=(n, 4)) + 0.1 * y[:, None],
+                         rng.integers(0, K, size=n)[:, None] == np.arange(K)])
+    search = SplitSearch(X, y, K, (0.01, 0.02))
+    tally = np.bincount(y, minlength=K)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        found = search._search(search._root, tally, tally.astype(np.float64))
+        extra = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert found[0] is not None
+    assert extra < 3 * 2**20, extra / 2**20
 
 
 @pytest.mark.parametrize("n_classes", [2, 4, 25])
