@@ -36,13 +36,14 @@ from .harness import (
     HyperparamGrid,
     _desc_fields,
     _write_csv,
+    _write_summary,
     load_bundle,
     run_experiment,
     save_bundle,
     select_model,
     simulator_config_from_json,
 )
-from .ope import ESTIMATORS, ImportanceWeights, importance_weights, median_iqr
+from .ope import ESTIMATORS, ImportanceWeights, importance_weights
 from .policies import build_policy
 from .sim import ChronicSimConfig, simulate
 from .tree import tree_to_dot, tree_to_json
@@ -227,16 +228,10 @@ def _cmd_report(args) -> int:
         except (TypeError, ValueError):
             raise CliError(f"rows {args.rows} row {i}: value and ess "
                            "must be numbers") from None
-        groups.setdefault(key, []).append(pair)
-    table = []
-    for key in sorted(groups):
-        vals = groups[key]
-        vm, v1, v3 = median_iqr([v for v, _ in vals])
-        em, e1, e3 = median_iqr([e for _, e in vals])
-        table.append((*key, len(vals), vm, v1, v3, em, e1, e3))
-    _write_csv(out, ("policy", "k", "p1", "estimator", "n_rows",
-                     "value_median", "value_q1", "value_q3",
-                     "ess_median", "ess_q1", "ess_q3"), table)
+        groups.setdefault(key, (key, []))[1].append(pair)
+    _write_summary(out, ("policy", "k", "p1", "estimator", "n_rows",
+                         "value_median", "value_q1", "value_q3",
+                         "ess_median", "ess_q1", "ess_q3"), groups)
     print(f"wrote {out}")
     return 0
 

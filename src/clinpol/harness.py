@@ -310,6 +310,22 @@ def _write_csv(path, header, rows) -> None:
             w.writerow([_fmt(v) for v in row])
 
 
+def _write_summary(path, header, groups: dict, extra: tuple = ()) -> list:
+    """Write one row per group, in key order, and return the rows.
+
+    ``groups`` maps a sort key to a label and the group's (value, ESS)
+    pairs. A row is the label, the group's size, ``extra``, then the median
+    and quartiles of the group's values and of its ESS.
+    """
+    table = []
+    for key in sorted(groups):
+        label, pairs = groups[key]
+        table.append((*label, len(pairs), *extra, *median_iqr([v for v, _ in pairs]),
+                      *median_iqr([e for _, e in pairs])))
+    _write_csv(path, header, table)
+    return table
+
+
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Run every repeat and write the report files; returns their paths.
 
@@ -348,18 +364,12 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     ])
 
     n_missing = cfg.n_repeats - len({row.seed for row in rows})
-    groups: dict[tuple, list[ReportRow]] = {}
+    groups: dict[tuple, tuple] = {}
     for row in rows:
-        groups.setdefault(_desc_sort_key(row.policy), []).append(row)
-    summary = []
-    for key in sorted(groups):
-        grp = groups[key]
-        vm, v1, v3 = median_iqr([g.value for g in grp])
-        em, e1, e3 = median_iqr([g.ess for g in grp])
-        summary.append((*_desc_fields(grp[0].policy), cfg.estimator, len(grp),
-                        n_missing, vm, v1, v3, em, e1, e3))
-    _write_csv(paths["summary"], SUMMARY_COLUMNS, summary)
-
+        label = (*_desc_fields(row.policy), cfg.estimator)
+        groups.setdefault(_desc_sort_key(row.policy), (label, []))[1].append(
+            (row.value, row.ess))
+    summary = _write_summary(paths["summary"], SUMMARY_COLUMNS, groups, (n_missing,))
     _write_csv(paths["per_k"], SUMMARY_COLUMNS,
                [s for s in summary if s[1] != ""])
     _write_csv(paths["per_p1"], SUMMARY_COLUMNS,

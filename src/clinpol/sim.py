@@ -20,16 +20,19 @@ row; nothing the generator consults is hidden from the saved data. (The one
 deliberate exception: ``hidden_confounder`` adds an unstored outcome shift to
 the chronic generator for documentation examples and is off by default.)
 
-``monte_carlo_value`` estimates any policy's expected return by on-policy
-rollouts, assembling the same state vectors the data pipeline builds so
-fitted-model policies can be rolled out directly.
+Each simulator's dynamics are written once, as a loop that steps patients
+under any policy on states assembled as the data pipeline assembles them,
+with random draws its caller supplies. Generating a cohort is a rollout of
+the truth policy under per-patient streams; ``monte_carlo_value`` rolls out
+any policy, fitted-model ones included, under one stream per config seed. A
+table keyed by config class gives the functions that take any config their
+simulator's schema, truth policy, generator and loop.
 
 Determinism: every patient draws from ``SeedSequence([seed, patient_index])``
 with a fixed draw order, and every step after the draws works row by row, so
 datasets are bitwise stable under regeneration regardless of batching: a
 generator makes any range of patients, and ``simulate(cfg, each=...)`` hands
-the cohort out in blocks that concatenate to the whole. Rollouts use a single
-dedicated stream per config seed.
+the cohort out in blocks that concatenate to the whole.
 """
 
 from __future__ import annotations
@@ -91,22 +94,68 @@ def _patients(cfg, first: int, stop: int | None) -> range:
     return range(first, stop)
 
 
-def _cohort(cfg, schema: FeatureSchema, patients: range, T, columns, actions,
-            rewards) -> Dataset:
-    """Hand (n, H) generator arrays of ``patients`` over as a dataset: row i
-    keeps t < T[i], and patient ``patients[i]`` keeps its id in the cohort.
+def _streams(cfg, patients: range):
+    """(row, generator) of each patient, from ``SeedSequence([seed, patient])``."""
+    for row, i in enumerate(patients):
+        yield row, np.random.default_rng(np.random.SeedSequence([cfg.seed, i]))
 
-    ``columns`` holds one (n, H) array per schema feature, a categorical
-    one as category indices.
-    """
-    keep = np.arange(actions.shape[1]) < T[:, None]
+
+class _Steps:
+    """What a simulation loop records: the (n, H) step arrays of its patients
+    and the history their next states carry, built as ``data.build_states``
+    builds it from the stored steps (previous action and reward, switch count,
+    running mean of the rewards so far)."""
+
+    def __init__(self, cfg, state_config: StateConfig, T: np.ndarray, H: int):
+        self.schema = _KINDS[type(cfg)].schema(cfg)
+        self.asm = default_assembler(cfg, state_config)
+        n = len(T)
+        self.T = T
+        self.features = np.zeros((n, H, len(self.schema)))
+        self.actions = np.zeros((n, H), dtype=np.int64)
+        self.rewards = np.zeros((n, H))
+        self.prev = np.full(n, NONE_ACTION, dtype=np.int64)
+        self.prev_reward = np.zeros(n)
+        self.switches = np.zeros(n)
+        self.returns = np.zeros(n)  # rewards so far, summed in stage order
+
+    def act(self, policy, t: int, rows, raw, u) -> np.ndarray:
+        """Record the stage-t covariates ``raw`` of ``rows`` (categorical ones
+        as category indices) and draw their actions from ``policy``, one
+        uniform of ``u`` each."""
+        self.features[rows, t - 1] = raw
+        encoded = [raw[:, [j]] if f.kind != CATEGORICAL
+                   else raw[:, [j]] == np.arange(len(f.categories))
+                   for j, f in enumerate(self.schema)]
+        prev = self.prev[rows]
+        states = self.asm.assemble_batch(np.hstack(encoded), prev, self.prev_reward[rows],
+                                         self.switches[rows],
+                                         self.returns[rows] / max(t - 1, 1))
+        a = _sample_rows(policy.probabilities_batch(states, prev, np.full(len(rows), t)), u)
+        self.actions[rows, t - 1] = a
+        return a
+
+    def record(self, t: int, rows, a, r) -> None:
+        """Record the stage-t actions ``a`` and rewards ``r`` of ``rows``."""
+        if t > 1:
+            self.switches[rows] += a != self.prev[rows]
+        self.prev[rows] = a
+        self.prev_reward[rows] = r
+        self.returns[rows] += r
+        self.rewards[rows, t - 1] = r
+
+
+def _cohort(cfg, patients: range, steps: _Steps) -> Dataset:
+    """Hand the steps of ``patients`` over as a dataset: row i keeps its
+    first T[i] steps, and patient ``patients[i]`` keeps its id in the cohort."""
+    keep = np.arange(steps.actions.shape[1]) < steps.T[:, None]
     return Dataset(
-        schema=schema,
+        schema=steps.schema,
         n_actions=cfg.n_actions,
-        covariates=np.stack([c[keep] for c in columns], axis=1),
-        actions=actions[keep],
-        rewards=rewards[keep],
-        offsets=np.concatenate(([0], np.cumsum(T))),
+        covariates=steps.features[keep],
+        actions=steps.actions[keep],
+        rewards=steps.rewards[keep],
+        offsets=np.concatenate(([0], np.cumsum(steps.T))),
         ids=[f"p{i:06d}" for i in patients],
         provenance=config_to_provenance(cfg),
     )
@@ -201,19 +250,18 @@ def chronic_schema(cfg: ChronicSimConfig) -> FeatureSchema:
     ))
 
 
-def _chronic_probs(cfg: ChronicSimConfig, index, time_on_tx, subgroup, prev,
+def _chronic_probs(cfg: ChronicSimConfig, index, tot, subgroup, prev,
                    first) -> np.ndarray:
     """Exact behavior probabilities from the quantities the generator uses.
 
-    ``first`` marks t=1 rows (prev is ignored there); all inputs are aligned
-    arrays. This single routine serves generation, the replayable truth
-    policy, and rollouts, so their probabilities agree bit for bit.
+    ``index`` and ``tot`` (time on treatment) are float arrays, ``first`` a
+    boolean array marking t=1 rows (prev is ignored there), all aligned. The
+    truth policy reads them out of assembled states, and generation is a
+    rollout of the truth policy, so a cohort's actions are drawn from these
+    probabilities and no others.
     """
-    index = np.asarray(index, dtype=np.float64)
-    tot = np.asarray(time_on_tx, dtype=np.float64)
     g = np.asarray(subgroup, dtype=np.int64)
     prev = np.asarray(prev, dtype=np.int64)
-    first = np.asarray(first, dtype=bool)
     n, K = len(index), cfg.n_actions
     z = (index - INDEX_CENTER) / INDEX_SCALE
     pref = cfg.preference_logits()[g]
@@ -242,61 +290,60 @@ def _chronic_probs(cfg: ChronicSimConfig, index, time_on_tx, subgroup, prev,
     return (1.0 - eps) * core + eps / K
 
 
+def _chronic_start(cfg: ChronicSimConfig, rng, size=None):
+    """Horizon, subgroup, age and initial index, one each or ``size`` each."""
+    lo, hi = cfg.horizon_range
+    return (rng.integers(lo, hi + 1, size=size), rng.integers(2, size=size),
+            rng.uniform(35.0, 85.0, size=size), rng.uniform(20.0, 60.0, size=size))
+
+
+def _run_chronic(cfg: ChronicSimConfig, policy, state_config: StateConfig, start,
+                 draw) -> _Steps:
+    """Step the patients of ``start`` (horizons, subgroups, ages, initial
+    indices, confounder shifts) to their horizons under ``policy``.
+
+    ``draw(t, rows)`` gives the stage-t action uniforms and index noise of
+    ``rows``, the patients whose horizon reaches t.
+    """
+    T, g, age, idx, confound = start
+    steps = _Steps(cfg, state_config, T, cfg.horizon_range[1])
+    eff = cfg.effects()
+    ilo, ihi = cfg.index_range
+    tot = np.zeros(len(T))
+    for t in range(1, cfg.horizon_range[1] + 1):
+        rows = np.flatnonzero(steps.T >= t)  # the patients that reach stage t
+        u, z = draw(t, rows)
+        a = steps.act(policy, t, rows,
+                      np.column_stack([idx[rows], age[rows], tot[rows], g[rows]]), u)
+        nxt = np.clip(idx[rows] - eff[g[rows], a] + cfg.drift + confound[rows]
+                      + cfg.noise_scale * z, ilo, ihi)
+        tot[rows] = np.where(a == steps.prev[rows], tot[rows] + 1, 1)
+        idx[rows] = nxt
+        steps.record(t, rows, a, 10.0 - nxt)
+    return steps
+
+
 def generate_chronic(cfg: ChronicSimConfig, first: int = 0,
                      stop: int | None = None) -> Dataset:
     """Simulate patients ``first:stop`` of the chronic cohort, all of them by
     default; bitwise deterministic in (cfg, seed), and a patient's rows are
     the same in every range that holds it."""
     patients = _patients(cfg, first, stop)
-    n = len(patients)
-    lo, hi = cfg.horizon_range
-    H = hi
-    T = np.empty(n, dtype=np.int64)
-    g = np.empty(n, dtype=np.int64)
-    age = np.empty(n, dtype=np.float64)
-    idx = np.empty(n, dtype=np.float64)
-    U = np.empty((n, H), dtype=np.float64)
-    Z = np.empty((n, H), dtype=np.float64)
-    confound = np.zeros(n, dtype=np.float64)
+    n, H = len(patients), cfg.horizon_range[1]
+    T, g = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    age, idx, confound = np.empty(n), np.empty(n), np.zeros(n)
+    U, Z = np.empty((n, H)), np.empty((n, H))
     # fixed per-patient draw order: horizon, subgroup, age, initial index,
     # action uniforms, index noise, then the optional confounder
-    for row, i in enumerate(patients):
-        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, i]))
-        T[row] = rng.integers(lo, hi + 1)
-        g[row] = rng.integers(2)
-        age[row] = rng.uniform(35.0, 85.0)
-        idx[row] = rng.uniform(20.0, 60.0)
+    for row, rng in _streams(cfg, patients):
+        T[row], g[row], age[row], idx[row] = _chronic_start(cfg, rng)
         U[row] = rng.random(H)
         Z[row] = rng.standard_normal(H)
         if cfg.hidden_confounder:
             confound[row] = cfg.confounder_scale * rng.standard_normal()
-
-    eff = cfg.effects()
-    ilo, ihi = cfg.index_range
-    prev = np.full(n, NONE_ACTION, dtype=np.int64)
-    tot = np.zeros(n, dtype=np.int64)
-    feat_index = np.zeros((n, H))
-    feat_tot = np.zeros((n, H))
-    actions = np.zeros((n, H), dtype=np.int64)
-    rewards = np.zeros((n, H))
-
-    for t in range(1, H + 1):
-        probs = _chronic_probs(cfg, idx, tot, g, prev, np.full(n, t == 1))
-        a = _sample_rows(probs, U[:, t - 1])
-        feat_index[:, t - 1] = idx
-        feat_tot[:, t - 1] = tot
-        actions[:, t - 1] = a
-        nxt = np.clip(idx - eff[g, a] + cfg.drift + confound
-                      + cfg.noise_scale * Z[:, t - 1], ilo, ihi)
-        rewards[:, t - 1] = 10.0 - nxt
-        tot = np.where(a == prev, tot + 1, 1)
-        prev = a
-        idx = nxt
-
-    return _cohort(cfg, chronic_schema(cfg), patients, T,
-                   [feat_index, np.repeat(age[:, None], H, axis=1), feat_tot,
-                    np.repeat(g[:, None], H, axis=1)],
-                   actions, rewards)
+    steps = _run_chronic(cfg, truth_policy(cfg), StateConfig(), (T, g, age, idx, confound),
+                         lambda t, rows: (U[rows, t - 1], Z[rows, t - 1]))
+    return _cohort(cfg, patients, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +430,42 @@ def _survival_probability(cfg: EpisodicSimConfig, mismatch_sum, frailty) -> np.n
     return np.exp(-hazard)
 
 
+def _episodic_start(cfg: EpisodicSimConfig, rng, size=None):
+    """Frailty, initial severity and initial volume, one each or ``size`` each."""
+    return (np.clip(rng.normal(FRAILTY_CENTER, FRAILTY_SCALE, size=size), 0.0, 100.0),
+            rng.uniform(30.0, 80.0, size=size), rng.uniform(20.0, 80.0, size=size))
+
+
+def _run_episodic(cfg: EpisodicSimConfig, policy, state_config: StateConfig, start,
+                  draw) -> _Steps:
+    """Step the patients of ``start`` (frailties, initial severities and
+    volumes) through the horizon under ``policy``.
+
+    ``draw(t, rows)`` gives the stage-t action uniforms, severity noise,
+    volume noise and, at the last stage only (None before), survival uniforms.
+    """
+    frailty, sev, vol = start
+    H = cfg.horizon
+    steps = _Steps(cfg, state_config, np.full(len(frailty), H), H)
+    msum = np.zeros(len(frailty))
+    rows = np.arange(len(frailty))  # every patient reaches every stage
+    for t in range(1, H + 1):
+        u, z_sev, z_vol, u_surv = draw(t, rows)
+        a = steps.act(policy, t, rows, np.column_stack([sev, vol, frailty]), u)
+        m = _episodic_mismatch(cfg, sev, vol, a)
+        msum += m
+        f, _ = action_to_doses(a, cfg.dose_levels)
+        sev = np.clip(sev + cfg.sev_mismatch_coef * m + cfg.sev_drift
+                      + cfg.sev_noise * z_sev, 0.0, 100.0)
+        vol = np.clip(vol - cfg.vol_fluid_coef * f + cfg.vol_drift
+                      + cfg.vol_noise * z_vol, 0.0, 100.0)
+        r = 0.0
+        if u_surv is not None:
+            r = np.where(u_surv < _survival_probability(cfg, msum, frailty), 100.0, -100.0)
+        steps.record(t, rows, a, r)
+    return steps
+
+
 def generate_episodic(cfg: EpisodicSimConfig, first: int = 0,
                       stop: int | None = None) -> Dataset:
     """Simulate patients ``first:stop`` of the acute cohort, all of them by
@@ -390,48 +473,20 @@ def generate_episodic(cfg: EpisodicSimConfig, first: int = 0,
     the same in every range that holds it."""
     patients = _patients(cfg, first, stop)
     n, H = len(patients), cfg.horizon
-    frailty = np.empty(n)
-    sev = np.empty(n)
-    vol = np.empty(n)
-    U = np.empty((n, H))
-    Z = np.empty((n, H, 2))
-    u_surv = np.empty(n)
+    frailty, sev, vol = np.empty(n), np.empty(n), np.empty(n)
+    U, Z, u_surv = np.empty((n, H)), np.empty((n, H, 2)), np.empty(n)
     # fixed per-patient draw order: frailty, severity, volume, action
     # uniforms, state noise, survival uniform
-    for row, i in enumerate(patients):
-        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, i]))
-        frailty[row] = np.clip(rng.normal(FRAILTY_CENTER, FRAILTY_SCALE), 0.0, 100.0)
-        sev[row] = rng.uniform(30.0, 80.0)
-        vol[row] = rng.uniform(20.0, 80.0)
+    for row, rng in _streams(cfg, patients):
+        frailty[row], sev[row], vol[row] = _episodic_start(cfg, rng)
         U[row] = rng.random(H)
         Z[row] = rng.standard_normal((H, 2))
         u_surv[row] = rng.random()
-
-    feat_sev = np.zeros((n, H))
-    feat_vol = np.zeros((n, H))
-    actions = np.zeros((n, H), dtype=np.int64)
-    msum = np.zeros(n)
-
-    for t in range(1, H + 1):
-        probs = _episodic_probs(cfg, sev, vol)
-        a = _sample_rows(probs, U[:, t - 1])
-        feat_sev[:, t - 1] = sev
-        feat_vol[:, t - 1] = vol
-        actions[:, t - 1] = a
-        m = _episodic_mismatch(cfg, sev, vol, a)
-        msum += m
-        f, _ = action_to_doses(a, cfg.dose_levels)
-        sev = np.clip(sev + cfg.sev_mismatch_coef * m + cfg.sev_drift
-                      + cfg.sev_noise * Z[:, t - 1, 0], 0.0, 100.0)
-        vol = np.clip(vol - cfg.vol_fluid_coef * f + cfg.vol_drift
-                      + cfg.vol_noise * Z[:, t - 1, 1], 0.0, 100.0)
-
-    survived = u_surv < _survival_probability(cfg, msum, frailty)
-    rewards = np.zeros((n, H))
-    rewards[:, H - 1] = np.where(survived, 100.0, -100.0)
-    return _cohort(cfg, episodic_schema(cfg), patients, np.full(n, H),
-                   [feat_sev, feat_vol, np.repeat(frailty[:, None], H, axis=1)],
-                   actions, rewards)
+    steps = _run_episodic(cfg, truth_policy(cfg), StateConfig(), (frailty, sev, vol),
+                          lambda t, rows: (U[rows, t - 1], Z[rows, t - 1, 0],
+                                           Z[rows, t - 1, 1],
+                                           u_surv[rows] if t == H else None))
+    return _cohort(cfg, patients, steps)
 
 
 def episodic_survival_probabilities(cfg: EpisodicSimConfig, ds: Dataset) -> np.ndarray:
@@ -447,8 +502,7 @@ def episodic_survival_probabilities(cfg: EpisodicSimConfig, ds: Dataset) -> np.n
 # ---------------------------------------------------------------------------
 
 def default_assembler(cfg, state_config: StateConfig = StateConfig()) -> StateAssembler:
-    schema = (chronic_schema(cfg) if isinstance(cfg, ChronicSimConfig)
-              else episodic_schema(cfg))
+    schema = _kind(cfg, "no state layout for a").schema(cfg)
     return StateAssembler(schema.encoded_names(), cfg.n_actions, state_config)
 
 
@@ -461,9 +515,15 @@ class _TruthBase:
 
     kind = "truth"
 
-    def probabilities_batch(self, states, prev_actions, stages,
-                            evaluation=None) -> np.ndarray:
-        raise NotImplementedError
+    def __init__(self, cfg, assembler: StateAssembler | None = None):
+        self.cfg = cfg
+        self.n_actions = cfg.n_actions
+        self._asm = assembler or default_assembler(cfg)
+
+    def _columns(self, states, *names):
+        """The columns ``names`` of ``states``, laid out by the assembler."""
+        states = np.asarray(states, dtype=np.float64)
+        return [states[:, self._asm.column(name)] for name in names]
 
     # the truth policy serves both sides of an evaluation: target policy and
     # behavior-model denominator
@@ -472,68 +532,33 @@ class _TruthBase:
 
 
 class ChronicTruthPolicy(_TruthBase):
-    def __init__(self, cfg: ChronicSimConfig, assembler: StateAssembler | None = None):
-        self.cfg = cfg
-        asm = assembler or default_assembler(cfg)
-        self.n_actions = cfg.n_actions
-        self._c_index = asm.column("disease_index")
-        self._c_tot = asm.column("time_on_tx")
-        self._c_g1 = asm.column("biomarker=g1")
-
     def probabilities_batch(self, states, prev_actions, stages,
                             evaluation=None) -> np.ndarray:
-        states = np.asarray(states, dtype=np.float64)
-        prev = np.asarray(prev_actions, dtype=np.int64)
-        t = np.asarray(stages, dtype=np.int64)
-        return _chronic_probs(
-            self.cfg,
-            states[:, self._c_index],
-            states[:, self._c_tot],
-            (states[:, self._c_g1] > 0.5).astype(np.int64),
-            prev,
-            t == 1,
-        )
+        index, tot, g1 = self._columns(states, "disease_index", "time_on_tx", "biomarker=g1")
+        return _chronic_probs(self.cfg, index, tot, g1 > 0.5, prev_actions,
+                              np.asarray(stages) == 1)
 
 
 class EpisodicTruthPolicy(_TruthBase):
-    def __init__(self, cfg: EpisodicSimConfig, assembler: StateAssembler | None = None):
-        self.cfg = cfg
-        asm = assembler or default_assembler(cfg)
-        self.n_actions = cfg.n_actions
-        self._c_sev = asm.column("severity")
-        self._c_vol = asm.column("volume")
-
     def probabilities_batch(self, states, prev_actions, stages,
                             evaluation=None) -> np.ndarray:
-        states = np.asarray(states, dtype=np.float64)
-        return _episodic_probs(self.cfg, states[:, self._c_sev], states[:, self._c_vol])
+        return _episodic_probs(self.cfg, *self._columns(states, "severity", "volume"))
 
 
 class ChronicOraclePolicy(_TruthBase):
     """One-hot on the subgroup's most effective drug (generator knowledge)."""
 
-    def __init__(self, cfg: ChronicSimConfig, assembler: StateAssembler | None = None):
-        self.cfg = cfg
-        asm = assembler or default_assembler(cfg)
-        self.n_actions = cfg.n_actions
-        self._c_g1 = asm.column("biomarker=g1")
-        self._best = np.argmax(cfg.effects(), axis=1)
-
     def probabilities_batch(self, states, prev_actions, stages,
                             evaluation=None) -> np.ndarray:
-        states = np.asarray(states, dtype=np.float64)
-        g = (states[:, self._c_g1] > 0.5).astype(np.int64)
-        out = np.zeros((len(states), self.n_actions))
-        out[np.arange(len(states)), self._best[g]] = 1.0
+        g1, = self._columns(states, "biomarker=g1")
+        best = np.argmax(self.cfg.effects(), axis=1)[(g1 > 0.5).astype(np.int64)]
+        out = np.zeros((len(best), self.n_actions))
+        out[np.arange(len(best)), best] = 1.0
         return out
 
 
 def truth_policy(cfg, assembler: StateAssembler | None = None) -> _TruthBase:
-    if isinstance(cfg, ChronicSimConfig):
-        return ChronicTruthPolicy(cfg, assembler)
-    if isinstance(cfg, EpisodicSimConfig):
-        return EpisodicTruthPolicy(cfg, assembler)
-    raise SimError(f"no truth policy for {type(cfg).__name__}")
+    return _kind(cfg, "no truth policy for").truth(cfg, assembler)
 
 
 # ---------------------------------------------------------------------------
@@ -544,122 +569,67 @@ def monte_carlo_value(policy, cfg, n_rollouts: int,
                       state_config: StateConfig = StateConfig()):
     """On-policy mean return and its standard error under the generator.
 
-    States are assembled exactly as the data pipeline assembles them
-    (encoded covariates, previous-action one-hot, reward history aggregates)
-    so any policy usable on built datasets can be rolled out unchanged.
+    The rollouts run the generator's own loop under ``policy``, so their
+    states are assembled exactly as the data pipeline assembles them from a
+    cohort, and any policy usable on built datasets can be rolled out
+    unchanged. They draw from one stream per config seed: the start of every
+    rollout, then stage by stage the draws of the rollouts that reach it.
     """
+    if not is_integer(n_rollouts):
+        raise SimError(f"n_rollouts must be an integer, got {n_rollouts!r}")
     if n_rollouts < 2:
         raise SimError(f"n_rollouts must be >= 2, got {n_rollouts}")
-    if isinstance(cfg, ChronicSimConfig):
-        returns = _rollout_chronic(policy, cfg, n_rollouts, state_config)
-    elif isinstance(cfg, EpisodicSimConfig):
-        returns = _rollout_episodic(policy, cfg, n_rollouts, state_config)
-    else:
-        raise SimError(f"cannot roll out a {type(cfg).__name__}")
+    kind = _kind(cfg, "cannot roll out a")
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, MC_SALT]))
+    returns = kind.run(cfg, policy, state_config, *kind.rollouts(cfg, rng, n_rollouts)).returns
     value = float(returns.mean())
     se = float(returns.std(ddof=1) / np.sqrt(len(returns)))
     return value, se
 
 
-class _HistoryTracker:
-    """Maintains the reward-history aggregates the state assembler expects."""
-
-    def __init__(self, n: int):
-        self.prev_reward = np.zeros(n)
-        self.reward_sum = np.zeros(n)
-        self.switch_count = np.zeros(n)
-        self.mean_reward = np.zeros(n)
-        self._last_prev = np.full(n, NONE_ACTION, dtype=np.int64)
-
-    def update(self, actions, rewards, t: int):
-        """Record stage-t actions/rewards; call after assembling stage t."""
-        if t >= 2:
-            changed = actions != self._last_prev
-            self.switch_count = self.switch_count + changed
-        self._last_prev = actions.copy()
-        self.prev_reward = rewards.copy()
-        self.reward_sum = self.reward_sum + rewards
-        self.mean_reward = self.reward_sum / t
+def _chronic_rollouts(cfg: ChronicSimConfig, rng, n: int):
+    start = (*_chronic_start(cfg, rng, n),
+             cfg.confounder_scale * rng.standard_normal(n) if cfg.hidden_confounder
+             else np.zeros(n))
+    return start, lambda t, rows: (rng.random(len(rows)), rng.standard_normal(len(rows)))
 
 
-def _rollout_chronic(policy, cfg, n, state_config):
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, MC_SALT]))
-    asm = default_assembler(cfg, state_config)
-    lo, hi = cfg.horizon_range
-    T = rng.integers(lo, hi + 1, size=n)
-    g = rng.integers(2, size=n)
-    age = rng.uniform(35.0, 85.0, size=n)
-    idx = rng.uniform(20.0, 60.0, size=n)
-    confound = (cfg.confounder_scale * rng.standard_normal(n)
-                if cfg.hidden_confounder else np.zeros(n))
-    eff = cfg.effects()
-    ilo, ihi = cfg.index_range
-
-    prev = np.full(n, NONE_ACTION, dtype=np.int64)
-    tot = np.zeros(n, dtype=np.int64)
-    hist = _HistoryTracker(n)
-    returns = np.zeros(n)
-    for t in range(1, hi + 1):
-        active = T >= t
-        if not np.any(active):
-            break
-        na = int(active.sum())
-        onehot_g = np.zeros((na, 2))
-        onehot_g[np.arange(na), g[active]] = 1.0
-        cov = np.column_stack([
-            idx[active], age[active], tot[active].astype(np.float64), onehot_g
-        ])
-        states = asm.assemble_batch(cov, prev[active], hist.prev_reward[active],
-                                    hist.switch_count[active],
-                                    hist.mean_reward[active])
-        probs = policy.probabilities_batch(states, prev[active], np.full(na, t))
-        a = _sample_rows(probs, rng.random(na))
-        nxt = np.clip(idx[active] - eff[g[active], a] + cfg.drift + confound[active]
-                      + cfg.noise_scale * rng.standard_normal(na), ilo, ihi)
-        r = 10.0 - nxt
-        returns[active] += r
-
-        full_a = prev.copy()
-        full_r = np.zeros(n)
-        full_a[active] = a
-        full_r[active] = r
-        # finished patients keep stale aggregates; they are never queried again
-        hist.update(full_a, full_r, t)
-        tot[active] = np.where(a == prev[active], tot[active] + 1, 1)
-        prev[active] = a
-        idx[active] = nxt
-    return returns
+def _episodic_rollouts(cfg: EpisodicSimConfig, rng, n: int):
+    def draw(t, rows):
+        k = len(rows)
+        return (rng.random(k), rng.standard_normal(k), rng.standard_normal(k),
+                rng.random(k) if t == cfg.horizon else None)
+    return _episodic_start(cfg, rng, n), draw
 
 
-def _rollout_episodic(policy, cfg, n, state_config):
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, MC_SALT]))
-    asm = default_assembler(cfg, state_config)
-    H = cfg.horizon
-    frailty = np.clip(rng.normal(FRAILTY_CENTER, FRAILTY_SCALE, size=n), 0.0, 100.0)
-    sev = rng.uniform(30.0, 80.0, size=n)
-    vol = rng.uniform(20.0, 80.0, size=n)
+@dataclass(frozen=True)
+class _Kind:
+    """What each simulator brings to the functions that take any config."""
 
-    prev = np.full(n, NONE_ACTION, dtype=np.int64)
-    hist = _HistoryTracker(n)
-    msum = np.zeros(n)
-    for t in range(1, H + 1):
-        cov = np.column_stack([sev, vol, frailty])
-        states = asm.assemble_batch(cov, prev, hist.prev_reward,
-                                    hist.switch_count, hist.mean_reward)
-        probs = policy.probabilities_batch(states, prev, np.full(n, t))
-        a = _sample_rows(probs, rng.random(n))
-        m = _episodic_mismatch(cfg, sev, vol, a)
-        msum += m
-        f, _ = action_to_doses(a, cfg.dose_levels)
-        sev = np.clip(sev + cfg.sev_mismatch_coef * m + cfg.sev_drift
-                      + cfg.sev_noise * rng.standard_normal(n), 0.0, 100.0)
-        vol = np.clip(vol - cfg.vol_fluid_coef * f + cfg.vol_drift
-                      + cfg.vol_noise * rng.standard_normal(n), 0.0, 100.0)
-        hist.update(a, np.zeros(n), t)
-        prev = a
+    schema: object      # cfg -> FeatureSchema
+    truth: type         # its truth policy
+    horizon: object     # cfg -> the most stages a patient has
+    generate: object    # generate_chronic or generate_episodic
+    run: object         # its simulation loop
+    rollouts: object    # (cfg, rng, n) -> start and draws of n rollouts
 
-    survived = rng.random(n) < _survival_probability(cfg, msum, frailty)
-    return np.where(survived, 100.0, -100.0)
+
+_KINDS = {
+    ChronicSimConfig: _Kind(chronic_schema, ChronicTruthPolicy,
+                            lambda cfg: cfg.horizon_range[1], generate_chronic,
+                            _run_chronic, _chronic_rollouts),
+    EpisodicSimConfig: _Kind(episodic_schema, EpisodicTruthPolicy, lambda cfg: cfg.horizon,
+                             generate_episodic, _run_episodic, _episodic_rollouts),
+}
+
+
+def _kind(cfg, refusal: str) -> _Kind:
+    """The table entry of ``cfg``'s simulator; for any other object, a
+    :class:`SimError` that starts with ``refusal``."""
+    kind = _KINDS.get(type(cfg))
+    if kind is None:
+        raise SimError(f"{refusal} {type(cfg).__name__}")
+    return kind
 
 
 # ---------------------------------------------------------------------------
@@ -706,17 +676,12 @@ def simulate(cfg, each=None) -> Dataset | None:
     one), so it holds at most about ``PART_STEPS`` steps, and the blocks
     concatenate to the whole cohort bit for bit.
     """
-    if isinstance(cfg, ChronicSimConfig):
-        generate, horizon = generate_chronic, cfg.horizon_range[1]
-    elif isinstance(cfg, EpisodicSimConfig):
-        generate, horizon = generate_episodic, cfg.horizon
-    else:
-        raise SimError(f"cannot simulate a {type(cfg).__name__}")
+    kind = _kind(cfg, "cannot simulate a")
     if each is None:
-        return generate(cfg)
-    block = max(1, data.PART_STEPS // horizon)
+        return kind.generate(cfg)
+    block = max(1, data.PART_STEPS // kind.horizon(cfg))
     for first in range(0, cfg.n_patients, block):
-        each(generate(cfg, first, min(first + block, cfg.n_patients)))
+        each(kind.generate(cfg, first, min(first + block, cfg.n_patients)))
 
 
 def write_manifest(path, cfg) -> None:

@@ -243,9 +243,10 @@ def _fitting_set(X, y, n_classes):
     return X, y, n_classes
 
 
-# the most boundaries a node scores at once: a block's class counts are
-# (block, K) arrays, so they bound a node search's working set
-_BLOCK = 1024
+# the most (boundary, class) cells a node scores at once, 1,024 boundaries at
+# K=25: a block's class counts are (max(1, _BLOCK // K), K) arrays, so they
+# bound a node search's working set whatever K is
+_BLOCK = 25_600
 
 
 class SplitSearch:
@@ -265,11 +266,11 @@ class SplitSearch:
     and whose last row lists them in row order. Children get their rows by a
     stable partition of that matrix, so no node sorts.
 
-    A node scores its boundaries at most ``_BLOCK`` at a time: each block's
-    left class counts come from a running integer tally, and only the 1-D
-    scores are kept for every boundary. A node's working set is bounded by
-    the block size times K, not by its boundaries times K, and the scores
-    have the bits of one sweep over all of them.
+    A node scores its boundaries ``max(1, _BLOCK // K)`` at a time: each
+    block's left class counts come from a running integer tally, and only
+    the 1-D scores are kept for every boundary. A node's working set is
+    bounded by ``_BLOCK`` cells, not by its boundaries times K, and the
+    scores have the bits of one sweep over all of them.
 
     Trees with different min-leaf fractions pick the same split at most of
     the nodes they share, and a node's rows are fixed by its path from the
@@ -415,7 +416,7 @@ class SplitSearch:
     def _sorted_boundaries(self, order, counts, lo, hi, tail):
         """(sorted column, position) of each boundary between distinct sorted
         values at positions ``lo..hi``, and an iterator over their float64
-        left class counts, ``_BLOCK`` boundaries a block; ``tail`` (the
+        left class counts, ``_BLOCK // K`` boundaries a block; ``tail`` (the
         two-valued boundaries' counts) closes the last block."""
         S, m = order.shape
         flat = np.multiply(order, self.X.shape[1], dtype=np.int64)
@@ -442,7 +443,8 @@ class SplitSearch:
         return feat, pos, self._left_counts(run, at, feat, pos, m, counts, tail)
 
     def _left_counts(self, cells, runs, feat, pos, m, counts, tail):
-        """The sorted boundaries' left class counts, ``_BLOCK`` at a time.
+        """The sorted boundaries' left class counts, ``_BLOCK // K`` (at least
+        one) at a time.
 
         Boundary i ends the run ``runs[i]`` and sorted position ``pos[i]`` of
         column ``feat[i]``. A block tallies the (run, class) ``cells`` of its
@@ -450,9 +452,10 @@ class SplitSearch:
         exact in any block order. The runs before column s hold s * counts.
         """
         K = self.n_classes
+        step = max(1, _BLOCK // K)
         carry, first, begin = None, 0, 0
-        for start in range(0, len(runs), _BLOCK):
-            stop = min(start + _BLOCK, len(runs))
+        for start in range(0, len(runs), step):
+            stop = min(start + step, len(runs))
             last = int(runs[stop - 1])
             end = int(feat[stop - 1]) * m + int(pos[stop - 1]) + 1
             block = cells[begin:end]

@@ -4,7 +4,8 @@
 pins what is computed from them: policy values, weights and ESS under every
 model kind and both estimators, calibrated probabilities through the
 policies that read them, ``clinpol evaluate`` on a JSONL and a CSV cohort
-with every descriptor type, ``clinpol report``, and one on-policy rollout.
+with every descriptor type, ``clinpol report``, on-policy rollouts of both
+simulators, and the cohorts of simulator configs the golden files leave out.
 Failed repeats are pinned too: their ``failures.csv`` rows are output.
 
 A change that moves a digest names the digest, and why it moved, in its
@@ -17,10 +18,17 @@ import json
 import pytest
 
 from clinpol.cli import main
-from clinpol.data import load_dataset, save_dataset
+from clinpol.data import StateConfig, load_dataset, save_dataset
 from clinpol.harness import ExperimentConfig, load_bundle, run_experiment
 from clinpol.policies import build_policy
-from clinpol.sim import ChronicSimConfig, EpisodicSimConfig, monte_carlo_value
+from clinpol.sim import (
+    ChronicSimConfig,
+    EpisodicSimConfig,
+    generate_chronic,
+    generate_episodic,
+    monte_carlo_value,
+    truth_policy,
+)
 
 # the episodic cohort makes some repeats fail on support and some succeed
 SIMULATORS = {"chronic": ChronicSimConfig(n_patients=200, seed=11),
@@ -98,6 +106,38 @@ REPORT = "d00ede818d89df2c6664a4a1d743eb14e68c2425728ed47dcc1d94736e3123d5"
 
 MONTE_CARLO = "353c182bb7918d8655e611274b032c988742d145c11bd8ba468a4c648e0e6f59"
 
+# {case: SHA-256 of the repr of [(value, se) for each of ROLLOUT_COUNTS]} of
+# the rollouts in ``rollout``. An episodic return is +-100, so one (value, se)
+# pins only a survivor count; forty streams pin the survival draws.
+ROLLOUT_COUNTS = (*range(2, 42), 400)
+ROLLOUTS = {
+    "chronic-confounded-truth": "ac3e404380925864f2f8fb0db5d21d2b12c1191d7dae685be27744fda8f0b487",
+    "episodic-truth": "d48cab7a408ae6f5957fd1f59904e60891cbee2c374f18b7c4b6ca7985c3381b",
+    "episodic-mc": "fcef47619ed1f60598597426f4704a70a368805ed56ee2baa89aed8c2e72b469",
+}
+
+# {case: (generator, config, patients first:stop or None)}
+COHORTS = {
+    "chronic-k8-horizons-1-9-confounded": (
+        generate_chronic, ChronicSimConfig(n_patients=150, n_actions=8, horizon_range=(1, 9),
+                                           hidden_confounder=True, seed=29), None),
+    "episodic-3-levels-horizon-4": (
+        generate_episodic, EpisodicSimConfig(n_patients=150, dose_levels=3, horizon=4,
+                                             seed=31), None),
+    "chronic-patients-37-81": (generate_chronic, ChronicSimConfig(n_patients=100, seed=37),
+                               (37, 81)),
+}
+
+# {case: SHA-256 of the cohort's ids, offsets, covariates, actions and rewards}
+COHORT_DIGESTS = {
+    "chronic-k8-horizons-1-9-confounded":
+        "abf4615ad64034edad3c3d13d786daa930b3e8c94d54425fa6e6175a890de0d9",
+    "episodic-3-levels-horizon-4":
+        "00f16a214640c52695972590517da522e2bf3396e2b8caaa34d654d49980b9c2",
+    "chronic-patients-37-81":
+        "ebdc57b2c98fc2076dbbf9c790eceed716060ef3027b4959e90b0e0aa7ded053",
+}
+
 
 def sha256(path) -> str:
     with open(path, "rb") as fh:
@@ -110,6 +150,13 @@ def experiment_digests(kind, model, estimator, out_dir) -> dict:
                            n_candidates=3, policies=tuple(policies), estimator=estimator,
                            out_dir=str(out_dir), seed=5)
     return {name: sha256(path) for name, path in sorted(run_experiment(cfg).items())}
+
+
+def cohort_digest(ds) -> str:
+    h = hashlib.sha256("\n".join(ds.ids).encode())
+    for array in (ds.offsets, ds.covariates, ds.actions, ds.rewards):
+        h.update(array.tobytes())
+    return h.hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -162,3 +209,43 @@ def test_monte_carlo_value_keeps_its_bits(pipeline):
     value = monte_carlo_value(policy, ChronicSimConfig(n_patients=10, seed=21), 500,
                               state_config)
     assert hashlib.sha256(repr(value).encode()).hexdigest() == MONTE_CARLO
+
+
+@pytest.fixture(scope="module")
+def episodic_bundle(tmp_path_factory):
+    """A ``dtbls`` bundle fitted on a small episodic cohort (K=9)."""
+    tmp = tmp_path_factory.mktemp("episodic")
+    cohort, bundle = str(tmp / "cohort.jsonl"), str(tmp / "bundle.json")
+    sim, fit = tmp / "sim.json", tmp / "fit.json"
+    sim.write_text(json.dumps({"kind": "episodic",
+                               "config": {"n_patients": 200, "dose_levels": 3}}))
+    fit.write_text(json.dumps({"model": "dtbls", "n_candidates": 2}))
+    assert main(["simulate", "--config", str(sim), "--seed", "7", "--out", cohort]) == 0
+    assert main(["fit", cohort, "--config", str(fit), "--seed", "8", "--out", bundle]) == 0
+    return bundle
+
+
+def rollout(case, episodic_bundle):
+    """The (policy, config, state config) of a ``ROLLOUTS`` case."""
+    if case == "chronic-confounded-truth":
+        cfg = ChronicSimConfig(n_patients=10, hidden_confounder=True, seed=23)
+        return truth_policy(cfg), cfg, StateConfig()
+    cfg = EpisodicSimConfig(n_patients=10, dose_levels=3, seed=27)
+    if case == "episodic-truth":
+        return truth_policy(cfg), cfg, StateConfig()
+    model, _, state_config = load_bundle(episodic_bundle)
+    return build_policy({"type": "mc", "k": 2, "epsilon": 0.1}, model), cfg, state_config
+
+
+@pytest.mark.parametrize("case", ROLLOUTS)
+def test_rollouts_keep_their_bits(case, episodic_bundle):
+    policy, cfg, state_config = rollout(case, episodic_bundle)
+    values = [monte_carlo_value(policy, cfg, n, state_config) for n in ROLLOUT_COUNTS]
+    assert hashlib.sha256(repr(values).encode()).hexdigest() == ROLLOUTS[case]
+
+
+@pytest.mark.parametrize("case", COHORTS)
+def test_cohorts_keep_their_bits(case):
+    generate, cfg, patients = COHORTS[case]
+    ds = generate(cfg) if patients is None else generate(cfg, *patients)
+    assert cohort_digest(ds) == COHORT_DIGESTS[case]

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from clinpol import data
+from clinpol import data, sim
 from clinpol.data import StateConfig, build_states, impute_and_encode
 from clinpol.ope import importance_weights
 from clinpol.policies import RandomPolicy
@@ -117,6 +117,45 @@ def test_a_patient_range_must_be_a_non_empty_part_of_the_cohort(generate):
         with pytest.raises(SimError, match=re.escape(
                 f"patients {first}:{stop} are not a non-empty range of the cohort's 23")):
             generate(cfg, first, stop)
+
+
+# a chronic config whose patients stop at every stage from 1 to 9
+INVARIANT_CONFIGS = {
+    "chronic": ChronicSimConfig(n_patients=60, n_actions=8, horizon_range=(1, 9),
+                                hidden_confounder=True, seed=3),
+    "episodic": EpisodicSimConfig(n_patients=40, dose_levels=3, horizon=4, seed=4),
+}
+
+
+@pytest.mark.parametrize("kind", INVARIANT_CONFIGS)
+def test_generation_asks_the_truth_policy_about_the_pipeline_states(kind, monkeypatch):
+    """Generation is a rollout of the truth policy: the states it asks about
+    at stage t are, bit for bit, the states the data pipeline builds from the
+    cohort's stage-t steps, so rollouts and cohorts share one dynamics."""
+    cfg = INVARIANT_CONFIGS[kind]
+    asked = []
+    real = sim.truth_policy
+
+    def spy(cfg, assembler=None):
+        policy = real(cfg, assembler)
+        probabilities_batch = policy.probabilities_batch
+
+        def ask(states, prev_actions, stages, evaluation=None):
+            asked.append((states.copy(), np.array(prev_actions), np.array(stages)))
+            return probabilities_batch(states, prev_actions, stages, evaluation)
+        policy.probabilities_batch = ask
+        return policy
+
+    monkeypatch.setattr(sim, "truth_policy", spy)
+    cohort = simulate(cfg)
+    built = build_states(impute_and_encode(cohort))
+    assert len(asked) == built.stages.max()
+    assert set(np.diff(cohort.offsets)) >= ({1, 9} if kind == "chronic" else {4})
+    for t, (states, prev, stages) in enumerate(asked, start=1):
+        at = built.stages == t
+        assert states.shape == built.states[at].shape and np.all(stages == t)
+        assert states.tobytes() == built.states[at].tobytes(), t
+        assert prev.tobytes() == built.prev_actions[at].tobytes(), t
 
 
 def test_monte_carlo_value_is_deterministic():
@@ -368,6 +407,27 @@ def test_mc_requires_a_known_config_and_enough_rollouts():
         monte_carlo_value(RandomPolicy(4), cfg, 1)
     with pytest.raises(SimError, match="cannot roll out"):
         monte_carlo_value(RandomPolicy(4), object(), 100)
+
+
+@pytest.mark.parametrize("bad", [2.5, "5", 1e3, True, None])
+def test_mc_refuses_a_rollout_count_that_is_not_an_integer(bad):
+    with pytest.raises(SimError, match=re.escape(
+            f"n_rollouts must be an integer, got {bad!r}")):
+        monte_carlo_value(RandomPolicy(4), ChronicSimConfig(n_patients=10, seed=36), bad)
+
+
+def test_mc_takes_a_numpy_integer_rollout_count():
+    cfg = ChronicSimConfig(n_patients=10, seed=36)
+    assert (monte_carlo_value(RandomPolicy(4), cfg, np.int64(50))
+            == monte_carlo_value(RandomPolicy(4), cfg, 50))
+
+
+def test_any_config_function_refuses_an_unknown_config():
+    for call, refusal in ((simulate, "cannot simulate a"),
+                          (default_assembler, "no state layout for a"),
+                          (truth_policy, "no truth policy for")):
+        with pytest.raises(SimError, match=f"^{refusal} object$"):
+            call(object())
 
 
 def test_mc_respects_state_config_variants():

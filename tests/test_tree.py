@@ -656,7 +656,9 @@ def test_two_valued_cells_list_each_rows_rarer_values_in_column_order(n_classes)
     np.testing.assert_array_equal(search._cells, want)
 
 
-BLOCKS = (1, 2, 7, 10**9)
+# block budgets in (boundary, class) cells; at K=25, 50 and 175 cells are
+# blocks of 2 and 7 boundaries
+BLOCKS = (1, 2, 7, 50, 175, 10**9)
 
 
 def test_block_size_changes_no_tree_under_float_ties(monkeypatch):
