@@ -29,11 +29,18 @@ average, switching reads the treatment tree's per-action average.
 
 An :class:`Evaluation` evaluates a model once on one cohort; every target
 policy and every importance-weight denominator reads that one record.
+
+The ``fit_*`` functions fit one model. Given a :class:`TreeMemo`, as model
+selection gives them, they leave every component fit to it: the memo takes
+the fitting rows once, grows each component once per drawn min-leaf
+fraction, then cuts that tree at each candidate's depth and tallies the
+cut's leaf outcomes.
 """
 
 from __future__ import annotations
 
 import logging
+from contextlib import suppress
 from dataclasses import replace
 from functools import cached_property
 
@@ -47,7 +54,7 @@ from .calibration import (
 )
 from .data import NONE_ACTION, StepData
 from .checks import INT, OBJECT, member
-from .errors import ClinpolError
+from .errors import ClinpolError, remember
 from .tree import (
     DecisionTree,
     SplitSearch,
@@ -453,29 +460,25 @@ class Evaluation:
 # ---------------------------------------------------------------------------
 
 class TreeMemo:
-    """Deep component trees grown on one fitting set, for many candidates.
+    """Every component fit of one model selection: one fitting set, ``data``,
+    and many (max_depth, min_leaf_fraction) candidates.
 
-    Model selection fits the same component trees under many (max_depth,
-    min_leaf_fraction) candidates. Growth reads ``max_depth`` only as its stop
-    rule, so each component is grown once per fraction, to the deepest depth
-    drawn for it, and every candidate's tree is that tree truncated. Keys are
-    (component, min_leaf_fraction); a fit that raised raises the same error
-    for every later candidate with that fraction. A component's first request
-    grows its tree for every drawn fraction, so those fits can share one
-    :class:`SplitSearch` that lives no longer than they do. One memo serves
-    one fitting set: ``data`` is the :class:`StepData` passed to the fit calls.
+    The memo takes the components' fitting rows from ``data`` once
+    (:meth:`fitting_set`). Growth reads ``max_depth`` only as its stop rule,
+    so :meth:`cut` grows each component through ``fit_tree`` once per drawn
+    fraction, to the deepest depth drawn with it, cuts that tree at the
+    candidate's depth and tallies the cut's leaf outcomes through
+    ``attach_outcomes``. A component's first request grows it at every drawn
+    fraction, so those fits share one :class:`SplitSearch`, dropped once
+    they are grown. A step that raised a domain error raises it again for
+    every later candidate that needs it (:func:`~clinpol.errors.remember`).
 
-    The memo also keeps every cut it hands out, outcomes attached, keyed by
-    (component, hyperparameters), so a candidate drawn twice gets the same
-    tree object. Sharing is safe: tree queries are pure, and calibration
-    lives on the model, not on its trees. Likewise it keeps the components'
-    fitting rows, taken once from ``data`` (see :meth:`fitting_set`).
-
-    Each deep tree routes its fitting rows once, and the rows of
-    ``validation`` its component reads once; a cut reads its leaf ids from
-    those through :func:`~clinpol.tree.leaf_map`, which is exact because a
-    cut keeps every path. These arrays live as long as the memo, one model
-    selection.
+    Each cut is kept, keyed by (component, hyperparameters), so a candidate
+    drawn twice gets the same tree object: tree queries are pure, and
+    calibration lives on the model. Each deep tree routes its fitting rows,
+    and the rows of ``validation`` its component reads, once; a cut reads
+    its leaf ids from those through :func:`~clinpol.tree.leaf_map`, exact
+    because a cut keeps every path. These arrays live as long as the memo.
     """
 
     def __init__(self, data: StepData, candidates, validation: StepData | None = None):
@@ -486,9 +489,10 @@ class TreeMemo:
             first = self._deep.setdefault(hp.min_leaf_fraction, hp)
             if hp.max_depth > first.max_depth:
                 self._deep[hp.min_leaf_fraction] = replace(first, max_depth=hp.max_depth)
+        self._sets: dict[tuple, dict | ClinpolError] = {}
+        self._rows: dict[str, tuple] = {}  # component -> (rows, labels)
         self._grown: dict[tuple, DecisionTree | ClinpolError] = {}
         self.cuts: dict[tuple, DecisionTree] = {}
-        self._sets: dict[tuple, dict | ClinpolError] = {}
         self.validation = validation
         # (component, fraction, rows) -> leaf ids in the deep tree, where rows
         # is "fit" or a part of the validation rows (BehaviorModel._route)
@@ -496,44 +500,36 @@ class TreeMemo:
         # (component, hyperparameters) -> the cut's leaf_map
         self._maps: dict[tuple, np.ndarray] = {}
 
-    @property
-    def fractions(self) -> tuple:
-        return tuple(self._deep)
-
     def check(self, data: StepData) -> None:
         if data is not self.data:
             raise RuntimeError("tree memo used with a different fitting set")
 
-    def fitting_set(self, names: tuple) -> dict:
-        """The memoized :func:`_fitting_rows` of ``data``; a domain error it
-        raised is raised again on every later request, as a fresh take would."""
-        if names not in self._sets:
-            try:
-                self._sets[names] = _fitting_rows(self.data, names)
-            except ClinpolError as e:
-                self._sets[names] = e
-        found = self._sets[names]
-        if isinstance(found, ClinpolError):
-            raise found
-        return found
+    def fitting_set(self, names: tuple) -> None:
+        """Take the fitting rows of the components ``names`` from ``data``
+        (:func:`_fitting_rows`) for :meth:`cut`, once."""
+        self._rows.update(remember(self._sets, names, lambda: _fitting_rows(self.data, names)))
 
-    def deep_tree(self, component: str, hp: TreeHyperparams, grow) -> DecisionTree:
-        """The memoized deep tree ``grow(deep_hp)`` for ``hp``'s fraction."""
+    def _deep_tree(self, component: str, hp: TreeHyperparams) -> DecisionTree:
+        """The memoized deep tree of ``component`` for ``hp``'s fraction."""
         deep_hp = self._deep.get(hp.min_leaf_fraction)
         if deep_hp is None or hp.max_depth > deep_hp.max_depth:
             raise RuntimeError(f"tree memo grows no tree as deep as {hp}")
         key = (component, hp.min_leaf_fraction)
         if key not in self._grown:
+            rows, labels = self._rows[component]
+            n_classes = _n_classes(component, self.data.n_actions)
+            search = {}  # the one SplitSearch, or the domain error building it raised
+
+            def grow(deep_hp):
+                s = remember(search, component, lambda: SplitSearch(
+                    rows.states, labels, n_classes, tuple(self._deep)))
+                return fit_tree(s.X, s.y, deep_hp, n_classes=n_classes,
+                                feature_names=rows.feature_names, search=s)
+
             for f, deep_hp in self._deep.items():
-                try:
-                    tree = grow(deep_hp)
-                except ClinpolError as e:
-                    tree = e
-                self._grown[(component, f)] = tree
-        found = self._grown[key]
-        if isinstance(found, ClinpolError):
-            raise found
-        return found
+                with suppress(ClinpolError):  # kept, and raised on its own requests
+                    remember(self._grown, (component, f), lambda: grow(deep_hp))
+        return remember(self._grown, key, None)  # grown above; a kept error raises
 
     def _deep_leaves(self, component: str, hp: TreeHyperparams, part: str,
                      states, rows=None) -> np.ndarray:
@@ -545,17 +541,19 @@ class TreeMemo:
             self._routed[key] = _leaf_ids(deep, states, rows)
         return self._routed[key]
 
-    def cut(self, component: str, hp: TreeHyperparams, X, y, rewards, grow) -> DecisionTree:
-        """The memoized deep tree for ``hp`` (see :meth:`deep_tree`) cut at
-        ``hp.max_depth``, with the outcomes ``rewards`` of its fitting rows
-        ``X``, ``y`` attached."""
+    def cut(self, component: str, hp: TreeHyperparams) -> DecisionTree:
+        """``component``'s tree at ``hp``: its memoized deep tree cut at
+        ``hp.max_depth``, with the outcomes of its fitting rows attached.
+        Outcomes are tallied afresh on the fitting rows rather than summed
+        from cut children, which would reorder the float sums."""
         key = (component, hp)
         if key not in self.cuts:
-            deep = self.deep_tree(component, hp, grow)
+            deep = self._deep_tree(component, hp)
+            rows, labels = self._rows[component]
             to_cut = leaf_map(deep, hp.max_depth)
-            ids = to_cut[self._deep_leaves(component, hp, "fit", X)]
-            self.cuts[key] = attach_outcomes(truncate_tree(deep, hp.max_depth), X, y,
-                                             rewards, ids)
+            ids = to_cut[self._deep_leaves(component, hp, "fit", rows.states)]
+            self.cuts[key] = attach_outcomes(truncate_tree(deep, hp.max_depth), rows.states,
+                                             labels, rows.rewards, ids)
             self._maps[key] = to_cut
         return self.cuts[key]
 
@@ -572,29 +570,6 @@ class TreeMemo:
 
         first = v.stages == 1
         return model._route(v.states, np.flatnonzero(first), np.flatnonzero(~first), route)
-
-
-def _component_tree(component: str, X, y, rewards, hp: TreeHyperparams,
-                    n_classes: int, feature_names, memo: TreeMemo | None) -> DecisionTree:
-    """Grow (or look up) a component tree, cut it at ``hp`` and attach outcomes.
-
-    Without a memo this is one fit at ``hp`` itself. Outcomes are tallied
-    afresh on the fitting rows rather than summed from cut children, which
-    would reorder the float sums.
-    """
-    if memo is None:
-        tree = fit_tree(X, y, hp, n_classes=n_classes, feature_names=feature_names)
-        return attach_outcomes(tree, X, y, rewards)
-    search = None
-
-    def grow(deep_hp):
-        nonlocal search
-        if search is None:
-            search = SplitSearch(X, y, n_classes, memo.fractions)
-        return fit_tree(search.X, search.y, deep_hp, n_classes=n_classes,
-                        feature_names=feature_names, search=search)
-
-    return memo.cut(component, hp, X, y, rewards, grow)
 
 
 # the domain error for a component left with no fitting rows
@@ -625,17 +600,19 @@ def _fitting_rows(data: StepData, names: tuple) -> dict:
 def _fit(cls, data: StepData, hps: tuple, val: StepData | None,
          memo: TreeMemo | None) -> BehaviorModel:
     """A ``cls`` model with one tree per component, grown at ``hps`` in
-    :data:`COMPONENTS` order, then calibrated on ``val`` if given."""
-    if memo is not None:
-        memo.check(data)
+    :data:`COMPONENTS` order, outcomes attached, then calibrated on ``val``
+    if given. With a ``memo``, the memo makes each tree (:meth:`TreeMemo.cut`)."""
     names = COMPONENTS[cls.kind]
-    sets = _fitting_rows(data, names) if memo is None else memo.fitting_set(names)
-    trees = {}
-    for name, hp in zip(names, hps):
-        rows, labels = sets[name]
-        trees[name] = _component_tree(name, rows.states, labels, rows.rewards, hp,
-                                      _n_classes(name, data.n_actions),
-                                      rows.feature_names, memo)
+    if memo is None:
+        trees = {}
+        for (name, (rows, labels)), hp in zip(_fitting_rows(data, names).items(), hps):
+            tree = fit_tree(rows.states, labels, hp, n_classes=_n_classes(name, data.n_actions),
+                            feature_names=rows.feature_names)
+            trees[name] = attach_outcomes(tree, rows.states, labels, rows.rewards)
+    else:
+        memo.check(data)
+        memo.fitting_set(names)
+        trees = {name: memo.cut(name, hp) for name, hp in zip(names, hps)}
     model = cls(trees)
     if val is not None:
         model.calibrate(val)

@@ -677,12 +677,6 @@ def _save(ds: Dataset, path, first: Dataset | None, fmt: str) -> None:
         body(ds, fh)
 
 
-def save_jsonl(ds: Dataset, path) -> None:
-    """The header line ``{"schema":...,"K":...,"provenance":...}``, then one
-    line per trajectory. Refuses what :func:`save_dataset` refuses."""
-    _save(ds, path, None, "jsonl")
-
-
 def _jsonl_chunks(path, lines):
     """Chunks of the trajectory lines; line 1 is the header."""
     objs, linenos = [], []
@@ -752,18 +746,13 @@ def _not_utf8(path, exc: UnicodeDecodeError) -> ParseError:
     return ParseError(f"{path} line {lineno}: not UTF-8 text ({exc.reason})")
 
 
-def load_jsonl(path) -> Dataset:
+def _load_jsonl(path, n_actions=None, each=None):
     """A cohort from a UTF-8 JSONL file: a header line with an integer
     ``K``, then one trajectory a line. A broken type or shape rule, or a
     byte that is not UTF-8, is a ``ParseError`` naming the line, any other
-    broken rule a ``SchemaError``."""
-    return _load_jsonl(path)
-
-
-def _load_jsonl(path, n_actions=None, each=None):
-    """:func:`load_jsonl`, with ``n_actions`` in place of the header's K if
-    given (the header's is then not read), or with ``each`` the cohort in
-    parts (see :func:`_assemble`)."""
+    broken rule a ``SchemaError``. ``n_actions`` given, it stands in for the
+    header's K, which is then not read; ``each`` given, the cohort is handed
+    out in parts (see :func:`_assemble`)."""
     try:
         with open(path, encoding="utf-8") as fh:
             first = fh.readline()
@@ -784,12 +773,6 @@ def _load_jsonl(path, n_actions=None, each=None):
                              _jsonl_chunks(path, fh), str(header.get("provenance", "")), each)
     except UnicodeDecodeError as exc:
         raise _not_utf8(path, exc) from None
-
-
-def save_csv(ds: Dataset, path) -> None:
-    """A ``# {"K":...,"provenance":...}`` line, the header row, then one row
-    per step. Refuses what :func:`save_dataset` refuses."""
-    _save(ds, path, None, "csv")
 
 
 def load_csv(path, n_actions: int | None = None) -> Dataset:

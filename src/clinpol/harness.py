@@ -40,7 +40,7 @@ from .data import (
     load_dataset,
     split_dataset,
 )
-from .errors import ClinpolError
+from .errors import ClinpolError, remember
 from .metrics import auroc_macro, sce
 from .ope import ESTIMATORS, importance_weights, median_iqr
 from .policies import PolicyError, build_policy, check_descriptor
@@ -123,13 +123,14 @@ def select_model(train, validation, model_type: str, n_candidates: int,
     """Best-of-``n_candidates`` by validation AUROC, then calibrated.
 
     Ties keep the earliest sampled candidate (strict improvement replaces).
-    Candidates that fail with a domain error (a ``ClinpolError``) are
-    skipped; if every one fails the last failure is surfaced. Any other
-    exception is a bug and propagates.
+    Candidates that fail to fit or to score with a domain error (a
+    ``ClinpolError``) are skipped; if every one fails the last failure is
+    surfaced. Any other exception is a bug and propagates.
 
-    Each component tree is grown once per distinct min-leaf fraction among
-    the draws, to the deepest depth drawn with it, and each candidate's trees
-    are that tree truncated at the candidate's depth. This is exact: greedy
+    One :class:`~clinpol.behavior.TreeMemo` makes every candidate's component
+    trees. It grows each component once per distinct min-leaf fraction among
+    the draws, to the deepest depth drawn with it, cuts that tree at each
+    candidate's depth and tallies the cut's outcomes. This is exact: greedy
     growth reads ``max_depth`` only as its stop rule, so a shallower fit is
     the deeper one cut (see :func:`clinpol.tree.truncate_tree`). Each deep
     tree routes the fitting and validation rows once, and every cut of it
@@ -145,23 +146,16 @@ def select_model(train, validation, model_type: str, n_candidates: int,
     grid = grid or HyperparamGrid()
     candidates = sample_candidates(grid, n_candidates, seed)
     memo = TreeMemo(train, candidates, validation)
-    scored: dict[TreeHyperparams, float | ClinpolError] = {}
-    best = None
-    best_score = -math.inf
-    last_error = None
+    scores: dict[TreeHyperparams, float | ClinpolError] = {}
+    best, best_score, last_error = None, -math.inf, None
     for hp in candidates:
         try:
             model = fit_model(model_type, train, hp, memo=memo)
+            score = remember(scores, hp,
+                             lambda: _validation_score(model, validation, memo, hp))
         except ClinpolError as e:
             last_error = e
             log.warning("candidate %s failed: %s", hp, e)
-            continue
-        if hp not in scored:
-            scored[hp] = _validation_score(model, validation, memo, hp)
-        score = scored[hp]
-        if isinstance(score, ClinpolError):
-            last_error = score
-            log.warning("candidate %s failed: %s", hp, score)
             continue
         if score > best_score:
             best, best_score = model, score
@@ -173,19 +167,15 @@ def select_model(train, validation, model_type: str, n_candidates: int,
     return best.calibrate(validation)
 
 
-def _validation_score(model, validation, memo: TreeMemo,
-                      hp: TreeHyperparams) -> float | ClinpolError:
-    """Macro AUROC on the validation steps, or the error that leaves it
-    undefined; the model's trees read the validation leaf ids of ``memo``."""
-    try:
-        probs = model.action_probabilities_batch(
-            validation.states, validation.prev_actions, validation.stages,
-            leaves=memo.validation_leaves(model, hp))
-        score = auroc_macro(probs, validation.actions)
-    except ClinpolError as e:
-        return e
+def _validation_score(model, validation, memo: TreeMemo, hp: TreeHyperparams) -> float:
+    """Macro AUROC on the validation steps; the model's trees read the
+    validation leaf ids of ``memo``. A score left undefined raises."""
+    probs = model.action_probabilities_batch(
+        validation.states, validation.prev_actions, validation.stages,
+        leaves=memo.validation_leaves(model, hp))
+    score = auroc_macro(probs, validation.actions)
     if math.isnan(score):
-        return HarnessError("validation AUROC undefined: no class has both outcomes")
+        raise HarnessError("validation AUROC undefined: no class has both outcomes")
     return score
 
 
@@ -334,12 +324,14 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     missing seeds. Any other exception is a bug and propagates. Repeats are
     independent (per-repeat seeds derive from ``SeedSequence([master,
     repeat])``), so the sequential loop here could be parallelized without
-    changing any output.
+    changing any output. The output directory is made before the first
+    repeat runs, so one that cannot be made fails the run before any fit.
     """
     if cfg.dataset is not None:
         raw = load_dataset(cfg.dataset)
     else:
         raw = simulate(cfg.simulator)
+    os.makedirs(cfg.out_dir, exist_ok=True)
 
     rows: list[ReportRow] = []
     failures: list[tuple] = []
@@ -352,7 +344,6 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             log.warning("seed %d failed: %s", r, e)
             failures.append((r, f"{type(e).__name__}: {e}"))
 
-    os.makedirs(cfg.out_dir, exist_ok=True)
     paths = {name: os.path.join(cfg.out_dir, f"{name}.csv")
              for name in ("rows", "summary", "per_k", "per_p1", "failures")}
 

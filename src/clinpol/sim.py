@@ -24,9 +24,10 @@ Each simulator's dynamics are written once, as a loop that steps patients
 under any policy on states assembled as the data pipeline assembles them,
 with random draws its caller supplies. Generating a cohort is a rollout of
 the truth policy under per-patient streams; ``monte_carlo_value`` rolls out
-any policy, fitted-model ones included, under one stream per config seed. A
-table keyed by config class gives the functions that take any config their
-simulator's schema, truth policy, generator and loop.
+any policy, fitted-model ones included, under one stream per config seed,
+and keeps only the history its states need, not the step arrays a cohort
+hands out. A table keyed by config class gives the functions that take any
+config their simulator's schema, truth policy, generator and loop.
 
 Determinism: every patient draws from ``SeedSequence([seed, patient_index])``
 with a fixed draw order, and every step after the draws works row by row, so
@@ -100,30 +101,24 @@ def _streams(cfg, patients: range):
         yield row, np.random.default_rng(np.random.SeedSequence([cfg.seed, i]))
 
 
-class _Steps:
-    """What a simulation loop records: the (n, H) step arrays of its patients
-    and the history their next states carry, built as ``data.build_states``
-    builds it from the stored steps (previous action and reward, switch count,
-    running mean of the rewards so far)."""
+class _History:
+    """The history a simulated patient's next state carries, built as
+    ``data.build_states`` builds it from the stored steps (previous action and
+    reward, switch count, running mean of the rewards so far). A rollout
+    that needs only the returns records this and no more."""
 
-    def __init__(self, cfg, state_config: StateConfig, T: np.ndarray, H: int):
+    def __init__(self, cfg, state_config: StateConfig, n: int):
         self.schema = _KINDS[type(cfg)].schema(cfg)
         self.asm = default_assembler(cfg, state_config)
-        n = len(T)
-        self.T = T
-        self.features = np.zeros((n, H, len(self.schema)))
-        self.actions = np.zeros((n, H), dtype=np.int64)
-        self.rewards = np.zeros((n, H))
         self.prev = np.full(n, NONE_ACTION, dtype=np.int64)
         self.prev_reward = np.zeros(n)
         self.switches = np.zeros(n)
         self.returns = np.zeros(n)  # rewards so far, summed in stage order
 
     def act(self, policy, t: int, rows, raw, u) -> np.ndarray:
-        """Record the stage-t covariates ``raw`` of ``rows`` (categorical ones
-        as category indices) and draw their actions from ``policy``, one
-        uniform of ``u`` each."""
-        self.features[rows, t - 1] = raw
+        """Draw the stage-t actions of ``rows``, whose covariates are ``raw``
+        (categorical ones as category indices), from ``policy``, one uniform
+        of ``u`` each."""
         encoded = [raw[:, [j]] if f.kind != CATEGORICAL
                    else raw[:, [j]] == np.arange(len(f.categories))
                    for j, f in enumerate(self.schema)]
@@ -131,9 +126,7 @@ class _Steps:
         states = self.asm.assemble_batch(np.hstack(encoded), prev, self.prev_reward[rows],
                                          self.switches[rows],
                                          self.returns[rows] / max(t - 1, 1))
-        a = _sample_rows(policy.probabilities_batch(states, prev, np.full(len(rows), t)), u)
-        self.actions[rows, t - 1] = a
-        return a
+        return _sample_rows(policy.probabilities_batch(states, prev, np.full(len(rows), t)), u)
 
     def record(self, t: int, rows, a, r) -> None:
         """Record the stage-t actions ``a`` and rewards ``r`` of ``rows``."""
@@ -142,6 +135,27 @@ class _Steps:
         self.prev[rows] = a
         self.prev_reward[rows] = r
         self.returns[rows] += r
+
+
+class _Steps(_History):
+    """A :class:`_History` that also keeps the (n, H) step arrays of its
+    patients, whose horizons are ``T``, for :func:`_cohort` to hand out."""
+
+    def __init__(self, cfg, T: np.ndarray, H: int):
+        super().__init__(cfg, StateConfig(), len(T))
+        self.T = T
+        self.features = np.zeros((len(T), H, len(self.schema)))
+        self.actions = np.zeros((len(T), H), dtype=np.int64)
+        self.rewards = np.zeros((len(T), H))
+
+    def act(self, policy, t: int, rows, raw, u) -> np.ndarray:
+        self.features[rows, t - 1] = raw
+        a = super().act(policy, t, rows, raw, u)
+        self.actions[rows, t - 1] = a
+        return a
+
+    def record(self, t: int, rows, a, r) -> None:
+        super().record(t, rows, a, r)
         self.rewards[rows, t - 1] = r
 
 
@@ -297,21 +311,20 @@ def _chronic_start(cfg: ChronicSimConfig, rng, size=None):
             rng.uniform(35.0, 85.0, size=size), rng.uniform(20.0, 60.0, size=size))
 
 
-def _run_chronic(cfg: ChronicSimConfig, policy, state_config: StateConfig, start,
-                 draw) -> _Steps:
+def _run_chronic(cfg: ChronicSimConfig, policy, steps: _History, start, draw) -> _History:
     """Step the patients of ``start`` (horizons, subgroups, ages, initial
-    indices, confounder shifts) to their horizons under ``policy``.
+    indices, confounder shifts) to their horizons under ``policy``, recording
+    into ``steps``.
 
     ``draw(t, rows)`` gives the stage-t action uniforms and index noise of
     ``rows``, the patients whose horizon reaches t.
     """
     T, g, age, idx, confound = start
-    steps = _Steps(cfg, state_config, T, cfg.horizon_range[1])
     eff = cfg.effects()
     ilo, ihi = cfg.index_range
     tot = np.zeros(len(T))
     for t in range(1, cfg.horizon_range[1] + 1):
-        rows = np.flatnonzero(steps.T >= t)  # the patients that reach stage t
+        rows = np.flatnonzero(T >= t)  # the patients that reach stage t
         u, z = draw(t, rows)
         a = steps.act(policy, t, rows,
                       np.column_stack([idx[rows], age[rows], tot[rows], g[rows]]), u)
@@ -341,7 +354,7 @@ def generate_chronic(cfg: ChronicSimConfig, first: int = 0,
         Z[row] = rng.standard_normal(H)
         if cfg.hidden_confounder:
             confound[row] = cfg.confounder_scale * rng.standard_normal()
-    steps = _run_chronic(cfg, truth_policy(cfg), StateConfig(), (T, g, age, idx, confound),
+    steps = _run_chronic(cfg, truth_policy(cfg), _Steps(cfg, T, H), (T, g, age, idx, confound),
                          lambda t, rows: (U[rows, t - 1], Z[rows, t - 1]))
     return _cohort(cfg, patients, steps)
 
@@ -436,17 +449,15 @@ def _episodic_start(cfg: EpisodicSimConfig, rng, size=None):
             rng.uniform(30.0, 80.0, size=size), rng.uniform(20.0, 80.0, size=size))
 
 
-def _run_episodic(cfg: EpisodicSimConfig, policy, state_config: StateConfig, start,
-                  draw) -> _Steps:
+def _run_episodic(cfg: EpisodicSimConfig, policy, steps: _History, start, draw) -> _History:
     """Step the patients of ``start`` (frailties, initial severities and
-    volumes) through the horizon under ``policy``.
+    volumes) through the horizon under ``policy``, recording into ``steps``.
 
     ``draw(t, rows)`` gives the stage-t action uniforms, severity noise,
     volume noise and, at the last stage only (None before), survival uniforms.
     """
     frailty, sev, vol = start
     H = cfg.horizon
-    steps = _Steps(cfg, state_config, np.full(len(frailty), H), H)
     msum = np.zeros(len(frailty))
     rows = np.arange(len(frailty))  # every patient reaches every stage
     for t in range(1, H + 1):
@@ -482,7 +493,8 @@ def generate_episodic(cfg: EpisodicSimConfig, first: int = 0,
         U[row] = rng.random(H)
         Z[row] = rng.standard_normal((H, 2))
         u_surv[row] = rng.random()
-    steps = _run_episodic(cfg, truth_policy(cfg), StateConfig(), (frailty, sev, vol),
+    steps = _run_episodic(cfg, truth_policy(cfg), _Steps(cfg, np.full(n, H), H),
+                          (frailty, sev, vol),
                           lambda t, rows: (U[rows, t - 1], Z[rows, t - 1, 0],
                                            Z[rows, t - 1, 1],
                                            u_surv[rows] if t == H else None))
@@ -581,7 +593,9 @@ def monte_carlo_value(policy, cfg, n_rollouts: int,
         raise SimError(f"n_rollouts must be >= 2, got {n_rollouts}")
     kind = _kind(cfg, "cannot roll out a")
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, MC_SALT]))
-    returns = kind.run(cfg, policy, state_config, *kind.rollouts(cfg, rng, n_rollouts)).returns
+    start, draw = kind.rollouts(cfg, rng, n_rollouts)
+    returns = kind.run(cfg, policy, _History(cfg, state_config, n_rollouts), start,
+                       draw).returns
     value = float(returns.mean())
     se = float(returns.std(ddof=1) / np.sqrt(len(returns)))
     return value, se
@@ -610,7 +624,7 @@ class _Kind:
     truth: type         # its truth policy
     horizon: object     # cfg -> the most stages a patient has
     generate: object    # generate_chronic or generate_episodic
-    run: object         # its simulation loop
+    run: object         # its simulation loop, recording into a _History
     rollouts: object    # (cfg, rng, n) -> start and draws of n rollouts
 
 

@@ -601,20 +601,44 @@ def test_memo_raises_a_degenerate_switch_set_on_every_draw(cohort, message):
             fit_dts(data, hp, hp, memo=memo)
 
 
-def test_memo_replays_a_failed_deep_fit_for_every_candidate():
+def test_memo_replays_a_failed_deep_fit_for_every_candidate(monkeypatch):
     data = make_cohort(7, n_traj=20)
     cands = [TreeHyperparams(max_depth=d, min_leaf_fraction=0.02) for d in (2, 6)]
     memo = TreeMemo(data, cands)
     grown = []
 
-    def grow(hp):
+    def failing_fit_tree(X, y, hp, **kwargs):
         grown.append(hp)
         raise TreeError("cannot grow")
 
+    monkeypatch.setattr(behavior, "fit_tree", failing_fit_tree)
     for hp in cands:
         with pytest.raises(TreeError, match="cannot grow"):
-            memo.deep_tree("tree", hp, grow)
+            fit_dt(data, hp, memo=memo)
     assert grown == [TreeHyperparams(max_depth=6, min_leaf_fraction=0.02)]
+
+
+def test_memo_fails_every_candidate_of_a_nan_fitting_set_with_one_error(monkeypatch):
+    data = make_cohort(7, n_traj=20)
+    data.states[5, 1] = np.nan
+    cands = [TreeHyperparams(max_depth=d, min_leaf_fraction=f)
+             for d, f in ((2, 0.02), (6, 0.05), (3, 0.02), (4, 0.01))]
+    built = []
+    real_init = tree.SplitSearch.__init__
+
+    def counted_init(self, *args):
+        built.append(self)
+        real_init(self, *args)
+
+    monkeypatch.setattr(tree.SplitSearch, "__init__", counted_init)
+    memo = TreeMemo(data, cands)
+    errors = []
+    for hp in cands:
+        with pytest.raises(TreeError, match="feature 1 holds NaN") as info:
+            fit_dt(data, hp, memo=memo)
+        errors.append(info.value)
+    assert all(e is errors[0] for e in errors)
+    assert len(built) == 1
 
 
 def test_memo_hands_a_drawn_cell_the_same_cut_trees():
@@ -663,16 +687,17 @@ def test_memo_raises_a_failed_fraction_for_each_of_its_candidates(monkeypatch):
     assert len(grown) == 2
 
 
-def test_memo_lets_a_bare_value_error_propagate():
+def test_memo_lets_a_bare_value_error_propagate(monkeypatch):
     data = make_cohort(7, n_traj=20)
     hp = TreeHyperparams(max_depth=3, min_leaf_fraction=0.02)
     memo = TreeMemo(data, [hp])
 
-    def grow(deep_hp):
+    def broken_fit_tree(X, y, deep_hp, **kwargs):
         raise ValueError("operands could not be broadcast together")
 
+    monkeypatch.setattr(behavior, "fit_tree", broken_fit_tree)
     with pytest.raises(ValueError, match="broadcast") as info:
-        memo.deep_tree("tree", hp, grow)
+        fit_dt(data, hp, memo=memo)
     assert not isinstance(info.value, ClinpolError)
 
 

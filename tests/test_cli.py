@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from clinpol import cli, data
+from clinpol import cli, data, harness
 from clinpol.cli import main
 from clinpol.data import load_dataset, save_dataset
 from clinpol.errors import ClinpolError
@@ -157,6 +157,19 @@ def test_experiment_subcommand_is_deterministic(tmp_path):
             (tmp_path / "runB" / f"{name}.csv").read_bytes()
     rows = read_rows(tmp_path / "runA" / "rows.csv")
     assert {r["policy"] for r in rows} == {"behavior", "mc"}
+
+
+def test_experiment_refuses_an_output_directory_under_a_file(tmp_path, capsys, monkeypatch):
+    fitted, real_select = [], harness.select_model
+    monkeypatch.setattr(harness, "select_model",
+                        lambda *args: fitted.append(args) or real_select(*args))
+    cfg_path = write_json(tmp_path / "exp.json", {
+        "simulator": {"kind": "chronic", "config": {"n_patients": 100, "seed": 2}},
+        "n_repeats": 3, "n_candidates": 2, "policies": [{"type": "behavior"}]})
+    (tmp_path / "file").write_text("")
+    expect_error(capsys, ["experiment", "--config", cfg_path,
+                          "--out", str(tmp_path / "file" / "run")], "Not a directory")
+    assert fitted == []
 
 
 # ---------------------------------------------------------------------------

@@ -35,10 +35,7 @@ from clinpol.data import (
     impute_and_encode,
     load_csv,
     load_dataset,
-    load_jsonl,
-    save_csv,
     save_dataset,
-    save_jsonl,
     split_dataset,
 )
 
@@ -166,8 +163,8 @@ def test_take_selects_whole_trajectories_in_order():
 def test_jsonl_round_trip_exact(tmp_path):
     ds = tiny_dataset()
     path = tmp_path / "d.jsonl"
-    save_jsonl(ds, path)
-    back = load_jsonl(path)
+    save_dataset(ds, path)
+    back = load_dataset(path)
     assert back == ds
 
 
@@ -178,7 +175,7 @@ def test_jsonl_action_outside_header_k_is_schema_error(tmp_path):
         '{"id":"p0","steps":[{"features":{"sev":1.0},"action":5,"reward":0.0}]}\n'
     )
     with pytest.raises(SchemaError, match=r"action 5"):
-        load_jsonl(path)
+        load_dataset(path)
 
 
 def test_jsonl_malformed_line_names_line_number(tmp_path):
@@ -189,7 +186,7 @@ def test_jsonl_malformed_line_names_line_number(tmp_path):
         "{this is not json\n"
     )
     with pytest.raises(ParseError, match="line 3"):
-        load_jsonl(path)
+        load_dataset(path)
 
 
 def test_jsonl_missing_reward_truncates_trajectory(tmp_path):
@@ -201,7 +198,7 @@ def test_jsonl_missing_reward_truncates_trajectory(tmp_path):
         '{"features":{"sev":2.0},"action":1,"reward":null},'
         '{"features":{"sev":3.0},"action":1,"reward":4.0}]}\n'
     )
-    ds = load_jsonl(path)
+    ds = load_dataset(path)
     assert len(ds) == 1
     assert ds.offsets.tolist() == [0, 1]
     assert ds.rewards.tolist() == [2.0]
@@ -214,7 +211,7 @@ def test_jsonl_first_step_missing_reward_drops_trajectory(tmp_path):
         '{"id":"p0","steps":[{"features":{"sev":1.0},"action":0,"reward":null}]}\n'
         '{"id":"p1","steps":[{"features":{"sev":1.0},"action":0,"reward":1.0}]}\n'
     )
-    ds = load_jsonl(path)
+    ds = load_dataset(path)
     assert ds.ids == ["p1"]
 
 
@@ -228,7 +225,7 @@ def test_jsonl_non_finite_numeric_is_schema_error(tmp_path, token):
         + '{"features":{"sev":%s},"action":1,"reward":0.0}]}\n' % token
     )
     with pytest.raises(SchemaError, match="trajectory 'p1' step 2: numeric feature 'sev'"):
-        load_jsonl(path)
+        load_dataset(path)
 
 
 def test_jsonl_integer_numerics_read_back_as_floats(tmp_path):
@@ -237,7 +234,7 @@ def test_jsonl_integer_numerics_read_back_as_floats(tmp_path):
         JSONL_HEADER + '{"id":"p0","steps":[{"features":{"sev":3},"action":0,"reward":1}]}\n'
     )
     again = tmp_path / "again.jsonl"
-    save_jsonl(load_jsonl(path), again)
+    save_dataset(load_dataset(path), again)
     assert again.read_text().splitlines()[1] == (
         '{"id":"p0","steps":[{"features":{"sev":3.0},"action":0,"reward":1.0}]}'
     )
@@ -250,7 +247,7 @@ def test_jsonl_explicit_empty_trajectory_is_error(tmp_path):
         '{"id":"p0","steps":[]}\n'
     )
     with pytest.raises(SchemaError, match="empty trajectory"):
-        load_jsonl(path)
+        load_dataset(path)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +284,7 @@ OK_STEP = '{"features":{"sev":1.0},"action":1,"reward":0.5}'
 def test_jsonl_type_errors_name_the_line_trajectory_and_step(tmp_path, step, message):
     path = write_steps(tmp_path, OK_STEP, step)
     with pytest.raises(ParseError, match=rf"d.jsonl line 2: trajectory 'p0' step 2: {message}"):
-        load_jsonl(path)
+        load_dataset(path)
 
 
 def test_jsonl_type_errors_hold_after_a_missing_reward(tmp_path):
@@ -295,7 +292,7 @@ def test_jsonl_type_errors_hold_after_a_missing_reward(tmp_path):
     path = write_steps(tmp_path, '{"features":{"sev":1.0},"action":1,"reward":null}',
                        '{"features":{"sev":1.0},"action":"1","reward":0.5}')
     with pytest.raises(ParseError, match="line 2: trajectory 'p0' step 2: action '1'"):
-        load_jsonl(path)
+        load_dataset(path)
 
 
 def load_steps(reader, tmp_path, steps):
@@ -307,7 +304,7 @@ def load_steps(reader, tmp_path, steps):
     if reader == "jsonl":
         path.write_text(JSONL_HEADER + json.dumps({"id": "p0", "steps": [
             {"features": f, "action": a, "reward": r} for f, a, r in steps]}) + "\n")
-        return load_jsonl(path)
+        return load_dataset(path)
     path.write_text('# {"K":2}\nid,t,action,reward,sev\n' + "".join(
         f"p0,{t},{a},{'' if r is None else r},{f['sev']}\n"
         for t, (f, a, r) in enumerate(steps, start=1)))
@@ -341,7 +338,7 @@ def test_jsonl_integer_feature_too_large_for_a_float_is_schema_error(tmp_path):
                        % ("9" * 400))
     with pytest.raises(SchemaError, match="trajectory 'p0' step 2: numeric feature 'sev' is an "
                                           "integer too large for a float"):
-        load_jsonl(path)
+        load_dataset(path)
 
 
 @pytest.mark.parametrize("step", [
@@ -354,20 +351,20 @@ def test_jsonl_integer_feature_too_large_for_a_float_is_schema_error(tmp_path):
 ])
 def test_jsonl_malformed_steps_keep_their_message(tmp_path, step):
     with pytest.raises(ParseError, match=r"^\S*d.jsonl line 2: malformed step in 'p0'$"):
-        load_jsonl(write_steps(tmp_path, OK_STEP, step))
+        load_dataset(write_steps(tmp_path, OK_STEP, step))
 
 
 def test_jsonl_header_k_that_is_no_integer_is_parse_error(tmp_path):
     path = tmp_path / "d.jsonl"
     path.write_text(JSONL_HEADER.replace('"K":2', '"K":"two"'))
     with pytest.raises(ParseError, match="line 1: K is 'two', not an integer"):
-        load_jsonl(path)
+        load_dataset(path)
     # the CSV meta line's K follows the same rule, on the line it stands
     for k, shown in (('2.7', "2.7"), ('"3"', "'3'"), ('true', "True"), ('[2]', "[2]"),
                      ('"two"', "'two'"), ('1e400', "inf")):
         path.write_text(JSONL_HEADER.replace('"K":2', f'"K":{k}'))
         with pytest.raises(ParseError, match=re.escape(f"d.jsonl line 1: K is {shown}, not an")):
-            load_jsonl(path)
+            load_dataset(path)
         csv_path = tmp_path / "d.csv"
         csv_path.write_text(f'# note\n# {{"K":{k}}}\nid,t,action,reward,sev\np0,1,0,1.0,3.0\n')
         with pytest.raises(ParseError, match=re.escape(f"d.csv line 2: K is {shown}, not an")):
@@ -375,7 +372,7 @@ def test_jsonl_header_k_that_is_no_integer_is_parse_error(tmp_path):
     for k in ("1" + "0" * 400, "1"):  # integers, but no K
         path.write_text(JSONL_HEADER.replace('"K":2', f'"K":{k}'))
         with pytest.raises(SchemaError, match="K "):
-            load_jsonl(path)
+            load_dataset(path)
 
 
 def test_a_byte_that_is_not_utf8_is_a_parse_error_naming_file_and_line(tmp_path):
@@ -384,7 +381,7 @@ def test_a_byte_that_is_not_utf8_is_a_parse_error_naming_file_and_line(tmp_path)
     path.write_bytes(JSONL_HEADER.encode() + b'{"id":"a","steps":[' + step + b']}\n'
                      + b'{"id":"p\xe9","steps":[' + step + b']}\n')
     with pytest.raises(ParseError, match=r"d\.jsonl line 3: not UTF-8 text"):
-        load_jsonl(path)
+        load_dataset(path)
     csv_path = tmp_path / "d.csv"
     csv_path.write_bytes(b'# {"K":2}\nid,t,action,reward,sev\np\xe9,1,0,1.0,3.0\n')
     with pytest.raises(ParseError, match=r"d\.csv line 3: not UTF-8 text"):
@@ -392,21 +389,21 @@ def test_a_byte_that_is_not_utf8_is_a_parse_error_naming_file_and_line(tmp_path)
     # UTF-8 text, non-ASCII included, loads in either format
     ds = from_records(FeatureSchema((Feature("sev"),)), 2,
                       [("pé", [({"sev": 1.0}, 0, 1.0)])])
-    for save, load, name in ((save_jsonl, load_jsonl, "u.jsonl"), (save_csv, load_csv, "u.csv")):
-        save(ds, tmp_path / name)
-        assert load(tmp_path / name).ids == ["pé"]
+    for name in ("u.jsonl", "u.csv"):
+        save_dataset(ds, tmp_path / name)
+        assert load_dataset(tmp_path / name).ids == ["pé"]
 
 
 def test_jsonl_integer_of_too_many_digits_is_parse_error(tmp_path):
     path = write_steps(tmp_path, '{"features":{"sev":1%s},"action":1,"reward":0.5}' % ("0" * 5000))
     with pytest.raises(ParseError, match="line 2: Exceeds the limit"):
-        load_jsonl(path)
+        load_dataset(path)
 
 
 @pytest.mark.parametrize("line", ['{"steps":[]}', '[1,2]', '"p0"'])
 def test_jsonl_line_without_id_and_steps_is_parse_error(tmp_path, line):
     with pytest.raises(ParseError, match="line 2: trajectory needs 'id' and 'steps'"):
-        load_jsonl(write_steps(tmp_path, line_two=line))
+        load_dataset(write_steps(tmp_path, line_two=line))
 
 
 @pytest.mark.parametrize("step, message", [
@@ -660,7 +657,7 @@ def test_columnar_loader_equals_the_record_by_record_reference(tmp_path, caplog,
     schema = FeatureSchema.from_json(RANDOM_HEADER["schema"])
     want, want_logs = reference_load(schema, 3, lines)
     assert want_logs and want.n_steps > LOAD_CHUNK  # cuts and drops happen, over many chunks
-    for load in (lambda: load_jsonl(path),
+    for load in (lambda: load_dataset(path),
                  lambda: from_records(schema, 3, records_of(lines), provenance="random")):
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="clinpol.data"):
@@ -677,7 +674,7 @@ def test_first_errors_and_logs_equal_a_record_by_record_oracle(tmp_path, caplog,
     path = tmp_path / "d.jsonl"
     path.write_text("\n".join([json.dumps(RANDOM_HEADER)] + lines) + "\n")
     schema = FeatureSchema.from_json(RANDOM_HEADER["schema"])
-    loads = [(str(path), lambda: load_jsonl(path))]
+    loads = [(str(path), lambda: load_dataset(path))]
     if not set(faults) & set(JSON_ONLY_FAULTS):
         loads.append((None, lambda: from_records(schema, 3, records_of(lines))))
     for where, load in loads:
@@ -723,7 +720,7 @@ def test_every_mutation_of_an_input_loads_or_raises_a_clinpol_error(tmp_path):
 
     def read_jsonl(doc):
         jsonl.write_text("".join(json.dumps(obj) + "\n" for obj in doc))
-        return load_jsonl(jsonl)
+        return load_dataset(jsonl)
 
     def read_csv(meta, rows):
         with open(csv_path, "w", newline="") as fh:
@@ -767,14 +764,14 @@ def test_a_bad_row_in_a_later_chunk_raises_its_own_error(tmp_path):
         late: '{"id":"bad","steps":[{"features":{"sev":1.0},"action":0,"reward":1.0},'
               '{"features":{"sev":1.0},"action":2,"reward":1.0}]}'})
     with pytest.raises(SchemaError, match=r"^trajectory 'bad' step 2: action 2 outside \[0, 2\)$"):
-        load_jsonl(path)
+        load_dataset(path)
 
 
 def test_a_duplicate_id_across_chunks_is_schema_error(tmp_path):
     path = chunked_file(tmp_path, 3 * LOAD_CHUNK, {
         2 * LOAD_CHUNK + 1: '{"id":"p3","steps":[{"features":{},"action":0,"reward":1.0}]}'})
     with pytest.raises(SchemaError, match=r"^duplicate trajectory id 'p3'$"):
-        load_jsonl(path)
+        load_dataset(path)
 
 
 def test_the_first_error_of_a_chunk_wins_and_logs_stop_there(tmp_path, caplog):
@@ -788,7 +785,7 @@ def test_the_first_error_of_a_chunk_wins_and_logs_stop_there(tmp_path, caplog):
     })
     with caplog.at_level(logging.DEBUG, logger="clinpol.data"):
         with pytest.raises(SchemaError, match=r"^duplicate trajectory id 'p0'$"):
-            load_jsonl(path)
+            load_dataset(path)
     assert [r.getMessage() for r in caplog.records] == [
         f"trajectory 'p{LOAD_CHUNK + 1}' dropped: reward missing at first step"]
 
@@ -798,10 +795,10 @@ def test_a_json_error_comes_after_the_errors_of_earlier_lines(tmp_path):
         4: '{"id":"p4","steps":[{"features":{"sev":"high"},"action":0,"reward":1.0}]}',
         6: "{not json"})
     with pytest.raises(SchemaError, match="trajectory 'p4' step 1: numeric feature 'sev' holds str"):
-        load_jsonl(path)
+        load_dataset(path)
     path = chunked_file(tmp_path, 10, {6: "{not json"})
     with pytest.raises(ParseError, match="line 8"):
-        load_jsonl(path)
+        load_dataset(path)
 
 
 # ---------------------------------------------------------------------------
@@ -866,7 +863,7 @@ def test_a_part_whose_trajectories_are_all_dropped_is_skipped(tmp_path, monkeypa
         parts = parts_of(path, monkeypatch, 1, chunk=3)
     assert [part.ids for part in parts] == [["p0", "p1", "p2"], ["p6", "p7", "p8"]]
     assert len(caplog.records) == 3
-    assert concatenated(parts) == load_jsonl(path)
+    assert concatenated(parts) == load_dataset(path)
 
 
 def test_a_cut_trajectory_stays_whole_in_its_part(tmp_path, monkeypatch):
@@ -876,7 +873,7 @@ def test_a_cut_trajectory_stays_whole_in_its_part(tmp_path, monkeypatch):
     path = chunked_file(tmp_path, 9, {4: cut})
     parts = parts_of(path, monkeypatch, 1, chunk=3)
     assert [part.lengths.tolist() for part in parts] == [[1, 1, 1], [1, 2, 1], [1, 1, 1]]
-    assert concatenated(parts) == load_jsonl(path)
+    assert concatenated(parts) == load_dataset(path)
 
 
 def test_a_duplicate_of_an_id_in_an_earlier_part_is_the_same_schema_error(tmp_path,
@@ -884,7 +881,7 @@ def test_a_duplicate_of_an_id_in_an_earlier_part_is_the_same_schema_error(tmp_pa
     path = chunked_file(tmp_path, 9, {7: '{"id":"p1","steps":[{"features":{},"action":0,'
                                          '"reward":1.0}]}'})
     with pytest.raises(SchemaError) as whole:
-        load_jsonl(path)
+        load_dataset(path)
     parts = []
     monkeypatch.setattr(data, "PART_STEPS", 1)
     monkeypatch.setattr(data, "LOAD_CHUNK", 3)
@@ -897,7 +894,7 @@ def test_a_duplicate_of_an_id_in_an_earlier_part_is_the_same_schema_error(tmp_pa
 
 def test_a_csv_cohort_is_one_part(tmp_path, monkeypatch):
     path = tmp_path / "d.csv"
-    save_csv(from_records(tiny_schema(), 3, [(f"p{i}", tiny_records()[i % 2][1])
+    save_dataset(from_records(tiny_schema(), 3, [(f"p{i}", tiny_records()[i % 2][1])
                                              for i in range(20)]), path)
     assert parts_of(path, monkeypatch, 1, chunk=3) == [load_csv(path)]
 
@@ -905,7 +902,7 @@ def test_a_csv_cohort_is_one_part(tmp_path, monkeypatch):
 def test_an_empty_cohort_hands_out_no_part(tmp_path, monkeypatch):
     path = tmp_path / "d.jsonl"
     path.write_text(JSONL_HEADER)
-    assert len(load_jsonl(path)) == 0
+    assert len(load_dataset(path)) == 0
     assert parts_of(path, monkeypatch, 1) == []
 
 
@@ -934,7 +931,7 @@ def test_an_override_reads_no_k_from_the_jsonl_header(tmp_path):
     path.write_text(JSONL_HEADER.replace('"K":2', '"K":"two"')
                     + '{"id":"p0","steps":[{"features":{"sev":1.0},"action":1,"reward":0.5}]}\n')
     with pytest.raises(ParseError, match="line 1: K is 'two', not an integer"):
-        load_jsonl(path)
+        load_dataset(path)
     assert load_dataset(path, n_actions=3).n_actions == 3
 
 
@@ -968,7 +965,7 @@ def awkward_dataset():
 def test_jsonl_writer_matches_a_json_dumps_oracle(tmp_path):
     ds, records = awkward_dataset()
     path = tmp_path / "d.jsonl"
-    save_jsonl(ds, path)
+    save_dataset(ds, path)
     header = {"schema": ds.schema.to_json(), "K": 3, "provenance": ds.provenance}
     want = [json.dumps(header, separators=(",", ":"))] + [
         json.dumps({"id": tid, "steps": [
@@ -976,13 +973,13 @@ def test_jsonl_writer_matches_a_json_dumps_oracle(tmp_path):
             for features, action, reward in steps]}, separators=(",", ":"))
         for tid, steps in records]
     assert path.read_text().split("\n") == want + [""]
-    assert load_jsonl(path) == ds
+    assert load_dataset(path) == ds
 
 
 def test_csv_writer_matches_a_csv_module_oracle(tmp_path):
     ds, records = awkward_dataset()
     path = tmp_path / "d.csv"
-    save_csv(ds, path)
+    save_dataset(ds, path)
     with open(tmp_path / "want.csv", "w", newline="") as fh:
         fh.write("# " + json.dumps({"K": 3, "provenance": ds.provenance},
                                    separators=(",", ":")) + "\n")
@@ -1008,7 +1005,7 @@ def test_jsonl_writer_refuses_what_json_cannot_hold(tmp_path, column, row, value
     ds = tiny_dataset()
     getattr(ds, column)[row] = value
     with pytest.raises(DatasetError, match=message):
-        save_jsonl(ds, tmp_path / "d.jsonl")
+        save_dataset(ds, tmp_path / "d.jsonl")
     assert not (tmp_path / "d.jsonl").exists()
 
 
@@ -1019,20 +1016,20 @@ def test_csv_writer_refuses_what_the_csv_reader_cannot_read_back(tmp_path, colum
     ds = tiny_dataset()
     getattr(ds, column)[row] = value
     with pytest.raises(DatasetError) as info:
-        save_csv(ds, tmp_path / "d.csv")
+        save_dataset(ds, tmp_path / "d.csv")
     assert str(info.value) == message + ", which a CSV cohort cannot hold"
     assert not (tmp_path / "d.csv").exists()
 
 
 @pytest.mark.parametrize("code", [-1.0, 2.0, 0.5, math.inf])
-@pytest.mark.parametrize("save", [save_jsonl, save_csv])
-def test_writers_refuse_a_categorical_value_that_is_no_category_index(tmp_path, save, code):
+@pytest.mark.parametrize("name", ["d.jsonl", "d.csv"])
+def test_writers_refuse_a_categorical_value_that_is_no_category_index(tmp_path, name, code):
     ds = tiny_dataset()
     ds.covariates[2, 1] = code
     with pytest.raises(DatasetError, match=f"trajectory 'p1' step 1: categorical feature "
                                            f"'marker' holds {code!r}, not a category index"):
-        save(ds, tmp_path / "d.out")
-    assert not (tmp_path / "d.out").exists()
+        save_dataset(ds, tmp_path / name)
+    assert not (tmp_path / name).exists()
 
 
 @pytest.mark.parametrize("name", ["d.jsonl", "d.csv"])
@@ -1078,7 +1075,7 @@ def test_a_later_part_that_breaks_the_cohort_is_refused_before_writing(tmp_path,
 def test_csv_round_trip_exact(tmp_path):
     ds = tiny_dataset()
     path = tmp_path / "d.csv"
-    save_csv(ds, path)
+    save_dataset(ds, path)
     back = load_csv(path)
     assert back == ds
 

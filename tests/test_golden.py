@@ -19,9 +19,8 @@ from clinpol.data import (
     build_states,
     fit_imputation,
     load_csv,
-    load_jsonl,
-    save_csv,
-    save_jsonl,
+    load_dataset,
+    save_dataset,
     split_dataset,
 )
 from clinpol.sim import ChronicSimConfig, EpisodicSimConfig, generate_chronic, generate_episodic
@@ -106,11 +105,11 @@ def pipeline_digests(ds, seed):
 def file_digests(ds, tmp_path, stem):
     """Saved bytes in both formats and the bytes after a load/save round trip."""
     jpath, cpath = tmp_path / f"{stem}.jsonl", tmp_path / f"{stem}.csv"
-    save_jsonl(ds, jpath)
-    save_csv(ds, cpath)
+    save_dataset(ds, jpath)
+    save_dataset(ds, cpath)
     rj, rc = tmp_path / f"{stem}.rt.jsonl", tmp_path / f"{stem}.rt.csv"
-    save_jsonl(load_jsonl(jpath), rj)
-    save_csv(load_csv(cpath), rc)
+    save_dataset(load_dataset(jpath), rj)
+    save_dataset(load_csv(cpath), rc)
     return {"jsonl": sha(jpath.read_bytes()), "csv": sha(cpath.read_bytes()),
             "jsonl_rt": sha(rj.read_bytes()), "csv_rt": sha(rc.read_bytes())}
 
@@ -174,7 +173,7 @@ GOLDEN = {
 def hand_made(tmp_path):
     path = tmp_path / "hand.jsonl"
     path.write_text(hand_made_text())
-    return load_jsonl(path)
+    return load_dataset(path)
 
 
 def test_hand_made_cohort_truncates_and_drops_as_designed(hand_made):
@@ -201,7 +200,7 @@ def test_hand_made_pipeline_is_pinned(hand_made):
 
 def test_hand_made_csv_pipeline_is_pinned(hand_made, tmp_path):
     path = tmp_path / "hand.csv"
-    save_csv(hand_made, path)
+    save_dataset(hand_made, path)
     assert pipeline_digests(load_csv(path), seed=5) == GOLDEN["hand_made_csv_pipeline"]
 
 

@@ -615,7 +615,24 @@ def test_a_bug_in_a_repeat_is_not_logged_as_a_failed_seed(tmp_path, monkeypatch)
             run_small(tmp_path, "bug", simulator=sim_cfg(seed=2), n_repeats=2,
                       n_candidates=2, policies=({"type": "behavior"},), seed=1)
         assert info.value is error
-        assert not (tmp_path / "bug").exists()
+        # the output directory is made before the first repeat; no report is written
+        assert list((tmp_path / "bug").iterdir()) == []
+
+
+def test_an_unusable_output_directory_fails_before_any_candidate(tmp_path, monkeypatch):
+    fitted = []
+    real_fit = harness.fit_model
+
+    def counted_fit(kind, data, hp, memo=None):
+        fitted.append(hp)
+        return real_fit(kind, data, hp, memo=memo)
+
+    monkeypatch.setattr(harness, "fit_model", counted_fit)
+    (tmp_path / "file").write_text("")
+    with pytest.raises(NotADirectoryError):
+        run_small(tmp_path, "file/run", simulator=sim_cfg(seed=2), n_repeats=3,
+                  n_candidates=2, policies=({"type": "behavior"},), seed=1)
+    assert fitted == []
 
 
 def test_per_policy_tables_filter_by_descriptor_fields(tmp_path):

@@ -2,6 +2,7 @@
 
 import re
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -371,6 +372,23 @@ def test_mc_value_of_episodic_truth_matches_dataset_mean():
     v, se = monte_carlo_value(truth_policy(cfg), cfg, 30000)
     data_se = term.std(ddof=1) / np.sqrt(len(term))
     assert abs(v - term.mean()) <= 4 * np.sqrt(se**2 + data_se**2)
+
+
+@pytest.mark.parametrize("cfg, bound_mib", [(ChronicSimConfig(), 17.0),
+                                             (EpisodicSimConfig(), 40.0)],
+                         ids=["chronic", "episodic"])
+def test_a_rollout_keeps_no_step_arrays(cfg, bound_mib):
+    # the tracemalloc peak measured 15.3 (chronic) and 37.2 MiB (episodic)
+    # with numpy 2 on Python 3.11; keeping the (n, H) covariate, action and
+    # reward arrays of the 30,000 rollouts read 23.5 and 44.3 MiB
+    policy = truth_policy(cfg)
+    tracemalloc.start()
+    try:
+        monte_carlo_value(policy, cfg, 30000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mib * 2**20
 
 
 def test_oracle_drug_policy_beats_behavior_by_a_wide_margin():
