@@ -40,7 +40,6 @@ cut's leaf outcomes.
 from __future__ import annotations
 
 import logging
-from contextlib import suppress
 from dataclasses import replace
 from functools import cached_property
 
@@ -54,7 +53,7 @@ from .calibration import (
 )
 from .data import NONE_ACTION, StepData
 from .checks import INT, OBJECT, member
-from .errors import ClinpolError, remember
+from .errors import ClinpolError, keep, remember
 from .tree import (
     DecisionTree,
     SplitSearch,
@@ -125,8 +124,9 @@ def _n_classes(component: str, n_actions: int) -> int:
 
 
 def component_rows(data: StepData, names) -> dict:
-    """``{name: (rows, labels)}``: the rows of ``data`` that each named
-    component is fitted and calibrated on, and the class of each row.
+    """``{name: (rows, labels)}``: the positions in ``data`` of the rows that
+    each named component is fitted and calibrated on (None for every row),
+    and the class of each row. No state row is copied.
 
     * ``tree``: every step and its action;
     * ``baseline``: the t=1 steps and their actions;
@@ -138,17 +138,22 @@ def component_rows(data: StepData, names) -> dict:
     """
     rows = {}
     if "tree" in names:
-        rows["tree"] = (data, data.actions)
+        rows["tree"] = (None, data.actions)
     if "baseline" in names:
-        first = data.subset(data.stages == 1)
-        rows["baseline"] = (first, first.actions)
+        first = np.flatnonzero(data.stages == 1)
+        rows["baseline"] = (first, data.actions[first])
     if "switch" in names or "treatment" in names:
-        follow = data.subset(data.stages > 1)
-        labels = follow.switch_labels()
-        switched = follow.subset(labels == 1)
+        follow = np.flatnonzero(data.stages > 1)
+        labels = data.switch_labels(follow)
+        switched = follow[labels == 1]
         rows["switch"] = (follow, labels)
-        rows["treatment"] = (switched, switched.actions)
+        rows["treatment"] = (switched, data.actions[switched])
     return {name: rows[name] for name in names}
+
+
+def _at(values: np.ndarray, rows) -> np.ndarray:
+    """``values`` at the row positions ``rows``, or all of it for None."""
+    return values if rows is None else values[rows]
 
 
 # the queries each kind class binds in its own namespace (see
@@ -206,13 +211,14 @@ class BehaviorModel:
 
     def calibrate(self, val: StepData) -> "BehaviorModel":
         """Fit each component's calibration, in place, on its own rows of
-        ``val`` (:func:`component_rows`); one with under two rows is kept."""
+        ``val`` (:func:`component_rows`), routed where they lie in
+        ``val.states``; one with under two rows is kept."""
         for name, (rows, labels) in component_rows(val, self.trees).items():
-            if len(rows) < 2:
+            if len(labels) < 2:
                 log.warning("%s calibration skipped: %d validation records",
-                            name, len(rows))
+                            name, len(labels))
                 continue
-            scores = self.trees[name].predict_proba_batch(rows.states)
+            scores = self.trees[name].predict_proba_batch(val.states, rows)
             self.calibrations[name] = fit_calibration(scores, labels)
         return self
 
@@ -464,21 +470,25 @@ class TreeMemo:
     and many (max_depth, min_leaf_fraction) candidates.
 
     The memo takes the components' fitting rows from ``data`` once
-    (:meth:`fitting_set`). Growth reads ``max_depth`` only as its stop rule,
-    so :meth:`cut` grows each component through ``fit_tree`` once per drawn
-    fraction, to the deepest depth drawn with it, cuts that tree at the
-    candidate's depth and tallies the cut's leaf outcomes through
-    ``attach_outcomes``. A component's first request grows it at every drawn
-    fraction, so those fits share one :class:`SplitSearch`, dropped once
-    they are grown. A step that raised a domain error raises it again for
+    (:meth:`fitting_set`), as row positions with their labels and rewards.
+    Growth reads ``max_depth`` only as its stop rule, so :meth:`cut` grows
+    each component through ``fit_tree`` once per drawn fraction, to the
+    deepest depth drawn with it, cuts that tree at the candidate's depth and
+    tallies the cut's leaf outcomes through ``attach_outcomes``. A
+    component's first request grows it at every drawn fraction, on one copy
+    of its state rows and one :class:`SplitSearch`, and routes that copy
+    through each tree grown; the copy and the search are dropped when the
+    request is done. A step that raised a domain error raises it again for
     every later candidate that needs it (:func:`~clinpol.errors.remember`).
 
     Each cut is kept, keyed by (component, hyperparameters), so a candidate
     drawn twice gets the same tree object: tree queries are pure, and
-    calibration lives on the model. Each deep tree routes its fitting rows,
-    and the rows of ``validation`` its component reads, once; a cut reads
-    its leaf ids from those through :func:`~clinpol.tree.leaf_map`, exact
-    because a cut keeps every path. These arrays live as long as the memo.
+    calibration lives on the model. Each deep tree's leaf ids of its fitting
+    rows, and of the rows of ``validation`` its component reads (routed
+    where they lie), are kept; a cut reads its leaf ids from those through
+    :func:`~clinpol.tree.leaf_map`, exact because a cut keeps every path.
+    So the memo keeps no state row: per fitting row, a position, a label, a
+    reward and one leaf id per fraction, for as long as it lives.
     """
 
     def __init__(self, data: StepData, candidates, validation: StepData | None = None):
@@ -490,7 +500,7 @@ class TreeMemo:
             if hp.max_depth > first.max_depth:
                 self._deep[hp.min_leaf_fraction] = replace(first, max_depth=hp.max_depth)
         self._sets: dict[tuple, dict | ClinpolError] = {}
-        self._rows: dict[str, tuple] = {}  # component -> (rows, labels)
+        self._rows: dict[str, tuple] = {}  # component -> (rows, labels, rewards)
         self._grown: dict[tuple, DecisionTree | ClinpolError] = {}
         self.cuts: dict[tuple, DecisionTree] = {}
         self.validation = validation
@@ -516,30 +526,29 @@ class TreeMemo:
             raise RuntimeError(f"tree memo grows no tree as deep as {hp}")
         key = (component, hp.min_leaf_fraction)
         if key not in self._grown:
-            rows, labels = self._rows[component]
-            n_classes = _n_classes(component, self.data.n_actions)
-            search = {}  # the one SplitSearch, or the domain error building it raised
-
-            def grow(deep_hp):
-                s = remember(search, component, lambda: SplitSearch(
-                    rows.states, labels, n_classes, tuple(self._deep)))
-                return fit_tree(s.X, s.y, deep_hp, n_classes=n_classes,
-                                feature_names=rows.feature_names, search=s)
-
-            for f, deep_hp in self._deep.items():
-                with suppress(ClinpolError):  # kept, and raised on its own requests
-                    remember(self._grown, (component, f), lambda: grow(deep_hp))
+            self._grow(component)
         return remember(self._grown, key, None)  # grown above; a kept error raises
 
-    def _deep_leaves(self, component: str, hp: TreeHyperparams, part: str,
-                     states, rows=None) -> np.ndarray:
-        """The memoized leaf ids of ``rows`` of ``states`` (the rows ``part``
-        names) in ``component``'s grown deep tree for ``hp``'s fraction."""
-        key = (component, hp.min_leaf_fraction, part)
-        if key not in self._routed:
-            deep = self._grown[component, hp.min_leaf_fraction]
-            self._routed[key] = _leaf_ids(deep, states, rows)
-        return self._routed[key]
+    def _grow(self, component: str) -> None:
+        """Grow ``component`` at every drawn fraction and route its fitting
+        rows through each tree grown, keeping each tree or domain error. The
+        rows are copied once, for one shared :class:`SplitSearch`; both die
+        with this call, since a kept error holds no frame of it."""
+        rows, labels, _ = self._rows[component]
+        X = _at(self.data.states, rows)
+        n_classes = _n_classes(component, self.data.n_actions)
+        search = {}  # the one SplitSearch, or the domain error building it raised
+
+        def grow(f, deep_hp):
+            s = remember(search, component, lambda: SplitSearch(
+                X, labels, n_classes, tuple(self._deep)))
+            deep = fit_tree(s.X, s.y, deep_hp, n_classes=n_classes,
+                            feature_names=self.data.feature_names, search=s)
+            self._routed[component, f, "fit"] = _leaf_ids(deep, X)
+            return deep
+
+        for f, deep_hp in self._deep.items():
+            keep(self._grown, (component, f), lambda: grow(f, deep_hp))
 
     def cut(self, component: str, hp: TreeHyperparams) -> DecisionTree:
         """``component``'s tree at ``hp``: its memoized deep tree cut at
@@ -549,11 +558,11 @@ class TreeMemo:
         key = (component, hp)
         if key not in self.cuts:
             deep = self._deep_tree(component, hp)
-            rows, labels = self._rows[component]
+            _, labels, rewards = self._rows[component]
             to_cut = leaf_map(deep, hp.max_depth)
-            ids = to_cut[self._deep_leaves(component, hp, "fit", rows.states)]
-            self.cuts[key] = attach_outcomes(truncate_tree(deep, hp.max_depth), rows.states,
-                                             labels, rows.rewards, ids)
+            ids = to_cut[self._routed[component, hp.min_leaf_fraction, "fit"]]
+            self.cuts[key] = attach_outcomes(truncate_tree(deep, hp.max_depth), None,
+                                             labels, rewards, ids)
             self._maps[key] = to_cut
         return self.cuts[key]
 
@@ -566,7 +575,11 @@ class TreeMemo:
         def route(name, part, rows):
             if model.trees[name] is not self.cuts.get((name, hp)):
                 raise RuntimeError(f"the {name} tree is not this memo's cut at {hp}")
-            return self._maps[name, hp][self._deep_leaves(name, hp, part, v.states, rows)]
+            key = (name, hp.min_leaf_fraction, part)
+            if key not in self._routed:
+                deep = self._grown[name, hp.min_leaf_fraction]
+                self._routed[key] = _leaf_ids(deep, v.states, rows)
+            return self._maps[name, hp][self._routed[key]]
 
         first = v.stages == 1
         return model._route(v.states, np.flatnonzero(first), np.flatnonzero(~first), route)
@@ -584,17 +597,18 @@ _NO_ROWS = {
 
 
 def _fitting_rows(data: StepData, names: tuple) -> dict:
-    """:func:`component_rows` for fitting, where an empty set is a domain error."""
+    """``{name: (rows, labels, rewards)}``: :func:`component_rows` for
+    fitting, with each row's reward, where an empty set is a domain error."""
     rows = component_rows(data, names)
-    for name, (part, _) in rows.items():
-        if len(part) == 0:
+    for name, (_, labels) in rows.items():
+        if len(labels) == 0:
             error, message = _NO_ROWS[name]
             raise error(message)
     if "treatment" in rows:
         switched = rows["treatment"][0]
-        if np.any(switched.actions == switched.prev_actions):
+        if np.any(data.actions[switched] == data.prev_actions[switched]):
             raise RuntimeError("a stay event reached the treatment tree's fitting set")
-    return rows
+    return {name: (at, labels, _at(data.rewards, at)) for name, (at, labels) in rows.items()}
 
 
 def _fit(cls, data: StepData, hps: tuple, val: StepData | None,
@@ -605,10 +619,11 @@ def _fit(cls, data: StepData, hps: tuple, val: StepData | None,
     names = COMPONENTS[cls.kind]
     if memo is None:
         trees = {}
-        for (name, (rows, labels)), hp in zip(_fitting_rows(data, names).items(), hps):
-            tree = fit_tree(rows.states, labels, hp, n_classes=_n_classes(name, data.n_actions),
-                            feature_names=rows.feature_names)
-            trees[name] = attach_outcomes(tree, rows.states, labels, rows.rewards)
+        for (name, (rows, labels, rewards)), hp in zip(_fitting_rows(data, names).items(), hps):
+            X = _at(data.states, rows)
+            tree = fit_tree(X, labels, hp, n_classes=_n_classes(name, data.n_actions),
+                            feature_names=data.feature_names)
+            trees[name] = attach_outcomes(tree, X, labels, rewards)
     else:
         memo.check(data)
         memo.fitting_set(names)

@@ -261,8 +261,11 @@ def from_records(schema: FeatureSchema, n_actions: int, records,
 LOAD_CHUNK = 64
 # Steps read per part of a cohort handed out by ``load_dataset(path, each=...)``.
 # A part is whole chunks, so no trajectory is split; a chronic part is about
-# 3,600 trajectories, and its states (13 columns) take 1.6 MiB.
-PART_STEPS = 16384
+# 900 trajectories, and its states (13 columns) take 0.4 MiB. Evaluating a
+# part also holds its evaluation record and policy matrices. On a 20k-patient
+# cohort, parts of 2,048 or 1,024 steps saved at most 0.2 MiB more, since the
+# cohort's ids then outweigh a part, and cost more per-part calls.
+PART_STEPS = 4096
 # Trajectories formatted per write; larger chunks raise peak memory.
 SAVE_CHUNK = 256
 
@@ -315,21 +318,24 @@ def _assemble(schema: FeatureSchema, n_actions, chunks, provenance: str, each=No
     parts, steps = [], 0
     for chunk in chunks:
         steps += len(chunk[0][3])  # one action per step read
-        *part, n_actions = _chunk_arrays(lookups, n_actions, chunk, seen)
-        parts.append(part)
+        *columns, n_actions = _chunk_arrays(lookups, n_actions, chunk, seen)
+        parts.append(columns)
+        del chunk, columns  # so that only ``parts`` holds them
         if each is not None and steps >= PART_STEPS:
             _hand_out(each, _joined(schema, n_actions, parts, provenance))
-            parts, steps = [], 0
+            steps = 0
     if each is None:
         return _joined(schema, n_actions, parts, provenance)
     _hand_out(each, _joined(schema, n_actions, parts, provenance))
 
 
-def _joined(schema: FeatureSchema, n_actions, parts, provenance: str) -> Dataset:
-    """One ``Dataset`` of checked chunks' columns, in order."""
+def _joined(schema: FeatureSchema, n_actions, parts: list, provenance: str) -> Dataset:
+    """One ``Dataset`` of checked chunks' columns, in order; ``parts`` is
+    emptied, so the chunks die once they are joined."""
     covariates, actions, rewards, lengths, ids = zip(
         (np.empty((0, len(schema))), np.empty(0, np.int64), np.empty(0),
          np.empty(0, np.int64), []), *parts)
+    parts.clear()
     return Dataset(schema=schema, n_actions=n_actions, covariates=np.concatenate(covariates),
                    actions=np.concatenate(actions), rewards=np.concatenate(rewards),
                    offsets=np.concatenate(([0], np.cumsum(np.concatenate(lengths)))),
@@ -687,14 +693,22 @@ def _jsonl_chunks(path, lines):
             if not line.strip():
                 continue
             if objs:  # the lines before come first, and so do their errors
-                yield *_json_columns(objs), (path, linenos)
+                yield _jsonl_chunk(path, objs, linenos)
             raise ParseError(f"{path} line {lineno}: {getattr(exc, 'msg', exc)}") from None
         linenos.append(lineno)
         if len(objs) == LOAD_CHUNK:
-            yield *_json_columns(objs), (path, linenos)
-            objs, linenos = [], []
+            yield _jsonl_chunk(path, objs, linenos)
+            linenos = []
     if objs:
-        yield *_json_columns(objs), (path, linenos)
+        yield _jsonl_chunk(path, objs, linenos)
+
+
+def _jsonl_chunk(path, objs: list, linenos: list) -> tuple:
+    """The chunk of the parsed lines ``objs``, which is emptied, so that
+    no parsed object outlives its chunk's columns."""
+    columns = _json_columns(objs)
+    objs.clear()
+    return *columns, (path, linenos)
 
 
 def _json_columns(objs):
@@ -1085,11 +1099,14 @@ class StepData:
     def n_trajectories(self) -> int:
         return len(self.traj_ids)
 
-    def switch_labels(self) -> np.ndarray:
-        """1 where the action differs from the previous action (t>1 only)."""
-        if np.any(self.prev_actions == NONE_ACTION):
+    def switch_labels(self, rows=None) -> np.ndarray:
+        """1 where the action differs from the previous action (t>1 only),
+        of the rows at the positions ``rows`` only if given."""
+        actions, prev = ((self.actions, self.prev_actions) if rows is None
+                         else (self.actions[rows], self.prev_actions[rows]))
+        if np.any(prev == NONE_ACTION):
             raise DatasetError("switch labels are undefined at t=1 steps")
-        return (self.actions != self.prev_actions).astype(np.int64)
+        return (actions != prev).astype(np.int64)
 
     def subset(self, mask) -> "StepData":
         mask = np.asarray(mask)

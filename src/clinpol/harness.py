@@ -372,19 +372,23 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 def _run_repeat(cfg: ExperimentConfig, raw: Dataset, repeat: int,
                 split_seed: int, select_seed: int) -> list:
     spec = replace(cfg.split, seed=split_seed)
-    train_ds, val_ds, test_ds = split_dataset(raw, spec)
-
-    ids = np.concatenate([train_ds.ids, val_ds.ids, test_ds.ids])
+    parts = list(split_dataset(raw, spec))
+    ids = np.concatenate([part.ids for part in parts])
     if len(np.unique(ids)) < len(ids):
         raise RuntimeError("trajectory leaked across partitions")
 
-    stats = fit_imputation(train_ds)
-    train, val, test = (build_states(impute_and_encode(part, stats=stats),
-                                     cfg.state_config)
-                        for part in (train_ds, val_ds, test_ds))
+    stats = fit_imputation(parts[0])
 
+    def states(part: Dataset):
+        return build_states(impute_and_encode(part, stats=stats), cfg.state_config)
+
+    # each partition is let go once its states exist, and the test states are
+    # built only once selection is done with the train and validation states
+    train, val = states(parts.pop(0)), states(parts.pop(0))
     model = select_model(train, val, cfg.model, cfg.n_candidates, select_seed,
                          cfg.grid)
+    del train, val
+    test = states(parts.pop())
     # one evaluation of the model on the test steps serves the test metrics,
     # every policy and every importance-weight denominator
     evaluation = Evaluation(model, test)

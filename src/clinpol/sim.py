@@ -687,8 +687,9 @@ def simulate(cfg, each=None) -> Dataset | None:
     With ``each``, the cohort is generated a block at a time and each
     block's ``Dataset`` is passed to ``each`` in patient order; None is
     returned. A block is ``data.PART_STEPS // horizon`` patients (at least
-    one), so it holds at most about ``PART_STEPS`` steps, and the blocks
-    concatenate to the whole cohort bit for bit.
+    one; 682 at horizon 6), so it holds at most ``PART_STEPS`` steps, the
+    size of a part that ``load_dataset(path, each=...)`` reads, and the
+    blocks concatenate to the whole cohort bit for bit.
     """
     kind = _kind(cfg, "cannot simulate a")
     if each is None:

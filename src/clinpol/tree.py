@@ -360,7 +360,11 @@ class SplitSearch:
             node.right = grow(right, path + ((j, threshold, False),), depth + 1)
             return node
 
-        return grow(self._root, (), 0)
+        root = grow(self._root, (), 0)
+        # the closure refers to itself and to the search; breaking that cycle
+        # lets the search die with its last user, not at a later collection
+        del grow
+        return root
 
     def _search(self, rows, tally, counts) -> tuple:
         """Each floor's best (feature, threshold) at one node, or None.
@@ -583,11 +587,11 @@ def attach_outcomes(tree: DecisionTree, X, y_action, outcomes,
 
     ``outcomes[i]`` is tallied under class ``y_action[i]`` in the leaf that
     ``X[i]`` lands in; ``leaf_ids``, those leaves if already known, saves
-    routing ``X``. Returns a new tree sharing ``tree``'s nodes; averages are
-    NaN where a leaf saw no sample of a class ("no data"). Each cell's sum
-    adds its outcomes in row order.
+    routing ``X``, which may then be None. Returns a new tree sharing
+    ``tree``'s nodes; averages are NaN where a leaf saw no sample of a class
+    ("no data"). Each cell's sum adds its outcomes in row order.
     """
-    X = np.asarray(X, dtype=np.float64)
+    X = leaf_ids if X is None else np.asarray(X, dtype=np.float64)
     y_action = np.asarray(y_action, dtype=np.int64)
     outcomes = np.asarray(outcomes, dtype=np.float64)
     if not (len(X) == len(y_action) == len(outcomes)):

@@ -1,6 +1,10 @@
 """Switch/stay composition, fitting filters, outcome lookups, round-trips."""
 
+import gc
 import json
+import traceback
+import types
+import weakref
 
 import numpy as np
 import pytest
@@ -239,7 +243,7 @@ def test_a_stay_event_in_the_treatment_set_is_a_bug_not_a_domain_error(monkeypat
     data = make_cohort(3)
     # a broken switch labelling that calls every follow-up step a switch
     monkeypatch.setattr(StepData, "switch_labels",
-                        lambda self: np.ones(len(self), dtype=np.int64))
+                        lambda self, rows: np.ones(len(rows), dtype=np.int64))
     with pytest.raises(RuntimeError, match="stay event") as info:
         fit_dts(data, HP, HP)
     assert not isinstance(info.value, ValueError)
@@ -569,23 +573,91 @@ def test_memo_shares_one_split_search_per_component(monkeypatch):
 def test_memo_takes_each_fitting_set_once(monkeypatch):
     data = make_cohort(6)
     cands = [TreeHyperparams(max_depth=d, min_leaf_fraction=0.02) for d in (2, 5, 3)]
-    subsets = []
-    real_subset = StepData.subset
+    taken = []
+    real_rows = behavior.component_rows
 
-    def counted_subset(self, mask):
-        subsets.append(len(self))
-        return real_subset(self, mask)
+    def counted_rows(data, names):
+        rows = real_rows(data, names)
+        taken.extend(rows)
+        return rows
 
-    monkeypatch.setattr(StepData, "subset", counted_subset)
+    monkeypatch.setattr(behavior, "component_rows", counted_rows)
     memo = TreeMemo(data, cands)
     for hp in cands:
         fit_dtbls(data, hp, hp, hp, memo=memo)
     # t=1 rows and follow-up rows of data, switch events of the follow-ups
-    assert len(subsets) == 3
-    subsets.clear()
+    assert sorted(taken) == ["baseline", "switch", "treatment"]
+    taken.clear()
     for hp in cands:
         fit_dtbls(data, hp, hp, hp)
-    assert len(subsets) == 3 * len(cands)
+    assert len(taken) == 3 * len(cands)
+
+
+def held_arrays(root, *skip):
+    """Every array reachable from ``root`` through containers and instances,
+    but not through ``skip``, classes, modules, functions or frames."""
+    seen = {id(obj) for obj in skip}
+    stack, found = [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType,
+                                               types.FrameType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            found.append(obj)
+        else:
+            stack.extend(gc.get_referents(obj))
+    return found
+
+
+def test_memo_keeps_no_state_rows_of_its_own():
+    data = make_cohort(6)
+    val = make_cohort(9, n_traj=80)
+    cands = [TreeHyperparams(max_depth=d, min_leaf_fraction=f)
+             for d, f in ((2, 0.02), (5, 0.05), (3, 0.02))]
+    memo = TreeMemo(data, cands, val)
+    for hp in cands:
+        model = fit_dtbls(data, hp, hp, hp, memo=memo)
+        memo.validation_leaves(model, hp)
+    held = held_arrays(memo, memo.data, memo.validation)
+    # positions, labels, rewards and leaf ids of the follow-up rows among them
+    assert any(len(a) == np.sum(data.stages > 1) for a in held)
+    width = data.states.shape[1]
+    assert width not in (2, data.n_actions)  # no leaf table is as wide
+    states = [a for a in held if a.ndim == 2 and a.shape[1] == width]
+    assert sum(a.nbytes for a in states) == 0
+
+
+def test_a_failed_fraction_keeps_neither_its_search_nor_a_growing_traceback(monkeypatch):
+    data = make_cohort(6)
+    real_fit_tree, real_init = behavior.fit_tree, tree.SplitSearch.__init__
+    searches = []
+
+    def failing_fit_tree(X, y, hp, **kwargs):
+        if hp.min_leaf_fraction == 0.04:
+            raise TreeError("cannot grow at 0.04")
+        return real_fit_tree(X, y, hp, **kwargs)
+
+    def tracked_init(self, *args):
+        searches.append(weakref.ref(self))
+        real_init(self, *args)
+
+    monkeypatch.setattr(behavior, "fit_tree", failing_fit_tree)
+    monkeypatch.setattr(tree.SplitSearch, "__init__", tracked_init)
+    grows, fails = (TreeHyperparams(max_depth=3, min_leaf_fraction=f) for f in (0.02, 0.04))
+    memo = TreeMemo(data, [grows, fails])
+    fit_dt(data, grows, memo=memo)
+    assert len(searches) == 1
+    assert searches[0]() is None
+    errors, frames = [], []
+    for _ in range(3):
+        with pytest.raises(TreeError, match="cannot grow") as info:
+            fit_dt(data, fails, memo=memo)
+        errors.append(info.value)
+        frames.append(len(traceback.extract_tb(info.value.__traceback__)))
+    assert all(e is errors[0] for e in errors)
+    assert frames[2] <= frames[0]
 
 
 @pytest.mark.parametrize("cohort, message", [

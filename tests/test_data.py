@@ -7,6 +7,7 @@ import math
 import random
 import re
 import sys
+import tracemalloc
 from dataclasses import replace
 from functools import partial
 
@@ -890,6 +891,33 @@ def test_a_duplicate_of_an_id_in_an_earlier_part_is_the_same_schema_error(tmp_pa
     assert str(in_parts.value) == str(whole.value)
     # the parts before the fault were handed out, in file order
     assert [part.ids for part in parts] == [["p0", "p1", "p2"], ["p3", "p4", "p5"]]
+
+
+def test_a_part_is_handed_out_without_the_chunks_it_was_joined_from(tmp_path, monkeypatch):
+    schema = FeatureSchema(tuple(Feature(f"x{j}") for j in range(8)))
+    rng = np.random.default_rng(3)
+    records = [(f"p{i}", [({f"x{j}": float(v) for j, v in enumerate(rng.normal(size=8))},
+                           int(rng.integers(3)), float(rng.normal())) for _ in range(5)])
+               for i in range(2000)]
+    path = tmp_path / "d.jsonl"
+    save_dataset(from_records(schema, 3, records), path)
+    del records
+    monkeypatch.setattr(data, "PART_STEPS", sys.maxsize)  # one part
+    seen = []
+
+    def each(part):
+        seen.append((tracemalloc.get_traced_memory()[0],
+                     sum(a.nbytes for a in (part.covariates, part.actions, part.rewards,
+                                            part.offsets))))
+
+    tracemalloc.start()
+    try:
+        load_dataset(path, each=each)
+    finally:
+        tracemalloc.stop()
+    # the part's arrays, its ids and the ids seen; not the chunks' columns too
+    [(traced, arrays)] = seen
+    assert traced < 2 * arrays
 
 
 def test_a_csv_cohort_is_one_part(tmp_path, monkeypatch):
