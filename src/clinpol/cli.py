@@ -175,7 +175,7 @@ def _cmd_evaluate(args) -> int:
     load_dataset(args.dataset, each=weigh)
     rows, joined = [], None
     for desc, parts in zip(cfg.policies, weights):
-        # the policies' parts share ids, returns and lengths: they are joined once
+        # the policies' parts share returns and lengths: they are joined once
         joined = ImportanceWeights.joined(parts, joined)
         result = ESTIMATORS[estimator](joined)
         rows.append((*_desc_fields(desc)[:3], estimator, result.value,

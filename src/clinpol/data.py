@@ -262,9 +262,9 @@ LOAD_CHUNK = 64
 # Steps read per part of a cohort handed out by ``load_dataset(path, each=...)``.
 # A part is whole chunks, so no trajectory is split; a chronic part is about
 # 900 trajectories, and its states (13 columns) take 0.4 MiB. Evaluating a
-# part also holds its evaluation record and policy matrices. On a 20k-patient
-# cohort, parts of 2,048 or 1,024 steps saved at most 0.2 MiB more, since the
-# cohort's ids then outweigh a part, and cost more per-part calls.
+# part also holds its evaluation record and policy matrices. An id of a part
+# already handed out is kept in 16 bytes and its text (see ``_IdsRead``): the
+# ids of a 20k-patient cohort take 0.44 MiB by its last part.
 PART_STEPS = 4096
 # Trajectories formatted per write; larger chunks raise peak memory.
 SAVE_CHUNK = 256
@@ -304,9 +304,10 @@ def _assemble(schema: FeatureSchema, n_actions, chunks, provenance: str, each=No
 
     With ``each``, the checked chunks are joined into parts of whole chunks,
     a part ending once ``PART_STEPS`` steps are read; each non-empty part is
-    passed to ``each`` as soon as it is whole, and None is returned. K and
-    the ids seen carry over from part to part, so a part breaks no rule that
-    the whole cohort keeps.
+    passed to ``each`` as soon as it is whole, and None is returned. K
+    carries over from part to part, and so does a record of the ids handed
+    out (see ``_IdsRead``), so a part breaks no rule that the whole cohort
+    keeps: an id repeated in a later part raises the whole load's error.
     """
     if n_actions is not None:
         n_actions = _checked_k(n_actions)
@@ -314,19 +315,19 @@ def _assemble(schema: FeatureSchema, n_actions, chunks, provenance: str, each=No
     lookups = {f.name: None if f.kind == NUMERIC else
                {**{c: float(i) for i, c in enumerate(f.categories)}, None: math.nan}
                for f in schema}
-    seen: set = set()
+    ids_read = _IdsRead()
     parts, steps = [], 0
     for chunk in chunks:
         steps += len(chunk[0][3])  # one action per step read
-        *columns, n_actions = _chunk_arrays(lookups, n_actions, chunk, seen)
+        *columns, n_actions = _chunk_arrays(lookups, n_actions, chunk, ids_read)
         parts.append(columns)
         del chunk, columns  # so that only ``parts`` holds them
         if each is not None and steps >= PART_STEPS:
-            _hand_out(each, _joined(schema, n_actions, parts, provenance))
+            _hand_out(each, _joined(schema, n_actions, parts, provenance), ids_read)
             steps = 0
     if each is None:
         return _joined(schema, n_actions, parts, provenance)
-    _hand_out(each, _joined(schema, n_actions, parts, provenance))
+    _hand_out(each, _joined(schema, n_actions, parts, provenance), ids_read)
 
 
 def _joined(schema: FeatureSchema, n_actions, parts: list, provenance: str) -> Dataset:
@@ -342,9 +343,64 @@ def _joined(schema: FeatureSchema, n_actions, parts: list, provenance: str) -> D
                    ids=list(chain.from_iterable(ids)), provenance=provenance)
 
 
-def _hand_out(each, part: Dataset) -> None:
+def _hand_out(each, part: Dataset, ids_read: "_IdsRead | None" = None) -> None:
+    """Pass a non-empty ``part`` to ``each``, its ids first moved from the
+    set of ``ids_read`` into its record of handed-out ids."""
+    if ids_read is not None:
+        ids_read.hand_out(part.ids)
     if len(part):
         each(part)
+
+
+# The hash that ``_IdsRead`` keeps of a handed-out id.
+_id_hash = hash
+
+
+class _IdsRead:
+    """The ids a load has kept so far, to refuse an id read twice.
+
+    The ids of the part being read are the set ``part``. When a part is
+    handed out, its ids (strings, as the JSONL reader reads them) move to a
+    record that keeps no object per id: their ``_id_hash`` values in one
+    sorted int64 array, and their text joined into one string per part,
+    with an array of end offsets. An id whose hash is not in the array was
+    not handed out. Only on a hash that is are the handed-out ids rebuilt
+    from their text and compared, so a collision refuses no id.
+    """
+
+    def __init__(self):
+        self.part: set = set()
+        self._hashes = np.empty(0, np.int64)
+        self._texts: list = []  # (joined ids, end offsets) per handed-out part
+
+    def hand_out(self, ids: list) -> None:
+        """Move ``ids``, those of ``part`` in the order read, to the record."""
+        hashes = np.concatenate((self._hashes, np.fromiter(map(_id_hash, ids), np.int64,
+                                                           len(ids))))
+        hashes.sort()
+        self._hashes = hashes
+        self._texts.append(("".join(ids), np.cumsum(np.fromiter(map(len, ids), np.int64,
+                                                                len(ids)))))
+        self.part.clear()
+
+    def _handed_out(self) -> set:
+        """The handed-out ids, rebuilt from their text."""
+        return {text[start:end] for text, ends in self._texts
+                for start, end in zip([0, *ends[:-1].tolist()], ends.tolist())}
+
+    def repeat(self, ids: list) -> bool:
+        """Whether ``ids`` hold one id twice or one read before."""
+        if len(set(ids)) < len(ids) or not self.part.isdisjoint(ids):
+            return True
+        if not self._hashes.size:
+            return False
+        hashes = np.fromiter(map(_id_hash, ids), np.int64, len(ids))
+        found = self._hashes[np.searchsorted(self._hashes, hashes).clip(max=self._hashes.size - 1)]
+        return bool(np.any(found == hashes)) and not self._handed_out().isdisjoint(ids)
+
+    def taken(self) -> set:
+        """A new set of every id read before."""
+        return self.part | self._handed_out()
 
 
 def _only(types, kinds, none: bool = False) -> bool:
@@ -402,12 +458,14 @@ def _numeric_fault(name, value):
         return f"numeric feature {name!r} is {value!r}, not a finite number"
 
 
-def _chunk_arrays(lookups: dict, n_actions, chunk, seen: set):
+def _chunk_arrays(lookups: dict, n_actions, chunk, ids_read: _IdsRead):
     """A chunk's covariates, actions, rewards, lengths and ids after its cuts,
     and K. Each check decides a whole column at once; only a column it
     refuses is walked value by value, to find the first fault and to read
     the refused values as clean ones for the checks after it. Raises the
-    chunk's first fault, or logs its cuts and adds its ids to ``seen``."""
+    chunk's first fault, or logs its cuts and adds its ids to the set of
+    ``ids_read``; an id read before, in this part or a handed-out one, is
+    a fault."""
     (ids, lengths, features, actions, rewards), faults, lines = chunk
     lengths = np.array(lengths, dtype=np.int64)
     starts = np.cumsum(lengths) - lengths
@@ -480,8 +538,8 @@ def _chunk_arrays(lookups: dict, n_actions, chunk, seen: set):
         i = int(empty[0])
         faults.append(((i, 1, _SHAPE), "schema", f"trajectory {ids[i]!r}: empty trajectory"))
     live = list(compress(ids, (kept > 0).tolist())) if cut.size or empty.size else ids
-    if len(set(live)) < len(live) or not seen.isdisjoint(live):
-        taken = set(seen)  # set.add returns None, so the walk stops at the first id taken
+    if ids_read.repeat(live):
+        taken = ids_read.taken()  # set.add returns None, so the walk stops at the first id taken
         i = next(i for i in np.flatnonzero(kept).tolist() if ids[i] in taken or taken.add(ids[i]))
         faults.append(((i, int(lengths[i]) + 1, _SHAPE), "schema",
                        f"duplicate trajectory id {ids[i]!r}"))
@@ -501,7 +559,7 @@ def _chunk_arrays(lookups: dict, n_actions, chunk, seen: set):
         path, linenos = lines
         raise ParseError(f"{path} line {linenos[i]}: " + (
             f"malformed step in {ids[i]!r}" if kind == "malformed" else message))
-    seen.update(live)
+    ids_read.part.update(live)
     return covariates[keep], actions[keep], rewards[keep], kept[kept > 0], live, n_actions
 
 

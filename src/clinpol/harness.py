@@ -373,8 +373,8 @@ def _run_repeat(cfg: ExperimentConfig, raw: Dataset, repeat: int,
                 split_seed: int, select_seed: int) -> list:
     spec = replace(cfg.split, seed=split_seed)
     parts = list(split_dataset(raw, spec))
-    ids = np.concatenate([part.ids for part in parts])
-    if len(np.unique(ids)) < len(ids):
+    # a set of the ids themselves: an array of them would be as wide as the longest
+    if len(set().union(*(part.ids for part in parts))) < sum(map(len, parts)):
         raise RuntimeError("trajectory leaked across partitions")
 
     stats = fit_imputation(parts[0])

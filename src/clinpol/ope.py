@@ -20,7 +20,6 @@ itself) and collapses toward 1 as the mass concentrates.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import chain
 
 import numpy as np
 
@@ -42,9 +41,9 @@ class NoOverlapError(OPEError):
 
 @dataclass(frozen=True, eq=False)
 class ImportanceWeights:
-    """Per-trajectory weights, returns and lengths, in ``traj_ids`` order."""
+    """Per-trajectory weights, returns and lengths: entry ``j`` of each is
+    trajectory ``j`` of the data, whose id is ``traj_ids[j]`` there."""
 
-    traj_ids: list
     weights: np.ndarray
     returns: np.ndarray
     lengths: np.ndarray
@@ -59,15 +58,14 @@ class ImportanceWeights:
         A weight, return and length is a sum over its own trajectory's rows,
         so the joined arrays equal those of the whole cohort bit for bit;
         the estimators then run once over them. ``shared``, another policy's
-        weights joined from the same parts, lends its ids, returns and
-        lengths, so every policy reads one copy of them.
+        weights joined from the same parts, lends its returns and lengths, so
+        every policy reads one copy of them.
         """
         weights = np.concatenate([p.weights for p in parts] or [np.empty(0)])
         if shared is not None:
             return replace(shared, weights=weights)
-        return cls(list(chain.from_iterable(p.traj_ids for p in parts)), weights,
-                   *(np.concatenate([getattr(p, name) for p in parts] or [np.empty(0)])
-                     for name in ("returns", "lengths")))
+        return cls(weights, *(np.concatenate([getattr(p, name) for p in parts] or [np.empty(0)])
+                              for name in ("returns", "lengths")))
 
 
 @dataclass(frozen=True)
@@ -121,8 +119,7 @@ def importance_weights(policy, behavior_model, data: StepData,
     w = np.exp(log_w)
     w[dead] = 0.0
     # the returns and lengths are computed once per StepData, for every policy
-    return ImportanceWeights(data.traj_ids, w, data.trajectory_returns(),
-                             data.trajectory_lengths())
+    return ImportanceWeights(w, data.trajectory_returns(), data.trajectory_lengths())
 
 
 def _arrays(weights: ImportanceWeights) -> tuple[np.ndarray, np.ndarray]:

@@ -893,6 +893,78 @@ def test_a_duplicate_of_an_id_in_an_earlier_part_is_the_same_schema_error(tmp_pa
     assert [part.ids for part in parts] == [["p0", "p1", "p2"], ["p3", "p4", "p5"]]
 
 
+def colliding(monkeypatch):
+    """Every id gets one hash, so each id read after a part is handed out
+    meets a hash already kept."""
+    monkeypatch.setattr(data, "_id_hash", lambda tid: 7)
+
+
+@pytest.mark.parametrize("chunk", [3, LOAD_CHUNK])
+def test_parts_are_the_same_when_every_id_hash_collides(tmp_path, monkeypatch, caplog, chunk):
+    rng = random.Random(11)
+    lines = [line for line in random_lines(rng, 4 * LOAD_CHUNK) if line.strip()]
+    path = tmp_path / "d.jsonl"
+    path.write_text("\n".join([json.dumps(RANDOM_HEADER)] + lines) + "\n")
+    with caplog.at_level(logging.DEBUG, logger="clinpol.data"):
+        want = parts_of(path, monkeypatch, 7, chunk)
+        logs = [r.getMessage() for r in caplog.records]
+        caplog.clear()
+        colliding(monkeypatch)
+        got = parts_of(path, monkeypatch, 7, chunk)
+    assert len(got) > 2 and got == want
+    assert [r.getMessage() for r in caplog.records] == logs
+    assert concatenated(got) == load_dataset(path)
+
+
+@pytest.mark.parametrize("hashes", ["distinct", "colliding"])
+def test_an_id_repeated_in_a_later_part_is_the_whole_loads_error_at_its_position(
+        tmp_path, monkeypatch, caplog, hashes):
+    # the repeat of p4 shares a chunk of 3 with a dropped trajectory before it
+    # and a bad action after it: the drop is logged, the action is not reached
+    path = chunked_file(tmp_path, 45, {
+        39: '{"id":"p39","steps":[{"features":{},"action":0,"reward":null}]}',
+        40: '{"id":"p4","steps":[{"features":{},"action":0,"reward":1.0}]}',
+        41: '{"id":"p41","steps":[{"features":{},"action":5,"reward":1.0}]}'})
+    with caplog.at_level(logging.DEBUG, logger="clinpol.data"):
+        with pytest.raises(SchemaError) as whole:
+            load_dataset(path)
+        logs = [r.getMessage() for r in caplog.records]
+        caplog.clear()
+        if hashes == "colliding":
+            colliding(monkeypatch)
+        monkeypatch.setattr(data, "PART_STEPS", 1)
+        monkeypatch.setattr(data, "LOAD_CHUNK", 3)
+        parts = []
+        with pytest.raises(SchemaError, match=r"^duplicate trajectory id 'p4'$") as in_parts:
+            load_dataset(path, each=parts.append)
+    assert str(in_parts.value) == str(whole.value)
+    assert [r.getMessage() for r in caplog.records] == logs == [
+        "trajectory 'p39' dropped: reward missing at first step"]
+    assert [part.ids for part in parts] == [[f"p{i}" for i in range(start, start + 3)]
+                                            for start in range(0, 39, 3)]
+
+
+def test_the_ids_of_handed_out_parts_take_a_few_bytes_each(tmp_path, monkeypatch):
+    path = chunked_file(tmp_path, 4096, {})
+    monkeypatch.setattr(data, "PART_STEPS", 256)  # 16 parts of 256 one-step trajectories
+    held = []
+
+    def each(part):
+        held.append((tracemalloc.get_traced_memory()[0], len(part)))
+
+    tracemalloc.start()
+    try:
+        load_dataset(path, each=each)
+    finally:
+        tracemalloc.stop()
+    assert [n for _, n in held] == [256] * 16
+    # what the loader holds at the last part beyond what it held at the first,
+    # over the ids handed out in between: a hash, an end offset and the text.
+    # That is 22.5 bytes an id here; a set of the id strings took 86.7.
+    per_id = (held[-1][0] - held[0][0]) / (4096 - 256)
+    assert per_id < 30
+
+
 def test_a_part_is_handed_out_without_the_chunks_it_was_joined_from(tmp_path, monkeypatch):
     schema = FeatureSchema(tuple(Feature(f"x{j}") for j in range(8)))
     rng = np.random.default_rng(3)

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -22,6 +23,7 @@ from clinpol.data import (
     build_states,
     from_records,
     impute_and_encode,
+    save_dataset,
     split_dataset,
 )
 from clinpol.harness import (
@@ -571,8 +573,6 @@ def test_failed_seeds_are_logged_not_fatal(tmp_path):
         records.append((f"t{i}", [({"x": float(rng.normal())}, a, 0.0) for _ in range(3)]))
     ds = from_records(schema, 2, records)
     path = tmp_path / "flat.jsonl"
-    from clinpol.data import save_dataset
-
     save_dataset(ds, str(path))
     _, paths = run_small(
         tmp_path, "f",
@@ -601,6 +601,21 @@ def test_a_partition_leak_crashes_the_experiment(tmp_path, monkeypatch):
         run_small(tmp_path, "leak", simulator=sim_cfg(seed=2), n_repeats=2,
                   n_candidates=2, policies=({"type": "behavior"},), seed=1)
     assert not isinstance(info.value, ValueError)
+
+
+def test_the_leak_check_holds_no_array_as_wide_as_the_longest_id(tmp_path):
+    ds = generate_chronic(sim_cfg(n_patients=200, seed=5))
+    save_dataset(replace(ds, ids=["x" * 20_000, *ds.ids[1:]]), tmp_path / "c.jsonl")
+    tracemalloc.start()
+    try:
+        paths = run_small(tmp_path, "long", dataset=str(tmp_path / "c.jsonl"), n_repeats=1,
+                          n_candidates=1, policies=({"type": "behavior"},))[1]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(read_rows(paths["rows"])) == 1
+    # about 1.3 MiB; a fixed-width array of the 200 ids took 80 kB for each id
+    assert peak < 8 * 2**20
 
 
 def test_a_bug_in_a_repeat_is_not_logged_as_a_failed_seed(tmp_path, monkeypatch):

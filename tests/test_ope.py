@@ -1,6 +1,7 @@
 """Importance weights, IS/WIS estimators, ESS, and median/IQR aggregation."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -135,9 +136,25 @@ def test_returns_and_lengths_come_from_the_data():
     lengths = data.trajectory_lengths()
     assert len(weights) == data.n_trajectories
     for j in range(len(weights)):
-        assert weights.traj_ids[j] == data.traj_ids[j]
         assert weights.returns[j] == returns[j]
         assert weights.lengths[j] == lengths[j]
+
+
+def test_entry_j_of_the_weights_is_the_trajectory_at_position_j_of_traj_ids():
+    data = make_cohort(31, n_traj=50)
+    m = fit_dt(data, HP)
+    policy = TopKPolicy(m, 2)
+    weights = importance_weights(policy, m, data)
+    assert len(set(weights.weights.tolist())) > 2  # the weights tell trajectories apart
+    for j, tid in enumerate(data.traj_ids):
+        rows = data.traj_index == j
+        alone = replace(data.subset(rows), traj_index=np.zeros(rows.sum(), dtype=np.int64),
+                        traj_ids=[tid])
+        own = importance_weights(policy, m, alone)
+        assert len(own) == 1
+        assert own.weights[0].tobytes() == weights.weights[j].tobytes()
+        assert own.returns[0].tobytes() == weights.returns[j].tobytes()
+        assert own.lengths[0] == weights.lengths[j]
 
 
 def test_policies_on_one_cohort_share_its_returns_and_lengths():
@@ -152,7 +169,7 @@ def test_policies_on_one_cohort_share_its_returns_and_lengths():
     first = ImportanceWeights.joined(by_policy[0])
     second = ImportanceWeights.joined(by_policy[1], first)
     assert all(getattr(second, name) is getattr(first, name)
-               for name in ("traj_ids", "returns", "lengths"))
+               for name in ("returns", "lengths"))
     alone = ImportanceWeights.joined(by_policy[1])
     for name in ("weights", "returns", "lengths"):
         assert getattr(second, name).tobytes() == getattr(alone, name).tobytes()
@@ -164,8 +181,7 @@ def test_policies_on_one_cohort_share_its_returns_and_lengths():
 
 def tw(weights, returns, lengths=None):
     lengths = lengths or [1] * len(weights)
-    return ImportanceWeights([f"t{i}" for i in range(len(weights))],
-                             np.asarray(weights, dtype=np.float64),
+    return ImportanceWeights(np.asarray(weights, dtype=np.float64),
                              np.asarray(returns, dtype=np.float64),
                              np.asarray(lengths, dtype=np.int64))
 
