@@ -61,7 +61,6 @@ from .harness import (
     ExperimentConfig,
     HarnessError,
     HyperparamGrid,
-    ReportRow,
     load_bundle,
     run_experiment,
     save_bundle,

@@ -52,7 +52,7 @@ from .calibration import (
     identity_calibration,
 )
 from .data import NONE_ACTION, StepData
-from .checks import INT, OBJECT, member
+from .checks import INT, OBJECT, OneOf, member
 from .errors import ClinpolError, keep, remember
 from .tree import (
     DecisionTree,
@@ -70,6 +70,7 @@ from .tree import (
 log = logging.getLogger(__name__)
 
 MODEL_KINDS = ("dt", "dts", "dtbls")
+MODEL = OneOf(MODEL_KINDS, "model type", "types")
 
 # each kind's component trees, by their model JSON v1 names, in file order
 COMPONENTS = {"dt": ("tree",), "dts": ("switch", "treatment"),

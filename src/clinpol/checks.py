@@ -168,6 +168,21 @@ class Nested(Kind):
         return value.to_json()
 
 
+class OneOf(Kind):
+    """A string among ``names``, each naming a ``noun`` (``nouns`` for several)."""
+
+    def __init__(self, names, noun: str, nouns: str):
+        super().__init__(f"a {noun} name", None)
+        self.names, self.noun, self.nouns = list(names), noun, nouns
+
+    def read(self, value):
+        if isinstance(value, str) and value in self.names:
+            return value
+        unknown = (f"names an unknown {self.noun} {value!r}" if isinstance(value, str)
+                   else f"must be a string, got {value!r}, an unknown {self.noun}")
+        raise _Refused(f"{unknown}; valid {self.nouns} are {self.names}")
+
+
 class Spec(Kind):
     """One of the config records in ``table``, written as ``{"kind": <its
     key>, "config": {...}}``; a ``noun`` names what they configure."""

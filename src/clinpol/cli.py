@@ -18,8 +18,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .behavior import Evaluation
-from .checks import ANY, INT, LIST, Config, checked, setting
+from .behavior import MODEL, Evaluation
+from .checks import INT, LIST, Config, checked, setting
 from .data import (
     SplitSpec,
     StateConfig,
@@ -34,7 +34,8 @@ from .errors import ClinpolError
 from .harness import (
     ExperimentConfig,
     HyperparamGrid,
-    _desc_fields,
+    STAT_COLUMNS,
+    _label,
     _write_csv,
     _write_summary,
     load_bundle,
@@ -43,7 +44,7 @@ from .harness import (
     select_model,
     simulator_config_from_json,
 )
-from .ope import ESTIMATORS, ImportanceWeights, importance_weights
+from .ope import ESTIMATOR, ESTIMATORS, ImportanceWeights, importance_weights
 from .policies import build_policy
 from .sim import ChronicSimConfig, simulate
 from .tree import tree_to_dot, tree_to_json
@@ -59,7 +60,7 @@ class CliError(ClinpolError):
 class FitConfig(Config, error=CliError, lead="malformed fit config"):
     """The keys a ``fit`` config may set."""
 
-    model: str = "dtbls"
+    model: str = setting("dtbls", MODEL)
     n_candidates: int = setting(30, least=1)
     grid: HyperparamGrid = field(default_factory=HyperparamGrid)
     split: SplitSpec = field(default_factory=SplitSpec)
@@ -68,11 +69,10 @@ class FitConfig(Config, error=CliError, lead="malformed fit config"):
 
 @dataclass(frozen=True)
 class EvaluateConfig(Config, error=CliError, lead="malformed evaluate config"):
-    """The keys an ``evaluate`` config may set; an estimator that is not the
-    name of one is refused as unknown."""
+    """The keys an ``evaluate`` config may set."""
 
     policies: tuple = setting(({"type": "behavior"},), LIST)
-    estimator: object = setting("wis", ANY)
+    estimator: str = setting("wis", ESTIMATOR)
 
 
 def _read_json(path) -> dict:
@@ -150,12 +150,6 @@ def _cmd_evaluate(args) -> int:
     if not cfg.policies:
         raise CliError(f"malformed evaluate config {args.config}: at least one policy "
                        "descriptor is required")
-    estimator = cfg.estimator
-    if not isinstance(estimator, str) or estimator not in ESTIMATORS:
-        raise CliError(
-            f"unknown estimator {estimator!r}; valid estimators are "
-            f"{tuple(ESTIMATORS)}"
-        )
     seed = args.seed if args.seed is not None else 0
 
     model, stats, state_config = load_bundle(args.model)
@@ -177,8 +171,8 @@ def _cmd_evaluate(args) -> int:
     for desc, parts in zip(cfg.policies, weights):
         # the policies' parts share returns and lengths: they are joined once
         joined = ImportanceWeights.joined(parts, joined)
-        result = ESTIMATORS[estimator](joined)
-        rows.append((*_desc_fields(desc)[:3], estimator, result.value,
+        result = ESTIMATORS[cfg.estimator](joined)
+        rows.append((*_label(desc)[0][:3], cfg.estimator, result.value,
                      result.ess, result.n, seed))
     _write_csv(out, EVAL_COLUMNS, rows)
     print(f"wrote {out}")
@@ -211,27 +205,25 @@ def _cmd_report(args) -> int:
     out = _require_out(args)
     try:
         with open(args.rows, encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            raw = list(reader)
+            raw = list(csv.DictReader(fh))
     except OSError as e:
         raise CliError(f"cannot read rows {args.rows}: {e.strerror}") from None
     needed = {"policy", "k", "p1", "estimator", "value", "ess"}
     if not raw or not needed.issubset(raw[0].keys()):
-        raise CliError(
-            f"rows file must have columns {sorted(needed)} with at least one row"
-        )
-    groups: dict[tuple, list] = {}
+        raise CliError(f"rows file must have columns {sorted(needed)} with at least one row")
+    rows, epsilons = [], {}
     for i, row in enumerate(raw, start=1):
         key = (row["policy"], row["k"], row["p1"], row["estimator"])
         try:
-            pair = (float(row["value"]), float(row["ess"]))
+            rows.append((key, key, float(row["value"]), float(row["ess"])))
         except (TypeError, ValueError):
             raise CliError(f"rows {args.rows} row {i}: value and ess "
                            "must be numbers") from None
-        groups.setdefault(key, (key, []))[1].append(pair)
-    _write_summary(out, ("policy", "k", "p1", "estimator", "n_rows",
-                         "value_median", "value_q1", "value_q3",
-                         "ess_median", "ess_q1", "ess_q3"), groups)
+        # a group pools its rows, so it must hold one policy
+        if "epsilon" in row and epsilons.setdefault(key, row["epsilon"]) != row["epsilon"]:
+            raise CliError(f"rows {args.rows} row {i}: the group {key} holds more than "
+                           f"one epsilon ({epsilons[key]!r} and {row['epsilon']!r})")
+    _write_summary(out, ("policy", "k", "p1", "estimator", "n_rows", *STAT_COLUMNS), rows)
     print(f"wrote {out}")
     return 0
 

@@ -6,6 +6,9 @@ winner on the validation partition, build every configured target policy
 from it, and estimate each policy's value on the test partition. The repeat
 loop reruns this under fresh split seeds and aggregates medians and IQRs.
 
+Reports: a repeat returns one :class:`RepeatRecord`; one label per descriptor
+(:func:`_label`) names its policy in every table; :func:`_write_summary` alone groups.
+
 Determinism contract: all randomness of repeat ``r`` derives from
 ``SeedSequence([master_seed, r])``, so outputs are byte-identical across runs
 and repeats could execute in any order (the final tables are merge-sorted by
@@ -28,7 +31,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .behavior import MODEL_KINDS, Evaluation, TreeMemo, fit_dt, fit_dtbls, fit_dts
+from .behavior import MODEL, Evaluation, TreeMemo, fit_dt, fit_dtbls, fit_dts
 from .checks import INT, LIST, NUMBER, Config, Items, Nullable, checked, member, setting
 from .data import (
     Dataset,
@@ -42,7 +45,7 @@ from .data import (
 )
 from .errors import ClinpolError, remember
 from .metrics import auroc_macro, sce
-from .ope import ESTIMATORS, importance_weights, median_iqr
+from .ope import ESTIMATOR, ESTIMATORS, OPEResult, importance_weights, median_iqr
 from .policies import PolicyError, build_policy, check_descriptor
 from .sim import SIMULATOR, simulate
 from .tree import TreeHyperparams
@@ -103,15 +106,12 @@ def fit_model(model_type: str, data, hp: TreeHyperparams, memo: TreeMemo | None 
     With a ``memo`` built for ``data``, component trees are cut from its deep
     trees instead of grown afresh; the fitted model is the same.
     """
+    checked(MODEL.read, model_type, HarnessError, "model_type")
     if model_type == "dt":
         return fit_dt(data, hp, memo=memo)
     if model_type == "dts":
         return fit_dts(data, hp, hp, memo=memo)
-    if model_type == "dtbls":
-        return fit_dtbls(data, hp, hp, hp, memo=memo)
-    raise HarnessError(
-        f"unknown model type {model_type!r}; valid types are {MODEL_KINDS}"
-    )
+    return fit_dtbls(data, hp, hp, hp, memo=memo)
 
 
 # ---------------------------------------------------------------------------
@@ -139,10 +139,7 @@ def select_model(train, validation, model_type: str, n_candidates: int,
     once: a repeat replays the first draw's score or error, and a tie never
     replaces the leader, so the winner is the same.
     """
-    if model_type not in MODEL_KINDS:
-        raise HarnessError(
-            f"unknown model type {model_type!r}; valid types are {MODEL_KINDS}"
-        )
+    checked(MODEL.read, model_type, HarnessError, "model_type")
     grid = grid or HyperparamGrid()
     candidates = sample_candidates(grid, n_candidates, seed)
     memo = TreeMemo(train, candidates, validation)
@@ -200,10 +197,10 @@ class ExperimentConfig(Config, error=HarnessError, lead="malformed experiment co
     simulator: object | None = setting(None, Nullable(SIMULATOR))
     n_repeats: int = setting(50, least=1)
     split: SplitSpec = field(default_factory=SplitSpec)
-    model: str = "dtbls"
+    model: str = setting("dtbls", MODEL)
     n_candidates: int = setting(30, least=1)
     policies: tuple = setting(DEFAULT_POLICIES, LIST)
-    estimator: str = "wis"
+    estimator: str = setting("wis", ESTIMATOR)
     out_dir: str = "results"
     grid: HyperparamGrid = field(default_factory=HyperparamGrid)
     state_config: StateConfig = field(default_factory=StateConfig)
@@ -215,24 +212,20 @@ class ExperimentConfig(Config, error=HarnessError, lead="malformed experiment co
             raise HarnessError(
                 "configure exactly one dataset source: a file path or a simulator"
             )
-        if self.model not in MODEL_KINDS:
-            raise HarnessError(
-                f"unknown model type {self.model!r}; valid types are {MODEL_KINDS}"
-            )
-        if self.estimator not in ESTIMATORS:
-            raise HarnessError(
-                f"unknown estimator {self.estimator!r}; valid estimators are "
-                f"{tuple(ESTIMATORS)}"
-            )
         if not self.policies:
             raise HarnessError("at least one policy descriptor is required")
         # a simulator fixes K up front, so k and epsilon are bounded by it here
         K = None if self.simulator is None else self.simulator.n_actions
-        for desc in self.policies:
+        first = {}  # each key's first position: one key is one summary row
+        for i, desc in enumerate(self.policies):
             try:
                 check_descriptor(desc, n_actions=K, model_kind=self.model)
             except PolicyError as e:
                 raise HarnessError(str(e)) from None
+            key = _label(desc)[1]
+            if first.setdefault(key, i) != i:
+                raise HarnessError(f"policies {first[key]} and {i} share the label {key} "
+                                   "(type, k, p1, epsilon); the report could not tell them apart")
 
 
 def simulator_config_from_json(obj):
@@ -241,23 +234,28 @@ def simulator_config_from_json(obj):
 
 
 @dataclass(frozen=True)
-class ReportRow:
-    """One (seed, policy) result plus the seed's model quality."""
+class RepeatRecord:
+    """One repeat's numbers: its seed, its model's test AUROC and SCE, and
+    the OPE result of each configured descriptor, in config order.
+
+    Every number is finite. Each result is checked as it comes (value, ESS,
+    AUROC, SCE), so from an iterator no policy after a failing one is weighed.
+    """
 
     seed: int
-    model: str
-    policy: dict
-    value: float
-    ess: float
-    n: int
     auroc: float
     sce: float
+    results: tuple[OPEResult, ...]
 
     def __post_init__(self):
-        for name in ("value", "ess", "auroc", "sce"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise HarnessError(f"report row field {name} is not finite: {v!r}")
+        results = []
+        for result in self.results:
+            for name, v in (("value", result.value), ("ess", result.ess),
+                            ("auroc", self.auroc), ("sce", self.sce)):
+                if not math.isfinite(v):
+                    raise HarnessError(f"report row field {name} is not finite: {v!r}")
+            results.append(result)
+        object.__setattr__(self, "results", tuple(results))
 
 
 # ---------------------------------------------------------------------------
@@ -266,52 +264,41 @@ class ReportRow:
 
 ROW_COLUMNS = ("seed", "model", "policy", "k", "p1", "epsilon", "estimator",
                "value", "ess", "n", "auroc", "sce")
+STAT_COLUMNS = ("value_median", "value_q1", "value_q3", "ess_median", "ess_q1", "ess_q3")
 SUMMARY_COLUMNS = ("policy", "k", "p1", "epsilon", "estimator", "n_splits",
-                   "n_missing_seeds", "value_median", "value_q1", "value_q3",
-                   "ess_median", "ess_q1", "ess_q3")
+                   "n_missing_seeds", *STAT_COLUMNS)
 
 
-def _desc_fields(desc: dict):
-    k = desc.get("k")
-    p1 = desc.get("p1")
-    eps = desc.get("epsilon")
-    return (desc["type"],
-            "" if k is None else k,
-            "" if p1 is None else repr(float(p1)),
-            "" if eps is None else repr(float(eps)))
-
-
-def _desc_sort_key(desc: dict):
-    return (desc["type"], desc.get("k") or 0, float(desc.get("p1") or 0.0),
-            float(desc.get("epsilon") or 0.0))
-
-
-def _fmt(v):
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+def _label(desc: dict) -> tuple[tuple, tuple]:
+    """A descriptor's written fields (type, k, p1, epsilon; one not set is
+    blank) and its group and sort key (one not set counts as 0)."""
+    t, k, p1, eps = (desc.get(name) for name in ("type", "k", "p1", "epsilon"))
+    fields = (t, "" if k is None else k, "" if p1 is None else repr(float(p1)),
+              "" if eps is None else repr(float(eps)))
+    return fields, (t, k or 0, float(p1 or 0.0), float(eps or 0.0))
 
 
 def _write_csv(path, header, rows) -> None:
+    """The one writer of a report table. It writes a value as its ``str``,
+    which for a Python float is its ``repr``."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(v) for v in row])
+        w.writerows(rows)
 
 
-def _write_summary(path, header, groups: dict, extra: tuple = ()) -> list:
-    """Write one row per group, in key order, and return the rows.
-
-    ``groups`` maps a sort key to a label and the group's (value, ESS)
-    pairs. A row is the label, the group's size, ``extra``, then the median
-    and quartiles of the group's values and of its ESS.
+def _write_summary(path, header, rows, extra: tuple = ()) -> list:
+    """Group labelled rows, (key, label, value, ESS), by key and write and
+    return one row per group in key order: its first row's label, its size,
+    ``extra``, then the median and quartiles of its values and of its ESS.
     """
-    table = []
-    for key in sorted(groups):
-        label, pairs = groups[key]
-        table.append((*label, len(pairs), *extra, *median_iqr([v for v, _ in pairs]),
-                      *median_iqr([e for _, e in pairs])))
+    groups: dict[tuple, tuple] = {}
+    for key, label, value, ess in rows:
+        _, values, esses = groups.setdefault(key, (label, [], []))
+        values.append(value)
+        esses.append(ess)
+    table = [(*label, len(values), *extra, *median_iqr(values), *median_iqr(esses))
+             for label, values, esses in (groups[key] for key in sorted(groups))]
     _write_csv(path, header, table)
     return table
 
@@ -333,13 +320,13 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         raw = simulate(cfg.simulator)
     os.makedirs(cfg.out_dir, exist_ok=True)
 
-    rows: list[ReportRow] = []
+    records: list[RepeatRecord] = []
     failures: list[tuple] = []
     for r in range(cfg.n_repeats):
         ss = np.random.SeedSequence([cfg.seed, r])
         split_seed, select_seed = (int(x) for x in ss.generate_state(2))
         try:
-            rows.extend(_run_repeat(cfg, raw, r, split_seed, select_seed))
+            records.append(_run_repeat(cfg, raw, r, split_seed, select_seed))
         except ClinpolError as e:
             log.warning("seed %d failed: %s", r, e)
             failures.append((r, f"{type(e).__name__}: {e}"))
@@ -347,30 +334,30 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     paths = {name: os.path.join(cfg.out_dir, f"{name}.csv")
              for name in ("rows", "summary", "per_k", "per_p1", "failures")}
 
-    rows.sort(key=lambda row: (row.seed, _desc_sort_key(row.policy)))
+    # records come in seed order and the config's keys are distinct, so rows
+    # in each record's key order are in (seed, key) order
+    labels = sorted((_label(desc) + (i,) for i, desc in enumerate(cfg.policies)),
+                    key=lambda label: label[1])
+    rows = [(record, record.results[i], fields, key)
+            for record in records for fields, key, i in labels]
     _write_csv(paths["rows"], ROW_COLUMNS, [
-        (row.seed, row.model, *_desc_fields(row.policy), cfg.estimator,
-         row.value, row.ess, row.n, row.auroc, row.sce)
-        for row in rows
+        (record.seed, cfg.model, *fields, cfg.estimator, result.value, result.ess,
+         result.n, record.auroc, record.sce)
+        for record, result, fields, _ in rows
     ])
-
-    n_missing = cfg.n_repeats - len({row.seed for row in rows})
-    groups: dict[tuple, tuple] = {}
-    for row in rows:
-        label = (*_desc_fields(row.policy), cfg.estimator)
-        groups.setdefault(_desc_sort_key(row.policy), (label, []))[1].append(
-            (row.value, row.ess))
-    summary = _write_summary(paths["summary"], SUMMARY_COLUMNS, groups, (n_missing,))
-    _write_csv(paths["per_k"], SUMMARY_COLUMNS,
-               [s for s in summary if s[1] != ""])
-    _write_csv(paths["per_p1"], SUMMARY_COLUMNS,
-               [s for s in summary if s[2] != ""])
+    summary = _write_summary(
+        paths["summary"], SUMMARY_COLUMNS,
+        [(key, (*fields, cfg.estimator), result.value, result.ess)
+         for _, result, fields, key in rows],
+        (cfg.n_repeats - len(records),))
+    for name, column in (("per_k", 1), ("per_p1", 2)):  # the rows that set k, then p1
+        _write_csv(paths[name], SUMMARY_COLUMNS, [s for s in summary if s[column] != ""])
     _write_csv(paths["failures"], ("seed", "reason"), failures)
     return paths
 
 
 def _run_repeat(cfg: ExperimentConfig, raw: Dataset, repeat: int,
-                split_seed: int, select_seed: int) -> list:
+                split_seed: int, select_seed: int) -> RepeatRecord:
     spec = replace(cfg.split, seed=split_seed)
     parts = list(split_dataset(raw, spec))
     # a set of the ids themselves: an array of them would be as wide as the longest
@@ -395,15 +382,11 @@ def _run_repeat(cfg: ExperimentConfig, raw: Dataset, repeat: int,
     test_auroc = auroc_macro(evaluation.probs, test.actions)
     test_sce = sce(evaluation.probs, test.actions)
 
-    out = []
-    for desc in cfg.policies:
-        policy = build_policy(desc, model)
-        weights = importance_weights(policy, model, test, evaluation)
-        result = ESTIMATORS[cfg.estimator](weights)
-        out.append(ReportRow(seed=repeat, model=cfg.model, policy=dict(desc),
-                             value=result.value, ess=result.ess, n=result.n,
-                             auroc=test_auroc, sce=test_sce))
-    return out
+    # the record checks each result as it comes, before the next policy is weighed
+    return RepeatRecord(repeat, test_auroc, test_sce, (
+        ESTIMATORS[cfg.estimator](importance_weights(build_policy(desc, model), model,
+                                                     test, evaluation))
+        for desc in cfg.policies))
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .checks import OneOf
 from .data import StepData
 from .errors import ClinpolError
 
@@ -81,16 +82,21 @@ def importance_weights(policy, behavior_model, data: StepData,
     """Per-trajectory importance weights of ``policy`` against ``behavior_model``.
 
     ``data`` must hold complete trajectories: the weight is a product over
-    every logged step, so evaluating on a row subset would silently drop
-    factors. ``evaluation``, a :class:`~clinpol.behavior.Evaluation` of
-    ``behavior_model`` on ``data``, is handed to the policy and supplies the
-    denominator, so neither queries the model again; a record built for
-    another model or ``StepData`` raises ``RuntimeError``.
+    every logged step, so a row subset would silently drop factors, and one
+    that leaves a trajectory no rows raises ``OPEError``. ``evaluation``, a
+    :class:`~clinpol.behavior.Evaluation` of ``behavior_model`` on ``data``,
+    is handed to the policy and supplies the denominator, so neither queries
+    the model again; a record for another model or ``StepData`` raises
+    ``RuntimeError``.
     """
     if evaluation is not None:
         evaluation.check(behavior_model, data.states)
         if evaluation.data is not data:
             raise RuntimeError("evaluation record used with a different StepData")
+    lengths = data.trajectory_lengths()
+    if not lengths.all():  # argmin is then the first trajectory with no rows
+        raise OPEError(f"trajectory {data.traj_ids[int(np.argmin(lengths))]!r} has no rows "
+                       "in the data; importance weights need whole trajectories")
     p_pi = policy.probabilities_batch(data.states, data.prev_actions, data.stages,
                                       evaluation=evaluation)
     p_mu = evaluation.probs if evaluation is not None else (
@@ -152,6 +158,7 @@ def is_estimate(weights: ImportanceWeights) -> OPEResult:
 
 
 ESTIMATORS = {"wis": wis_estimate, "is": is_estimate}
+ESTIMATOR = OneOf(ESTIMATORS, "estimator", "estimators")
 
 
 def median_iqr(values) -> tuple[float, float, float]:

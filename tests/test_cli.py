@@ -130,6 +130,55 @@ def test_report_summarizes_with_the_reference_quantiles(pipeline):
     assert row["n_rows"] == "3"
 
 
+def test_report_of_an_experiments_rows_gives_its_summary(tmp_path):
+    cfg = ExperimentConfig(
+        simulator=ChronicSimConfig(n_patients=300, seed=4), n_repeats=3, model="dts",
+        n_candidates=2, seed=3, out_dir=str(tmp_path / "exp"),
+        policies=({"type": "mc", "k": 1}, {"type": "mc", "k": 2}, {"type": "mc", "k": 3},
+                  {"type": "mc_switch_adj", "k": 2, "p1": 0.1},
+                  {"type": "mc_switch_adj", "k": 2, "p1": -0.1}))
+    paths = harness.run_experiment(cfg)
+    out = str(tmp_path / "report.csv")
+    assert main(["report", paths["rows"], "--out", out]) == 0
+    report, summary = read_rows(out), read_rows(paths["summary"])
+    assert len(report) == len(summary) == 5
+    columns = ("policy", "k", "p1", "estimator", "value_median", "value_q1", "value_q3",
+               "ess_median", "ess_q1", "ess_q3")
+    assert [[r[c] for c in columns] for r in report] == [[s[c] for c in columns]
+                                                         for s in summary]
+    assert [r["n_rows"] for r in report] == [s["n_splits"] for s in summary]
+
+
+def test_report_refuses_a_group_that_holds_two_epsilons(tmp_path, capsys):
+    rows = tmp_path / "rows.csv"
+    lines = ["seed,policy,k,p1,epsilon,estimator,value,ess"]
+    lines += [f"{seed},mc,2,,{eps},wis,{-50.0 - seed - 30 * bool(eps)},9.0"
+              for seed in range(3) for eps in ("", "0.05")]
+    rows.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "s.csv"
+    expect_error(capsys, ["report", str(rows), "--out", str(out)],
+                 f"rows {rows} row 2: the group ('mc', '2', '', 'wis') holds more than one "
+                 "epsilon ('' and '0.05')")
+    assert not out.exists()
+    # one epsilon a group, or no epsilon column, is summarized as before
+    rows.write_text("\n".join(line for line in lines if ",0.05," not in line) + "\n")
+    assert main(["report", str(rows), "--out", str(out)]) == 0
+    assert [r["n_rows"] for r in read_rows(out)] == ["3"]
+
+
+def test_fit_refuses_an_unknown_model_kind_before_reading_the_cohort(
+        tmp_path, capsys, monkeypatch):
+    def unread(*args, **kwargs):
+        raise AssertionError("the cohort was read")
+
+    monkeypatch.setattr(cli, "load_dataset", unread)
+    fit = write_json(tmp_path / "fit.json", {"model": "xx"})
+    expect_error(capsys, ["fit", str(tmp_path / "cohort.jsonl"), "--config", fit,
+                          "--out", str(tmp_path / "b.json")],
+                 f"malformed fit config {fit}: 'model' names an unknown model type 'xx'; "
+                 "valid types are ['dt', 'dts', 'dtbls']")
+
+
 def test_simulate_seed_flag_overrides_the_config(tmp_path):
     out = str(tmp_path / "cohort.jsonl")
     assert main(["simulate", "--seed", "9", "--out", out]) == 0

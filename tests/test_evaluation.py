@@ -411,6 +411,6 @@ def test_a_repeat_queries_the_model_once_after_selection(tmp_path, monkeypatch):
                                    n_repeats=1, n_candidates=3, policies=BENCH_POLICIES,
                                    out_dir=str(tmp_path))
     raw = harness.simulate(cfg.simulator)
-    rows = harness._run_repeat(cfg, raw, 0, 11, 12)
-    assert len(rows) == len(BENCH_POLICIES)
+    record = harness._run_repeat(cfg, raw, 0, 11, 12)
+    assert len(record.results) == len(BENCH_POLICIES)
     assert calls.counts == {"action_probabilities_batch": 1, "outcome_batch": 1}

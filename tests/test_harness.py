@@ -31,7 +31,7 @@ from clinpol.harness import (
     ExperimentConfig,
     HarnessError,
     HyperparamGrid,
-    ReportRow,
+    RepeatRecord,
     fit_model,
     load_bundle,
     run_experiment,
@@ -41,7 +41,7 @@ from clinpol.harness import (
     simulator_config_from_json,
 )
 from clinpol.metrics import auroc_macro
-from clinpol.ope import median_iqr
+from clinpol.ope import OPEResult, median_iqr
 from clinpol.sim import ChronicSimConfig, EpisodicSimConfig, SimError, generate_chronic
 from clinpol.tree import TreeHyperparams
 
@@ -461,10 +461,67 @@ def test_simulator_spec_parsing_errors():
         simulator_config_from_json({"kind": "weird"})
 
 
-def test_report_rows_must_be_finite():
+def test_repeat_records_must_be_finite():
     with pytest.raises(HarnessError, match="not finite"):
-        ReportRow(seed=0, model="dt", policy={"type": "behavior"},
-                  value=float("inf"), ess=1.0, n=1, auroc=0.5, sce=0.0)
+        RepeatRecord(seed=0, auroc=0.5, sce=0.0,
+                     results=(OPEResult(float("inf"), 1.0, 1, "wis"),))
+
+
+def test_a_record_checks_value_ess_auroc_sce_policy_by_policy():
+    ok, nan = OPEResult(1.0, 2.0, 3, "wis"), OPEResult(float("nan"), 2.0, 3, "wis")
+    cases = [((ok, OPEResult(1.0, math.inf, 3, "wis")), 0.5, 0.0, "ess is not finite: inf"),
+             ((nan,), math.nan, math.nan, "value is not finite: nan"),
+             ((OPEResult(1.0, math.nan, 3, "wis"),), math.nan, 0.0, "ess is not finite"),
+             ((ok, nan), math.inf, 0.0, "auroc is not finite: inf"),
+             ((ok,), 0.5, -math.inf, "sce is not finite: -inf")]
+    for results, auroc, sce, message in cases:
+        with pytest.raises(HarnessError, match=f"^report row field {re.escape(message)}"):
+            RepeatRecord(0, auroc, sce, results)
+    assert RepeatRecord(4, 0.5, 0.0, iter([ok, ok])).results == (ok, ok)
+
+
+def test_a_record_stops_reading_its_results_at_the_first_that_fails():
+    # a repeat hands its results over as they are made, so a policy after one
+    # that fails the check is never weighed, as when each row checked itself
+    made = []
+
+    def results():
+        for value in (1.0, math.inf, 2.0):
+            made.append(value)
+            yield OPEResult(value, 1.0, 1, "wis")
+
+    with pytest.raises(HarnessError, match="value is not finite: inf"):
+        RepeatRecord(0, 0.5, 0.0, results())
+    assert made == [1.0, math.inf]
+
+
+@pytest.mark.parametrize("policies, first, second, key", [
+    (({"type": "random", "seed": 1, "epsilon": 0.1}, {"type": "mc", "k": 1},
+      {"type": "random", "seed": 2, "epsilon": 0.1}), 0, 2, "('random', 0, 0.0, 0.1)"),
+    (({"type": "mc", "k": 1}, {"type": "mc", "k": 1}), 0, 1, "('mc', 1, 0.0, 0.0)"),
+    (({"type": "behavior"}, {"type": "mc_switch_adj", "k": 2},
+      {"type": "mc_switch_adj", "k": 2, "p1": 0.0}), 1, 2, "('mc_switch_adj', 2, 0.0, 0.0)"),
+], ids=["random_seeds", "repeated", "blank_and_zero_p1"])
+def test_config_refuses_two_descriptors_with_one_label(policies, first, second, key):
+    # one summary row per label: two such descriptors were pooled in it
+    message = f"policies {first} and {second} share the label {key}"
+    with pytest.raises(HarnessError, match=re.escape(message)):
+        ExperimentConfig(simulator=sim_cfg(), model="dts", policies=policies, out_dir="x")
+    spec = {**SIM_SPEC, "model": "dts", "policies": list(policies)}
+    with pytest.raises(HarnessError, match=re.escape(message)):
+        ExperimentConfig.from_json(spec)
+
+
+def test_descriptors_that_differ_in_epsilon_or_p1_sign_get_rows_of_their_own():
+    policies = ({"type": "mc", "k": 2}, {"type": "mc", "k": 2, "epsilon": 0.05},
+                {"type": "mc_switch_adj", "k": 2, "p1": 0.1},
+                {"type": "mc_switch_adj", "k": 2, "p1": -0.1})
+    labels = [harness._label(desc) for desc in policies]
+    assert [fields for fields, _ in labels] == [
+        ("mc", 2, "", ""), ("mc", 2, "", "0.05"),
+        ("mc_switch_adj", 2, "0.1", ""), ("mc_switch_adj", 2, "-0.1", "")]
+    assert len({key for _, key in labels}) == 4
+    ExperimentConfig(simulator=sim_cfg(), model="dts", policies=policies, out_dir="x")
 
 
 # ---------------------------------------------------------------------------

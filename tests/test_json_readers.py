@@ -17,7 +17,7 @@ from operator import getitem
 import pytest
 
 from clinpol.behavior import BehaviorError, model_from_json, model_to_json
-from clinpol.cli import main
+from clinpol.cli import CliError, EvaluateConfig, FitConfig, main
 from clinpol.errors import ClinpolError
 from clinpol.harness import ExperimentConfig, HarnessError, HyperparamGrid, load_bundle
 from clinpol.sim import ChronicSimConfig, EpisodicSimConfig
@@ -118,6 +118,25 @@ def test_config_mutants_build_or_raise_a_domain_error():
             if value == 10**400 and path[-1] in COHORT_SIZES:
                 assert not ok, path
     assert counts[0] > 0 and counts[1] > 0
+
+
+@pytest.mark.parametrize("record, error, key, names", [
+    (ExperimentConfig, HarnessError, "model", "model type"),
+    (ExperimentConfig, HarnessError, "estimator", "estimator"),
+    (FitConfig, CliError, "model", "model type"),
+    (EvaluateConfig, CliError, "estimator", "estimator"),
+])
+def test_a_model_kind_or_estimator_mutant_is_refused_naming_the_key(record, error, key,
+                                                                     names):
+    # the name is read by its config kind, so no hand check waits for it
+    base = ({"simulator": {"kind": "chronic"}, "model": "dts"} if record is ExperimentConfig
+            else {})
+    for value in MUTANTS:
+        with pytest.raises(error, match=re.escape(f"{key!r} ") + ".*"
+                           + re.escape(f"an unknown {names}")):
+            record.from_json({**base, key: value})
+    valid = "dts" if key == "model" else "is"
+    assert getattr(record.from_json({**base, key: valid}), key) == valid
 
 
 def test_model_mutants_build_or_raise_a_domain_error(fitted):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from clinpol.behavior import TreeBehaviorModel, fit_dt, fit_dts
-from clinpol.data import NONE_ACTION, StepData
+from clinpol.data import NONE_ACTION, StepData, build_states, impute_and_encode
 from clinpol.ope import (
     NoOverlapError,
     OPEError,
@@ -20,6 +20,7 @@ from clinpol.ope import (
     wis_estimate,
 )
 from clinpol.policies import BehaviorPolicy, TopKPolicy
+from clinpol.sim import ChronicSimConfig, generate_chronic
 from clinpol.tree import TreeHyperparams, fit_tree
 from test_behavior import HP, make_cohort
 
@@ -157,10 +158,24 @@ def test_entry_j_of_the_weights_is_the_trajectory_at_position_j_of_traj_ids():
         assert own.lengths[0] == weights.lengths[j]
 
 
-def test_policies_on_one_cohort_share_its_returns_and_lengths():
+def test_a_trajectory_with_no_rows_is_refused_naming_it():
     data = make_cohort(31, n_traj=50)
     m = fit_dt(data, HP)
-    parts = [data.subset(data.traj_index < 20), data.subset(data.traj_index >= 20)]
+    part = data.subset(data.traj_index < 20)
+    assert len(part.traj_ids) == 50
+    with pytest.raises(OPEError, match=f"trajectory {data.traj_ids[20]!r} has no rows"):
+        importance_weights(BehaviorPolicy(m), m, part)
+    later = data.subset(data.traj_index >= 20)
+    with pytest.raises(OPEError, match=f"trajectory {data.traj_ids[0]!r} has no rows"):
+        importance_weights(TopKPolicy(m, 2), m, later)
+    assert len(importance_weights(BehaviorPolicy(m), m, data)) == 50
+
+
+def test_policies_on_one_cohort_share_its_returns_and_lengths():
+    cohort = impute_and_encode(generate_chronic(ChronicSimConfig(n_patients=50, seed=31)))
+    m = fit_dt(build_states(cohort), HP)
+    parts = [build_states(cohort.take(np.arange(20))),
+             build_states(cohort.take(np.arange(20, 50)))]
     by_policy = [[importance_weights(policy, m, part) for part in parts]
                  for policy in (BehaviorPolicy(m), TopKPolicy(m, 2))]
     for a, b in zip(*by_policy):

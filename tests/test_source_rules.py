@@ -167,3 +167,12 @@ def test_only_the_config_reader_and_the_descriptor_check_list_known_keys():
              for line, function in _calls(path, "check_keys")
              if (path.name, function) != ("policies.py", "check_descriptor")]
     assert found == []
+
+
+def test_only_the_report_writer_and_the_cohort_writer_build_a_csv_writer():
+    # every report table goes through harness._write_csv, so the tables
+    # share one float rule and one line ending
+    found = [f"{path.name}:{function}" for path in SOURCES
+             for _, function in _calls(path, "writer")]
+    assert sorted(found) == ["data.py:_csv_body", "data.py:_csv_header",
+                             "harness.py:_write_csv"]
