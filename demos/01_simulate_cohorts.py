@@ -21,7 +21,7 @@ from clinpol import (
     load_dataset,
     save_dataset,
 )
-from clinpol.sim import write_manifest
+from clinpol.sim import read_manifest, write_manifest
 
 # ---------------------------------------------------------------------------
 # a chronic cohort
@@ -66,10 +66,16 @@ print(f"survival fraction: {np.mean(returns > 0):.3f}")
 out = Path("demo_output")
 out.mkdir(exist_ok=True)
 save_dataset(cohort, out / "chronic_demo.jsonl")
-write_manifest(out / "chronic_demo.manifest.json", cfg)
+manifest = out / "chronic_demo.manifest.json"
+write_manifest(manifest, cfg)
 reloaded = load_dataset(out / "chronic_demo.jsonl")
 
 print(f"\nJSONL round trip preserves every step: {reloaded == cohort}")
+
+# the manifest reads back as the config that generated the cohort
+if read_manifest(manifest) != cfg:
+    raise SystemExit(f"{manifest} does not read back as its config")
+print(f"{manifest} reads back as its config")
 
 # regeneration from the same config is bitwise identical, so the manifest
 # plus the seed is a complete record of the cohort

@@ -23,6 +23,7 @@ from clinpol import (
     fit_dt,
     fit_dtbls,
     fit_dts,
+    fit_imputation,
     generate_chronic,
     impute_and_encode,
     sce,
@@ -39,9 +40,9 @@ train_ds, val_ds, test_ds = split_dataset(raw, SplitSpec(0.8, 0.25, seed=3))
 
 # imputation statistics come from the training patients only and are reused
 # for the other partitions
-train = build_states(impute_and_encode(train_ds))
-val = build_states(impute_and_encode(val_ds, stats_source=train_ds))
-test = build_states(impute_and_encode(test_ds, stats_source=train_ds))
+stats = fit_imputation(train_ds)
+train, val, test = (build_states(impute_and_encode(part, stats))
+                    for part in (train_ds, val_ds, test_ds))
 print(f"train {train.n_trajectories} patients / {len(train)} steps, "
       f"val {val.n_trajectories}, test {test.n_trajectories}")
 print(f"state features: {train.feature_names}")

@@ -51,6 +51,7 @@ from .data import (
     StateConfig,
     StepData,
     build_states,
+    fit_imputation,
     from_records,
     impute_and_encode,
     load_dataset,
@@ -66,7 +67,7 @@ from .harness import (
     save_bundle,
     select_model,
 )
-from .metrics import auroc_macro, binary_auroc, sce
+from .metrics import auroc_macro, sce
 from .ope import (
     ESTIMATORS,
     ImportanceWeights,
@@ -93,7 +94,6 @@ from .policies import (
     soften,
 )
 from .sim import (
-    ChronicOraclePolicy,
     ChronicSimConfig,
     EpisodicSimConfig,
     SimError,

@@ -93,6 +93,12 @@ def _expit(v) -> np.ndarray:
                     dtype=np.float64).reshape(v.shape)
 
 
+# a Newton fit stops once a step moves both parameters by less than TOL, once
+# the objective falls by less than TOL * 1e-3, or after MAX_ITER steps
+TOL = 1e-8
+MAX_ITER = 100
+
+
 def _fit_sigmoid(x, y, tol, max_iter):
     """Two-parameter logistic MLE by Newton's method with step halving."""
     x = np.asarray(x, dtype=np.float64)
@@ -138,7 +144,7 @@ def _fit_sigmoid(x, y, tol, max_iter):
     return float(b), float(a)
 
 
-def fit_calibration(scores, labels, tol: float = 1e-8, max_iter: int = 100) -> CalibrationModel:
+def fit_calibration(scores, labels) -> CalibrationModel:
     """Fit one sigmoid per class on held-out (score, label) pairs.
 
     ``scores`` is an (n, C) matrix of raw class probabilities and ``labels``
@@ -165,7 +171,7 @@ def fit_calibration(scores, labels, tol: float = 1e-8, max_iter: int = 100) -> C
         if y.sum() == 0 or y.sum() == n:
             identity[c] = True
             continue
-        slope[c], intercept[c] = _fit_sigmoid(scores[:, c], y, tol, max_iter)
+        slope[c], intercept[c] = _fit_sigmoid(scores[:, c], y, TOL, MAX_ITER)
     return CalibrationModel(slope=slope, intercept=intercept, identity=identity)
 
 

@@ -12,17 +12,16 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .behavior import MODEL, Evaluation
+from .behavior import Evaluation
 from .checks import INT, LIST, Config, checked, setting
 from .data import (
-    SplitSpec,
-    StateConfig,
     apply_imputation,
     build_states,
     fit_imputation,
@@ -33,7 +32,7 @@ from .data import (
 from .errors import ClinpolError
 from .harness import (
     ExperimentConfig,
-    HyperparamGrid,
+    FitSettings,
     STAT_COLUMNS,
     _label,
     _write_csv,
@@ -57,14 +56,8 @@ class CliError(ClinpolError):
 
 
 @dataclass(frozen=True)
-class FitConfig(Config, error=CliError, lead="malformed fit config"):
+class FitConfig(FitSettings, error=CliError, lead="malformed fit config"):
     """The keys a ``fit`` config may set."""
-
-    model: str = setting("dtbls", MODEL)
-    n_candidates: int = setting(30, least=1)
-    grid: HyperparamGrid = field(default_factory=HyperparamGrid)
-    split: SplitSpec = field(default_factory=SplitSpec)
-    state_config: StateConfig = field(default_factory=StateConfig)
 
 
 @dataclass(frozen=True)
@@ -213,15 +206,24 @@ def _cmd_report(args) -> int:
         raise CliError(f"rows file must have columns {sorted(needed)} with at least one row")
     rows, epsilons = [], {}
     for i, row in enumerate(raw, start=1):
-        key = (row["policy"], row["k"], row["p1"], row["estimator"])
+        label = (row["policy"], row["k"], row["p1"], row["estimator"])
         try:
-            rows.append((key, key, float(row["value"]), float(row["ess"])))
+            value, ess = float(row["value"]), float(row["ess"])
         except (TypeError, ValueError):
             raise CliError(f"rows {args.rows} row {i}: value and ess "
                            "must be numbers") from None
+        try:  # groups and their order are summary.csv's: by number, blank as 0
+            k, p1 = (float(row[name] or 0) for name in ("k", "p1"))
+        except (TypeError, ValueError):
+            k = p1 = math.nan
+        if not (math.isfinite(k) and math.isfinite(p1)):  # NaN equals no key, itself too
+            raise CliError(f"rows {args.rows} row {i}: k and p1 must be finite numbers "
+                           "or blank")
+        key = (*_label({"type": row["policy"], "k": k, "p1": p1})[1], row["estimator"])
+        rows.append((key, label, value, ess))
         # a group pools its rows, so it must hold one policy
         if "epsilon" in row and epsilons.setdefault(key, row["epsilon"]) != row["epsilon"]:
-            raise CliError(f"rows {args.rows} row {i}: the group {key} holds more than "
+            raise CliError(f"rows {args.rows} row {i}: the group {label} holds more than "
                            f"one epsilon ({epsilons[key]!r} and {row['epsilon']!r})")
     _write_summary(out, ("policy", "k", "p1", "estimator", "n_rows", *STAT_COLUMNS), rows)
     print(f"wrote {out}")

@@ -144,8 +144,11 @@ class FeatureSchema:
     def from_json(cls, obj) -> "FeatureSchema":
         feats = []
         try:
-            for d in obj:
-                name, categories = str(d["name"]), d.get("categories")
+            for i, d in enumerate(obj):
+                name, categories = d["name"], d.get("categories")
+                if not isinstance(name, str):
+                    raise SchemaError(f"schema entry {i} {d!r}: name must be a string, "
+                                      f"got {name!r}")
                 if categories is not None and not isinstance(categories, list):
                     raise SchemaError(f"feature {name!r}: categories must be a list, "
                                       f"got {categories!r}")
@@ -847,7 +850,7 @@ def _load_jsonl(path, n_actions=None, each=None):
         raise _not_utf8(path, exc) from None
 
 
-def load_csv(path, n_actions: int | None = None) -> Dataset:
+def _load_csv(path, n_actions: int | None = None) -> Dataset:
     """A cohort from a UTF-8 CSV file, read as columns, each distinct token
     parsed once. The rows of one id, whose ``t`` counts 1..T, make one
     trajectory. ``n_actions`` overrides the meta line's K, an integer;
@@ -968,7 +971,7 @@ def load_dataset(path, n_actions: int | None = None, each=None) -> Dataset | Non
     """
     if not str(path).endswith(".csv"):
         return _load_jsonl(path, n_actions, each)
-    ds = load_csv(path, n_actions=n_actions)
+    ds = _load_csv(path, n_actions=n_actions)
     if each is None:
         return ds
     _hand_out(each, ds)
@@ -1064,15 +1067,10 @@ def apply_imputation(ds: Dataset, stats: ImputationStats) -> Dataset:
     return replace(ds, schema=enc_schema, covariates=out)
 
 
-def impute_and_encode(ds: Dataset, stats_source: Dataset | None = None,
-                      stats: ImputationStats | None = None) -> Dataset:
-    """Impute with ``stats``, or with statistics fitted on ``stats_source``
-    (default: ``ds`` itself)."""
-    if stats is None:
-        stats = fit_imputation(stats_source if stats_source is not None else ds)
-    elif stats_source is not None:
-        raise DatasetError("pass imputation statistics or a source to fit them on, not both")
-    return apply_imputation(ds, stats)
+def impute_and_encode(ds: Dataset, stats: ImputationStats | None = None) -> Dataset:
+    """Impute with ``stats``, by default statistics fitted on ``ds`` itself;
+    for held-out data, pass ``stats=fit_imputation(train)``."""
+    return apply_imputation(ds, fit_imputation(ds) if stats is None else stats)
 
 
 @dataclass(frozen=True)
@@ -1165,20 +1163,6 @@ class StepData:
         if np.any(prev == NONE_ACTION):
             raise DatasetError("switch labels are undefined at t=1 steps")
         return (actions != prev).astype(np.int64)
-
-    def subset(self, mask) -> "StepData":
-        mask = np.asarray(mask)
-        return StepData(
-            states=self.states[mask],
-            actions=self.actions[mask],
-            rewards=self.rewards[mask],
-            prev_actions=self.prev_actions[mask],
-            stages=self.stages[mask],
-            traj_index=self.traj_index[mask],
-            traj_ids=self.traj_ids,
-            n_actions=self.n_actions,
-            feature_names=self.feature_names,
-        )
 
     def trajectory_returns(self) -> np.ndarray:
         """Sum of rewards per trajectory, ordered like ``traj_ids``."""

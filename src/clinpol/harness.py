@@ -188,22 +188,30 @@ DEFAULT_POLICIES = (
 )
 
 
-@dataclass
-class ExperimentConfig(Config, error=HarnessError, lead="malformed experiment config",
+@dataclass(frozen=True)
+class FitSettings(Config):
+    """The settings of a behavior-model fit, declared once for every record
+    that fits one: the model kind, how many grid candidates selection draws
+    and from which grid, how the cohort splits, and the state layout."""
+
+    model: str = setting("dtbls", MODEL)
+    n_candidates: int = setting(30, least=1)
+    grid: HyperparamGrid = field(default_factory=HyperparamGrid)
+    split: SplitSpec = field(default_factory=SplitSpec)
+    state_config: StateConfig = field(default_factory=StateConfig)
+
+
+@dataclass(frozen=True)
+class ExperimentConfig(FitSettings, error=HarnessError, lead="malformed experiment config",
                        noun="experiment config"):
     """Everything one repeated-split run needs; JSON-round-trippable."""
 
     dataset: str | None = None
     simulator: object | None = setting(None, Nullable(SIMULATOR))
     n_repeats: int = setting(50, least=1)
-    split: SplitSpec = field(default_factory=SplitSpec)
-    model: str = setting("dtbls", MODEL)
-    n_candidates: int = setting(30, least=1)
     policies: tuple = setting(DEFAULT_POLICIES, LIST)
     estimator: str = setting("wis", ESTIMATOR)
     out_dir: str = "results"
-    grid: HyperparamGrid = field(default_factory=HyperparamGrid)
-    state_config: StateConfig = field(default_factory=StateConfig)
     seed: int = setting(0, least=0)
 
     def __post_init__(self):

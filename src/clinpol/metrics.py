@@ -54,15 +54,6 @@ def _sorted_auroc(ordered, positive_scores) -> float:
     return float(u / (n_pos * n_neg))
 
 
-def binary_auroc(scores, positives) -> float:
-    """Rank-based AUROC of a score vector against a boolean positive mask."""
-    scores = np.asarray(scores, dtype=np.float64)
-    positives = np.asarray(positives, dtype=bool)
-    if not np.all(np.isfinite(scores)):
-        raise MetricError("scores must be finite")
-    return _sorted_auroc(np.sort(scores), scores[positives])
-
-
 def auroc_macro(scores, labels) -> float:
     """Macro-average one-vs-rest AUROC; NaN if no class has both outcomes.
 

@@ -27,7 +27,7 @@ the truth policy under per-patient streams; ``monte_carlo_value`` rolls out
 any policy, fitted-model ones included, under one stream per config seed,
 and keeps only the history its states need, not the step arrays a cohort
 hands out. A table keyed by config class gives the functions that take any
-config their simulator's schema, truth policy, generator and loop.
+config their simulator's schema, truth probabilities, generator and loop.
 
 Determinism: every patient draws from ``SeedSequence([seed, patient_index])``
 with a fixed draw order, and every step after the draws works row by row, so
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import data
-from .checks import ANY, INT, NUMBER, Config, Items, Spec, is_integer, is_number, setting
+from .checks import ANY, INT, NUMBER, Config, Items, Spec, is_integer, is_number, member, setting
 from .data import (
     CATEGORICAL,
     NONE_ACTION,
@@ -502,7 +502,11 @@ def generate_episodic(cfg: EpisodicSimConfig, first: int = 0,
 
 
 def episodic_survival_probabilities(cfg: EpisodicSimConfig, ds: Dataset) -> np.ndarray:
-    """Closed-form per-patient survival chance, recomputed from stored steps."""
+    """Closed-form per-patient survival chance, recomputed from stored steps.
+
+    The generator draws survival from this chance; it is the reference that
+    ``tests/test_sim.py::test_survival_matches_the_closed_form`` holds a
+    generated cohort's survival rate to."""
     sev, vol, frailty = (ds.covariates[:, ds.schema.names.index(name)]
                          for name in ("severity", "volume", "frailty"))
     msum = ds.cumsum(_episodic_mismatch(cfg, sev, vol, ds.actions))[ds.offsets[1:] - 1]
@@ -518,9 +522,10 @@ def default_assembler(cfg, state_config: StateConfig = StateConfig()) -> StateAs
     return StateAssembler(schema.encoded_names(), cfg.n_actions, state_config)
 
 
-class _TruthBase:
+class TruthPolicy:
     """Exact generator probabilities, read back out of assembled states.
 
+    The probability function is the simulator's, from the ``_KINDS`` table.
     ``probabilities_batch`` takes a policy's optional ``evaluation`` argument
     and ignores it: the generator's probabilities need no behavior model.
     """
@@ -528,6 +533,7 @@ class _TruthBase:
     kind = "truth"
 
     def __init__(self, cfg, assembler: StateAssembler | None = None):
+        self._probs = _kind(cfg, "no truth policy for").truth
         self.cfg = cfg
         self.n_actions = cfg.n_actions
         self._asm = assembler or default_assembler(cfg)
@@ -537,40 +543,28 @@ class _TruthBase:
         states = np.asarray(states, dtype=np.float64)
         return [states[:, self._asm.column(name)] for name in names]
 
+    def probabilities_batch(self, states, prev_actions, stages,
+                            evaluation=None) -> np.ndarray:
+        return self._probs(self, states, prev_actions, stages)
+
     # the truth policy serves both sides of an evaluation: target policy and
     # behavior-model denominator
     def action_probabilities_batch(self, states, prev_actions, stages) -> np.ndarray:
         return self.probabilities_batch(states, prev_actions, stages)
 
 
-class ChronicTruthPolicy(_TruthBase):
-    def probabilities_batch(self, states, prev_actions, stages,
-                            evaluation=None) -> np.ndarray:
-        index, tot, g1 = self._columns(states, "disease_index", "time_on_tx", "biomarker=g1")
-        return _chronic_probs(self.cfg, index, tot, g1 > 0.5, prev_actions,
-                              np.asarray(stages) == 1)
+def _chronic_truth(policy: TruthPolicy, states, prev_actions, stages) -> np.ndarray:
+    index, tot, g1 = policy._columns(states, "disease_index", "time_on_tx", "biomarker=g1")
+    return _chronic_probs(policy.cfg, index, tot, g1 > 0.5, prev_actions,
+                          np.asarray(stages) == 1)
 
 
-class EpisodicTruthPolicy(_TruthBase):
-    def probabilities_batch(self, states, prev_actions, stages,
-                            evaluation=None) -> np.ndarray:
-        return _episodic_probs(self.cfg, *self._columns(states, "severity", "volume"))
+def _episodic_truth(policy: TruthPolicy, states, prev_actions, stages) -> np.ndarray:
+    return _episodic_probs(policy.cfg, *policy._columns(states, "severity", "volume"))
 
 
-class ChronicOraclePolicy(_TruthBase):
-    """One-hot on the subgroup's most effective drug (generator knowledge)."""
-
-    def probabilities_batch(self, states, prev_actions, stages,
-                            evaluation=None) -> np.ndarray:
-        g1, = self._columns(states, "biomarker=g1")
-        best = np.argmax(self.cfg.effects(), axis=1)[(g1 > 0.5).astype(np.int64)]
-        out = np.zeros((len(best), self.n_actions))
-        out[np.arange(len(best)), best] = 1.0
-        return out
-
-
-def truth_policy(cfg, assembler: StateAssembler | None = None) -> _TruthBase:
-    return _kind(cfg, "no truth policy for").truth(cfg, assembler)
+def truth_policy(cfg, assembler: StateAssembler | None = None) -> TruthPolicy:
+    return TruthPolicy(cfg, assembler)
 
 
 # ---------------------------------------------------------------------------
@@ -621,7 +615,7 @@ class _Kind:
     """What each simulator brings to the functions that take any config."""
 
     schema: object      # cfg -> FeatureSchema
-    truth: type         # its truth policy
+    truth: object       # (TruthPolicy, states, prev, stages) -> its probabilities
     horizon: object     # cfg -> the most stages a patient has
     generate: object    # generate_chronic or generate_episodic
     run: object         # its simulation loop, recording into a _History
@@ -629,10 +623,10 @@ class _Kind:
 
 
 _KINDS = {
-    ChronicSimConfig: _Kind(chronic_schema, ChronicTruthPolicy,
+    ChronicSimConfig: _Kind(chronic_schema, _chronic_truth,
                             lambda cfg: cfg.horizon_range[1], generate_chronic,
                             _run_chronic, _chronic_rollouts),
-    EpisodicSimConfig: _Kind(episodic_schema, EpisodicTruthPolicy, lambda cfg: cfg.horizon,
+    EpisodicSimConfig: _Kind(episodic_schema, _episodic_truth, lambda cfg: cfg.horizon,
                              generate_episodic, _run_episodic, _episodic_rollouts),
 }
 
@@ -673,8 +667,10 @@ def config_from_provenance(text: str):
         raise SimError(f"provenance is not a generator manifest: {e}") from None
     if not isinstance(obj, dict) or "simulator" not in obj:
         raise SimError("provenance is not a generator manifest")
-    if obj.get("version") != MANIFEST_VERSION:
-        raise SimError(f"unsupported manifest version {obj.get('version')!r}")
+    # read as an integer, so that neither true nor 1.0 passes for version 1
+    version = member(obj, "version", INT, SimError, "generator manifest", None)
+    if version != MANIFEST_VERSION:
+        raise SimError(f"unsupported manifest version {version!r}")
     kind = obj["simulator"]
     if not (isinstance(kind, str) and kind in SIMULATORS):
         raise SimError(f"unknown simulator kind {kind!r}")

@@ -17,11 +17,12 @@ from clinpol.data import (
     NONE_ACTION,
     SplitSpec,
     build_states,
+    fit_imputation,
     impute_and_encode,
     split_dataset,
 )
 from clinpol.harness import ExperimentConfig, run_experiment
-from clinpol.metrics import auroc_macro, binary_auroc, sce
+from clinpol.metrics import auroc_macro, sce
 from clinpol.ope import (
     effective_sample_size,
     importance_weights,
@@ -40,8 +41,8 @@ from clinpol.sim import (
 )
 from clinpol.tree import TreeHyperparams, tree_from_json, tree_to_json
 
-from test_behavior import leaf_model
-from test_calibration import oracle_pairwise_auroc, sce_oracle
+from test_behavior import leaf_model, subset
+from test_calibration import binary_auroc, oracle_pairwise_auroc, sce_oracle
 from test_tree import assert_tree_matches_oracle
 
 HP4 = TreeHyperparams(max_depth=4, min_leaf_fraction=0.01)
@@ -285,7 +286,7 @@ def test_07_composition_battery():
 
     # fitted compositions on 10^4 logged follow-up states stay on the simplex
     data = _prepared(generate_chronic(ChronicSimConfig(n_patients=3000, seed=77)))
-    follow = data.subset(data.prev_actions != NONE_ACTION)
+    follow = subset(data, data.prev_actions != NONE_ACTION)
     assert len(follow) >= 10_000
     worst = 0.0
     nonneg = True
@@ -357,8 +358,9 @@ def test_09_structured_models_rank_higher():
     for i in range(20):
         raw = generate_chronic(ChronicSimConfig(n_patients=1500, seed=100 + i))
         train_ds, val_ds, _ = split_dataset(raw, SplitSpec(0.8, 0.25, seed=100 + i))
-        train = build_states(impute_and_encode(train_ds))
-        val = build_states(impute_and_encode(val_ds, stats_source=train_ds))
+        stats = fit_imputation(train_ds)
+        train = build_states(impute_and_encode(train_ds, stats))
+        val = build_states(impute_and_encode(val_ds, stats))
         fitted = {
             "dt": fit_dt(train, hp),
             "dts": fit_dts(train, hp, hp),

@@ -5,6 +5,7 @@ import json
 import traceback
 import types
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,6 +33,15 @@ from clinpol.metrics import auroc_macro
 from clinpol.tree import TreeError, TreeHyperparams, attach_outcomes, fit_tree
 
 HP = TreeHyperparams(max_depth=4, min_leaf_fraction=0.01)
+
+
+def subset(data: StepData, mask) -> StepData:
+    """The steps of ``data`` where ``mask`` holds, with every trajectory id
+    kept (so a trajectory can have no steps)."""
+    mask = np.asarray(mask)
+    return replace(data, **{name: getattr(data, name)[mask] for name in
+                            ("states", "actions", "rewards", "prev_actions", "stages",
+                             "traj_index")})
 
 
 def leaf_tree(labels, n_classes, rewards=None):
@@ -225,14 +235,14 @@ def test_fit_dts_rejects_cohort_without_followups():
 
 def test_fit_dts_rejects_cohort_without_switches():
     data = make_cohort(2, n_traj=40, switch_bias=-40.0)
-    assert np.all(data.subset(data.stages > 1).switch_labels() == 0)
+    assert np.all(subset(data, data.stages > 1).switch_labels() == 0)
     with pytest.raises(DegenerateSwitchError, match="no treatment changes"):
         fit_dts(data, HP, HP)
 
 
 def test_treatment_tree_fits_only_switch_events():
     data = make_cohort(3)
-    follow = data.subset(data.stages > 1)
+    follow = subset(data, data.stages > 1)
     n_switch = int(follow.switch_labels().sum())
     m = fit_dts(data, HP, HP)
     assert m.trees["treatment"].n_train == n_switch
@@ -251,7 +261,7 @@ def test_a_stay_event_in_the_treatment_set_is_a_bug_not_a_domain_error(monkeypat
 
 def test_follow_up_queries_copy_no_state_rows(monkeypatch):
     data = make_cohort(3)
-    follow = data.subset(data.stages > 1)
+    follow = subset(data, data.stages > 1)
     dts, dtbls = fit_dts(data, HP, HP), fit_dtbls(data, HP, HP, HP)
     seen = []
 
@@ -285,7 +295,7 @@ def test_follow_up_queries_copy_no_state_rows(monkeypatch):
 
 def test_fit_dtbls_rejects_cohort_without_first_stage():
     data = make_cohort(4)
-    no_first = data.subset(data.stages > 1)
+    no_first = subset(data, data.stages > 1)
     with pytest.raises(BehaviorError, match="first-stage"):
         fit_dtbls(no_first, HP, HP, HP)
 
@@ -293,7 +303,7 @@ def test_fit_dtbls_rejects_cohort_without_first_stage():
 def test_dtbls_first_stage_comes_from_baseline_tree():
     data = make_cohort(5)
     m = fit_dtbls(data, HP, HP, HP)
-    first = data.subset(data.stages == 1)
+    first = subset(data, data.stages == 1)
     out = m.action_probabilities_batch(
         first.states, first.prev_actions, first.stages
     )
@@ -301,7 +311,7 @@ def test_dtbls_first_stage_comes_from_baseline_tree():
     assert np.array_equal(out, expect)
     # and follow-up queries agree with the switch composition of a dts model
     # made of the same switch and treatment trees
-    follow = data.subset(data.stages > 1)
+    follow = subset(data, data.stages > 1)
     out2 = m.action_probabilities_batch(
         follow.states, follow.prev_actions, follow.stages
     )
@@ -327,7 +337,7 @@ def test_models_recover_the_assignment_rule():
         assert auroc_macro(scores, test.actions) > 0.8
     # dts has no first-stage component of its own, so score it where the
     # switch composition applies
-    follow = test.subset(test.stages > 1)
+    follow = subset(test, test.stages > 1)
     m = fit_dts(train, HP, HP)
     scores = m.action_probabilities_batch(follow.states, follow.prev_actions,
                                           follow.stages)
@@ -355,9 +365,9 @@ def test_outcome_stay_averages_switch_tree_rewards():
 def test_outcome_batch_matches_groupby_oracle():
     data = make_cohort(10, n_traj=200)
     m = fit_dts(data, HP, HP)
-    follow = data.subset(data.stages > 1)
+    follow = subset(data, data.stages > 1)
     labels = follow.switch_labels()
-    switched = follow.subset(labels == 1)
+    switched = subset(follow, labels == 1)
 
     # brute-force per-(leaf, class) reward means from the fitting records
     def groupby(tree, states, classes, rewards):
@@ -391,7 +401,7 @@ def test_outcome_batch_matches_groupby_oracle():
 def test_outcome_first_stage_dtbls_reads_baseline_tree():
     data = make_cohort(12, n_traj=200)
     m = fit_dtbls(data, HP, HP, HP)
-    first = data.subset(data.stages == 1)
+    first = subset(data, data.stages == 1)
     out = m.outcome_batch(first.states, first.prev_actions, first.stages)
     expect = m.trees["baseline"].outcome_avg_batch(first.states)
     assert np.array_equal(np.isnan(out), np.isnan(expect))
@@ -433,7 +443,7 @@ def test_calibrate_fits_each_component_on_its_own_records():
 
 def test_calibrate_skipped_on_tiny_validation_set():
     train = make_cohort(15, n_traj=150)
-    val = train.subset(np.arange(len(train)) == 0)
+    val = subset(train, np.arange(len(train)) == 0)
     m = fit_dt(train, HP, val=val)
     assert np.all(m.calibrations["tree"].identity)
 

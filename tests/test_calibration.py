@@ -14,7 +14,7 @@ from clinpol.calibration import (
     fit_calibration,
     identity_calibration,
 )
-from clinpol.metrics import MetricError, auroc_macro, binary_auroc, sce
+from clinpol.metrics import MetricError, auroc_macro, sce
 
 # ---------------------------------------------------------------------------
 # Platt fitting
@@ -278,6 +278,18 @@ def test_calibration_json_round_trip():
 # ---------------------------------------------------------------------------
 # AUROC
 # ---------------------------------------------------------------------------
+
+def binary_auroc(scores, positives) -> float:
+    """The AUROC of ``scores`` against a boolean positive mask, through
+    ``auroc_macro`` on the matrix ``[s, -s]`` labelled 0 where positive.
+
+    Column 1 ranks the negatives by ``-s``, which counts the same pairs as
+    column 0 does, so both one-vs-rest AUROCs, and so their mean, equal the
+    binary AUROC bit for bit.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    return auroc_macro(np.column_stack([scores, -scores]), np.where(positives, 0, 1))
+
 
 def test_auroc_binary_textbook_case():
     scores = np.array([0.1, 0.4, 0.35, 0.8])

@@ -149,6 +149,31 @@ def test_report_of_an_experiments_rows_gives_its_summary(tmp_path):
     assert [r["n_rows"] for r in report] == [s["n_splits"] for s in summary]
 
 
+def test_report_orders_its_groups_by_number_as_the_summary_does(tmp_path, capsys):
+    # as text, "10" sorts before "2" and "-0.05" before "-0.1"
+    descs = [{"type": "mc_switch_adj", "k": 2, "p1": -0.05}, {"type": "mc", "k": 10},
+             {"type": "mc_switch_adj", "k": 2, "p1": -0.1}, {"type": "mc", "k": 2}]
+    lines = ["seed,policy,k,p1,epsilon,estimator,value,ess"]
+    lines += [",".join(map(str, (seed, *harness._label(desc)[0], "wis", float(i), 5.0)))
+              for seed in range(3) for i, desc in enumerate(descs)]
+    rows = tmp_path / "rows.csv"
+    rows.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "s.csv"
+    assert main(["report", str(rows), "--out", str(out)]) == 0
+    report = read_rows(out)
+    assert [(r["policy"], r["k"], r["p1"], r["n_rows"]) for r in report] == [
+        ("mc", "2", "", "3"), ("mc", "10", "", "3"), ("mc_switch_adj", "2", "-0.1", "3"),
+        ("mc_switch_adj", "2", "-0.05", "3")]
+    # the summary's order is that of the descriptors' label keys
+    assert [r["value_median"] for r in report] == [
+        repr(float(descs.index(desc)))
+        for desc in sorted(descs, key=lambda desc: harness._label(desc)[1])]
+    for k, p1 in (("two", ""), ("nan", ""), ("2", "inf")):
+        rows.write_text(f"policy,k,p1,estimator,value,ess\nmc,{k},{p1},wis,1.0,3.0\n")
+        expect_error(capsys, ["report", str(rows), "--out", str(out)],
+                     "row 1: k and p1 must be finite numbers or blank")
+
+
 def test_report_refuses_a_group_that_holds_two_epsilons(tmp_path, capsys):
     rows = tmp_path / "rows.csv"
     lines = ["seed,policy,k,p1,epsilon,estimator,value,ess"]

@@ -30,15 +30,16 @@ from clinpol.data import (
     SchemaError,
     SplitSpec,
     StateConfig,
+    apply_imputation,
     build_states,
     fit_imputation,
     from_records,
     impute_and_encode,
-    load_csv,
     load_dataset,
     save_dataset,
     split_dataset,
 )
+from test_behavior import subset
 
 
 def tiny_schema():
@@ -99,6 +100,19 @@ def test_schema_categories_that_are_not_a_list_are_schema_errors(categories):
     with pytest.raises(SchemaError, match=re.escape(
             f"feature 'm': categories must be a list, got {categories!r}")):
         FeatureSchema.from_json([entry])
+
+
+@pytest.mark.parametrize("name", [5, None, True, ["sev"]])
+def test_schema_names_that_are_not_strings_are_schema_errors(name, tmp_path):
+    # a JSONL header comes from outside the program: 5 must not load as "5"
+    schema = [{"name": "sev"}, {"name": name, "kind": "numeric"}]
+    message = re.escape(f"schema entry 1 {schema[1]!r}: name must be a string, got {name!r}")
+    with pytest.raises(SchemaError, match=message):
+        FeatureSchema.from_json(schema)
+    path = tmp_path / "cohort.jsonl"
+    path.write_text(json.dumps({"schema": schema, "K": 2}) + "\n")
+    with pytest.raises(SchemaError, match=message):
+        load_dataset(path)
 
 
 def test_encoded_names_are_ordered_and_deterministic():
@@ -309,7 +323,7 @@ def load_steps(reader, tmp_path, steps):
     path.write_text('# {"K":2}\nid,t,action,reward,sev\n' + "".join(
         f"p0,{t},{a},{'' if r is None else r},{f['sev']}\n"
         for t, (f, a, r) in enumerate(steps, start=1)))
-    return load_csv(path)
+    return load_dataset(path)
 
 
 AFTER_A_CUT = [  # a step after a missing reward, and its fault
@@ -369,7 +383,7 @@ def test_jsonl_header_k_that_is_no_integer_is_parse_error(tmp_path):
         csv_path = tmp_path / "d.csv"
         csv_path.write_text(f'# note\n# {{"K":{k}}}\nid,t,action,reward,sev\np0,1,0,1.0,3.0\n')
         with pytest.raises(ParseError, match=re.escape(f"d.csv line 2: K is {shown}, not an")):
-            load_csv(csv_path)
+            load_dataset(csv_path)
     for k in ("1" + "0" * 400, "1"):  # integers, but no K
         path.write_text(JSONL_HEADER.replace('"K":2', f'"K":{k}'))
         with pytest.raises(SchemaError, match="K "):
@@ -386,7 +400,7 @@ def test_a_byte_that_is_not_utf8_is_a_parse_error_naming_file_and_line(tmp_path)
     csv_path = tmp_path / "d.csv"
     csv_path.write_bytes(b'# {"K":2}\nid,t,action,reward,sev\np\xe9,1,0,1.0,3.0\n')
     with pytest.raises(ParseError, match=r"d\.csv line 3: not UTF-8 text"):
-        load_csv(csv_path)
+        load_dataset(csv_path)
     # UTF-8 text, non-ASCII included, loads in either format
     ds = from_records(FeatureSchema((Feature("sev"),)), 2,
                       [("pé", [({"sev": 1.0}, 0, 1.0)])])
@@ -727,7 +741,7 @@ def test_every_mutation_of_an_input_loads_or_raises_a_clinpol_error(tmp_path):
         with open(csv_path, "w", newline="") as fh:
             fh.write("# " + json.dumps(meta) + "\n")
             csv.writer(fh).writerows(rows)
-        return load_csv(csv_path)
+        return load_dataset(csv_path)
 
     loads = [partial(read_jsonl, [*document[:i], inner, *document[i + 1:]])
              for i in range(len(document)) for inner in mutations(document[i])]
@@ -996,7 +1010,7 @@ def test_a_csv_cohort_is_one_part(tmp_path, monkeypatch):
     path = tmp_path / "d.csv"
     save_dataset(from_records(tiny_schema(), 3, [(f"p{i}", tiny_records()[i % 2][1])
                                              for i in range(20)]), path)
-    assert parts_of(path, monkeypatch, 1, chunk=3) == [load_csv(path)]
+    assert parts_of(path, monkeypatch, 1, chunk=3) == [load_dataset(path)]
 
 
 def test_an_empty_cohort_hands_out_no_part(tmp_path, monkeypatch):
@@ -1176,7 +1190,7 @@ def test_csv_round_trip_exact(tmp_path):
     ds = tiny_dataset()
     path = tmp_path / "d.csv"
     save_dataset(ds, path)
-    back = load_csv(path)
+    back = load_dataset(path)
     assert back == ds
 
 
@@ -1184,14 +1198,14 @@ def test_csv_missing_header_is_parse_error(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("p0,1,0,1.0,3.0\n")
     with pytest.raises(ParseError, match="header"):
-        load_csv(path)
+        load_dataset(path)
 
 
 def test_csv_out_of_order_steps_rejected(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("id,t,action,reward,sev\np0,2,0,1.0,3.0\np0,1,0,1.0,2.0\n")
     with pytest.raises(ParseError, match="t=1..T"):
-        load_csv(path)
+        load_dataset(path)
 
 
 @pytest.mark.parametrize("token", ["nan", "inf", "-Infinity", "1e400"])
@@ -1200,13 +1214,13 @@ def test_csv_non_finite_numeric_is_schema_error(tmp_path, token):
     path.write_text("id,t,action,reward,sev\np0,1,0,1.0,3.0\n"
                     f"p1,1,1,0.5,2.0\np1,2,1,0.5,{token}\n")
     with pytest.raises(SchemaError, match="trajectory 'p1' step 2: numeric feature 'sev'"):
-        load_csv(path)
+        load_dataset(path)
 
 
 def test_csv_infers_k_from_actions_when_no_comment(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("id,t,action,reward,sev\np0,1,0,1.0,3.0\np1,1,3,0.5,2.0\n")
-    ds = load_csv(path)
+    ds = load_dataset(path)
     assert ds.n_actions == 4
 
 
@@ -1234,14 +1248,17 @@ def test_mode_imputation_tie_breaks_by_schema_order():
     assert stats.values["marker"] == "hi"
 
 
-def test_imputation_uses_stats_source_not_target():
+def test_imputation_uses_train_statistics_not_target():
     train = one_trajectory([
         ({"sev": 10.0, "marker": "hi"}, 0, 0.0),
         ({"sev": 20.0, "marker": "hi"}, 0, 0.0),
     ])
     test = one_trajectory([({"sev": None, "marker": "lo"}, 0, 0.0)])
-    enc = impute_and_encode(test, stats_source=train)
+    enc = impute_and_encode(test, stats=fit_imputation(train))
     assert enc.covariates[0, 0] == 15.0
+    # without statistics it fits the target's own, and the target has no sev
+    with pytest.raises(DatasetError, match="'sev' entirely missing"):
+        impute_and_encode(test)
 
 
 def test_imputation_takes_precomputed_statistics():
@@ -1251,10 +1268,8 @@ def test_imputation_takes_precomputed_statistics():
     ])
     test = one_trajectory([({"sev": None, "marker": "lo"}, 0, 0.0)])
     stats = fit_imputation(train)
-    enc = impute_and_encode(test, stats=stats)
-    assert enc == impute_and_encode(test, stats_source=train)
-    with pytest.raises(DatasetError, match="not both"):
-        impute_and_encode(test, stats_source=train, stats=stats)
+    assert impute_and_encode(test, stats=stats) == apply_imputation(test, stats)
+    assert impute_and_encode(train) == impute_and_encode(train, stats)
 
 
 def test_entirely_missing_feature_is_error():
@@ -1369,7 +1384,7 @@ def test_trajectory_reductions():
     sd = build_states(ds)
     assert sd.trajectory_returns().tolist() == [5.0]
     assert sd.trajectory_lengths().tolist() == [2]
-    assert sd.subset(sd.stages > 1).switch_labels().tolist() == [1]
+    assert subset(sd, sd.stages > 1).switch_labels().tolist() == [1]
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from clinpol.data import NONE_ACTION, StepData
 from clinpol.ope import ESTIMATORS, importance_weights
 from clinpol.policies import RandomPolicy, SwitchAdjustedPolicy, TopKPolicy, build_policy
 from clinpol.sim import ChronicSimConfig
-from test_behavior import FIT, HP, make_cohort
+from test_behavior import FIT, HP, make_cohort, subset
 
 
 def take_trajectories(data: StepData, keep) -> StepData:
@@ -33,7 +33,7 @@ def take_trajectories(data: StepData, keep) -> StepData:
     rows = np.isin(data.traj_index, keep)
     new_index = np.full(len(data.traj_ids), -1)
     new_index[keep] = np.arange(len(keep))
-    part = data.subset(rows)
+    part = subset(data, rows)
     return replace(part, traj_index=new_index[part.traj_index],
                    traj_ids=[data.traj_ids[j] for j in keep])
 

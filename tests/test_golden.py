@@ -18,7 +18,6 @@ from clinpol.data import (
     apply_imputation,
     build_states,
     fit_imputation,
-    load_csv,
     load_dataset,
     save_dataset,
     split_dataset,
@@ -109,7 +108,7 @@ def file_digests(ds, tmp_path, stem):
     save_dataset(ds, cpath)
     rj, rc = tmp_path / f"{stem}.rt.jsonl", tmp_path / f"{stem}.rt.csv"
     save_dataset(load_dataset(jpath), rj)
-    save_dataset(load_csv(cpath), rc)
+    save_dataset(load_dataset(cpath), rc)
     return {"jsonl": sha(jpath.read_bytes()), "csv": sha(cpath.read_bytes()),
             "jsonl_rt": sha(rj.read_bytes()), "csv_rt": sha(rc.read_bytes())}
 
@@ -201,7 +200,7 @@ def test_hand_made_pipeline_is_pinned(hand_made):
 def test_hand_made_csv_pipeline_is_pinned(hand_made, tmp_path):
     path = tmp_path / "hand.csv"
     save_dataset(hand_made, path)
-    assert pipeline_digests(load_csv(path), seed=5) == GOLDEN["hand_made_csv_pipeline"]
+    assert pipeline_digests(load_dataset(path), seed=5) == GOLDEN["hand_made_csv_pipeline"]
 
 
 @pytest.mark.parametrize("kind", ["chronic", "episodic"])

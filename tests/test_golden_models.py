@@ -13,7 +13,13 @@ import json
 import pytest
 
 from clinpol.behavior import model_to_json
-from clinpol.data import SplitSpec, build_states, impute_and_encode, split_dataset
+from clinpol.data import (
+    SplitSpec,
+    build_states,
+    fit_imputation,
+    impute_and_encode,
+    split_dataset,
+)
 from clinpol.harness import fit_model, select_model
 from clinpol.sim import ChronicSimConfig, EpisodicSimConfig, generate_chronic, generate_episodic
 from clinpol.tree import TreeHyperparams
@@ -36,8 +42,9 @@ def cohort(kind, n, seed):
 ])
 def test_selected_model_is_pinned(kind, seed, expected):
     train_ds, val_ds, _ = split_dataset(cohort(kind, 300, seed), SplitSpec(seed=5))
-    train = build_states(impute_and_encode(train_ds))
-    val = build_states(impute_and_encode(val_ds, stats_source=train_ds))
+    stats = fit_imputation(train_ds)
+    train = build_states(impute_and_encode(train_ds, stats))
+    val = build_states(impute_and_encode(val_ds, stats))
     assert digest(select_model(train, val, "dtbls", 30, seed=17)) == expected
 
 

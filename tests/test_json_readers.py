@@ -19,7 +19,13 @@ import pytest
 from clinpol.behavior import BehaviorError, model_from_json, model_to_json
 from clinpol.cli import CliError, EvaluateConfig, FitConfig, main
 from clinpol.errors import ClinpolError
-from clinpol.harness import ExperimentConfig, HarnessError, HyperparamGrid, load_bundle
+from clinpol.harness import (
+    ExperimentConfig,
+    FitSettings,
+    HarnessError,
+    HyperparamGrid,
+    load_bundle,
+)
 from clinpol.sim import ChronicSimConfig, EpisodicSimConfig
 
 MUTANTS = (None, "x", [], {}, True, 2.5, -1, 10**400, math.nan, "3")
@@ -118,6 +124,34 @@ def test_config_mutants_build_or_raise_a_domain_error():
             if value == 10**400 and path[-1] in COHORT_SIZES:
                 assert not ok, path
     assert counts[0] > 0 and counts[1] > 0
+
+
+def test_the_fit_settings_read_alike_in_both_records():
+    """``FitConfig`` and ``ExperimentConfig`` declare the fit settings once,
+    in ``FitSettings``: the same keys and defaults, and each mutant of them
+    built by both or refused by both with one message after the lead."""
+    shared = FitSettings().to_json()
+    simulator = {"simulator": {"kind": "chronic"}}
+    assert FitConfig().to_json() == shared
+    assert {key: ExperimentConfig.from_json(simulator).to_json()[key]
+            for key in shared} == shared
+
+    def verdict(read):
+        try:
+            read()
+        except ClinpolError as e:
+            return str(e).removeprefix("malformed fit config: ").removeprefix(
+                "malformed experiment config: ")
+        return None
+
+    outcomes = []
+    for path, value in mutants(shared):
+        with mutated(shared, path, value):
+            fit = verdict(lambda: FitConfig.from_json(shared))
+            experiment = verdict(lambda: ExperimentConfig.from_json({**shared, **simulator}))
+        assert fit == experiment, (path, value)
+        outcomes.append(fit is None)
+    assert any(outcomes) and not all(outcomes)
 
 
 @pytest.mark.parametrize("record, error, key, names", [

@@ -22,7 +22,7 @@ from clinpol.ope import (
 from clinpol.policies import BehaviorPolicy, TopKPolicy
 from clinpol.sim import ChronicSimConfig, generate_chronic
 from clinpol.tree import TreeHyperparams, fit_tree
-from test_behavior import HP, make_cohort
+from test_behavior import HP, make_cohort, subset
 
 
 def two_leaf_model(left_counts, right_counts):
@@ -101,7 +101,7 @@ def test_dts_first_stage_support_gap_is_a_hard_error():
     # observed first action, and that must surface, not silently zero out
     data = make_cohort(30, n_traj=120)
     m = fit_dts(data, HP, HP)
-    first = data.subset(data.stages == 1)
+    first = subset(data, data.stages == 1)
     probs = m.action_probabilities_batch(first.states, first.prev_actions, first.stages)
     has_gap = np.any(probs[np.arange(len(first)), first.actions] == 0.0)
     if has_gap:
@@ -149,7 +149,7 @@ def test_entry_j_of_the_weights_is_the_trajectory_at_position_j_of_traj_ids():
     assert len(set(weights.weights.tolist())) > 2  # the weights tell trajectories apart
     for j, tid in enumerate(data.traj_ids):
         rows = data.traj_index == j
-        alone = replace(data.subset(rows), traj_index=np.zeros(rows.sum(), dtype=np.int64),
+        alone = replace(subset(data, rows), traj_index=np.zeros(rows.sum(), dtype=np.int64),
                         traj_ids=[tid])
         own = importance_weights(policy, m, alone)
         assert len(own) == 1
@@ -161,11 +161,11 @@ def test_entry_j_of_the_weights_is_the_trajectory_at_position_j_of_traj_ids():
 def test_a_trajectory_with_no_rows_is_refused_naming_it():
     data = make_cohort(31, n_traj=50)
     m = fit_dt(data, HP)
-    part = data.subset(data.traj_index < 20)
+    part = subset(data, data.traj_index < 20)
     assert len(part.traj_ids) == 50
     with pytest.raises(OPEError, match=f"trajectory {data.traj_ids[20]!r} has no rows"):
         importance_weights(BehaviorPolicy(m), m, part)
-    later = data.subset(data.traj_index >= 20)
+    later = subset(data, data.traj_index >= 20)
     with pytest.raises(OPEError, match=f"trajectory {data.traj_ids[0]!r} has no rows"):
         importance_weights(TopKPolicy(m, 2), m, later)
     assert len(importance_weights(BehaviorPolicy(m), m, data)) == 50

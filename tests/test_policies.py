@@ -19,7 +19,7 @@ from clinpol.policies import (
     soften,
 )
 from clinpol.tree import TreeHyperparams, attach_outcomes, fit_tree
-from test_behavior import HP, ONE, S, leaf_model, leaf_tree, make_cohort
+from test_behavior import HP, ONE, S, leaf_model, leaf_tree, make_cohort, subset
 
 
 def dt_leaf_model(labels, n_classes, rewards=None):
@@ -69,7 +69,7 @@ def test_top_k_positive_support_count():
 def test_top_k_support_is_monotone_in_k():
     data = make_cohort(21, n_traj=150)
     m = fit_dt(data, HP)
-    probe = data.subset(np.arange(len(data)) < 200)
+    probe = subset(data, np.arange(len(data)) < 200)
     prev_support = None
     for k in range(1, data.n_actions + 1):
         out = TopKPolicy(m, k).probabilities_batch(

@@ -1,5 +1,6 @@
 """Generator determinism, closed-form agreement, and the rollout oracle."""
 
+import json
 import re
 import sys
 import tracemalloc
@@ -13,7 +14,6 @@ from clinpol.data import StateConfig, build_states, impute_and_encode
 from clinpol.ope import importance_weights
 from clinpol.policies import RandomPolicy
 from clinpol.sim import (
-    ChronicOraclePolicy,
     ChronicSimConfig,
     EpisodicSimConfig,
     SimError,
@@ -391,6 +391,22 @@ def test_a_rollout_keeps_no_step_arrays(cfg, bound_mib):
     assert peak < bound_mib * 2**20
 
 
+class ChronicOraclePolicy:
+    """A reference policy with generator knowledge: one-hot on the most
+    effective drug of the patient's biomarker subgroup."""
+
+    def __init__(self, cfg: ChronicSimConfig):
+        self.n_actions = cfg.n_actions
+        self.best = np.argmax(cfg.effects(), axis=1)
+        self.g1 = default_assembler(cfg).column("biomarker=g1")
+
+    def probabilities_batch(self, states, prev_actions, stages, evaluation=None):
+        best = self.best[(np.asarray(states)[:, self.g1] > 0.5).astype(np.int64)]
+        out = np.zeros((len(best), self.n_actions))
+        out[np.arange(len(best)), best] = 1.0
+        return out
+
+
 def test_oracle_drug_policy_beats_behavior_by_a_wide_margin():
     cfg = ChronicSimConfig(n_patients=10, seed=33)
     vb, _ = monte_carlo_value(truth_policy(cfg), cfg, 20000)
@@ -560,3 +576,17 @@ def test_provenance_rejects_foreign_payloads():
         config_from_provenance(
             '{"simulator": "weird", "version": 1, "config": {}}'
         )
+
+
+@pytest.mark.parametrize("version", ["true", "1.0", '"1"'])
+def test_provenance_version_is_an_integer_not_one_of_its_equals(version):
+    """``true == 1`` and ``1.0 == 1``, so an equality test would read these
+    as version 1."""
+    text = config_to_provenance(ChronicSimConfig(n_patients=5))
+    assert text.endswith(', "version": 1}')
+    with pytest.raises(SimError, match=re.escape(
+            f"malformed generator manifest: 'version' must be an integer, "
+            f"got {json.loads(version)!r}")):
+        config_from_provenance(text.replace('"version": 1}', f'"version": {version}}}'))
+    with pytest.raises(SimError, match="unsupported manifest version None"):
+        config_from_provenance(text.replace(', "version": 1}', "}"))

@@ -3,12 +3,15 @@
 import ast
 import builtins
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 SOURCES = sorted((SRC / "clinpol").glob("*.py"))
+MODULES = [path for path in SOURCES if path.name != "__init__.py"]
 
 
 def test_sources_are_found():
@@ -176,3 +179,46 @@ def test_only_the_report_writer_and_the_cohort_writer_build_a_csv_writer():
              for _, function in _calls(path, "writer")]
     assert sorted(found) == ["data.py:_csv_body", "data.py:_csv_header",
                              "harness.py:_write_csv"]
+
+
+def _read_names(path) -> set:
+    """Every name ``path`` reads: as a name, as an attribute or by import."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_every_export_is_used_outside_the_tests():
+    # a public name that only its tests call is surface kept for nothing: an
+    # export is read by a package module, a demo or the benchmark, or the
+    # README documents it
+    init = ast.parse((SRC / "clinpol" / "__init__.py").read_text(encoding="utf-8"))
+    exported = [alias.asname or alias.name for node in init.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    texts = [path.read_text(encoding="utf-8") for path in
+             (*ROOT.glob("demos/*.py"), *ROOT.glob("perfbench/**/*.py"), ROOT / "README.md")]
+    used = set().union(*map(_read_names, MODULES), re.findall(r"\w+", "\n".join(texts)))
+    assert len(exported) > 50
+    assert [name for name in exported if name not in used] == []
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # an import kept only so that something can find the name there is
+    # surface nothing uses; __init__ imports to export
+    found = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [f"{path.name}:{node.lineno}: {alias.asname or alias.name}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, (ast.Import, ast.ImportFrom))
+                  and getattr(node, "module", None) != "__future__"
+                  for alias in node.names
+                  if (alias.asname or alias.name).partition(".")[0] not in read]
+    assert found == []
