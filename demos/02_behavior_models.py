@@ -54,8 +54,8 @@ print(f"state features: {train.feature_names}")
 hp = TreeHyperparams(max_depth=2, min_leaf_fraction=0.01)
 models = {
     "dt": fit_dt(train, hp),
-    "dts": fit_dts(train, hp, hp),
-    "dtbls": fit_dtbls(train, hp, hp, hp),
+    "dts": fit_dts(train, hp),
+    "dtbls": fit_dtbls(train, hp),
 }
 
 print("\nvalidation AUROC (uncalibrated):")

@@ -33,7 +33,7 @@ cfg = ChronicSimConfig(n_patients=2000, seed=21)
 data = build_states(impute_and_encode(generate_chronic(cfg)))
 
 hp = TreeHyperparams(max_depth=4, min_leaf_fraction=0.01)
-model = fit_dtbls(data, hp, hp, hp)
+model = fit_dtbls(data, hp)
 
 # one evaluation of the model on the cohort serves every policy below: each
 # policy transforms its probabilities, and it is every weight's denominator

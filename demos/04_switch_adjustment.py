@@ -36,7 +36,7 @@ ess = {p1: [] for p1 in p1_grid}
 for i in range(n_seeds):
     cfg = ChronicSimConfig(n_patients=1000, seed=600 + i)
     data = build_states(impute_and_encode(generate_chronic(cfg)))
-    model = fit_dtbls(data, hp, hp, hp)
+    model = fit_dtbls(data, hp)
     # evaluate the model once; every p1 reuses its switch probabilities
     evaluation = Evaluation(model, data)
     for p1 in p1_grid:

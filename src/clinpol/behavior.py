@@ -30,11 +30,13 @@ average, switching reads the treatment tree's per-action average.
 An :class:`Evaluation` evaluates a model once on one cohort; every target
 policy and every importance-weight denominator reads that one record.
 
-The ``fit_*`` functions fit one model. Given a :class:`TreeMemo`, as model
-selection gives them, they leave every component fit to it: the memo takes
-the fitting rows once, grows each component once per drawn min-leaf
-fraction, then cuts that tree at each candidate's depth and tallies the
-cut's leaf outcomes.
+The ``fit_*`` functions fit one model at one :class:`TreeHyperparams`, the
+same for every component tree, and leave its calibration to
+:meth:`BehaviorModel.calibrate`. A :class:`TreeMemo` grows every component
+tree: it takes the fitting rows once, grows each component once per drawn
+min-leaf fraction, then cuts that tree at each candidate's depth and tallies
+the cut's leaf outcomes. Model selection hands every candidate one memo; a
+fit given none builds a memo of its one cell.
 """
 
 from __future__ import annotations
@@ -467,8 +469,10 @@ class Evaluation:
 # ---------------------------------------------------------------------------
 
 class TreeMemo:
-    """Every component fit of one model selection: one fitting set, ``data``,
-    and many (max_depth, min_leaf_fraction) candidates.
+    """Every component fit on one fitting set, ``data``, for one or many
+    (max_depth, min_leaf_fraction) candidates: those of one model selection,
+    or the one cell of a fit given no memo. No other code grows or tallies a
+    component tree.
 
     The memo takes the components' fitting rows from ``data`` once
     (:meth:`fitting_set`), as row positions with their labels and rewards.
@@ -562,8 +566,8 @@ class TreeMemo:
             _, labels, rewards = self._rows[component]
             to_cut = leaf_map(deep, hp.max_depth)
             ids = to_cut[self._routed[component, hp.min_leaf_fraction, "fit"]]
-            self.cuts[key] = attach_outcomes(truncate_tree(deep, hp.max_depth), None,
-                                             labels, rewards, ids)
+            self.cuts[key] = attach_outcomes(truncate_tree(deep, hp.max_depth), ids,
+                                             labels, rewards)
             self._maps[key] = to_cut
         return self.cuts[key]
 
@@ -612,48 +616,34 @@ def _fitting_rows(data: StepData, names: tuple) -> dict:
     return {name: (at, labels, _at(data.rewards, at)) for name, (at, labels) in rows.items()}
 
 
-def _fit(cls, data: StepData, hps: tuple, val: StepData | None,
-         memo: TreeMemo | None) -> BehaviorModel:
-    """A ``cls`` model with one tree per component, grown at ``hps`` in
-    :data:`COMPONENTS` order, outcomes attached, then calibrated on ``val``
-    if given. With a ``memo``, the memo makes each tree (:meth:`TreeMemo.cut`)."""
+def _fit(cls, data: StepData, hp: TreeHyperparams, memo: TreeMemo | None) -> BehaviorModel:
+    """A ``cls`` model whose every component tree is ``memo``'s cut at ``hp``
+    (:meth:`TreeMemo.cut`), outcomes attached and calibration the identity.
+    Without a ``memo``, a memo of ``hp`` alone grows the trees."""
     names = COMPONENTS[cls.kind]
     if memo is None:
-        trees = {}
-        for (name, (rows, labels, rewards)), hp in zip(_fitting_rows(data, names).items(), hps):
-            X = _at(data.states, rows)
-            tree = fit_tree(X, labels, hp, n_classes=_n_classes(name, data.n_actions),
-                            feature_names=data.feature_names)
-            trees[name] = attach_outcomes(tree, X, labels, rewards)
-    else:
-        memo.check(data)
-        memo.fitting_set(names)
-        trees = {name: memo.cut(name, hp) for name, hp in zip(names, hps)}
-    model = cls(trees)
-    if val is not None:
-        model.calibrate(val)
-    return model
+        memo = TreeMemo(data, (hp,))
+    memo.check(data)
+    memo.fitting_set(names)
+    return cls({name: memo.cut(name, hp) for name in names})
 
 
-def fit_dt(data: StepData, hp: TreeHyperparams, val: StepData | None = None,
+def fit_dt(data: StepData, hp: TreeHyperparams, *,
            memo: TreeMemo | None = None) -> TreeBehaviorModel:
     """One K-class tree on all (state, action) pairs, outcomes attached."""
-    return _fit(TreeBehaviorModel, data, (hp,), val, memo)
+    return _fit(TreeBehaviorModel, data, hp, memo)
 
 
-def fit_dts(data: StepData, hp_switch: TreeHyperparams, hp_treatment: TreeHyperparams,
-            val: StepData | None = None,
+def fit_dts(data: StepData, hp: TreeHyperparams, *,
             memo: TreeMemo | None = None) -> SwitchTreatmentModel:
     """Switch tree on follow-up records, treatment tree on switch events only."""
-    return _fit(SwitchTreatmentModel, data, (hp_switch, hp_treatment), val, memo)
+    return _fit(SwitchTreatmentModel, data, hp, memo)
 
 
-def fit_dtbls(data: StepData, hp_baseline: TreeHyperparams, hp_switch: TreeHyperparams,
-              hp_treatment: TreeHyperparams, val: StepData | None = None,
+def fit_dtbls(data: StepData, hp: TreeHyperparams, *,
               memo: TreeMemo | None = None) -> BaselineSwitchModel:
     """``dts`` plus a first-stage tree fitted on t=1 records."""
-    return _fit(BaselineSwitchModel, data, (hp_baseline, hp_switch, hp_treatment),
-                val, memo)
+    return _fit(BaselineSwitchModel, data, hp, memo)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ import numpy as np
 from .behavior import Evaluation
 from .checks import INT, LIST, Config, checked, setting
 from .data import (
+    _not_utf8,
     apply_imputation,
     build_states,
     fit_imputation,
@@ -74,6 +75,8 @@ def _read_json(path) -> dict:
             obj = json.load(fh)
     except OSError as e:
         raise CliError(f"cannot read config {path}: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise _not_utf8(path, e) from None
     except json.JSONDecodeError as e:
         raise CliError(f"config {path} is not valid JSON: {e}") from None
     if not isinstance(obj, dict):
@@ -201,17 +204,20 @@ def _cmd_report(args) -> int:
             raw = list(csv.DictReader(fh))
     except OSError as e:
         raise CliError(f"cannot read rows {args.rows}: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise _not_utf8(args.rows, e) from None
     needed = {"policy", "k", "p1", "estimator", "value", "ess"}
     if not raw or not needed.issubset(raw[0].keys()):
         raise CliError(f"rows file must have columns {sorted(needed)} with at least one row")
     rows, epsilons = [], {}
     for i, row in enumerate(raw, start=1):
         label = (row["policy"], row["k"], row["p1"], row["estimator"])
-        try:
+        try:  # a NaN or an infinity would make its group's median one
             value, ess = float(row["value"]), float(row["ess"])
         except (TypeError, ValueError):
-            raise CliError(f"rows {args.rows} row {i}: value and ess "
-                           "must be numbers") from None
+            value = ess = math.nan
+        if not (math.isfinite(value) and math.isfinite(ess)):
+            raise CliError(f"rows {args.rows} row {i}: value and ess must be finite numbers")
         try:  # groups and their order are summary.csv's: by number, blank as 0
             k, p1 = (float(row[name] or 0) for name in ("k", "p1"))
         except (TypeError, ValueError):

@@ -810,7 +810,7 @@ def _json_columns(objs):
 
 
 def _not_utf8(path, exc: UnicodeDecodeError) -> ParseError:
-    """The error for a cohort file that is not UTF-8 text, naming the first
+    """The error for an input file that is not UTF-8 text, naming the first
     line that is not (a UTF-8 sequence never spans a newline byte)."""
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):

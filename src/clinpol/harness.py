@@ -37,6 +37,7 @@ from .data import (
     Dataset,
     SplitSpec,
     StateConfig,
+    _not_utf8,
     build_states,
     fit_imputation,
     impute_and_encode,
@@ -67,8 +68,9 @@ DEFAULT_MIN_LEAF_FRACTIONS = (0.01, 0.02, 0.03, 0.04, 0.05)
 
 @dataclass(frozen=True)
 class HyperparamGrid(Config, error=HarnessError, lead="malformed grid"):
-    """Search space for tree candidates; meta-models reuse one draw for
-    every component tree."""
+    """Search space for tree candidates. A candidate is one cell, which a
+    model uses for every component tree (:func:`~clinpol.behavior.fit_dts`
+    and :func:`~clinpol.behavior.fit_dtbls` take one)."""
 
     max_depths: tuple = setting(DEFAULT_MAX_DEPTHS, Items(INT))
     min_leaf_fractions: tuple = setting(DEFAULT_MIN_LEAF_FRACTIONS, Items(NUMBER))
@@ -101,17 +103,17 @@ def sample_candidates(grid: HyperparamGrid, n_candidates: int, seed: int) -> lis
 
 
 def fit_model(model_type: str, data, hp: TreeHyperparams, memo: TreeMemo | None = None):
-    """Fit one candidate; meta-models share ``hp`` across component trees.
+    """Fit one candidate, ``hp`` for every component tree.
 
     With a ``memo`` built for ``data``, component trees are cut from its deep
-    trees instead of grown afresh; the fitted model is the same.
+    trees; the fitted model is the one a fit without it gives.
     """
     checked(MODEL.read, model_type, HarnessError, "model_type")
     if model_type == "dt":
         return fit_dt(data, hp, memo=memo)
     if model_type == "dts":
-        return fit_dts(data, hp, hp, memo=memo)
-    return fit_dtbls(data, hp, hp, hp, memo=memo)
+        return fit_dts(data, hp, memo=memo)
+    return fit_dtbls(data, hp, memo=memo)
 
 
 # ---------------------------------------------------------------------------
@@ -424,8 +426,11 @@ def load_bundle(path):
     from .behavior import model_from_json
     from .data import ImputationStats
 
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except UnicodeDecodeError as e:
+        raise _not_utf8(path, e) from None
     version = member(payload, "bundle_version", INT, HarnessError, f"bundle {path}")
     if version != BUNDLE_VERSION:
         raise HarnessError(

@@ -581,30 +581,25 @@ def leaf_map(tree: DecisionTree, max_depth: int) -> np.ndarray:
     return np.repeat(np.arange(len(firsts)), np.diff(firsts + [tree.n_leaves]))
 
 
-def attach_outcomes(tree: DecisionTree, X, y_action, outcomes,
-                    leaf_ids=None) -> DecisionTree:
+def attach_outcomes(tree: DecisionTree, leaf_ids, y_action, outcomes) -> DecisionTree:
     """Record per-leaf, per-class average outcomes from fitting data.
 
-    ``outcomes[i]`` is tallied under class ``y_action[i]`` in the leaf that
-    ``X[i]`` lands in; ``leaf_ids``, those leaves if already known, saves
-    routing ``X``, which may then be None. Returns a new tree sharing
-    ``tree``'s nodes; averages are NaN where a leaf saw no sample of a class
-    ("no data"). Each cell's sum adds its outcomes in row order.
+    ``outcomes[i]`` is tallied under class ``y_action[i]`` in leaf
+    ``leaf_ids[i]``, the leaf its row lands in (``tree.leaf_index_batch``).
+    Returns a new tree sharing ``tree``'s nodes; averages are NaN where a
+    leaf saw no sample of a class ("no data"). Each cell's sum adds its
+    outcomes in row order.
     """
-    X = leaf_ids if X is None else np.asarray(X, dtype=np.float64)
+    leaf_ids = np.asarray(leaf_ids, dtype=np.int64)
     y_action = np.asarray(y_action, dtype=np.int64)
     outcomes = np.asarray(outcomes, dtype=np.float64)
-    if not (len(X) == len(y_action) == len(outcomes)):
+    if not (len(leaf_ids) == len(y_action) == len(outcomes)):
         raise TreeError(
-            f"misaligned arrays: {len(X)} rows, {len(y_action)} actions, "
+            f"misaligned arrays: {len(leaf_ids)} leaf ids, {len(y_action)} actions, "
             f"{len(outcomes)} outcomes"
         )
     if len(y_action) and (y_action.min() < 0 or y_action.max() >= tree.n_classes):
         raise TreeError(f"action id outside [0, {tree.n_classes})")
-    if leaf_ids is None:
-        leaf_ids = tree.leaf_index_batch(X)
-    elif len(leaf_ids) != len(X):
-        raise TreeError(f"{len(leaf_ids)} leaf ids for {len(X)} rows")
 
     L, C = tree.n_leaves, tree.n_classes
     cell = leaf_ids * C + y_action

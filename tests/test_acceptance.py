@@ -71,8 +71,8 @@ def test_01_self_evaluation_is_exact():
     hp3 = TreeHyperparams(max_depth=3, min_leaf_fraction=0.01)
     models = (
         fit_dt(data, HP4),
-        fit_dts(data, hp3, hp3),
-        fit_dtbls(data, HP4, HP4, HP4),
+        fit_dts(data, hp3),
+        fit_dtbls(data, HP4),
     )
     ok = True
     notes = []
@@ -166,7 +166,7 @@ def test_04_learned_top1_beats_behavior():
     for i in range(50):
         cfg = ChronicSimConfig(n_patients=2000, seed=2000 + i)
         data = _prepared(generate_chronic(cfg))
-        model = fit_dtbls(data, HP4, HP4, HP4)
+        model = fit_dtbls(data, HP4)
         if first is None:
             first = (model, cfg)
         res = wis_estimate(importance_weights(TopKPolicy(model, 1), model, data))
@@ -197,7 +197,7 @@ def test_05_wis_spread_grows_with_switch_push():
     for i in range(50):
         cfg = ChronicSimConfig(n_patients=2000, seed=4000 + i)
         data = _prepared(generate_chronic(cfg))
-        model = fit_dtbls(data, HP4, HP4, HP4)
+        model = fit_dtbls(data, HP4)
         for p1 in p1_grid:
             res = wis_estimate(
                 importance_weights(SwitchAdjustedPolicy(model, 2, p1), model, data)
@@ -291,7 +291,7 @@ def test_07_composition_battery():
     worst = 0.0
     nonneg = True
     for hp in (HP4, TreeHyperparams(max_depth=7, min_leaf_fraction=0.02)):
-        model = fit_dts(data, hp, hp)
+        model = fit_dts(data, hp)
         p = model.action_probabilities_batch(
             follow.states[:10_000], follow.prev_actions[:10_000], follow.stages[:10_000]
         )
@@ -363,8 +363,8 @@ def test_09_structured_models_rank_higher():
         val = build_states(impute_and_encode(val_ds, stats))
         fitted = {
             "dt": fit_dt(train, hp),
-            "dts": fit_dts(train, hp, hp),
-            "dtbls": fit_dtbls(train, hp, hp, hp),
+            "dts": fit_dts(train, hp),
+            "dtbls": fit_dtbls(train, hp),
         }
         for kind, model in fitted.items():
             probs = model.action_probabilities_batch(

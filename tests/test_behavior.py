@@ -27,9 +27,17 @@ from clinpol.behavior import (
     model_to_json,
 )
 from clinpol.calibration import fit_calibration
-from clinpol.data import NONE_ACTION, StepData
+from clinpol.data import (
+    NONE_ACTION,
+    SplitSpec,
+    StepData,
+    build_states,
+    impute_and_encode,
+    split_dataset,
+)
 from clinpol.errors import ClinpolError
 from clinpol.metrics import auroc_macro
+from clinpol.sim import ChronicSimConfig, EpisodicSimConfig, generate_chronic, generate_episodic
 from clinpol.tree import TreeError, TreeHyperparams, attach_outcomes, fit_tree
 
 HP = TreeHyperparams(max_depth=4, min_leaf_fraction=0.01)
@@ -52,7 +60,7 @@ def leaf_tree(labels, n_classes, rewards=None):
     t = fit_tree(X, y, HP, n_classes=n_classes)
     assert t.depth() == 0
     if rewards is not None:
-        t = attach_outcomes(t, X, y, np.asarray(rewards, dtype=np.float64))
+        t = attach_outcomes(t, t.leaf_index_batch(X), y, np.asarray(rewards, dtype=np.float64))
     return t
 
 
@@ -208,8 +216,8 @@ def make_cohort(seed, n_traj=300, horizon=4, n_actions=3, switch_bias=0.0):
 
 def test_composition_simplex_sweep():
     data = make_cohort(7, n_traj=250)
-    dts = fit_dts(data, HP, HP)
-    dtbls = fit_dtbls(data, HP, HP, HP)
+    dts = fit_dts(data, HP)
+    dtbls = fit_dtbls(data, HP)
     rng = np.random.default_rng(11)
     n = 2000
     qs = rng.normal(size=(n, data.states.shape[1]))
@@ -230,21 +238,21 @@ def test_composition_simplex_sweep():
 def test_fit_dts_rejects_cohort_without_followups():
     data = make_cohort(1, n_traj=40, horizon=1)
     with pytest.raises(DegenerateSwitchError, match="no follow-up records"):
-        fit_dts(data, HP, HP)
+        fit_dts(data, HP)
 
 
 def test_fit_dts_rejects_cohort_without_switches():
     data = make_cohort(2, n_traj=40, switch_bias=-40.0)
     assert np.all(subset(data, data.stages > 1).switch_labels() == 0)
     with pytest.raises(DegenerateSwitchError, match="no treatment changes"):
-        fit_dts(data, HP, HP)
+        fit_dts(data, HP)
 
 
 def test_treatment_tree_fits_only_switch_events():
     data = make_cohort(3)
     follow = subset(data, data.stages > 1)
     n_switch = int(follow.switch_labels().sum())
-    m = fit_dts(data, HP, HP)
+    m = fit_dts(data, HP)
     assert m.trees["treatment"].n_train == n_switch
     assert m.trees["switch"].n_train == len(follow)
 
@@ -255,14 +263,14 @@ def test_a_stay_event_in_the_treatment_set_is_a_bug_not_a_domain_error(monkeypat
     monkeypatch.setattr(StepData, "switch_labels",
                         lambda self, rows: np.ones(len(rows), dtype=np.int64))
     with pytest.raises(RuntimeError, match="stay event") as info:
-        fit_dts(data, HP, HP)
+        fit_dts(data, HP)
     assert not isinstance(info.value, ValueError)
 
 
 def test_follow_up_queries_copy_no_state_rows(monkeypatch):
     data = make_cohort(3)
     follow = subset(data, data.stages > 1)
-    dts, dtbls = fit_dts(data, HP, HP), fit_dtbls(data, HP, HP, HP)
+    dts, dtbls = fit_dts(data, HP), fit_dtbls(data, HP)
     seen = []
 
     def spy(name):
@@ -297,12 +305,12 @@ def test_fit_dtbls_rejects_cohort_without_first_stage():
     data = make_cohort(4)
     no_first = subset(data, data.stages > 1)
     with pytest.raises(BehaviorError, match="first-stage"):
-        fit_dtbls(no_first, HP, HP, HP)
+        fit_dtbls(no_first, HP)
 
 
 def test_dtbls_first_stage_comes_from_baseline_tree():
     data = make_cohort(5)
-    m = fit_dtbls(data, HP, HP, HP)
+    m = fit_dtbls(data, HP)
     first = subset(data, data.stages == 1)
     out = m.action_probabilities_batch(
         first.states, first.prev_actions, first.stages
@@ -332,13 +340,13 @@ def test_dt_probabilities_are_leaf_frequencies():
 def test_models_recover_the_assignment_rule():
     train = make_cohort(8, n_traj=400)
     test = make_cohort(9, n_traj=200)
-    for m in (fit_dt(train, HP), fit_dtbls(train, HP, HP, HP)):
+    for m in (fit_dt(train, HP), fit_dtbls(train, HP)):
         scores = m.action_probabilities_batch(test.states, test.prev_actions, test.stages)
         assert auroc_macro(scores, test.actions) > 0.8
     # dts has no first-stage component of its own, so score it where the
     # switch composition applies
     follow = subset(test, test.stages > 1)
-    m = fit_dts(train, HP, HP)
+    m = fit_dts(train, HP)
     scores = m.action_probabilities_batch(follow.states, follow.prev_actions,
                                           follow.stages)
     assert auroc_macro(scores, follow.actions) > 0.8
@@ -364,7 +372,7 @@ def test_outcome_stay_averages_switch_tree_rewards():
 
 def test_outcome_batch_matches_groupby_oracle():
     data = make_cohort(10, n_traj=200)
-    m = fit_dts(data, HP, HP)
+    m = fit_dts(data, HP)
     follow = subset(data, data.stages > 1)
     labels = follow.switch_labels()
     switched = subset(follow, labels == 1)
@@ -400,7 +408,7 @@ def test_outcome_batch_matches_groupby_oracle():
 
 def test_outcome_first_stage_dtbls_reads_baseline_tree():
     data = make_cohort(12, n_traj=200)
-    m = fit_dtbls(data, HP, HP, HP)
+    m = fit_dtbls(data, HP)
     first = subset(data, data.stages == 1)
     out = m.outcome_batch(first.states, first.prev_actions, first.stages)
     expect = m.trees["baseline"].outcome_avg_batch(first.states)
@@ -412,9 +420,7 @@ def test_outcome_first_stage_dtbls_reads_baseline_tree():
 # calibration hooks
 # ---------------------------------------------------------------------------
 
-FIT = {"dt": lambda data, val=None: fit_dt(data, HP, val),
-       "dts": lambda data, val=None: fit_dts(data, HP, HP, val),
-       "dtbls": lambda data, val=None: fit_dtbls(data, HP, HP, HP, val)}
+FIT = {"dt": fit_dt, "dts": fit_dts, "dtbls": fit_dtbls}
 
 
 def test_calibrate_fits_each_component_on_its_own_records():
@@ -428,7 +434,7 @@ def test_calibrate_fits_each_component_on_its_own_records():
             "switch": (later, switched[later].astype(np.int64)),
             "treatment": (switched, val.actions[switched])}
     for kind in MODEL_KINDS:
-        m = FIT[kind](train, val=val)
+        m = FIT[kind](train, HP).calibrate(val)
         assert list(m.calibrations) == list(m.trees) == list(COMPONENTS[kind])
         for name, component in m.trees.items():
             mask, labels = rows[name]
@@ -444,7 +450,7 @@ def test_calibrate_fits_each_component_on_its_own_records():
 def test_calibrate_skipped_on_tiny_validation_set():
     train = make_cohort(15, n_traj=150)
     val = subset(train, np.arange(len(train)) == 0)
-    m = fit_dt(train, HP, val=val)
+    m = fit_dt(train, HP).calibrate(val)
     assert np.all(m.calibrations["tree"].identity)
 
 
@@ -452,7 +458,7 @@ def test_calibration_keeps_boundary_switch_dominance():
     train = make_cohort(16, n_traj=500)
     val = make_cohort(17, n_traj=250)
     deep = TreeHyperparams(max_depth=8, min_leaf_fraction=0.01)
-    m = fit_dts(train, deep, deep, val=val)
+    m = fit_dts(train, deep).calibrate(val)
     raw = m.trees["switch"].predict_proba_batch(val.states)[:, 1]
     cal = m.switch_probability_batch(val.states)
     sure_stay = raw == 0.0
@@ -470,9 +476,9 @@ def fitted_models():
     train = make_cohort(18, n_traj=250)
     val = make_cohort(19, n_traj=120)
     return [
-        fit_dt(train, HP, val=val),
-        fit_dts(train, HP, HP, val=val),
-        fit_dtbls(train, HP, HP, HP, val=val),
+        fit_dt(train, HP).calibrate(val),
+        fit_dts(train, HP).calibrate(val),
+        fit_dtbls(train, HP).calibrate(val),
     ]
 
 
@@ -546,8 +552,8 @@ def test_memoized_fits_equal_fresh_fits():
              for d, f in ((2, 0.02), (5, 0.02), (3, 0.05), (4, 0.02))]
     memo = TreeMemo(data, cands)
     for hp in cands:
-        a = fit_dtbls(data, hp, hp, hp, memo=memo)
-        b = fit_dtbls(data, hp, hp, hp)
+        a = fit_dtbls(data, hp, memo=memo)
+        b = fit_dtbls(data, hp)
         assert json.dumps(model_to_json(a)) == json.dumps(model_to_json(b))
 
 
@@ -570,9 +576,9 @@ def test_memo_shares_one_split_search_per_component(monkeypatch):
     monkeypatch.setattr(tree.SplitSearch, "_search", counted_search)
     monkeypatch.setattr(tree.SplitSearch, "__init__", counted_init)
     memo = TreeMemo(data, cands)
-    shared = [model_to_json(fit_dtbls(data, hp, hp, hp, memo=memo)) for hp in cands]
+    shared = [model_to_json(fit_dtbls(data, hp, memo=memo)) for hp in cands]
     n_shared, n_built = len(searches), len(built)
-    private = [model_to_json(fit_dtbls(data, hp, hp, hp)) for hp in cands]
+    private = [model_to_json(fit_dtbls(data, hp)) for hp in cands]
     assert shared == private
     # one search per component (baseline, switch, treatment) serves all five
     assert n_built == 3
@@ -594,12 +600,12 @@ def test_memo_takes_each_fitting_set_once(monkeypatch):
     monkeypatch.setattr(behavior, "component_rows", counted_rows)
     memo = TreeMemo(data, cands)
     for hp in cands:
-        fit_dtbls(data, hp, hp, hp, memo=memo)
+        fit_dtbls(data, hp, memo=memo)
     # t=1 rows and follow-up rows of data, switch events of the follow-ups
     assert sorted(taken) == ["baseline", "switch", "treatment"]
     taken.clear()
     for hp in cands:
-        fit_dtbls(data, hp, hp, hp)
+        fit_dtbls(data, hp)
     assert len(taken) == 3 * len(cands)
 
 
@@ -628,7 +634,7 @@ def test_memo_keeps_no_state_rows_of_its_own():
              for d, f in ((2, 0.02), (5, 0.05), (3, 0.02))]
     memo = TreeMemo(data, cands, val)
     for hp in cands:
-        model = fit_dtbls(data, hp, hp, hp, memo=memo)
+        model = fit_dtbls(data, hp, memo=memo)
         memo.validation_leaves(model, hp)
     held = held_arrays(memo, memo.data, memo.validation)
     # positions, labels, rewards and leaf ids of the follow-up rows among them
@@ -680,7 +686,7 @@ def test_memo_raises_a_degenerate_switch_set_on_every_draw(cohort, message):
     memo = TreeMemo(data, cands)
     for hp in cands:
         with pytest.raises(DegenerateSwitchError, match=message):
-            fit_dts(data, hp, hp, memo=memo)
+            fit_dts(data, hp, memo=memo)
 
 
 def test_memo_replays_a_failed_deep_fit_for_every_candidate(monkeypatch):
@@ -723,26 +729,38 @@ def test_memo_fails_every_candidate_of_a_nan_fitting_set_with_one_error(monkeypa
     assert len(built) == 1
 
 
-def test_memo_hands_a_drawn_cell_the_same_cut_trees():
-    data = make_cohort(6)
-    val = make_cohort(9, n_traj=80)
-    cands = [TreeHyperparams(max_depth=3, min_leaf_fraction=0.02),
-             TreeHyperparams(max_depth=3, min_leaf_fraction=0.02),
-             TreeHyperparams(max_depth=9, min_leaf_fraction=0.02)]
-    memo = TreeMemo(data, cands)
-    first, again, deeper = (fit_dtbls(data, hp, hp, hp, memo=memo) for hp in cands)
+SIM_COHORTS = {
+    "chronic": (generate_chronic, ChronicSimConfig(n_patients=300, seed=3)),
+    "episodic": (generate_episodic, EpisodicSimConfig(n_patients=200, dose_levels=3, seed=4)),
+}
+
+
+@pytest.mark.parametrize("cohort", sorted(SIM_COHORTS))
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_memo_hands_a_drawn_cell_the_same_cut_trees(cohort, kind):
+    generate, cfg = SIM_COHORTS[cohort]
+    train, val, _ = (build_states(part) for part in
+                     split_dataset(impute_and_encode(generate(cfg)), SplitSpec(0.7, 0.3, 1)))
+    fit = {"dt": fit_dt, "dts": fit_dts, "dtbls": fit_dtbls}[kind]
+    # (3, 0.02) and (6, 0.05) are cut from the deeper trees their fractions grow
+    cands = [TreeHyperparams(max_depth=d, min_leaf_fraction=f)
+             for d, f in ((3, 0.02), (3, 0.02), (9, 0.02), (6, 0.05), (8, 0.05))]
+    memo = TreeMemo(train, cands)
+    first, again, deeper, *rest = (fit(train, hp, memo=memo) for hp in cands)
     assert first is not again
-    for name in ("baseline", "switch", "treatment"):
+    for name in COMPONENTS[kind]:
         assert first.trees[name] is again.trees[name]
         assert first.trees[name] is not deeper.trees[name]
-    assert len(memo.cuts) == 6
+    assert len(memo.cuts) == 4 * len(COMPONENTS[kind])
     # calibration lives on the model: calibrating one sharer leaves the other raw
     before = again.action_probabilities_batch(val.states, val.prev_actions, val.stages)
     first.calibrate(val)
     np.testing.assert_array_equal(
         again.action_probabilities_batch(val.states, val.prev_actions, val.stages), before)
-    fresh = fit_dtbls(data, cands[0], cands[0], cands[0])
-    assert json.dumps(model_to_json(again)) == json.dumps(model_to_json(fresh))
+    # a fresh fit of each cell equals selection's cut, byte for byte
+    for hp, cut in zip(cands[1:], (again, deeper, *rest)):
+        fresh = fit(train, hp)
+        assert json.dumps(model_to_json(cut)) == json.dumps(model_to_json(fresh)), hp
 
 
 def test_memo_raises_a_failed_fraction_for_each_of_its_candidates(monkeypatch):

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import re
 import sys
 import tracemalloc
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 
 from clinpol import cli, data, harness
 from clinpol.cli import main
-from clinpol.data import load_dataset, save_dataset
+from clinpol.data import ParseError, load_dataset, save_dataset
 from clinpol.errors import ClinpolError
 from clinpol.harness import ExperimentConfig, load_bundle
 from clinpol.ope import median_iqr
@@ -172,6 +173,47 @@ def test_report_orders_its_groups_by_number_as_the_summary_does(tmp_path, capsys
         rows.write_text(f"policy,k,p1,estimator,value,ess\nmc,{k},{p1},wis,1.0,3.0\n")
         expect_error(capsys, ["report", str(rows), "--out", str(out)],
                      "row 1: k and p1 must be finite numbers or blank")
+
+
+def test_report_refuses_a_value_or_ess_that_is_not_finite(tmp_path, capsys):
+    # a NaN would make its group's median NaN, and an infinity its quartiles
+    rows = tmp_path / "rows.csv"
+    out = tmp_path / "s.csv"
+    for value, ess in (("nan", "3.0"), ("1.0", "inf"), ("-inf", "3.0"), ("1.0", "NaN")):
+        rows.write_text("seed,policy,k,p1,estimator,value,ess\n"
+                        f"1,mc,2,,wis,1.5,3.0\n2,mc,2,,wis,{value},{ess}\n")
+        expect_error(capsys, ["report", str(rows), "--out", str(out)],
+                     f"rows {rows} row 2: value and ess must be finite numbers")
+        assert not out.exists()
+
+
+NOT_UTF8 = b"\xff\xfe{\x00}\x00\n"  # UTF-16 text, as an editor may save it
+
+
+def test_a_config_that_is_not_utf8_is_a_one_line_error(tmp_path, capsys):
+    config = tmp_path / "fit.json"
+    config.write_bytes(NOT_UTF8)
+    for argv in (["fit", "absent.jsonl", "--config", str(config), "--out", str(tmp_path / "b")],
+                 ["experiment", "--config", str(config)]):
+        expect_error(capsys, argv, f"{config} line 1: not UTF-8 text")
+
+
+def test_a_bundle_that_is_not_utf8_is_a_one_line_error(tmp_path, capsys):
+    bundle = tmp_path / "bundle.json"
+    bundle.write_bytes(b'{"bundle_version": 1}\n' + NOT_UTF8)
+    with pytest.raises(ParseError, match=re.escape(f"{bundle} line 2: not UTF-8 text")):
+        load_bundle(bundle)
+    expect_error(capsys, ["export", "--model", str(bundle), "--out", str(tmp_path / "t")],
+                 f"{bundle} line 2: not UTF-8 text")
+
+
+def test_a_rows_file_that_is_not_utf8_is_a_one_line_error(tmp_path, capsys):
+    rows = tmp_path / "rows.csv"
+    rows.write_bytes(b"policy,k,p1,estimator,value,ess\nmc,1,,wis,1.0,3.0\n" + NOT_UTF8)
+    out = tmp_path / "s.csv"
+    expect_error(capsys, ["report", str(rows), "--out", str(out)],
+                 f"{rows} line 3: not UTF-8 text")
+    assert not out.exists()
 
 
 def test_report_refuses_a_group_that_holds_two_epsilons(tmp_path, capsys):
@@ -506,7 +548,7 @@ def test_input_errors_stay_one_line_diagnostics(tmp_path, capsys):
     rows = tmp_path / "rows.csv"
     rows.write_text("policy,k,p1,estimator,value,ess\nmc,1,,wis,high,3.0\n")
     expect_error(capsys, ["report", str(rows), "--out", str(tmp_path / "s.csv")],
-                 "row 1: value and ess must be numbers")
+                 "row 1: value and ess must be finite numbers")
     # an unreadable output path is an input error, not a crash
     cohort = str(tmp_path / "missing_dir" / "cohort.jsonl")
     expect_error(capsys, ["simulate", "--out", cohort], "missing_dir")

@@ -27,6 +27,12 @@ from clinpol.sim import ChronicSimConfig
 from test_behavior import FIT, HP, make_cohort, subset
 
 
+def fitted(kind, train, val=None):
+    """A ``kind`` model fitted on ``train`` at ``HP``, calibrated on ``val`` if given."""
+    model = FIT[kind](train, HP)
+    return model if val is None else model.calibrate(val)
+
+
 def take_trajectories(data: StepData, keep) -> StepData:
     """The trajectories ``keep`` (positions in ``traj_ids``), re-indexed."""
     keep = np.asarray(keep)
@@ -150,7 +156,7 @@ def clamped_rows(desc, evaluation) -> int:
 @pytest.mark.parametrize("kind", ["dt", "dts", "dtbls"])
 def test_record_path_is_bitwise_equal_to_the_per_policy_path(kind, calibrated):
     train = make_cohort(40, n_traj=200)
-    model = FIT[kind](train, make_cohort(140, n_traj=100) if calibrated else None)
+    model = fitted(kind, train, make_cohort(140, n_traj=100) if calibrated else None)
     data = evaluation_data(model, make_cohort(41, n_traj=150))
     assert np.any(data.stages == 1) and np.any(data.stages > 1)
     evaluation = Evaluation(model, data)
@@ -227,7 +233,7 @@ def handmade_calibration(n_classes):
 @pytest.mark.parametrize("kind", ["dt", "dts", "dtbls"])
 def test_leaf_tables_give_the_row_path_bit_for_bit(kind, calibration):
     val = make_cohort(140, n_traj=100) if calibration == "fitted" else None
-    model = FIT[kind](make_cohort(40, n_traj=200), val)
+    model = fitted(kind, make_cohort(40, n_traj=200), val)
     if calibration == "handmade":
         for name in COMPONENTS[kind]:
             model.calibrations[name] = handmade_calibration(model.trees[name].n_classes)
@@ -254,7 +260,7 @@ def test_leaf_tables_give_the_row_path_bit_for_bit(kind, calibration):
 def test_building_a_record_copies_no_state_rows():
     # the queries route the caller's rows in place, so a record costs its
     # own arrays plus less than one more copy of the states
-    model = fit_dtbls(make_cohort(40, n_traj=200), HP, HP, HP, make_cohort(140, n_traj=100))
+    model = fit_dtbls(make_cohort(40, n_traj=200), HP).calibrate(make_cohort(140, n_traj=100))
     data = make_cohort(45, n_traj=2000)
     Evaluation(model, data)
     tracemalloc.start()
@@ -269,7 +275,7 @@ def test_building_a_record_copies_no_state_rows():
 
 @pytest.mark.parametrize("kind", ["dt", "dts", "dtbls"])
 def test_uniform_fallbacks_are_counted_per_evaluation(kind):
-    model = FIT[kind](make_cohort(40, n_traj=200), None)
+    model = fitted(kind, make_cohort(40, n_traj=200))
     data = evaluation_data(model, make_cohort(41, n_traj=150))
     first = Evaluation(model, data)
     # per-policy queries in between leave the next evaluation's count alone
@@ -284,7 +290,7 @@ def test_uniform_fallbacks_are_counted_per_evaluation(kind):
 
 def test_record_arrays_are_read_only_and_outcomes_are_lazy(monkeypatch):
     data = make_cohort(42, n_traj=80)
-    model = fit_dtbls(data, HP, HP, HP)
+    model = fit_dtbls(data, HP)
     calls = Counter()
     real = BaselineSwitchModel.outcome_batch
 
@@ -309,7 +315,7 @@ def test_record_arrays_are_read_only_and_outcomes_are_lazy(monkeypatch):
 def test_a_record_for_another_model_or_steps_is_refused():
     data = make_cohort(43, n_traj=80)
     other = make_cohort(44, n_traj=80)
-    model, model2 = fit_dts(data, HP, HP), fit_dts(other, HP, HP)
+    model, model2 = fit_dts(data, HP), fit_dts(other, HP)
     evaluation = Evaluation(model, data)
     policy = TopKPolicy(model, 2)
     with pytest.raises(RuntimeError, match="different model"):

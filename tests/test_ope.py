@@ -88,7 +88,7 @@ def test_self_evaluation_weights_are_exactly_one():
     from clinpol.behavior import fit_dtbls
 
     data = make_cohort(30, n_traj=120)
-    for m in (fit_dt(data, HP), fit_dtbls(data, HP, HP, HP)):
+    for m in (fit_dt(data, HP), fit_dtbls(data, HP)):
         for pol in (BehaviorPolicy(m), TopKPolicy(m, data.n_actions)):
             weights = importance_weights(pol, m, data)
             assert len(weights) == data.n_trajectories
@@ -100,7 +100,7 @@ def test_dts_first_stage_support_gap_is_a_hard_error():
     # t=1 fallback is the switch-target tree, which can give zero mass to an
     # observed first action, and that must surface, not silently zero out
     data = make_cohort(30, n_traj=120)
-    m = fit_dts(data, HP, HP)
+    m = fit_dts(data, HP)
     first = subset(data, data.stages == 1)
     probs = m.action_probabilities_batch(first.states, first.prev_actions, first.stages)
     has_gap = np.any(probs[np.arange(len(first)), first.actions] == 0.0)

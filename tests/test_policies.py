@@ -84,7 +84,7 @@ def test_top_k_support_is_monotone_in_k():
 
 def test_policy_support_stays_inside_model_support():
     data = make_cohort(22, n_traj=150)
-    m = fit_dts(data, HP, HP)
+    m = fit_dts(data, HP)
     model_p = m.action_probabilities_batch(data.states, data.prev_actions, data.stages)
     for pol in (TopKPolicy(m, 1), TopKPolicy(m, 2), BestOutcomePolicy(m, 2)):
         out = pol.probabilities_batch(data.states, data.prev_actions, data.stages)
@@ -112,8 +112,8 @@ def outcome_model(avgs_by_class, probs_labels):
         if v is not None:
             ay.append(c)
             ar.append(v)
-    t = attach_outcomes(t, np.zeros((len(ay), 1)), np.asarray(ay, dtype=np.int64),
-                        np.asarray(ar, dtype=np.float64))
+    t = attach_outcomes(t, t.leaf_index_batch(np.zeros((len(ay), 1))),
+                        np.asarray(ay, dtype=np.int64), np.asarray(ar, dtype=np.float64))
     return TreeBehaviorModel({"tree": t})
 
 
@@ -178,7 +178,7 @@ def test_switch_adjustment_clamps_and_counts():
 
 def test_switch_adjustment_zero_shift_matches_composition():
     data = make_cohort(24, n_traj=200)
-    m = fit_dts(data, HP, HP)
+    m = fit_dts(data, HP)
     pol = SwitchAdjustedPolicy(m, data.n_actions, 0.0)
     out = pol.probabilities_batch(data.states, data.prev_actions, data.stages)
     expect = m.action_probabilities_batch(data.states, data.prev_actions, data.stages)
@@ -294,7 +294,7 @@ def test_softening_epsilon_bounds():
 
 def test_build_policy_constructs_each_type():
     data = make_cohort(26, n_traj=150)
-    m = fit_dts(data, HP, HP)
+    m = fit_dts(data, HP)
     cases = [
         ({"type": "behavior"}, BehaviorPolicy),
         ({"type": "mc", "k": 2}, TopKPolicy),

@@ -222,3 +222,18 @@ def test_no_module_imports_a_name_it_never_uses():
                   for alias in node.names
                   if (alias.asname or alias.name).partition(".")[0] not in read]
     assert found == []
+
+
+def test_only_the_tree_memo_grows_and_tallies_a_component_tree():
+    # one grower: a component tree is grown through fit_tree and its outcomes
+    # tallied through attach_outcomes at one site each, in behavior.TreeMemo,
+    # so no second fit path can drift from the one selection uses
+    behavior = SRC / "clinpol" / "behavior.py"
+    memo = next(node for node in ast.parse(behavior.read_text(encoding="utf-8")).body
+                if isinstance(node, ast.ClassDef) and node.name == "TreeMemo")
+    for name in ("fit_tree", "attach_outcomes"):
+        sites = [(path, line) for path in SOURCES for line, _ in _calls(path, name)]
+        offenders = [f"{path.name}:{line}" for path, line in sites
+                     if path != behavior or not memo.lineno <= line <= memo.end_lineno]
+        assert offenders == [], name
+        assert len(sites) == 1, name

@@ -262,8 +262,8 @@ def test_queries_on_selected_rows_read_those_rows_in_place():
     rng = np.random.default_rng(17)
     X = rng.normal(size=(500, 3))
     y = rng.integers(0, 3, size=500)
-    tree = attach_outcomes(fit_tree(X, y, TreeHyperparams(max_depth=5, min_leaf_fraction=0.02)),
-                           X, y, rng.normal(size=500))
+    fitted = fit_tree(X, y, TreeHyperparams(max_depth=5, min_leaf_fraction=0.02))
+    tree = attach_outcomes(fitted, fitted.leaf_index_batch(X), y, rng.normal(size=500))
     ids = tree.leaf_index_batch(X)
     for rows in (np.arange(500), np.flatnonzero(X[:, 0] > 0.3), np.array([7, 7, 3]),
                  [], np.arange(500)[::-1].astype(np.int32)):
@@ -294,7 +294,7 @@ def test_attach_outcomes_means_and_no_data():
     tree = fit_tree(X, y_fit, TreeHyperparams(max_depth=1, min_leaf_fraction=0.45),
                     n_classes=3)
     # single leaf: action 0 outcomes {2, 4}, action 1 outcome {1}, action 2 never seen
-    out = attach_outcomes(tree, X, [0, 0, 1], [2.0, 4.0, 1.0])
+    out = attach_outcomes(tree, tree.leaf_index_batch(X), [0, 0, 1], [2.0, 4.0, 1.0])
     avg = out.outcome_avg_batch(X[:1])[0]
     assert avg[0] == 3.0
     assert avg[1] == 1.0
@@ -310,8 +310,8 @@ def test_attach_outcomes_matches_group_by_oracle():
     y = rng.integers(0, 4, size=400)
     outcomes = rng.normal(size=400)
     tree = fit_tree(X, y, TreeHyperparams(max_depth=3, min_leaf_fraction=0.02), n_classes=4)
-    fitted = attach_outcomes(tree, X, y, outcomes)
-    ids = fitted.leaf_index_batch(X)
+    ids = tree.leaf_index_batch(X)
+    fitted = attach_outcomes(tree, ids, y, outcomes)
     avg = fitted.outcome_avg_batch(X)
     for i in range(400):
         group = outcomes[(ids == ids[i]) & (y == y[i])]
@@ -320,8 +320,19 @@ def test_attach_outcomes_matches_group_by_oracle():
 
 def test_attach_outcomes_rejects_misaligned_arrays():
     tree = fit_tree(np.ones((2, 1)), [0, 1], TreeHyperparams())
-    with pytest.raises(TreeError, match="misaligned"):
-        attach_outcomes(tree, np.ones((2, 1)), [0, 1], [1.0])
+    ids = tree.leaf_index_batch(np.ones((2, 1)))
+    with pytest.raises(TreeError, match="misaligned arrays: 2 leaf ids, 2 actions, 1 outcomes"):
+        attach_outcomes(tree, ids, [0, 1], [1.0])
+    with pytest.raises(TreeError, match="misaligned arrays: 1 leaf ids, 2 actions"):
+        attach_outcomes(tree, ids[1:], [0, 1], [1.0, 2.0])
+
+
+def test_attach_outcomes_rejects_an_action_outside_the_classes():
+    tree = fit_tree(np.ones((2, 1)), [0, 1], TreeHyperparams())
+    ids = tree.leaf_index_batch(np.ones((2, 1)))
+    for bad in ([0, 2], [-1, 0]):
+        with pytest.raises(TreeError, match=r"action id outside \[0, 2\)"):
+            attach_outcomes(tree, ids, bad, [1.0, 2.0])
 
 
 # ---------------------------------------------------------------------------
@@ -385,9 +396,8 @@ def test_json_round_trip_identical_predictions():
     X = rng.normal(size=(500, 4))
     y = rng.integers(0, 3, size=500)
     outcomes = rng.normal(size=500)
-    tree = attach_outcomes(
-        fit_tree(X, y, TreeHyperparams(max_depth=5, min_leaf_fraction=0.02), n_classes=3),
-        X, y, outcomes)
+    fitted = fit_tree(X, y, TreeHyperparams(max_depth=5, min_leaf_fraction=0.02), n_classes=3)
+    tree = attach_outcomes(fitted, fitted.leaf_index_batch(X), y, outcomes)
     back = tree_from_json(json.loads(json_text(tree)))
     Xq = rng.normal(size=(1000, 4))
     np.testing.assert_array_equal(tree.predict_proba_batch(Xq),
@@ -437,9 +447,10 @@ def test_truncated_deep_tree_equals_a_fresh_fit(n_classes):
                         n_classes=n_classes)
         for depth in range(1, 10):
             hp = TreeHyperparams(max_depth=depth, min_leaf_fraction=frac)
-            fresh = attach_outcomes(fit_tree(X, y, hp, n_classes=n_classes),
-                                    X, y, outcomes)
-            cut = attach_outcomes(truncate_tree(deep, depth), X, y, outcomes)
+            fresh = fit_tree(X, y, hp, n_classes=n_classes)
+            fresh = attach_outcomes(fresh, fresh.leaf_index_batch(X), y, outcomes)
+            cut = truncate_tree(deep, depth)
+            cut = attach_outcomes(cut, cut.leaf_index_batch(X), y, outcomes)
             assert json_text(cut) == json_text(fresh), (frac, depth)
             np.testing.assert_array_equal(cut.predict_proba_batch(Xq),
                                           fresh.predict_proba_batch(Xq))
@@ -727,9 +738,7 @@ def test_leaf_maps_route_and_tally_as_the_cut_trees(n_classes):
         ids = to_cut[deep_ids]
         np.testing.assert_array_equal(ids, cut.leaf_index_batch(X))
         np.testing.assert_array_equal(to_cut[deep_q], cut.leaf_index_batch(Xq))
-        fast = attach_outcomes(cut, X, y, outcomes, ids)
-        routed = attach_outcomes(truncate_tree(deep, depth), X, y, outcomes)
-        assert json_text(fast) == json_text(routed)
+        fast = attach_outcomes(cut, ids, y, outcomes)
         # the tallies add each cell's outcomes in row order, as np.add.at does
         sums = np.zeros((cut.n_leaves, n_classes))
         cnts = np.zeros((cut.n_leaves, n_classes), dtype=np.int64)
@@ -740,5 +749,5 @@ def test_leaf_maps_route_and_tally_as_the_cut_trees(n_classes):
         assert fast.outcome_avg.tobytes() == avg.tobytes()
         assert fast.outcome_count.tobytes() == cnts.tobytes()
         assert fast.root is cut.root and cut.outcome_avg is None
-    with pytest.raises(TreeError, match="699 leaf ids for 700 rows"):
-        attach_outcomes(cut, X, y, outcomes, ids[1:])
+    with pytest.raises(TreeError, match="699 leaf ids, 700 actions, 700 outcomes"):
+        attach_outcomes(cut, ids[1:], y, outcomes)
