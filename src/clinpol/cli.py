@@ -2,9 +2,9 @@
 
 Every subcommand takes ``--seed``, ``--config``, and ``--out``; config files
 are JSON with the key schemas documented in the README. A domain error
-(``ClinpolError``) or an input error (``OSError``, malformed JSON) prints a
-single-line diagnostic to stderr and exits nonzero; any other exception is a
-bug and propagates.
+(``ClinpolError``, malformed JSON included) or an input error (``OSError``)
+prints a single-line diagnostic to stderr and exits nonzero; any other
+exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -299,7 +299,7 @@ def main(argv=None) -> int:
         return args.func(args)
     # a domain or input error gets a single-line diagnostic and a nonzero
     # exit; anything else is a bug and raises with its traceback
-    except (ClinpolError, OSError, json.JSONDecodeError) as e:
+    except (ClinpolError, OSError) as e:
         message = str(e).splitlines()[0] if str(e) else type(e).__name__
         print(f"error: {message}", file=sys.stderr)
         return 1

@@ -431,6 +431,8 @@ def load_bundle(path):
             payload = json.load(fh)
     except UnicodeDecodeError as e:
         raise _not_utf8(path, e) from None
+    except json.JSONDecodeError as e:
+        raise HarnessError(f"bundle {path} is not valid JSON: {e}") from None
     version = member(payload, "bundle_version", INT, HarnessError, f"bundle {path}")
     if version != BUNDLE_VERSION:
         raise HarnessError(

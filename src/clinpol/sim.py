@@ -29,11 +29,16 @@ and keeps only the history its states need, not the step arrays a cohort
 hands out. A table keyed by config class gives the functions that take any
 config their simulator's schema, truth probabilities, generator and loop.
 
-Determinism: every patient draws from ``SeedSequence([seed, patient_index])``
-with a fixed draw order, and every step after the draws works row by row, so
-datasets are bitwise stable under regeneration regardless of batching: a
-generator makes any range of patients, and ``simulate(cfg, each=...)`` hands
-the cohort out in blocks that concatenate to the whole.
+Determinism: every patient draws from the stream that
+``PCG64(SeedSequence([seed, patient_index]))`` starts, with a fixed draw
+order, and every step after the draws works row by row, so datasets are
+bitwise stable under regeneration regardless of batching: a generator makes
+any range of patients, and ``simulate(cfg, each=...)`` hands the cohort out
+in blocks that concatenate to the whole. The streams are not built one
+object pair per patient: ``_streams`` runs numpy's SeedSequence hash and
+PCG64 seeding for a whole range at once and sets one reused generator's
+state per patient. ``tests/test_seeding.py`` holds those states and the
+cohorts they draw to numpy's own objects.
 """
 
 from __future__ import annotations
@@ -95,10 +100,134 @@ def _patients(cfg, first: int, stop: int | None) -> range:
     return range(first, stop)
 
 
+# NumPy's SeedSequence (NEP 19) hash and PCG64 seeding constants
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32 = 0xFFFFFFFF
+
+
+def _words(n: int) -> list[int]:
+    """``n`` as little-endian 32-bit words, 0 as ``[0]``, as SeedSequence reads it."""
+    return [(n >> 32 * j) & _MASK32 for j in range(max(1, (n.bit_length() + 31) // 32))]
+
+
+def _hasher(init: int, mult: int):
+    """SeedSequence's hashmix with its running constant, over uint32 arrays."""
+    const = init
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+    return hashmix
+
+
+def _mix(x, y):
+    r = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return r ^ (r >> np.uint32(16))
+
+
+def _carry(limbs):
+    """128-bit little-endian 32-bit limbs, each a uint64 array, with their
+    carries propagated and the top one dropped (mod 2**128)."""
+    out, carry = [], 0
+    for limb in limbs:
+        s = limb + carry
+        out.append(s & np.uint64(_MASK32))
+        carry = s >> np.uint64(32)
+    return out
+
+
+def _add128(a, b):
+    return _carry([x + y for x, y in zip(a, b)])
+
+
+def _mul128(a, m: int):
+    """``a * m`` mod 2**128 for limbs ``a`` and a constant ``m``."""
+    cols = [0] * 4
+    for i in range(4):
+        for j in range(4 - i):
+            p = a[i] * np.uint64(m >> 32 * j & _MASK32)
+            cols[i + j] = cols[i + j] + (p & np.uint64(_MASK32))
+            if i + j < 3:
+                cols[i + j + 1] = cols[i + j + 1] + (p >> np.uint64(32))
+    return _carry(cols)
+
+
+def _ints(limbs) -> list[int]:
+    """Limbs as Python integers."""
+    hi = (limbs[2] | limbs[3] << np.uint64(32)).tolist()
+    lo = (limbs[0] | limbs[1] << np.uint64(32)).tolist()
+    return [h << 64 | l for h, l in zip(hi, lo)]
+
+
+def _pcg64_seeds(entropy) -> tuple[list[int], list[int]]:
+    """The (state, inc) of ``PCG64(SeedSequence(words))`` for each column of
+    ``entropy``, a list of equal-length uint32 arrays, one per word.
+
+    Every column has the same number of words, so the hash runs the same
+    constants for all of them and is computed for the whole block at once."""
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    zero = np.zeros_like(entropy[0])
+    # mix_entropy
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    # generate_state(4, uint64): eight words, read in little-endian pairs
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    w = [hashmix(pool[k % _POOL_SIZE]).astype(np.uint64) for k in range(8)]
+    # pcg64_set_seed: the first uint64 pair is the 128-bit state seed, the
+    # second the stream, each as (high, low)
+    seed128, initseq = [w[2], w[3], w[0], w[1]], [w[6], w[7], w[4], w[5]]
+    # pcg_setseq_128_srandom_r: inc = initseq << 1 | 1 and
+    # state = (inc + seed128) * MULT + inc
+    inc = _carry([x << np.uint64(1) for x in initseq])
+    inc[0] |= np.uint64(1)
+    state = _add128(_mul128(_add128(inc, seed128), _PCG_MULT), inc)
+    return _ints(state), _ints(inc)
+
+
 def _streams(cfg, patients: range):
-    """(row, generator) of each patient, from ``SeedSequence([seed, patient])``."""
-    for row, i in enumerate(patients):
-        yield row, np.random.default_rng(np.random.SeedSequence([cfg.seed, i]))
+    """(row, generator) of each patient, seeded as
+    ``PCG64(SeedSequence([seed, patient]))`` would seed it.
+
+    The seeds of the whole range are hashed at once, a run of patients whose
+    indices have the same number of 32-bit words at a time; each patient
+    then gets the one reused generator with its state set, nothing buffered.
+    """
+    seed_words = _words(int(cfg.seed))
+    states, incs = [], []
+    first, stop = patients.start, patients.stop
+    while first < stop:
+        k = len(_words(first))
+        end = min(stop, 1 << 32 * k)  # the indices with k words
+        carry = np.arange(end - first, dtype=np.uint64)
+        index_words = []
+        for j in range(k):
+            s = carry + np.uint64(first >> 32 * j & _MASK32)
+            index_words.append((s & np.uint64(_MASK32)).astype(np.uint32))
+            carry = s >> np.uint64(32)
+        s, i = _pcg64_seeds([np.full(end - first, w, dtype=np.uint32) for w in seed_words]
+                            + index_words)
+        states += s
+        incs += i
+        first = end
+    bitgen = np.random.PCG64(0)
+    rng = np.random.Generator(bitgen)
+    for row, (state, inc) in enumerate(zip(states, incs)):
+        bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                        "has_uint32": 0, "uinteger": 0}
+        yield row, rng
 
 
 class _History:

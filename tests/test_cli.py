@@ -15,7 +15,7 @@ from clinpol import cli, data, harness
 from clinpol.cli import main
 from clinpol.data import ParseError, load_dataset, save_dataset
 from clinpol.errors import ClinpolError
-from clinpol.harness import ExperimentConfig, load_bundle
+from clinpol.harness import ExperimentConfig, HarnessError, load_bundle
 from clinpol.ope import median_iqr
 from clinpol.policies import build_policy
 from clinpol.sim import (
@@ -205,6 +205,18 @@ def test_a_bundle_that_is_not_utf8_is_a_one_line_error(tmp_path, capsys):
         load_bundle(bundle)
     expect_error(capsys, ["export", "--model", str(bundle), "--out", str(tmp_path / "t")],
                  f"{bundle} line 2: not UTF-8 text")
+
+
+def test_a_bundle_that_is_not_json_is_a_one_line_error_naming_it(pipeline, capsys):
+    tmp_path, cohort, _ = pipeline
+    bundle = tmp_path / "broken.json"
+    bundle.write_text('{"bundle_version": 1,')
+    fragment = f"bundle {bundle} is not valid JSON"
+    with pytest.raises(HarnessError, match=re.escape(fragment)):
+        load_bundle(bundle)
+    for argv in (["evaluate", cohort, "--model", str(bundle), "--out", str(tmp_path / "e")],
+                 ["export", "--model", str(bundle), "--out", str(tmp_path / "t")]):
+        expect_error(capsys, argv, fragment)
 
 
 def test_a_rows_file_that_is_not_utf8_is_a_one_line_error(tmp_path, capsys):
