@@ -27,6 +27,7 @@ from .data import (
     build_states,
     fit_imputation,
     load_dataset,
+    read_json,
     save_dataset,
     split_dataset,
 )
@@ -71,14 +72,9 @@ class EvaluateConfig(Config, error=CliError, lead="malformed evaluate config"):
 
 def _read_json(path) -> dict:
     try:
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
+        obj = read_json(path, CliError, f"config {path} is not valid JSON")
     except OSError as e:
         raise CliError(f"cannot read config {path}: {e.strerror}") from None
-    except UnicodeDecodeError as e:
-        raise _not_utf8(path, e) from None
-    except json.JSONDecodeError as e:
-        raise CliError(f"config {path} is not valid JSON: {e}") from None
     if not isinstance(obj, dict):
         raise CliError(f"config {path} must hold a JSON object")
     return obj

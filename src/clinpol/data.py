@@ -821,6 +821,28 @@ def _not_utf8(path, exc: UnicodeDecodeError) -> ParseError:
     return ParseError(f"{path} line {lineno}: not UTF-8 text ({exc.reason})")
 
 
+def parse_json(text: str, error, what: str):
+    """``text`` parsed as JSON. Text that is not JSON raises ``error`` with
+    the message ``"{what}: {reason}"``, and so does an integer of more digits
+    than Python converts (4,300 by default), whose bare ``ValueError`` would
+    otherwise escape as a bug."""
+    try:
+        return json.loads(text)
+    except ValueError as e:  # json.JSONDecodeError is one
+        raise error(f"{what}: {e}") from None
+
+
+def read_json(path, error, what: str):
+    """The JSON value in the file at ``path``, parsed by :func:`parse_json`;
+    a file that is not UTF-8 text is a ``ParseError`` naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as e:
+        raise _not_utf8(path, e) from None
+    return parse_json(text, error, what)
+
+
 def _load_jsonl(path, n_actions=None, each=None):
     """A cohort from a UTF-8 JSONL file: a header line with an integer
     ``K``, then one trajectory a line. A broken type or shape rule, or a

@@ -37,11 +37,11 @@ from .data import (
     Dataset,
     SplitSpec,
     StateConfig,
-    _not_utf8,
     build_states,
     fit_imputation,
     impute_and_encode,
     load_dataset,
+    read_json,
     split_dataset,
 )
 from .errors import ClinpolError, remember
@@ -426,13 +426,7 @@ def load_bundle(path):
     from .behavior import model_from_json
     from .data import ImputationStats
 
-    try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except UnicodeDecodeError as e:
-        raise _not_utf8(path, e) from None
-    except json.JSONDecodeError as e:
-        raise HarnessError(f"bundle {path} is not valid JSON: {e}") from None
+    payload = read_json(path, HarnessError, f"bundle {path} is not valid JSON")
     version = member(payload, "bundle_version", INT, HarnessError, f"bundle {path}")
     if version != BUNDLE_VERSION:
         raise HarnessError(

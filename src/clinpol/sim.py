@@ -37,8 +37,14 @@ any range of patients, and ``simulate(cfg, each=...)`` hands the cohort out
 in blocks that concatenate to the whole. The streams are not built one
 object pair per patient: ``_streams`` runs numpy's SeedSequence hash and
 PCG64 seeding for a whole range at once and sets one reused generator's
-state per patient. ``tests/test_seeding.py`` holds those states and the
-cohorts they draw to numpy's own objects.
+state per patient. Nor is each quantity one numpy call: a chronic patient
+takes its integers and uniforms as one block of raw words, read by numpy's
+own rules (Lemire's bounded integers, ``(w >> 11) * 2**-53`` doubles,
+``low + (high - low) * u`` uniforms) for the whole range at once, and an
+episodic patient its start and action uniforms as one call, scaled
+afterwards. The normals stay one call per patient, since numpy's ziggurat
+tables are not public. ``tests/test_seeding.py`` holds the states, the
+draw rules and the cohorts to numpy's own objects and calls.
 """
 
 from __future__ import annotations
@@ -67,6 +73,14 @@ FRAILTY_CENTER = 50.0
 FRAILTY_SCALE = 15.0
 
 MC_SALT = 22695477  # keeps the rollout stream away from patient streams
+
+# the uniform start draws, (low, high) each, one place for the cohorts and
+# the rollouts: chronic age and initial disease index, episodic initial
+# severity and volume
+AGE_RANGE = (35.0, 85.0)
+INDEX_START_RANGE = (20.0, 60.0)
+SEVERITY_START_RANGE = (30.0, 80.0)
+VOLUME_START_RANGE = (20.0, 80.0)
 
 
 class SimError(ClinpolError):
@@ -203,7 +217,8 @@ def _streams(cfg, patients: range):
 
     The seeds of the whole range are hashed at once, a run of patients whose
     indices have the same number of 32-bit words at a time; each patient
-    then gets the one reused generator with its state set, nothing buffered.
+    then gets the one reused generator with its state set, nothing buffered,
+    from one state dict that is refilled per patient.
     """
     seed_words = _words(int(cfg.seed))
     states, incs = [], []
@@ -224,10 +239,34 @@ def _streams(cfg, patients: range):
         first = end
     bitgen = np.random.PCG64(0)
     rng = np.random.Generator(bitgen)
+    seeded = {"state": 0, "inc": 0}
+    full = {"bit_generator": "PCG64", "state": seeded, "has_uint32": 0, "uinteger": 0}
     for row, (state, inc) in enumerate(zip(states, incs)):
-        bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                        "has_uint32": 0, "uinteger": 0}
+        seeded["state"], seeded["inc"] = state, inc
+        bitgen.state = full
         yield row, rng
+
+
+def _lemire32(words, n: int):
+    """``Generator.integers(0, n)`` for 2 <= n < 2**32 from 32-bit ``words``
+    (uint64 arrays), by numpy's rule (Lemire 2019): the value is the top half
+    of ``word * n``, and a word whose low half is below ``2**32 % n`` is
+    rejected, numpy drawing another 32 bits in its place. Returns (values,
+    rejected)."""
+    m = words * np.uint64(n)
+    return (m >> np.uint64(32)).astype(np.int64), (m & np.uint64(_MASK32)) < (1 << 32) % n
+
+
+def _doubles(words) -> np.ndarray:
+    """numpy's doubles in [0, 1) from PCG64 output words: ``(w >> 11) * 2**-53``."""
+    return (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+def _uniform(u, bounds) -> np.ndarray:
+    """``Generator.uniform(low, high)`` from its double ``u``, in numpy's
+    arithmetic ``low + (high - low) * u``."""
+    low, high = bounds
+    return low + (high - low) * u
 
 
 class _History:
@@ -437,7 +476,45 @@ def _chronic_start(cfg: ChronicSimConfig, rng, size=None):
     """Horizon, subgroup, age and initial index, one each or ``size`` each."""
     lo, hi = cfg.horizon_range
     return (rng.integers(lo, hi + 1, size=size), rng.integers(2, size=size),
-            rng.uniform(35.0, 85.0, size=size), rng.uniform(20.0, 60.0, size=size))
+            rng.uniform(*AGE_RANGE, size=size), rng.uniform(*INDEX_START_RANGE, size=size))
+
+
+def _chronic_draws(cfg: ChronicSimConfig, patients: range):
+    """The start (horizons, subgroups, ages, initial indices, confounder
+    shifts) and the (n, H) action uniforms and index noise of ``patients``.
+
+    Each patient draws, in order: horizon, subgroup, age, initial index,
+    action uniforms, index noise, then the optional confounder. All but the
+    normals are read off one block of ``3 + H`` raw words: the two integers
+    from word 0 as numpy's 32-bit rule takes them (the horizon from its low
+    half and the subgroup from its high half; a one-value horizon takes no
+    bits, and the subgroup the low half), the doubles from the words after.
+    A row whose horizon numpy would reject (chance below H / 2**32) is drawn
+    again by numpy's own calls.
+    """
+    n, (lo, hi) = len(patients), cfg.horizon_range
+    H, confounded = hi, int(cfg.hidden_confounder)
+    words, Z = np.empty((n, 3 + H), dtype=np.uint64), np.empty((n, H + confounded))
+    for row, rng in _streams(cfg, patients):
+        words[row] = rng.bit_generator.random_raw(3 + H)
+        Z[row] = rng.standard_normal(H + confounded)
+    halves = words[:, 0] & np.uint64(_MASK32), words[:, 0] >> np.uint64(32)
+    if lo == hi:
+        T, rejected = np.full(n, lo), np.zeros(n, dtype=bool)
+        g, _ = _lemire32(halves[0], 2)
+    else:
+        T, rejected = _lemire32(halves[0], hi - lo + 1)
+        T += lo
+        g, _ = _lemire32(halves[1], 2)
+    u = _doubles(words[:, 1:])
+    age, idx, U = _uniform(u[:, 0], AGE_RANGE), _uniform(u[:, 1], INDEX_START_RANGE), u[:, 2:]
+    for row in np.flatnonzero(rejected):
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, patients[row]]))
+        T[row], g[row], age[row], idx[row] = _chronic_start(cfg, rng)
+        U[row] = rng.random(H)
+        Z[row] = rng.standard_normal(H + confounded)
+    confound = cfg.confounder_scale * Z[:, H] if confounded else np.zeros(n)
+    return (T, g, age, idx, confound), U, Z[:, :H]
 
 
 def _run_chronic(cfg: ChronicSimConfig, policy, steps: _History, start, draw) -> _History:
@@ -471,19 +548,8 @@ def generate_chronic(cfg: ChronicSimConfig, first: int = 0,
     default; bitwise deterministic in (cfg, seed), and a patient's rows are
     the same in every range that holds it."""
     patients = _patients(cfg, first, stop)
-    n, H = len(patients), cfg.horizon_range[1]
-    T, g = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
-    age, idx, confound = np.empty(n), np.empty(n), np.zeros(n)
-    U, Z = np.empty((n, H)), np.empty((n, H))
-    # fixed per-patient draw order: horizon, subgroup, age, initial index,
-    # action uniforms, index noise, then the optional confounder
-    for row, rng in _streams(cfg, patients):
-        T[row], g[row], age[row], idx[row] = _chronic_start(cfg, rng)
-        U[row] = rng.random(H)
-        Z[row] = rng.standard_normal(H)
-        if cfg.hidden_confounder:
-            confound[row] = cfg.confounder_scale * rng.standard_normal()
-    steps = _run_chronic(cfg, truth_policy(cfg), _Steps(cfg, T, H), (T, g, age, idx, confound),
+    start, U, Z = _chronic_draws(cfg, patients)
+    steps = _run_chronic(cfg, truth_policy(cfg), _Steps(cfg, start[0], cfg.horizon_range[1]), start,
                          lambda t, rows: (U[rows, t - 1], Z[rows, t - 1]))
     return _cohort(cfg, patients, steps)
 
@@ -575,7 +641,29 @@ def _survival_probability(cfg: EpisodicSimConfig, mismatch_sum, frailty) -> np.n
 def _episodic_start(cfg: EpisodicSimConfig, rng, size=None):
     """Frailty, initial severity and initial volume, one each or ``size`` each."""
     return (np.clip(rng.normal(FRAILTY_CENTER, FRAILTY_SCALE, size=size), 0.0, 100.0),
-            rng.uniform(30.0, 80.0, size=size), rng.uniform(20.0, 80.0, size=size))
+            rng.uniform(*SEVERITY_START_RANGE, size=size),
+            rng.uniform(*VOLUME_START_RANGE, size=size))
+
+
+def _episodic_draws(cfg: EpisodicSimConfig, patients: range):
+    """The start (frailties, initial severities and volumes), the (n, H)
+    action uniforms, the (n, H, 2) severity and volume noise and the
+    survival uniforms of ``patients``.
+
+    Each patient draws, in order: frailty, initial severity and volume,
+    action uniforms, state noise, survival uniform; the two start uniforms
+    come in one call with the action uniforms and are scaled afterwards.
+    """
+    n, H = len(patients), cfg.horizon
+    frailty, u, Z, u_surv = np.empty(n), np.empty((n, 2 + H)), np.empty((n, H, 2)), np.empty(n)
+    for row, rng in _streams(cfg, patients):
+        frailty[row] = rng.normal(FRAILTY_CENTER, FRAILTY_SCALE)
+        u[row] = rng.random(2 + H)
+        Z[row] = rng.standard_normal((H, 2))
+        u_surv[row] = rng.random()
+    start = (np.clip(frailty, 0.0, 100.0), _uniform(u[:, 0], SEVERITY_START_RANGE),
+             _uniform(u[:, 1], VOLUME_START_RANGE))
+    return start, u[:, 2:], Z, u_surv
 
 
 def _run_episodic(cfg: EpisodicSimConfig, policy, steps: _History, start, draw) -> _History:
@@ -613,17 +701,8 @@ def generate_episodic(cfg: EpisodicSimConfig, first: int = 0,
     the same in every range that holds it."""
     patients = _patients(cfg, first, stop)
     n, H = len(patients), cfg.horizon
-    frailty, sev, vol = np.empty(n), np.empty(n), np.empty(n)
-    U, Z, u_surv = np.empty((n, H)), np.empty((n, H, 2)), np.empty(n)
-    # fixed per-patient draw order: frailty, severity, volume, action
-    # uniforms, state noise, survival uniform
-    for row, rng in _streams(cfg, patients):
-        frailty[row], sev[row], vol[row] = _episodic_start(cfg, rng)
-        U[row] = rng.random(H)
-        Z[row] = rng.standard_normal((H, 2))
-        u_surv[row] = rng.random()
-    steps = _run_episodic(cfg, truth_policy(cfg), _Steps(cfg, np.full(n, H), H),
-                          (frailty, sev, vol),
+    start, U, Z, u_surv = _episodic_draws(cfg, patients)
+    steps = _run_episodic(cfg, truth_policy(cfg), _Steps(cfg, np.full(n, H), H), start,
                           lambda t, rows: (U[rows, t - 1], Z[rows, t - 1, 0],
                                            Z[rows, t - 1, 1],
                                            u_surv[rows] if t == H else None))
@@ -790,12 +869,14 @@ def config_to_provenance(cfg) -> str:
 
 def config_from_provenance(text: str):
     """Rebuild the generator config embedded in a dataset's provenance."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise SimError(f"provenance is not a generator manifest: {e}") from None
+    return _config_from_manifest(
+        data.parse_json(text, SimError, "provenance is not a generator manifest"), "provenance")
+
+
+def _config_from_manifest(obj, source: str):
+    """The generator config of the parsed manifest that ``source`` names."""
     if not isinstance(obj, dict) or "simulator" not in obj:
-        raise SimError("provenance is not a generator manifest")
+        raise SimError(f"{source} is not a generator manifest")
     # read as an integer, so that neither true nor 1.0 passes for version 1
     version = member(obj, "version", INT, SimError, "generator manifest", None)
     if version != MANIFEST_VERSION:
@@ -830,5 +911,6 @@ def write_manifest(path, cfg) -> None:
 
 
 def read_manifest(path):
-    with open(path, encoding="utf-8") as fh:
-        return config_from_provenance(fh.read())
+    source = f"manifest {path}"
+    return _config_from_manifest(
+        data.read_json(path, SimError, f"{source} is not a generator manifest"), source)

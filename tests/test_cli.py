@@ -219,6 +219,27 @@ def test_a_bundle_that_is_not_json_is_a_one_line_error_naming_it(pipeline, capsy
         expect_error(capsys, argv, fragment)
 
 
+# more digits than Python converts to an int (4,300 by default)
+TOO_LONG = "1" * 5000
+TOO_LONG_ERROR = "Exceeds the limit (4300 digits) for integer string conversion"
+
+
+def test_a_config_integer_too_long_to_convert_is_a_one_line_error(tmp_path, capsys):
+    config = tmp_path / "c.json"
+    config.write_text('{"n_repeats": ' + TOO_LONG + "}")
+    expect_error(capsys, ["experiment", "--config", str(config)],
+                 f"config {config} is not valid JSON: {TOO_LONG_ERROR}")
+
+
+def test_a_bundle_integer_too_long_to_convert_is_a_one_line_error(tmp_path, capsys):
+    bundle = tmp_path / "b.json"
+    bundle.write_text('{"bundle_version": ' + TOO_LONG + "}")
+    with pytest.raises(HarnessError, match=re.escape(f"bundle {bundle} is not valid JSON")):
+        load_bundle(bundle)
+    expect_error(capsys, ["export", "--model", str(bundle), "--out", str(tmp_path / "t")],
+                 f"bundle {bundle} is not valid JSON: {TOO_LONG_ERROR}")
+
+
 def test_a_rows_file_that_is_not_utf8_is_a_one_line_error(tmp_path, capsys):
     rows = tmp_path / "rows.csv"
     rows.write_bytes(b"policy,k,p1,estimator,value,ess\nmc,1,,wis,1.0,3.0\n" + NOT_UTF8)

@@ -578,6 +578,19 @@ def test_provenance_rejects_foreign_payloads():
         )
 
 
+def test_a_manifest_integer_too_long_to_convert_is_a_sim_error(tmp_path):
+    # more digits than Python converts to an int: a bare ValueError before
+    text = '{"simulator": "chronic", "version": ' + "1" * 5000 + "}"
+    with pytest.raises(SimError, match="provenance is not a generator manifest: Exceeds"):
+        config_from_provenance(text)
+    path = tmp_path / "manifest.json"
+    for text in (text, "[]"):
+        path.write_text(text)
+        with pytest.raises(SimError, match=re.escape(
+                f"manifest {path} is not a generator manifest")):
+            read_manifest(path)
+
+
 @pytest.mark.parametrize("version", ["true", "1.0", '"1"'])
 def test_provenance_version_is_an_integer_not_one_of_its_equals(version):
     """``true == 1`` and ``1.0 == 1``, so an equality test would read these
