@@ -481,10 +481,12 @@ class TreeMemo:
     deepest depth drawn with it, cuts that tree at the candidate's depth and
     tallies the cut's leaf outcomes through ``attach_outcomes``. A
     component's first request grows it at every drawn fraction, on one copy
-    of its state rows and one :class:`SplitSearch`, and routes that copy
-    through each tree grown; the copy and the search are dropped when the
-    request is done. A step that raised a domain error raises it again for
-    every later candidate that needs it (:func:`~clinpol.errors.remember`).
+    of its state rows and one :class:`SplitSearch` planned for those cells,
+    which grows every fraction's tree in one pass inside the first
+    ``fit_tree`` call and writes each fitting row's leaf id as it goes; the
+    copy and the search are dropped when the request is done. A step that
+    raised a domain error raises it again for every later candidate that
+    needs it (:func:`~clinpol.errors.remember`).
 
     Each cut is kept, keyed by (component, hyperparameters), so a candidate
     drawn twice gets the same tree object: tree queries are pure, and
@@ -535,10 +537,11 @@ class TreeMemo:
         return remember(self._grown, key, None)  # grown above; a kept error raises
 
     def _grow(self, component: str) -> None:
-        """Grow ``component`` at every drawn fraction and route its fitting
-        rows through each tree grown, keeping each tree or domain error. The
-        rows are copied once, for one shared :class:`SplitSearch`; both die
-        with this call, since a kept error holds no frame of it."""
+        """Grow ``component`` at every drawn fraction, keeping each tree and
+        its fitting rows' leaf ids, or the domain error. The rows are copied
+        once, for one :class:`SplitSearch` that grows every fraction's tree
+        in one pass inside the first ``fit_tree`` call; both die with this
+        call, since a kept error holds no frame of it."""
         rows, labels, _ = self._rows[component]
         X = _at(self.data.states, rows)
         n_classes = _n_classes(component, self.data.n_actions)
@@ -546,10 +549,10 @@ class TreeMemo:
 
         def grow(f, deep_hp):
             s = remember(search, component, lambda: SplitSearch(
-                X, labels, n_classes, tuple(self._deep)))
+                X, labels, n_classes, tuple(self._deep.values())))
             deep = fit_tree(s.X, s.y, deep_hp, n_classes=n_classes,
                             feature_names=self.data.feature_names, search=s)
-            self._routed[component, f, "fit"] = _leaf_ids(deep, X)
+            self._routed[component, f, "fit"] = s.leaf_ids(deep_hp)
             return deep
 
         for f, deep_hp in self._deep.items():

@@ -744,13 +744,26 @@ def _save(ds: Dataset, path, first: Dataset | None, fmt: str) -> None:
         body(ds, fh)
 
 
+_TOO_DEEP = "a value nested too deep to parse"
+
+
+def _loads(text: str):
+    """``json.loads``, where a value nested past the interpreter's recursion
+    limit is a ``ValueError`` saying :data:`_TOO_DEEP`, like any other bad
+    JSON, not a bare ``RecursionError``."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(_TOO_DEEP) from None
+
+
 def _jsonl_chunks(path, lines):
     """Chunks of the trajectory lines; line 1 is the header."""
     objs, linenos = [], []
     for lineno, line in enumerate(lines, start=2):
         try:
-            objs.append(json.loads(line))
-        except ValueError as exc:  # bad JSON, or an integer of over 4300 digits
+            objs.append(_loads(line))
+        except ValueError as exc:  # bad JSON, over 4300 digits, or too deep
             if not line.strip():
                 continue
             if objs:  # the lines before come first, and so do their errors
@@ -824,10 +837,10 @@ def _not_utf8(path, exc: UnicodeDecodeError) -> ParseError:
 def parse_json(text: str, error, what: str):
     """``text`` parsed as JSON. Text that is not JSON raises ``error`` with
     the message ``"{what}: {reason}"``, and so does an integer of more digits
-    than Python converts (4,300 by default), whose bare ``ValueError`` would
-    otherwise escape as a bug."""
+    than Python converts (4,300 by default) or a value nested too deep, whose
+    bare ``ValueError`` or ``RecursionError`` would otherwise escape as a bug."""
     try:
-        return json.loads(text)
+        return _loads(text)
     except ValueError as e:  # json.JSONDecodeError is one
         raise error(f"{what}: {e}") from None
 
@@ -856,7 +869,7 @@ def _load_jsonl(path, n_actions=None, each=None):
             if not first:
                 raise ParseError(f"{path}: empty file, expected a header line")
             try:
-                header = json.loads(first)
+                header = _loads(first)
             except ValueError as exc:
                 raise ParseError(f"{path} line 1: bad header "
                                  f"({getattr(exc, 'msg', exc)})") from None
@@ -885,9 +898,10 @@ def _load_csv(path, n_actions: int | None = None) -> Dataset:
                     lines.append(line)
                 elif line.lstrip("#").strip().startswith("{"):
                     try:
-                        meta, meta_line = json.loads(line.lstrip("#")), lineno
-                    except ValueError:  # a comment, not a meta line
-                        pass
+                        meta, meta_line = _loads(line.lstrip("#")), lineno
+                    except ValueError as exc:  # a comment, unless a meta line too deep
+                        if str(exc) == _TOO_DEEP:
+                            raise ParseError(f"{path} line {lineno}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise _not_utf8(path, exc) from None
     try:

@@ -28,12 +28,18 @@ apart once per fitting set. A constant column cannot split and leaves the
 search. A two-valued column (a one-hot indicator, say) has one boundary,
 scored from a tally of the node's rows that hold its rarer value, so it is
 never sorted. Only the other columns are sorted, once per fitting set. The
-boundaries of both kinds go through one Gini sweep, in (feature, position)
-order, with the arithmetic of a per-node sort; fits that share a search
-(one per min-leaf fraction) share the node searches their trees have in
-common. The sweep takes a node's boundaries in blocks of a fixed size, so
-its class-count arrays are bounded by the block size times K, not by the
-boundaries times K.
+boundaries of both kinds go through one Gini sweep, with the arithmetic of a
+per-node sort and ties broken in (feature, position) order. The sweep takes
+a node's boundaries in blocks of a fixed size, so its class-count arrays are
+bounded by the block size times K, not by the boundaries times K. With two
+classes, a block's left counts come from one running sum of the labels.
+
+A search is built for the cells (depth cap, min-leaf fraction) it will grow,
+and grows all of them in one depth-first pass: each node is tallied once
+and searched once for every cell that reaches it, and its rows are split
+once per distinct split those cells choose. Each cell's tree records the
+leaf of every fitting row as the pass reaches it, so the fitting rows are
+never routed back through the trees.
 """
 
 from __future__ import annotations
@@ -250,7 +256,12 @@ _BLOCK = 25_600
 
 
 class SplitSearch:
-    """Split search over one fitting set, shared by every tree grown on it.
+    """Split search over one fitting set, for the trees planned on it.
+
+    The search is built for a plan of cells, each a :class:`TreeHyperparams`
+    (a depth cap and a min-leaf fraction), and grows every planned tree in
+    one depth-first pass, on the first :meth:`grow`. Later calls hand out
+    the trees grown then.
 
     Columns come in three kinds, told apart once per fitting set:
 
@@ -266,25 +277,32 @@ class SplitSearch:
     and whose last row lists them in row order. Children get their rows by a
     stable partition of that matrix, so no node sorts.
 
-    A node scores its boundaries ``max(1, _BLOCK // K)`` at a time: each
-    block's left class counts come from a running integer tally, and only
-    the 1-D scores are kept for every boundary. A node's working set is
-    bounded by ``_BLOCK`` cells, not by its boundaries times K, and the
+    A node scores its boundaries ``max(1, _BLOCK // K)`` at a time, and only
+    the 1-D scores are kept for every boundary. With two classes, the left
+    counts are one running sum of the labels in each column's sorted order
+    (class 0 is the rows left minus class 1); with more, each block's come
+    from a running integer tally of (run, class) cells. A node's working set
+    is bounded by ``_BLOCK`` cells, not by its boundaries times K, and the
     scores have the bits of one sweep over all of them.
 
     Trees with different min-leaf fractions pick the same split at most of
     the nodes they share, and a node's rows are fixed by its path from the
-    root. One search per path therefore serves every fraction: it scores
-    every boundary in the widest window (the smallest floor's) and keeps,
-    for each floor ``ceil(fraction * n_train)``, the first minimum inside
-    that floor's window.
+    root. The pass visits each path once, with every cell that reaches it:
+    it tallies the node once, searches it once for every floor
+    ``ceil(fraction * n_train)`` (scoring every boundary in the widest
+    window, the smallest floor's, and keeping each floor's first minimum
+    inside its own window), and partitions the rows once per distinct split
+    the cells chose there. A cell that stops at the node writes the node's
+    leaf id over its rows: the pass reaches each cell's leaves in left-first
+    order, the order :class:`DecisionTree` numbers them in, so
+    :meth:`leaf_ids` gives each fitting row's leaf without routing it.
     """
 
-    def __init__(self, X, y, n_classes, min_leaf_fractions):
+    def __init__(self, X, y, n_classes, plan):
         self.X, self.y, self.n_classes = _fitting_set(X, y, n_classes)
         n = len(self.X)
-        self.fractions = frozenset(float(f) for f in min_leaf_fractions)
-        self.floors = sorted({math.ceil(f * n) for f in self.fractions})
+        self.plan = tuple(dict.fromkeys(plan))  # the cells, each once
+        self.floors = sorted({math.ceil(hp.min_leaf_fraction * n) for hp in self.plan})
         low, high = self.X.min(axis=0), self.X.max(axis=0)  # NaN if any
         is_low, is_high = self.X == low, self.X == high
         two = (low < high) & np.all(is_low | is_high, axis=0)
@@ -310,11 +328,11 @@ class SplitSearch:
         self._cells = np.full((n, int(held.max(initial=0))), len(self._two) * K,
                               dtype=np.int64)
         self._cells[row, slot] = col * K + self.y[row]
-        self._found: dict[tuple, tuple] = {}
+        self._grown: dict | None = None  # cell -> (root, leaf ids), after the pass
         self.searches = 0
 
-    def check(self, X, y, n_classes, min_leaf_fraction) -> None:
-        """Refuse rows, labels, classes or a fraction this search was not built for."""
+    def check(self, X, y, n_classes, hp: TreeHyperparams) -> None:
+        """Refuse rows, labels, classes or a cell this search was not built for."""
         X, y = np.asarray(X, dtype=np.float64), np.asarray(y)
         same = ((X is self.X or np.array_equal(X, self.X, equal_nan=True))
                 and (y is self.y or np.array_equal(y, self.y)))
@@ -323,55 +341,83 @@ class SplitSearch:
         if n_classes is not None and n_classes != self.n_classes:
             raise RuntimeError(
                 f"split search built for {self.n_classes} classes, not {n_classes}")
-        if min_leaf_fraction not in self.fractions:
-            raise RuntimeError(
-                f"split search not built for min_leaf_fraction {min_leaf_fraction}")
+        if hp not in self.plan:
+            raise RuntimeError(f"split search plans no tree at {hp}")
 
     def grow(self, hp: TreeHyperparams) -> Node:
-        """The root of the tree greedy growth under ``hp`` gives."""
-        floor = math.ceil(hp.min_leaf_fraction * len(self.X))
-        slot = self.floors.index(floor)
+        """The root of the tree greedy growth under the planned cell ``hp`` gives."""
+        return self._pass()[hp][0]
 
-        def grow(rows, path, depth) -> Node:
-            node = Node()
-            node.n = rows.shape[1]
+    def leaf_ids(self, hp: TreeHyperparams) -> np.ndarray:
+        """The int32 leaf id of each fitting row in the tree :meth:`grow`
+        gives for ``hp``, written as the pass reached the tree's leaves."""
+        return self._pass()[hp][1]
+
+    def _pass(self) -> dict:
+        if self._grown is None:
+            self._grown = self._grow_plan()
+        return self._grown
+
+    def _grow_plan(self) -> dict:
+        """``{cell: (root, leaf ids)}``, every planned tree grown in one pass."""
+        n = len(self.X)
+        ids = [np.empty(n, dtype=np.int32) for _ in self.plan]
+        leaves = [0] * len(self.plan)  # each cell's leaves so far
+        cells = []  # (cell, depth cap, floor, the floor's slot in a search)
+        for c, hp in enumerate(self.plan):
+            floor = math.ceil(hp.min_leaf_fraction * n)
+            cells.append((c, hp.max_depth, floor, self.floors.index(floor)))
+
+        def grow(rows, depth, cells) -> list:
+            """The node at ``depth`` that each of the ``cells`` grows on ``rows``."""
+            m = rows.shape[1]
             tally = np.bincount(self.y.take(rows[-1]), minlength=self.n_classes)
-            node.counts = tally.astype(np.float64)
-            pure = node.counts.max() == node.n
-            if depth >= hp.max_depth or pure or node.n < 2 * floor:
-                return node
-            if path not in self._found:
-                self._found[path] = self._search(rows, tally, node.counts)
-            found = self._found[path][slot]
-            if found is None:
-                return node
-            j, threshold = found
-            node.feature = j
-            node.threshold = threshold
-            # np.compress on the flat matrix: boolean indexing is several
-            # times slower on these unpredictable masks
-            goes_left = (self.X[:, j] <= threshold).take(rows).ravel()
-            n_left = int(np.count_nonzero(goes_left[-node.n:]))
-            flat = rows.ravel()
-            left = np.compress(goes_left, flat).reshape(len(rows), n_left)
-            node.left = grow(left, path + ((j, threshold, True),), depth + 1)
-            del left
-            right = np.compress(~goes_left, flat).reshape(len(rows), node.n - n_left)
-            node.right = grow(right, path + ((j, threshold, False),), depth + 1)
-            return node
+            counts = tally.astype(np.float64)
+            pure = np.count_nonzero(tally) == 1
+            nodes, found = [], None
+            splits: dict[tuple, list] = {}  # (feature, threshold) -> places in cells
+            for i, (c, max_depth, floor, slot) in enumerate(cells):
+                node = Node()
+                node.n, node.counts = m, counts
+                nodes.append(node)
+                if not (depth >= max_depth or pure or m < 2 * floor):
+                    if found is None:
+                        found = self._search(rows, tally, counts)
+                    if found[slot] is not None:
+                        splits.setdefault(found[slot], []).append(i)
+                        continue
+                ids[c][rows[-1]] = leaves[c]
+                leaves[c] += 1
+            for (j, threshold), at in splits.items():
+                # np.compress on the flat matrix: boolean indexing is several
+                # times slower on these unpredictable masks
+                goes_left = (self.X[:, j] <= threshold).take(rows).ravel()
+                n_left = int(np.count_nonzero(goes_left[-m:]))
+                flat = rows.ravel()
+                sub = [cells[i] for i in at]
+                left = np.compress(goes_left, flat).reshape(len(rows), n_left)
+                lefts = grow(left, depth + 1, sub)
+                del left
+                right = np.compress(~goes_left, flat).reshape(len(rows), m - n_left)
+                rights = grow(right, depth + 1, sub)
+                del right
+                for i, l, r in zip(at, lefts, rights):
+                    node = nodes[i]
+                    node.feature, node.threshold, node.left, node.right = j, threshold, l, r
+            return nodes
 
-        root = grow(self._root, (), 0)
+        roots = grow(self._root, 0, cells)
         # the closure refers to itself and to the search; breaking that cycle
         # lets the search die with its last user, not at a later collection
         del grow
-        return root
+        return {hp: (root, ids[c]) for c, (hp, root) in enumerate(zip(self.plan, roots))}
 
     def _search(self, rows, tally, counts) -> tuple:
         """Each floor's best (feature, threshold) at one node, or None.
 
-        Ties keep the lowest feature index, then the lowest threshold: the
-        boundaries are scored in (feature, sorted position) order and argmin
-        hits the first of equal minima.
+        Ties keep the lowest feature index, then the lowest threshold: of
+        the boundaries with the least score, the one first in (feature,
+        sorted position) order.
         """
         self.searches += 1
         m = rows.shape[1]
@@ -392,27 +438,33 @@ class SplitSearch:
             stop = start + len(left)
             _gini(left, n_left[start:stop], counts, m, weighted[start:stop])
             start = stop
-        # (feature, position) order, so argmin's first minimum breaks ties
-        feat = np.concatenate((self._sorted[s_col], self._two[t_col]))
-        order = np.argsort(feat, kind="stable")
-        weighted = weighted[order]
         # a boundary lies in floor f's window iff f <= its slack. Every one
         # lies in the smallest floor's; windows shrink as floors grow, so a
         # floor keeps the last minimum while that lies in its window
-        slack = np.minimum(n_left, m - n_left)[order]
-        best = int(np.argmin(weighted))
+        slack = np.minimum(n_left, m - n_left)
+        score, best = weighted, None
         out = []
         for floor in self.floors:
-            if slack[best] < floor:
-                score = np.where(slack >= floor, weighted, np.inf)
+            if best is None or slack[best] < floor:
+                if best is not None:
+                    score = np.where(slack >= floor, weighted, np.inf)
                 best = int(np.argmin(score))
                 if score[best] == np.inf:
                     break
-            e = order[best]
-            if e >= n_sorted:
-                out.append((int(feat[e]), self._midpoints[t_col[e - n_sorted]]))
+                # ties go to the lowest (feature, position). Each kind's
+                # boundaries are in that order, so argmin's first minimum is
+                # it, unless a two-valued column of a lower feature ties
+                if best < n_sorted < len(score):
+                    e = n_sorted + int(np.argmin(score[n_sorted:]))
+                    if (score[e] == score[best]
+                            and self._two[t_col[e - n_sorted]] < self._sorted[s_col[best]]):
+                        best = e
+            if best >= n_sorted:
+                t = t_col[best - n_sorted]
+                out.append((int(self._two[t]), self._midpoints[t]))
             else:
-                j, s, i = int(feat[e]), s_col[e], int(s_pos[e])
+                s, i = s_col[best], int(s_pos[best])
+                j = int(self._sorted[s])
                 a, b = self.X[rows[s, i], j], self.X[rows[s, i + 1], j]
                 out.append((j, float((a + b) / 2.0)))
         return tuple(out) + (None,) * (len(self.floors) - len(out))
@@ -433,6 +485,12 @@ class SplitSearch:
             return feat, pos, iter((tail.astype(np.float64),))
         pos += lo
         at = feat * m + pos
+        if self.n_classes == 2:
+            # class 1 left of each boundary: one running sum of the labels in
+            # each column's sorted order
+            ones = self.y.take(order)
+            np.cumsum(ones, axis=1, out=ones)
+            return feat, pos, _two_class_counts(ones.ravel()[at], pos, tail)
         # number the runs between consecutive boundaries (runs of all
         # columns laid end to end), then turn each sorted position's run
         # into its (run, class) cell. Work in place: these are columns x m.
@@ -492,21 +550,44 @@ class SplitSearch:
         return keep, pos[keep], left[keep]
 
 
+def _two_class_counts(ones, pos, tail):
+    """The two-class left counts of the sorted boundaries that end sorted
+    positions ``pos`` with ``ones`` rows of class 1 left of them,
+    ``_BLOCK // 2`` (at least one) at a time; ``tail`` closes the last
+    block. Class 0 is the rows left, ``pos + 1``, less class 1."""
+    step = max(1, _BLOCK // 2)
+    for start in range(0, len(ones), step):
+        stop = min(start + step, len(ones))
+        left = np.empty((stop - start, 2))
+        left[:, 1] = ones[start:stop]
+        np.subtract(pos[start:stop] + 1, ones[start:stop], out=left[:, 0])
+        if stop == len(ones):
+            left = np.concatenate((left, tail), dtype=np.float64)
+        yield left
+
+
 def _gini(left, n_left, counts, m, out) -> None:
     """Write into ``out`` the weighted child impurity of the boundaries whose
     float64 left class counts are the rows of ``left`` (overwritten), with
     ``n_left`` rows left of each, at a node of ``m`` rows and ``counts``.
 
     Term for term as a per-feature sweep: each boundary's class terms are one
-    row of a C-contiguous array, summed over that row alone.
+    row of a C-contiguous array, summed over that row alone. Two terms have
+    one sum, so with two classes the columns are added instead.
     """
     n_l = n_left.astype(np.float64)
     n_r = m - n_l
     right = counts[None, :] - left
     left /= n_l[:, None]
-    g_l = 1.0 - np.sum(np.square(left, out=left), axis=1)
+    np.square(left, out=left)
     right /= n_r[:, None]
-    g_r = 1.0 - np.sum(np.square(right, out=right), axis=1)
+    np.square(right, out=right)
+    if len(counts) == 2:
+        g_l = 1.0 - (left[:, 0] + left[:, 1])
+        g_r = 1.0 - (right[:, 0] + right[:, 1])
+    else:
+        g_l = 1.0 - np.sum(left, axis=1)
+        g_r = 1.0 - np.sum(right, axis=1)
     np.divide(n_l * g_l + n_r * g_r, m, out=out)
 
 
@@ -514,14 +595,14 @@ def fit_tree(X, y, hp: TreeHyperparams, n_classes: int | None = None,
              feature_names=None, search: SplitSearch | None = None) -> DecisionTree:
     """Grow a tree on integer class labels ``y`` (< ``n_classes``).
 
-    ``search`` shares split searches among fits on the same rows; it must
-    have been built on ``X`` and ``y`` for ``hp.min_leaf_fraction``.
-    Without one, the fit builds its own.
+    ``search`` grows the trees of several cells on the same rows in one
+    pass; it must have been built on ``X`` and ``y`` with ``hp`` among its
+    cells. Without one, the fit builds its own, for ``hp`` alone.
     """
     if search is None:
-        search = SplitSearch(X, y, n_classes, (hp.min_leaf_fraction,))
+        search = SplitSearch(X, y, n_classes, (hp,))
     else:
-        search.check(X, y, n_classes, hp.min_leaf_fraction)
+        search.check(X, y, n_classes, hp)
     X = search.X
     if feature_names is not None and len(feature_names) != X.shape[1]:
         raise TreeError("feature_names length does not match X columns")

@@ -240,6 +240,27 @@ def test_a_bundle_integer_too_long_to_convert_is_a_one_line_error(tmp_path, caps
                  f"bundle {bundle} is not valid JSON: {TOO_LONG_ERROR}")
 
 
+# a value nested past the interpreter's recursion limit
+DEEP = "[" * 100_000 + "]" * 100_000
+DEEP_ERROR = "a value nested too deep to parse"
+
+
+def test_a_config_nested_too_deep_is_a_one_line_error(tmp_path, capsys):
+    config = tmp_path / "deep.json"
+    config.write_text(DEEP)
+    expect_error(capsys, ["experiment", "--config", str(config)],
+                 f"config {config} is not valid JSON: {DEEP_ERROR}")
+
+
+def test_a_bundle_nested_too_deep_is_a_one_line_error(tmp_path, capsys):
+    bundle = tmp_path / "b.json"
+    bundle.write_text('{"bundle_version": 1, "model": ' + DEEP + "}")
+    with pytest.raises(HarnessError, match=re.escape(f"bundle {bundle} is not valid JSON")):
+        load_bundle(bundle)
+    expect_error(capsys, ["export", "--model", str(bundle), "--out", str(tmp_path / "t")],
+                 f"bundle {bundle} is not valid JSON: {DEEP_ERROR}")
+
+
 def test_a_rows_file_that_is_not_utf8_is_a_one_line_error(tmp_path, capsys):
     rows = tmp_path / "rows.csv"
     rows.write_bytes(b"policy,k,p1,estimator,value,ess\nmc,1,,wis,1.0,3.0\n" + NOT_UTF8)

@@ -415,6 +415,30 @@ def test_jsonl_integer_of_too_many_digits_is_parse_error(tmp_path):
         load_dataset(path)
 
 
+# a value nested past the interpreter's recursion limit: a bare RecursionError
+# out of json.loads
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+def test_jsonl_line_nested_too_deep_is_parse_error(tmp_path):
+    with pytest.raises(ParseError, match=r"d\.jsonl line 2: a value nested too deep"):
+        load_dataset(write_steps(tmp_path, line_two=DEEP))
+
+
+def test_jsonl_header_nested_too_deep_is_parse_error(tmp_path):
+    path = tmp_path / "d.jsonl"
+    path.write_text('{"K":2,"schema":' + DEEP + "}\n")
+    with pytest.raises(ParseError, match=r"d\.jsonl line 1: bad header \(a value nested too deep"):
+        load_dataset(path)
+
+
+def test_csv_meta_line_nested_too_deep_is_parse_error(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text('# note\n# {"K":' + DEEP + '}\nid,t,action,reward,sev\np0,1,0,1.0,3.0\n')
+    with pytest.raises(ParseError, match=r"d\.csv line 2: a value nested too deep"):
+        load_dataset(path)
+
+
 @pytest.mark.parametrize("line", ['{"steps":[]}', '[1,2]', '"p0"'])
 def test_jsonl_line_without_id_and_steps_is_parse_error(tmp_path, line):
     with pytest.raises(ParseError, match="line 2: trajectory needs 'id' and 'steps'"):

@@ -591,6 +591,19 @@ def test_a_manifest_integer_too_long_to_convert_is_a_sim_error(tmp_path):
             read_manifest(path)
 
 
+def test_a_manifest_nested_too_deep_is_a_sim_error(tmp_path):
+    # nested past the recursion limit: a bare RecursionError before
+    text = '{"simulator": "chronic", "config": ' + "[" * 100_000 + "]" * 100_000 + "}"
+    with pytest.raises(SimError, match="provenance is not a generator manifest: a value "
+                                       "nested too deep"):
+        config_from_provenance(text)
+    path = tmp_path / "manifest.json"
+    path.write_text(text)
+    with pytest.raises(SimError, match=re.escape(
+            f"manifest {path} is not a generator manifest: a value nested too deep")):
+        read_manifest(path)
+
+
 @pytest.mark.parametrize("version", ["true", "1.0", '"1"'])
 def test_provenance_version_is_an_integer_not_one_of_its_equals(version):
     """``true == 1`` and ``1.0 == 1``, so an equality test would read these

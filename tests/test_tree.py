@@ -193,7 +193,7 @@ def test_fit_refuses_a_feature_holding_nan():
     X = np.column_stack([np.arange(40.0), np.r_[np.arange(39.0), np.nan]])
     y = (np.arange(40) % 2).astype(int)
     for fit in (lambda: fit_tree(X, y, TreeHyperparams(max_depth=3)),
-                lambda: SplitSearch(X, y, 2, (0.01,))):
+                lambda: SplitSearch(X, y, 2, (TreeHyperparams(),))):
         with pytest.raises(TreeError, match="feature 1 holds NaN"):
             fit()
 
@@ -533,12 +533,18 @@ def per_node_sort_fit(X, y, hp, n_classes):
 FRACTIONS = (0.01, 0.02, 0.03, 0.04, 0.05)
 
 
+def cells(max_depth, fractions):
+    """A split search's plan: one cell per fraction, all at ``max_depth``."""
+    return [TreeHyperparams(max_depth=max_depth, min_leaf_fraction=float(f))
+            for f in fractions]
+
+
 @pytest.mark.parametrize("n_classes", [2, 4, 25])
 def test_shared_search_fits_equal_private_and_per_node_sort_fits(n_classes):
     X, y, _ = tied_columns_data(n_classes + 40, 600, n_classes)
     rng = np.random.default_rng(n_classes)
     for depth in range(1, 10):
-        search = SplitSearch(X, y, n_classes, rng.permutation(FRACTIONS))
+        search = SplitSearch(X, y, n_classes, cells(depth, rng.permutation(FRACTIONS)))
         for frac in rng.permutation(FRACTIONS):
             hp = TreeHyperparams(max_depth=depth, min_leaf_fraction=float(frac))
             shared = json_text(fit_tree(X, y, hp, n_classes=n_classes,
@@ -574,20 +580,67 @@ def test_float_ties_between_equal_gini_splits_break_as_per_node_sort_fits():
 
 def test_shared_search_runs_fewer_node_searches_than_private_fits():
     X, y, _ = tied_columns_data(9, 800, 4)
-    shared = SplitSearch(X, y, 4, FRACTIONS)
+    shared = SplitSearch(X, y, 4, cells(9, FRACTIONS))
     private = 0
     for frac in FRACTIONS:
         hp = TreeHyperparams(max_depth=9, min_leaf_fraction=frac)
         fit_tree(X, y, hp, n_classes=4, search=shared)
-        alone = SplitSearch(X, y, 4, (frac,))
+        alone = SplitSearch(X, y, 4, (hp,))
         fit_tree(X, y, hp, n_classes=4, search=alone)
         private += alone.searches
     assert 0 < shared.searches < private
 
 
+def searched_paths(tree, hp):
+    """{path: split}, a path being the (feature, threshold, went left) steps
+    from the root, for each node of ``tree`` at which growth under ``hp``
+    asks for a split search; the split is None at a leaf."""
+    floor = math.ceil(hp.min_leaf_fraction * tree.n_train)
+    out = {}
+
+    def walk(node, path, depth):
+        if depth < hp.max_depth and node.counts.max() < node.n and node.n >= 2 * floor:
+            out[path] = None if node.is_leaf else (node.feature, node.threshold)
+        if not node.is_leaf:
+            step = (node.feature, node.threshold)
+            walk(node.left, path + (step + (True,),), depth + 1)
+            walk(node.right, path + (step + (False,),), depth + 1)
+
+    walk(tree.root, (), 0)
+    return out
+
+
+@pytest.mark.parametrize("n_classes", [2, 4, 25])
+def test_one_pass_grows_each_planned_cell_and_writes_its_leaf_ids(n_classes):
+    X, y, _ = tied_columns_data(70 + n_classes, 900, n_classes)
+    # a fraction may be planned at two depths, and cells in any order
+    plan = [TreeHyperparams(max_depth=d, min_leaf_fraction=f)
+            for d, f in ((9, 0.03), (2, 0.01), (9, 0.01), (6, 0.05), (7, 0.02),
+                         (9, 0.04), (3, 0.02))]
+    search = SplitSearch(X, y, n_classes, plan + plan[:2])
+    assert search.plan == tuple(plan)
+    trees = [fit_tree(X, y, hp, n_classes=n_classes, search=search) for hp in plan]
+    splits = {}  # path -> the splits the cells chose there
+    for hp, tree in zip(plan, trees):
+        ids = search.leaf_ids(hp)
+        assert ids.dtype == np.int32
+        np.testing.assert_array_equal(ids, tree.leaf_index_batch(X))
+        want = json_text(fit_tree(X, y, hp, n_classes=n_classes))
+        assert json_text(tree) == want
+        assert want == json_text(per_node_sort_fit(X, y, hp, n_classes))
+        for path, split in searched_paths(tree, hp).items():
+            splits.setdefault(path, set()).add(split)
+    # one search per distinct path, and some shared node splits two ways
+    assert search.searches == len(splits)
+    assert any(len(chosen - {None}) > 1 for chosen in splits.values())
+    # later requests hand out the trees of the one pass
+    again = fit_tree(X, y, plan[0], n_classes=n_classes, search=search)
+    assert again.root is trees[0].root and search.searches == len(splits)
+
+
 def test_shared_search_refuses_other_rows_classes_and_fractions():
     X, y, _ = tied_columns_data(4, 300, 3)
-    search = SplitSearch(X, y, 3, (0.02, 0.04))
+    search = SplitSearch(X, y, 3, cells(4, (0.02, 0.04)))
     hp = TreeHyperparams(max_depth=4, min_leaf_fraction=0.02)
     other_X = X.copy()
     other_X[0, 0] += 1.0
@@ -598,9 +651,10 @@ def test_shared_search_refuses_other_rows_classes_and_fractions():
             fit_tree(bad_X, bad_y, hp, n_classes=3, search=search)
     with pytest.raises(RuntimeError, match="built for 3 classes"):
         fit_tree(X, y, hp, n_classes=4, search=search)
-    with pytest.raises(RuntimeError, match="min_leaf_fraction 0.03"):
-        fit_tree(X, y, TreeHyperparams(max_depth=4, min_leaf_fraction=0.03),
-                 n_classes=3, search=search)
+    for unplanned in (TreeHyperparams(max_depth=4, min_leaf_fraction=0.03),
+                      TreeHyperparams(max_depth=3, min_leaf_fraction=0.02)):
+        with pytest.raises(RuntimeError, match=r"plans no tree at TreeHyperparams\("):
+            fit_tree(X, y, unplanned, n_classes=3, search=search)
     # an equal copy of the fitting set is the same fitting set
     copy = fit_tree(X.copy(), list(y), hp, n_classes=3, search=search)
     assert json_text(copy) == json_text(fit_tree(X, y, hp, n_classes=3))
@@ -643,7 +697,7 @@ def mixed_kind_columns(seed, n, n_classes):
 def test_column_kinds_fit_as_per_node_sort_fits(n_classes):
     for seed in range(3):
         X, y = mixed_kind_columns(10 * n_classes + seed, 500, n_classes)
-        search = SplitSearch(X, y, n_classes, FRACTIONS)
+        search = SplitSearch(X, y, n_classes, cells(7, FRACTIONS))
         for frac in FRACTIONS:
             hp = TreeHyperparams(max_depth=7, min_leaf_fraction=frac)
             shared = json_text(fit_tree(X, y, hp, n_classes=n_classes, search=search))
@@ -653,7 +707,7 @@ def test_column_kinds_fit_as_per_node_sort_fits(n_classes):
 @pytest.mark.parametrize("n_classes", [2, 4, 25])
 def test_two_valued_cells_list_each_rows_rarer_values_in_column_order(n_classes):
     X, y = mixed_kind_columns(n_classes, 500, n_classes)
-    search = SplitSearch(X, y, n_classes, FRACTIONS)
+    search = SplitSearch(X, y, n_classes, cells(7, FRACTIONS))
     low, high = X.min(axis=0), X.max(axis=0)
     two = search._two
     rare = np.where(search._rare_low[:, 0], X[:, two] == low[two], X[:, two] == high[two])
@@ -665,6 +719,22 @@ def test_two_valued_cells_list_each_rows_rarer_values_in_column_order(n_classes)
                     cols * n_classes + y[:, None], len(two) * n_classes)
     assert search._cells.dtype == want.dtype
     np.testing.assert_array_equal(search._cells, want)
+
+
+@pytest.mark.parametrize("n_classes", [2, 4, 25])
+def test_equal_splits_of_both_column_kinds_go_to_the_lower_feature(n_classes):
+    """A two-valued column and a sorted column that split the rows alike tie
+    bit for bit; the lower feature wins, whichever kind it is."""
+    rng = np.random.default_rng(n_classes)
+    y = rng.integers(0, n_classes, size=300)
+    two = ((y == 1) | (rng.random(300) < 0.1)).astype(float)
+    sorted_ = 10.0 * two + rng.integers(0, 3, size=300)  # 0..2 and 10..12
+    hp = TreeHyperparams(max_depth=3, min_leaf_fraction=0.01)
+    for X, want in ((np.column_stack([two, sorted_]), (0, 0.5)),
+                    (np.column_stack([sorted_, two]), (0, 6.0))):
+        tree = fit_tree(X, y, hp, n_classes=n_classes)
+        assert (tree.root.feature, tree.root.threshold) == want
+        assert json_text(tree) == json_text(per_node_sort_fit(X, y, hp, n_classes))
 
 
 # block budgets in (boundary, class) cells; at K=25, 50 and 175 cells are
@@ -694,7 +764,7 @@ def test_block_size_changes_no_tree_of_a_shared_search(n_classes, monkeypatch):
     want = [json_text(per_node_sort_fit(X, y, hp, n_classes)) for hp in hps]
     for block in BLOCKS:
         monkeypatch.setattr(tree_module, "_BLOCK", block)
-        search = SplitSearch(X, y, n_classes, FRACTIONS)
+        search = SplitSearch(X, y, n_classes, hps)
         got = [json_text(fit_tree(X, y, hp, n_classes=n_classes, search=search))
                for hp in hps]
         assert got == want, block
@@ -709,7 +779,7 @@ def test_a_root_search_holds_its_boundaries_in_blocks():
     y = rng.integers(0, K, size=n)
     X = np.column_stack([rng.normal(size=(n, 4)) + 0.1 * y[:, None],
                          rng.integers(0, K, size=n)[:, None] == np.arange(K)])
-    search = SplitSearch(X, y, K, (0.01, 0.02))
+    search = SplitSearch(X, y, K, cells(5, (0.01, 0.02)))
     tally = np.bincount(y, minlength=K)
     tracemalloc.start()
     try:
@@ -720,6 +790,31 @@ def test_a_root_search_holds_its_boundaries_in_blocks():
         tracemalloc.stop()
     assert found[0] is not None
     assert extra < 3 * 2**20, extra / 2**20
+
+
+def test_a_two_class_root_search_holds_its_boundaries_in_blocks():
+    """The K=2 twin: the root's 24,000 boundaries have their left counts from
+    one running sum of the labels, and each 1-D array over them takes 0.18
+    MiB. The search holds about ten such at once, 1.98 MiB in all; the
+    two-class counts of every boundary in one block, with what scoring them
+    takes, would add 0.9 MiB."""
+    rng = np.random.default_rng(0)
+    n, K = 6000, 2
+    y = rng.integers(0, K, size=n)
+    X = np.column_stack([rng.normal(size=(n, 4)) + 0.1 * y[:, None],
+                         rng.integers(0, K, size=n)[:, None] == np.arange(K)])
+    search = SplitSearch(X, y, K, cells(5, (0.01, 0.02)))
+    assert len(search._sorted) == 4
+    tally = np.bincount(y, minlength=K)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        found = search._search(search._root, tally, tally.astype(np.float64))
+        extra = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert found[0] is not None
+    assert extra < 2.5 * 2**20, extra / 2**20
 
 
 @pytest.mark.parametrize("n_classes", [2, 4, 25])
