@@ -85,5 +85,7 @@ out = Path("demo_output")
 out.mkdir(exist_ok=True)
 (out / "switch_tree.dot").write_text(dot, encoding="utf-8")
 print(f"\nswitch tree written to {out / 'switch_tree.dot'}; its root split:")
-root = switch_tree.root
-print(f"  {switch_tree.feature_names[root.feature]} <= {root.threshold:.3f}")
+# node 0 of the preorder node arrays is the root; a leaf's feature is -1
+feature, threshold = switch_tree.feature[0], switch_tree.threshold[0]
+print(f"  {switch_tree.feature_names[feature]} <= {threshold:.3f}" if feature >= 0
+      else "  none, the tree is one leaf")

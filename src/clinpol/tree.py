@@ -15,13 +15,17 @@ frequencies) and, after :func:`attach_outcomes`, a per-class average outcome
 used by outcome-guided target policies. Trees serialize to a JSON document
 that reimports to identical predictions, and to Graphviz DOT for inspection.
 
-Growth reads ``max_depth`` only as its stop rule, so the tree grown at depth
-d is the tree grown at any deeper cap, cut at depth d (the nested-subtree
-property behind CART cost-complexity pruning). Internal nodes keep their
-class counts, and :func:`truncate_tree` makes that cut without refitting.
-Leaves are numbered depth-first, so the deep leaves under one cut leaf are a
-contiguous range: :func:`leaf_map` maps deep leaf ids to cut leaf ids, and
-rows routed once through the deep tree are routed through every cut of it.
+A tree is one read-only array of its nodes in preorder, left child first,
+whose fields are parallel node arrays, and a leaf's id is its rank among the
+leaves in that order. Growth reads ``max_depth`` only as its stop rule, so
+the tree grown at depth d is the tree grown at any deeper cap, cut at depth
+d (the nested-subtree property behind CART cost-complexity pruning).
+Internal nodes keep their class counts, and :func:`truncate_tree` makes that
+cut without refitting: it keeps the nodes of depth at most d, one mask, and
+those at depth d become leaves. A cut leaf's deep leaves follow it in
+preorder, before the next cut leaf, so :func:`leaf_map` maps deep leaf ids
+to cut leaf ids with one running count, and rows routed once through the
+deep tree are routed through every cut of it.
 
 Every fit grows through a :class:`SplitSearch`, which tells column kinds
 apart once per fitting set. A constant column cannot split and leaves the
@@ -87,66 +91,58 @@ class TreeHyperparams(Config, error=TreeError, lead="malformed tree hyperparamet
             )
 
 
-class Node:
-    """Internal node (feature, threshold, children) or leaf.
+def _node_array(records: list, n_classes: int) -> np.ndarray:
+    """The node array (see :class:`DecisionTree`) of the nodes ``records``,
+    each [feature, threshold, end, depth, n, class counts]."""
+    return np.array([tuple(r) for r in records], dtype=[
+        ("feature", np.intp), ("threshold", np.float64), ("end", np.intp),
+        ("node_depth", np.intp), ("n", np.int64), ("counts", np.float64, (n_classes,))])
 
-    Both kinds carry the class counts of the samples that reached them; an
-    internal node's counts are what a cut at that node leaves on the leaf.
-    """
 
-    __slots__ = ("feature", "threshold", "left", "right", "counts", "n", "leaf_id")
-
-    def __init__(self):
-        self.feature = None
-        self.threshold = None
-        self.left = None
-        self.right = None
-        self.counts = None
-        self.n = 0
-        self.leaf_id = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 class DecisionTree:
     """A fitted tree. Queries are pure; refitting builds a new object.
+
+    ``nodes`` is a read-only record array of the nodes in preorder, left
+    child first: one allocation per tree, and a cut is one mask of it. Its
+    fields are parallel arrays over the nodes, as scikit-learn's
+    ``sklearn.tree._tree.Tree`` keeps them: ``feature``
+    (-1 at a leaf), ``threshold`` (NaN at a leaf), ``end`` (node i's subtree
+    is nodes i to ``end[i] - 1``, so an internal node's children are i + 1
+    and ``end[i + 1]``), ``node_depth`` (0 at the root), and ``n`` and the
+    (nodes, C) ``counts``: the fitting rows that reached the node, and their
+    classes. An internal node's counts are what a cut at it leaves on the
+    leaf. A leaf's id is its rank among the leaves in preorder; ``leaves``
+    holds each leaf's node and ``leaf_probs`` its class frequencies (an
+    L × C table), by leaf id.
 
     Attached outcomes are two L × C tables by leaf id, ``outcome_avg`` and
     ``outcome_count`` (None until :func:`attach_outcomes`); a tree with
     outcomes shares its nodes with the tree they were attached to.
     """
 
-    def __init__(self, root: Node, n_classes: int, n_features: int,
+    def __init__(self, nodes: np.ndarray, n_classes: int, n_features: int,
                  hyperparams: TreeHyperparams, n_train: int, feature_names=None):
-        self.root = root
+        self.nodes = _frozen(nodes)
+        for name in nodes.dtype.names:  # read-only views, as of any frozen array
+            setattr(self, name, nodes[name])
         self.n_classes = n_classes
         self.n_features = n_features
         self.hyperparams = hyperparams
         self.n_train = n_train
         self.feature_names = list(feature_names) if feature_names is not None else None
         self.outcome_avg = self.outcome_count = None
-        self._index_leaves()
+        is_leaf = self.feature < 0
+        self.leaves = _frozen(np.flatnonzero(is_leaf))
+        self.n_leaves = len(self.leaves)
+        self._leaf_id = np.cumsum(is_leaf) - 1  # at a leaf, its id
+        self.leaf_probs = _frozen(self.counts[self.leaves] / self.n[self.leaves, None])
 
     # -- structure ---------------------------------------------------------
-
-    def _index_leaves(self):
-        """Number leaves 0..L-1 in left-first depth-first order and cache matrices."""
-        leaves = []
-
-        def visit(node):
-            if node.is_leaf:
-                node.leaf_id = len(leaves)
-                leaves.append(node)
-            else:
-                visit(node.left)
-                visit(node.right)
-
-        visit(self.root)
-        self.leaves = leaves
-        self._leaf_probs = np.stack([lf.counts / lf.n for lf in leaves])
-        self._leaf_probs.flags.writeable = False
 
     def _with_outcomes(self, avg, count) -> "DecisionTree":
         """This tree, nodes shared, with the L × C outcome tables ``avg`` and
@@ -156,19 +152,8 @@ class DecisionTree:
         out.outcome_avg, out.outcome_count = avg, count
         return out
 
-    @property
-    def leaf_probs(self) -> np.ndarray:
-        """The read-only L × C table of leaf class frequencies, by leaf id."""
-        return self._leaf_probs
-
-    @property
-    def n_leaves(self) -> int:
-        return len(self.leaves)
-
     def depth(self) -> int:
-        def d(node):
-            return 0 if node.is_leaf else 1 + max(d(node.left), d(node.right))
-        return d(self.root)
+        return int(self.node_depth.max())
 
     # -- queries -----------------------------------------------------------
 
@@ -194,21 +179,24 @@ class DecisionTree:
         out = np.empty(len(X) if rows is None else len(rows), dtype=np.int64)
         # (node, the places in out of the rows that reach it); the pending
         # nodes hold disjoint places, so a walk holds about one index per row
-        pending = [(self.root, np.arange(len(out)))]
+        pending = [(0, np.arange(len(out)))]
+        # lists: an item of one reads faster than an array element
+        feature, threshold, end = (a.tolist() for a in (self.feature, self.threshold, self.end))
         while pending:
-            node, at = pending.pop()
-            if node.is_leaf:
-                out[at] = node.leaf_id
+            i, at = pending.pop()
+            j = feature[i]
+            if j < 0:
+                out[at] = self._leaf_id[i]
                 continue
-            goes_left = X[at if rows is None else rows[at], node.feature] <= node.threshold
-            pending.append((node.right, at[~goes_left]))
-            pending.append((node.left, at[goes_left]))
+            goes_left = X[at if rows is None else rows[at], j] <= threshold[i]
+            pending.append((end[i + 1], at[~goes_left]))
+            pending.append((i + 1, at[goes_left]))
         return out
 
     def predict_proba_batch(self, X, rows=None, table=None) -> np.ndarray:
         """Each row's leaf class frequencies, or its row of ``table``, an
         L × C array over this tree's leaves (a calibrated copy, say)."""
-        return self._gather(self._leaf_probs if table is None else table, X, rows)
+        return self._gather(self.leaf_probs if table is None else table, X, rows)
 
     def outcome_avg_batch(self, X, rows=None) -> np.ndarray:
         """Per-class average outcome of each row's leaf; NaN where no data.
@@ -292,10 +280,12 @@ class SplitSearch:
     ``ceil(fraction * n_train)`` (scoring every boundary in the widest
     window, the smallest floor's, and keeping each floor's first minimum
     inside its own window), and partitions the rows once per distinct split
-    the cells chose there. A cell that stops at the node writes the node's
-    leaf id over its rows: the pass reaches each cell's leaves in left-first
-    order, the order :class:`DecisionTree` numbers them in, so
-    :meth:`leaf_ids` gives each fitting row's leaf without routing it.
+    the cells chose there. Each cell appends its node to its tree's node
+    list as the pass reaches it, and the pass reaches each cell's nodes in
+    preorder, left child first: the order of :class:`DecisionTree`'s node
+    array. A cell that stops at the node writes the node's leaf id, its
+    rank among the leaves so far, over its rows, so :meth:`leaf_ids` gives
+    each fitting row's leaf without routing it.
     """
 
     def __init__(self, X, y, n_classes, plan):
@@ -328,7 +318,7 @@ class SplitSearch:
         self._cells = np.full((n, int(held.max(initial=0))), len(self._two) * K,
                               dtype=np.int64)
         self._cells[row, slot] = col * K + self.y[row]
-        self._grown: dict | None = None  # cell -> (root, leaf ids), after the pass
+        self._grown: dict | None = None  # cell -> (node array, leaf ids), after the pass
         self.searches = 0
 
     def check(self, X, y, n_classes, hp: TreeHyperparams) -> None:
@@ -344,8 +334,9 @@ class SplitSearch:
         if hp not in self.plan:
             raise RuntimeError(f"split search plans no tree at {hp}")
 
-    def grow(self, hp: TreeHyperparams) -> Node:
-        """The root of the tree greedy growth under the planned cell ``hp`` gives."""
+    def grow(self, hp: TreeHyperparams) -> np.ndarray:
+        """The node array of the tree greedy growth under the planned cell
+        ``hp`` gives (see :class:`DecisionTree`)."""
         return self._pass()[hp][0]
 
     def leaf_ids(self, hp: TreeHyperparams) -> np.ndarray:
@@ -359,31 +350,35 @@ class SplitSearch:
         return self._grown
 
     def _grow_plan(self) -> dict:
-        """``{cell: (root, leaf ids)}``, every planned tree grown in one pass."""
+        """``{cell: (node array, leaf ids)}``, every planned tree grown in
+        one pass."""
         n = len(self.X)
         ids = [np.empty(n, dtype=np.int32) for _ in self.plan]
         leaves = [0] * len(self.plan)  # each cell's leaves so far
+        # each cell's node records (see _node_array) in preorder
+        trees = [[] for _ in self.plan]
         cells = []  # (cell, depth cap, floor, the floor's slot in a search)
         for c, hp in enumerate(self.plan):
             floor = math.ceil(hp.min_leaf_fraction * n)
             cells.append((c, hp.max_depth, floor, self.floors.index(floor)))
 
-        def grow(rows, depth, cells) -> list:
-            """The node at ``depth`` that each of the ``cells`` grows on ``rows``."""
+        def grow(rows, depth, cells) -> None:
+            """Append the subtree at ``depth`` that each of the ``cells`` grows
+            on ``rows`` to its node list."""
             m = rows.shape[1]
             tally = np.bincount(self.y.take(rows[-1]), minlength=self.n_classes)
-            counts = tally.astype(np.float64)
             pure = np.count_nonzero(tally) == 1
             nodes, found = [], None
             splits: dict[tuple, list] = {}  # (feature, threshold) -> places in cells
             for i, (c, max_depth, floor, slot) in enumerate(cells):
-                node = Node()
-                node.n, node.counts = m, counts
+                node = [-1, np.nan, 0, depth, m, tally]
+                trees[c].append(node)
                 nodes.append(node)
                 if not (depth >= max_depth or pure or m < 2 * floor):
                     if found is None:
-                        found = self._search(rows, tally, counts)
+                        found = self._search(rows, tally, tally.astype(np.float64))
                     if found[slot] is not None:
+                        node[:2] = found[slot]
                         splits.setdefault(found[slot], []).append(i)
                         continue
                 ids[c][rows[-1]] = leaves[c]
@@ -396,21 +391,20 @@ class SplitSearch:
                 flat = rows.ravel()
                 sub = [cells[i] for i in at]
                 left = np.compress(goes_left, flat).reshape(len(rows), n_left)
-                lefts = grow(left, depth + 1, sub)
+                grow(left, depth + 1, sub)
                 del left
                 right = np.compress(~goes_left, flat).reshape(len(rows), m - n_left)
-                rights = grow(right, depth + 1, sub)
+                grow(right, depth + 1, sub)
                 del right
-                for i, l, r in zip(at, lefts, rights):
-                    node = nodes[i]
-                    node.feature, node.threshold, node.left, node.right = j, threshold, l, r
-            return nodes
+            for (c, *_), node in zip(cells, nodes):
+                node[2] = len(trees[c])  # the end of its subtree
 
-        roots = grow(self._root, 0, cells)
+        grow(self._root, 0, cells)
         # the closure refers to itself and to the search; breaking that cycle
         # lets the search die with its last user, not at a later collection
         del grow
-        return {hp: (root, ids[c]) for c, (hp, root) in enumerate(zip(self.plan, roots))}
+        return {hp: (_node_array(trees[c], self.n_classes), ids[c])
+                for c, hp in enumerate(self.plan)}
 
     def _search(self, rows, tally, counts) -> tuple:
         """Each floor's best (feature, threshold) at one node, or None.
@@ -613,9 +607,11 @@ def fit_tree(X, y, hp: TreeHyperparams, n_classes: int | None = None,
 def truncate_tree(tree: DecisionTree, max_depth: int) -> DecisionTree:
     """The tree a fresh fit with ``max_depth`` would grow, cut from a deeper one.
 
-    Nodes at depth ``max_depth`` become leaves holding their own class counts;
-    attached outcomes are dropped, since cut leaves have none. Exact because
-    growth above the cap never depends on the cap.
+    The cut keeps the nodes of depth at most ``max_depth``: every ancestor
+    of a kept node is kept, and precedes it in preorder. Nodes at depth
+    ``max_depth`` become leaves holding their own class counts; attached
+    outcomes are dropped, since cut leaves have none. Exact because growth
+    above the cap never depends on the cap.
     """
     if max_depth > tree.hyperparams.max_depth:
         raise TreeError(
@@ -623,43 +619,30 @@ def truncate_tree(tree: DecisionTree, max_depth: int) -> DecisionTree:
             f"to depth {max_depth}"
         )
     hp = replace(tree.hyperparams, max_depth=max_depth)
-
-    def cut(node, depth):
-        m = Node()
-        m.n = node.n
-        m.counts = node.counts
-        if not node.is_leaf and depth < max_depth:
-            m.feature = node.feature
-            m.threshold = node.threshold
-            m.left = cut(node.left, depth + 1)
-            m.right = cut(node.right, depth + 1)
-        return m
-
-    return DecisionTree(cut(tree.root, 0), tree.n_classes, tree.n_features, hp,
-                        tree.n_train, tree.feature_names)
+    keep = tree.node_depth <= max_depth
+    cut = tree.nodes[keep]
+    at_cap = cut["node_depth"] == max_depth
+    cut["feature"][at_cap] = -1
+    cut["threshold"][at_cap] = np.nan
+    # a kept node's subtree ends after the kept nodes up to its deep end
+    cut["end"] = np.cumsum(keep)[cut["end"] - 1]
+    return DecisionTree(cut, tree.n_classes, tree.n_features, hp, tree.n_train,
+                        tree.feature_names)
 
 
 def leaf_map(tree: DecisionTree, max_depth: int) -> np.ndarray:
     """The leaf of ``truncate_tree(tree, max_depth)`` that each leaf of
     ``tree`` falls in, by leaf id.
 
-    Leaves are numbered depth-first, so the leaves under one cut leaf are a
-    contiguous range of ids, and ``leaf_map(tree, d)[tree.leaf_index_batch(X)]``
-    routes ``X`` through the cut without walking it.
+    A node is a leaf of the cut if it is a leaf of depth at most
+    ``max_depth`` or an internal node at that depth. Leaves are numbered in
+    preorder, so a deep leaf falls in the last cut leaf at or before it, and
+    ``leaf_map(tree, d)[tree.leaf_index_batch(X)]`` routes ``X`` through the
+    cut without walking it.
     """
-    firsts = []
-
-    def walk(node, depth):
-        if node.is_leaf or depth == max_depth:
-            while not node.is_leaf:
-                node = node.left
-            firsts.append(node.leaf_id)
-        else:
-            walk(node.left, depth + 1)
-            walk(node.right, depth + 1)
-
-    walk(tree.root, 0)
-    return np.repeat(np.arange(len(firsts)), np.diff(firsts + [tree.n_leaves]))
+    cut_leaf = np.where(tree.feature < 0, tree.node_depth <= max_depth,
+                        tree.node_depth == max_depth)
+    return (np.cumsum(cut_leaf) - 1)[tree.leaves]
 
 
 def attach_outcomes(tree: DecisionTree, leaf_ids, y_action, outcomes) -> DecisionTree:
@@ -695,29 +678,27 @@ def attach_outcomes(tree: DecisionTree, leaf_ids, y_action, outcomes) -> Decisio
 # export / import
 # ---------------------------------------------------------------------------
 
-def _node_to_json(node: Node, tree: DecisionTree):
-    if node.is_leaf:
-        obj = {
-            "feature": None,
-            "threshold": None,
-            "n": int(node.n),
-            "counts": [int(c) for c in node.counts],
-        }
+def _nodes_to_json(tree: DecisionTree) -> dict:
+    """The root's JSON object, each node's nesting its children's; built from
+    the last node back, so that a node's children are built before it."""
+    objs = [None] * len(tree.feature)
+    for i in reversed(range(len(objs))):
+        if tree.feature[i] >= 0:
+            objs[i] = {"feature": int(tree.feature[i]), "threshold": float(tree.threshold[i]),
+                       "left": objs[i + 1], "right": objs[tree.end[i + 1]]}
+            continue
+        objs[i] = obj = {"feature": None, "threshold": None, "n": int(tree.n[i]),
+                         "counts": [int(c) for c in tree.counts[i]]}
         if tree.outcome_avg is not None:
-            avg = tree.outcome_avg[node.leaf_id]
+            leaf = tree._leaf_id[i]
             obj["outcome_avg"] = {
-                str(c): (None if math.isnan(v) else float(v)) for c, v in enumerate(avg)
+                str(c): (None if math.isnan(v) else float(v))
+                for c, v in enumerate(tree.outcome_avg[leaf])
             }
             obj["outcome_count"] = {
-                str(c): int(v) for c, v in enumerate(tree.outcome_count[node.leaf_id])
+                str(c): int(v) for c, v in enumerate(tree.outcome_count[leaf])
             }
-        return obj
-    return {
-        "feature": int(node.feature),
-        "threshold": float(node.threshold),
-        "left": _node_to_json(node.left, tree),
-        "right": _node_to_json(node.right, tree),
-    }
+    return objs[0]
 
 
 def _class_key(key, n_classes: int) -> int:
@@ -740,23 +721,32 @@ _COUNT = INT.bounded(0)
 _AVERAGE = Nullable(NUMBER)  # a leaf's average outcome of a class; null if it has none
 
 
-def _node_from_json(obj, features: Kind, counts: Items, outcomes: list) -> Node:
-    """The node ``obj`` describes; each leaf appends its (averages, counts)
-    to ``outcomes``, or None if it has none, in leaf-id order. ``features``
-    and ``counts`` are what the tree's split features and leaf counts must be."""
-    node = Node()
+def _nodes_from_json(doc, features: Kind, counts: Items, outcomes: list) -> np.ndarray:
+    """The node array of the tree ``doc["tree"]`` describes; each leaf
+    appends its (averages, counts) to ``outcomes``, or None if it has none,
+    in leaf-id order. ``features`` and ``counts`` are what the tree's split
+    features and leaf counts must be."""
     n_classes = counts.size
-    feature = _read(obj, "feature", features, None)
-    if feature is None:
-        node.counts = np.array(_read(obj, "counts", counts), dtype=np.float64)
-        node.n = _read(obj, "n", _COUNT, int(node.counts.sum()))
-        if node.n == 0 or node.n != node.counts.sum():
-            raise TreeError(f"malformed tree JSON: a leaf's 'n' is {node.n}, but its "
-                            f"counts sum to {int(node.counts.sum())}")
+    nodes = []  # in preorder, each [feature, threshold, end, depth, n, counts]
+    pending = [(doc, "tree", 0)]  # (parent, key, depth) of the nodes to read
+    while pending:
+        parent, key, depth = pending.pop()
+        obj = _read(parent, key, OBJECT)
+        feature = _read(obj, "feature", features, None)
+        if feature is not None:
+            nodes.append([feature, float(_read(obj, "threshold", NUMBER)), 0, depth, 0, None])
+            pending += [(obj, "right", depth + 1), (obj, "left", depth + 1)]
+            continue
+        leaf_counts = np.array(_read(obj, "counts", counts), dtype=np.float64)
+        n = _read(obj, "n", _COUNT, int(leaf_counts.sum()))
+        if n == 0 or n != leaf_counts.sum():
+            raise TreeError(f"malformed tree JSON: a leaf's 'n' is {n}, but its "
+                            f"counts sum to {int(leaf_counts.sum())}")
+        nodes.append([-1, np.nan, len(nodes) + 1, depth, n, leaf_counts])
         avg_obj = _read(obj, "outcome_avg", OBJECT, None)
         if avg_obj is None:
             outcomes.append(None)
-            return node
+            continue
         avg = np.full(n_classes, np.nan)
         cnt = np.zeros(n_classes, dtype=np.int64)
         for k in avg_obj:
@@ -767,14 +757,15 @@ def _node_from_json(obj, features: Kind, counts: Items, outcomes: list) -> Node:
         for k in count_obj:
             cnt[_class_key(k, n_classes)] = _read(count_obj, k, _COUNT)
         outcomes.append((avg, cnt))
-    else:
-        node.feature = feature
-        node.threshold = float(_read(obj, "threshold", NUMBER))
-        node.left = _node_from_json(_read(obj, "left", OBJECT), features, counts, outcomes)
-        node.right = _node_from_json(_read(obj, "right", OBJECT), features, counts, outcomes)
-        node.n = node.left.n + node.right.n
-        node.counts = node.left.counts + node.right.counts
-    return node
+    # an internal node's end, n and counts from its children's, the last back
+    for i in reversed(range(len(nodes))):
+        node = nodes[i]
+        if node[0] >= 0:
+            left, right = nodes[i + 1], nodes[nodes[i + 1][2]]
+            node[2], node[4], node[5] = right[2], left[4] + right[4], left[5] + right[5]
+    if nodes[0][4] >= 2**63:  # the root's n, the most of any node's
+        raise TreeError(f"malformed tree JSON: its leaves hold {nodes[0][4]} rows, past 2**63 - 1")
+    return _node_array(nodes, n_classes)
 
 
 def tree_to_json(tree: DecisionTree) -> dict:
@@ -784,7 +775,7 @@ def tree_to_json(tree: DecisionTree) -> dict:
         "n_train": tree.n_train,
         "feature_names": tree.feature_names,
         "hyperparams": tree.hyperparams.to_json(),
-        "tree": _node_to_json(tree.root, tree),
+        "tree": _nodes_to_json(tree),
     }
 
 
@@ -801,9 +792,9 @@ def tree_from_json(obj) -> DecisionTree:
     names = _read(obj, "feature_names", Nullable(Items(STR, n_features)), None)
     n_train = _read(obj, "n_train", _COUNT)
     outcomes = []
-    root = _node_from_json(_read(obj, "tree", OBJECT), Nullable(INT.bounded(0, n_features - 1)),
-                           Items(_COUNT, n_classes), outcomes)
-    tree = DecisionTree(root, n_classes, n_features, hp, n_train, names)
+    nodes = _nodes_from_json(obj, Nullable(INT.bounded(0, n_features - 1)),
+                             Items(_COUNT, n_classes), outcomes)
+    tree = DecisionTree(nodes, n_classes, n_features, hp, n_train, names)
     if all(o is None for o in outcomes):
         return tree
     if any(o is None for o in outcomes):
@@ -811,43 +802,35 @@ def tree_from_json(obj) -> DecisionTree:
     return tree._with_outcomes(*map(np.stack, zip(*outcomes)))
 
 
-def _feature_label(tree, j) -> str:
-    if tree.feature_names is not None:
-        return tree.feature_names[j]
-    return f"x{j}"
-
-
 def tree_to_dot(tree: DecisionTree, class_names=None) -> str:
     """Graphviz source: internal nodes as "name <= threshold", leaves with
     sample count, modal-class probability, and any attached outcome averages."""
     if class_names is None:
         class_names = [f"class {c}" for c in range(tree.n_classes)]
+    names = tree.feature_names or [f"x{j}" for j in range(tree.n_features)]
     lines = ["digraph tree {", '  node [shape=box, fontname="Helvetica"];']
-    counter = [0]
-
-    def emit(node) -> int:
-        my_id = counter[0]
-        counter[0] += 1
-        if node.is_leaf:
-            probs = node.counts / node.n
-            top = int(np.argmax(probs))
-            label = [f"leaf {node.leaf_id}", f"n={node.n}",
-                     f"P({class_names[top]})={probs[top]:.3f}"]
-            if tree.outcome_avg is not None:
-                for c, v in enumerate(tree.outcome_avg[node.leaf_id]):
-                    if not math.isnan(v):
-                        label.append(f"avg({class_names[c]})={v:.3f}")
-            lines.append(f'  n{my_id} [label="{_dot_escape(chr(10).join(label))}"];')
-        else:
-            text = f"{_feature_label(tree, node.feature)} <= {node.threshold:g}"
-            lines.append(f'  n{my_id} [label="{_dot_escape(text)}"];')
-            lid = emit(node.left)
-            rid = emit(node.right)
-            lines.append(f'  n{my_id} -> n{lid} [label="yes"];')
-            lines.append(f'  n{my_id} -> n{rid} [label="no"];')
-        return my_id
-
-    emit(tree.root)
+    # node i is n{i}; an internal node's edges follow its subtree, which
+    # closes with a leaf
+    open_nodes = []
+    for i, j in enumerate(tree.feature):
+        if j >= 0:
+            text = f"{names[j]} <= {tree.threshold[i]:g}"
+            lines.append(f'  n{i} [label="{_dot_escape(text)}"];')
+            open_nodes.append(i)
+            continue
+        leaf = int(tree._leaf_id[i])
+        probs = tree.leaf_probs[leaf]
+        top = int(np.argmax(probs))
+        label = [f"leaf {leaf}", f"n={tree.n[i]}", f"P({class_names[top]})={probs[top]:.3f}"]
+        if tree.outcome_avg is not None:
+            for c, v in enumerate(tree.outcome_avg[leaf]):
+                if not math.isnan(v):
+                    label.append(f"avg({class_names[c]})={v:.3f}")
+        lines.append(f'  n{i} [label="{_dot_escape(chr(10).join(label))}"];')
+        while open_nodes and tree.end[open_nodes[-1]] == i + 1:
+            k = open_nodes.pop()
+            lines.append(f'  n{k} -> n{k + 1} [label="yes"];')
+            lines.append(f'  n{k} -> n{tree.end[k + 1]} [label="no"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -244,11 +244,7 @@ def test_06_tree_splits_match_oracle_on_random_data():
         clone = tree_from_json(tree_to_json(tree))
         Xq = rng.random((50, d))
         assert np.array_equal(tree.predict_proba_batch(Xq), clone.predict_proba_batch(Xq))
-
-        def n_internal(node):
-            return 0 if node.is_leaf else 1 + n_internal(node.left) + n_internal(node.right)
-
-        count = n_internal(tree.root)
+        count = int(np.count_nonzero(tree.feature >= 0))  # internal nodes
         internal += count
         trees_with_splits += count > 0
     ok = trees_with_splits >= 90 and internal >= 300

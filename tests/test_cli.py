@@ -1,6 +1,7 @@
 """Subcommand pipeline, exact CSV columns, and one-line failure modes."""
 
 import csv
+import hashlib
 import json
 import math
 import re
@@ -100,6 +101,25 @@ def test_export_writes_three_dot_files_for_dtbls(pipeline):
     jsons = sorted(p.name for p in out.glob("*.json"))
     assert jsons == ["baseline.json", "switch.json", "treatment.json"]
     assert (out / "switch.dot").read_text().startswith("digraph")
+
+
+# SHA-256 of every file `clinpol export` writes for the pipeline's dtbls bundle
+EXPORT_DIGESTS = {
+    "baseline.dot": "f52840c5f4076600f151b45a2dbbcf2d152e0b6d184b0fa89eecf07614db7d39",
+    "baseline.json": "cbe0372f1faa66aeab9e826df921b811c16eef868d819f5eb6e55eebc43436b1",
+    "switch.dot": "4d66277e6aac264ee1bb78f5544a1634cc220c2e6d9eb26a78f6291fe0e738b4",
+    "switch.json": "8b0f3992d2ad62281e4f0bcf7cbfc18855ddf9ddc5e74b60664b02b2d11c4c49",
+    "treatment.dot": "20b90b0d7564aa66a6a154bb20fe44b0684fe81043e4dd0a21796f0ad2b0b329",
+    "treatment.json": "b8326aa94b8f7f4e8a89f616a19cea7a8e2937372406227bc2cf1b1abc0945c9",
+}
+
+
+def test_export_bytes_are_pinned(pipeline):
+    tmp_path, _, bundle = pipeline
+    out = tmp_path / "trees"
+    assert main(["export", "--model", bundle, "--out", str(out)]) == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert got == EXPORT_DIGESTS
 
 
 def test_export_writes_one_tree_for_dt(pipeline, tmp_path):

@@ -1,5 +1,6 @@
 """Tree fitting against a brute-force split oracle, exports, outcome tallies."""
 
+import hashlib
 import json
 import math
 import tracemalloc
@@ -9,8 +10,6 @@ import pytest
 
 from clinpol import tree as tree_module
 from clinpol.tree import (
-    DecisionTree,
-    Node,
     SplitSearch,
     TreeError,
     TreeHyperparams,
@@ -22,6 +21,9 @@ from clinpol.tree import (
     tree_to_json,
     truncate_tree,
 )
+
+# the fields of a tree's node array, each an array over the nodes in preorder
+NODE_ARRAYS = ("feature", "threshold", "end", "node_depth", "n", "counts")
 
 # ---------------------------------------------------------------------------
 # oracle: exhaustive Gini split search, written independently of the library
@@ -60,18 +62,18 @@ def oracle_best_split(X, y, n_classes, floor):
 
 
 def collect_internal_nodes(tree, X):
-    """Yield (node, row_indices_reaching_node) pairs for every internal node."""
+    """(node, row_indices_reaching_node) pairs for every internal node; the
+    nodes are preorder positions in the tree's node arrays."""
     out = []
-
-    def walk(node, idx):
-        if node.is_leaf:
-            return
+    reaching = {0: np.arange(len(X))}  # node -> its rows, for nodes still ahead
+    for node, feature in enumerate(tree.feature):
+        idx = reaching.pop(node)
+        if feature < 0:
+            continue
         out.append((node, idx))
-        mask = X[idx, node.feature] <= node.threshold
-        walk(node.left, idx[mask])
-        walk(node.right, idx[~mask])
-
-    walk(tree.root, np.arange(len(X)))
+        mask = X[idx, feature] <= tree.threshold[node]
+        reaching[node + 1], reaching[tree.end[node + 1]] = idx[mask], idx[~mask]
+    assert not reaching
     return out
 
 
@@ -84,8 +86,9 @@ def assert_tree_matches_oracle(X, y, hp, n_classes):
         assert got is not None
         j, thr, w = got
         # impurity of the library's chosen split, recomputed the oracle's way
-        left = [y[i] for i in idx if X[i, node.feature] <= node.threshold]
-        right = [y[i] for i in idx if X[i, node.feature] > node.threshold]
+        feature, threshold = tree.feature[node], tree.threshold[node]
+        left = [y[i] for i in idx if X[i, feature] <= threshold]
+        right = [y[i] for i in idx if X[i, feature] > threshold]
         w_chosen = (len(left) * oracle_gini(left, n_classes)
                     + len(right) * oracle_gini(right, n_classes)) / len(idx)
         assert abs(w_chosen - w) <= 1e-12
@@ -100,7 +103,7 @@ def test_pure_labels_give_single_leaf():
     X = np.array([[0.0], [1.0], [2.0]])
     tree = fit_tree(X, [1, 1, 1], TreeHyperparams(max_depth=4), n_classes=3)
     assert tree.n_leaves == 1
-    assert tree.root.is_leaf
+    assert tree.feature.tolist() == [-1] and np.isnan(tree.threshold[0])
     np.testing.assert_array_equal(tree.predict_proba_batch([[5.0]]), [[0.0, 1.0, 0.0]])
 
 
@@ -108,9 +111,9 @@ def test_separable_1d_split_lands_between_classes():
     X = np.array([[0.0], [1.0], [2.0], [3.0]])
     y = [0, 0, 1, 1]
     tree = fit_tree(X, y, TreeHyperparams(max_depth=3, min_leaf_fraction=0.01))
-    assert not tree.root.is_leaf
-    assert 1.0 < tree.root.threshold < 2.0
-    assert tree.root.threshold == 1.5
+    assert tree.feature[0] == 0
+    assert 1.0 < tree.threshold[0] < 2.0
+    assert tree.threshold[0] == 1.5
     np.testing.assert_array_equal(tree.predict_proba_batch([[0.2]]), [[1.0, 0.0]])
     np.testing.assert_array_equal(tree.predict_proba_batch([[2.9]]), [[0.0, 1.0]])
 
@@ -123,10 +126,10 @@ def test_root_split_matches_exhaustive_oracle():
     tree = fit_tree(X, y, hp)
     floor = math.ceil(0.05 * 200)
     j, thr, w = oracle_best_split(X, np.asarray(y), 2, floor)
-    assert tree.root.feature == j
-    assert tree.root.threshold == pytest.approx(thr, abs=0.0)
-    left = [y[i] for i in range(200) if X[i, tree.root.feature] <= tree.root.threshold]
-    right = [y[i] for i in range(200) if X[i, tree.root.feature] > tree.root.threshold]
+    assert tree.feature[0] == j
+    assert tree.threshold[0] == pytest.approx(thr, abs=0.0)
+    left = [y[i] for i in range(200) if X[i, tree.feature[0]] <= tree.threshold[0]]
+    right = [y[i] for i in range(200) if X[i, tree.feature[0]] > tree.threshold[0]]
     w_chosen = (len(left) * oracle_gini(left, 2) + len(right) * oracle_gini(right, 2)) / 200
     assert abs(w_chosen - w) <= 1e-12
 
@@ -149,7 +152,7 @@ def test_split_tie_breaks_lowest_feature_index():
     X = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
     y = [0, 0, 1, 1]
     tree = fit_tree(X, y, TreeHyperparams(max_depth=1, min_leaf_fraction=0.01))
-    assert tree.root.feature == 0
+    assert tree.feature[0] == 0
 
 
 def test_min_leaf_floor_is_respected():
@@ -160,7 +163,7 @@ def test_min_leaf_floor_is_respected():
         hp = TreeHyperparams(max_depth=8, min_leaf_fraction=frac)
         tree = fit_tree(X, y, hp)
         floor = math.ceil(frac * 157)
-        assert all(lf.n >= floor for lf in tree.leaves)
+        assert np.all(tree.n[tree.leaves] >= floor)
 
 
 def test_depth_cap_is_respected():
@@ -243,14 +246,35 @@ def test_leaf_index_matches_training_tally():
     y = rng.integers(0, 3, size=300)
     tree = fit_tree(X, y, TreeHyperparams(max_depth=4, min_leaf_fraction=0.05))
     ids = tree.leaf_index_batch(X)
-    for lf in tree.leaves:
-        got = np.bincount(y[ids == lf.leaf_id], minlength=3)
-        np.testing.assert_array_equal(got, lf.counts.astype(int))
-        assert (ids == lf.leaf_id).sum() == lf.n
+    for leaf, node in enumerate(tree.leaves):
+        got = np.bincount(y[ids == leaf], minlength=3)
+        np.testing.assert_array_equal(got, tree.counts[node].astype(int))
+        assert (ids == leaf).sum() == tree.n[node]
     # leaf ids are stable across refits of identical input
     ids2 = fit_tree(X, y, TreeHyperparams(max_depth=4, min_leaf_fraction=0.05)
                     ).leaf_index_batch(X)
     np.testing.assert_array_equal(ids, ids2)
+
+
+def test_every_array_a_tree_hands_out_is_read_only():
+    X, y, outcomes = tied_columns_data(8, 400, 3)
+    deep = fit_tree(X, y, TreeHyperparams(max_depth=5, min_leaf_fraction=0.02), n_classes=3)
+    probs = truncate_tree(deep, 1).leaf_probs.copy()
+    cut = truncate_tree(deep, 2)
+    with_outcomes = attach_outcomes(cut, cut.leaf_index_batch(X), y, outcomes)
+    read = tree_from_json(json.loads(json_text(with_outcomes)))
+    for tree in (deep, cut, with_outcomes, read):
+        names = ("nodes",) + NODE_ARRAYS + ("leaves", "leaf_probs")
+        if tree.outcome_avg is not None:
+            names += ("outcome_avg", "outcome_count")
+        for name in names:
+            array = getattr(tree, name)
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[-1]
+    # a cut's counts are no way into the deep tree's, nor into a later cut's
+    with pytest.raises(ValueError, match="read-only"):
+        cut.counts[cut.leaves[0], 0] += 50
+    assert truncate_tree(deep, 1).leaf_probs.tobytes() == probs.tobytes()
 
 
 def test_single_leaf_tree_maps_everything_to_leaf_zero():
@@ -366,6 +390,19 @@ def test_depth_two_dot_structure():
     assert n_edges == n_nodes - 1
 
 
+def test_dot_and_json_bytes_of_a_deep_many_class_tree_are_pinned():
+    X, y, outcomes = tied_columns_data(25, 900, 25)
+    names = ['dose "mg"', "visits", "score", "flag"]  # a quote DOT must escape
+    fitted = fit_tree(X, y, TreeHyperparams(max_depth=9, min_leaf_fraction=0.005),
+                      n_classes=25, feature_names=names)
+    tree = attach_outcomes(fitted, fitted.leaf_index_batch(X), y, outcomes)
+    assert (tree.depth(), tree.n_leaves) == (9, 128)
+    assert hashlib.sha256(tree_to_dot(tree).encode()).hexdigest() == \
+        "638e5379bf74b0cb42fab8ea352a5a37ab56905741dffab7b49edfb12c831a0c"
+    assert hashlib.sha256(json.dumps(tree_to_json(tree)).encode()).hexdigest() == \
+        "4aaaccedb44ec9c809640489393d850c3971d53ba69691d45cb3a2f04349cae6"
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda obj: {k: v for k, v in obj.items() if k != "hyperparams"},
      "tree JSON lacks the key 'hyperparams'"),
@@ -374,6 +411,10 @@ def test_depth_two_dot_structure():
     (lambda obj: dict(obj, tree={"feature": 0, "threshold": 0.5, "left": {"counts": [1, 2]}}),
      "tree JSON lacks the key 'right'"),
     (lambda obj: dict(obj, tree=[1, 2]), "malformed tree JSON"),
+    (lambda obj: dict(obj, tree={"feature": 0, "threshold": 0.5, "left": {"counts": [2**62, 0]},
+                                 "right": {"counts": [0, 2**62]}}),
+     r"its leaves hold 9223372036854775808 rows, past 2\*\*63 - 1"),
+    (lambda obj: dict(obj, tree={"counts": [2**62, 2**62]}), "past 2"),
     (lambda obj: dict(obj, n_classes="two"), "malformed tree JSON"),
     (lambda obj: dict(obj, tree={"counts": [1, 2], "outcome_avg": {"7": 1.0}}),
      "leaf outcome key '7' is not a class of a 2-class tree"),
@@ -458,14 +499,15 @@ def test_truncated_deep_tree_equals_a_fresh_fit(n_classes):
                                   fresh.outcome_avg_batch(Xq), equal_nan=True)
 
 
-def test_truncation_survives_a_json_round_trip_and_refuses_to_deepen():
-    X, y, _ = tied_columns_data(3, 400, 4)
+@pytest.mark.parametrize("n_classes", [2, 4, 25])
+def test_truncation_survives_a_json_round_trip_and_refuses_to_deepen(n_classes):
+    X, y, _ = tied_columns_data(3, 400, n_classes)
     deep = fit_tree(X, y, TreeHyperparams(max_depth=6, min_leaf_fraction=0.02),
-                    n_classes=4)
+                    n_classes=n_classes)
     back = tree_from_json(json.loads(json_text(deep)))
-    for depth in (1, 3, 6):
+    for depth in range(1, 7):
         assert (json_text(truncate_tree(back, depth))
-                == json_text(truncate_tree(deep, depth)))
+                == json_text(truncate_tree(deep, depth))), depth
     with pytest.raises(TreeError, match="cannot truncate a depth-6 tree to depth 7"):
         truncate_tree(deep, 7)
 
@@ -513,21 +555,23 @@ def per_node_sort_fit(X, y, hp, n_classes):
         return best
 
     def grow(idx, depth):
-        node = Node()
-        node.n = len(idx)
-        node.counts = np.bincount(y[idx], minlength=n_classes).astype(np.float64)
-        if depth >= hp.max_depth or node.counts.max() == node.n or node.n < 2 * floor:
-            return node
+        """The tree-JSON object of the node that holds the rows ``idx``."""
+        counts = np.bincount(y[idx], minlength=n_classes)
+        leaf = {"feature": None, "threshold": None, "n": len(idx),
+                "counts": counts.tolist()}
+        if depth >= hp.max_depth or counts.max() == len(idx) or len(idx) < 2 * floor:
+            return leaf
         found = best_split(idx)
         if found is None:
-            return node
-        node.feature, node.threshold = found[0], found[1]
-        mask = X[idx, node.feature] <= node.threshold
-        node.left = grow(idx[mask], depth + 1)
-        node.right = grow(idx[~mask], depth + 1)
-        return node
+            return leaf
+        mask = X[idx, found[0]] <= found[1]
+        return {"feature": found[0], "threshold": found[1],
+                "left": grow(idx[mask], depth + 1), "right": grow(idx[~mask], depth + 1)}
 
-    return DecisionTree(grow(np.arange(len(X)), 0), n_classes, X.shape[1], hp, len(X))
+    # read through the JSON reader, so the oracle owes nothing to the layout
+    return tree_from_json({"n_classes": n_classes, "n_features": X.shape[1],
+                           "n_train": len(X), "feature_names": None,
+                           "hyperparams": hp.to_json(), "tree": grow(np.arange(len(X)), 0)})
 
 
 FRACTIONS = (0.01, 0.02, 0.03, 0.04, 0.05)
@@ -597,16 +641,16 @@ def searched_paths(tree, hp):
     asks for a split search; the split is None at a leaf."""
     floor = math.ceil(hp.min_leaf_fraction * tree.n_train)
     out = {}
-
-    def walk(node, path, depth):
-        if depth < hp.max_depth and node.counts.max() < node.n and node.n >= 2 * floor:
-            out[path] = None if node.is_leaf else (node.feature, node.threshold)
-        if not node.is_leaf:
-            step = (node.feature, node.threshold)
-            walk(node.left, path + (step + (True,),), depth + 1)
-            walk(node.right, path + (step + (False,),), depth + 1)
-
-    walk(tree.root, (), 0)
+    paths = {0: ()}  # node -> its path, for nodes still ahead
+    for node, depth in enumerate(tree.node_depth):
+        path, n = paths.pop(node), tree.n[node]
+        step = (int(tree.feature[node]), float(tree.threshold[node]))
+        if depth < hp.max_depth and tree.counts[node].max() < n and n >= 2 * floor:
+            out[path] = None if step[0] < 0 else step
+        if step[0] >= 0:
+            paths[node + 1] = path + (step + (True,),)
+            paths[tree.end[node + 1]] = path + (step + (False,),)
+    assert not paths
     return out
 
 
@@ -635,7 +679,7 @@ def test_one_pass_grows_each_planned_cell_and_writes_its_leaf_ids(n_classes):
     assert any(len(chosen - {None}) > 1 for chosen in splits.values())
     # later requests hand out the trees of the one pass
     again = fit_tree(X, y, plan[0], n_classes=n_classes, search=search)
-    assert again.root is trees[0].root and search.searches == len(splits)
+    assert again.nodes is trees[0].nodes and search.searches == len(splits)
 
 
 def test_shared_search_refuses_other_rows_classes_and_fractions():
@@ -733,7 +777,7 @@ def test_equal_splits_of_both_column_kinds_go_to_the_lower_feature(n_classes):
     for X, want in ((np.column_stack([two, sorted_]), (0, 0.5)),
                     (np.column_stack([sorted_, two]), (0, 6.0))):
         tree = fit_tree(X, y, hp, n_classes=n_classes)
-        assert (tree.root.feature, tree.root.threshold) == want
+        assert (tree.feature[0], tree.threshold[0]) == want
         assert json_text(tree) == json_text(per_node_sort_fit(X, y, hp, n_classes))
 
 
@@ -843,6 +887,6 @@ def test_leaf_maps_route_and_tally_as_the_cut_trees(n_classes):
             avg = np.where(cnts > 0, sums / np.maximum(cnts, 1), np.nan)
         assert fast.outcome_avg.tobytes() == avg.tobytes()
         assert fast.outcome_count.tobytes() == cnts.tobytes()
-        assert fast.root is cut.root and cut.outcome_avg is None
+        assert fast.nodes is cut.nodes and cut.outcome_avg is None
     with pytest.raises(TreeError, match="699 leaf ids, 700 actions, 700 outcomes"):
         attach_outcomes(cut, ids[1:], y, outcomes)
